@@ -21,14 +21,11 @@ import numpy as np
 from .core import (
     AssumptionError,
     BoxDomain,
-    ConvergenceError,
     DimensionMismatchError,
-    DomainError,
     MetricField,
     NonlinearSystem,
     RecipkitError,
     SchemaError,
-    SingularMatrixError,
     as_vector,
 )
 from .dynamics import (
@@ -662,6 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr prefix per exception type; the first matching row wins.
+# Input errors and NotRelaxationError (a RecipkitError, not an AssumptionError)
+# must come before the numerical catch-all row.
+ERROR_EXITS = (
+    ((SchemaError, DimensionMismatchError), EXIT_INPUT, "error"),
+    ((NotRelaxationError, AssumptionError), EXIT_CHECK_FAILED, "check failed"),
+    ((RecipkitError, np.linalg.LinAlgError), EXIT_NUMERICAL, "numerical failure"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -673,27 +680,10 @@ def main(argv=None) -> int:
             path = write_report(out, payload)
             print(f"report: {path}")
         return code
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotRelaxationError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except AssumptionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ConvergenceError, SingularMatrixError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RecipkitError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (RecipkitError, np.linalg.LinAlgError) as exc:
+        code, prefix = next((c, p) for types, c, p in ERROR_EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ implicitly (a point z belongs to it exactly when Newton converges).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -104,35 +103,6 @@ def legendre_transform(K: ScalarField, z, x_init=None, tol: float = NEWTON_TOL,
     return x, float(zz @ x - K(x))
 
 
-class _WarmStartCache:
-    """Nearest-neighbour warm starts for repeated conjugate solves.
-
-    Results are init-only: the converged solution is identical (to the Newton
-    tolerance) whatever starting point succeeds.
-    """
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._zs: list = []
-        self._xs: list = []
-        self._lock = threading.Lock()
-
-    def suggest(self, z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-        with self._lock:
-            if not self._zs:
-                return fallback
-            d = [float(np.linalg.norm(z - zc)) for zc in self._zs]
-            return self._xs[int(np.argmin(d))]
-
-    def store(self, z: np.ndarray, x: np.ndarray):
-        with self._lock:
-            if len(self._zs) >= self.capacity:
-                self._zs.pop(0)
-                self._xs.pop(0)
-            self._zs.append(np.array(z))
-            self._xs.append(np.array(x))
-
-
 @dataclass(frozen=True)
 class LegendrePair:
     """Generating function K together with its conjugate K*.
@@ -150,7 +120,10 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                        verify: bool = True, round_trip_tol: float = 1e-8,
                        biconjugate_tol: float = 1e-8, hessian_tol: float = 1e-6,
                        newton_tol: float = NEWTON_TOL) -> LegendrePair:
-    """Construct K* with warm-started Newton inversion and verify the pair.
+    """Construct K* by Newton inversion from the domain center; verify the pair.
+
+    inverse is deterministic in z: the same co-vector gives a bit-identical x
+    whatever was queried before.
 
     Verification samples x in the domain of K, pushes z = grad K(x) (always a
     valid co-domain point) and checks
@@ -162,14 +135,11 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     where the biconjugate is evaluated through the same generic Newton path
     applied to K*.  Raises ConvergenceError or AssumptionError on failure.
     """
-    cache = _WarmStartCache()
-
     def inverse(z):
         zz = as_vector(z, K.dim)
-        x0 = cache.suggest(zz, K.domain.center)
         c, w = K.domain.center, K.domain.width
         # offset restarts cover centers where the Hessian degenerates
-        starts = (x0, c, c + 0.1 * w * np.sign(zz), c - 0.1 * w)
+        starts = (c, c + 0.1 * w * np.sign(zz), c - 0.1 * w)
         err = None
         for s in starts:
             try:
@@ -177,7 +147,6 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             except (ConvergenceError, SingularMatrixError) as exc:
                 err = exc
                 continue
-            cache.store(zz, x)
             return x
         raise err
 
@@ -208,7 +177,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             z = K.grad(x)
             xb = inverse(z)
             worst_rt = max(worst_rt, float(np.max(np.abs(xb - x))))
-            Hgap = K.hess(x) @ star_hess(z) - np.eye(K.dim)
+            Hgap = K.hess(x) @ np.linalg.inv(K.hess(xb)) - np.eye(K.dim)
             worst_hess = max(worst_hess, float(np.max(np.abs(Hgap))))
             # biconjugate through the generic path on K*
             _, kss = legendre_transform(Kstar, x, x_init=z, tol=newton_tol)

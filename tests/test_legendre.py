@@ -166,3 +166,37 @@ def test_pair_battery_fields_verify():
         x = K.domain.shrink(0.5).sample(1, seed=7)[0]
         np.testing.assert_allclose(pair.inverse(pair.forward(x)), x, atol=1e-8,
                                    err_msg=name)
+
+
+def test_pair_inverse_independent_of_query_order():
+    from recipkit.models import field_registry
+
+    K = field_registry()["exp-sum"]
+    zs = [K.grad(x) for x in K.domain.shrink(0.9).sample(301, seed=3)]
+    pair = make_legendre_pair(K, samples=50, seed=0, verify=False)
+    first = pair.inverse(zs[0])
+    forward = [pair.inverse(z) for z in zs[1:]]
+    assert np.array_equal(pair.inverse(zs[0]), first)
+    backward = [pair.inverse(z) for z in reversed(zs[1:])][::-1]
+    for a, b in zip(forward, backward):
+        assert np.array_equal(a, b)
+
+
+def test_pair_inverse_outside_codomain_raises_after_all_restarts():
+    box = BoxDomain.cube(1)
+    evaluated = []
+
+    def gradient(x):
+        evaluated.append(float(x[0]))
+        return np.array(x, dtype=float)
+
+    K = ScalarField(1, lambda x: 0.5 * float(x[0] ** 2), box, gradient=gradient,
+                    hessian=lambda x: np.eye(1))
+    pair = make_legendre_pair(K, samples=20, seed=0, verify=False)
+    evaluated.clear()
+    # grad K on the inflated box never reaches 5
+    with pytest.raises(ConvergenceError):
+        pair.inverse([5.0])
+    c, w = box.center[0], box.width[0]
+    for s in (c, c + 0.1 * w, c - 0.1 * w):
+        assert s in evaluated
