@@ -385,8 +385,10 @@ def cmd_legendre(args, tols):
     rt = hs = 0.0
     for x in xs:
         z = pair.forward(x)
-        rt = max(rt, float(np.max(np.abs(pair.inverse(z) - x))))
-        hs = max(hs, float(np.max(np.abs(fld.hess(x) @ pair.Kstar.hess(z) - np.eye(fld.dim)))))
+        xb = pair.inverse(z)
+        rt = max(rt, float(np.max(np.abs(xb - x))))
+        hs = max(hs, float(np.max(np.abs(fld.hess(x) @ np.linalg.inv(fld.hess(xb))
+                                         - np.eye(fld.dim)))))
     payload = {"command": "legendre", "field_dim": fld.dim,
                "round_trip_gap": rt, "hessian_inverse_gap": hs,
                "homogeneous_degree_two": hom.degree2,

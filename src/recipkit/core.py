@@ -176,58 +176,36 @@ def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
     return np.maximum(base, base * np.abs(x))
 
 
-def finite_difference_gradient(f: Callable, x, h: Optional[float] = None,
-                               domain: Optional[BoxDomain] = None) -> np.ndarray:
-    """Central-difference gradient of a scalar map.
+def finite_difference_gradient(f: Callable, x, step: float = GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient of a scalar map; see finite_difference_jacobian."""
+    return finite_difference_jacobian(f, x, step)
 
-    Parameters
-    ----------
-    f : callable
-        Scalar-valued map of a vector argument.
-    x : array_like
-        Evaluation point.
-    h : float, optional
-        Step override; default max(1e-6, 1e-6*|x_i|) per component.
-    domain : BoxDomain, optional
-        When given, x and every stencil point must lie inside, otherwise
-        DomainError is raised.
+
+def finite_difference_jacobian(F: Callable, x, step: float = GRAD_STEP) -> np.ndarray:
+    """Central-difference derivative of a scalar, vector or matrix map.
+
+    The toolkit's one first-difference stencil.  The result has the shape of
+    F(x) plus a last axis indexing x, so a vector map gives rows indexing
+    outputs.  Component i moves by max(step, step*|x_i|).
     """
     v = as_vector(x)
-    steps = np.full(v.shape, float(h)) if h is not None else _default_steps(v, GRAD_STEP)
-    if domain is not None and not domain.contains(v):
-        raise DomainError(f"point {v} outside domain")
-    g = np.empty_like(v)
-    for i in range(v.shape[0]):
-        e = np.zeros_like(v)
-        e[i] = steps[i]
-        if domain is not None and not (domain.contains(v + e) and domain.contains(v - e)):
-            raise DomainError(f"stencil around {v} leaves domain in component {i}")
-        g[i] = (f(v + e) - f(v - e)) / (2 * steps[i])
-    return g
-
-
-def finite_difference_jacobian(F: Callable, x, h: Optional[float] = None,
-                               domain: Optional[BoxDomain] = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector map; rows index outputs."""
-    v = as_vector(x)
-    steps = np.full(v.shape, float(h)) if h is not None else _default_steps(v, GRAD_STEP)
-    if domain is not None and not domain.contains(v):
-        raise DomainError(f"point {v} outside domain")
+    steps = _default_steps(v, step)
     cols = []
     for i in range(v.shape[0]):
         e = np.zeros_like(v)
         e[i] = steps[i]
-        if domain is not None and not (domain.contains(v + e) and domain.contains(v - e)):
-            raise DomainError(f"stencil around {v} leaves domain in component {i}")
         cols.append((np.asarray(F(v + e), dtype=float) - np.asarray(F(v - e), dtype=float))
                     / (2 * steps[i]))
     return np.stack(cols, axis=-1)
 
 
-def hessian_from_value(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
-    """Second central differences of a scalar map; symmetrized."""
+def hessian_from_value(f: Callable, x, step: float = HESS_VALUE_STEP) -> np.ndarray:
+    """Second central differences of a scalar map; symmetrized.
+
+    Component i moves by max(step, step*|x_i|).
+    """
     v = as_vector(x)
-    steps = np.full(v.shape, float(h)) if h is not None else _default_steps(v, HESS_VALUE_STEP)
+    steps = _default_steps(v, step)
     n = v.shape[0]
     H = np.empty((n, n))
     f0 = f(v)
@@ -431,11 +409,8 @@ class AffineNonlinearSystem:
             if J.shape != (self.nu, self.nx, self.nx):
                 raise DimensionMismatchError(f"dg_dx shape {J.shape}")
             return J
-        cols = []
-        for j in range(self.nu):
-            cols.append(finite_difference_jacobian(
-                lambda xx, jj=j: as_matrix(self.g(xx), (self.nx, self.nu))[:, jj], x))
-        return np.stack(cols, axis=0)
+        J = finite_difference_jacobian(lambda xx: as_matrix(self.g(xx), (self.nx, self.nu)), x)
+        return J.transpose(1, 0, 2)
 
     def jac_h(self, x) -> np.ndarray:
         if self.dh_dx is not None:

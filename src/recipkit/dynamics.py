@@ -151,14 +151,20 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             raise ConvergenceError(f"singular mass matrix at t={t:.6g}") from exc
         w = xk + h * v
         scale = newton_tol * (1.0 + float(np.linalg.norm(xk)))
-        r = None
+
+        def residual(y):
+            m = 0.5 * (xk + y)
+            M = mass_at(m)
+            r = M @ (y - xk) - h * as_vector(rhs(tm, m), n)
+            return m, M, r, float(np.linalg.norm(r))
+
+        # the accepted line-search candidate carries its midpoint, mass and
+        # residual into the next iteration, so each point is evaluated once
+        m, M, r, rn = residual(w)
         for _ in range(max_newton):
-            m = 0.5 * (xk + w)
-            r = mass_at(m) @ (w - xk) - h * as_vector(rhs(tm, m), n)
-            rn = float(np.linalg.norm(r))
             if rn <= scale:
                 return w
-            J = mass_at(m) - 0.5 * h * jac_rhs(tm, m)
+            J = M - 0.5 * h * jac_rhs(tm, m)
             try:
                 delta = np.linalg.solve(J, r)
             except np.linalg.LinAlgError as exc:
@@ -166,10 +172,9 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             lam = 1.0
             while lam >= 1.0 / 64.0:
                 cand = w - lam * delta
-                mc = 0.5 * (xk + cand)
-                rc = mass_at(mc) @ (cand - xk) - h * as_vector(rhs(tm, mc), n)
-                if float(np.linalg.norm(rc)) < rn or float(np.linalg.norm(rc)) <= scale:
-                    w = cand
+                cm, cM, cr, crn = residual(cand)
+                if crn < rn or crn <= scale:
+                    w, m, M, r, rn = cand, cm, cM, cr, crn
                     break
                 lam *= 0.5
             else:

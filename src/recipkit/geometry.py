@@ -25,6 +25,7 @@ from .core import (
     SignatureMatrix,
     as_matrix,
     as_vector,
+    finite_difference_jacobian,
 )
 from .dynamics import Trajectory
 
@@ -69,18 +70,8 @@ def levi_civita(G: MetricField, x, step: float = METRIC_STEP) -> np.ndarray:
     the inverse metric.  Torsion-free by construction.
     """
     xv = as_vector(x, G.dim)
-    n = G.dim
-    h = np.maximum(step, step * np.abs(xv))
-    dG = np.empty((n, n, n))  # dG[i] = dG/dx_i
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        dG[i] = (G(xv + e) - G(xv - e)) / (2 * h[i])
-    lower = np.empty((n, n, n))  # lower[l, i, j]
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                lower[l, i, j] = 0.5 * (dG[j][l, i] + dG[i][l, j] - dG[l][i, j])
+    J = finite_difference_jacobian(G, xv, step)  # J[a, b, c] = dG_ab/dx_c
+    lower = 0.5 * (J + J.transpose(0, 2, 1) - J.transpose(2, 0, 1))  # lower[l, i, j]
     Ginv = np.linalg.inv(G.checked(xv))
     return np.einsum("kl,lij->kij", Ginv, lower)
 
@@ -91,14 +82,7 @@ def third_partial_tensor(K: ScalarField, x, step: float = THIRD_PARTIAL_STEP) ->
     Differentiates the best available derivative level of K and symmetrizes
     over all index permutations.
     """
-    xv = as_vector(x, K.dim)
-    n = K.dim
-    h = np.maximum(step, step * np.abs(xv))
-    T = np.empty((n, n, n))
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = h[l]
-        T[l] = (K.hess(xv + e) - K.hess(xv - e)) / (2 * h[l])
+    T = finite_difference_jacobian(K.hess, as_vector(x, K.dim), step).transpose(2, 0, 1)
     T = (T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
          + T.transpose(0, 2, 1) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
     return T

@@ -121,10 +121,10 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
         G.checked(x)
         Jf = finite_difference_jacobian(lambda xx: G(xx) @ as_vector(sys.f(xx), sys.nx), x)
         r_state = max(r_state, symmetry_residual(Jf))
+        Jg = finite_difference_jacobian(
+            lambda xx: G(xx) @ np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu), x)
         for j in range(sys.nu):
-            Jg = finite_difference_jacobian(
-                lambda xx, jj=j: G(xx) @ np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu)[:, jj], x)
-            r_state = max(r_state, symmetry_residual(Jg))
+            r_state = max(r_state, symmetry_residual(Jg[:, j, :]))
         kx = np.asarray(sys.k(x), dtype=float).reshape(sys.nu, sys.nu)
         r_out = max(r_out, float(np.max(np.abs(sm @ kx - kx.T @ sm))))
         gap = G(x) @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
@@ -164,18 +164,6 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
 METRIC_PARTIAL_STEP = 1e-5
 
 
-def _metric_partials(G: MetricField, x: np.ndarray, step: float) -> np.ndarray:
-    """dG[i] = dG/dx_i by central differences, shape (n, n, n)."""
-    n = G.dim
-    out = np.empty((n, n, n))
-    h = np.maximum(step, step * np.abs(x))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        out[i] = (G(x + e) - G(x - e)) / (2 * h[i])
-    return out
-
-
 def is_hessian_metric(G: MetricField, sample_points=None, tol: float = 1e-6,
                       n_samples: int = 50, seed: int = 0,
                       step: float = METRIC_PARTIAL_STEP) -> dict:
@@ -185,8 +173,8 @@ def is_hessian_metric(G: MetricField, sample_points=None, tol: float = 1e-6,
     worst = 0.0
     for x in sample_points:
         x = as_vector(x, G.dim)
-        dG = _metric_partials(G, x, step)
-        worst = max(worst, float(np.max(np.abs(dG - dG.transpose(1, 0, 2)))))
+        J = finite_difference_jacobian(G, x, step)  # J[i, j, k] = dG_ij/dx_k
+        worst = max(worst, float(np.max(np.abs(J - J.transpose(2, 1, 0)))))
     return {"hessian": bool(worst <= tol), "residual": worst}
 
 
@@ -195,10 +183,11 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
                   seed: int = 0) -> ScalarField:
     """Rebuild a generating function whose Hessian is the given metric.
 
-    Uses the homotopy construction along straight segments from the base
-    point: the gradient is chi(x) = int_0^1 G(x0 + t(x-x0)) (x-x0) dt and
-    the value integrates chi once more along the same segment.  Both
-    integrals use adaptive composite Gauss-Legendre quadrature.
+    Uses the homotopy construction along the straight segment from the base
+    point, with d = x - x0: the gradient is chi(x) = int_0^1 G(x0 + t d) d dt
+    and the value is Taylor's integral remainder
+    K(x) = int_0^1 (1 - t) d^T G(x0 + t d) d dt, so K and its gradient vanish
+    at x0.  Both are single adaptive composite Gauss-Legendre integrals.
     """
     x0 = as_vector(base_point, G.dim)
     if verify:
@@ -220,8 +209,8 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
         d = x - x0
         if not np.any(d):
             return 0.0
-        return float(integrate_segment(lambda t: float(chi(x0 + t * d) @ d), 0.0, 1.0,
-                                       tol=quad_tol))
+        return float(integrate_segment(lambda t: (1.0 - t) * float(d @ G(x0 + t * d) @ d),
+                                       0.0, 1.0, tol=quad_tol))
 
     return ScalarField(G.dim, value, G.domain, gradient=chi)
 

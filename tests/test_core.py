@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recipkit.core import (
     AffineNonlinearSystem,
@@ -97,6 +100,37 @@ def test_finite_difference_gradient_and_jacobian():
         np.testing.assert_allclose(g, [np.cos(x[0]), x[2], x[1]], atol=1e-7)
         J = finite_difference_jacobian(lambda v: A @ v, x)
         np.testing.assert_allclose(J, A, atol=1e-8)
+
+
+@st.composite
+def quadratic_maps(draw):
+    """F(v) = 0.5 Q[..., i, j] v_i v_j + A[..., i] v_i with scalar, vector or matrix values."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    coef = st.floats(-3.0, 3.0)
+    Q = draw(hnp.arrays(float, shape + (n, n), elements=coef))
+    A = draw(hnp.arrays(float, shape + (n,), elements=coef))
+    # components far from the origin exercise the relative step
+    x = np.array(draw(st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6)),
+                               min_size=n, max_size=n)))
+    return Q, A, x
+
+
+@settings(derandomize=True, deadline=None)
+@given(quadratic_maps())
+def test_finite_difference_jacobian_matches_quadratic_maps(case):
+    Q, A, x = case
+    F = lambda v: 0.5 * np.einsum("...ij,i,j->...", Q, v, v) + np.einsum("...i,i->...", A, v)
+    exact = 0.5 * np.einsum("...ij,j->...i", Q + np.swapaxes(Q, -1, -2), x) + A
+    J = finite_difference_jacobian(F, x)
+    assert J.shape == exact.shape
+    # central differences are exact on quadratics up to rounding: of F's terms
+    # over the step, and of x +- step over the step itself
+    steps = np.maximum(1e-6, 1e-6 * np.abs(x))
+    size = 1.0 + np.max(np.abs(Q), initial=0.0) * np.sum(np.abs(x)) ** 2 \
+        + np.max(np.abs(A), initial=0.0) * np.sum(np.abs(x))
+    tol = 1e-14 * size / steps + 1e-10 * (1.0 + np.abs(exact))
+    assert np.all(np.abs(J - exact) <= tol)
 
 
 def test_hessian_from_value_quadratic():

@@ -98,6 +98,24 @@ def test_integrator_mass_matrix():
     assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-7
 
 
+def test_integrator_assembles_mass_at_most_three_times_per_step():
+    # predictor, first Newton residual, accepted candidate: a linear ODE
+    # converges after one Newton step, and J reuses the residual's mass
+    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    Mconst = np.array([[2.0, 0.5], [0.5, 1.0]])
+    calls = []
+
+    def mass(x):
+        calls.append(x)
+        return Mconst
+
+    n_steps = 50
+    _, states = integrate_implicit_midpoint(lambda t, x: A @ x, np.array([1.0, 0.0]),
+                                            (0.0, 1.0), step=1.0 / n_steps, mass=mass)
+    assert np.all(np.isfinite(states))
+    assert len(calls) <= 3 * n_steps
+
+
 def test_integrator_local_tol_refines_coarse_grid():
     rhs = lambda t, x: np.array([-10.0 * x[0]])
     _, coarse = integrate_implicit_midpoint(rhs, np.array([1.0]), (0.0, 1.0), step=0.2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recipkit.core import (
+    AffineNonlinearSystem,
     BoxDomain,
     DimensionMismatchError,
     MetricField,
@@ -131,6 +132,51 @@ def test_is_hessian_metric_closed_and_non_closed():
     bad = is_hessian_metric(Gbad)
     assert not bad["hessian"]
     assert bad["residual"] > 0.5
+
+
+def two_input_affine(box, broken):
+    """nx=3, nu=2 with G = diag(2, 1, 1) and sigma = I.
+
+    G g_1 = grad(x0 x1 + cosh x2) and G g_2 = grad(x0 x2) make the system
+    reciprocal with h = (x0 x1 + cosh x2, x0 x2); the broken variant drops
+    the last entry of G g_2, so only d(G g_2)/dx is asymmetric.
+    """
+    Ginv = np.array([0.5, 1.0, 1.0])
+    last = 0.0 if broken else 1.0
+
+    def g(x):
+        Gg = np.array([[x[1], x[2]], [x[0], 0.0], [np.sinh(x[2]), last * x[0]]])
+        return Ginv[:, None] * Gg
+
+    def dg_dx(x):
+        dGg1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, np.cosh(x[2])]])
+        dGg2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [last, 0.0, 0.0]])
+        return Ginv[None, :, None] * np.stack([dGg1, dGg2])
+
+    sys = AffineNonlinearSystem(
+        3, 2,
+        f=lambda x: -x,
+        g=g,
+        h=lambda x: np.array([x[0] * x[1] + np.cosh(x[2]), x[0] * x[2]]),
+        k=lambda x: np.zeros((2, 2)),
+        domain=box,
+    )
+    return sys, dg_dx
+
+
+def test_check_reciprocity_affine_two_inputs():
+    box = BoxDomain.cube(3, halfwidth=0.8)
+    G = MetricField.constant(np.diag([2.0, 1.0, 1.0]), box)
+    for broken in (False, True):
+        sys, dg_dx = two_input_affine(box, broken)
+        for x in box.sample(6, seed=2):
+            J = sys.jac_g(x)
+            assert J.shape == (2, 3, 3)
+            np.testing.assert_allclose(J, dg_dx(x), atol=1e-8)
+        rep = check_reciprocity_affine(sys, G, SignatureMatrix.identity(2), n_samples=20)
+        assert rep.reciprocal is not broken
+    # d(G g_2)/dx has a single off-diagonal 1 in the broken variant
+    assert rep.residual_state == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reconstruct_K_matches_generating_function():
