@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     AffineNonlinearSystem,
@@ -122,8 +121,12 @@ def flatness_check(K: ScalarField, sample_points=None, tol: float = 1e-8,
     worst_t = 0.0
     worst_g = 0.0
     for x in sample_points:
-        worst_t = max(worst_t, float(np.max(np.abs(third_partial_tensor(K, x)))))
-        worst_g = max(worst_g, float(np.max(np.abs(hessian_christoffel(K, x)))))
+        xv = as_vector(x, K.dim)
+        T = third_partial_tensor(K, xv)
+        # hessian_christoffel's formula on this T, so the stencil runs once per point
+        gam = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(K.hess(xv)), T)
+        worst_t = max(worst_t, float(np.max(np.abs(T))))
+        worst_g = max(worst_g, float(np.max(np.abs(gam))))
     return bool(worst_t <= tol and worst_g <= tol)
 
 
@@ -141,6 +144,7 @@ class TimeVaryingLinearSystem:
 def _state_interpolant(nominal: Trajectory):
     t = nominal.times
     if len(t) >= 4:
+        from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
         return CubicSpline(t, nominal.states, axis=0)
     return lambda s: np.array([np.interp(s, t, nominal.states[:, i])
                                for i in range(nominal.states.shape[1])])
@@ -153,6 +157,7 @@ def _input_interpolant(nominal: Trajectory, u_signal):
     if nominal.inputs.shape[1] == 0:
         return lambda s: np.zeros(0)
     if len(t) >= 4:
+        from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
         spline = CubicSpline(t, nominal.inputs, axis=0)
         return lambda s: np.asarray(spline(s), dtype=float)
     return lambda s: np.array([np.interp(s, t, nominal.inputs[:, i])

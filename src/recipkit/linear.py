@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     ConvergenceError,
@@ -195,6 +194,7 @@ def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
     """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term."""
     if sigma.m != sys.m:
         raise DimensionMismatchError("signature size must match input count")
+    from scipy.linalg import expm  # deferred to keep cold start fast
     worst = symmetry_residual(sigma.conjugate_rows(sys.D))
     for t in times:
         W = sys.C @ expm(sys.A * float(t)) @ sys.B
@@ -243,6 +243,7 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
     def propagator(t: float) -> np.ndarray:
         key = round(float(t), 14)
         if key not in expm_cache:
+            from scipy.linalg import expm  # deferred to keep cold start fast
             expm_cache[key] = expm(sys.A * float(t))
         return expm_cache[key]
 

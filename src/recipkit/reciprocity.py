@@ -116,18 +116,22 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
         sample_points = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
     sm = sigma.matrix
     r_state = r_out = r_cross = 0.0
+
+    def G_fg(xx):
+        # G [f | g], so one stencil gives d(G f)/dx and every d(G g_j)/dx
+        fg = np.column_stack([as_vector(sys.f(xx), sys.nx),
+                              np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu)])
+        return G(xx) @ fg
+
     for x in sample_points:
         x = as_vector(x, sys.nx)
-        G.checked(x)
-        Jf = finite_difference_jacobian(lambda xx: G(xx) @ as_vector(sys.f(xx), sys.nx), x)
-        r_state = max(r_state, symmetry_residual(Jf))
-        Jg = finite_difference_jacobian(
-            lambda xx: G(xx) @ np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu), x)
-        for j in range(sys.nu):
-            r_state = max(r_state, symmetry_residual(Jg[:, j, :]))
+        Gx = G.checked(x)
+        J = finite_difference_jacobian(G_fg, x)
+        for j in range(1 + sys.nu):
+            r_state = max(r_state, symmetry_residual(J[:, j, :]))
         kx = np.asarray(sys.k(x), dtype=float).reshape(sys.nu, sys.nu)
         r_out = max(r_out, float(np.max(np.abs(sm @ kx - kx.T @ sm))))
-        gap = G(x) @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
+        gap = Gx @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
         r_cross = max(r_cross, float(np.max(np.abs(gap))))
     ok = max(r_state, r_out, r_cross) <= tol
     return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(sample_points))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recipkit
 from recipkit.cli import _emit_json, main, write_report
 
 LINEAR_DOC = {
@@ -19,6 +24,17 @@ LINEAR_DOC = {
 def read_report(out_dir):
     with open(out_dir / "report.json") as fh:
         return json.load(fh)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # cold start: these load only inside the functions that use them
+    heavy = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
+    code = f"import sys, recipkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(recipkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_emit_json_formatting():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import qmc
 
+from recipkit import core
 from recipkit.core import (
     AffineNonlinearSystem,
     AssumptionError,
@@ -77,6 +79,26 @@ def test_box_domain_sample_inside_and_deterministic():
     for p in pts:
         assert box.contains(p)
     np.testing.assert_array_equal(pts, box.sample(40, seed=3))
+
+
+def test_halton_equals_scipy_scrambled_halton():
+    for d in range(1, 9):
+        for seed in (0, 1, 7, 123, 2024, 99991):
+            for n in (1, 7, 30, 257, 1000):
+                ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(core._halton(n, d, seed), ref), (d, seed, n)
+    box = BoxDomain(np.array([-1.0, 0.5, 2.0]), np.array([3.0, 0.75, 9.0]))
+    shrink = 1e-9 * box.width
+    ref = (box.lower + shrink) + qmc.Halton(d=3, scramble=True, seed=5).random(40) \
+        * (box.width - 2 * shrink)
+    assert np.array_equal(box.sample(40, seed=5), ref)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(1, 1000))
+def test_halton_equals_scipy_property(d, seed, n):
+    ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+    assert np.array_equal(core._halton(n, d, seed), ref)
 
 
 def test_box_domain_grid_product_shrink():

@@ -120,6 +120,21 @@ def test_flatness_check():
     assert not flatness_check(curved)
 
 
+def test_flatness_check_takes_one_stencil_per_point():
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return np.diag(np.cosh(x))
+
+    box = BoxDomain.cube(2)
+    curved = ScalarField(2, lambda x: float(np.sum(np.cosh(x))), box,
+                         gradient=lambda x: np.sinh(x), hessian=hessian)
+    assert not flatness_check(curved, n_samples=30)
+    # 2n Hessians for the third-partial stencil plus one to raise its index
+    assert len(calls) == 30 * (2 * 2 + 1)
+
+
 def scalar_affine():
     box = BoxDomain.cube(1, halfwidth=2.0)
     return AffineNonlinearSystem(
