@@ -564,38 +564,42 @@ def _legendre_nodes(nodes: int) -> tuple:
 
 
 def gauss_legendre_panels(f: Callable, a: float, b: float, panels: int, nodes: int = 32):
-    """Composite Gauss-Legendre quadrature of a scalar- or vector-valued map."""
+    """Composite Gauss-Legendre quadrature of a map evaluated on a whole node array.
+
+    f is called once with the pass's nodes, shape (panels * nodes,), and
+    returns values with the node axis first: shape (panels * nodes, ...).
+    """
     xs, ws = _legendre_nodes(nodes)
     h = (b - a) / panels
-    total = None
-    for p in range(panels):
-        lo = a + p * h
-        mid = lo + 0.5 * h
-        for xi, wi in zip(xs, ws):
-            val = np.asarray(f(mid + 0.5 * h * xi), dtype=float) * (wi * 0.5 * h)
-            total = val if total is None else total + val
-    return total
+    mid = a + np.arange(panels) * h + 0.5 * h
+    ts = (mid[:, None] + 0.5 * h * np.asarray(xs)).ravel()
+    weights = np.tile(np.asarray(ws) * 0.5 * h, panels)
+    return np.tensordot(weights, np.asarray(f(ts), dtype=float), axes=1)
 
 
 def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 1e-8,
                       nodes: int = 32, max_doublings: int = 10):
     """Adaptive composite Gauss-Legendre: double panel count until stable.
 
-    Stops when successive estimates differ by less than tol*(1+|estimate|);
-    raises ConvergenceError if the budget of doublings is exhausted.
+    f takes an array of nodes, shape (N,), and returns its values with the
+    node axis first, shape (N, ...); it is called once per pass.  Stops when
+    successive estimates differ by less than tol*(1+|estimate|); raises
+    ConvergenceError if the budget of doublings is exhausted.
     """
     panels = 1
     prev = gauss_legendre_panels(f, a, b, panels, nodes)
+    err, bound = np.inf, tol
     for _ in range(max_doublings):
         panels *= 2
         cur = gauss_legendre_panels(f, a, b, panels, nodes)
         err = float(np.max(np.abs(np.atleast_1d(cur - prev))))
-        scale = 1.0 + float(np.max(np.abs(np.atleast_1d(cur))))
-        if err <= tol * scale:
+        bound = tol * (1.0 + float(np.max(np.abs(np.atleast_1d(cur)))))
+        if err <= bound:
             return cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature on [{a},{b}] did not stabilize below {tol} within {max_doublings} doublings")
+        f"quadrature on [{a},{b}] did not stabilize within {max_doublings} doublings: "
+        f"at {panels} panels the last change was {err:.3e} > {bound:.3e} (tol {tol})")
 
 
 def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0,

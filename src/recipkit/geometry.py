@@ -132,36 +132,41 @@ def flatness_check(K: ScalarField, sample_points=None, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class TimeVaryingLinearSystem:
-    """Evaluators t -> A(t), B(t), C(t) for a linear time-varying system."""
+    """Evaluators for a linear time-varying system on whole time arrays.
+
+    A, B and C take times of shape (N,) and return matrices stacked with
+    the time axis first: (N, nx, nx), (N, nx, nu) and (N, ny, nx).
+    """
 
     nx: int
     nu: int
-    A: Callable[[float], np.ndarray]
-    B: Callable[[float], np.ndarray]
-    C: Callable[[float], np.ndarray]
+    A: Callable[[np.ndarray], np.ndarray]
+    B: Callable[[np.ndarray], np.ndarray]
+    C: Callable[[np.ndarray], np.ndarray]
 
 
 def _state_interpolant(nominal: Trajectory):
+    """ts of shape (N,) -> states of shape (N, nx)."""
     t = nominal.times
     if len(t) >= 4:
         from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
         return CubicSpline(t, nominal.states, axis=0)
-    return lambda s: np.array([np.interp(s, t, nominal.states[:, i])
-                               for i in range(nominal.states.shape[1])])
+    return lambda s: np.stack([np.interp(s, t, nominal.states[:, i])
+                               for i in range(nominal.states.shape[1])], axis=-1)
 
 
-def _input_interpolant(nominal: Trajectory, u_signal):
+def _input_interpolant(nominal: Trajectory, u_signal, nu: int):
+    """ts of shape (N,) -> inputs of shape (N, nu)."""
     if u_signal is not None:
-        return lambda s: as_vector(u_signal(s))
+        return lambda s: np.array([as_vector(u_signal(si), nu) for si in s]).reshape(len(s), nu)
     t = nominal.times
-    if nominal.inputs.shape[1] == 0:
-        return lambda s: np.zeros(0)
+    if nu == 0:
+        return lambda s: np.zeros((len(s), 0))
     if len(t) >= 4:
         from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
-        spline = CubicSpline(t, nominal.inputs, axis=0)
-        return lambda s: np.asarray(spline(s), dtype=float)
-    return lambda s: np.array([np.interp(s, t, nominal.inputs[:, i])
-                               for i in range(nominal.inputs.shape[1])])
+        return CubicSpline(t, nominal.inputs, axis=0)
+    return lambda s: np.stack([np.interp(s, t, nominal.inputs[:, i]) for i in range(nu)],
+                              axis=-1)
 
 
 def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
@@ -173,18 +178,17 @@ def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
     unless an explicit input signal is supplied.
     """
     xof = _state_interpolant(nominal)
-    uof = _input_interpolant(nominal, u_signal)
+    uof = _input_interpolant(nominal, u_signal, sys.nu)
 
-    def A(t):
-        x = as_vector(xof(t), sys.nx)
-        u = as_vector(uof(t), sys.nu)
-        return sys.jac_f(x) + np.einsum("j,jab->ab", u, sys.jac_g(x))
+    def A(ts):
+        return np.stack([sys.jac_f(x) + np.einsum("j,jab->ab", u, sys.jac_g(x))
+                         for x, u in zip(xof(ts), uof(ts))])
 
-    def B(t):
-        return as_matrix(sys.g(as_vector(xof(t), sys.nx)), (sys.nx, sys.nu))
+    def B(ts):
+        return np.stack([as_matrix(sys.g(x), (sys.nx, sys.nu)) for x in xof(ts)])
 
-    def C(t):
-        return sys.jac_h(as_vector(xof(t), sys.nx))
+    def C(ts):
+        return np.stack([sys.jac_h(x) for x in xof(ts)])
 
     return TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C)
 
@@ -205,11 +209,9 @@ def dual_variational_system(sys: AffineNonlinearSystem, connection: Connection,
     if connection.dim != sys.nx:
         raise DimensionMismatchError("connection dimension must match state dimension")
     xof = _state_interpolant(nominal)
-    uof = _input_interpolant(nominal, u_signal)
+    uof = _input_interpolant(nominal, u_signal, sys.nu)
 
-    def A(t):
-        x = as_vector(xof(t), sys.nx)
-        u = as_vector(uof(t), sys.nu)
+    def A_at(x, u):
         gam = connection(x)
         gmat = as_matrix(sys.g(x), (sys.nx, sys.nu))
         base = sys.jac_f(x).T + np.einsum("j,jab->ab", u, sys.jac_g(x)).T
@@ -221,11 +223,14 @@ def dual_variational_system(sys: AffineNonlinearSystem, connection: Connection,
             out = out + 2.0 * u[j] * np.einsum("abc,c->ba", gam, gmat[:, j])
         return out
 
-    def B(t):
-        return sys.jac_h(as_vector(xof(t), sys.nx)).T
+    def A(ts):
+        return np.stack([A_at(x, u) for x, u in zip(xof(ts), uof(ts))])
 
-    def C(t):
-        return as_matrix(sys.g(as_vector(xof(t), sys.nx)), (sys.nx, sys.nu)).T
+    def B(ts):
+        return np.stack([sys.jac_h(x).T for x in xof(ts)])
+
+    def C(ts):
+        return np.stack([as_matrix(sys.g(x), (sys.nx, sys.nu)).T for x in xof(ts)])
 
     return TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C)
 
@@ -235,21 +240,26 @@ def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarr
     """Implicit-midpoint integration of a linear time-varying system.
 
     Each step solves (I - h/2 A(tm)) x_{k+1} = (I + h/2 A(tm)) x_k + h B(tm) u(tm).
-    Returns (states, outputs) sampled on the given time grid.
+    A and B are evaluated once on the array of step midpoints and C once on
+    the grid; one batched solve gives every step as x_{k+1} = M_k x_k + c_k.
+    The input u is called per midpoint.  Returns (states, outputs) sampled
+    on the given time grid, time axis first.
     """
     times = np.asarray(times, dtype=float)
     x = as_vector(x0, ltv.nx)
-    states = [x.copy()]
+    h = np.diff(times)
+    tm = times[:-1] + 0.5 * h
+    half = 0.5 * h[:, None, None] * ltv.A(tm)
+    U = np.array([as_vector(u(t), ltv.nu) for t in tm]).reshape(len(tm), ltv.nu)
+    drive = h[:, None] * np.einsum("kij,kj->ki", ltv.B(tm), U)
     eye = np.eye(ltv.nx)
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        tm = times[k] + 0.5 * h
-        Am = ltv.A(tm)
-        rhs = (eye + 0.5 * h * Am) @ x + h * ltv.B(tm) @ as_vector(u(tm), ltv.nu)
-        x = np.linalg.solve(eye - 0.5 * h * Am, rhs)
-        states.append(x.copy())
-    states = np.stack(states)
-    outputs = np.stack([ltv.C(t) @ states[i] for i, t in enumerate(times)])
+    step = np.linalg.solve(eye - half, np.concatenate([eye + half, drive[:, :, None]], axis=2))
+    states = np.empty((len(times), ltv.nx))
+    states[0] = x
+    for k in range(len(tm)):
+        x = step[k, :, :-1] @ x + step[k, :, -1]
+        states[k + 1] = x
+    outputs = np.einsum("kij,kj->ki", ltv.C(times), states)
     return states, outputs
 
 
@@ -293,13 +303,15 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     var = variational_system(sys, nominal, u_signal)
     dual = dual_variational_system(sys, conn, nominal, u_signal)
     times = nominal.times
+    if len(times) < 2:
+        raise DimensionMismatchError("the nominal trajectory needs at least two times")
     xi = np.zeros(sys.nx) if delta_x0 is None else as_vector(delta_x0, sys.nx)
     x_start = nominal.states[0]
     probes = probe_inputs if probe_inputs is not None else default_probes(
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
 
-    xof = _state_interpolant(nominal)
+    Gs = np.stack([G(x) for x in _state_interpolant(nominal)(times)])
     max_gap = 0.0
     max_state = 0.0
     rows = []
@@ -309,10 +321,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
                                lambda t, probe=probe: sig.apply(probe(t)), times)
         dy = sig.conjugate_rows(dy.T).T if dy.size else dy
         gap = float(np.max(np.abs(dy - yd))) if dy.size else 0.0
-        iso = 0.0
-        for i, t in enumerate(times):
-            Gx = G(as_vector(xof(t), sys.nx))
-            iso = max(iso, float(np.max(np.abs(pst[i] - Gx @ dst[i]))))
+        iso = float(np.max(np.abs(pst - np.einsum("kij,kj->ki", Gs, dst))))
         max_gap = max(max_gap, gap)
         max_state = max(max_state, iso)
         rows.append({"times": times, "dy": dy, "yd": yd, "gap": gap, "state_gap": iso})

@@ -240,16 +240,20 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
 
     expm_cache: dict = {}
 
-    def propagator(t: float) -> np.ndarray:
-        key = round(float(t), 14)
+    def propagator(ts: np.ndarray) -> np.ndarray:
+        """Stacked e^{A t} over a node array, one expm per distinct array."""
+        key = ts.tobytes()
         if key not in expm_cache:
             from scipy.linalg import expm  # deferred to keep cold start fast
-            expm_cache[key] = expm(sys.A * float(t))
+            expm_cache[key] = expm(sys.A[None] * ts[:, None, None])
         return expm_cache[key]
+
+    def signal(p: PastInput, ss: np.ndarray) -> np.ndarray:
+        return np.array([as_vector(p.signal(s), m) for s in ss]).reshape(len(ss), m)
 
     def reach_state(p: PastInput) -> np.ndarray:
         def f(s):
-            return propagator(-s) @ sys.B @ as_vector(p.signal(s), m)
+            return np.einsum("kij,kj->ki", propagator(-s), signal(p, s) @ sys.B.T)
         return integrate_segment(f, -float(p.duration), 0.0, tol=quad_tol)
 
     states = [reach_state(p) for p in past_inputs]
@@ -291,12 +295,12 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
                 raise ConvergenceError("forward horizon extension diverged")
 
         def f(t):
-            y = sys.C @ propagator(t) @ x0
-            u_at = np.zeros(m)
+            y = (propagator(t) @ x0) @ sys.C.T
+            u_at = np.zeros((len(t), m))
             for p in combined:
-                if -t >= -p.duration:
-                    u_at = u_at + as_vector(p.signal(-t), m)
-            return float(sigma.apply(y) @ u_at)
+                on = t <= p.duration  # a past input is defined only on its support
+                u_at[on] += signal(p, -t[on])
+            return np.einsum("kj,kj->k", y * sigma.signs, u_at)
 
         return float(integrate_segment(f, 0.0, T, tol=quad_tol))
 

@@ -206,15 +206,17 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
         d = x - x0
         if not np.any(d):
             return np.zeros(G.dim)
-        return integrate_segment(lambda t: G(x0 + t * d) @ d, 0.0, 1.0, tol=quad_tol)
+        return integrate_segment(lambda ts: np.array([G(x0 + t * d) @ d for t in ts]),
+                                 0.0, 1.0, tol=quad_tol)
 
     def value(x):
         x = as_vector(x, G.dim)
         d = x - x0
         if not np.any(d):
             return 0.0
-        return float(integrate_segment(lambda t: (1.0 - t) * float(d @ G(x0 + t * d) @ d),
-                                       0.0, 1.0, tol=quad_tol))
+        return float(integrate_segment(
+            lambda ts: np.array([(1.0 - t) * float(d @ G(x0 + t * d) @ d) for t in ts]),
+            0.0, 1.0, tol=quad_tol))
 
     return ScalarField(G.dim, value, G.domain, gradient=chi)
 
@@ -272,7 +274,8 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
             b = float(sigma.apply(sys.H(xt, ut)) @ du)
             return a + b
 
-        return -float(integrate_segment(integrand, 0.0, 1.0, tol=quad_tol))
+        return -float(integrate_segment(lambda ts: np.array([integrand(t) for t in ts]),
+                                        0.0, 1.0, tol=quad_tol))
 
     def gradient(w):
         w = as_vector(w, sys.nx + sys.nu)

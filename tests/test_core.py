@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import qmc
@@ -94,7 +94,6 @@ def test_halton_equals_scipy_scrambled_halton():
     assert np.array_equal(box.sample(40, seed=5), ref)
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(1, 1000))
 def test_halton_equals_scipy_property(d, seed, n):
     ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
@@ -138,7 +137,6 @@ def quadratic_maps(draw):
     return Q, A, x
 
 
-@settings(derandomize=True, deadline=None)
 @given(quadratic_maps())
 def test_finite_difference_jacobian_matches_quadratic_maps(case):
     Q, A, x = case
@@ -289,15 +287,57 @@ def test_integrate_segment_exponential():
 
 
 def test_integrate_segment_vector_valued():
-    val = integrate_segment(lambda t: np.array([np.cos(t), 2.0 * t]), 0.0, np.pi / 2)
+    val = integrate_segment(lambda t: np.stack([np.cos(t), 2.0 * t], axis=-1), 0.0, np.pi / 2)
     np.testing.assert_allclose(val, [1.0, (np.pi / 2) ** 2], atol=1e-10)
 
 
 def test_integrate_segment_budget_exhausted():
     # oscillation far beyond the node resolution never stabilizes at tol 0
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError,
+                       match=r"within 2 doublings: at 4 panels the last change was "
+                             r"\d\.\d{3}e[+-]\d+ > 0\.000e\+00 \(tol 0\.0\)"):
         integrate_segment(lambda t: np.sin(1e6 * t), 0.0, 1.0, tol=0.0, nodes=4,
                           max_doublings=2)
+
+
+def test_integrate_segment_calls_integrand_once_per_pass():
+    sizes = []
+
+    def f(t):
+        sizes.append(np.shape(t))
+        return np.sin(20.0 * t)
+
+    val = integrate_segment(f, 0.0, 3.0, tol=1e-12, nodes=8)
+    assert float(val) == pytest.approx((1.0 - np.cos(60.0)) / 20.0, rel=1e-10)
+    # one call for the first pass and one per doubling, each on panels * nodes nodes
+    assert len(sizes) >= 3
+    assert sizes == [(8 * 2 ** k,) for k in range(len(sizes))]
+
+
+@st.composite
+def polynomial_integrands(draw):
+    """Coefficients c[j, ...] of t^j, degree <= 63, on a subinterval of [-1, 1]."""
+    degree = draw(st.integers(0, 63))
+    shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    c = draw(hnp.arrays(float, (degree + 1,) + shape, elements=st.floats(-1.0, 1.0)))
+    a, b = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+    assume(b - a > 1e-3)
+    return c, a, b
+
+
+@given(polynomial_integrands())
+def test_integrate_segment_exact_on_polynomials(case):
+    # one 32-node Gauss-Legendre panel integrates degree <= 63 exactly, so the
+    # first doubling agrees and the result is exact up to rounding
+    c, a, b = case
+    powers = np.arange(c.shape[0])
+    val = integrate_segment(lambda t: np.tensordot(t[:, None] ** powers, c, axes=1), a, b)
+    exact = np.tensordot((b ** (powers + 1) - a ** (powers + 1)) / (powers + 1), c, axes=1)
+    assert np.shape(val) == c.shape[1:]
+    # rounding of the node powers, weights and up-to-64-term sums, each term
+    # bounded by |c_j| on [-1, 1]
+    tol = 64 * np.finfo(float).eps * (b - a) * np.sum(np.abs(c), axis=0)
+    assert np.all(np.abs(val - exact) <= tol)
 
 
 def test_validate_scalar_field_catches_wrong_gradient():

@@ -151,9 +151,9 @@ def test_simulate_ltv_scalar_closed_form():
     # x_dot = -x + e^{-t} from x0 has solution (x0 + t) e^{-t}
     ltv = TimeVaryingLinearSystem(
         1, 1,
-        A=lambda t: np.array([[-1.0]]),
-        B=lambda t: np.array([[1.0]]),
-        C=lambda t: np.array([[1.0]]),
+        A=lambda t: np.full((len(t), 1, 1), -1.0),
+        B=lambda t: np.ones((len(t), 1, 1)),
+        C=lambda t: np.ones((len(t), 1, 1)),
     )
     times = np.linspace(0.0, 2.0, 2001)
     states, outputs = simulate_ltv(ltv, [0.5], lambda t: np.array([np.exp(-t)]), times)
@@ -162,15 +162,60 @@ def test_simulate_ltv_scalar_closed_form():
     np.testing.assert_allclose(outputs[:, 0], states[:, 0])
 
 
+def test_simulate_ltv_assembles_each_matrix_once():
+    calls = {"A": [], "B": [], "C": []}
+
+    def counted(name, value):
+        def evaluate(ts):
+            calls[name].append(len(ts))
+            return np.full((len(ts), 1, 1), value)
+        return evaluate
+
+    ltv = TimeVaryingLinearSystem(1, 1, A=counted("A", -1.0), B=counted("B", 1.0),
+                                  C=counted("C", 1.0))
+    times = np.linspace(0.0, 2.0, 201)
+    simulate_ltv(ltv, [0.5], lambda t: np.array([np.exp(-t)]), times)
+    # A and B on the 200 step midpoints, C on the 201 grid times
+    assert calls == {"A": [200], "B": [200], "C": [201]}
+
+
+def test_simulate_ltv_matches_stepwise_solve():
+    # reference: one solve of (I - h/2 A) x' = (I + h/2 A) x + h B u per step
+    rng = np.random.default_rng(3)
+    A0, A1 = rng.standard_normal((2, 3, 3))
+    B0 = rng.standard_normal((3, 2))
+    C0 = rng.standard_normal((2, 3))
+    A = lambda t: A0 + np.sin(t) * A1
+    u = lambda t: np.array([np.cos(t), t])
+    ltv = TimeVaryingLinearSystem(
+        3, 2, A=lambda ts: np.stack([A(t) for t in ts]),
+        B=lambda ts: np.broadcast_to(B0, (len(ts), 3, 2)),
+        C=lambda ts: np.broadcast_to(C0, (len(ts), 2, 3)))
+    times = np.sort(rng.uniform(0.0, 2.0, 300))
+    x = rng.standard_normal(3)
+    states, outputs = simulate_ltv(ltv, x, u, times)
+    ref = [x]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h, tm = t1 - t0, 0.5 * (t0 + t1)
+        ref.append(np.linalg.solve(np.eye(3) - 0.5 * h * A(tm),
+                                   (np.eye(3) + 0.5 * h * A(tm)) @ ref[-1] + h * B0 @ u(tm)))
+    ref = np.stack(ref)
+    # the two orders of operations differ by rounding, amplified over 300 steps
+    scale = 1.0 + np.max(np.abs(ref))
+    np.testing.assert_allclose(states, ref, rtol=0, atol=1e3 * np.finfo(float).eps * scale)
+    np.testing.assert_allclose(outputs, states @ C0.T, rtol=1e-13, atol=1e-13)
+
+
 def test_variational_system_of_linear_system_is_itself():
     sys = scalar_affine()
     times = np.linspace(0.0, 1.0, 11)
     states = 0.5 * np.exp(-times)[:, None]
     nominal = Trajectory(times, states, np.zeros((11, 1)), states)
     var = variational_system(sys, nominal)
-    assert var.A(0.3)[0, 0] == pytest.approx(-1.0, abs=1e-8)
-    assert var.B(0.3)[0, 0] == pytest.approx(1.0)
-    assert var.C(0.3)[0, 0] == pytest.approx(1.0, abs=1e-8)
+    t = np.array([0.3])
+    assert var.A(t)[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
+    assert var.B(t)[0, 0, 0] == pytest.approx(1.0)
+    assert var.C(t)[0, 0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_default_probes():
@@ -195,6 +240,13 @@ def test_external_reciprocity_scalar_linear():
     assert rep.max_output_gap < 1e-8
     assert rep.max_state_gap < 1e-8
     assert rep.probes == 2
+
+
+def test_external_reciprocity_rejects_single_time_nominal():
+    sys = scalar_affine()
+    nominal = Trajectory(np.array([0.0]), np.array([[0.5]]), np.zeros((1, 1)), np.array([[0.5]]))
+    with pytest.raises(DimensionMismatchError):
+        external_reciprocity_test(sys, MetricField.constant([[1.0]], sys.domain), nominal)
 
 
 def gyrator_affine():
@@ -248,5 +300,27 @@ def test_dual_variational_velocity_form_agrees():
     u = lambda t: np.array([0.3])
     a = dual_variational_system(sys, conn, nominal, u_signal=u)
     b = dual_variational_system(sys, conn, nominal, u_signal=u, velocity_form=True)
-    for t in (0.1, 0.5, 0.9):
-        np.testing.assert_allclose(a.A(t), b.A(t), atol=1e-12)
+    t = np.array([0.1, 0.5, 0.9])
+    np.testing.assert_allclose(a.A(t), b.A(t), atol=1e-12)
+
+
+def test_external_reciprocity_evaluates_metric_once_per_grid_point():
+    from recipkit.models import model_registry
+
+    bundle = model_registry()["brayton-moser"]
+    sys, metric = bundle.affine, bundle.metric
+    evals = []
+
+    def counting(x):
+        evals.append(1)
+        return metric.eval(x)
+
+    G = MetricField(metric.dim, counting, metric.domain)
+    times = np.linspace(0.0, 2.0, 2001)
+    states = np.column_stack([0.3 * np.cos(times), -0.2 * np.sin(times)])
+    nominal = Trajectory(times, states, np.zeros((2001, 1)), states[:, :1])
+    rep = external_reciprocity_test(sys, G, nominal, delta_x0=[0.1, -0.05], sigma=bundle.sigma)
+    assert rep.probes == 2
+    # per probe: one Levi-Civita stencil (2 nx + 1 metrics) at each of the 2000
+    # midpoints and G(x(0)); once per call: G(x(t)) on the 2001 grid points
+    assert len(evals) == 2 * (2000 * 5 + 1) + 2001

@@ -138,6 +138,36 @@ def test_recover_metric_hankel_scalar_oracle():
     assert G[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_recover_metric_hankel_one_expm_per_quadrature_pass(monkeypatch):
+    import scipy.linalg
+
+    from recipkit import core
+    from recipkit.cli import default_past_inputs
+    from recipkit.models import model_registry
+
+    expm_calls = []
+    real_expm, real_panels = scipy.linalg.expm, core.gauss_legendre_panels
+    passes = set()
+
+    def counting_expm(A, *args, **kwargs):
+        expm_calls.append(np.shape(A))
+        return real_expm(A, *args, **kwargs)
+
+    def counting_panels(f, a, b, panels, nodes=32):
+        passes.add((a, b, panels, nodes))
+        return real_panels(f, a, b, panels, nodes)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(core, "gauss_legendre_panels", counting_panels)
+    bundle = model_registry()["gyrator"]
+    G = recover_metric_hankel(bundle.linear, bundle.sigma, horizon=30.0,
+                              past_inputs=default_past_inputs(bundle.linear,
+                                                              np.random.default_rng(0)))
+    np.testing.assert_allclose(G, bundle.G_lin, atol=1e-8)
+    # pairings over the same [0, T] share their passes' stacked propagators
+    assert 0 < len(expm_calls) <= len(passes)
+
+
 def test_recover_metric_hankel_requires_hurwitz():
     sys = LinearSystem([[1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(ConvergenceError):
