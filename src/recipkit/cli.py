@@ -355,7 +355,8 @@ def cmd_recover_g(args, tols):
     rng = np.random.default_rng(args.seed)
     past = default_past_inputs(bundle.linear, rng)
     G_hat = recover_metric_hankel(bundle.linear, bundle.sigma,
-                                  horizon=args.horizon or 30.0, past_inputs=past)
+                                  horizon=30.0 if args.horizon is None else args.horizon,
+                                  past_inputs=past)
     payload = {"command": "recover-g", "model": bundle.name, "G": G_hat, "ok": True}
     code = EXIT_OK
     if bundle.G_lin is not None:

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    AssumptionError,
     ConvergenceError,
     DimensionMismatchError,
     SignatureMatrix,
@@ -168,8 +169,9 @@ def to_pseudo_gradient(sys: LinearSystem, G, sigma: SignatureMatrix,
     """Rewrite a reciprocal system as G x_dot = -P x + C^T sigma u."""
     chk = check_linear_reciprocity(sys, G, sigma, tol)
     if not chk.reciprocal:
-        raise DimensionMismatchError(
-            f"system is not reciprocal for the given (G, sigma): residual {chk.residual:.3e}")
+        raise AssumptionError(
+            "reciprocity", f"system is not reciprocal for the given (G, sigma): "
+            f"residual {chk.residual:.3e}", chk)
     Gm = _check_metric(G, sys.n)
     P = -(Gm @ sys.A)
     return LinearPseudoGradientForm(Gm, 0.5 * (P + P.T), sys.C, sys.D, sigma)
@@ -210,108 +212,66 @@ class PastInput:
     duration: float
 
 
-def _hurwitz_rate(A: np.ndarray, margin: float) -> float:
+def _check_hurwitz(A: np.ndarray, margin: float) -> None:
     alpha = -float(np.max(np.real(np.linalg.eigvals(A))))
     if alpha <= margin:
         raise ConvergenceError(
             f"A is not Hurwitz with margin {margin} (decay rate {alpha:.3e})")
-    return alpha
 
 
 def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
                           horizon: float, past_inputs: Sequence[PastInput],
-                          quad_tol: float = 1e-10, tail_tol: float = 1e-10,
+                          quad_tol: float = 1e-10,
                           hurwitz_margin: float = 1e-3) -> np.ndarray:
     """Recover the reciprocity metric from input-output energy pairings.
 
-    For each past input u on (-T, 0] the reachable state is
-    x(0) = int_{-T}^0 e^{-As} B u(s) ds and the pairing
+    The experiment has length L = min(horizon, longest past-input duration):
+    each past input u_j is cut to (-L, 0] and drives the state from rest to
 
-        q(x(0)) = int_0^inf (sigma y)(t) . u(-t) dt,   y(t) = C e^{At} x(0),
+        x_j = int_0^L e^{At} B u_j(-t) dt,
 
-    equals the quadratic form x(0)^T G x(0).  The metric is reconstructed by
-    polarization over pairwise-summed inputs.  Requires a Hurwitz A and n
-    linearly independent reachable states.
+    after which the output y_i(t) = C e^{At} x_i is paired with the inputs
+    over the same [0, L]:
+
+        H_ij = int_0^L (sigma y_i)(t) . u_j(-t) dt = x_i^T w_j,
+        w_j  = int_0^L e^{A^T t} C^T sigma u_j(-t) dt.
+
+    One quadrature yields X = [x_1 ... x_k] and W = [w_1 ... w_k] together.
+    For a reciprocal system G e^{At} B = e^{A^T t} C^T sigma, so W = G X and
+    H = X^T G X hold exactly for the cut inputs, whatever L is.  G is the
+    symmetrized least-squares fit of W = G X over all k inputs, which equals
+    X^+T sym(H) X^+.  Requires a Hurwitz A and reachable states spanning R^n.
     """
-    n, m = sys.n, sys.m
-    alpha = _hurwitz_rate(sys.A, hurwitz_margin)
-    if len(past_inputs) < n:
-        raise DimensionMismatchError(f"need at least {n} past inputs, got {len(past_inputs)}")
+    n, m, k = sys.n, sys.m, len(past_inputs)
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise DimensionMismatchError(f"horizon must be positive and finite, got {horizon}")
+    if sigma.m != m:
+        raise DimensionMismatchError("signature size must match input count")
+    if k < n:
+        raise DimensionMismatchError(f"need at least {n} past inputs, got {k}")
+    _check_hurwitz(sys.A, hurwitz_margin)
+    L = min(float(horizon), max(float(p.duration) for p in past_inputs))
+    CtS = sys.C.T * sigma.signs
 
-    expm_cache: dict = {}
+    def inputs_at(ts: np.ndarray) -> np.ndarray:
+        """U(t), shape (N, m, k): column j is u_j(-t), zero off its support."""
+        U = np.zeros((len(ts), m, k))
+        for j, p in enumerate(past_inputs):
+            on = ts <= p.duration
+            U[on, :, j] = np.array([as_vector(p.signal(-t), m) for t in ts[on]]).reshape(-1, m)
+        return U
 
-    def propagator(ts: np.ndarray) -> np.ndarray:
-        """Stacked e^{A t} over a node array, one expm per distinct array."""
-        key = ts.tobytes()
-        if key not in expm_cache:
-            from scipy.linalg import expm  # deferred to keep cold start fast
-            expm_cache[key] = expm(sys.A[None] * ts[:, None, None])
-        return expm_cache[key]
+    def f(ts: np.ndarray) -> np.ndarray:
+        from scipy.linalg import expm  # deferred to keep cold start fast
+        E = expm(sys.A[None] * ts[:, None, None])
+        U = inputs_at(ts)
+        return np.concatenate([E @ (sys.B @ U), np.swapaxes(E, 1, 2) @ (CtS @ U)], axis=2)
 
-    def signal(p: PastInput, ss: np.ndarray) -> np.ndarray:
-        return np.array([as_vector(p.signal(s), m) for s in ss]).reshape(len(ss), m)
-
-    def reach_state(p: PastInput) -> np.ndarray:
-        def f(s):
-            return np.einsum("kij,kj->ki", propagator(-s), signal(p, s) @ sys.B.T)
-        return integrate_segment(f, -float(p.duration), 0.0, tol=quad_tol)
-
-    states = [reach_state(p) for p in past_inputs]
-    X = np.stack(states, axis=1)
+    XW = integrate_segment(f, 0.0, L, tol=quad_tol)
+    X, W = XW[:, :k], XW[:, k:]
     if np.linalg.matrix_rank(X, tol=1e-8 * max(1.0, float(np.max(np.abs(X))))) < n:
         raise SingularMatrixError("past inputs produce rank-deficient reachable states")
-    # greedy column pivoting: pick the n most independent reachable states
-    chosen: list = []
-    remaining = list(range(X.shape[1]))
-    basis = np.zeros((n, 0))
-    for _ in range(n):
-        best, best_res = None, -1.0
-        for j in remaining:
-            v = X[:, j]
-            if basis.shape[1]:
-                proj = basis @ np.linalg.lstsq(basis, v, rcond=None)[0]
-                res = float(np.linalg.norm(v - proj))
-            else:
-                res = float(np.linalg.norm(v))
-            if res > best_res:
-                best, best_res = j, res
-        if best_res < 1e-10:
-            raise SingularMatrixError("past inputs produce rank-deficient reachable states")
-        chosen.append(best)
-        remaining.remove(best)
-        basis = X[:, chosen]
-    idx = chosen
-    Xn = X[:, idx]
-    sel = [past_inputs[i] for i in idx]
-
-    bnorm = float(np.linalg.norm(sys.B, 2))
-    cnorm = float(np.linalg.norm(sys.C, 2))
-
-    def pairing(x0: np.ndarray, combined: Sequence[PastInput]) -> float:
-        T = horizon
-        while cnorm * bnorm * float(np.linalg.norm(x0)) * np.exp(-alpha * T) / alpha > tail_tol:
-            T *= 2.0
-            if T > 1e7:
-                raise ConvergenceError("forward horizon extension diverged")
-
-        def f(t):
-            y = (propagator(t) @ x0) @ sys.C.T
-            u_at = np.zeros((len(t), m))
-            for p in combined:
-                on = t <= p.duration  # a past input is defined only on its support
-                u_at[on] += signal(p, -t[on])
-            return np.einsum("kj,kj->k", y * sigma.signs, u_at)
-
-        return float(integrate_segment(f, 0.0, T, tol=quad_tol))
-
-    qdiag = [pairing(Xn[:, i], [sel[i]]) for i in range(n)]
-    S = np.diag(np.array(qdiag))
-    for i in range(n):
-        for j in range(i + 1, n):
-            qs = pairing(Xn[:, i] + Xn[:, j], [sel[i], sel[j]])
-            S[i, j] = S[j, i] = 0.5 * (qs - qdiag[i] - qdiag[j])
-    Xi = np.linalg.inv(Xn)
-    G = Xi.T @ S @ Xi
+    G = np.linalg.lstsq(X.T, W.T, rcond=None)[0].T
     return 0.5 * (G + G.T)
 
 
@@ -422,8 +382,9 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, max_iter: int = 100
     if sigma is not None:
         chk = check_linear_reciprocity(sys, Gm, sigma)
         if not chk.reciprocal:
-            raise ConvergenceError(
-                f"system not reciprocal for (G, sigma): residual {chk.residual:.3e}")
+            raise AssumptionError(
+                "reciprocity", f"system not reciprocal for (G, sigma): residual {chk.residual:.3e}",
+                chk)
     Q = as_matrix(Q0, (sys.n, sys.n))
     if symmetry_residual(Q) > 1e-10:
         raise DimensionMismatchError("Q0 must be symmetric")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     AffineNonlinearSystem,
+    AssumptionError,
     BoxDomain,
     DimensionMismatchError,
     MetricField,
@@ -255,10 +256,11 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
         rep = check_reciprocity(sys, G, sigma, tol=verify_tol, u_box=u_box,
                                 n_samples=n_samples, seed=seed)
         if not rep.reciprocal:
-            raise DimensionMismatchError(
-                "system fails the reciprocity check "
+            raise AssumptionError(
+                "reciprocity", "system fails the reciprocity check "
                 f"(residuals {rep.residual_state:.2e}/{rep.residual_output:.2e}/"
-                f"{rep.residual_cross:.2e} > {verify_tol}); potential is path dependent")
+                f"{rep.residual_cross:.2e} > {verify_tol}); potential is path dependent",
+                report=rep)
 
     def value(w):
         w = as_vector(w, sys.nx + sys.nu)

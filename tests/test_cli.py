@@ -113,6 +113,12 @@ def test_compatible_q(tmp_path):
     assert rep["compatibility_gap"] < 1e-10
 
 
+def test_compatible_q_non_reciprocal_is_a_failed_check(tmp_path):
+    path = tmp_path / "non-reciprocal.json"
+    path.write_text(json.dumps(dict(LINEAR_DOC, B=[[1.0], [0.3]])))
+    assert main(["compatible-q", "--input", str(path)]) == 1
+
+
 def test_recover_g(tmp_path):
     assert main(["recover-g", "--model", "indefinite-g",
                  "--out", str(tmp_path)]) == 0
@@ -120,6 +126,12 @@ def test_recover_g(tmp_path):
     assert rep["reference_relative_error"] <= 1e-4
     G = np.array(rep["G"])
     assert np.allclose(G, G.T, atol=1e-8)
+
+
+@pytest.mark.parametrize("horizon", ["-1", "0"])
+def test_recover_g_rejects_non_positive_horizon(tmp_path, horizon):
+    assert main(["recover-g", "--model", "gyrator", "--horizon", horizon,
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_legendre_cli(tmp_path):

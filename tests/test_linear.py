@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recipkit.core import (
+    AssumptionError,
     ConvergenceError,
     DimensionMismatchError,
     SignatureMatrix,
@@ -79,7 +80,7 @@ def test_to_pseudo_gradient_round_trip():
 
 def test_to_pseudo_gradient_rejects_non_reciprocal():
     sys = LinearSystem([[-1.0]], [[1.0]], [[2.0]], [[0.0]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(AssumptionError):
         to_pseudo_gradient(sys, [[1.0]], SignatureMatrix.identity(1))
 
 
@@ -164,8 +165,66 @@ def test_recover_metric_hankel_one_expm_per_quadrature_pass(monkeypatch):
                               past_inputs=default_past_inputs(bundle.linear,
                                                               np.random.default_rng(0)))
     np.testing.assert_allclose(G, bundle.G_lin, atol=1e-8)
-    # pairings over the same [0, T] share their passes' stacked propagators
+    # reach states and pairings share each pass's stacked propagator
     assert 0 < len(expm_calls) <= len(passes)
+
+
+def test_recover_metric_hankel_random_single_input_accuracy():
+    # single-input n = 4, 5 systems: the regime where polarization lost digits
+    from recipkit.cli import default_past_inputs
+
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for i in range(40):
+        sys, G, sig = random_reciprocal_system(rng, 4 + i % 2, 1)
+        G_hat = recover_metric_hankel(sys, sig, horizon=30.0,
+                                      past_inputs=default_past_inputs(sys, rng))
+        worst = max(worst, float(np.linalg.norm(G_hat - G) / np.linalg.norm(G)))
+    assert worst <= 1e-8
+
+
+def test_recover_metric_hankel_one_quadrature_per_recovery(monkeypatch):
+    import recipkit.linear
+    from recipkit.cli import default_past_inputs
+
+    calls = []
+    real = recipkit.linear.integrate_segment
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recipkit.linear, "integrate_segment", counting)
+    rng = np.random.default_rng(8)
+    for n, m in ((2, 1), (3, 2), (5, 1)):
+        sys, G, sig = random_reciprocal_system(rng, n, m)
+        past = default_past_inputs(sys, rng)
+        calls.clear()
+        G_hat = recover_metric_hankel(sys, sig, horizon=30.0, past_inputs=past)
+        np.testing.assert_allclose(G_hat, G, atol=1e-8 * np.max(np.abs(G)))
+        assert calls == [(0.0, 30.0)]
+
+
+def test_recover_metric_hankel_horizon_is_experiment_length():
+    # inputs and pairings are cut at the same L, so every horizon is exact
+    from recipkit.cli import default_past_inputs
+
+    rng = np.random.default_rng(1)
+    for n, m in ((3, 2), (4, 1), (2, 1)):
+        sys, G, sig = random_reciprocal_system(rng, n, m)
+        past = default_past_inputs(sys, rng)
+        for horizon in (5.0, 10.0, 30.0, 200.0):
+            G_hat = recover_metric_hankel(sys, sig, horizon=horizon, past_inputs=past)
+            assert np.linalg.norm(G_hat - G) / np.linalg.norm(G) <= 1e-10
+
+
+@pytest.mark.parametrize("horizon, sigma_size",
+                         [(0.0, 1), (-1.0, 1), (float("nan"), 1), (5.0, 2)])
+def test_recover_metric_hankel_rejects_bad_input(horizon, sigma_size):
+    sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(DimensionMismatchError):
+        recover_metric_hankel(sys, SignatureMatrix.identity(sigma_size), horizon=horizon,
+                              past_inputs=[PastInput(lambda s: np.array([np.exp(s)]), 5.0)])
 
 
 def test_recover_metric_hankel_requires_hurwitz():
@@ -269,6 +328,15 @@ def test_compatible_storage_indefinite_fixture():
     np.testing.assert_allclose(out["Q"], np.eye(2), atol=1e-12)
     assert out["compatibility_gap"] <= 1e-10
     assert out["lmi_min_eigenvalue"] >= -1e-8
+
+
+def test_compatible_storage_rejects_non_reciprocal():
+    sys, G, sigma = gyrator_fixture()
+    B2 = sys.B.copy()
+    B2[1, 0] = 0.3
+    with pytest.raises(AssumptionError):
+        compatible_storage_fixed_point(LinearSystem(sys.A, B2, sys.C, sys.D), G,
+                                       np.eye(2), sigma=sigma)
 
 
 def test_split_port_hamiltonian_fixture_frozen_values():

@@ -3,6 +3,7 @@ import pytest
 
 from recipkit.core import (
     AffineNonlinearSystem,
+    AssumptionError,
     BoxDomain,
     DimensionMismatchError,
     MetricField,
@@ -268,7 +269,7 @@ def test_reconstruct_potential_rejects_non_reciprocal():
         H=lambda x, u: np.array([2.0 * x[0]]),
         domain=box,
     )
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(AssumptionError):
         reconstruct_potential(sys, MetricField.constant([[1.0]], box),
                               SignatureMatrix.identity(1),
                               base_point=(np.zeros(1), np.zeros(1)))
