@@ -19,7 +19,6 @@ from .core import (
 )
 from .dynamics import (
     ConversionSplit,
-    GeneralPseudoGradientSystem,
     HessianPseudoGradientSystem,
     NotRelaxationError,
     PortHamiltonianSystem,

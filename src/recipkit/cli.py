@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,7 +60,7 @@ from .reciprocity import (
     check_reciprocity_affine,
     check_reciprocity_hessian,
 )
-from .schema import load_registry_extras, load_system_file, parse_field
+from .schema import load_registry_extras, load_system_file, parse_field, read_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,16 +117,22 @@ def write_report(out_dir: str, payload: dict, filename: str = "report.json") -> 
 # argument plumbing
 
 
-def _parse_tols(pairs) -> dict:
-    tols = {}
+def _parse_tols(pairs, declared: dict) -> dict:
+    """The subcommand's declared tolerances with the --tol KEY=VALUE overrides."""
+    tols = dict(declared)
     for item in pairs or []:
-        if "=" not in item:
+        key, sep, raw = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise SchemaError(f"--tol expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
+        if key not in tols:
+            raise SchemaError(f"--tol: unknown key {key!r} (have: {', '.join(tols)})")
         try:
-            tols[key.strip()] = float(raw)
+            tols[key] = float(raw)
         except ValueError as exc:
             raise SchemaError(f"--tol {key}: {raw!r} is not a number") from exc
+        if not (math.isfinite(tols[key]) and tols[key] >= 0):
+            raise SchemaError(f"--tol {key}: expected a finite value >= 0, got {raw!r}")
     return tols
 
 
@@ -141,41 +148,35 @@ def _registry() -> dict:
 
 
 def _resolve_bundle(args) -> ModelBundle:
-    if getattr(args, "input", None):
-        if getattr(args, "model", None):
+    if args.input:
+        if args.model:
             raise SchemaError("pass either --model or --input, not both")
         return load_system_file(args.input)
-    name = getattr(args, "model", None)
-    if not name:
+    if not args.model:
         raise SchemaError("one of --model or --input is required")
     reg = _registry()
-    if name not in reg:
-        raise SchemaError(f"unknown model {name!r}; try the list-models command")
-    return reg[name]
+    if args.model not in reg:
+        raise SchemaError(f"unknown model {args.model!r}; try the list-models command")
+    return reg[args.model]
 
 
 def _resolve_field(args):
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{args.input}: invalid JSON: {exc}") from exc
+    if args.input:
+        doc = read_json(args.input)
         if isinstance(doc, dict) and "field" in doc:
             doc = doc["field"]
         return parse_field(doc, args.input)
-    name = getattr(args, "field", None)
-    if not name:
+    if not args.field:
         raise SchemaError("one of --field or --input is required")
     reg = field_registry()
-    if name not in reg:
-        raise SchemaError(f"unknown field {name!r} (have: {', '.join(sorted(reg))})")
-    return reg[name]
+    if args.field not in reg:
+        raise SchemaError(f"unknown field {args.field!r} (have: {', '.join(sorted(reg))})")
+    return reg[args.field]
 
 
-def _parse_vector(text: Optional[str], dim: int, what: str) -> Optional[np.ndarray]:
+def _parse_vector(text: Optional[str], dim: int, what: str, default) -> np.ndarray:
     if text is None:
-        return None
+        return default
     try:
         vals = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -187,30 +188,21 @@ def _parse_vector(text: Optional[str], dim: int, what: str) -> Optional[np.ndarr
     return vals
 
 
-def _input_signal(args, m: int):
-    const = _parse_vector(getattr(args, "u_const", None), m, "--u-const")
-    if const is None:
-        const = np.zeros(m)
-    sin_spec = getattr(args, "u_sin", None)
-    if sin_spec is not None:
-        parts = sin_spec.split(",")
-        if len(parts) != 2:
-            raise SchemaError("--u-sin expects AMP,FREQ")
-        try:
-            amp, freq = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise SchemaError("--u-sin expects numbers") from exc
-
-        def u(t):
-            return const + amp * np.sin(2.0 * np.pi * freq * t) * np.ones(m)
-    else:
-        def u(t):
-            return const.copy()
-    return u
-
-
-def _default_state(domain: BoxDomain) -> np.ndarray:
-    return domain.center + 0.25 * (domain.upper - domain.center)
+def _start(args, n: int, domain: BoxDomain, m: int):
+    """Start state (--x0 where declared, else off the domain centre) and input signal."""
+    x0 = _parse_vector(getattr(args, "x0", None), n, "--x0",
+                       domain.center + 0.25 * (domain.upper - domain.center))
+    const = _parse_vector(args.u_const, m, "--u-const", np.zeros(m))
+    if args.u_sin is None:
+        return x0, lambda t: const.copy()
+    parts = args.u_sin.split(",")
+    if len(parts) != 2:
+        raise SchemaError("--u-sin expects AMP,FREQ")
+    try:
+        amp, freq = float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise SchemaError("--u-sin expects numbers") from exc
+    return x0, lambda t: const + amp * np.sin(2.0 * np.pi * freq * t) * np.ones(m)
 
 
 def _hpg_nonlinear_facade(hpg) -> NonlinearSystem:
@@ -241,62 +233,55 @@ def cmd_list_models(args, tols):
 
 def cmd_check_reciprocity(args, tols):
     bundle = _resolve_bundle(args)
-    tol = tols.get("reciprocity", 1e-6)
+    tol = tols["reciprocity"]
     payload = {"command": "check-reciprocity", "model": bundle.name, "tol": tol}
     if bundle.kind == "linear":
         if bundle.G_lin is None:
             raise SchemaError(f"model {bundle.name!r} carries no metric G")
         res = check_linear_reciprocity(bundle.linear, bundle.G_lin, bundle.sigma,
                                        tol=tol)
-        times = np.linspace(0.1, args.horizon or 3.0, 12)
+        times = np.linspace(0.1, args.horizon, 12)
         imp = impulse_response_symmetry(bundle.linear, bundle.sigma, times, tol=tol)
         payload.update({"reciprocal": res.reciprocal, "residual": res.residual,
                         "impulse_symmetric": imp.symmetric,
                         "impulse_residual": imp.max_residual})
         ok = res.reciprocal and imp.symmetric
-    elif bundle.kind == "affine":
-        rep = check_reciprocity_affine(bundle.affine, bundle.metric, bundle.sigma,
-                                       tol=tol, n_samples=args.samples, seed=args.seed)
-        payload.update({"reciprocal": rep.reciprocal,
-                        "residual_state": rep.residual_state,
-                        "residual_output": rep.residual_output,
-                        "residual_cross": rep.residual_cross,
-                        "points": rep.points_tested})
-        ok = rep.reciprocal
-    elif bundle.kind == "hessian_pg":
-        hpg = bundle.hpg
-        rep = check_reciprocity_hessian(_hpg_nonlinear_facade(hpg), hpg.K, hpg.sigma,
-                                        tol=tol, u_box=bundle.u_box,
-                                        n_samples=args.samples, seed=args.seed)
-        payload.update({"reciprocal": rep.reciprocal,
-                        "residual_state": rep.residual_state,
-                        "residual_output": rep.residual_output,
-                        "residual_cross": rep.residual_cross,
-                        "points": rep.points_tested})
-        ok = rep.reciprocal
     else:
-        raise SchemaError("reciprocity check expects a linear, nonlinear or "
-                          "pseudo-gradient model; run convert-ph first for "
-                          "port-Hamiltonian systems")
+        if bundle.kind == "affine":
+            rep = check_reciprocity_affine(bundle.affine, bundle.metric, bundle.sigma,
+                                           tol=tol, n_samples=args.samples,
+                                           seed=args.seed)
+        elif bundle.kind == "hessian_pg":
+            hpg = bundle.hpg
+            rep = check_reciprocity_hessian(_hpg_nonlinear_facade(hpg), hpg.K,
+                                            hpg.sigma, tol=tol, u_box=bundle.u_box,
+                                            n_samples=args.samples, seed=args.seed)
+        else:
+            raise SchemaError("reciprocity check expects a linear, nonlinear or "
+                              "pseudo-gradient model; run convert-ph first for "
+                              "port-Hamiltonian systems")
+        payload.update({"reciprocal": rep.reciprocal,
+                        "residual_state": rep.residual_state,
+                        "residual_output": rep.residual_output,
+                        "residual_cross": rep.residual_cross,
+                        "points": rep.points_tested})
+        ok = rep.reciprocal
     payload["ok"] = bool(ok)
     print(f"reciprocity[{bundle.name}]: {'ok' if ok else 'FAILED'}")
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload
 
 
 def _pick_q0(args, bundle, n):
-    choice = getattr(args, "q0", "auto")
-    if choice == "identity":
-        return np.eye(n)
-    if choice == "auto":
-        return bundle.Q0 if bundle.Q0 is not None else np.eye(n)
-    raise SchemaError(f"--q0 must be 'auto' or 'identity', got {choice!r}")
+    if args.q0 == "auto" and bundle.Q0 is not None:
+        return bundle.Q0
+    return np.eye(n)
 
 
 def cmd_check_passivity(args, tols):
     bundle = _resolve_bundle(args)
     if bundle.kind != "linear":
         raise SchemaError("passivity LMI check applies to linear models")
-    tol = tols.get("lmi", 1e-9)
+    tol = tols["lmi"]
     Q = _pick_q0(args, bundle, bundle.linear.n)
     rep = lmi_residual(bundle.linear, Q, tol=tol)
     payload = {"command": "check-passivity", "model": bundle.name,
@@ -318,7 +303,7 @@ def cmd_compatible_q(args, tols):
     Q0 = _pick_q0(args, bundle, bundle.linear.n)
     res = compatible_storage_fixed_point(
         bundle.linear, bundle.G_lin, Q0,
-        tol=tols.get("fixed_point", 1e-11), lmi_tol=tols.get("lmi", 1e-8),
+        tol=tols["fixed_point"], lmi_tol=tols["lmi"],
         sigma=bundle.sigma)
     payload = {"command": "compatible-q", "model": bundle.name,
                "Q": res["Q"], "iterations": res["iterations"],
@@ -354,8 +339,7 @@ def cmd_recover_g(args, tols):
         raise SchemaError("recover-g applies to linear models")
     rng = np.random.default_rng(args.seed)
     past = default_past_inputs(bundle.linear, rng)
-    G_hat = recover_metric_hankel(bundle.linear, bundle.sigma,
-                                  horizon=30.0 if args.horizon is None else args.horizon,
+    G_hat = recover_metric_hankel(bundle.linear, bundle.sigma, horizon=args.horizon,
                                   past_inputs=past)
     payload = {"command": "recover-g", "model": bundle.name, "G": G_hat, "ok": True}
     code = EXIT_OK
@@ -363,7 +347,7 @@ def cmd_recover_g(args, tols):
         ref = bundle.G_lin
         rel = float(np.linalg.norm(G_hat - ref) / np.linalg.norm(ref))
         payload["reference_relative_error"] = rel
-        tol = tols.get("recover", 1e-4)
+        tol = tols["recover"]
         payload["ok"] = rel <= tol
         if rel > tol:
             code = EXIT_CHECK_FAILED
@@ -376,10 +360,10 @@ def cmd_recover_g(args, tols):
 def cmd_legendre(args, tols):
     fld = _resolve_field(args)
     pair = make_legendre_pair(fld, samples=args.samples, seed=args.seed,
-                              round_trip_tol=tols.get("round_trip", 1e-8),
-                              biconjugate_tol=tols.get("biconjugate", 1e-8),
-                              hessian_tol=tols.get("hessian", 1e-6))
-    hom = homogeneity_check(fld, tol=tols.get("homogeneity", 1e-8),
+                              round_trip_tol=tols["round_trip"],
+                              biconjugate_tol=tols["biconjugate"],
+                              hessian_tol=tols["hessian"])
+    hom = homogeneity_check(fld, tol=tols["homogeneity"],
                             samples=min(args.samples, 100), seed=args.seed)
     # re-measure the invariants for the report
     xs = fld.domain.shrink(0.9).sample(min(args.samples, 100), seed=args.seed + 1)
@@ -409,7 +393,7 @@ def cmd_christoffel(args, tols):
     for x in xs:
         gap = max(gap, float(np.max(np.abs(hessian_christoffel(fld, x)
                                            - levi_civita(G, x)))))
-    flat = flatness_check(fld, tol=tols.get("flat", 1e-8),
+    flat = flatness_check(fld, tol=tols["flat"],
                           n_samples=min(args.samples, 10), seed=args.seed)
     payload = {"command": "christoffel", "field_dim": fld.dim,
                "cross_oracle_gap": gap, "flat": flat, "ok": True}
@@ -422,17 +406,12 @@ def cmd_variational_test(args, tols):
     if bundle.kind != "affine" or bundle.metric is None:
         raise SchemaError("variational-test needs a nonlinear model with a metric")
     sys_a = bundle.affine
-    horizon = args.horizon or 2.0
-    step = args.step or 1e-3
-    x0 = _parse_vector(args.x0, sys_a.nx, "--x0")
-    if x0 is None:
-        x0 = _default_state(sys_a.domain)
-    u = _input_signal(args, sys_a.nu)
+    x0, u = _start(args, sys_a.nx, sys_a.domain, sys_a.nu)
 
     def rhs(t, x):
         return sys_a.f(x) + np.asarray(sys_a.g(x)) @ u(t)
 
-    times, states = integrate_implicit_midpoint(rhs, x0, (0.0, horizon), step,
+    times, states = integrate_implicit_midpoint(rhs, x0, (0.0, args.horizon), args.step,
                                                 domain=sys_a.domain)
     inputs = np.stack([u(t) for t in times])
     outputs = np.stack([as_vector(sys_a.h(states[i]), sys_a.nu)
@@ -440,7 +419,7 @@ def cmd_variational_test(args, tols):
                         for i in range(len(times))])
     nominal = Trajectory(times, states, inputs, outputs)
     rep = external_reciprocity_test(sys_a, bundle.metric, nominal,
-                                    tol=tols.get("match", 1e-5),
+                                    tol=tols["match"],
                                     u_signal=u, sigma=bundle.sigma)
     payload = {"command": "variational-test", "model": bundle.name,
                "match": rep.match, "max_output_gap": rep.max_output_gap,
@@ -451,31 +430,16 @@ def cmd_variational_test(args, tols):
     return (EXIT_OK if rep.match else EXIT_CHECK_FAILED), payload
 
 
-def _simulate_bundle(bundle, args):
-    horizon = args.horizon or 10.0
-    step = args.step or 1e-2
-    if bundle.kind == "hessian_pg":
-        sys_h = bundle.hpg
-        u = _input_signal(args, sys_h.nu)
-        x0 = _parse_vector(args.x0, sys_h.nx, "--x0")
-        if x0 is None:
-            x0 = _default_state(sys_h.domain)
-        traj = simulate_pseudo_gradient(sys_h, x0, u, (0.0, horizon), step)
-    elif bundle.kind == "port_hamiltonian":
-        sys_p = bundle.ph
-        u = _input_signal(args, sys_p.nu)
-        x0 = _parse_vector(args.x0, sys_p.n, "--x0")
-        if x0 is None:
-            x0 = _default_state(sys_p.domain)
-        traj = simulate_port_hamiltonian(sys_p, x0, u, (0.0, horizon), step)
-    else:
-        raise SchemaError("simulate expects a pseudo-gradient or port-Hamiltonian model")
-    return traj
-
-
 def cmd_simulate(args, tols):
     bundle = _resolve_bundle(args)
-    traj = _simulate_bundle(bundle, args)
+    if bundle.kind == "hessian_pg":
+        system, n, simulate = bundle.hpg, bundle.hpg.nx, simulate_pseudo_gradient
+    elif bundle.kind == "port_hamiltonian":
+        system, n, simulate = bundle.ph, bundle.ph.n, simulate_port_hamiltonian
+    else:
+        raise SchemaError("simulate expects a pseudo-gradient or port-Hamiltonian model")
+    x0, u = _start(args, n, system.domain, system.nu)
+    traj = simulate(system, x0, u, (0.0, args.horizon), args.step)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "trajectory.csv")
     traj.to_csv(csv_path)
@@ -483,7 +447,7 @@ def cmd_simulate(args, tols):
                "steps": len(traj.times) - 1, "t_final": float(traj.times[-1]),
                "final_state": traj.states[-1], "csv": "trajectory.csv", "ok": True}
     if "S" in traj.monitors:
-        mon = dissipation_monitor(traj, tol=tols.get("dissipation", 1e-8))
+        mon = dissipation_monitor(traj, tol=tols["dissipation"])
         payload.update({"max_dissipation_violation": mon.max_violation,
                         "passive_along": mon.passive_along,
                         "supply_scale": mon.supply_scale})
@@ -497,7 +461,7 @@ def cmd_certify_relaxation(args, tols):
         raise SchemaError("certify-relaxation expects a pseudo-gradient model")
     sys_h = bundle.hpg
     try:
-        cert = certify_relaxation(sys_h, tol=tols.get("inequality", 1e-9),
+        cert = certify_relaxation(sys_h, tol=tols["inequality"],
                                   u_box=bundle.u_box, n_samples=args.samples,
                                   seed=args.seed)
     except NotRelaxationError as exc:
@@ -510,12 +474,11 @@ def cmd_certify_relaxation(args, tols):
                "min_metric_eigenvalue": cert.min_metric_eigenvalue,
                "worst_inequality": cert.worst_inequality,
                "storage_floor_ok": cert.storage_floor_ok, "ok": cert.relaxation}
-    if cert.relaxation and (args.horizon or 0) > 0:
-        traj = simulate_pseudo_gradient(sys_h, _default_state(sys_h.domain),
-                                        _input_signal(args, sys_h.nu),
-                                        (0.0, args.horizon), args.step or 1e-2,
+    if cert.relaxation and args.horizon > 0:
+        x0, u = _start(args, sys_h.nx, sys_h.domain, sys_h.nu)
+        traj = simulate_pseudo_gradient(sys_h, x0, u, (0.0, args.horizon), args.step,
                                         storage=cert.storage)
-        mon = dissipation_monitor(traj, tol=tols.get("dissipation", 1e-8))
+        mon = dissipation_monitor(traj, tol=tols["dissipation"])
         payload.update({"trajectory_max_violation": mon.max_violation,
                         "trajectory_passive": mon.passive_along})
     ok = cert.relaxation
@@ -532,7 +495,7 @@ def cmd_convert_ph(args, tols):
         raise SchemaError(f"model {bundle.name!r} does not declare a conversion split")
     try:
         result = ph_to_hessian_pseudo_gradient(bundle.ph, bundle.split,
-                                               tol=tols.get("structure", 1e-8),
+                                               tol=tols["structure"],
                                                seed=args.seed, u_box=bundle.u_box)
     except AssumptionError as exc:
         payload = {"command": "convert-ph", "model": bundle.name, "ok": False,
@@ -542,15 +505,11 @@ def cmd_convert_ph(args, tols):
         return EXIT_CHECK_FAILED, payload
     payload = {"command": "convert-ph", "model": bundle.name, "ok": True,
                "report": result.report}
-    horizon = args.horizon if args.horizon is not None else 1.0
-    if horizon > 0:
-        step = args.step or 1e-3
+    if args.horizon > 0:
         split = result.split
-        u = _input_signal(args, bundle.ph.nu)
-        z0 = _parse_vector(args.x0, bundle.ph.n, "--x0")
-        if z0 is None:
-            z0 = _default_state(bundle.ph.domain)
-        ph_traj = simulate_port_hamiltonian(bundle.ph, z0, u, (0.0, horizon), step)
+        z0, u = _start(args, bundle.ph.n, bundle.ph.domain, bundle.ph.nu)
+        span = (0.0, args.horizon)
+        ph_traj = simulate_port_hamiltonian(bundle.ph, z0, u, span, args.step)
         perm = np.array(split.idx1 + split.idx2)
         k1 = len(split.idx1)
 
@@ -558,12 +517,11 @@ def cmd_convert_ph(args, tols):
             zp = z[perm]
             return np.concatenate([split.H1.grad(zp[:k1]), split.H2.grad(zp[k1:])])
 
-        hpg_traj = simulate_pseudo_gradient(result.system, to_x(z0), u,
-                                            (0.0, horizon), step,
+        hpg_traj = simulate_pseudo_gradient(result.system, to_x(z0), u, span, args.step,
                                             enforce_domain=False)
         gap = max(float(np.max(np.abs(to_x(ph_traj.states[i]) - hpg_traj.states[i])))
                   for i in range(len(ph_traj.times)))
-        tol = tols.get("trajectory", 1e-4)
+        tol = tols["trajectory"]
         payload["trajectory_gap"] = gap
         payload["trajectory_match"] = bool(gap <= tol)
         if gap > tol:
@@ -589,20 +547,69 @@ HANDLERS = {
 }
 
 
-def _add_common(sp, model: bool = True, fieldarg: bool = False):
-    if model:
-        sp.add_argument("--model", help="name from the model registry")
-        sp.add_argument("--input", help="path to a JSON system description")
-    if fieldarg:
-        sp.add_argument("--field", help="name from the field registry")
-        sp.add_argument("--input", help="path to a JSON field description")
-    sp.add_argument("--out", default=".", help="directory for report.json")
-    sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
-                    help="override a tolerance (repeatable)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--step", type=float, default=None)
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a finite ``kind`` above ``low`` (``strict``) or at least ``low``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and (value > low or (value == low and not strict)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {kind.__name__} {'>' if strict else '>='} {low}, got {text!r}")
+    return parse
+
+
+# Every option, declared once: key -> (flag, argparse settings).  --horizon has
+# two rows because certify-relaxation and convert-ph read 0 as "no trajectory".
+FLAGS = {
+    "model": ("--model", dict(help="name from the model registry")),
+    "field": ("--field", dict(help="name from the field registry")),
+    "input": ("--input", dict(help="path to a JSON system or field description")),
+    "out": ("--out", dict(default=".", help="directory for report.json")),
+    "seed": ("--seed", dict(type=_bounded(int, 0), default=0, help="sampling seed")),
+    "samples": ("--samples", dict(type=_bounded(int, 1), default=200, help="sample count")),
+    "horizon": ("--horizon", dict(type=_bounded(float, 0, strict=True), help="time span")),
+    "trajectory": ("--horizon", dict(type=_bounded(float, 0), help="time span; 0 skips it")),
+    "step": ("--step", dict(type=_bounded(float, 0, strict=True), help="integrator step")),
+    "x0": ("--x0", dict(help="initial state, comma separated")),
+    "u-const": ("--u-const", dict(help="constant input, comma separated")),
+    "u-sin": ("--u-sin", dict(metavar="AMP,FREQ", help="sinusoid added to the input")),
+    "q0": ("--q0", dict(choices=("auto", "identity"), default="auto", help="auto: the model's Q0")),
+}
+
+# subcommand -> (help, the FLAGS keys it reads, its option defaults, its --tol
+# keys with their defaults); --tol is declared where there are tolerance keys.
+SUBCOMMANDS = {
+    "list-models": ("print the model and field registries", "out", dict(out=None), {}),
+    "check-reciprocity": ("sampled reciprocity residuals",
+                          "model input out seed samples horizon",
+                          dict(horizon=3.0), dict(reciprocity=1e-6)),
+    "check-passivity": ("passivity LMI for linear models", "model input out q0", {},
+                        dict(lmi=1e-9)),
+    "compatible-q": ("storage compatible with the metric", "model input out q0", {},
+                     dict(fixed_point=1e-11, lmi=1e-8)),
+    "recover-g": ("recover the metric from past inputs", "model input out seed horizon",
+                  dict(horizon=30.0), dict(recover=1e-4)),
+    "legendre": ("conjugate pair diagnostics for a field", "field input out seed samples", {},
+                 dict(round_trip=1e-8, biconjugate=1e-8, hessian=1e-6, homogeneity=1e-8)),
+    "christoffel": ("connection coefficients cross-check", "field input out seed samples",
+                    {}, dict(flat=1e-8)),
+    "variational-test": ("variational duality along a nominal",
+                         "model input out horizon step x0 u-const u-sin",
+                         dict(horizon=2.0, step=1e-3), dict(match=1e-5)),
+    "simulate": ("integrate and write trajectory.csv",
+                 "model input out horizon step x0 u-const u-sin",
+                 dict(horizon=10.0, step=1e-2), dict(dissipation=1e-8)),
+    "certify-relaxation": ("relaxation certificate",
+                           "model input out seed samples trajectory step u-const u-sin",
+                           dict(horizon=0.0, step=1e-2),
+                           dict(inequality=1e-9, dissipation=1e-8)),
+    "convert-ph": ("port-Hamiltonian to pseudo-gradient",
+                   "model input out seed trajectory step x0 u-const u-sin",
+                   dict(horizon=1.0, step=1e-3), dict(structure=1e-8, trajectory=1e-4)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,54 +618,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="reciprocity, passivity and relaxation analysis of "
                     "pseudo-gradient and port-Hamiltonian systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("list-models", help="print the model and field registries")
-    sp.add_argument("--out", default=None, help="directory for report.json")
-
-    sp = sub.add_parser("check-reciprocity", help="sampled reciprocity residuals")
-    _add_common(sp)
-
-    sp = sub.add_parser("check-passivity", help="passivity LMI for linear models")
-    _add_common(sp)
-    sp.add_argument("--q0", default="auto", help="'auto' or 'identity'")
-
-    sp = sub.add_parser("compatible-q", help="storage compatible with the metric")
-    _add_common(sp)
-    sp.add_argument("--q0", default="auto", help="'auto' or 'identity'")
-
-    sp = sub.add_parser("recover-g", help="recover the metric from past inputs")
-    _add_common(sp)
-
-    sp = sub.add_parser("legendre", help="conjugate pair diagnostics for a field")
-    _add_common(sp, model=False, fieldarg=True)
-
-    sp = sub.add_parser("christoffel", help="connection coefficients cross-check")
-    _add_common(sp, model=False, fieldarg=True)
-
-    sp = sub.add_parser("variational-test", help="variational duality along a nominal")
-    _add_common(sp)
-    sp.add_argument("--x0", help="initial state, comma separated")
-    sp.add_argument("--u-const", dest="u_const", help="constant input")
-    sp.add_argument("--u-sin", dest="u_sin", help="sinusoid AMP,FREQ")
-
-    sp = sub.add_parser("simulate", help="integrate and write trajectory.csv")
-    _add_common(sp)
-    sp.add_argument("--x0", help="initial state, comma separated")
-    sp.add_argument("--u-const", dest="u_const", help="constant input")
-    sp.add_argument("--u-sin", dest="u_sin", help="sinusoid AMP,FREQ")
-
-    sp = sub.add_parser("certify-relaxation", help="relaxation certificate")
-    _add_common(sp)
-    sp.add_argument("--x0", help="initial state, comma separated")
-    sp.add_argument("--u-const", dest="u_const", help="constant input")
-    sp.add_argument("--u-sin", dest="u_sin", help="sinusoid AMP,FREQ")
-
-    sp = sub.add_parser("convert-ph", help="port-Hamiltonian to pseudo-gradient")
-    _add_common(sp)
-    sp.add_argument("--x0", help="initial port-Hamiltonian state")
-    sp.add_argument("--u-const", dest="u_const", help="constant input")
-    sp.add_argument("--u-sin", dest="u_sin", help="sinusoid AMP,FREQ")
-
+    for name, (text, keys, defaults, tols) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for key in keys.split():
+            flag, settings = FLAGS[key]
+            sp.add_argument(flag, **settings)
+        if tols:
+            listed = ", ".join(f"{k}={v:g}" for k, v in tols.items())
+            sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
+                            help=f"override a tolerance (repeatable); keys: {listed}")
+        sp.set_defaults(**defaults)
     return parser
 
 
@@ -673,14 +642,15 @@ ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        tols = _parse_tols(getattr(args, "tol", None))
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or an undeclared or malformed option
+        return exc.code
+    try:
+        tols = _parse_tols(getattr(args, "tol", None), SUBCOMMANDS[args.command][3])
         code, payload = HANDLERS[args.command](args, tols)
-        out = getattr(args, "out", None)
-        if payload is not None and out:
-            path = write_report(out, payload)
+        if payload is not None and args.out:
+            path = write_report(args.out, payload)
             print(f"report: {path}")
         return code
     except (RecipkitError, np.linalg.LinAlgError) as exc:

@@ -22,7 +22,6 @@ from .core import (
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
-    MetricField,
     RecipkitError,
     ScalarField,
     SignatureMatrix,
@@ -36,7 +35,6 @@ from .legendre import LegendrePair, euler_degree_check, make_legendre_pair
 __all__ = [
     "Trajectory",
     "HessianPseudoGradientSystem",
-    "GeneralPseudoGradientSystem",
     "PortHamiltonianSystem",
     "ZSpaceSystem",
     "ConversionSplit",
@@ -300,33 +298,6 @@ class HessianPseudoGradientSystem(_PotentialOps):
         V = affine_input_potential(P, gm, u_box)
         return HessianPseudoGradientSystem(K=K, V=V, sigma=sigma, P=P, g=gm,
                                            storage=storage)
-
-
-@dataclass(frozen=True)
-class GeneralPseudoGradientSystem(_PotentialOps):
-    """G(x) x_dot = -dV/dx(x, u) for a metric that need not be a Hessian."""
-
-    G: MetricField
-    V: ScalarField
-    sigma: SignatureMatrix
-    P: Optional[ScalarField] = None
-    g: Optional[np.ndarray] = None
-    storage: Optional[ScalarField] = None
-
-    def __post_init__(self):
-        if self.V.dim != self.G.dim + self.sigma.m:
-            raise DimensionMismatchError("V dimension mismatch")
-
-    @property
-    def nx(self) -> int:
-        return self.G.dim
-
-    @property
-    def domain(self) -> BoxDomain:
-        return self.G.domain
-
-    def metric(self, x) -> np.ndarray:
-        return self.G(x)
 
 
 @dataclass(frozen=True)

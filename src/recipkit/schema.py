@@ -32,7 +32,7 @@ from .linear import LinearSystem
 from .models import ModelBundle, field_registry
 
 __all__ = ["load_system", "load_system_file", "load_registry_extras",
-           "parse_field", "MODEL_PATH_ENV"]
+           "parse_field", "read_json", "MODEL_PATH_ENV"]
 
 MODEL_PATH_ENV = "RECIPKIT_MODEL_PATH"
 
@@ -297,14 +297,21 @@ def load_system(doc: dict, name: str = "input") -> ModelBundle:
     raise SchemaError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
 
 
-def load_system_file(path: str) -> ModelBundle:
+def read_json(path: str):
+    """Parse the JSON file at ``path``; a file that cannot be read or parsed is a SchemaError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_system_file(path: str) -> ModelBundle:
+    doc = read_json(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     name = doc.get("name", stem) if isinstance(doc, dict) else stem
     return load_system(doc, name=name)

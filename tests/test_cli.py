@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import recipkit
-from recipkit.cli import _emit_json, main, write_report
+from recipkit.cli import SUBCOMMANDS, _emit_json, build_parser, main, write_report
 
 LINEAR_DOC = {
     "kind": "linear",
@@ -307,3 +308,98 @@ def test_model_path_extends_registry(tmp_path, monkeypatch):
     shadow["name"] = "gyrator"
     path.write_text(json.dumps(shadow))
     assert main(["check-reciprocity", "--model", "gyrator"]) == 2
+
+
+# Every option each subcommand declares; each one is read by its handler.
+OPTION_SURFACE = {
+    "list-models": ["--out"],
+    "check-reciprocity": ["--model", "--input", "--out", "--seed", "--samples", "--horizon",
+                          "--tol"],
+    "check-passivity": ["--model", "--input", "--out", "--q0", "--tol"],
+    "compatible-q": ["--model", "--input", "--out", "--q0", "--tol"],
+    "recover-g": ["--model", "--input", "--out", "--seed", "--horizon", "--tol"],
+    "legendre": ["--field", "--input", "--out", "--seed", "--samples", "--tol"],
+    "christoffel": ["--field", "--input", "--out", "--seed", "--samples", "--tol"],
+    "variational-test": ["--model", "--input", "--out", "--horizon", "--step", "--x0",
+                         "--u-const", "--u-sin", "--tol"],
+    "simulate": ["--model", "--input", "--out", "--horizon", "--step", "--x0", "--u-const",
+                 "--u-sin", "--tol"],
+    "certify-relaxation": ["--model", "--input", "--out", "--seed", "--samples", "--horizon",
+                           "--step", "--u-const", "--u-sin", "--tol"],
+    "convert-ph": ["--model", "--input", "--out", "--seed", "--horizon", "--step", "--x0",
+                   "--u-const", "--u-sin", "--tol"],
+}
+
+TOLERANCES = {
+    "list-models": {},
+    "check-reciprocity": {"reciprocity": 1e-6},
+    "check-passivity": {"lmi": 1e-9},
+    "compatible-q": {"fixed_point": 1e-11, "lmi": 1e-8},
+    "recover-g": {"recover": 1e-4},
+    "legendre": {"round_trip": 1e-8, "biconjugate": 1e-8, "hessian": 1e-6,
+                 "homogeneity": 1e-8},
+    "christoffel": {"flat": 1e-8},
+    "variational-test": {"match": 1e-5},
+    "simulate": {"dissipation": 1e-8},
+    "certify-relaxation": {"inequality": 1e-9, "dissipation": 1e-8},
+    "convert-ph": {"structure": 1e-8, "trajectory": 1e-4},
+}
+
+
+def test_option_surface_snapshot():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [flag for action in sp._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+               for name, sp in sub.choices.items()}
+    assert surface == OPTION_SURFACE
+    assert sum(len(flags) for flags in surface.values()) == 74
+    assert {name: spec[3] for name, spec in SUBCOMMANDS.items()} == TOLERANCES
+
+
+def test_tol_help_lists_the_keys(capsys):
+    assert main(["certify-relaxation", "--help"]) == 0
+    assert "inequality=1e-09, dissipation=1e-08" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
+def test_undeclared_flag_or_tolerance_key_exits_2(command, capsys):
+    assert main([command, "--no-such-flag", "1"]) == 2
+    assert main([command, "--tol", "nosuchkey=1"]) == 2
+    err = capsys.readouterr().err
+    assert ("unknown key 'nosuchkey'" in err) == (command != "list-models")
+
+
+@pytest.mark.parametrize("argv", [
+    ["legendre", "--field", "cosh", "--seed", "-1"],
+    ["check-reciprocity", "--model", "brayton-moser", "--samples", "0"],
+    ["christoffel", "--field", "cosh", "--samples", "0"],
+    ["legendre", "--field", "cosh", "--samples", "2.5"],
+    ["simulate", "--model", "rc-tanh", "--step", "0"],
+    ["variational-test", "--model", "brayton-moser", "--step", "-0.01"],
+    ["convert-ph", "--model", "swing", "--step", "inf"],
+    ["simulate", "--model", "rc-tanh", "--horizon", "nan"],
+    ["certify-relaxation", "--model", "rc-tanh", "--horizon", "inf"],
+    ["convert-ph", "--model", "swing", "--horizon", "-1"],
+    ["simulate", "--model", "rc-tanh", "--horizon", "0"],
+    ["variational-test", "--model", "brayton-moser", "--horizon", "0"],
+    ["check-reciprocity", "--model", "gyrator", "--horizon", "-1"],
+    ["check-reciprocity", "--model", "gyrator", "--horizon", "0"],
+    ["recover-g", "--model", "gyrator", "--tol", "recover=nan"],
+    ["check-reciprocity", "--model", "gyrator", "--tol", "reciprocity=-1"],
+])
+def test_out_of_range_numbers_exit_2(argv, capsys):
+    assert main(argv) == 2
+
+
+def test_zero_horizon_skips_the_trajectory(tmp_path):
+    assert main(["certify-relaxation", "--model", "rc-tanh", "--samples", "30",
+                 "--horizon", "0", "--out", str(tmp_path)]) == 0
+    assert "trajectory_passive" not in read_report(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["legendre", "christoffel", "check-reciprocity"])
+def test_unreadable_input_file_exits_2(tmp_path, command, capsys):
+    assert main([command, "--input", str(tmp_path / "missing.json")]) == 2
+    assert "no such file" in capsys.readouterr().err
+    assert main([command, "--input", str(tmp_path)]) == 2  # a directory
