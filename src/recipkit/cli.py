@@ -181,6 +181,8 @@ def _parse_vector(text: Optional[str], dim: int, what: str, default) -> np.ndarr
         vals = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise SchemaError(f"{what}: expected comma separated numbers") from exc
+    if not np.all(np.isfinite(vals)):
+        raise SchemaError(f"{what}: expected finite numbers, got {text!r}")
     if len(vals) == 1 and dim > 1:
         vals = np.full(dim, vals[0])
     if len(vals) != dim:
@@ -192,6 +194,9 @@ def _start(args, n: int, domain: BoxDomain, m: int):
     """Start state (--x0 where declared, else off the domain centre) and input signal."""
     x0 = _parse_vector(getattr(args, "x0", None), n, "--x0",
                        domain.center + 0.25 * (domain.upper - domain.center))
+    if not domain.contains(x0):
+        raise SchemaError(f"--x0: {x0} lies outside the model's state box "
+                          f"[{domain.lower}, {domain.upper}]")
     const = _parse_vector(args.u_const, m, "--u-const", np.zeros(m))
     if args.u_sin is None:
         return x0, lambda t: const.copy()
@@ -202,6 +207,8 @@ def _start(args, n: int, domain: BoxDomain, m: int):
         amp, freq = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise SchemaError("--u-sin expects numbers") from exc
+    if not (math.isfinite(amp) and math.isfinite(freq)):
+        raise SchemaError(f"--u-sin: expected finite numbers, got {args.u_sin!r}")
     return x0, lambda t: const + amp * np.sin(2.0 * np.pi * freq * t) * np.ones(m)
 
 
@@ -363,10 +370,10 @@ def cmd_legendre(args, tols):
                               round_trip_tol=tols["round_trip"],
                               biconjugate_tol=tols["biconjugate"],
                               hessian_tol=tols["hessian"])
-    hom = homogeneity_check(fld, tol=tols["homogeneity"],
-                            samples=min(args.samples, 100), seed=args.seed)
+    hom = homogeneity_check(fld, tol=tols["homogeneity"], samples=args.samples,
+                            seed=args.seed)
     # re-measure the invariants for the report
-    xs = fld.domain.shrink(0.9).sample(min(args.samples, 100), seed=args.seed + 1)
+    xs = fld.domain.shrink(0.9).sample(args.samples, seed=args.seed + 1)
     rt = hs = 0.0
     for x in xs:
         z = pair.forward(x)
@@ -374,7 +381,7 @@ def cmd_legendre(args, tols):
         rt = max(rt, float(np.max(np.abs(xb - x))))
         hs = max(hs, float(np.max(np.abs(fld.hess(x) @ np.linalg.inv(fld.hess(xb))
                                          - np.eye(fld.dim)))))
-    payload = {"command": "legendre", "field_dim": fld.dim,
+    payload = {"command": "legendre", "field_dim": fld.dim, "points": len(xs),
                "round_trip_gap": rt, "hessian_inverse_gap": hs,
                "homogeneous_degree_two": hom.degree2,
                "conjugacy_equals_value": hom.equal,
@@ -388,14 +395,13 @@ def cmd_legendre(args, tols):
 def cmd_christoffel(args, tols):
     fld = _resolve_field(args)
     G = MetricField.from_hessian(fld)
-    xs = fld.domain.shrink(0.8).sample(min(args.samples, 10), seed=args.seed)
+    xs = fld.domain.shrink(0.8).sample(args.samples, seed=args.seed)
     gap = 0.0
     for x in xs:
         gap = max(gap, float(np.max(np.abs(hessian_christoffel(fld, x)
                                            - levi_civita(G, x)))))
-    flat = flatness_check(fld, tol=tols["flat"],
-                          n_samples=min(args.samples, 10), seed=args.seed)
-    payload = {"command": "christoffel", "field_dim": fld.dim,
+    flat = flatness_check(fld, tol=tols["flat"], n_samples=args.samples, seed=args.seed)
+    payload = {"command": "christoffel", "field_dim": fld.dim, "points": len(xs),
                "cross_oracle_gap": gap, "flat": flat, "ok": True}
     print(f"christoffel: cross-oracle gap {gap:.3e}, flat={flat}")
     return EXIT_OK, payload

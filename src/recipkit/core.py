@@ -317,7 +317,6 @@ class MetricField:
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     domain: BoxDomain
-    det_floor: float = DET_FLOOR
 
     def __call__(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
@@ -330,9 +329,9 @@ class MetricField:
         if r > sym_tol:
             raise AssumptionError("metric-symmetry",
                                   f"asymmetry {r:.3e} at x={as_vector(x)}")
-        if abs(np.linalg.det(G)) <= self.det_floor:
+        if abs(np.linalg.det(G)) <= DET_FLOOR:
             raise SingularMatrixError(
-                f"metric determinant below floor {self.det_floor} at x={as_vector(x)}")
+                f"metric determinant below floor {DET_FLOOR} at x={as_vector(x)}")
         return G
 
     @staticmethod

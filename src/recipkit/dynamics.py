@@ -31,6 +31,7 @@ from .core import (
     symmetry_residual,
 )
 from .legendre import LegendrePair, euler_degree_check, make_legendre_pair
+from .reciprocity import sample_state_input_points
 
 __all__ = [
     "Trajectory",
@@ -55,6 +56,10 @@ __all__ = [
     "incremental_passivity_check",
     "compatibility_identity_gaps",
 ]
+
+MIDPOINT_NEWTON_TOL = 1e-11  # implicit midpoint stops at |residual| <= tol (1 + |x_k|)
+MIDPOINT_MAX_NEWTON = 40
+PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
 
 
 class NotRelaxationError(RecipkitError):
@@ -112,18 +117,17 @@ class Trajectory:
 def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                                 mass: Optional[Callable] = None,
                                 rhs_jac: Optional[Callable] = None,
-                                newton_tol: float = 1e-11, max_newton: int = 40,
-                                local_tol: Optional[float] = None,
                                 domain: Optional[BoxDomain] = None):
     """Implicit midpoint for mass(x) x_dot = rhs(t, x).
 
     Each step solves M(m)(x+ - x) = h rhs(tm, m) with m = (x + x+)/2 by a
-    damped Newton iteration; the Jacobian uses M(m) - (h/2) d rhs/dx and a
-    finite-difference fallback.  With local_tol set, every step is compared
-    against two half steps and subdivided until the discrepancy falls below
-    the tolerance (the half-step result is kept).
+    damped Newton iteration from an explicit-Euler predictor; the Jacobian
+    uses M(m) - (h/2) d rhs/dx and a finite-difference fallback.  Newton
+    stops once |residual| <= MIDPOINT_NEWTON_TOL (1 + |x_k|) and fails after
+    MIDPOINT_MAX_NEWTON iterations.  With a domain, every step must stay in
+    the box (DomainError otherwise).
 
-    Returns (times, states) on the uniform macro grid.
+    Returns (times, states) on the uniform grid.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if step <= 0 or t1 <= t0:
@@ -148,7 +152,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular mass matrix at t={t:.6g}") from exc
         w = xk + h * v
-        scale = newton_tol * (1.0 + float(np.linalg.norm(xk)))
+        scale = MIDPOINT_NEWTON_TOL * (1.0 + float(np.linalg.norm(xk)))
 
         def residual(y):
             m = 0.5 * (xk + y)
@@ -159,7 +163,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
         # the accepted line-search candidate carries its midpoint, mass and
         # residual into the next iteration, so each point is evaluated once
         m, M, r, rn = residual(w)
-        for _ in range(max_newton):
+        for _ in range(MIDPOINT_MAX_NEWTON):
             if rn <= scale:
                 return w
             J = M - 0.5 * h * jac_rhs(tm, m)
@@ -179,22 +183,11 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                 raise ConvergenceError(f"Newton damping stalled at t={t:.6g}")
         raise ConvergenceError(f"implicit midpoint Newton failed to converge at t={t:.6g}")
 
-    def refined_step(t, xk, h, depth=14):
-        if local_tol is None:
-            return single_step(t, xk, h)
-        full = single_step(t, xk, h)
-        mid = single_step(t, xk, 0.5 * h)
-        half = single_step(t + 0.5 * h, mid, 0.5 * h)
-        if float(np.max(np.abs(full - half))) <= local_tol or depth == 0:
-            return half
-        a = refined_step(t, xk, 0.5 * h, depth - 1)
-        return refined_step(t + 0.5 * h, a, 0.5 * h, depth - 1)
-
     n_steps = max(1, int(round((t1 - t0) / step)))
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     states = [x.copy()]
     for k in range(n_steps):
-        x = refined_step(times[k], x, times[k + 1] - times[k])
+        x = single_step(times[k], x, times[k + 1] - times[k])
         if domain is not None and not domain.contains(x):
             raise DomainError(f"trajectory left the state box at t={times[k+1]:.6g}: x={x}")
         states.append(x.copy())
@@ -383,8 +376,6 @@ def _record(sys_output, states, times, u_signal, nu, storage):
 
 
 def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
-                             newton_tol: float = 1e-11,
-                             local_tol: Optional[float] = None,
                              enforce_domain: bool = True,
                              storage: Optional[ScalarField] = None) -> Trajectory:
     """Simulate a (Hessian) pseudo-gradient system with implicit midpoint.
@@ -403,7 +394,6 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
 
     times, states = integrate_implicit_midpoint(
         rhs, x0, t_span, step, mass=sys.metric, rhs_jac=rhs_jac,
-        newton_tol=newton_tol, local_tol=local_tol,
         domain=sys.domain if enforce_domain else None)
     S = storage if storage is not None else getattr(sys, "storage", None)
     inputs, outputs, monitors = _record(sys.output, states, times, u_signal, nu, S)
@@ -411,10 +401,8 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
 
 
 def simulate_port_hamiltonian(sys: PortHamiltonianSystem, z0, u_signal: Callable,
-                              t_span, step: float, newton_tol: float = 1e-11,
-                              local_tol: Optional[float] = None,
-                              enforce_domain: bool = True) -> Trajectory:
-    """Simulate a port-Hamiltonian system; monitor S is the Hamiltonian."""
+                              t_span, step: float) -> Trajectory:
+    """Simulate a port-Hamiltonian system inside its domain; monitor S is the Hamiltonian."""
     nu = sys.nu
 
     def rhs(t, z):
@@ -427,8 +415,7 @@ def simulate_port_hamiltonian(sys: PortHamiltonianSystem, z0, u_signal: Callable
         return J
 
     times, states = integrate_implicit_midpoint(
-        rhs, z0, t_span, step, mass=None, rhs_jac=rhs_jac, newton_tol=newton_tol,
-        local_tol=local_tol, domain=sys.domain if enforce_domain else None)
+        rhs, z0, t_span, step, mass=None, rhs_jac=rhs_jac, domain=sys.domain)
     inputs, outputs, monitors = _record(sys.output, states, times, u_signal, nu, sys.H)
     return Trajectory(times, states, inputs, outputs, monitors)
 
@@ -441,20 +428,17 @@ class DissipationReport:
     steps: int
 
 
-def dissipation_monitor(traj: Trajectory, S: Optional[ScalarField] = None,
-                        tol: float = 1e-8) -> DissipationReport:
+def dissipation_monitor(traj: Trajectory, tol: float = 1e-8) -> DissipationReport:
     """Per-step dissipation inequality S(x_{k+1}) - S(x_k) <= trapezoid(u.y) + tol dt.
 
-    The supply integral uses the trapezoid rule on the recorded supply-rate
-    channel.  supply_scale reports max(1, |cumulative supply|, |S - S(0)|)
-    for use in relative acceptance thresholds.
+    S is the trajectory's recorded storage channel 'S'.  The supply integral
+    uses the trapezoid rule on the recorded supply-rate channel.
+    supply_scale reports max(1, |cumulative supply|, |S - S(0)|) for use in
+    relative acceptance thresholds.
     """
-    if S is not None:
-        svals = np.array([S(x) for x in traj.states])
-    elif "S" in traj.monitors:
-        svals = np.asarray(traj.monitors["S"], dtype=float)
-    else:
-        raise DimensionMismatchError("no storage available: pass S or record monitor 'S'")
+    if "S" not in traj.monitors:
+        raise DimensionMismatchError("no storage available: record monitor 'S'")
+    svals = np.asarray(traj.monitors["S"], dtype=float)
     rate = np.array([float(traj.inputs[i] @ traj.outputs[i]) for i in range(len(traj.times))])
     dt = np.diff(traj.times)
     supply = 0.5 * (rate[:-1] + rate[1:]) * dt
@@ -697,10 +681,9 @@ def _conjugate_storage(K: ScalarField) -> ScalarField:
     )
 
 
-def certify_relaxation(sys: HessianPseudoGradientSystem, sample_points=None,
-                       tol: float = 1e-9, u_box: Optional[BoxDomain] = None,
-                       n_samples: int = 200, seed: int = 0,
-                       pd_floor: float = 1e-10) -> RelaxationCertificate:
+def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
+                       u_box: Optional[BoxDomain] = None, n_samples: int = 200,
+                       seed: int = 0) -> RelaxationCertificate:
     """Certify relaxation structure of a Hessian pseudo-gradient system.
 
     Requires a definite sign pattern: with sigma = +I the sampled inequality
@@ -722,9 +705,9 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, sample_points=None,
     for x in xs:
         w = float(np.linalg.eigvalsh(sys.K.hess(x)).min())
         min_eig = min(min_eig, w)
-        if w <= pd_floor:
+        if w <= PD_FLOOR:
             raise NotRelaxationError(
-                f"hess K has eigenvalue {w:.3e} <= {pd_floor} at x={x}; "
+                f"hess K has eigenvalue {w:.3e} <= {PD_FLOOR} at x={x}; "
                 "not a relaxation candidate")
 
     details: dict = {"points": len(xs)}
@@ -742,13 +725,8 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, sample_points=None,
         details["input_couplings_degree_one"] = degree_one
         ok = worst >= -tol and degree_one
     else:
-        if sample_points is not None:
-            pts = sample_points
-        else:
-            ub = u_box if u_box is not None else BoxDomain.cube(sys.nu, 1.0)
-            prod = BoxDomain.product(sys.K.domain.shrink(0.95), ub)
-            raw = prod.sample(n_samples, seed=seed)
-            pts = [(p[:sys.nx], p[sys.nx:]) for p in raw]
+        pts = sample_state_input_points(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
+                                        n_samples, seed)
         sign = 1.0 if mode == "-I" else -1.0
         for x, u in pts:
             vx, vu = sys.split_grad(x, u)
@@ -819,7 +797,7 @@ class MonotoneClassification:
     z_system: ZSpaceSystem
 
 
-def classify_monotone_ph(sys: HessianPseudoGradientSystem, sample_points=None,
+def classify_monotone_ph(sys: HessianPseudoGradientSystem,
                          u_box: Optional[BoxDomain] = None, n_samples: int = 100,
                          seed: int = 0, tol: float = 1e-9) -> MonotoneClassification:
     """Classify the induced port-Hamiltonian relation by convexity of V.
@@ -829,15 +807,12 @@ def classify_monotone_ph(sys: HessianPseudoGradientSystem, sample_points=None,
     sigma = +I) gives a maximal monotone one.  Both sampled Hessian
     conditions are evaluated and reported.
     """
-    if sample_points is None:
-        ub = u_box if u_box is not None else BoxDomain.cube(sys.nu, 1.0)
-        prod = BoxDomain.product(sys.K.domain.shrink(0.95), ub)
-        raw = prod.sample(n_samples, seed=seed)
-        sample_points = [(p[:sys.nx], p[sys.nx:]) for p in raw]
+    pts = sample_state_input_points(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
+                                    n_samples, seed)
     min_joint = np.inf
     min_xx = np.inf
     max_uu = -np.inf
-    for x, u in sample_points:
+    for x, u in pts:
         Hj = sys.joint_hessian(x, u)
         min_joint = min(min_joint, float(np.linalg.eigvalsh(0.5 * (Hj + Hj.T)).min()))
         nx = sys.nx

@@ -62,32 +62,33 @@ class Connection:
         return out
 
 
-def levi_civita(G: MetricField, x, step: float = METRIC_STEP) -> np.ndarray:
+def levi_civita(G: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients of a metric by central differences.
 
     Gamma_{lij} = (dG_{li}/dx_j + dG_{lj}/dx_i - dG_{ij}/dx_l) / 2 raised by
     the inverse metric.  Torsion-free by construction.
     """
     xv = as_vector(x, G.dim)
-    J = finite_difference_jacobian(G, xv, step)  # J[a, b, c] = dG_ab/dx_c
+    J = finite_difference_jacobian(G, xv, METRIC_STEP)  # J[a, b, c] = dG_ab/dx_c
     lower = 0.5 * (J + J.transpose(0, 2, 1) - J.transpose(2, 0, 1))  # lower[l, i, j]
     Ginv = np.linalg.inv(G.checked(xv))
     return np.einsum("kl,lij->kij", Ginv, lower)
 
 
-def third_partial_tensor(K: ScalarField, x, step: float = THIRD_PARTIAL_STEP) -> np.ndarray:
+def third_partial_tensor(K: ScalarField, x) -> np.ndarray:
     """T[l, i, j] = d^3 K / dx_l dx_i dx_j by nested central differences.
 
     Differentiates the best available derivative level of K and symmetrizes
     over all index permutations.
     """
-    T = finite_difference_jacobian(K.hess, as_vector(x, K.dim), step).transpose(2, 0, 1)
+    T = finite_difference_jacobian(K.hess, as_vector(x, K.dim),
+                                   THIRD_PARTIAL_STEP).transpose(2, 0, 1)
     T = (T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
          + T.transpose(0, 2, 1) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
     return T
 
 
-def hessian_christoffel(K: ScalarField, x, step: float = THIRD_PARTIAL_STEP) -> np.ndarray:
+def hessian_christoffel(K: ScalarField, x) -> np.ndarray:
     """Christoffel coefficients of the Hessian metric of K.
 
     Gamma^k_{ij} = (1/2) sum_l [hess K(x)^-1]_{kl} d^3K/dx_l dx_i dx_j,
@@ -95,36 +96,33 @@ def hessian_christoffel(K: ScalarField, x, step: float = THIRD_PARTIAL_STEP) -> 
     the transformed point.
     """
     xv = as_vector(x, K.dim)
-    T = third_partial_tensor(K, xv, step)
+    T = third_partial_tensor(K, xv)
     Hinv = np.linalg.inv(K.hess(xv))
     return 0.5 * np.einsum("kl,lij->kij", Hinv, T)
 
 
-def christoffel_connection(G: MetricField, step: float = METRIC_STEP) -> Connection:
-    return Connection(G.dim, lambda x: levi_civita(G, x, step))
+def christoffel_connection(G: MetricField) -> Connection:
+    return Connection(G.dim, lambda x: levi_civita(G, x))
 
 
-def hessian_connection(K: ScalarField, step: float = THIRD_PARTIAL_STEP) -> Connection:
-    return Connection(K.dim, lambda x: hessian_christoffel(K, x, step))
+def hessian_connection(K: ScalarField) -> Connection:
+    return Connection(K.dim, lambda x: hessian_christoffel(K, x))
 
 
-def flatness_check(K: ScalarField, sample_points=None, tol: float = 1e-8,
-                   n_samples: int = 30, seed: int = 0) -> bool:
+def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
+                   seed: int = 0) -> bool:
     """True when all third partials of K vanish on the sampled domain.
 
     Cross-checked against the Christoffel coefficients themselves, which
     must vanish simultaneously; flat generating functions are exactly the
     quadratic-plus-affine ones.
     """
-    if sample_points is None:
-        sample_points = K.domain.shrink(0.9).sample(n_samples, seed=seed)
     worst_t = 0.0
     worst_g = 0.0
-    for x in sample_points:
-        xv = as_vector(x, K.dim)
-        T = third_partial_tensor(K, xv)
+    for x in K.domain.shrink(0.9).sample(n_samples, seed=seed):
+        T = third_partial_tensor(K, x)
         # hessian_christoffel's formula on this T, so the stencil runs once per point
-        gam = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(K.hess(xv)), T)
+        gam = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(K.hess(x)), T)
         worst_t = max(worst_t, float(np.max(np.abs(T))))
         worst_g = max(worst_g, float(np.max(np.abs(gam))))
     return bool(worst_t <= tol and worst_g <= tol)
@@ -194,17 +192,13 @@ def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
 
 
 def dual_variational_system(sys: AffineNonlinearSystem, connection: Connection,
-                            nominal: Trajectory, u_signal=None,
-                            velocity_form: bool = False) -> TimeVaryingLinearSystem:
+                            nominal: Trajectory, u_signal=None) -> TimeVaryingLinearSystem:
     """Metric-dual of the variational system along the same nominal.
 
     d/dt p_b = (df_a/dx_b + 2 Gamma^a_{bc} f_c) p_a
              + sum_j u_j (dg_{ja}/dx_b + 2 Gamma^a_{bc} g_{jc}) p_a
              + sum_j u^d_j dh_j/dx_b,
       y^d_j  = sum_a p_a g_{aj}.
-
-    With velocity_form=True the connection terms are folded into a single
-    2 Gamma^a_{bc} x_dot_c contribution; the two assemblies agree exactly.
     """
     if connection.dim != sys.nx:
         raise DimensionMismatchError("connection dimension must match state dimension")
@@ -215,9 +209,6 @@ def dual_variational_system(sys: AffineNonlinearSystem, connection: Connection,
         gam = connection(x)
         gmat = as_matrix(sys.g(x), (sys.nx, sys.nu))
         base = sys.jac_f(x).T + np.einsum("j,jab->ab", u, sys.jac_g(x)).T
-        if velocity_form:
-            xdot = as_vector(sys.f(x), sys.nx) + gmat @ u
-            return base + 2.0 * np.einsum("abc,c->ba", gam, xdot)
         out = base + 2.0 * np.einsum("abc,c->ba", gam, as_vector(sys.f(x), sys.nx))
         for j in range(sys.nu):
             out = out + 2.0 * u[j] * np.einsum("abc,c->ba", gam, gmat[:, j])
@@ -290,7 +281,6 @@ class VariationalMatchReport:
 def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
                               nominal: Trajectory, probe_inputs=None,
                               tol: float = 1e-6, delta_x0=None, u_signal=None,
-                              connection: Optional[Connection] = None,
                               sigma: Optional[SignatureMatrix] = None) -> VariationalMatchReport:
     """Input-output comparison of the variational system and its metric dual.
 
@@ -299,9 +289,8 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     matching sigma dy (and p(t) = G(x(t)) delta_x(t) along the way) witnesses
     external reciprocity of the nonlinear system along the nominal.
     """
-    conn = connection if connection is not None else christoffel_connection(G)
     var = variational_system(sys, nominal, u_signal)
-    dual = dual_variational_system(sys, conn, nominal, u_signal)
+    dual = dual_variational_system(sys, christoffel_connection(G), nominal, u_signal)
     times = nominal.times
     if len(times) < 2:
         raise DimensionMismatchError("the nominal trajectory needs at least two times")

@@ -37,9 +37,7 @@ NEWTON_MAX_ITER = 80
 BOX_INFLATE = 0.25
 
 
-def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray,
-                             tol: float = NEWTON_TOL,
-                             max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
+def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Damped Newton solve of grad K(x) = z starting from x0.
 
     Convergence is measured relative to 1 + |z|; a line search that stalls
@@ -49,11 +47,11 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray,
     box = K.domain
     lo = box.lower - BOX_INFLATE * box.width
     hi = box.upper + BOX_INFLATE * box.width
-    goal = tol * (1.0 + float(np.linalg.norm(z)))
+    goal = NEWTON_TOL * (1.0 + float(np.linalg.norm(z)))
     x = np.array(x0, dtype=float)
     r = K.grad(x) - z
     rn = np.linalg.norm(r)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if rn <= goal:
             return x
         H = K.hess(x)
@@ -80,12 +78,11 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray,
     if rn <= goal:
         return x
     raise ConvergenceError(
-        f"Newton did not reach residual {tol} for z={z} (got {rn:.3e}); "
+        f"Newton did not reach residual {NEWTON_TOL} for z={z} (got {rn:.3e}); "
         "z may lie outside the co-domain")
 
 
-def legendre_transform(K: ScalarField, z, x_init=None, tol: float = NEWTON_TOL,
-                       max_iter: int = NEWTON_MAX_ITER):
+def legendre_transform(K: ScalarField, z, x_init=None):
     """Pointwise conjugate: returns (x, K*(z)) with grad K(x) = z.
 
     Parameters
@@ -99,7 +96,7 @@ def legendre_transform(K: ScalarField, z, x_init=None, tol: float = NEWTON_TOL,
     """
     zz = as_vector(z, K.dim)
     x0 = K.domain.center if x_init is None else as_vector(x_init, K.dim)
-    x = _solve_gradient_equation(K, zz, x0, tol, max_iter)
+    x = _solve_gradient_equation(K, zz, x0)
     return x, float(zz @ x - K(x))
 
 
@@ -118,8 +115,8 @@ class LegendrePair:
 
 def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                        verify: bool = True, round_trip_tol: float = 1e-8,
-                       biconjugate_tol: float = 1e-8, hessian_tol: float = 1e-6,
-                       newton_tol: float = NEWTON_TOL) -> LegendrePair:
+                       biconjugate_tol: float = 1e-8,
+                       hessian_tol: float = 1e-6) -> LegendrePair:
     """Construct K* by Newton inversion from the domain center; verify the pair.
 
     inverse is deterministic in z: the same co-vector gives a bit-identical x
@@ -143,7 +140,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         err = None
         for s in starts:
             try:
-                x = _solve_gradient_equation(K, zz, s, newton_tol)
+                x = _solve_gradient_equation(K, zz, s)
             except (ConvergenceError, SingularMatrixError) as exc:
                 err = exc
                 continue
@@ -180,7 +177,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             Hgap = K.hess(x) @ np.linalg.inv(K.hess(xb)) - np.eye(K.dim)
             worst_hess = max(worst_hess, float(np.max(np.abs(Hgap))))
             # biconjugate through the generic path on K*
-            _, kss = legendre_transform(Kstar, x, x_init=z, tol=newton_tol)
+            _, kss = legendre_transform(Kstar, x, x_init=z)
             worst_bi = max(worst_bi, abs(kss - K(x)) / (1.0 + abs(K(x))))
         if worst_rt > round_trip_tol:
             raise ConvergenceError(f"round-trip grad K* o grad K gap {worst_rt:.3e}")
@@ -192,12 +189,14 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
 
 
 def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,
-                   verify: bool = True, samples: int = 60, seed: int = 0) -> ScalarField:
+                   samples: int = 60, seed: int = 0) -> ScalarField:
     """Pullback of S through the inverse gradient map: z -> S(grad S*(z)).
 
     The returned field carries the analytic gradient z -> hess S*(z) z, which
     vanishes at z = 0.  When S has positive semidefinite Hessian on the
-    sampled domain, the returned function is minimized at z = 0.
+    sampled domain, the returned function is minimized at z = 0.  The
+    identity S~(z) = z.grad S*(z) - S*(z) is verified at sampled points, and
+    the critical point and floor at z = 0 when 0 lies in the co-domain.
     """
     p = pair if pair is not None else make_legendre_pair(S, samples=max(64, samples),
                                                          seed=seed, verify=False)
@@ -211,35 +210,33 @@ def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,
 
     tilde = ScalarField(S.dim, value, p.Kstar.domain, gradient=gradient)
 
-    if verify:
-        # identity S~(z) = z.grad S*(z) - S*(z) at pushed-forward points
-        worst = 0.0
-        psd = True
-        vals = []
-        xs = S.domain.shrink(0.95).sample(samples, seed=seed + 2)
-        for x in xs:
-            z = S.grad(x)
-            lhs = tilde(z)
-            rhs = float(z @ p.Kstar.grad(z)) - p.Kstar(z)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-            vals.append(lhs)
-            w = np.linalg.eigvalsh(S.hess(x))
-            if w.min() < -1e-10:
-                psd = False
-        if worst > 1e-9:
-            raise ConvergenceError(f"tilde identity gap {worst:.3e}")
-        try:
-            v0 = tilde(np.zeros(S.dim))
-            g0 = gradient(np.zeros(S.dim))
-            if float(np.max(np.abs(g0))) > 1e-8:
-                raise ConvergenceError(f"tilde gradient at 0 is {g0}")
-            if psd and vals and min(vals) < v0 - 1e-10:
-                raise ConvergenceError(
-                    f"tilde floor violated: min sample {min(vals):.6e} < value at 0 {v0:.6e}")
-        except (ConvergenceError, SingularMatrixError) as exc:
-            if isinstance(exc, ConvergenceError) and "tilde" in str(exc):
-                raise
-            # 0 outside the co-domain: floor/critical-point checks not applicable
+    # identity S~(z) = z.grad S*(z) - S*(z) at pushed-forward points
+    worst = 0.0
+    psd = True
+    vals = []
+    for x in S.domain.shrink(0.95).sample(samples, seed=seed + 2):
+        z = S.grad(x)
+        lhs = tilde(z)
+        rhs = float(z @ p.Kstar.grad(z)) - p.Kstar(z)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        vals.append(lhs)
+        w = np.linalg.eigvalsh(S.hess(x))
+        if w.min() < -1e-10:
+            psd = False
+    if worst > 1e-9:
+        raise ConvergenceError(f"tilde identity gap {worst:.3e}")
+    zero = np.zeros(S.dim)
+    try:
+        v0 = tilde(zero)
+        g0 = gradient(zero)
+    except (ConvergenceError, SingularMatrixError):
+        # 0 outside the co-domain: floor/critical-point checks not applicable
+        return tilde
+    if float(np.max(np.abs(g0))) > 1e-8:
+        raise ConvergenceError(f"tilde gradient at 0 is {g0}")
+    if psd and vals and min(vals) < v0 - 1e-10:
+        raise ConvergenceError(
+            f"tilde floor violated: min sample {min(vals):.6e} < value at 0 {v0:.6e}")
     return tilde
 
 
@@ -268,8 +265,8 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     worst_eq = 0.0
     worst_deg = 0.0
     for x in half.shrink(0.98).sample(samples, seed=seed):
-        z = K.grad(x)
-        _, ks = legendre_transform(K, z, x_init=x)
+        # K*(grad K(x)) = x.grad K(x) - K(x): x is already the preimage
+        ks = float(K.grad(x) @ x) - K(x)
         worst_eq = max(worst_eq, abs(ks - K(x)) / (1.0 + abs(K(x))))
         base = K(x) - k0
         for t in (0.5, 2.0):

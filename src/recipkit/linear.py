@@ -50,6 +50,16 @@ __all__ = [
     "spd_geometric_mean",
 ]
 
+HANKEL_QUAD_TOL = 1e-10
+HURWITZ_MARGIN = 1e-3  # least decay rate -max Re eig(A) that Hankel recovery accepts
+KERNEL_FLOOR = 1e-10  # |eigenvalue| of Q below which its eigenvector is in ker Q
+COMPATIBLE_MAX_ITER = 100
+# split normal form: snapping of eig(G^-1 Q) to +/-1, relative |C2| taken as 0,
+# sign slack of the P1 and P2 blocks
+SNAP_TOL = 1e-6
+C2_TOL = 1e-8
+SIGN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -212,17 +222,15 @@ class PastInput:
     duration: float
 
 
-def _check_hurwitz(A: np.ndarray, margin: float) -> None:
+def _check_hurwitz(A: np.ndarray) -> None:
     alpha = -float(np.max(np.real(np.linalg.eigvals(A))))
-    if alpha <= margin:
+    if alpha <= HURWITZ_MARGIN:
         raise ConvergenceError(
-            f"A is not Hurwitz with margin {margin} (decay rate {alpha:.3e})")
+            f"A is not Hurwitz with margin {HURWITZ_MARGIN} (decay rate {alpha:.3e})")
 
 
 def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
-                          horizon: float, past_inputs: Sequence[PastInput],
-                          quad_tol: float = 1e-10,
-                          hurwitz_margin: float = 1e-3) -> np.ndarray:
+                          horizon: float, past_inputs: Sequence[PastInput]) -> np.ndarray:
     """Recover the reciprocity metric from input-output energy pairings.
 
     The experiment has length L = min(horizon, longest past-input duration):
@@ -249,7 +257,7 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
         raise DimensionMismatchError("signature size must match input count")
     if k < n:
         raise DimensionMismatchError(f"need at least {n} past inputs, got {k}")
-    _check_hurwitz(sys.A, hurwitz_margin)
+    _check_hurwitz(sys.A)
     L = min(float(horizon), max(float(p.duration) for p in past_inputs))
     CtS = sys.C.T * sigma.signs
 
@@ -267,7 +275,7 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
         U = inputs_at(ts)
         return np.concatenate([E @ (sys.B @ U), np.swapaxes(E, 1, 2) @ (CtS @ U)], axis=2)
 
-    XW = integrate_segment(f, 0.0, L, tol=quad_tol)
+    XW = integrate_segment(f, 0.0, L, tol=HANKEL_QUAD_TOL)
     X, W = XW[:, :k], XW[:, k:]
     if np.linalg.matrix_rank(X, tol=1e-8 * max(1.0, float(np.max(np.abs(X))))) < n:
         raise SingularMatrixError("past inputs produce rank-deficient reachable states")
@@ -289,8 +297,7 @@ class LmiReport:
         return len(self.kernel_basis)
 
 
-def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9,
-                 kernel_floor: float = 1e-10) -> LmiReport:
+def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9) -> LmiReport:
     """Assemble Pi = [[-QA - A^T Q, -QB + C^T], [-B^T Q + C, D + D^T]] and verify it.
 
     passive is true when the smallest eigenvalue of Pi is >= -tol and Q is
@@ -309,7 +316,7 @@ def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9,
     passive = bool(min_eig >= -tol and q_eigs.min() >= -tol)
     # kernel of Q from its eigendecomposition
     w, V = np.linalg.eigh(Qm)
-    kernel = tuple(V[:, i].copy() for i in range(len(w)) if abs(w[i]) < kernel_floor)
+    kernel = tuple(V[:, i].copy() for i in range(len(w)) if abs(w[i]) < KERNEL_FLOOR)
     return LmiReport(Pi=Pi, min_eigenvalue=min_eig, passive=passive, kernel_basis=kernel)
 
 
@@ -368,8 +375,8 @@ def spd_geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, max_iter: int = 100,
-                                   tol: float = 1e-11, lmi_tol: float = 1e-8,
+def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
+                                   lmi_tol: float = 1e-8,
                                    sigma: Optional[SignatureMatrix] = None) -> dict:
     """Iterate Q <- Q # (G Q^-1 G) to a storage compatible with the metric.
 
@@ -398,9 +405,9 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, max_iter: int = 100
     iterations = 0
     gap = float(np.max(np.abs(Q - Gm @ np.linalg.solve(Q, Gm))))
     while gap > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"compatibility iteration exceeded {max_iter} steps (gap {gap:.3e})")
+        if iterations >= COMPATIBLE_MAX_ITER:
+            raise ConvergenceError(f"compatibility iteration exceeded {COMPATIBLE_MAX_ITER} "
+                                   f"steps (gap {gap:.3e})")
         target = Gm @ np.linalg.solve(Q, Gm)
         target = 0.5 * (target + target.T)
         Q = spd_geometric_mean(Q, target)
@@ -472,14 +479,12 @@ def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
     return W
 
 
-def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q,
-                                snap_tol: float = 1e-6, c_tol: float = 1e-8,
-                                sign_tol: float = 1e-10) -> SplitPortHamiltonianForm:
+def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHamiltonianForm:
     """Diagonalize a compatible pair (G, Q) into the split normal form.
 
     Requires sigma = I, Q symmetric positive definite and compatible with the
     metric (Q = G Q^-1 G); the involution G^-1 Q then has eigenvalues +/-1,
-    which are snapped within snap_tol.  In the adapted basis Q and G are
+    which are snapped within SNAP_TOL.  In the adapted basis Q and G are
     block diagonal, the internal potential splits into blocks P1 >= 0,
     P2 <= 0 and a coupling Pc, and the output matrix concentrates on the
     first block.
@@ -501,7 +506,7 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q,
     N = R @ np.linalg.solve(pg.G, R)
     N = 0.5 * (N + N.T)
     w, V = np.linalg.eigh(N)
-    if np.max(np.abs(np.abs(w) - 1.0)) > snap_tol:
+    if np.max(np.abs(np.abs(w) - 1.0)) > SNAP_TOL:
         raise ConvergenceError(
             f"eigenvalues of G^-1 Q do not snap to +/-1: {w}")
     order = np.argsort(-w)  # +1 block first
@@ -543,14 +548,14 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q,
         goal[k:, k:] = -Q2
     if float(np.max(np.abs(Gt - goal))) > 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
         raise ConvergenceError("adapted basis failed to block-diagonalize the metric")
-    if k and np.linalg.eigvalsh(P1).min() < -sign_tol:
+    if k and np.linalg.eigvalsh(P1).min() < -SIGN_TOL:
         raise ConvergenceError(
             f"P1 block not positive semidefinite (min eig {np.linalg.eigvalsh(P1).min():.3e}); "
             "system is not passive in split form")
-    if (n - k) and np.linalg.eigvalsh(P2).max() > sign_tol:
+    if (n - k) and np.linalg.eigvalsh(P2).max() > SIGN_TOL:
         raise ConvergenceError(
             f"P2 block not negative semidefinite (max eig {np.linalg.eigvalsh(P2).max():.3e})")
-    if C2.size and float(np.max(np.abs(C2))) > c_tol * (1.0 + float(np.max(np.abs(pg.C)))):
+    if C2.size and float(np.max(np.abs(C2))) > C2_TOL * (1.0 + float(np.max(np.abs(pg.C)))):
         raise ConvergenceError(
             f"output matrix does not vanish on the second block (|C2| = {np.max(np.abs(C2)):.3e})")
 

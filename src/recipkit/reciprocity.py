@@ -64,18 +64,9 @@ def sample_state_input_points(domain: BoxDomain, u_box: BoxDomain, n: int = 200,
     return [(p[:nx], p[nx:]) for p in pts]
 
 
-def _resolve_points(sys_domain: BoxDomain, nu: int, sample_points, u_box, n_samples, seed):
-    if sample_points is not None:
-        return [(as_vector(x), as_vector(u, nu)) for x, u in sample_points]
-    if u_box is None:
-        u_box = BoxDomain.cube(nu, 1.0)
-    return sample_state_input_points(sys_domain, u_box, n_samples, seed)
-
-
 def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix,
-                      sample_points=None, tol: float = 1e-6,
-                      u_box: Optional[BoxDomain] = None, n_samples: int = 200,
-                      seed: int = 0) -> ReciprocityReport:
+                      tol: float = 1e-6, u_box: Optional[BoxDomain] = None,
+                      n_samples: int = 200, seed: int = 0) -> ReciprocityReport:
     """Sampled residuals of the three reciprocity conditions.
 
     residual_state  : asymmetry of d(G(x) F(x,u))/dx,
@@ -86,7 +77,8 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
     """
     if sigma.m != sys.nu:
         raise DimensionMismatchError("signature size must match input count")
-    pts = _resolve_points(sys.domain, sys.nu, sample_points, u_box, n_samples, seed)
+    pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
+                                    n_samples, seed)
     r_state = r_out = r_cross = 0.0
     sm = sigma.matrix
     for x, u in pts:
@@ -102,9 +94,8 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
 
 
 def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
-                             sigma: SignatureMatrix, sample_points=None,
-                             tol: float = 1e-6, n_samples: int = 200,
-                             seed: int = 0) -> ReciprocityReport:
+                             sigma: SignatureMatrix, tol: float = 1e-6,
+                             n_samples: int = 200, seed: int = 0) -> ReciprocityReport:
     """Input-affine specialization: the conditions no longer involve u.
 
     residual_state  : asymmetry of d(G f)/dx and of every d(G g_j)/dx,
@@ -113,8 +104,7 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
     """
     if sigma.m != sys.nu:
         raise DimensionMismatchError("signature size must match input count")
-    if sample_points is None:
-        sample_points = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
+    xs = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
     sm = sigma.matrix
     r_state = r_out = r_cross = 0.0
 
@@ -124,8 +114,7 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
                               np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu)])
         return G(xx) @ fg
 
-    for x in sample_points:
-        x = as_vector(x, sys.nx)
+    for x in xs:
         Gx = G.checked(x)
         J = finite_difference_jacobian(G_fg, x)
         for j in range(1 + sys.nu):
@@ -135,13 +124,13 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
         gap = Gx @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
         r_cross = max(r_cross, float(np.max(np.abs(gap))))
     ok = max(r_state, r_out, r_cross) <= tol
-    return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(sample_points))
+    return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(xs))
 
 
 def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
-                              sigma: SignatureMatrix, sample_points=None,
-                              tol: float = 1e-6, u_box: Optional[BoxDomain] = None,
-                              n_samples: int = 200, seed: int = 0) -> ReciprocityReport:
+                              sigma: SignatureMatrix, tol: float = 1e-6,
+                              u_box: Optional[BoxDomain] = None, n_samples: int = 200,
+                              seed: int = 0) -> ReciprocityReport:
     """Reciprocity for a Hessian metric G = hess K.
 
     The state condition simplifies to G-self-adjointness of the state
@@ -151,7 +140,8 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
     if sigma.m != sys.nu:
         raise DimensionMismatchError("signature size must match input count")
     G = MetricField.from_hessian(K)
-    pts = _resolve_points(sys.domain, sys.nu, sample_points, u_box, n_samples, seed)
+    pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
+                                    n_samples, seed)
     sm = sigma.matrix
     r_state = r_out = r_cross = 0.0
     for x, u in pts:
@@ -167,25 +157,22 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
 
 
 METRIC_PARTIAL_STEP = 1e-5
+LINE_QUAD_TOL = 1e-8  # line integrals of reconstruct_K and reconstruct_potential
+CLOSEDNESS_TOL = 1e-6  # is_hessian_metric residual that reconstruct_K accepts
+POTENTIAL_RECIPROCITY_TOL = 1e-5  # check_reciprocity residual reconstruct_potential accepts
 
 
-def is_hessian_metric(G: MetricField, sample_points=None, tol: float = 1e-6,
-                      n_samples: int = 50, seed: int = 0,
-                      step: float = METRIC_PARTIAL_STEP) -> dict:
+def is_hessian_metric(G: MetricField, tol: float = 1e-6, n_samples: int = 50,
+                      seed: int = 0) -> dict:
     """Closedness test dG_jk/dx_i = dG_ik/dx_j at sampled points."""
-    if sample_points is None:
-        sample_points = G.domain.shrink(0.9).sample(n_samples, seed=seed)
     worst = 0.0
-    for x in sample_points:
-        x = as_vector(x, G.dim)
-        J = finite_difference_jacobian(G, x, step)  # J[i, j, k] = dG_ij/dx_k
+    for x in G.domain.shrink(0.9).sample(n_samples, seed=seed):
+        J = finite_difference_jacobian(G, x, METRIC_PARTIAL_STEP)  # J[i, j, k] = dG_ij/dx_k
         worst = max(worst, float(np.max(np.abs(J - J.transpose(2, 1, 0)))))
     return {"hessian": bool(worst <= tol), "residual": worst}
 
 
-def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
-                  check_tol: float = 1e-6, verify: bool = True,
-                  seed: int = 0) -> ScalarField:
+def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
     """Rebuild a generating function whose Hessian is the given metric.
 
     Uses the homotopy construction along the straight segment from the base
@@ -193,14 +180,15 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
     and the value is Taylor's integral remainder
     K(x) = int_0^1 (1 - t) d^T G(x0 + t d) d dt, so K and its gradient vanish
     at x0.  Both are single adaptive composite Gauss-Legendre integrals.
+    Raises DimensionMismatchError when the sampled closedness residual
+    exceeds CLOSEDNESS_TOL, since the line integral would be path dependent.
     """
     x0 = as_vector(base_point, G.dim)
-    if verify:
-        rep = is_hessian_metric(G, tol=check_tol, seed=seed)
-        if not rep["hessian"]:
-            raise DimensionMismatchError(
-                f"metric is not a Hessian metric (closedness residual {rep['residual']:.3e}); "
-                "the line integral would be path dependent")
+    rep = is_hessian_metric(G, tol=CLOSEDNESS_TOL, seed=seed)
+    if not rep["hessian"]:
+        raise DimensionMismatchError(
+            f"metric is not a Hessian metric (closedness residual {rep['residual']:.3e}); "
+            "the line integral would be path dependent")
 
     def chi(x):
         x = as_vector(x, G.dim)
@@ -208,7 +196,7 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
         if not np.any(d):
             return np.zeros(G.dim)
         return integrate_segment(lambda ts: np.array([G(x0 + t * d) @ d for t in ts]),
-                                 0.0, 1.0, tol=quad_tol)
+                                 0.0, 1.0, tol=LINE_QUAD_TOL)
 
     def value(x):
         x = as_vector(x, G.dim)
@@ -217,7 +205,7 @@ def reconstruct_K(G: MetricField, base_point, quad_tol: float = 1e-8,
             return 0.0
         return float(integrate_segment(
             lambda ts: np.array([(1.0 - t) * float(d @ G(x0 + t * d) @ d) for t in ts]),
-            0.0, 1.0, tol=quad_tol))
+            0.0, 1.0, tol=LINE_QUAD_TOL))
 
     return ScalarField(G.dim, value, G.domain, gradient=chi)
 
@@ -238,29 +226,26 @@ class PotentialFunction:
 
 def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix,
                           base_point, u_box: Optional[BoxDomain] = None,
-                          quad_tol: float = 1e-8, verify: bool = True,
-                          verify_tol: float = 1e-5, n_samples: int = 60,
-                          seed: int = 0) -> PotentialFunction:
+                          n_samples: int = 60, seed: int = 0) -> PotentialFunction:
     """Line-integral reconstruction of the potential of a reciprocal system.
 
     V(x,u) = -int_0^1 [ (G F)(gamma(t)) . (x-x0) + (sigma H)(gamma(t)) . (u-u0) ] dt
     along the straight segment gamma from (x0,u0) to (x,u).  Requires the
-    reciprocity residuals to sit below verify_tol, otherwise the integral is
-    path dependent and an error is raised.
+    sampled reciprocity residuals to sit below POTENTIAL_RECIPROCITY_TOL,
+    otherwise the integral is path dependent and AssumptionError is raised.
     """
     x0 = as_vector(base_point[0], sys.nx)
     u0 = as_vector(base_point[1], sys.nu)
     if u_box is None:
         u_box = BoxDomain.cube(sys.nu, 1.0)
-    if verify:
-        rep = check_reciprocity(sys, G, sigma, tol=verify_tol, u_box=u_box,
-                                n_samples=n_samples, seed=seed)
-        if not rep.reciprocal:
-            raise AssumptionError(
-                "reciprocity", "system fails the reciprocity check "
-                f"(residuals {rep.residual_state:.2e}/{rep.residual_output:.2e}/"
-                f"{rep.residual_cross:.2e} > {verify_tol}); potential is path dependent",
-                report=rep)
+    rep = check_reciprocity(sys, G, sigma, tol=POTENTIAL_RECIPROCITY_TOL, u_box=u_box,
+                            n_samples=n_samples, seed=seed)
+    if not rep.reciprocal:
+        raise AssumptionError(
+            "reciprocity", "system fails the reciprocity check "
+            f"(residuals {rep.residual_state:.2e}/{rep.residual_output:.2e}/"
+            f"{rep.residual_cross:.2e} > {POTENTIAL_RECIPROCITY_TOL}); "
+            "potential is path dependent", report=rep)
 
     def value(w):
         w = as_vector(w, sys.nx + sys.nu)
@@ -277,7 +262,7 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
             return a + b
 
         return -float(integrate_segment(lambda ts: np.array([integrand(t) for t in ts]),
-                                        0.0, 1.0, tol=quad_tol))
+                                        0.0, 1.0, tol=LINE_QUAD_TOL))
 
     def gradient(w):
         w = as_vector(w, sys.nx + sys.nu)

@@ -1,0 +1,119 @@
+"""The library's option surface: the defaulted parameters of the public API."""
+
+import importlib
+import inspect
+
+MODULES = ("core", "linear", "legendre", "reciprocity", "geometry", "dynamics", "models",
+           "schema")
+
+# module.name -> defaulted parameters, for every __all__ callable and public method
+# that has any.  A keyword no caller sets belongs in a module constant instead.
+DEFAULTED = {
+    "core.AssumptionError": ("report",),
+    "core.BoxDomain.contains": ("margin",),
+    "core.BoxDomain.sample": ("seed",),
+    "core.BoxDomain.cube": ("halfwidth", "center"),
+    "core.ScalarField": ("gradient", "hessian"),
+    "core.MetricField.checked": ("sym_tol",),
+    "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
+    "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
+    "core.quadratic_field": ("lin", "const"),
+    "core.finite_difference_gradient": ("step",),
+    "core.finite_difference_jacobian": ("step",),
+    "core.hessian_from_value": ("step",),
+    "core.gauss_legendre_panels": ("nodes",),
+    "core.integrate_segment": ("a", "b", "tol", "nodes", "max_doublings"),
+    "core.validate_scalar_field": ("n_samples", "seed", "grad_tol", "hess_sym_tol",
+                                   "hess_tol"),
+    "core.validate_metric_field": ("n_samples", "seed", "sym_tol"),
+    "linear.check_linear_reciprocity": ("tol",),
+    "linear.to_pseudo_gradient": ("tol",),
+    "linear.impulse_response_symmetry": ("tol",),
+    "linear.lmi_residual": ("tol",),
+    "linear.kernel_invariance_check": ("tol",),
+    "linear.build_monotone_image": ("tol",),
+    "linear.compatible_storage_fixed_point": ("tol", "lmi_tol", "sigma"),
+    "linear.solve_dual_isomorphism": ("tol",),
+    "legendre.legendre_transform": ("x_init",),
+    "legendre.make_legendre_pair": ("samples", "seed", "verify", "round_trip_tol",
+                                    "biconjugate_tol", "hessian_tol"),
+    "legendre.tilde_function": ("pair", "samples", "seed"),
+    "legendre.homogeneity_check": ("tol", "samples", "seed"),
+    "legendre.euler_degree_check": ("tol", "samples", "seed"),
+    "reciprocity.check_reciprocity": ("tol", "u_box", "n_samples", "seed"),
+    "reciprocity.check_reciprocity_affine": ("tol", "n_samples", "seed"),
+    "reciprocity.check_reciprocity_hessian": ("tol", "u_box", "n_samples", "seed"),
+    "reciprocity.is_hessian_metric": ("tol", "n_samples", "seed"),
+    "reciprocity.reconstruct_K": ("seed",),
+    "reciprocity.reconstruct_potential": ("u_box", "n_samples", "seed"),
+    "reciprocity.sample_state_input_points": ("n", "seed"),
+    "geometry.flatness_check": ("tol", "n_samples", "seed"),
+    "geometry.variational_system": ("u_signal",),
+    "geometry.dual_variational_system": ("u_signal",),
+    "geometry.external_reciprocity_test": ("probe_inputs", "tol", "delta_x0", "u_signal",
+                                           "sigma"),
+    "dynamics.Trajectory": ("monitors",),
+    "dynamics.HessianPseudoGradientSystem": ("P", "g", "storage"),
+    "dynamics.HessianPseudoGradientSystem.from_internal_potential": ("u_box", "storage"),
+    "dynamics.PortHamiltonianSystem": ("R", "R_jac"),
+    "dynamics.PortHamiltonianSystem.validate": ("n_samples", "seed", "tol"),
+    "dynamics.integrate_implicit_midpoint": ("mass", "rhs_jac", "domain"),
+    "dynamics.simulate_pseudo_gradient": ("enforce_domain", "storage"),
+    "dynamics.dissipation_monitor": ("tol",),
+    "dynamics.ph_to_hessian_pseudo_gradient": ("n_samples", "seed", "tol", "u_box"),
+    "dynamics.check_passive_hessian_structure": ("tol", "n_samples", "seed"),
+    "dynamics.certify_relaxation": ("tol", "u_box", "n_samples", "seed"),
+    "dynamics.classify_monotone_ph": ("u_box", "n_samples", "seed", "tol"),
+    "dynamics.incremental_passivity_check": ("tol",),
+    "dynamics.compatibility_identity_gaps": ("n_samples", "seed"),
+    "models.BraytonMoserModel": ("L", "C", "lam", "R", "Gc", "quartic", "co_content_sign",
+                                 "halfwidth", "input_columns"),
+    "models.BraytonMoserModel.as_hessian_pseudo_gradient": ("u_box",),
+    "models.SwingModel": ("M", "A", "D", "gamma", "input_columns", "omega_max", "q_max",
+                          "pi_frac"),
+    "models.SwingModel.as_hessian_pseudo_gradient": ("u_box",),
+    "models.RcCircuitModel": ("Dc", "Dt", "conductors", "cap", "cap_quartic", "halfwidth",
+                              "u_halfwidth"),
+    "models.ModelBundle": ("linear", "G_lin", "sigma", "Q0", "affine", "metric", "potential",
+                           "hpg", "ph", "split", "u_box", "extras"),
+    "models.random_reciprocal_system": ("sigma", "k", "stability_floor", "transform"),
+    "models.well_conditioned_transform": ("log_spread",),
+    "models.linear_to_hessian_pseudo_gradient": ("u_box", "halfwidth"),
+    "schema.load_system": ("name",),
+    "schema.load_registry_extras": ("path_value",),
+    "schema.parse_field": ("dim",),
+}
+
+
+def _signatures(mod):
+    """(name, signature) of each __all__ callable and public method that has one."""
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        found = [(name, obj)] if callable(obj) else []
+        if inspect.isclass(obj):
+            found += [(f"{name}.{attr}", getattr(obj, attr)) for attr, val in vars(obj).items()
+                      if not attr.startswith("_")
+                      and (inspect.isfunction(val) or isinstance(val, staticmethod))]
+        for qual, fn in found:
+            try:
+                yield qual, inspect.signature(fn)
+            except ValueError:  # a builtin constructor, e.g. an exception class
+                continue
+
+
+def test_every_exported_name_resolves():
+    for m in MODULES:
+        mod = importlib.import_module(f"recipkit.{m}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], m
+
+
+def test_defaulted_parameter_snapshot():
+    surface = {}
+    for m in MODULES:
+        for name, sig in _signatures(importlib.import_module(f"recipkit.{m}")):
+            defaulted = tuple(p.name for p in sig.parameters.values()
+                              if p.default is not inspect.Parameter.empty)
+            if defaulted:
+                surface[f"{m}.{name}"] = defaulted
+    assert surface == DEFAULTED
+    assert sum(len(names) for names in surface.values()) == 173

@@ -392,6 +392,24 @@ def test_out_of_range_numbers_exit_2(argv, capsys):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--model", "rc-tanh", "--horizon", "0.2", "--u-const", "nan"], "--u-const"),
+    (["simulate", "--model", "rc-tanh", "--horizon", "0.2", "--x0", "inf"], "--x0"),
+    (["simulate", "--model", "rc-tanh", "--horizon", "0.2", "--u-sin", "inf,1"], "--u-sin"),
+    (["variational-test", "--model", "brayton-moser", "--horizon", "0.2", "--step", "0.01",
+      "--x0", "5"], "--x0"),
+])
+def test_bad_start_values_are_rejected_as_input(argv, flag, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize("command", ["legendre", "christoffel"])
+def test_field_commands_use_every_requested_sample(tmp_path, command):
+    assert main([command, "--field", "cosh", "--samples", "20", "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path)["points"] == 20
+
+
 def test_zero_horizon_skips_the_trajectory(tmp_path):
     assert main(["certify-relaxation", "--model", "rc-tanh", "--samples", "30",
                  "--horizon", "0", "--out", str(tmp_path)]) == 0

@@ -116,16 +116,6 @@ def test_integrator_assembles_mass_at_most_three_times_per_step():
     assert len(calls) <= 3 * n_steps
 
 
-def test_integrator_local_tol_refines_coarse_grid():
-    rhs = lambda t, x: np.array([-10.0 * x[0]])
-    _, coarse = integrate_implicit_midpoint(rhs, np.array([1.0]), (0.0, 1.0), step=0.2)
-    _, refined = integrate_implicit_midpoint(rhs, np.array([1.0]), (0.0, 1.0), step=0.2,
-                                             local_tol=1e-10)
-    exact = np.exp(-10.0)
-    assert abs(refined[-1, 0] - exact) < 1e-6
-    assert abs(refined[-1, 0] - exact) < abs(coarse[-1, 0] - exact) / 100.0
-
-
 def test_integrator_domain_exit():
     with pytest.raises(DomainError):
         integrate_implicit_midpoint(lambda t, x: x, np.array([0.9]), (0.0, 2.0),

@@ -15,7 +15,6 @@ from recipkit.geometry import (
     TimeVaryingLinearSystem,
     christoffel_connection,
     default_probes,
-    dual_variational_system,
     external_reciprocity_test,
     flatness_check,
     hessian_christoffel,
@@ -288,20 +287,6 @@ def test_external_reciprocity_detects_wrong_metric():
     rep = external_reciprocity_test(sys, Gbad, nominal, delta_x0=[0.2, -0.1])
     assert not rep.match
     assert max(rep.max_output_gap, rep.max_state_gap) > 1e-3
-
-
-def test_dual_variational_velocity_form_agrees():
-    sys = gyrator_affine()
-    G = MetricField.constant(np.diag([1.0, -1.0]), sys.domain)
-    conn = christoffel_connection(G)
-    times = np.linspace(0.0, 1.0, 21)
-    states = np.column_stack([np.exp(-times), 0.5 * np.exp(-times)])
-    nominal = Trajectory(times, states, np.zeros((21, 1)), states[:, :1])
-    u = lambda t: np.array([0.3])
-    a = dual_variational_system(sys, conn, nominal, u_signal=u)
-    b = dual_variational_system(sys, conn, nominal, u_signal=u, velocity_form=True)
-    t = np.array([0.1, 0.5, 0.9])
-    np.testing.assert_allclose(a.A(t), b.A(t), atol=1e-12)
 
 
 def test_external_reciprocity_evaluates_metric_once_per_grid_point():

@@ -147,6 +147,18 @@ def test_tilde_function_quadratic_oracle():
     assert tilde(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_tilde_function_skips_the_zero_checks_outside_the_codomain():
+    from recipkit.models import field_registry
+
+    # grad of sum(exp(x)) is positive, so z = 0 has no preimage
+    S = field_registry()["exp-sum"]
+    tilde = tilde_function(S, samples=20)
+    with pytest.raises(ConvergenceError):
+        tilde(np.zeros(S.dim))
+    x = S.domain.shrink(0.5).sample(1, seed=3)[0]
+    assert tilde(S.grad(x)) == pytest.approx(S(x), abs=1e-10)
+
+
 def test_make_legendre_pair_rejects_degenerate_field():
     box = BoxDomain.cube(1, halfwidth=4.0)
     K = ScalarField(1, lambda x: float(np.sin(x[0])), box,
