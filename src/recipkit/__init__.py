@@ -35,7 +35,6 @@ from .dynamics import (
     simulate_pseudo_gradient,
 )
 from .geometry import (
-    christoffel_connection,
     external_reciprocity_test,
     flatness_check,
     hessian_christoffel,

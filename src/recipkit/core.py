@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,7 +31,6 @@ __all__ = [
     "AffineNonlinearSystem",
     "Polynomial",
     "quadratic_field",
-    "finite_difference_gradient",
     "finite_difference_jacobian",
     "hessian_from_value",
     "symmetry_residual",
@@ -221,11 +220,6 @@ def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
     return np.maximum(base, base * np.abs(x))
 
 
-def finite_difference_gradient(f: Callable, x, step: float = GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar map; see finite_difference_jacobian."""
-    return finite_difference_jacobian(f, x, step)
-
-
 def finite_difference_jacobian(F: Callable, x, step: float = GRAD_STEP) -> np.ndarray:
     """Central-difference derivative of a scalar, vector or matrix map.
 
@@ -294,7 +288,7 @@ class ScalarField:
         v = as_vector(x, self.dim)
         if self.gradient is not None:
             return as_vector(self.gradient(v), self.dim)
-        return finite_difference_gradient(self.value, v)
+        return finite_difference_jacobian(self.value, v)
 
     def hess(self, x) -> np.ndarray:
         v = as_vector(x, self.dim)
@@ -363,6 +357,11 @@ class SignatureMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return np.diag(self.signs.astype(float))
+
+    def check_inputs(self, m: int) -> None:
+        """Raise DimensionMismatchError unless the signature has m entries."""
+        if self.m != m:
+            raise DimensionMismatchError("signature size must match input count")
 
     def apply(self, v) -> np.ndarray:
         return self.signs * as_vector(v, self.m)
@@ -614,7 +613,7 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
     for x in pts:
         if field.gradient is not None:
             ga = field.grad(x)
-            gf = finite_difference_gradient(field.value, x)
+            gf = finite_difference_jacobian(field.value, x)
             rel = np.max(np.abs(ga - gf)) / (1.0 + np.max(np.abs(ga)))
             out["grad_gap"] = max(out["grad_gap"], float(rel))
         if field.hessian is not None:

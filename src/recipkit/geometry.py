@@ -1,4 +1,4 @@
-"""Connection coefficients and variational duality along trajectories.
+"""Christoffel coefficients and variational duality along trajectories.
 
 Christoffel symbols of a metric are obtained from central differences of
 the metric; for Hessian metrics they reduce to weighted third partials of
@@ -12,7 +12,7 @@ p = G(x) delta_x is the state-space isomorphism between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,13 +29,11 @@ from .core import (
 from .dynamics import Trajectory
 
 __all__ = [
-    "Connection",
     "TimeVaryingLinearSystem",
     "VariationalMatchReport",
     "third_partial_tensor",
     "levi_civita",
     "hessian_christoffel",
-    "christoffel_connection",
     "flatness_check",
     "variational_system",
     "dual_variational_system",
@@ -46,20 +44,6 @@ __all__ = [
 
 THIRD_PARTIAL_STEP = 1e-4
 METRIC_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class Connection:
-    """Christoffel coefficients x -> Gamma[k, i, j], symmetric in (i, j)."""
-
-    dim: int
-    gamma: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self.gamma(as_vector(x, self.dim)), dtype=float)
-        if out.shape != (self.dim, self.dim, self.dim):
-            raise DimensionMismatchError(f"connection array has shape {out.shape}")
-        return out
 
 
 def levi_civita(G: MetricField, x) -> np.ndarray:
@@ -101,14 +85,6 @@ def hessian_christoffel(K: ScalarField, x) -> np.ndarray:
     return 0.5 * np.einsum("kl,lij->kij", Hinv, T)
 
 
-def christoffel_connection(G: MetricField) -> Connection:
-    return Connection(G.dim, lambda x: levi_civita(G, x))
-
-
-def hessian_connection(K: ScalarField) -> Connection:
-    return Connection(K.dim, lambda x: hessian_christoffel(K, x))
-
-
 def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
                    seed: int = 0) -> bool:
     """True when all third partials of K vanish on the sampled domain.
@@ -143,28 +119,24 @@ class TimeVaryingLinearSystem:
     C: Callable[[np.ndarray], np.ndarray]
 
 
-def _state_interpolant(nominal: Trajectory):
-    """ts of shape (N,) -> states of shape (N, nx)."""
-    t = nominal.times
-    if len(t) >= 4:
+def _interpolant(times: np.ndarray, values: np.ndarray):
+    """ts of shape (N,) -> rows of values interpolated at ts, shape (N, k).
+
+    A cubic spline from four samples on, piecewise linear below that.
+    """
+    if values.shape[1] == 0:
+        return lambda s: np.zeros((len(s), 0))
+    if len(times) >= 4:
         from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
-        return CubicSpline(t, nominal.states, axis=0)
-    return lambda s: np.stack([np.interp(s, t, nominal.states[:, i])
-                               for i in range(nominal.states.shape[1])], axis=-1)
+        return CubicSpline(times, values, axis=0)
+    return lambda s: np.stack([np.interp(s, times, v) for v in values.T], axis=-1)
 
 
 def _input_interpolant(nominal: Trajectory, u_signal, nu: int):
     """ts of shape (N,) -> inputs of shape (N, nu)."""
-    if u_signal is not None:
-        return lambda s: np.array([as_vector(u_signal(si), nu) for si in s]).reshape(len(s), nu)
-    t = nominal.times
-    if nu == 0:
-        return lambda s: np.zeros((len(s), 0))
-    if len(t) >= 4:
-        from scipy.interpolate import CubicSpline  # deferred to keep cold start fast
-        return CubicSpline(t, nominal.inputs, axis=0)
-    return lambda s: np.stack([np.interp(s, t, nominal.inputs[:, i]) for i in range(nu)],
-                              axis=-1)
+    if u_signal is None:
+        return _interpolant(nominal.times, nominal.inputs)
+    return lambda s: np.array([as_vector(u_signal(si), nu) for si in s]).reshape(len(s), nu)
 
 
 def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
@@ -175,7 +147,7 @@ def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
     with x(t), u(t) interpolated from the nominal trajectory (cubic spline)
     unless an explicit input signal is supplied.
     """
-    xof = _state_interpolant(nominal)
+    xof = _interpolant(nominal.times, nominal.states)
     uof = _input_interpolant(nominal, u_signal, sys.nu)
 
     def A(ts):
@@ -191,22 +163,23 @@ def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
     return TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C)
 
 
-def dual_variational_system(sys: AffineNonlinearSystem, connection: Connection,
+def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
                             nominal: Trajectory, u_signal=None) -> TimeVaryingLinearSystem:
     """Metric-dual of the variational system along the same nominal.
 
     d/dt p_b = (df_a/dx_b + 2 Gamma^a_{bc} f_c) p_a
              + sum_j u_j (dg_{ja}/dx_b + 2 Gamma^a_{bc} g_{jc}) p_a
              + sum_j u^d_j dh_j/dx_b,
-      y^d_j  = sum_a p_a g_{aj}.
+      y^d_j  = sum_a p_a g_{aj},
+    with Gamma the Levi-Civita coefficients of G.
     """
-    if connection.dim != sys.nx:
-        raise DimensionMismatchError("connection dimension must match state dimension")
-    xof = _state_interpolant(nominal)
+    if G.dim != sys.nx:
+        raise DimensionMismatchError("metric dimension must match state dimension")
+    xof = _interpolant(nominal.times, nominal.states)
     uof = _input_interpolant(nominal, u_signal, sys.nu)
 
     def A_at(x, u):
-        gam = connection(x)
+        gam = levi_civita(G, x)
         gmat = as_matrix(sys.g(x), (sys.nx, sys.nu))
         base = sys.jac_f(x).T + np.einsum("j,jab->ab", u, sys.jac_g(x)).T
         out = base + 2.0 * np.einsum("abc,c->ba", gam, as_vector(sys.f(x), sys.nx))
@@ -290,7 +263,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     external reciprocity of the nonlinear system along the nominal.
     """
     var = variational_system(sys, nominal, u_signal)
-    dual = dual_variational_system(sys, christoffel_connection(G), nominal, u_signal)
+    dual = dual_variational_system(sys, G, nominal, u_signal)
     times = nominal.times
     if len(times) < 2:
         raise DimensionMismatchError("the nominal trajectory needs at least two times")
@@ -300,7 +273,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
 
-    Gs = np.stack([G(x) for x in _state_interpolant(nominal)(times)])
+    Gs = np.stack([G(x) for x in _interpolant(times, nominal.states)(times)])
     max_gap = 0.0
     max_state = 0.0
     rows = []

@@ -7,12 +7,13 @@ implicitly (a point z belongs to it exactly when Newton converges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (
+    AssumptionError,
     BoxDomain,
     ConvergenceError,
     DomainError,
@@ -105,12 +106,15 @@ class LegendrePair:
     """Generating function K together with its conjugate K*.
 
     forward maps x to z = grad K(x); inverse maps z back via Newton.
+    margins holds the worst round_trip_gap, hessian_inverse_gap and
+    biconjugate_gap the verification measured (empty when not verified).
     """
 
     K: ScalarField
     Kstar: ScalarField
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
+    margins: dict
 
 
 def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
@@ -130,7 +134,9 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     * (K*)*(x) = K(x)                 within biconjugate_tol,
 
     where the biconjugate is evaluated through the same generic Newton path
-    applied to K*.  Raises ConvergenceError or AssumptionError on failure.
+    applied to K*.  The worst gaps become the pair's margins.  A Newton solve
+    that fails raises ConvergenceError or SingularMatrixError; a gap above its
+    tolerance raises AssumptionError with the margins as its report.
     """
     def inverse(z):
         zz = as_vector(z, K.dim)
@@ -166,8 +172,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     zbox = BoxDomain(zlo - 0.05 * spread, zhi + 0.05 * spread).shrink(0.95)
 
     Kstar = ScalarField(K.dim, star_value, zbox, gradient=star_grad, hessian=star_hess)
-    pair = LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse)
-
+    margins: dict = {}
     if verify:
         worst_rt = worst_hess = worst_bi = 0.0
         for x in K.domain.shrink(0.98).sample(samples, seed=seed + 1):
@@ -179,13 +184,19 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             # biconjugate through the generic path on K*
             _, kss = legendre_transform(Kstar, x, x_init=z)
             worst_bi = max(worst_bi, abs(kss - K(x)) / (1.0 + abs(K(x))))
+        margins = {"round_trip_gap": worst_rt, "hessian_inverse_gap": worst_hess,
+                   "biconjugate_gap": worst_bi}
         if worst_rt > round_trip_tol:
-            raise ConvergenceError(f"round-trip grad K* o grad K gap {worst_rt:.3e}")
+            raise AssumptionError("round-trip", f"grad K* o grad K gap {worst_rt:.3e} "
+                                  f"> {round_trip_tol:g}", margins)
         if worst_hess > hessian_tol:
-            raise ConvergenceError(f"Hessian-inverse identity gap {worst_hess:.3e}")
+            raise AssumptionError("hessian-inverse", f"identity gap {worst_hess:.3e} "
+                                  f"> {hessian_tol:g}", margins)
         if worst_bi > biconjugate_tol:
-            raise ConvergenceError(f"biconjugation gap {worst_bi:.3e}")
-    return pair
+            raise AssumptionError("biconjugation", f"gap {worst_bi:.3e} > {biconjugate_tol:g}",
+                                  margins)
+    return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
+                        margins=margins)
 
 
 def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,

@@ -127,8 +127,7 @@ def check_linear_reciprocity(sys: LinearSystem, G, sigma: SignatureMatrix,
     matrix is symmetric.
     """
     Gm = _check_metric(G, sys.n)
-    if sigma.m != sys.m:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.m)
     top = np.hstack([Gm @ sys.A, Gm @ sys.B])
     bot = np.hstack([sigma.conjugate_rows(sys.C), sigma.conjugate_rows(sys.D)])
     residual = symmetry_residual(np.vstack([top, bot]))
@@ -189,8 +188,7 @@ def to_pseudo_gradient(sys: LinearSystem, G, sigma: SignatureMatrix,
 
 def dual_system(sys: LinearSystem, sigma: SignatureMatrix) -> LinearSystem:
     """Adjoint realization (A^T, C^T sigma, B^T, D^T sigma)."""
-    if sigma.m != sys.m:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.m)
     s = sigma.matrix
     return LinearSystem(sys.A.T, sys.C.T @ s, sys.B.T, sys.D.T @ s)
 
@@ -204,8 +202,7 @@ class ImpulseSymmetryCheck:
 def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
                               times: Sequence[float], tol: float = 1e-8) -> ImpulseSymmetryCheck:
     """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term."""
-    if sigma.m != sys.m:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.m)
     from scipy.linalg import expm  # deferred to keep cold start fast
     worst = symmetry_residual(sigma.conjugate_rows(sys.D))
     for t in times:
@@ -253,8 +250,7 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
     n, m, k = sys.n, sys.m, len(past_inputs)
     if not (np.isfinite(horizon) and horizon > 0):
         raise DimensionMismatchError(f"horizon must be positive and finite, got {horizon}")
-    if sigma.m != m:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(m)
     if k < n:
         raise DimensionMismatchError(f"need at least {n} past inputs, got {k}")
     _check_hurwitz(sys.A)
@@ -321,12 +317,15 @@ def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9) -> LmiReport:
 
 
 def kernel_invariance_check(sys: LinearSystem, Q, tol: float = 1e-8) -> dict:
-    """For a storage candidate Q passing the LMI, ker Q is A-invariant and inside ker C."""
+    """For a storage candidate Q passing the LMI, ker Q is A-invariant and inside ker C.
+
+    Raises AssumptionError when Q fails the LMI.
+    """
     report = lmi_residual(sys, Q)
     if not report.passive:
-        raise ConvergenceError(
-            f"Q fails the passivity LMI (min eig {report.min_eigenvalue:.3e}); "
-            "kernel invariance is not guaranteed")
+        raise AssumptionError(
+            "passivity", f"Q fails the passivity LMI (min eig {report.min_eigenvalue:.3e}); "
+            "kernel invariance is not guaranteed", report)
     Qm = as_matrix(Q, (sys.n, sys.n))
     scale = 1.0 + float(np.max(np.abs(Qm))) * float(np.max(np.abs(sys.A)))
     a_inv = True
@@ -384,6 +383,8 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
     compatible storage is Q = G and the iteration lands there in one step.
     For indefinite G the limit depends on Q0; the returned Q is the limit of
     the iteration started from the supplied Q0 (no canonical choice is made).
+    Raises AssumptionError when the system is not reciprocal for (G, sigma)
+    or Q0 fails the passivity LMI.
     """
     Gm = _check_metric(G, sys.n)
     if sigma is not None:
@@ -399,8 +400,9 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
         raise SingularMatrixError("Q0 must be positive definite")
     start = lmi_residual(sys, Q, tol=lmi_tol)
     if not start.passive:
-        raise ConvergenceError(
-            f"Q0 fails the passivity LMI (min eig {start.min_eigenvalue:.3e})")
+        raise AssumptionError(
+            "passivity", f"Q0 fails the passivity LMI (min eig {start.min_eigenvalue:.3e})",
+            start)
 
     iterations = 0
     gap = float(np.max(np.abs(Q - Gm @ np.linalg.solve(Q, Gm))))

@@ -10,7 +10,7 @@ bottom back the command line tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .dynamics import (
     ConversionSplit,
     HessianPseudoGradientSystem,
     PortHamiltonianSystem,
-    affine_input_potential,
+    _conjugate_storage,
 )
 from .linear import LinearPseudoGradientForm, LinearSystem
 
@@ -465,11 +465,9 @@ class RcCircuitModel:
     def as_relaxation(self) -> HessianPseudoGradientSystem:
         K = self.co_energy()
         # relaxation storage is the conjugate pulled back through grad K
-        S = ScalarField(K.dim, lambda x: float(x @ K.grad(x)) - K(x), K.domain,
-                        gradient=lambda x: K.hess(x) @ x)
         return HessianPseudoGradientSystem(
             K=K, V=self.co_content(),
-            sigma=SignatureMatrix.minus_identity(self.nt), storage=S)
+            sigma=SignatureMatrix.minus_identity(self.nt), storage=_conjugate_storage(K))
 
     @staticmethod
     def scalar_fixture() -> "RcCircuitModel":

@@ -10,7 +10,7 @@ single potential which is reconstructed here by line integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
 
     The metric is validated (symmetry, determinant floor) at every point.
     """
-    if sigma.m != sys.nu:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.nu)
     pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
                                     n_samples, seed)
     r_state = r_out = r_cross = 0.0
@@ -102,8 +101,7 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
     residual_output : max |sigma k(x) - k(x)^T sigma|,
     residual_cross  : max |G(x) g(x) - (dh/dx)^T sigma|.
     """
-    if sigma.m != sys.nu:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.nu)
     xs = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
     sm = sigma.matrix
     r_state = r_out = r_cross = 0.0
@@ -137,8 +135,7 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
     Jacobian, G dF/dx = (dF/dx)^T G; output and cross conditions are as in
     the general check.
     """
-    if sigma.m != sys.nu:
-        raise DimensionMismatchError("signature size must match input count")
+    sigma.check_inputs(sys.nu)
     G = MetricField.from_hessian(K)
     pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
                                     n_samples, seed)

@@ -1,10 +1,53 @@
-"""The library's option surface: the defaulted parameters of the public API."""
+"""The library's public surface: the exported names and their defaulted parameters."""
 
 import importlib
 import inspect
 
 MODULES = ("core", "linear", "legendre", "reciprocity", "geometry", "dynamics", "models",
            "schema")
+
+# module -> __all__, in order.  A new export is a deliberate edit here.
+EXPORTS = {
+    "core": ("RecipkitError", "DimensionMismatchError", "DomainError", "SingularMatrixError",
+             "ConvergenceError", "AssumptionError", "SchemaError", "BoxDomain", "ScalarField",
+             "MetricField", "SignatureMatrix", "NonlinearSystem", "AffineNonlinearSystem",
+             "Polynomial", "quadratic_field", "finite_difference_jacobian",
+             "hessian_from_value", "symmetry_residual", "gauss_legendre_panels",
+             "integrate_segment", "validate_scalar_field", "validate_metric_field"),
+    "linear": ("LinearSystem", "LinearPseudoGradientForm", "LmiReport", "ReciprocityCheck",
+               "ImpulseSymmetryCheck", "PastInput", "SplitPortHamiltonianForm",
+               "check_linear_reciprocity", "to_pseudo_gradient", "dual_system",
+               "impulse_response_symmetry", "recover_metric_hankel", "lmi_residual",
+               "kernel_invariance_check", "build_monotone_image",
+               "compatible_storage_fixed_point", "split_port_hamiltonian_form",
+               "solve_dual_isomorphism", "spd_sqrt", "spd_geometric_mean"),
+    "legendre": ("LegendrePair", "HomogeneityReport", "legendre_transform",
+                 "make_legendre_pair", "tilde_function", "homogeneity_check",
+                 "euler_degree_check"),
+    "reciprocity": ("ReciprocityReport", "PotentialFunction", "check_reciprocity",
+                    "check_reciprocity_affine", "check_reciprocity_hessian",
+                    "is_hessian_metric", "reconstruct_K", "reconstruct_potential",
+                    "sample_state_input_points"),
+    "geometry": ("TimeVaryingLinearSystem", "VariationalMatchReport", "third_partial_tensor",
+                 "levi_civita", "hessian_christoffel", "flatness_check", "variational_system",
+                 "dual_variational_system", "external_reciprocity_test", "default_probes",
+                 "simulate_ltv"),
+    "dynamics": ("Trajectory", "HessianPseudoGradientSystem", "PortHamiltonianSystem",
+                 "ZSpaceSystem", "ConversionSplit", "ConversionResult", "DissipationReport",
+                 "RelaxationCertificate", "MonotoneClassification", "NotRelaxationError",
+                 "affine_input_potential", "integrate_implicit_midpoint",
+                 "simulate_pseudo_gradient", "simulate_port_hamiltonian",
+                 "dissipation_monitor", "ph_to_hessian_pseudo_gradient",
+                 "check_passive_hessian_structure", "certify_relaxation",
+                 "classify_monotone_ph", "incremental_passivity_check",
+                 "compatibility_identity_gaps"),
+    "models": ("BraytonMoserModel", "SwingModel", "RcCircuitModel", "ModelBundle",
+               "random_reciprocal_system", "random_orthogonal", "well_conditioned_transform",
+               "linear_to_hessian_pseudo_gradient", "field_registry", "model_registry",
+               "ARCSIN_CLAMP"),
+    "schema": ("load_system", "load_system_file", "load_registry_extras", "parse_field",
+               "read_json", "MODEL_PATH_ENV"),
+}
 
 # module.name -> defaulted parameters, for every __all__ callable and public method
 # that has any.  A keyword no caller sets belongs in a module constant instead.
@@ -18,7 +61,6 @@ DEFAULTED = {
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
     "core.quadratic_field": ("lin", "const"),
-    "core.finite_difference_gradient": ("step",),
     "core.finite_difference_jacobian": ("step",),
     "core.hessian_from_value": ("step",),
     "core.gauss_legendre_panels": ("nodes",),
@@ -101,6 +143,11 @@ def _signatures(mod):
                 continue
 
 
+def test_exported_name_snapshot():
+    exports = {m: tuple(importlib.import_module(f"recipkit.{m}").__all__) for m in MODULES}
+    assert exports == EXPORTS
+
+
 def test_every_exported_name_resolves():
     for m in MODULES:
         mod = importlib.import_module(f"recipkit.{m}")
@@ -116,4 +163,4 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 173
+    assert sum(len(names) for names in surface.values()) == 172

@@ -114,6 +114,13 @@ def test_compatible_q(tmp_path):
     assert rep["compatibility_gap"] < 1e-10
 
 
+def test_gyrator_storage_seed_fails_the_lmi_in_both_commands(tmp_path, capsys):
+    # the gyrator's Q0 fails the passivity LMI: a failed check, not a numerical failure
+    assert main(["check-passivity", "--model", "gyrator", "--out", str(tmp_path)]) == 1
+    assert main(["compatible-q", "--model", "gyrator", "--out", str(tmp_path)]) == 1
+    assert "Q0 fails the passivity LMI" in capsys.readouterr().err
+
+
 def test_compatible_q_non_reciprocal_is_a_failed_check(tmp_path):
     path = tmp_path / "non-reciprocal.json"
     path.write_text(json.dumps(dict(LINEAR_DOC, B=[[1.0], [0.3]])))
@@ -141,7 +148,16 @@ def test_legendre_cli(tmp_path):
     rep = read_report(tmp_path)
     assert rep["round_trip_gap"] < 1e-8
     assert rep["hessian_inverse_gap"] < 1e-6
+    assert rep["biconjugate_gap"] < 1e-8
     assert rep["homogeneous_degree_two"] and rep["conjugacy_equals_value"]
+
+
+def test_legendre_tolerance_below_the_measured_gap_exits_1(tmp_path, capsys):
+    argv = ["legendre", "--field", "cosh", "--samples", "20", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    gap = read_report(tmp_path)["round_trip_gap"]
+    assert main(argv + ["--tol", f"round_trip={0.5 * gap!r}"]) == 1
+    assert capsys.readouterr().err.startswith("check failed: assumption round-trip")
 
 
 def test_legendre_field_from_json(tmp_path):

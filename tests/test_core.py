@@ -21,7 +21,6 @@ from recipkit.core import (
     SingularMatrixError,
     as_matrix,
     as_vector,
-    finite_difference_gradient,
     finite_difference_jacobian,
     hessian_from_value,
     integrate_segment,
@@ -117,7 +116,7 @@ def test_finite_difference_gradient_and_jacobian():
     A = rng.normal(size=(3, 3))
     for _ in range(5):
         x = rng.normal(size=3)
-        g = finite_difference_gradient(lambda v: float(np.sin(v[0]) + v[1] * v[2]), x)
+        g = finite_difference_jacobian(lambda v: float(np.sin(v[0]) + v[1] * v[2]), x)
         np.testing.assert_allclose(g, [np.cos(x[0]), x[2], x[1]], atol=1e-7)
         J = finite_difference_jacobian(lambda v: A @ v, x)
         np.testing.assert_allclose(J, A, atol=1e-8)

@@ -11,14 +11,11 @@ from recipkit.core import (
 )
 from recipkit.dynamics import Trajectory, integrate_implicit_midpoint
 from recipkit.geometry import (
-    Connection,
     TimeVaryingLinearSystem,
-    christoffel_connection,
     default_probes,
     external_reciprocity_test,
     flatness_check,
     hessian_christoffel,
-    hessian_connection,
     levi_civita,
     simulate_ltv,
     third_partial_tensor,
@@ -94,18 +91,6 @@ def test_cross_oracle_levi_civita_vs_hessian():
         a = levi_civita(G, x)
         b = hessian_christoffel(K, x)
         np.testing.assert_allclose(a, b, atol=1e-7)
-
-
-def test_connection_wrappers():
-    K = exp_field_1d()
-    conn = hessian_connection(K)
-    assert conn.dim == 1
-    assert conn(np.array([0.2]))[0, 0, 0] == pytest.approx(0.5, abs=1e-6)
-    conn2 = christoffel_connection(MetricField.from_hessian(K))
-    assert conn2(np.array([0.2]))[0, 0, 0] == pytest.approx(0.5, abs=1e-6)
-    bad = Connection(2, lambda x: np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatchError):
-        bad(np.zeros(2))
 
 
 def test_flatness_check():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recipkit.core import (
+    AssumptionError,
     BoxDomain,
     ConvergenceError,
     ScalarField,
@@ -166,6 +167,22 @@ def test_make_legendre_pair_rejects_degenerate_field():
                     hessian=lambda x: np.array([[-np.sin(x[0])]]))
     with pytest.raises((ConvergenceError, SingularMatrixError)):
         make_legendre_pair(K, samples=40, seed=0)
+
+
+def test_pair_margins_are_the_verified_gaps():
+    from recipkit.models import field_registry
+
+    K = field_registry()["cosh"]
+    margins = make_legendre_pair(K, samples=30, seed=0).margins
+    assert sorted(margins) == ["biconjugate_gap", "hessian_inverse_gap", "round_trip_gap"]
+    assert 0.0 < margins["round_trip_gap"] <= 1e-8
+    assert margins["hessian_inverse_gap"] <= 1e-6 and margins["biconjugate_gap"] <= 1e-8
+    assert make_legendre_pair(K, samples=30, seed=0, verify=False).margins == {}
+    # a tolerance below the measured gap is a failed check, not a numerical failure
+    with pytest.raises(AssumptionError) as info:
+        make_legendre_pair(K, samples=30, seed=0,
+                           round_trip_tol=0.5 * margins["round_trip_gap"])
+    assert info.value.name == "round-trip" and info.value.report == margins
 
 
 def test_pair_battery_fields_verify():

@@ -278,7 +278,7 @@ def test_kernel_invariance_check():
 
 def test_kernel_invariance_needs_passive_q():
     sys = LinearSystem([[1.0]], [[1.0]], [[1.0]], [[0.0]])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(AssumptionError):
         kernel_invariance_check(sys, [[1.0]])
 
 

@@ -6,7 +6,6 @@ from recipkit.core import (
     SignatureMatrix,
     DimensionMismatchError,
     MetricField,
-    finite_difference_gradient,
     finite_difference_jacobian,
     validate_scalar_field,
 )
@@ -98,7 +97,7 @@ def test_swing_field_derivatives():
         assert gaps["hess_gap"] < 1e-3
     S = sw.storage()
     for x in S.domain.shrink(0.9).sample(5, seed=11):
-        fd = finite_difference_gradient(S, x)
+        fd = finite_difference_jacobian(S, x)
         assert np.allclose(S.grad(x), fd, atol=1e-5)
 
 
