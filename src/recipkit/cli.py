@@ -10,6 +10,7 @@ came back negative, 2 bad input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -88,6 +89,8 @@ def _emit_json(value) -> str:
         return json.dumps(value)
     if isinstance(value, np.ndarray):
         value = value.tolist()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit_json(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -296,7 +299,7 @@ def cmd_check_passivity(args, tols):
                "kernel_dimension": rep.kernel_dimension, "tol": tol,
                "ok": rep.passive}
     if rep.passive:
-        inv = kernel_invariance_check(bundle.linear, Q)
+        inv = kernel_invariance_check(bundle.linear, Q, rep)
         payload["kernel_invariance"] = inv
     print(f"passivity[{bundle.name}]: {'ok' if rep.passive else 'FAILED'} "
           f"(min LMI eigenvalue {rep.min_eigenvalue:.3e})")
@@ -654,6 +657,12 @@ def main(argv=None) -> int:
     except (RecipkitError, np.linalg.LinAlgError) as exc:
         code, prefix = next((c, p) for types, c, p in ERROR_EXITS if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)
+        if isinstance(exc, AssumptionError) and args.out:
+            # a failed check still reports the margins it measured
+            path = write_report(args.out, {"command": args.command, "ok": False,
+                                           "failed_assumption": exc.name, "reason": str(exc),
+                                           "report": exc.report})
+            print(f"report: {path}")
         return code
 
 

@@ -167,36 +167,31 @@ def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
                             nominal: Trajectory, u_signal=None) -> TimeVaryingLinearSystem:
     """Metric-dual of the variational system along the same nominal.
 
-    d/dt p_b = (df_a/dx_b + 2 Gamma^a_{bc} f_c) p_a
-             + sum_j u_j (dg_{ja}/dx_b + 2 Gamma^a_{bc} g_{jc}) p_a
-             + sum_j u^d_j dh_j/dx_b,
-      y^d_j  = sum_a p_a g_{aj},
-    with Gamma the Levi-Civita coefficients of G.
+    The adjoint (A^T, C^T, B^T) of variational_system plus the connection
+    term of G along the nominal velocity xdot = f(x) + g(x) u:
+
+    d/dt p = (A^T + 2 Gamma(x).xdot) p + C^T u^d,   y^d = B^T p,
+
+    with (Gamma.xdot)_{ba} = Gamma^a_{bc} xdot_c the Levi-Civita
+    coefficients of G.
     """
     if G.dim != sys.nx:
         raise DimensionMismatchError("metric dimension must match state dimension")
+    var = variational_system(sys, nominal, u_signal)
     xof = _interpolant(nominal.times, nominal.states)
     uof = _input_interpolant(nominal, u_signal, sys.nu)
 
-    def A_at(x, u):
-        gam = levi_civita(G, x)
-        gmat = as_matrix(sys.g(x), (sys.nx, sys.nu))
-        base = sys.jac_f(x).T + np.einsum("j,jab->ab", u, sys.jac_g(x)).T
-        out = base + 2.0 * np.einsum("abc,c->ba", gam, as_vector(sys.f(x), sys.nx))
-        for j in range(sys.nu):
-            out = out + 2.0 * u[j] * np.einsum("abc,c->ba", gam, gmat[:, j])
-        return out
+    def connection(x, u):
+        xdot = as_vector(sys.f(x), sys.nx) + as_matrix(sys.g(x), (sys.nx, sys.nu)) @ u
+        return 2.0 * np.einsum("abc,c->ba", levi_civita(G, x), xdot)
 
     def A(ts):
-        return np.stack([A_at(x, u) for x, u in zip(xof(ts), uof(ts))])
+        conn = np.stack([connection(x, u) for x, u in zip(xof(ts), uof(ts))])
+        return var.A(ts).transpose(0, 2, 1) + conn
 
-    def B(ts):
-        return np.stack([sys.jac_h(x).T for x in xof(ts)])
-
-    def C(ts):
-        return np.stack([as_matrix(sys.g(x), (sys.nx, sys.nu)).T for x in xof(ts)])
-
-    return TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C)
+    return TimeVaryingLinearSystem(sys.nx, sys.nu, A,
+                                   lambda ts: var.C(ts).transpose(0, 2, 1),
+                                   lambda ts: var.B(ts).transpose(0, 2, 1))
 
 
 def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarray],
@@ -273,7 +268,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
 
-    Gs = np.stack([G(x) for x in _interpolant(times, nominal.states)(times)])
+    Gs = np.stack([G(x) for x in nominal.states])
     max_gap = 0.0
     max_state = 0.0
     rows = []

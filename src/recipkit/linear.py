@@ -316,12 +316,14 @@ def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9) -> LmiReport:
     return LmiReport(Pi=Pi, min_eigenvalue=min_eig, passive=passive, kernel_basis=kernel)
 
 
-def kernel_invariance_check(sys: LinearSystem, Q, tol: float = 1e-8) -> dict:
+def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport,
+                            tol: float = 1e-8) -> dict:
     """For a storage candidate Q passing the LMI, ker Q is A-invariant and inside ker C.
 
-    Raises AssumptionError when Q fails the LMI.
+    report is lmi_residual(sys, Q) at the caller's LMI tolerance; its kernel
+    basis is the one tested.  Raises AssumptionError when the report says Q
+    fails the LMI.
     """
-    report = lmi_residual(sys, Q)
     if not report.passive:
         raise AssumptionError(
             "passivity", f"Q fails the passivity LMI (min eig {report.min_eigenvalue:.3e}); "
@@ -405,16 +407,16 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
             start)
 
     iterations = 0
-    gap = float(np.max(np.abs(Q - Gm @ np.linalg.solve(Q, Gm))))
+    image = Gm @ np.linalg.solve(Q, Gm)  # G Q^-1 G: the gap and the next target
+    gap = float(np.max(np.abs(Q - image)))
     while gap > tol:
         if iterations >= COMPATIBLE_MAX_ITER:
             raise ConvergenceError(f"compatibility iteration exceeded {COMPATIBLE_MAX_ITER} "
                                    f"steps (gap {gap:.3e})")
-        target = Gm @ np.linalg.solve(Q, Gm)
-        target = 0.5 * (target + target.T)
-        Q = spd_geometric_mean(Q, target)
+        Q = spd_geometric_mean(Q, 0.5 * (image + image.T))
         iterations += 1
-        gap = float(np.max(np.abs(Q - Gm @ np.linalg.solve(Q, Gm))))
+        image = Gm @ np.linalg.solve(Q, Gm)
+        gap = float(np.max(np.abs(Q - image)))
     final = lmi_residual(sys, Q, tol=lmi_tol)
     if final.min_eigenvalue < -lmi_tol:
         raise ConvergenceError(

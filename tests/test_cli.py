@@ -124,7 +124,42 @@ def test_gyrator_storage_seed_fails_the_lmi_in_both_commands(tmp_path, capsys):
 def test_compatible_q_non_reciprocal_is_a_failed_check(tmp_path):
     path = tmp_path / "non-reciprocal.json"
     path.write_text(json.dumps(dict(LINEAR_DOC, B=[[1.0], [0.3]])))
-    assert main(["compatible-q", "--input", str(path)]) == 1
+    assert main(["compatible-q", "--input", str(path), "--out", str(tmp_path)]) == 1
+
+
+def test_check_passivity_judges_the_lmi_once_at_its_tolerance(tmp_path):
+    # min LMI eigenvalue -5e-7: passive at --tol lmi=1e-5, so the kernel check
+    # must not re-judge the LMI at a tighter tolerance of its own
+    path = tmp_path / "marginal.json"
+    path.write_text(json.dumps({"kind": "linear", "A": [[-1.0]], "B": [[1.0]],
+                                "C": [[1.0]], "D": [[0.0]], "Q0": [[1.001]]}))
+    assert main(["check-passivity", "--input", str(path), "--tol", "lmi=1e-5",
+                 "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path)
+    assert rep["ok"] and -1e-5 < rep["min_eigenvalue"] < 0.0
+    assert rep["kernel_invariance"] == {"A_invariant": True, "inside_ker_C": True,
+                                        "kernel_dimension": 0}
+
+
+def test_failed_assumption_writes_a_report(tmp_path, capsys):
+    # the margins of a failed check reach report.json, not only stderr
+    assert main(["legendre", "--field", "cosh", "--tol", "round_trip=1e-18",
+                 "--out", str(tmp_path / "legendre")]) == 1
+    rep = read_report(tmp_path / "legendre")
+    assert rep["command"] == "legendre" and rep["ok"] is False
+    assert rep["failed_assumption"] == "round-trip"
+    assert rep["reason"].startswith("assumption round-trip")
+    assert sorted(rep["report"]) == ["biconjugate_gap", "hessian_inverse_gap", "round_trip_gap"]
+    assert rep["report"]["round_trip_gap"] > 1e-18
+
+    assert main(["compatible-q", "--model", "gyrator", "--out", str(tmp_path / "q")]) == 1
+    rep = read_report(tmp_path / "q")
+    assert rep["command"] == "compatible-q" and rep["ok"] is False
+    assert rep["failed_assumption"] == "passivity"
+    # the LmiReport, serialized field by field
+    assert sorted(rep["report"]) == ["Pi", "kernel_basis", "min_eigenvalue", "passive"]
+    assert rep["report"]["passive"] is False and rep["report"]["min_eigenvalue"] < -1.0
+    assert "Q0 fails the passivity LMI" in capsys.readouterr().err
 
 
 def test_recover_g(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recipkit import legendre
 from recipkit.core import (
     AssumptionError,
     BoxDomain,
@@ -165,8 +168,13 @@ def test_make_legendre_pair_rejects_degenerate_field():
     K = ScalarField(1, lambda x: float(np.sin(x[0])), box,
                     gradient=lambda x: np.cos(x),
                     hessian=lambda x: np.array([[-np.sin(x[0])]]))
-    with pytest.raises((ConvergenceError, SingularMatrixError)):
+    # Newton inverts cos on another branch: a failed round trip, about 2 pi off
+    with pytest.raises(AssumptionError) as info:
         make_legendre_pair(K, samples=40, seed=0)
+    assert info.value.name == "round-trip"
+    assert sorted(info.value.report) == ["biconjugate_gap", "hessian_inverse_gap",
+                                         "round_trip_gap"]
+    assert 6.3 < info.value.report["round_trip_gap"] < 6.4
 
 
 def test_pair_margins_are_the_verified_gaps():
@@ -229,3 +237,69 @@ def test_pair_inverse_outside_codomain_raises_after_all_restarts():
     c, w = box.center[0], box.width[0]
     for s in (c, c + 0.1 * w, c - 0.1 * w):
         assert s in evaluated
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every Newton solve of grad K(x) = z made through the module."""
+    calls = []
+    solve = legendre._solve_gradient_equation
+
+    def counted(K, z, x0):
+        calls.append(1)
+        return solve(K, z, x0)
+
+    monkeypatch.setattr(legendre, "_solve_gradient_equation", counted)
+    return calls
+
+
+def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
+    from recipkit.models import field_registry
+
+    K = field_registry()["cosh"]
+    calls = count_solves(monkeypatch)
+    make_legendre_pair(K, samples=30, seed=0)
+    assert len(calls) == 30
+    calls.clear()
+    # the identity and critical-point checks hold by construction; S~(0) is the one solve
+    tilde_function(K, samples=30)
+    assert len(calls) == 1
+
+
+@st.composite
+def spd_quadratics(draw):
+    n = draw(st.integers(1, 3))
+    M = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    lin = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    Q = M.reshape(n, n) @ M.reshape(n, n).T + draw(st.floats(0.2, 2.0)) * np.eye(n)
+    return quadratic_field(Q, BoxDomain.cube(n, halfwidth=draw(st.floats(0.5, 3.0))),
+                           lin=lin, const=draw(st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def separable_convex_fields(draw):
+    n = draw(st.integers(1, 3))
+    a, b = (np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+            for _ in range(2))
+    c = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    return ScalarField(
+        n, lambda x: float(a @ np.cosh(x) + b @ np.exp(x) + 0.5 * c @ x ** 2),
+        BoxDomain.cube(n, halfwidth=draw(st.floats(0.5, 2.0))),
+        gradient=lambda x: a * np.sinh(x) + b * np.exp(x) + c * x,
+        hessian=lambda x: np.diag(a * np.cosh(x) + b * np.exp(x) + c))
+
+
+@settings(max_examples=40)
+@given(st.one_of(spd_quadratics(), separable_convex_fields()), st.integers(0, 1000))
+def test_closed_form_biconjugate_is_the_nested_transform(K, seed):
+    samples = 12
+    pair = make_legendre_pair(K, samples=samples, seed=seed)
+    # the oracle: (K*)*(x) by a second Newton solve, on K*, from z = grad K(x)
+    nested = 0.0
+    for x in K.domain.shrink(0.98).sample(samples, seed=seed + 1):
+        _, kss = legendre_transform(pair.Kstar, x, x_init=K.grad(x))
+        nested = max(nested, abs(kss - K(x)) / (1.0 + abs(K(x))))
+    # both gaps are relative to 1 + |K(x)|, so 1e-15 here is 1e-15 (1 + |K|) on the values
+    assert abs(pair.margins["biconjugate_gap"] - nested) <= 1e-15
+    assert pair.margins["round_trip_gap"] <= 1e-8
+    assert pair.margins["hessian_inverse_gap"] <= 1e-6
+    assert pair.margins["biconjugate_gap"] <= 1e-8

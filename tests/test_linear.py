@@ -272,14 +272,15 @@ def test_kernel_invariance_check():
     B = np.array([[1.0], [0.0]])
     C = np.array([[1.0, 0.0]])
     sys = LinearSystem(A, B, C, [[1.0]])
-    out = kernel_invariance_check(sys, np.diag([1.0, 0.0]))
+    Q = np.diag([1.0, 0.0])
+    out = kernel_invariance_check(sys, Q, lmi_residual(sys, Q))
     assert out == {"A_invariant": True, "inside_ker_C": True, "kernel_dimension": 1}
 
 
 def test_kernel_invariance_needs_passive_q():
     sys = LinearSystem([[1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(AssumptionError):
-        kernel_invariance_check(sys, [[1.0]])
+        kernel_invariance_check(sys, [[1.0]], lmi_residual(sys, [[1.0]]))
 
 
 def test_build_monotone_image_matches_lmi():
