@@ -268,6 +268,9 @@ class ScalarField:
     Missing derivative callables fall back to central finite differences.
     The domain governs sampling and validation; plain evaluation outside
     the box is permitted whenever the underlying callable allows it.
+
+    value_rows, grad_rows and hess_rows evaluate a stack of points (N, dim),
+    in one call when batched: the callables then map stacks row for row.
     """
 
     dim: int
@@ -275,6 +278,7 @@ class ScalarField:
     domain: BoxDomain
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.domain.dim != self.dim:
@@ -299,9 +303,23 @@ class ScalarField:
             return 0.5 * (J + J.T)
         return hessian_from_value(self.value, v)
 
+    def _rows(self, X, stacked: Optional[Callable], per_point: Callable, shape: tuple):
+        if self.batched and stacked is not None:
+            return np.asarray(stacked(X), dtype=float)
+        return np.array([per_point(x) for x in X], dtype=float).reshape((len(X),) + shape)
+
+    def value_rows(self, X) -> np.ndarray:
+        return self._rows(X, self.value, self, ())
+
+    def grad_rows(self, X) -> np.ndarray:
+        return self._rows(X, self.gradient, self.grad, (self.dim,))
+
+    def hess_rows(self, X) -> np.ndarray:
+        return self._rows(X, self.hessian, self.hess, (self.dim, self.dim))
+
     def shifted(self, offset: float) -> "ScalarField":
         return ScalarField(self.dim, lambda x: self.value(x) + offset, self.domain,
-                           self.gradient, self.hessian)
+                           self.gradient, self.hessian, self.batched)
 
 
 @dataclass(frozen=True)
@@ -482,7 +500,8 @@ class AffineNonlinearSystem:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Multivariate polynomial sum_t c_t * prod_i x_i**e_ti with analytic derivatives."""
+    """Multivariate polynomial sum_t c_t * prod_i x_i**e_ti with analytic derivatives;
+    value, grad and hess take a point (dim,) or a stack of points (N, dim)."""
 
     dim: int
     terms: tuple
@@ -496,61 +515,51 @@ class Polynomial:
             norm.append((e, float(coeff)))
         object.__setattr__(self, "terms", tuple(norm))
 
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        total = 0.0
-        for exps, c in self.terms:
-            total += c * np.prod(v ** np.array(exps))
-        return float(total)
+    def _sum(self, x, order: int, entries) -> np.ndarray:
+        """Sum c * prod(x**e) into out[..., idx] for each entry (idx, c, e)."""
+        v = np.asarray(x, dtype=float)
+        v = v if v.ndim == 2 and v.shape[1] == self.dim else as_vector(v, self.dim)
+        out = np.zeros(v.shape[:-1] + (self.dim,) * order)
+        for idx, c, e in entries:
+            # a contiguous exponent array: a stride-0 one may take another power kernel
+            e = np.broadcast_to(np.array(e), v.shape).copy()
+            out[(...,) + idx] += c * np.prod(v ** e, axis=-1)
+        return out
+
+    def value(self, x):
+        total = self._sum(x, 0, [((), c, e) for e, c in self.terms])
+        return float(total) if total.ndim == 0 else total
 
     def grad(self, x) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        g = np.zeros(self.dim)
-        for exps, c in self.terms:
-            e = np.array(exps)
-            for i in range(self.dim):
-                if e[i] == 0:
-                    continue
-                ee = e.copy()
-                ee[i] -= 1
-                g[i] += c * e[i] * np.prod(v ** ee)
-        return g
+        d = np.eye(self.dim, dtype=int)
+        return self._sum(x, 1, [((i,), c * e[i], np.subtract(e, d[i]))
+                                for e, c in self.terms for i in range(self.dim) if e[i]])
 
     def hess(self, x) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        H = np.zeros((self.dim, self.dim))
-        for exps, c in self.terms:
-            e = np.array(exps)
-            for i in range(self.dim):
-                if e[i] == 0:
-                    continue
-                for j in range(self.dim):
-                    mult = e[i] * (e[j] - (1 if i == j else 0))
-                    if mult == 0:
-                        continue
-                    ee = e.copy()
-                    ee[i] -= 1
-                    ee[j] -= 1
-                    H[i, j] += c * mult * np.prod(v ** ee)
-        return 0.5 * (H + H.T)
+        d = np.eye(self.dim, dtype=int)
+        H = self._sum(x, 2, [((i, j), c * (e[i] * (e[j] - d[i, j])), np.subtract(e, d[i] + d[j]))
+                             for e, c in self.terms for i in range(self.dim)
+                             for j in range(self.dim) if e[i] * (e[j] - d[i, j])])
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def to_field(self, domain: BoxDomain) -> ScalarField:
-        return ScalarField(self.dim, self.value, domain, self.grad, self.hess)
+        return ScalarField(self.dim, self.value, domain, self.grad, self.hess, batched=True)
 
 
 def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> ScalarField:
-    """Field (1/2) x^T Q x + lin^T x + const with analytic derivatives."""
+    """Field (1/2) x^T Q x + lin^T x + const with analytic derivatives; batched."""
     Qm = as_matrix(Q)
     n = Qm.shape[0]
     Qs = 0.5 * (Qm + Qm.T)
     b = np.zeros(n) if lin is None else as_vector(lin, n)
 
-    return ScalarField(
+    return ScalarField(  # x[..., None, :] @ Qs: per row the BLAS call of one point
         n,
-        lambda x: 0.5 * float(x @ Qs @ x) + float(b @ x) + const,
+        lambda x: 0.5 * np.vecdot((x[..., None, :] @ Qs)[..., 0, :], x) + np.vecdot(b, x) + const,
         domain,
-        gradient=lambda x: Qs @ x + b,
-        hessian=lambda x: Qs,
+        gradient=lambda x: (Qs @ x[..., None])[..., 0] + b,
+        hessian=lambda x: Qs if x.ndim == 1 else np.broadcast_to(Qs, x.shape[:-1] + Qs.shape),
+        batched=True,
     )
 
 
@@ -606,9 +615,19 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
     """Spot-check analytic derivatives of a field against finite differences.
 
     Returns a dict of worst-case residuals; raises AssumptionError when a
-    supplied derivative disagrees with its finite-difference counterpart.
+    supplied derivative disagrees with its finite-difference counterpart, or
+    when a batched field's row-stacked evaluation is not exactly per point.
     """
     pts = field.domain.shrink(0.9).sample(n_samples, seed=seed)
+    for rows, one in (((field.value_rows, field), (field.grad_rows, field.grad),
+                       (field.hess_rows, field.hess)) if field.batched else ()):
+        want = [one(x) for x in pts]
+        try:
+            same = np.array_equal(rows(pts), want, equal_nan=True)
+        except (TypeError, ValueError, IndexError):  # a per-point callable rejects the stack
+            same = False
+        if not same:
+            raise AssumptionError("field-batched", f"{rows.__name__} differs from per point")
     out = {"grad_gap": 0.0, "hess_asym": 0.0, "hess_gap": 0.0}
     for x in pts:
         if field.gradient is not None:

@@ -263,7 +263,6 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     if len(times) < 2:
         raise DimensionMismatchError("the nominal trajectory needs at least two times")
     xi = np.zeros(sys.nx) if delta_x0 is None else as_vector(delta_x0, sys.nx)
-    x_start = nominal.states[0]
     probes = probe_inputs if probe_inputs is not None else default_probes(
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
@@ -274,7 +273,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     rows = []
     for probe in probes:
         dst, dy = simulate_ltv(var, xi, probe, times)
-        pst, yd = simulate_ltv(dual, G(x_start) @ xi,
+        pst, yd = simulate_ltv(dual, Gs[0] @ xi,
                                lambda t, probe=probe: sig.apply(probe(t)), times)
         dy = sig.conjugate_rows(dy.T).T if dy.size else dy
         gap = float(np.max(np.abs(dy - yd))) if dy.size else 0.0

@@ -29,13 +29,21 @@ __all__ = [
     "make_legendre_pair",
     "tilde_function",
     "homogeneity_check",
-    "euler_degree_check",
 ]
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
 # Iterates may leave the nominal box slightly; reject only beyond this inflation.
 BOX_INFLATE = 0.25
+
+
+def _newton_error(kind: str, z, x0, x, it: int, rn: float) -> Exception:
+    """The error a failed solve of grad K(x) = z raises, worded alike by both kernels."""
+    what = {"singular": f"met a singular Hessian at x={x} in iteration {it}",
+            "stalled": f"stalled in iteration {it}",
+            "budget": f"did not reach residual {NEWTON_TOL} in {it} iterations"}[kind]
+    return (SingularMatrixError if kind == "singular" else ConvergenceError)(
+        f"Newton {what} solving grad K = z at z={z} (residual {rn:.3e}, start {x0})")
 
 
 def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -52,14 +60,14 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
     x = np.array(x0, dtype=float)
     r = K.grad(x) - z
     rn = np.linalg.norm(r)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if rn <= goal:
             return x
         H = K.hess(x)
         try:
             step = np.linalg.solve(H, r)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular Hessian at x={x}") from exc
+            raise _newton_error("singular", z, x0, x, it, rn) from exc
         lam = 1.0
         while True:
             cand = x - lam * step
@@ -74,13 +82,87 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
             if lam < 1e-8:
                 if rn <= 100.0 * goal:
                     return x
-                raise ConvergenceError(
-                    f"Newton stalled solving grad K = z at z={z} (residual {rn:.3e})")
+                raise _newton_error("stalled", z, x0, x, it, rn)
     if rn <= goal:
         return x
-    raise ConvergenceError(
-        f"Newton did not reach residual {NEWTON_TOL} for z={z} (got {rn:.3e}); "
-        "z may lie outside the co-domain")
+    raise _newton_error("budget", z, x0, x, NEWTON_MAX_ITER, rn)
+
+
+def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
+    """_solve_gradient_equation for each row of Z, all rows advancing in lockstep.
+
+    Each row keeps the per-point rules and gets the per-point x bit for bit.
+    Returns X and a dict from each failed row to its error.
+    """
+    box = K.domain
+    lo, hi = box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
+    goal = NEWTON_TOL * (1.0 + np.sqrt(np.vecdot(Z, Z)))  # np.linalg.norm, row by row
+    X, S = np.array(X0, dtype=float), np.zeros(Z.shape)
+    R = K.grad_rows(X) - Z
+    RN = np.sqrt(np.vecdot(R, R))
+    live, failed = ~(RN <= goal), {}
+
+    def stop(rows, kind=None, it=0):
+        live[rows] = False
+        failed.update({i: _newton_error(kind, Z[i], X0[i], X[i], it, RN[i]) for i in rows if kind})
+
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            return X, failed
+        H = K.hess_rows(X[rows])
+        try:
+            S[rows] = np.linalg.solve(H, R[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError:  # some Hessians are singular: each such row fails alone
+            for j, i in enumerate(rows):
+                try:
+                    S[i] = np.linalg.solve(H[j], R[i])
+                except np.linalg.LinAlgError:
+                    stop([i], "singular", it)
+        lam, todo = 1.0, np.flatnonzero(live)  # rows still backtracking
+        while todo.size and lam >= 1e-8:
+            cand = X[todo] - lam * S[todo]
+            inside = np.all((cand >= lo) & (cand <= hi), axis=1)
+            rows, cand = todo[inside], cand[inside]
+            Rc = K.grad_rows(cand) - Z[rows]
+            RCN = np.sqrt(np.vecdot(Rc, Rc))
+            took = (RCN < RN[rows]) | (RCN <= goal[rows])
+            rows = rows[took]
+            X[rows], R[rows], RN[rows] = cand[took], Rc[took], RCN[took]
+            todo = todo[~np.isin(todo, rows)]
+            lam *= 0.5
+        stop(todo[RN[todo] <= 100.0 * goal[todo]])
+        stop(todo[live[todo]], "stalled", it)
+        stop(np.flatnonzero(RN <= goal))
+    stop(np.flatnonzero(live), "budget", NEWTON_MAX_ITER)
+    return X, failed
+
+
+def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
+    """Solve grad K(x) = z for one co-vector (per-point kernel) or a stack (lockstep).
+
+    A row tries the domain center, then offsets that cover a degenerate
+    Hessian there, each only if the last failed; if all fail, it raises the
+    last error, naming the starts tried and, in a stack, the first such row.
+    """
+    c, w = K.domain.center, K.domain.width
+    starts = (c, c + 0.1 * w * np.sign(Z), c - 0.1 * w)
+    if Z.ndim == 1:
+        for s in starts:
+            try:
+                return _solve_gradient_equation(K, Z, s)
+            except (ConvergenceError, SingularMatrixError) as exc:
+                err = exc
+        raise type(err)(f"{err}; starts tried: {', '.join(map(str, starts))}") from err
+    X, todo = np.empty_like(Z), np.arange(len(Z))
+    for s in starts:
+        X[todo], failed = _solve_gradient_equations(K, Z[todo], np.broadcast_to(s, Z.shape)[todo])
+        if not failed:
+            return X
+        i, err = todo[min(failed)], failed[min(failed)]
+        todo = todo[sorted(failed)]
+    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in starts)
+    raise type(err)(f"row {i} of {len(Z)}: {err}; starts tried: {tried}") from err
 
 
 def legendre_transform(K: ScalarField, z, x_init=None):
@@ -136,24 +218,14 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     where the biconjugate is the closed form (K*)*(x) = x.z - (z.xb - K(xb)):
     z solves grad K* = x up to the round-trip gap, and this is the value
     legendre_transform(Kstar, x, x_init=z) returns when its Newton accepts
-    that start.  The worst gaps become the pair's margins.  A Newton solve
-    that fails raises ConvergenceError or SingularMatrixError; a gap above its
+    that start.  The worst gaps become the pair's margins.  The samples are
+    one stack, evaluated row-stacked and inverted by one lockstep Newton solve
+    (row for row equal to inverse); a failed solve raises ConvergenceError or
+    SingularMatrixError naming the first failing row; a gap above its
     tolerance raises AssumptionError with the margins as its report.
     """
     def inverse(z):
-        zz = as_vector(z, K.dim)
-        c, w = K.domain.center, K.domain.width
-        # offset restarts cover centers where the Hessian degenerates
-        starts = (c, c + 0.1 * w * np.sign(zz), c - 0.1 * w)
-        err = None
-        for s in starts:
-            try:
-                x = _solve_gradient_equation(K, zz, s)
-            except (ConvergenceError, SingularMatrixError) as exc:
-                err = exc
-                continue
-            return x
-        raise err
+        return _invert(K, as_vector(z, K.dim))
 
     def star_value(z):
         zz = as_vector(z, K.dim)
@@ -165,7 +237,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         return np.linalg.inv(K.hess(x))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
-    push = np.array([K.grad(x) for x in K.domain.sample(max(64, samples), seed=seed)])
+    push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))
     zlo, zhi = push.min(axis=0), push.max(axis=0)
     spread = np.maximum(zhi - zlo, 1e-6)
     zbox = BoxDomain(zlo - 0.05 * spread, zhi + 0.05 * spread).shrink(0.95)
@@ -173,26 +245,20 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     Kstar = ScalarField(K.dim, star_value, zbox, gradient=inverse, hessian=star_hess)
     margins: dict = {}
     if verify:
-        worst_rt = worst_hess = worst_bi = 0.0
-        for x in K.domain.shrink(0.98).sample(samples, seed=seed + 1):
-            z = K.grad(x)
-            xb = inverse(z)
-            worst_rt = max(worst_rt, float(np.max(np.abs(xb - x))))
-            Hgap = K.hess(x) @ np.linalg.inv(K.hess(xb)) - np.eye(K.dim)
-            worst_hess = max(worst_hess, float(np.max(np.abs(Hgap))))
-            kx, kss = K(x), float(x @ z - float(z @ xb - K(xb)))
-            worst_bi = max(worst_bi, abs(kss - kx) / (1.0 + abs(kx)))
-        margins = {"round_trip_gap": worst_rt, "hessian_inverse_gap": worst_hess,
-                   "biconjugate_gap": worst_bi}
-        if worst_rt > round_trip_tol:
-            raise AssumptionError("round-trip", f"grad K* o grad K gap {worst_rt:.3e} "
-                                  f"> {round_trip_tol:g}", margins)
-        if worst_hess > hessian_tol:
-            raise AssumptionError("hessian-inverse", f"identity gap {worst_hess:.3e} "
-                                  f"> {hessian_tol:g}", margins)
-        if worst_bi > biconjugate_tol:
-            raise AssumptionError("biconjugation", f"gap {worst_bi:.3e} > {biconjugate_tol:g}",
-                                  margins)
+        X = K.domain.shrink(0.98).sample(samples, seed=seed + 1)
+        Z = K.grad_rows(X)
+        XB = _invert(K, Z)
+        Hgap = K.hess_rows(X) @ np.linalg.inv(K.hess_rows(XB)) - np.eye(K.dim)
+        kx, kss = K.value_rows(X), np.vecdot(X, Z) - (np.vecdot(Z, XB) - K.value_rows(XB))
+        gaps = (np.abs(XB - X), np.abs(Hgap), np.abs(kss - kx) / (1.0 + np.abs(kx)))
+        margins = {key: float(np.max(gap, initial=0.0)) for key, gap in
+                   zip(("round_trip_gap", "hessian_inverse_gap", "biconjugate_gap"), gaps)}
+        for name, key, what, tol in (
+                ("round-trip", "round_trip_gap", "grad K* o grad K gap", round_trip_tol),
+                ("hessian-inverse", "hessian_inverse_gap", "identity gap", hessian_tol),
+                ("biconjugation", "biconjugate_gap", "gap", biconjugate_tol)):
+            if margins[key] > tol:
+                raise AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
     return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
                         margins=margins)
 
@@ -205,8 +271,8 @@ def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,
     vanishes at z = 0.  S~(z) = z.grad S*(z) - S*(z) holds by construction,
     since S*(z) = z.grad S*(z) - S(grad S*(z)).  When S has positive
     semidefinite Hessian on the sampled domain and 0 lies in the co-domain,
-    the floor S~(0) <= S(x) = S~(grad S(x)) is checked at sampled points;
-    S~(0) is the only Newton solve this makes.
+    the floor S~(0) <= S(x) = S~(grad S(x)) is checked at sampled points,
+    evaluated row-stacked; S~(0) is the only Newton solve this makes.
     """
     p = pair if pair is not None else make_legendre_pair(S, samples=max(64, samples),
                                                          seed=seed, verify=False)
@@ -220,14 +286,14 @@ def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,
 
     tilde = ScalarField(S.dim, value, p.Kstar.domain, gradient=gradient)
     xs = S.domain.shrink(0.95).sample(samples, seed=seed + 2)
-    if any(np.linalg.eigvalsh(S.hess(x)).min() < -1e-10 for x in xs):
+    if np.linalg.eigvalsh(S.hess_rows(xs)).min(initial=np.inf) < -1e-10:
         return tilde
     try:
         v0 = tilde(np.zeros(S.dim))
     except (ConvergenceError, SingularMatrixError):
         # 0 outside the co-domain: the floor check is not applicable
         return tilde
-    floor = min((S(x) for x in xs), default=v0)
+    floor = S.value_rows(xs).min(initial=v0)
     if floor < v0 - 1e-10:
         raise ConvergenceError(
             f"tilde floor violated: min sample {floor:.6e} < value at 0 {v0:.6e}")
@@ -247,8 +313,10 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     """Test K*(grad K(x)) = K(x) against quadratic homogeneity of K - K(0).
 
     Both properties are sampled on a sub-box chosen so that 2x stays inside
-    the domain; the two booleans agree for fields with exact structure.
-    Raises DomainError when the origin is not available for the K(0) offset.
+    the domain; the two booleans agree for fields with exact structure.  The
+    samples are one stack, evaluated row-stacked, and need no Newton solve:
+    K*(grad K(x)) = x.grad K(x) - K(x).  Raises DomainError when the origin
+    is not available for the K(0) offset.
     """
     box = K.domain
     if not (np.all(box.lower <= 0) and np.all(box.upper >= 0)):
@@ -256,30 +324,17 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     half = BoxDomain(0.5 * box.lower, 0.5 * box.upper)
 
     k0 = K(np.clip(np.zeros(K.dim), box.lower, box.upper))
-    worst_eq = 0.0
-    worst_deg = 0.0
-    for x in half.shrink(0.98).sample(samples, seed=seed):
-        # K*(grad K(x)) = x.grad K(x) - K(x): x is already the preimage
-        ks = float(K.grad(x) @ x) - K(x)
-        worst_eq = max(worst_eq, abs(ks - K(x)) / (1.0 + abs(K(x))))
-        base = K(x) - k0
-        for t in (0.5, 2.0):
-            gap = abs(K(t * x) - k0 - t * t * base)
-            worst_deg = max(worst_deg, gap / (1.0 + abs(base)))
+    X = half.shrink(0.98).sample(samples, seed=seed)
+    kx = K.value_rows(X)
+    ks = np.vecdot(K.grad_rows(X), X) - kx
+    worst_eq = float(np.max(np.abs(ks - kx) / (1.0 + np.abs(kx)), initial=0.0))
+    base = kx - k0
+    worst_deg = max(float(np.max(np.abs(K.value_rows(t * X) - k0 - t * t * base)
+                                 / (1.0 + np.abs(base)), initial=0.0))
+                    for t in (0.5, 2.0))
     return HomogeneityReport(
         equal=bool(worst_eq <= tol),
         degree2=bool(worst_deg <= tol),
-        max_conjugacy_gap=float(worst_eq),
-        max_scaling_gap=float(worst_deg),
+        max_conjugacy_gap=worst_eq,
+        max_scaling_gap=worst_deg,
     )
-
-
-def euler_degree_check(f: ScalarField, degree: float, tol: float = 1e-8,
-                       samples: int = 200, seed: int = 0) -> bool:
-    """Euler identity grad f(x).x = degree * f(x) at sampled points."""
-    for x in f.domain.shrink(0.98).sample(samples, seed=seed):
-        lhs = float(f.grad(x) @ x)
-        rhs = degree * f(x)
-        if abs(lhs - rhs) > tol * (1.0 + abs(f(x))):
-            return False
-    return True

@@ -698,6 +698,13 @@ def model_registry() -> dict:
     return {b.name: b for b in bundles}
 
 
+def _diag(d: np.ndarray) -> np.ndarray:
+    """np.diag over the last axis: (..., n) -> (..., n, n)."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    out.reshape(d.shape[:-1] + (-1,))[..., ::d.shape[-1] + 1] = d
+    return out
+
+
 def _field_quadratic() -> ScalarField:
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     return quadratic_field(Q, BoxDomain.cube(2, 2.0))
@@ -705,23 +712,23 @@ def _field_quadratic() -> ScalarField:
 
 def _field_cosh() -> ScalarField:
     dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: float(np.sum(np.cosh(x) - 1.0)), dom,
+    return ScalarField(2, lambda x: np.sum(np.cosh(x) - 1.0, axis=-1), dom,
                        gradient=lambda x: np.sinh(x),
-                       hessian=lambda x: np.diag(np.cosh(x)))
+                       hessian=lambda x: _diag(np.cosh(x)), batched=True)
 
 
 def _field_log_cosh() -> ScalarField:
     dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: float(np.sum(np.log(np.cosh(x)))), dom,
+    return ScalarField(2, lambda x: np.sum(np.log(np.cosh(x)), axis=-1), dom,
                        gradient=lambda x: np.tanh(x),
-                       hessian=lambda x: np.diag(1.0 / np.cosh(x) ** 2))
+                       hessian=lambda x: _diag(1.0 / np.cosh(x) ** 2), batched=True)
 
 
 def _field_exp_sum() -> ScalarField:
     dom = BoxDomain.cube(2, 1.2)
-    return ScalarField(2, lambda x: float(np.sum(np.exp(x))), dom,
+    return ScalarField(2, lambda x: np.sum(np.exp(x), axis=-1), dom,
                        gradient=lambda x: np.exp(x),
-                       hessian=lambda x: np.diag(np.exp(x)))
+                       hessian=lambda x: _diag(np.exp(x)), batched=True)
 
 
 def _field_quartic() -> ScalarField:
@@ -729,28 +736,28 @@ def _field_quartic() -> ScalarField:
     # the pure quartic conjugate 3/4 |z|^(4/3) is only C^1 there
     dom = BoxDomain.cube(1, 1.5)
     mu = 0.1
-    return ScalarField(1, lambda x: 0.25 * float(np.sum(x ** 4)) + 0.5 * mu * float(x @ x),
+    return ScalarField(1, lambda x: 0.25 * np.sum(x ** 4, axis=-1) + 0.5 * mu * np.vecdot(x, x),
                        dom,
                        gradient=lambda x: x ** 3 + mu * x,
-                       hessian=lambda x: np.diag(3.0 * x ** 2 + mu))
+                       hessian=lambda x: _diag(3.0 * x ** 2 + mu), batched=True)
 
 
 def _field_quartic_plus_quadratic() -> ScalarField:
     dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: float(np.sum(0.25 * x ** 4 + 0.5 * x ** 2)), dom,
+    return ScalarField(2, lambda x: np.sum(0.25 * x ** 4 + 0.5 * x ** 2, axis=-1), dom,
                        gradient=lambda x: x ** 3 + x,
-                       hessian=lambda x: np.diag(3.0 * x ** 2 + 1.0))
+                       hessian=lambda x: _diag(3.0 * x ** 2 + 1.0), batched=True)
 
 
 def _field_swing_branch() -> ScalarField:
     dom = BoxDomain.cube(1, 1.2)
-    return ScalarField(1, lambda q: -float(np.sum(np.cos(q))), dom,
+    return ScalarField(1, lambda q: -np.sum(np.cos(q), axis=-1), dom,
                        gradient=lambda q: np.sin(q),
-                       hessian=lambda q: np.diag(np.cos(q)))
+                       hessian=lambda q: _diag(np.cos(q)), batched=True)
 
 
 def field_registry() -> dict:
-    """Named convex (or at least smooth) generating functions for the CLI."""
+    """Named convex (or at least smooth) generating functions for the CLI; all batched."""
     return {
         "quadratic": _field_quadratic(),
         "cosh": _field_cosh(),

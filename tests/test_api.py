@@ -22,8 +22,7 @@ EXPORTS = {
                "compatible_storage_fixed_point", "split_port_hamiltonian_form",
                "solve_dual_isomorphism", "spd_sqrt", "spd_geometric_mean"),
     "legendre": ("LegendrePair", "HomogeneityReport", "legendre_transform",
-                 "make_legendre_pair", "tilde_function", "homogeneity_check",
-                 "euler_degree_check"),
+                 "make_legendre_pair", "tilde_function", "homogeneity_check"),
     "reciprocity": ("ReciprocityReport", "PotentialFunction", "check_reciprocity",
                     "check_reciprocity_affine", "check_reciprocity_hessian",
                     "is_hessian_metric", "reconstruct_K", "reconstruct_potential",
@@ -56,7 +55,7 @@ DEFAULTED = {
     "core.BoxDomain.contains": ("margin",),
     "core.BoxDomain.sample": ("seed",),
     "core.BoxDomain.cube": ("halfwidth", "center"),
-    "core.ScalarField": ("gradient", "hessian"),
+    "core.ScalarField": ("gradient", "hessian", "batched"),
     "core.MetricField.checked": ("sym_tol",),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
@@ -81,7 +80,6 @@ DEFAULTED = {
                                     "biconjugate_tol", "hessian_tol"),
     "legendre.tilde_function": ("pair", "samples", "seed"),
     "legendre.homogeneity_check": ("tol", "samples", "seed"),
-    "legendre.euler_degree_check": ("tol", "samples", "seed"),
     "reciprocity.check_reciprocity": ("tol", "u_box", "n_samples", "seed"),
     "reciprocity.check_reciprocity_affine": ("tol", "n_samples", "seed"),
     "reciprocity.check_reciprocity_hessian": ("tol", "u_box", "n_samples", "seed"),
@@ -163,4 +161,4 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 172
+    assert sum(len(names) for names in surface.values()) == 170

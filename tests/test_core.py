@@ -351,6 +351,38 @@ def test_validate_scalar_field_catches_wrong_gradient():
         validate_scalar_field(bad)
 
 
+def test_validate_scalar_field_checks_the_batched_contract():
+    box = BoxDomain.cube(2)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 6):
+        M = rng.standard_normal((n, n))
+        validate_scalar_field(quadratic_field(M @ M.T, BoxDomain.cube(n),
+                                              lin=rng.standard_normal(n)))
+    # np.diag of a stack is its diagonal, not a stack of diagonal matrices
+    per_point_hessian = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), box,
+                                    gradient=np.sinh, hessian=lambda x: np.diag(np.cosh(x)),
+                                    batched=True)
+    with pytest.raises(AssumptionError) as info:
+        validate_scalar_field(per_point_hessian)
+    assert info.value.name == "field-batched" and "hess_rows" in str(info.value)
+    validate_scalar_field(ScalarField(2, per_point_hessian.value, box, gradient=np.sinh,
+                                      hessian=per_point_hessian.hessian))
+
+
+def test_row_evaluators_match_the_per_point_methods():
+    box = BoxDomain.cube(2)
+    p = Polynomial(2, (((2, 1), 1.0), ((0, 3), 3.0), ((1, 0), -0.5))).to_field(box)
+    fd = ScalarField(2, p.value, box)  # per point, derivatives by finite differences
+    # one variable: a stack of 64 rows runs the power kernel on 64 contiguous bases
+    p1 = Polynomial(1, (((3,), 1.0), ((2,), -0.5), ((4,), 0.25))).to_field(BoxDomain.cube(1))
+    for f in (p, fd, p1):
+        xs = f.domain.sample(64, seed=2)
+        assert np.array_equal(f.value_rows(xs), [f(x) for x in xs])
+        assert np.array_equal(f.grad_rows(xs), [f.grad(x) for x in xs])
+        assert np.array_equal(f.hess_rows(xs), [f.hess(x) for x in xs])
+    assert fd.grad_rows(np.empty((0, 2))).shape == (0, 2)
+
+
 def test_validate_metric_field():
     box = BoxDomain.cube(2)
     worst = validate_metric_field(MetricField.constant(np.diag([1.0, -2.0]), box))

@@ -292,5 +292,5 @@ def test_external_reciprocity_evaluates_metric_once_per_grid_point():
     rep = external_reciprocity_test(sys, G, nominal, delta_x0=[0.1, -0.05], sigma=bundle.sigma)
     assert rep.probes == 2
     # per probe: one Levi-Civita stencil (2 nx + 1 metrics) at each of the 2000
-    # midpoints and G(x(0)); once per call: G(x(t)) on the 2001 grid points
-    assert len(evals) == 2 * (2000 * 5 + 1) + 2001
+    # midpoints; once per call: G(x(t)) on the 2001 grid points, G(x(0)) among them
+    assert len(evals) == 2 * 2000 * 5 + 2001

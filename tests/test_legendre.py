@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from recipkit.core import (
     quadratic_field,
 )
 from recipkit.legendre import (
-    euler_degree_check,
     homogeneity_check,
     legendre_transform,
     make_legendre_pair,
@@ -122,20 +123,6 @@ def test_homogeneity_non_homogeneous_field():
     assert not rep.degree2
 
 
-def test_euler_degree_check():
-    box = BoxDomain.cube(2)
-    quartic = ScalarField(
-        2,
-        lambda x: 0.25 * float(np.sum(x ** 4)),
-        box,
-        gradient=lambda x: x ** 3,
-        hessian=lambda x: np.diag(3.0 * x ** 2),
-    )
-    assert euler_degree_check(quartic, 4.0)
-    assert not euler_degree_check(quartic, 2.0)
-    assert euler_degree_check(quadratic_field(np.eye(2), box), 2.0)
-
-
 def test_tilde_function_quadratic_oracle():
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     S = quadratic_field(Q, BoxDomain.cube(2, halfwidth=2.0))
@@ -232,23 +219,60 @@ def test_pair_inverse_outside_codomain_raises_after_all_restarts():
     pair = make_legendre_pair(K, samples=20, seed=0, verify=False)
     evaluated.clear()
     # grad K on the inflated box never reaches 5
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as info:
         pair.inverse([5.0])
     c, w = box.center[0], box.width[0]
     for s in (c, c + 0.1 * w, c - 0.1 * w):
         assert s in evaluated
+    # the message names the iteration, the last residual and every start tried
+    assert re.fullmatch(r"Newton stalled in iteration \d+ solving grad K = z at z=\[5\.\] "
+                        r"\(residual \d\.\d{3}e[+-]\d+, start \[-0\.2\]\); "
+                        r"starts tried: \[0\.\], \[0\.2\], \[-0\.2\]", str(info.value))
 
 
-def count_solves(monkeypatch) -> list:
-    """Record every Newton solve of grad K(x) = z made through the module."""
-    calls = []
-    solve = legendre._solve_gradient_equation
+def test_batched_inverse_names_the_row_outside_the_codomain():
+    K = quadratic_field(np.eye(1), BoxDomain.cube(1))
+    # grad K on the inflated box reaches 1.5 at most: only row 2 has no preimage
+    with pytest.raises(ConvergenceError, match=r"^row 2 of 4: Newton stalled in iteration \d+ "
+                                               r"solving grad K = z at z=\[5\.\] .*"
+                                               r"starts tried: \[0\.\], \[0\.2\], \[-0\.2\]$"):
+        legendre._invert(K, np.array([[0.5], [-0.2], [5.0], [1.2]]))
 
-    def counted(K, z, x0):
-        calls.append(1)
+
+def test_batched_inverse_restarts_only_rows_with_a_singular_hessian(monkeypatch):
+    # pure x^4/4 in each coordinate: the Hessian is singular where a coordinate is 0
+    K = ScalarField(2, lambda x: 0.25 * float(np.sum(x ** 4)), BoxDomain.cube(2, 1.5),
+                    gradient=lambda x: x ** 3, hessian=lambda x: np.diag(3.0 * x ** 2))
+    Z = np.array([[0.5, 0.2], [0.0, 0.0], [0.3, 0.0], [-0.1, 0.4]])
+    calls = count_solves(monkeypatch)
+    X = legendre._invert(K, Z)
+    # the center fails every row but z = 0; the offset start c + 0.1 w sign(z)
+    # fails only row 2, whose zero component leaves it singular; c - 0.1 w solves it
+    assert calls["batched"] == [4, 3, 1]
+    pair = make_legendre_pair(K, samples=20, seed=0, verify=False)
+    assert np.array_equal(X, np.array([pair.inverse(z) for z in Z]))
+    np.testing.assert_allclose(X, np.cbrt(Z), atol=2e-4)  # x^3 = 0 converges slowly
+
+
+def count_solves(monkeypatch) -> dict:
+    """Record the Newton solves of grad K(x) = z made through the module.
+
+    "point" counts per-point solves; "batched" lists the rows of each
+    lockstep solve.
+    """
+    calls = {"point": 0, "batched": []}
+    solve, solve_rows = legendre._solve_gradient_equation, legendre._solve_gradient_equations
+
+    def point(K, z, x0):
+        calls["point"] += 1
         return solve(K, z, x0)
 
-    monkeypatch.setattr(legendre, "_solve_gradient_equation", counted)
+    def batched(K, Z, X0):
+        calls["batched"].append(len(Z))
+        return solve_rows(K, Z, X0)
+
+    monkeypatch.setattr(legendre, "_solve_gradient_equation", point)
+    monkeypatch.setattr(legendre, "_solve_gradient_equations", batched)
     return calls
 
 
@@ -258,11 +282,12 @@ def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
     K = field_registry()["cosh"]
     calls = count_solves(monkeypatch)
     make_legendre_pair(K, samples=30, seed=0)
-    assert len(calls) == 30
-    calls.clear()
+    # the 30 samples are the rows of one lockstep solve
+    assert calls == {"point": 0, "batched": [30]}
+    calls.update(point=0, batched=[])
     # the identity and critical-point checks hold by construction; S~(0) is the one solve
     tilde_function(K, samples=30)
-    assert len(calls) == 1
+    assert calls == {"point": 1, "batched": []}
 
 
 @st.composite
@@ -303,3 +328,13 @@ def test_closed_form_biconjugate_is_the_nested_transform(K, seed):
     assert pair.margins["round_trip_gap"] <= 1e-8
     assert pair.margins["hessian_inverse_gap"] <= 1e-6
     assert pair.margins["biconjugate_gap"] <= 1e-8
+
+
+@settings(max_examples=40)
+@given(st.one_of(spd_quadratics(), separable_convex_fields()), st.integers(0, 1000))
+def test_lockstep_rows_are_the_per_point_inverse(K, seed):
+    # spd_quadratics are batched fields, separable_convex_fields take the per-row fallback
+    Z = K.grad_rows(K.domain.shrink(0.98).sample(12, seed=seed))
+    X = legendre._invert(K, Z)
+    pair = make_legendre_pair(K, samples=12, seed=seed, verify=False)
+    np.testing.assert_array_max_ulp(X, np.array([pair.inverse(z) for z in Z]), maxulp=2)
