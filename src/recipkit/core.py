@@ -81,7 +81,14 @@ class SchemaError(RecipkitError):
     pass
 
 
+_FLOAT = np.dtype(float)
+
+
 def as_vector(x, n: Optional[int] = None) -> np.ndarray:
+    # a valid float64 vector passes as itself, which the general path returns too
+    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 1
+            and (n is None or x.shape[0] == n)):
+        return x
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
@@ -91,6 +98,9 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
 
 
 def as_matrix(M, shape=None) -> np.ndarray:
+    if (type(M) is np.ndarray and M.dtype is _FLOAT and M.ndim == 2
+            and (shape is None or M.shape == shape)):
+        return M
     A = np.atleast_2d(np.asarray(M, dtype=float))
     if shape is not None and A.shape != tuple(shape):
         raise DimensionMismatchError(f"expected shape {tuple(shape)}, got {A.shape}")

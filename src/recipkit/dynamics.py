@@ -56,8 +56,10 @@ __all__ = [
     "compatibility_identity_gaps",
 ]
 
-MIDPOINT_NEWTON_TOL = 1e-11  # implicit midpoint stops at |residual| <= tol (1 + |x_k|)
+MIDPOINT_NEWTON_TOL = 1e-11  # bound on the Newton error estimate, relative to 1 + |x_k|
+MIDPOINT_NEWTON_KAPPA = 0.1  # share of MIDPOINT_NEWTON_TOL the increment test may use
 MIDPOINT_MAX_NEWTON = 40
+UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
 
 
@@ -119,12 +121,30 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                                 domain: Optional[BoxDomain] = None):
     """Implicit midpoint for mass(x) x_dot = rhs(t, x).
 
-    Each step solves M(m)(x+ - x) = h rhs(tm, m) with m = (x + x+)/2 by a
-    damped Newton iteration from an explicit-Euler predictor; the Jacobian
-    uses M(m) - (h/2) d rhs/dx and a finite-difference fallback.  Newton
-    stops once |residual| <= MIDPOINT_NEWTON_TOL (1 + |x_k|) and fails after
-    MIDPOINT_MAX_NEWTON iterations.  With a domain, every step must stay in
-    the box (DomainError otherwise).
+    Each step solves r(y) = M(m)(y - x_k) - h rhs(t_m, m) = 0 with
+    m = (x_k + y)/2 by Newton on the matrix M(m) - (h/2) d rhs/dx, formed at
+    the starting value (central differences when no rhs_jac is given).
+
+    - Starting value: explicit Euler through the mass matrix on the first
+      step; after it the previous increment, w = x_k + (h_k/h_{k-1})(x_k - x_{k-1})
+      (Hairer & Wanner, Solving ODEs II, 2nd ed., 1996, IV.8).
+    - Stopping rule: with increments D_j, theta = |D_j|/|D_{j-1}| and
+      eta = theta/(1 - theta), the step accepts w - D_j once
+      eta |D_j| <= MIDPOINT_NEWTON_KAPPA MIDPOINT_NEWTON_TOL (1 + |x_k|).  On a
+      step's first iteration eta comes from the last step as
+      max(eta, uround)^0.8 (1 on the first step), so a step that starts close
+      enough accepts after one solve.
+    - When the increments stop contracting (theta >= 1), the last Newton
+      step is halved, down to 1/64, until the residual falls below the one
+      it started from, and the Newton matrix is formed again there.
+
+    Work per step: one rhs Jacobian, and per iteration one residual (rhs and
+    mass) and one solve, with no evaluation at the accepted point; most steps
+    take one or two iterations.  A singular Newton matrix, stalled damping or
+    MIDPOINT_MAX_NEWTON iterations raise ConvergenceError naming the step
+    time, the iteration, the last increment and residual norms and the
+    starting value.  With a domain, every step must stay in the box
+    (DomainError otherwise).
 
     Returns (times, states) on the uniform grid.
     """
@@ -143,15 +163,10 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             return as_matrix(rhs_jac(t, v), (n, n))
         return finite_difference_jacobian(lambda w: rhs(t, w), v)
 
-    def single_step(t, xk, h):
+    def single_step(t, xk, h, w, start, eta):
         tm = t + 0.5 * h
-        # predictor: explicit Euler through the mass matrix
-        try:
-            v = np.linalg.solve(mass_at(xk), as_vector(rhs(t, xk), n))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular mass matrix at t={t:.6g}") from exc
-        w = xk + h * v
-        scale = MIDPOINT_NEWTON_TOL * (1.0 + float(np.linalg.norm(xk)))
+        goal = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + float(np.linalg.norm(xk)))
+        w0, dn = w, None
 
         def residual(y):
             m = 0.5 * (xk + y)
@@ -159,37 +174,65 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             r = M @ (y - xk) - h * as_vector(rhs(tm, m), n)
             return m, M, r, float(np.linalg.norm(r))
 
-        # the accepted line-search candidate carries its midpoint, mass and
-        # residual into the next iteration, so each point is evaluated once
+        def failure(what):
+            inc = "none" if dn is None else f"{dn:.3e}"
+            return ConvergenceError(
+                f"implicit midpoint Newton {what} at t={t:.6g} "
+                f"(last increment {inc}, residual {rn:.3e}, start {start} {w0})")
+
         m, M, r, rn = residual(w)
-        for _ in range(MIDPOINT_MAX_NEWTON):
-            if rn <= scale:
-                return w
-            J = M - 0.5 * h * jac_rhs(tm, m)
+        eta = max(eta, UROUND) ** 0.8
+        J = last = None  # last: the previous iterate, its residual norm and its increment
+        for it in range(1, MIDPOINT_MAX_NEWTON + 1):
+            if J is None:
+                J = M - 0.5 * h * jac_rhs(tm, m)
             try:
                 delta = np.linalg.solve(J, r)
             except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"singular Newton matrix at t={t:.6g}") from exc
-            lam = 1.0
-            while lam >= 1.0 / 64.0:
-                cand = w - lam * delta
-                cm, cM, cr, crn = residual(cand)
-                if crn < rn or crn <= scale:
-                    w, m, M, r, rn = cand, cm, cM, cr, crn
-                    break
-                lam *= 0.5
-            else:
-                raise ConvergenceError(f"Newton damping stalled at t={t:.6g}")
-        raise ConvergenceError(f"implicit midpoint Newton failed to converge at t={t:.6g}")
+                raise failure(f"met a singular Newton matrix in iteration {it}") from exc
+            dn = float(np.linalg.norm(delta))
+            if last is not None:
+                lw, lrn, ldelta, ldn = last
+                theta = dn / ldn
+                if theta < 1.0:
+                    eta = theta / (1.0 - theta)
+                else:
+                    # the increments stopped contracting: damp the last step until
+                    # the residual falls, then restart Newton there with a new matrix
+                    lam, eta, last, J = 1.0, 1.0, None, None
+                    while not rn < lrn:
+                        lam *= 0.5
+                        if lam < 1.0 / 64.0:
+                            raise failure(f"damping stalled in iteration {it}")
+                        w = lw - lam * ldelta
+                        m, M, r, rn = residual(w)
+                    continue
+            if eta * dn <= goal:
+                return w - delta, eta
+            last = (w, rn, delta, dn)
+            w = w - delta
+            m, M, r, rn = residual(w)
+        raise failure(f"did not converge in {MIDPOINT_MAX_NEWTON} iterations")
 
     n_steps = max(1, int(round((t1 - t0) / step)))
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
-    states = [x.copy()]
+    states = [x]
+    eta = 1.0
     for k in range(n_steps):
-        x = single_step(times[k], x, times[k + 1] - times[k])
+        t, h = times[k], times[k + 1] - times[k]
+        if k == 0:
+            try:
+                v = np.linalg.solve(mass_at(x), as_vector(rhs(t, x), n))
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"singular mass matrix at t={t:.6g} "
+                                       f"(explicit Euler start)") from exc
+            w, start = x + h * v, "explicit Euler"
+        else:
+            w, start = x + (h / (t - times[k - 1])) * (x - states[-2]), "extrapolated"
+        x, eta = single_step(t, x, h, w, start, eta)
         if domain is not None and not domain.contains(x):
             raise DomainError(f"trajectory left the state box at t={times[k+1]:.6g}: x={x}")
-        states.append(x.copy())
+        states.append(x)
     return times, np.stack(states)
 
 

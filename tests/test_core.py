@@ -51,6 +51,50 @@ def test_as_matrix_shape_is_exact():
         as_matrix(M, (2, 3))
 
 
+def test_valid_float64_arrays_pass_as_themselves():
+    v = np.array([1.0, 2.0])
+    assert as_vector(v) is v and as_vector(v, 2) is v
+    view = np.arange(6.0)[::2]
+    assert as_vector(view, 3) is view
+    M = np.eye(2)
+    assert as_matrix(M) is M and as_matrix(M, (2, 2)) is M
+    assert as_matrix(M, [2, 2]) is M
+
+
+@pytest.mark.parametrize("x", [[1, 2], 3, 2.5, np.array(4.0), np.array([1.5, 2.5], np.float32),
+                               np.array([1, 2]), np.array([1.0, 2.0], ">f8"), (0.5,)])
+def test_as_vector_converts_other_input_as_before(x):
+    v = as_vector(x)
+    assert v is not x
+    assert v.dtype == np.float64 and v.dtype.isnative
+    np.testing.assert_array_equal(v, np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+@pytest.mark.parametrize("M", [[[1, 2], [3, 4]], 3, np.array(2.0), [1.0, 2.0],
+                               np.eye(2, dtype=np.float32), np.eye(2, dtype=int),
+                               np.eye(2).astype(">f8")])
+def test_as_matrix_converts_other_input_as_before(M):
+    A = as_matrix(M)
+    assert A is not M
+    assert A.dtype == np.float64 and A.dtype.isnative
+    np.testing.assert_array_equal(A, np.atleast_2d(np.asarray(M, dtype=float)))
+
+
+def test_shape_checks_still_raise_on_float64_arrays():
+    with pytest.raises(DimensionMismatchError, match="expected length 3, got 2"):
+        as_vector(np.zeros(2), 3)
+    with pytest.raises(DimensionMismatchError, match="expected a vector"):
+        as_vector(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatchError, match="expected a vector"):
+        as_vector(np.zeros((1, 2)), 2)
+    with pytest.raises(DimensionMismatchError, match=r"expected shape \(2, 3\)"):
+        as_matrix(np.zeros((2, 2)), (2, 3))
+    with pytest.raises(DimensionMismatchError, match=r"expected shape \(2, 2\)"):
+        as_matrix(np.zeros(4), (2, 2))
+    with pytest.raises(DimensionMismatchError, match=r"expected shape \(1, 2\)"):
+        as_matrix(np.zeros((1, 1, 2)), (1, 2))
+
+
 def test_symmetry_residual():
     assert symmetry_residual(np.eye(3)) == 0.0
     M = np.array([[0.0, 1.0], [-1.0, 0.0]])

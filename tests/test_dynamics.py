@@ -1,12 +1,16 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipkit.core import (
     AssumptionError,
     BoxDomain,
+    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     ScalarField,
@@ -14,6 +18,8 @@ from recipkit.core import (
     quadratic_field,
 )
 from recipkit.dynamics import (
+    MIDPOINT_NEWTON_KAPPA,
+    MIDPOINT_NEWTON_TOL,
     HessianPseudoGradientSystem,
     NotRelaxationError,
     PortHamiltonianSystem,
@@ -125,6 +131,143 @@ def test_integrator_domain_exit():
 def test_integrator_rejects_bad_span():
     with pytest.raises(DimensionMismatchError):
         integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (1.0, 0.0), step=0.1)
+
+
+def _counted(fn, counts, key):
+    def wrapped(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapped
+
+
+def _swing_midpoint_problem(form):
+    """rhs, rhs_jac, mass and start of swing's criterion-11 run in one of its two forms."""
+    sw = SwingModel()
+    ph, hpg = sw.as_port_hamiltonian(), sw.as_hessian_pseudo_gradient()
+    z0 = ph.domain.center + 0.25 * (ph.domain.upper - ph.domain.center)
+    u = lambda t: np.array([0.2 * np.sin(t)])
+    if form == "port-hamiltonian":
+        return (lambda t, z: ph.rhs(z, u(t)), lambda t, z: ph.rhs_jac(z, u(t)), None, z0)
+    return (lambda t, x: -hpg.V_x(x, u(t)), lambda t, x: -hpg.V_xx(x, u(t)), hpg.metric,
+            sw.ph_state_to_co_energy(z0))
+
+
+@pytest.mark.parametrize("form, expected", [
+    # 100 steps: one Newton matrix per step, 1.35 (2.0) residuals and solves per step;
+    # the mass-matrix form converges only linearly because the Newton matrix leaves out
+    # the derivative of the mass
+    ("port-hamiltonian", {"rhs": 135, "jac": 100, "mass": 0, "solve": 135}),
+    ("co-energy", {"rhs": 200, "jac": 100, "mass": 200, "solve": 200}),
+])
+def test_integrator_work_per_step_on_swing(monkeypatch, form, expected):
+    rhs, rhs_jac, mass, x0 = _swing_midpoint_problem(form)
+    counts = dict.fromkeys(expected, 0)
+    monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, counts, "solve"))
+    integrate_implicit_midpoint(
+        _counted(rhs, counts, "rhs"), x0, (0.0, 0.1), 1e-3,
+        mass=None if mass is None else _counted(mass, counts, "mass"),
+        rhs_jac=_counted(rhs_jac, counts, "jac"))
+    assert counts == expected
+
+
+def test_integrator_work_per_step_on_a_linear_mass_matrix_ode(monkeypatch):
+    # the ODE of test_integrator_assembles_mass_at_most_three_times_per_step: Newton is
+    # exact in one iteration, so most steps accept the first increment; one mass and one
+    # solve go to the explicit-Euler start, and each step's finite-difference Jacobian
+    # costs 2n = 4 rhs calls
+    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    Mconst = np.array([[2.0, 0.5], [0.5, 1.0]])
+    counts = {"rhs": 0, "mass": 0, "solve": 0}
+    monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, counts, "solve"))
+    integrate_implicit_midpoint(_counted(lambda t, x: A @ x, counts, "rhs"),
+                                np.array([1.0, 0.0]), (0.0, 1.0), step=1.0 / 50,
+                                mass=_counted(lambda x: Mconst, counts, "mass"))
+    assert counts == {"rhs": 76 + 4 * 50, "mass": 76, "solve": 76}
+
+
+def test_integrator_restart_agrees_with_one_call():
+    # the restart at t = 0.5 starts Newton from explicit Euler, the single call from the
+    # extrapolated increment; both accept a point within KAPPA * TOL * (1 + |x_k|) of the
+    # same midpoint step, so they part by at most twice that per step after the restart
+    rhs, rhs_jac, _, z0 = _swing_midpoint_problem("port-hamiltonian")
+    seen = {"one call": set(), "restarted": set()}
+
+    def run(key, x0, span):
+        def recorded(t, z):
+            seen[key].add(t)
+            return rhs(t, z)
+        return integrate_implicit_midpoint(recorded, x0, span, 1e-3, rhs_jac=rhs_jac)[1]
+
+    whole = run("one call", z0, (0.0, 1.0))
+    first = run("restarted", z0, (0.0, 0.5))
+    second = run("restarted", first[-1], (0.5, 1.0))
+    # only the restart evaluates rhs at t = 0.5: its explicit-Euler start
+    assert 0.5 in seen["restarted"] and 0.5 not in seen["one call"]
+    np.testing.assert_array_equal(first, whole[:501])
+    scale = 1.0 + np.max(np.linalg.norm(whole, axis=1))
+    bound = 2 * 500 * MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * scale
+    assert np.max(np.abs(second - whole[500:])) <= bound
+
+
+def test_damped_newton_reaches_the_midpoint_step():
+    # the Newton matrix 1 - (h/2) 10.45 is the exact 1 + h/2 over 2.2, so every full
+    # step overshoots by 1.2 and only the damped steps bring the iterate in
+    h, n_steps = 0.1, 10
+    _, states = integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (0.0, 1.0), h,
+                                            rhs_jac=lambda t, x: [[10.45]])
+    exact = ((1.0 - h / 2) / (1.0 + h / 2)) ** np.arange(n_steps + 1)
+    # the map contracts, so step errors of at most KAPPA * TOL * (1 + |x_k|) add up
+    bound = n_steps * MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * 2.0
+    assert np.max(np.abs(states[:, 0] - exact)) <= bound
+
+
+@pytest.mark.parametrize("what, jac, step", [
+    # J = 1 - (h/2) jac vanishes exactly: singular in the step's first iteration
+    ("met a singular Newton matrix in iteration 1 at t=0 ", lambda t: 16.0, 0.125),
+    # the same from the third step on, whose midpoint is 0.3125
+    ("met a singular Newton matrix in iteration 1 at t=0.25 ",
+     lambda t: 16.0 if t > 0.3 else -1.0, 0.125),
+    # J = -(exact J): every damped step raises the residual
+    ("damping stalled in iteration 2 at t=0 ", lambda t: 41.0, 0.1),
+    # J = 10 (exact J): the increments contract by 0.9 per iteration
+    ("did not converge in 40 iterations at t=0 ", lambda t: -190.0, 0.1),
+])
+def test_midpoint_failures_name_their_cause(what, jac, step):
+    with pytest.raises(ConvergenceError) as info:
+        integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (0.0, 1.0), step,
+                                    rhs_jac=lambda t, x: [[jac(t)]])
+    msg = str(info.value)
+    assert msg.startswith(f"implicit midpoint Newton {what}")
+    start = "explicit Euler" if "t=0 " in what else "extrapolated"
+    assert re.search(rf"\(last increment (none|\S+e[-+]\d+), residual \S+e[-+]\d+, "
+                     rf"start {start} \[", msg), msg
+
+
+@st.composite
+def lossless_linear_ph(draw):
+    """J skew, H = z.Q z / 2 with Q SPD, no input, and a start z0."""
+    n = draw(st.integers(2, 4))
+    A, B = (np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+            .reshape(n, n) for _ in range(2))
+    Q = A @ A.T + draw(st.floats(0.2, 2.0)) * np.eye(n)
+    z0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    # the level set of H through z0 fits inside the box
+    half = 1.0 + np.sqrt(z0 @ Q @ z0 / np.linalg.eigvalsh(Q)[0])
+    H = quadratic_field(Q, BoxDomain.cube(n, halfwidth=half))
+    return PortHamiltonianSystem(H=H, J=B - B.T, g=np.zeros((n, 0)), nu=0), Q, z0
+
+
+@settings(max_examples=40)
+@given(lossless_linear_ph())
+def test_lossless_linear_port_hamiltonian_conserves_energy(system):
+    # implicit midpoint conserves quadratic invariants exactly; each step's Newton error
+    # is at most KAPPA * TOL * (1 + |z_k|) and moves H by at most |Q z_k| times that
+    ph, Q, z0 = system
+    traj = simulate_port_hamiltonian(ph, z0, lambda t: np.zeros(0), (0.0, 1.0), 1e-2)
+    S = traj.monitors["S"]
+    zmax = np.max(np.linalg.norm(traj.states, axis=1))
+    per_step = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + zmax) * np.linalg.norm(Q, 2) * zmax
+    assert np.max(np.abs(S - S[0])) <= (len(traj.times) - 1) * per_step
 
 
 # ---------------------------------------------------------------------------
