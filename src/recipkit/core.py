@@ -46,6 +46,7 @@ GRAD_STEP = 1e-6
 # Second differences of raw values need a larger step to beat rounding noise.
 HESS_VALUE_STEP = 1e-4
 DET_FLOOR = 1e-12
+PARTIALS_TOL = 1e-5  # relative gap of supplied metric partials to central differences
 
 
 class RecipkitError(Exception):
@@ -334,36 +335,42 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric invertible matrix field x -> G(x) on a box."""
+    """Symmetric invertible matrix field x -> G(x) on a box, with optional
+    ``partials`` x -> J, J[a, b, c] = dG_ab/dx_c: zeros for `constant`; when
+    absent, `geometry.levi_civita` takes central differences of G."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     domain: BoxDomain
+    partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        G = as_matrix(self.eval(v), (self.dim, self.dim))
-        return G
+        return as_matrix(self.eval(as_vector(x, self.dim)), (self.dim, self.dim))
 
     def checked(self, x, sym_tol: float = 1e-10) -> np.ndarray:
-        G = self(x)
-        r = symmetry_residual(G)
-        if r > sym_tol:
-            raise AssumptionError("metric-symmetry",
-                                  f"asymmetry {r:.3e} at x={as_vector(x)}")
-        if abs(np.linalg.det(G)) <= DET_FLOOR:
-            raise SingularMatrixError(
-                f"metric determinant below floor {DET_FLOOR} at x={as_vector(x)}")
-        return G
+        return _checked_metric_rows(self(x)[None], [x], sym_tol)[0]
 
     @staticmethod
     def constant(M, domain: BoxDomain) -> "MetricField":
         A = as_matrix(M)
-        return MetricField(A.shape[0], lambda x: A, domain)
+        return MetricField(A.shape[0], lambda x: A, domain,
+                           partials=lambda x: np.zeros((A.shape[0],) * 3))
 
     @staticmethod
     def from_hessian(K: ScalarField) -> "MetricField":
         return MetricField(K.dim, lambda x: K.hess(x), K.domain)
+
+
+def _checked_metric_rows(Gs: np.ndarray, xs, sym_tol: float = 1e-10) -> np.ndarray:
+    """Gs, the metric stacked (N, n, n) at the points xs, after MetricField.checked's
+    tests on every row; raises at the first failing row, asymmetry checked first."""
+    asym = np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), axis=(1, 2), initial=0.0)
+    for i in np.flatnonzero((asym > sym_tol) | (np.abs(np.linalg.det(Gs)) <= DET_FLOOR))[:1]:
+        x = as_vector(xs[i])
+        if asym[i] > sym_tol:
+            raise AssumptionError("metric-symmetry", f"asymmetry {asym[i]:.3e} at x={x}")
+        raise SingularMatrixError(f"metric determinant below floor {DET_FLOOR} at x={x}")
+    return Gs
 
 
 @dataclass(frozen=True)
@@ -665,8 +672,14 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
 
 def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0,
                           sym_tol: float = 1e-10) -> float:
-    """Check symmetry and invertibility of G at sampled points; returns worst asymmetry."""
+    """Check symmetry, invertibility and supplied partials of G at sampled points;
+    returns worst asymmetry.  Partials must match central differences within PARTIALS_TOL."""
     worst = 0.0
     for x in G.domain.shrink(0.9).sample(n_samples, seed=seed):
         worst = max(worst, symmetry_residual(G.checked(x, sym_tol)))
+        if G.partials is not None:
+            J, Jf = np.asarray(G.partials(x), dtype=float), finite_difference_jacobian(G, x)
+            if J.shape != Jf.shape or (np.max(np.abs(J - Jf))
+                                       > PARTIALS_TOL * (1.0 + np.max(np.abs(J)))):
+                raise AssumptionError("metric-partials", f"partials disagree with FD at x={x}")
     return worst

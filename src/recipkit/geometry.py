@@ -1,12 +1,12 @@
 """Christoffel coefficients and variational duality along trajectories.
 
-Christoffel symbols of a metric are obtained from central differences of
-the metric; for Hessian metrics they reduce to weighted third partials of
-the generating function, and both routes are exposed so they can act as
-cross-oracles.  The variational system of an input-affine system along a
-nominal trajectory and its metric-dual are assembled as time-varying linear
-systems; for reciprocal systems their input-output responses coincide and
-p = G(x) delta_x is the state-space isomorphism between them.
+Christoffel symbols of a metric come from its closed-form partials or from
+central differences; for Hessian metrics they reduce to weighted third
+partials of the generating function, and both routes are exposed so they
+can act as cross-oracles.  The variational system of an input-affine system
+along a nominal trajectory and its metric-dual are assembled as time-varying
+linear systems; for reciprocal systems their input-output responses coincide
+and p = G(x) delta_x is the state-space isomorphism between them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     MetricField,
     ScalarField,
     SignatureMatrix,
+    _checked_metric_rows,
     as_matrix,
     as_vector,
     finite_difference_jacobian,
@@ -46,17 +47,25 @@ THIRD_PARTIAL_STEP = 1e-4
 METRIC_STEP = 1e-5
 
 
+def _christoffel_rows(G: MetricField, xs: np.ndarray) -> Optional[np.ndarray]:
+    """levi_civita at each row of xs, (N, n, n, n), or None when it is exactly 0."""
+    Gs = _checked_metric_rows(np.stack([G(x) for x in xs]), xs)
+    J = np.stack([finite_difference_jacobian(G, x, METRIC_STEP) if G.partials is None
+                  else G.partials(x) for x in xs])  # J[..., a, b, c] = dG_ab/dx_c
+    lower = 0.5 * (J + np.swapaxes(J, -1, -2) - np.moveaxis(J, -1, -3))  # [..., l, i, j]
+    return np.einsum("nkl,nlij->nkij", np.linalg.inv(Gs), lower) if lower.any() else None
+
+
 def levi_civita(G: MetricField, x) -> np.ndarray:
-    """Levi-Civita coefficients of a metric by central differences.
+    """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_{ij} of a metric at x.
 
     Gamma_{lij} = (dG_{li}/dx_j + dG_{lj}/dx_i - dG_{ij}/dx_l) / 2 raised by
-    the inverse metric.  Torsion-free by construction.
+    the inverse of G.checked(x).  The partials are G.partials in closed form
+    when given (exact zeros for MetricField.constant), central differences
+    otherwise.  Torsion-free by construction.
     """
-    xv = as_vector(x, G.dim)
-    J = finite_difference_jacobian(G, xv, METRIC_STEP)  # J[a, b, c] = dG_ab/dx_c
-    lower = 0.5 * (J + J.transpose(0, 2, 1) - J.transpose(2, 0, 1))  # lower[l, i, j]
-    Ginv = np.linalg.inv(G.checked(xv))
-    return np.einsum("kl,lij->kij", Ginv, lower)
+    gam = _christoffel_rows(G, as_vector(x, G.dim)[None])
+    return np.zeros((G.dim,) * 3) if gam is None else gam[0]
 
 
 def third_partial_tensor(K: ScalarField, x) -> np.ndarray:
@@ -132,11 +141,43 @@ def _interpolant(times: np.ndarray, values: np.ndarray):
     return lambda s: np.stack([np.interp(s, times, v) for v in values.T], axis=-1)
 
 
-def _input_interpolant(nominal: Trajectory, u_signal, nu: int):
-    """ts of shape (N,) -> inputs of shape (N, nu)."""
-    if u_signal is None:
-        return _interpolant(nominal.times, nominal.inputs)
-    return lambda s: np.array([as_vector(u_signal(si), nu) for si in s]).reshape(len(s), nu)
+def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=None,
+                   G: Optional[MetricField] = None):
+    """(primal, dual) views of one linearization along a nominal; each stack is built
+    once per time array from one x(t) and u(t) interpolant, read-only and shared."""
+    if G is not None and G.dim != sys.nx:
+        raise DimensionMismatchError("metric dimension must match state dimension")
+
+    def once(build):
+        memo = {}
+
+        def rows(ts):
+            key = np.asarray(ts, dtype=float).tobytes()
+            if key not in memo:
+                memo[key] = build(ts)
+                memo[key].setflags(write=False)
+            return memo[key]
+        return rows
+
+    x = once(_interpolant(nominal.times, nominal.states))
+    u = once(_interpolant(nominal.times, nominal.inputs) if u_signal is None else lambda s:
+             np.array([as_vector(u_signal(si), sys.nu) for si in s]).reshape(len(s), sys.nu))
+    A = once(lambda ts: np.stack([sys.jac_f(xk) + np.einsum("j,jab->ab", uk, sys.jac_g(xk))
+                                  for xk, uk in zip(x(ts), u(ts))]))
+    B = once(lambda ts: np.stack([as_matrix(sys.g(xk), (sys.nx, sys.nu)) for xk in x(ts)]))
+    C = once(lambda ts: np.stack([sys.jac_h(xk) for xk in x(ts)]))
+
+    def dual_A(ts):
+        At, gam = A(ts).transpose(0, 2, 1), _christoffel_rows(G, x(ts))
+        if gam is None:
+            return At
+        xdot = (np.stack([as_vector(sys.f(xk), sys.nx) for xk in x(ts)])
+                + np.einsum("nij,nj->ni", B(ts), u(ts)))
+        return At + 2.0 * np.einsum("nabc,nc->nba", gam, xdot)
+
+    return (TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C),
+            TimeVaryingLinearSystem(sys.nx, sys.nu, dual_A, lambda ts: C(ts).transpose(0, 2, 1),
+                                    lambda ts: B(ts).transpose(0, 2, 1)))
 
 
 def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
@@ -147,51 +188,24 @@ def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
     with x(t), u(t) interpolated from the nominal trajectory (cubic spline)
     unless an explicit input signal is supplied.
     """
-    xof = _interpolant(nominal.times, nominal.states)
-    uof = _input_interpolant(nominal, u_signal, sys.nu)
-
-    def A(ts):
-        return np.stack([sys.jac_f(x) + np.einsum("j,jab->ab", u, sys.jac_g(x))
-                         for x, u in zip(xof(ts), uof(ts))])
-
-    def B(ts):
-        return np.stack([as_matrix(sys.g(x), (sys.nx, sys.nu)) for x in xof(ts)])
-
-    def C(ts):
-        return np.stack([sys.jac_h(x) for x in xof(ts)])
-
-    return TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C)
+    return _linearization(sys, nominal, u_signal)[0]
 
 
 def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
                             nominal: Trajectory, u_signal=None) -> TimeVaryingLinearSystem:
     """Metric-dual of the variational system along the same nominal.
 
-    The adjoint (A^T, C^T, B^T) of variational_system plus the connection
-    term of G along the nominal velocity xdot = f(x) + g(x) u:
+    The adjoint (A^T, C^T, B^T) of variational_system's matrices, from the
+    same evaluations, plus the connection term of G along xdot = f + g u:
 
     d/dt p = (A^T + 2 Gamma(x).xdot) p + C^T u^d,   y^d = B^T p,
 
-    with (Gamma.xdot)_{ba} = Gamma^a_{bc} xdot_c the Levi-Civita
-    coefficients of G.
+    with (Gamma.xdot)_{ba} = Gamma^a_{bc} xdot_c, Gamma = levi_civita(G, x).
+    A(ts) checks G at all times in one stack and takes one set of partials
+    per time; where the lower-index coefficients vanish (MetricField.constant)
+    the term is exactly 0 and xdot is not evaluated.
     """
-    if G.dim != sys.nx:
-        raise DimensionMismatchError("metric dimension must match state dimension")
-    var = variational_system(sys, nominal, u_signal)
-    xof = _interpolant(nominal.times, nominal.states)
-    uof = _input_interpolant(nominal, u_signal, sys.nu)
-
-    def connection(x, u):
-        xdot = as_vector(sys.f(x), sys.nx) + as_matrix(sys.g(x), (sys.nx, sys.nu)) @ u
-        return 2.0 * np.einsum("abc,c->ba", levi_civita(G, x), xdot)
-
-    def A(ts):
-        conn = np.stack([connection(x, u) for x, u in zip(xof(ts), uof(ts))])
-        return var.A(ts).transpose(0, 2, 1) + conn
-
-    return TimeVaryingLinearSystem(sys.nx, sys.nu, A,
-                                   lambda ts: var.C(ts).transpose(0, 2, 1),
-                                   lambda ts: var.B(ts).transpose(0, 2, 1))
+    return _linearization(sys, nominal, u_signal, G)[1]
 
 
 def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarray],
@@ -199,27 +213,32 @@ def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarr
     """Implicit-midpoint integration of a linear time-varying system.
 
     Each step solves (I - h/2 A(tm)) x_{k+1} = (I + h/2 A(tm)) x_k + h B(tm) u(tm).
-    A and B are evaluated once on the array of step midpoints and C once on
-    the grid; one batched solve gives every step as x_{k+1} = M_k x_k + c_k.
-    The input u is called per midpoint.  Returns (states, outputs) sampled
-    on the given time grid, time axis first.
+    A and B are evaluated once on the step midpoints and C once on the grid;
+    one batched solve factors every step map x_{k+1} = M_k x_k + c_k, and one
+    recurrence carries p probes as the columns of x0 (nx, p) and u(t) (nu, p).
+    A 1-D x0 and u(t) are one probe.  u is called once per midpoint.  Returns
+    (states, outputs) on the time grid, time axis first: (N, nx) and (N, ny),
+    or (N, nx, p) and (N, ny, p).
     """
     times = np.asarray(times, dtype=float)
-    x = as_vector(x0, ltv.nx)
+    cols = np.ndim(x0) == 2
+    X = as_matrix(x0, (ltv.nx, np.shape(x0)[1])) if cols else as_vector(x0, ltv.nx)[:, None]
+    p = X.shape[1]
     h = np.diff(times)
     tm = times[:-1] + 0.5 * h
     half = 0.5 * h[:, None, None] * ltv.A(tm)
-    U = np.array([as_vector(u(t), ltv.nu) for t in tm]).reshape(len(tm), ltv.nu)
-    drive = h[:, None] * np.einsum("kij,kj->ki", ltv.B(tm), U)
+    U = np.array([as_matrix(u(t), (ltv.nu, p)) if cols else as_vector(u(t), ltv.nu)
+                  for t in tm]).reshape(len(tm), ltv.nu, p)
+    drive = h[:, None, None] * np.einsum("kij,kjp->kip", ltv.B(tm), U)
     eye = np.eye(ltv.nx)
-    step = np.linalg.solve(eye - half, np.concatenate([eye + half, drive[:, :, None]], axis=2))
-    states = np.empty((len(times), ltv.nx))
-    states[0] = x
+    step = np.linalg.solve(eye - half, np.concatenate([eye + half, drive], axis=2))
+    states = np.empty((len(times), ltv.nx, p))
+    states[0] = X
     for k in range(len(tm)):
-        x = step[k, :, :-1] @ x + step[k, :, -1]
-        states[k + 1] = x
-    outputs = np.einsum("kij,kj->ki", ltv.C(times), states)
-    return states, outputs
+        X = step[k, :, :ltv.nx] @ X + step[k, :, ltv.nx:]
+        states[k + 1] = X
+    outputs = np.einsum("kij,kjp->kip", ltv.C(times), states)
+    return (states, outputs) if cols else (states[..., 0], outputs[..., 0])
 
 
 def default_probes(nu: int, t_span) -> list:
@@ -255,10 +274,10 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     For each probe du the variational system starts at delta_x(0) = xi and
     the dual at p(0) = G(x(0)) xi with sigma du as its input; the dual output
     matching sigma dy (and p(t) = G(x(t)) delta_x(t) along the way) witnesses
-    external reciprocity of the nonlinear system along the nominal.
+    external reciprocity of the nonlinear system along the nominal.  One call
+    linearizes once and runs all probes as the columns of one simulate_ltv per system.
     """
-    var = variational_system(sys, nominal, u_signal)
-    dual = dual_variational_system(sys, G, nominal, u_signal)
+    var, dual = _linearization(sys, nominal, u_signal, G)
     times = nominal.times
     if len(times) < 2:
         raise DimensionMismatchError("the nominal trajectory needs at least two times")
@@ -266,21 +285,19 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     probes = probe_inputs if probe_inputs is not None else default_probes(
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
-
+    sig.check_inputs(sys.nu)
+    p = len(probes)
+    du = lambda t: np.array([as_vector(pr(t), sys.nu) for pr in probes]).reshape(p, sys.nu).T
     Gs = np.stack([G(x) for x in nominal.states])
-    max_gap = 0.0
-    max_state = 0.0
-    rows = []
-    for probe in probes:
-        dst, dy = simulate_ltv(var, xi, probe, times)
-        pst, yd = simulate_ltv(dual, Gs[0] @ xi,
-                               lambda t, probe=probe: sig.apply(probe(t)), times)
-        dy = sig.conjugate_rows(dy.T).T if dy.size else dy
-        gap = float(np.max(np.abs(dy - yd))) if dy.size else 0.0
-        iso = float(np.max(np.abs(pst - np.einsum("kij,kj->ki", Gs, dst))))
-        max_gap = max(max_gap, gap)
-        max_state = max(max_state, iso)
-        rows.append({"times": times, "dy": dy, "yd": yd, "gap": gap, "state_gap": iso})
+    X0 = np.repeat(xi[:, None], p, axis=1)
+    dst, dy = simulate_ltv(var, X0, du, times)
+    pst, yd = simulate_ltv(dual, Gs[0] @ X0, lambda t: sig.signs[:, None] * du(t), times)
+    dy = sig.signs[:, None] * dy
+    gaps = np.max(np.abs(dy - yd), axis=(0, 1), initial=0.0)
+    isos = np.max(np.abs(pst - np.einsum("kij,kjp->kip", Gs, dst)), axis=(0, 1), initial=0.0)
+    rows = [{"times": times, "dy": dy[..., j], "yd": yd[..., j], "gap": float(gaps[j]),
+             "state_gap": float(isos[j])} for j in range(p)]
+    max_gap = float(np.max(gaps, initial=0.0))
     return VariationalMatchReport(
         match=bool(max_gap <= tol), max_output_gap=max_gap,
-        max_state_gap=max_state, probes=len(probes), per_probe=tuple(rows))
+        max_state_gap=float(np.max(isos, initial=0.0)), probes=p, per_probe=tuple(rows))

@@ -186,7 +186,7 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
     sigma = _signature(doc, "sigma", m, ctx)
     domain = _box(doc, "domain", nx, ctx)
     if "domain" in doc:
-        metric = MetricField(nx, metric.eval, domain)
+        metric = MetricField(nx, metric.eval, domain, metric.partials)
     else:
         domain = metric.domain
 

@@ -56,6 +56,7 @@ DEFAULTED = {
     "core.BoxDomain.sample": ("seed",),
     "core.BoxDomain.cube": ("halfwidth", "center"),
     "core.ScalarField": ("gradient", "hessian", "batched"),
+    "core.MetricField": ("partials",),
     "core.MetricField.checked": ("sym_tol",),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
@@ -161,4 +162,4 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 170
+    assert sum(len(names) for names in surface.values()) == 171

@@ -434,3 +434,25 @@ def test_validate_metric_field():
     with pytest.raises(AssumptionError):
         validate_metric_field(
             MetricField(2, lambda x: np.array([[1.0, x[0]], [0.0, 1.0]]), box))
+
+
+def test_validate_metric_field_checks_supplied_partials():
+    box = BoxDomain.cube(2)
+
+    def G(x):
+        return np.diag([1.0 + x[1] ** 2, -2.0])
+
+    def partials(x):
+        J = np.zeros((2, 2, 2))
+        J[0, 0, 1] = 2.0 * x[1]
+        return J
+
+    assert validate_metric_field(MetricField(2, G, box, partials)) == 0.0
+    # index order swapped: dG_ab/dx_c stored at [c, a, b]
+    with pytest.raises(AssumptionError) as exc:
+        validate_metric_field(MetricField(2, G, box, lambda x: partials(x).transpose(2, 0, 1)))
+    assert exc.value.name == "metric-partials"
+    with pytest.raises(AssumptionError):
+        validate_metric_field(MetricField(2, G, box, lambda x: np.zeros((2, 2))))
+    # the zeros that constant metrics carry are exact
+    assert validate_metric_field(MetricField.constant(np.diag([1.0, -2.0]), box)) == 0.0

@@ -1,18 +1,29 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recipkit.core import (
     AffineNonlinearSystem,
+    AssumptionError,
     BoxDomain,
     DimensionMismatchError,
     MetricField,
     ScalarField,
+    SignatureMatrix,
+    SingularMatrixError,
     quadratic_field,
 )
 from recipkit.dynamics import Trajectory, integrate_implicit_midpoint
+from recipkit.linear import check_linear_reciprocity
+from recipkit.models import model_registry, random_reciprocal_system
 from recipkit.geometry import (
     TimeVaryingLinearSystem,
     default_probes,
+    dual_variational_system,
     external_reciprocity_test,
     flatness_check,
     hessian_christoffel,
@@ -275,8 +286,6 @@ def test_external_reciprocity_detects_wrong_metric():
 
 
 def test_external_reciprocity_evaluates_metric_once_per_grid_point():
-    from recipkit.models import model_registry
-
     bundle = model_registry()["brayton-moser"]
     sys, metric = bundle.affine, bundle.metric
     evals = []
@@ -291,6 +300,162 @@ def test_external_reciprocity_evaluates_metric_once_per_grid_point():
     nominal = Trajectory(times, states, np.zeros((2001, 1)), states[:, :1])
     rep = external_reciprocity_test(sys, G, nominal, delta_x0=[0.1, -0.05], sigma=bundle.sigma)
     assert rep.probes == 2
-    # per probe: one Levi-Civita stencil (2 nx + 1 metrics) at each of the 2000
-    # midpoints; once per call: G(x(t)) on the 2001 grid points, G(x(0)) among them
-    assert len(evals) == 2 * 2000 * 5 + 2001
+    # once per call, whatever the probe count: one Levi-Civita stencil (2 nx + 1
+    # metrics) at each of the 2000 midpoints and G(x(t)) on the 2001 grid points
+    assert len(evals) == 2000 * 5 + 2001
+
+
+def _bm_case(n_times=2001):
+    bundle = model_registry()["brayton-moser"]
+    times = np.linspace(0.0, 2.0, n_times)
+    states = np.column_stack([0.3 * np.cos(times), -0.2 * np.sin(times)])
+    nominal = Trajectory(times, states, np.zeros((n_times, 1)), states[:, :1])
+    return bundle, nominal
+
+
+def test_external_reciprocity_closed_form_partials_skip_the_stencil():
+    bundle, nominal = _bm_case()
+    metric = bundle.metric
+    evals = []
+
+    def counting(x):
+        evals.append(1)
+        return metric.eval(x)
+
+    G = MetricField(metric.dim, counting, metric.domain, partials=metric.partials)
+    rep = external_reciprocity_test(bundle.affine, G, nominal, delta_x0=[0.1, -0.05],
+                                    sigma=bundle.sigma)
+    assert rep.probes == 2 and rep.max_output_gap == 0.0
+    # the batched metric check at the 2000 midpoints and G(x(t)) on the 2001
+    # grid points; no stencil
+    assert len(evals) == 2000 + 2001
+
+
+@pytest.mark.parametrize("n_probes", [1, 3])
+def test_external_reciprocity_linearizes_once_per_call(n_probes):
+    bundle, nominal = _bm_case()
+    sys = bundle.affine
+    calls = {"df_dx": 0, "dh_dx": 0}
+
+    def counted(name, fn):
+        def evaluate(x):
+            calls[name] += 1
+            return fn(x)
+        return evaluate
+
+    sys = dataclasses.replace(sys, df_dx=counted("df_dx", sys.df_dx),
+                              dh_dx=counted("dh_dx", sys.dh_dx))
+    probes = default_probes(1, (0.0, 2.0))[:2] + [lambda t: np.array([np.cos(t)])]
+    rep = external_reciprocity_test(sys, bundle.metric, nominal, probe_inputs=probes[:n_probes],
+                                    delta_x0=[0.1, -0.05], sigma=bundle.sigma)
+    assert rep.probes == n_probes
+    # jac_f at the 2000 midpoints; jac_h at the midpoints (dual B) and grid times (C)
+    assert calls == {"df_dx": 2000, "dh_dx": 2000 + 2001}
+
+
+def test_closed_form_partials_give_the_stencil_dual():
+    bundle, nominal = _bm_case(201)
+    box = bundle.metric.domain
+
+    def G_of(x):
+        return np.diag([1.0 + x[1] ** 2, -1.0 - 0.5 * x[0] ** 2])
+
+    def partials(x):
+        J = np.zeros((2, 2, 2))
+        J[0, 0, 1], J[1, 1, 0] = 2.0 * x[1], -x[0]
+        return J
+
+    ts = np.linspace(0.05, 1.95, 9)
+    closed = dual_variational_system(bundle.affine, MetricField(2, G_of, box, partials), nominal)
+    stencil = dual_variational_system(bundle.affine, MetricField(2, G_of, box), nominal)
+    primal = variational_system(bundle.affine, nominal)
+    np.testing.assert_allclose(closed.A(ts), stencil.A(ts), rtol=0, atol=1e-8)
+    assert not np.allclose(closed.A(ts), primal.A(ts).transpose(0, 2, 1))
+    assert np.array_equal(closed.B(ts), primal.C(ts).transpose(0, 2, 1))
+    assert np.array_equal(closed.C(ts), primal.B(ts).transpose(0, 2, 1))
+
+
+def test_simulate_ltv_probe_columns_match_single_probes():
+    rng = np.random.default_rng(5)
+    A0, A1 = rng.standard_normal((2, 3, 3))
+    B0 = rng.standard_normal((3, 2))
+    C0 = rng.standard_normal((2, 3))
+    ltv = TimeVaryingLinearSystem(
+        3, 2, A=lambda ts: A0 + np.sin(ts)[:, None, None] * A1,
+        B=lambda ts: np.broadcast_to(B0, (len(ts), 3, 2)),
+        C=lambda ts: np.broadcast_to(C0, (len(ts), 2, 3)))
+    times = np.sort(rng.uniform(0.0, 2.0, 300))
+    X0 = rng.standard_normal((3, 4))
+    W = rng.standard_normal((2, 4))
+    states, outputs = simulate_ltv(ltv, X0, lambda t: np.cos(t * W), times)
+    assert states.shape == (300, 3, 4) and outputs.shape == (300, 2, 4)
+    for j in range(4):
+        xs, ys = simulate_ltv(ltv, X0[:, j], lambda t: np.cos(t * W[:, j]), times)
+        assert xs.shape == (300, 3) and ys.shape == (300, 2)
+        np.testing.assert_allclose(states[:, :, j], xs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outputs[:, :, j], ys, rtol=0, atol=1e-12)
+
+
+def _first_x(exc):
+    return np.array([float(v) for v in re.search(r"x=\[([^\]]*)\]", str(exc)).group(1).split()])
+
+
+@pytest.mark.parametrize("M, error", [
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), SingularMatrixError),
+    (np.array([[1.0, 0.5], [0.0, -1.0]]), AssumptionError),
+])
+def test_bad_constant_metric_raises_on_the_closed_form_path(M, error):
+    bundle, nominal = _bm_case(201)
+    G = MetricField.constant(M, bundle.metric.domain)
+    x = np.array([0.2, -0.1])
+    with pytest.raises(error) as lc:
+        levi_civita(G, x)
+    np.testing.assert_array_equal(_first_x(lc.value), x)
+    with pytest.raises(error) as ert:
+        external_reciprocity_test(bundle.affine, G, nominal, sigma=bundle.sigma)
+    # the first midpoint is the first failing point
+    np.testing.assert_allclose(_first_x(ert.value), [0.3 * np.cos(0.005), -0.2 * np.sin(0.005)],
+                               rtol=0, atol=1e-8)
+    if error is AssumptionError:
+        assert lc.value.name == ert.value.name == "metric-symmetry"
+
+
+def test_metric_check_names_the_first_failing_midpoint():
+    # symmetric for x0 < 0.25, so the check first fails at the first midpoint past it
+    bundle, _ = _bm_case()
+    times = np.linspace(0.0, 1.0, 101)
+    states = np.column_stack([0.5 * times, np.zeros(101)])
+    nominal = Trajectory(times, states, np.zeros((101, 1)), states[:, :1])
+    G = MetricField(2, lambda x: np.array([[1.0, float(x[0] > 0.25)], [0.0, -1.0]]),
+                    bundle.metric.domain)
+    with pytest.raises(AssumptionError) as exc:
+        external_reciprocity_test(bundle.affine, G, nominal, sigma=bundle.sigma)
+    assert _first_x(exc.value)[0] == pytest.approx(0.5 * 0.505, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(1, 2))
+def test_random_reciprocal_systems_pass_both_duality_tests(seed, n, m):
+    rng = np.random.default_rng(seed)
+    sigma = SignatureMatrix(rng.choice([-1, 1], size=m))
+    lin, G, sigma = random_reciprocal_system(rng, n, m, sigma=sigma)
+    assert check_linear_reciprocity(lin, G, sigma).reciprocal
+    box = BoxDomain.cube(n, halfwidth=5.0)
+    sys = AffineNonlinearSystem(
+        n, m, f=lambda x: lin.A @ x, g=lambda x: lin.B, h=lambda x: lin.C @ x,
+        k=lambda x: lin.D, domain=box, df_dx=lambda x: lin.A,
+        dg_dx=lambda x: np.zeros((m, n, n)), dh_dx=lambda x: lin.C)
+    times = np.linspace(0.0, 2.0, 201)
+    nominal = Trajectory(times, np.zeros((201, n)), np.zeros((201, m)), np.zeros((201, m)))
+    rep = external_reciprocity_test(sys, MetricField.constant(G, box), nominal,
+                                    delta_x0=rng.standard_normal(n), sigma=sigma)
+    assert rep.probes == 2 * m
+    assert rep.max_output_gap <= 1e-8 and rep.max_state_gap <= 1e-8
+
+
+def test_non_finite_response_fails_the_match():
+    bundle, nominal = _bm_case(201)
+    rep = external_reciprocity_test(bundle.affine, bundle.metric, nominal,
+                                    probe_inputs=[lambda t: np.array([np.nan])],
+                                    sigma=bundle.sigma)
+    assert not rep.match
+    assert np.isnan(rep.max_output_gap) and np.isnan(rep.max_state_gap)
