@@ -23,12 +23,8 @@ from .dynamics import (
     NotRelaxationError,
     PortHamiltonianSystem,
     Trajectory,
-    ZSpaceSystem,
     certify_relaxation,
-    classify_monotone_ph,
-    compatibility_identity_gaps,
     dissipation_monitor,
-    incremental_passivity_check,
     integrate_implicit_midpoint,
     ph_to_hessian_pseudo_gradient,
     simulate_port_hamiltonian,
@@ -46,7 +42,6 @@ from .legendre import (
     homogeneity_check,
     legendre_transform,
     make_legendre_pair,
-    tilde_function,
 )
 from .linear import (
     LinearPseudoGradientForm,
@@ -57,7 +52,6 @@ from .linear import (
     impulse_response_symmetry,
     lmi_residual,
     recover_metric_hankel,
-    solve_dual_isomorphism,
     split_port_hamiltonian_form,
     to_pseudo_gradient,
 )

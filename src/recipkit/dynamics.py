@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,19 +29,17 @@ from .core import (
     as_vector,
     finite_difference_jacobian,
 )
-from .legendre import LegendrePair, make_legendre_pair
+from .legendre import make_legendre_pair
 from .reciprocity import sample_state_input_points
 
 __all__ = [
     "Trajectory",
     "HessianPseudoGradientSystem",
     "PortHamiltonianSystem",
-    "ZSpaceSystem",
     "ConversionSplit",
     "ConversionResult",
     "DissipationReport",
     "RelaxationCertificate",
-    "MonotoneClassification",
     "NotRelaxationError",
     "affine_input_potential",
     "integrate_implicit_midpoint",
@@ -49,11 +47,7 @@ __all__ = [
     "simulate_port_hamiltonian",
     "dissipation_monitor",
     "ph_to_hessian_pseudo_gradient",
-    "check_passive_hessian_structure",
     "certify_relaxation",
-    "classify_monotone_ph",
-    "incremental_passivity_check",
-    "compatibility_identity_gaps",
 ]
 
 MIDPOINT_NEWTON_TOL = 1e-11  # bound on the Newton error estimate, relative to 1 + |x_k|
@@ -282,10 +276,6 @@ class _PotentialOps:
     def V_xx(self, x, u):
         w = np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)])
         return self.V.hess(w)[:self.nx, :self.nx]
-
-    def joint_hessian(self, x, u):
-        w = np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)])
-        return self.V.hess(w)
 
     def output(self, x, u):
         # sigma y = -dV/du
@@ -651,54 +641,6 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
                                                   split.P1, split.P2, Pc, g1))
 
 
-def check_passive_hessian_structure(sys: HessianPseudoGradientSystem,
-                                    S1: ScalarField, S2: ScalarField,
-                                    tol: float = 1e-8, n_samples: int = 60,
-                                    seed: int = 0) -> dict:
-    """Structural consequences of passivity for a split K = S1(x1) - S2(x2).
-
-    With storage S1 + S2 the input matrix must not act on the second block,
-    the first mixed-potential block must be accretive on the x2 = 0 slice
-    and the second dissipative on the x1 = 0 slice.
-    """
-    k = S1.dim
-    if S1.dim + S2.dim != sys.nx:
-        raise DimensionMismatchError("S1/S2 dims must sum to the state dimension")
-    if sys.P is None or sys.g is None:
-        raise DimensionMismatchError("structure check needs the (P, g) potential form")
-
-    worst_split = 0.0
-    offset = None
-    for x in sys.K.domain.shrink(0.9).sample(n_samples, seed=seed):
-        gap = sys.K(x) - (S1(x[:k]) - S2(x[k:]))
-        if offset is None:
-            offset = gap
-        worst_split = max(worst_split, abs(gap - offset))
-    split_ok = worst_split <= tol * (1.0 + abs(offset or 0.0))
-
-    g2 = sys.g[k:, :]
-    g2_zero = bool(g2.size == 0 or float(np.max(np.abs(g2))) <= 1e-12)
-
-    worst1 = np.inf
-    for x1 in S1.domain.shrink(0.9).sample(n_samples, seed=seed + 1):
-        x = np.concatenate([x1, np.zeros(sys.nx - k)])
-        worst1 = min(worst1, float(x1 @ sys.P.grad(x)[:k]))
-    worst2 = -np.inf
-    for x2 in S2.domain.shrink(0.9).sample(n_samples, seed=seed + 2):
-        x = np.concatenate([np.zeros(k), x2])
-        worst2 = max(worst2, float(x2 @ sys.P.grad(x)[k:]))
-
-    return {
-        "split_ok": bool(split_ok),
-        "split_gap": float(worst_split),
-        "g2_zero": g2_zero,
-        "block1_accretive": bool(worst1 >= -tol),
-        "block2_dissipative": bool(worst2 <= tol),
-        "min_block1_pairing": float(worst1),
-        "max_block2_pairing": float(worst2),
-    }
-
-
 @dataclass(frozen=True)
 class RelaxationCertificate:
     relaxation: bool
@@ -781,127 +723,3 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
         relaxation=bool(ok), mode=mode, min_metric_eigenvalue=float(min_eig),
         worst_inequality=float(worst), storage=storage, storage_floor_ok=floor_ok,
         details=details)
-
-
-@dataclass(frozen=True)
-class ZSpaceSystem:
-    """Co-state form z_dot = -dV/dx(grad K*(z), u), sigma y = -dV/du(grad K*(z), u)."""
-
-    base: object
-    pair: LegendrePair
-
-    @property
-    def n(self) -> int:
-        return self.base.nx
-
-    @property
-    def nu(self) -> int:
-        return self.base.nu
-
-    def x_of(self, z):
-        return self.pair.inverse(z)
-
-    def z_of(self, x):
-        return self.pair.forward(x)
-
-    def rhs(self, z, u):
-        return -self.base.V_x(self.x_of(z), u)
-
-    def output(self, z, u):
-        x = self.x_of(z)
-        return self.base.sigma.apply(-self.base.V_u(x, u))
-
-    def simulate(self, z0, u_signal, t_span, step) -> Trajectory:
-        def rhs(t, z):
-            return self.rhs(z, u_signal(t))
-
-        times, states = integrate_implicit_midpoint(rhs, z0, t_span, step)
-        inputs, outputs, monitors = _record(self.output, states, times, u_signal,
-                                            self.nu, None)
-        return Trajectory(times, states, inputs, outputs, monitors)
-
-
-@dataclass(frozen=True)
-class MonotoneClassification:
-    cyclically_monotone: bool
-    monotone: bool
-    min_joint_eigenvalue: float
-    min_state_block_eigenvalue: float
-    max_input_block_eigenvalue: float
-    z_system: ZSpaceSystem
-
-
-def classify_monotone_ph(sys: HessianPseudoGradientSystem,
-                         u_box: Optional[BoxDomain] = None, n_samples: int = 100,
-                         seed: int = 0, tol: float = 1e-9) -> MonotoneClassification:
-    """Classify the induced port-Hamiltonian relation by convexity of V.
-
-    Joint convexity of V (with sigma = -I) gives a maximal cyclically
-    monotone structure; convexity in x together with concavity in u (with
-    sigma = +I) gives a maximal monotone one.  Both sampled Hessian
-    conditions are evaluated and reported.
-    """
-    pts = sample_state_input_points(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
-                                    n_samples, seed)
-    min_joint = np.inf
-    min_xx = np.inf
-    max_uu = -np.inf
-    for x, u in pts:
-        Hj = sys.joint_hessian(x, u)
-        min_joint = min(min_joint, float(np.linalg.eigvalsh(0.5 * (Hj + Hj.T)).min()))
-        nx = sys.nx
-        min_xx = min(min_xx, float(np.linalg.eigvalsh(Hj[:nx, :nx]).min()))
-        blk = Hj[nx:, nx:]
-        max_uu = max(max_uu, float(np.linalg.eigvalsh(blk).max()) if blk.size else 0.0)
-    pair = make_legendre_pair(sys.K, verify=False)
-    return MonotoneClassification(
-        cyclically_monotone=bool(min_joint >= -tol),
-        monotone=bool(min_xx >= -tol and max_uu <= tol),
-        min_joint_eigenvalue=float(min_joint),
-        min_state_block_eigenvalue=float(min_xx),
-        max_input_block_eigenvalue=float(max_uu),
-        z_system=ZSpaceSystem(base=sys, pair=pair))
-
-
-def incremental_passivity_check(zsys: ZSpaceSystem, traj_pairs: Sequence,
-                                tol: float = 1e-8) -> dict:
-    """Sampled incremental supply inequality along pairs of trajectories.
-
-    Checks <grad K*(z1) - grad K*(z2), z1_dot - z2_dot> <= <y1 - y2, u1 - u2>
-    at every common sample time, with the velocities evaluated through the
-    right-hand side.
-    """
-    worst = -np.inf
-    count = 0
-    for ta, tb in traj_pairs:
-        if len(ta.times) != len(tb.times) or not np.allclose(ta.times, tb.times):
-            raise DimensionMismatchError("trajectory pair must share the time grid")
-        for i in range(len(ta.times)):
-            za, zb = ta.states[i], tb.states[i]
-            ua, ub = ta.inputs[i], tb.inputs[i]
-            xa, xb = zsys.x_of(za), zsys.x_of(zb)
-            dza = zsys.rhs(za, ua) - zsys.rhs(zb, ub)
-            lhs = float((xa - xb) @ dza)
-            rhs_val = float((ta.outputs[i] - tb.outputs[i]) @ (ua - ub))
-            worst = max(worst, lhs - rhs_val)
-            count += 1
-    return {"max_violation": float(worst), "incrementally_passive": bool(worst <= tol),
-            "points": count}
-
-
-def compatibility_identity_gaps(K: ScalarField, S: ScalarField, n_samples: int = 50,
-                                seed: int = 0) -> dict:
-    """Diagnostic gaps for the two candidate storage/metric identities.
-
-    Reports max |S(x) - K*(grad K(x))| and max |K(x) - S*(grad S(x))| on a
-    sampled set; neither identity is asserted.
-    """
-    if K.dim != S.dim:
-        raise DimensionMismatchError("K and S must share a state space")
-    conj_k, conj_s = _conjugate_storage(K), _conjugate_storage(S)
-    gap_a = gap_b = 0.0
-    for x in K.domain.shrink(0.9).sample(n_samples, seed=seed):
-        gap_a = max(gap_a, abs(S(x) - conj_k(x)))
-        gap_b = max(gap_b, abs(K(x) - conj_s(x)))
-    return {"gap_storage_vs_conjugate_metric": gap_a,
-            "gap_metric_vs_conjugate_storage": gap_b}

@@ -8,7 +8,7 @@ implicitly (a point z belongs to it exactly when Newton converges).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "HomogeneityReport",
     "legendre_transform",
     "make_legendre_pair",
-    "tilde_function",
     "homogeneity_check",
 ]
 
@@ -261,43 +260,6 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                 raise AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
     return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
                         margins=margins)
-
-
-def tilde_function(S: ScalarField, pair: Optional[LegendrePair] = None,
-                   samples: int = 60, seed: int = 0) -> ScalarField:
-    """Pullback of S through the inverse gradient map: z -> S(grad S*(z)).
-
-    The returned field carries the analytic gradient z -> hess S*(z) z, which
-    vanishes at z = 0.  S~(z) = z.grad S*(z) - S*(z) holds by construction,
-    since S*(z) = z.grad S*(z) - S(grad S*(z)).  When S has positive
-    semidefinite Hessian on the sampled domain and 0 lies in the co-domain,
-    the floor S~(0) <= S(x) = S~(grad S(x)) is checked at sampled points,
-    evaluated row-stacked; S~(0) is the only Newton solve this makes.
-    """
-    p = pair if pair is not None else make_legendre_pair(S, samples=max(64, samples),
-                                                         seed=seed, verify=False)
-
-    def value(z):
-        return S(p.inverse(z))
-
-    def gradient(z):
-        zz = as_vector(z, S.dim)
-        return p.Kstar.hess(zz) @ zz
-
-    tilde = ScalarField(S.dim, value, p.Kstar.domain, gradient=gradient)
-    xs = S.domain.shrink(0.95).sample(samples, seed=seed + 2)
-    if np.linalg.eigvalsh(S.hess_rows(xs)).min(initial=np.inf) < -1e-10:
-        return tilde
-    try:
-        v0 = tilde(np.zeros(S.dim))
-    except (ConvergenceError, SingularMatrixError):
-        # 0 outside the co-domain: the floor check is not applicable
-        return tilde
-    floor = S.value_rows(xs).min(initial=v0)
-    if floor < v0 - 1e-10:
-        raise ConvergenceError(
-            f"tilde floor violated: min sample {floor:.6e} < value at 0 {v0:.6e}")
-    return tilde
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,8 @@ __all__ = [
     "recover_metric_hankel",
     "lmi_residual",
     "kernel_invariance_check",
-    "build_monotone_image",
     "compatible_storage_fixed_point",
     "split_port_hamiltonian_form",
-    "solve_dual_isomorphism",
     "spd_sqrt",
     "spd_geometric_mean",
 ]
@@ -341,24 +339,6 @@ def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport,
             "kernel_dimension": report.kernel_dimension}
 
 
-def build_monotone_image(sys: LinearSystem, Q, tol: float = 1e-9) -> dict:
-    """Image representation M1 = [[-A, -B], [C, D]], M2 = [[Q, 0], [0, I]].
-
-    The associated relation is monotone exactly when M2^T M1 + (M2^T M1)^T
-    is positive semidefinite, which coincides with the passivity LMI matrix.
-    """
-    Qm = as_matrix(Q, (sys.n, sys.n))
-    n, m = sys.n, sys.m
-    M1 = np.vstack([np.hstack([-sys.A, -sys.B]), np.hstack([sys.C, sys.D])])
-    M2 = np.vstack([np.hstack([Qm, np.zeros((n, m))]),
-                    np.hstack([np.zeros((m, n)), np.eye(m)])])
-    W = M2.T @ M1
-    S = W + W.T
-    min_eig = float(np.linalg.eigvalsh(0.5 * (S + S.T)).min())
-    return {"M1": M1, "M2": M2, "symmetric_part": 0.5 * (S + S.T),
-            "min_eigenvalue": min_eig, "monotone": bool(min_eig >= -tol)}
-
-
 def spd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive definite matrix."""
     w, V = np.linalg.eigh(0.5 * (M + M.T))
@@ -574,28 +554,3 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
     return SplitPortHamiltonianForm(
         T=T, z_from_x=z_from_x, x_from_z=np.linalg.inv(z_from_x),
         J=J, R=Rmat, Q1=Q1, Q2=Q2, P1=P1, P2=P2, Pc=Pc, C1=C1, D=pg.D, k=k)
-
-
-def solve_dual_isomorphism(sys: LinearSystem, sigma: SignatureMatrix,
-                           tol: float = 1e-8) -> np.ndarray:
-    """Construct the metric linking a single-input system to its dual.
-
-    Uses G [B, AB, ...] = [C; CA; ...]^T sigma, which determines G for a
-    controllable single-input single-output system; the result is verified
-    to be symmetric and to satisfy the reciprocity symmetry.
-    """
-    if sys.m != 1:
-        raise DimensionMismatchError("dual isomorphism construction needs a SISO system")
-    n = sys.n
-    R = np.hstack([np.linalg.matrix_power(sys.A, i) @ sys.B for i in range(n)])
-    O = np.vstack([sys.C @ np.linalg.matrix_power(sys.A, i) for i in range(n)])
-    if np.linalg.matrix_rank(R, tol=1e-10 * max(1.0, float(np.max(np.abs(R))))) < n:
-        raise SingularMatrixError("system is not controllable; metric is not determined")
-    s = float(sigma.signs[0])
-    G = np.linalg.solve(R.T, (O * s)).T  # G R = O^T s  =>  R^T G^T = s O
-    G = 0.5 * (G + G.T)
-    chk = check_linear_reciprocity(sys, G, sigma, tol=tol * (1.0 + float(np.max(np.abs(G)))))
-    if not chk.reciprocal:
-        raise ConvergenceError(
-            f"constructed metric fails the reciprocity symmetry (residual {chk.residual:.3e})")
-    return G

@@ -31,7 +31,7 @@ from .dynamics import (
     PortHamiltonianSystem,
     _conjugate_storage,
 )
-from .linear import LinearPseudoGradientForm, LinearSystem
+from .linear import LinearSystem
 
 __all__ = [
     "BraytonMoserModel",
@@ -41,7 +41,6 @@ __all__ = [
     "random_reciprocal_system",
     "random_orthogonal",
     "well_conditioned_transform",
-    "linear_to_hessian_pseudo_gradient",
     "field_registry",
     "model_registry",
     "ARCSIN_CLAMP",
@@ -488,44 +487,6 @@ class RcCircuitModel:
 
 # ---------------------------------------------------------------------------
 # Linear helpers and randomized generators
-
-
-def linear_to_hessian_pseudo_gradient(pg: LinearPseudoGradientForm,
-                                      u_box: Optional[BoxDomain] = None,
-                                      halfwidth: float = 2.0
-                                      ) -> HessianPseudoGradientSystem:
-    """Lift a linear pseudo-gradient form to the quadratic-potential classes.
-
-    K = x.Gx/2 and V = x.Px/2 - x.C^T sigma u - u.sigma D u/2 reproduce the
-    linear dynamics exactly.
-    """
-    n, m = pg.n, pg.m
-    G, P, C, D = pg.G, pg.P, pg.C, pg.D
-    sig = pg.sigma
-    xbox = BoxDomain.cube(n, halfwidth)
-    if u_box is None:
-        u_box = BoxDomain.cube(m, halfwidth)
-    K = quadratic_field(G, xbox)
-    sC = sig.conjugate_rows(C)
-    sD = sig.conjugate_rows(D)
-
-    def value(w):
-        x, u = w[:n], w[n:]
-        return 0.5 * float(x @ P @ x) - float(x @ sC.T @ u) - 0.5 * float(u @ sD @ u)
-
-    def gradient(w):
-        x, u = w[:n], w[n:]
-        return np.concatenate([P @ x - sC.T @ u, -sC @ x - sD @ u])
-
-    def hessian(w):
-        top = np.hstack([P, -sC.T])
-        bot = np.hstack([-sC, -sD])
-        return np.vstack([top, bot])
-
-    V = ScalarField(n + m, value, BoxDomain.product(xbox, u_box),
-                    gradient=gradient, hessian=hessian)
-    Pfield = quadratic_field(P, xbox)
-    return HessianPseudoGradientSystem(K=K, V=V, sigma=sig, P=Pfield, g=sC.T)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

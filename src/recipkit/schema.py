@@ -16,12 +16,15 @@ import numpy as np
 
 from .core import (
     AffineNonlinearSystem,
+    AssumptionError,
     BoxDomain,
     MetricField,
     Polynomial,
     ScalarField,
     SchemaError,
     SignatureMatrix,
+    SingularMatrixError,
+    _checked_metric_rows,
 )
 from .dynamics import (
     ConversionSplit,
@@ -166,6 +169,10 @@ def _metric_from_spec(spec, ctx: str, dim: int) -> MetricField:
         M = np.atleast_2d(np.array(spec["constant"], dtype=float))
         if M.shape != (dim, dim):
             raise SchemaError(f"{ctx}: constant metric must be {dim}x{dim}")
+        try:
+            _checked_metric_rows(M[None], [np.zeros(dim)])
+        except (AssumptionError, SingularMatrixError) as exc:
+            raise SchemaError(f"{ctx}: constant metric: {exc}") from exc
         return MetricField.constant(M, BoxDomain.cube(dim, 1.5))
     if "hessian_of" in spec:
         K = parse_field(spec["hessian_of"], ctx, dim=dim)

@@ -1,7 +1,11 @@
 """The library's public surface: the exported names and their defaulted parameters."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
+
+import recipkit
 
 MODULES = ("core", "linear", "legendre", "reciprocity", "geometry", "dynamics", "models",
            "schema")
@@ -18,11 +22,10 @@ EXPORTS = {
                "ImpulseSymmetryCheck", "PastInput", "SplitPortHamiltonianForm",
                "check_linear_reciprocity", "to_pseudo_gradient", "dual_system",
                "impulse_response_symmetry", "recover_metric_hankel", "lmi_residual",
-               "kernel_invariance_check", "build_monotone_image",
-               "compatible_storage_fixed_point", "split_port_hamiltonian_form",
-               "solve_dual_isomorphism", "spd_sqrt", "spd_geometric_mean"),
+               "kernel_invariance_check", "compatible_storage_fixed_point",
+               "split_port_hamiltonian_form", "spd_sqrt", "spd_geometric_mean"),
     "legendre": ("LegendrePair", "HomogeneityReport", "legendre_transform",
-                 "make_legendre_pair", "tilde_function", "homogeneity_check"),
+                 "make_legendre_pair", "homogeneity_check"),
     "reciprocity": ("ReciprocityReport", "PotentialFunction", "check_reciprocity",
                     "check_reciprocity_affine", "check_reciprocity_hessian",
                     "is_hessian_metric", "reconstruct_K", "reconstruct_potential",
@@ -32,18 +35,14 @@ EXPORTS = {
                  "dual_variational_system", "external_reciprocity_test", "default_probes",
                  "simulate_ltv"),
     "dynamics": ("Trajectory", "HessianPseudoGradientSystem", "PortHamiltonianSystem",
-                 "ZSpaceSystem", "ConversionSplit", "ConversionResult", "DissipationReport",
-                 "RelaxationCertificate", "MonotoneClassification", "NotRelaxationError",
-                 "affine_input_potential", "integrate_implicit_midpoint",
-                 "simulate_pseudo_gradient", "simulate_port_hamiltonian",
-                 "dissipation_monitor", "ph_to_hessian_pseudo_gradient",
-                 "check_passive_hessian_structure", "certify_relaxation",
-                 "classify_monotone_ph", "incremental_passivity_check",
-                 "compatibility_identity_gaps"),
+                 "ConversionSplit", "ConversionResult", "DissipationReport",
+                 "RelaxationCertificate", "NotRelaxationError", "affine_input_potential",
+                 "integrate_implicit_midpoint", "simulate_pseudo_gradient",
+                 "simulate_port_hamiltonian", "dissipation_monitor",
+                 "ph_to_hessian_pseudo_gradient", "certify_relaxation"),
     "models": ("BraytonMoserModel", "SwingModel", "RcCircuitModel", "ModelBundle",
                "random_reciprocal_system", "random_orthogonal", "well_conditioned_transform",
-               "linear_to_hessian_pseudo_gradient", "field_registry", "model_registry",
-               "ARCSIN_CLAMP"),
+               "field_registry", "model_registry", "ARCSIN_CLAMP"),
     "schema": ("load_system", "load_system_file", "load_registry_extras", "parse_field",
                "read_json", "MODEL_PATH_ENV"),
 }
@@ -73,13 +72,10 @@ DEFAULTED = {
     "linear.impulse_response_symmetry": ("tol",),
     "linear.lmi_residual": ("tol",),
     "linear.kernel_invariance_check": ("tol",),
-    "linear.build_monotone_image": ("tol",),
     "linear.compatible_storage_fixed_point": ("tol", "lmi_tol", "sigma"),
-    "linear.solve_dual_isomorphism": ("tol",),
     "legendre.legendre_transform": ("x_init",),
     "legendre.make_legendre_pair": ("samples", "seed", "verify", "round_trip_tol",
                                     "biconjugate_tol", "hessian_tol"),
-    "legendre.tilde_function": ("pair", "samples", "seed"),
     "legendre.homogeneity_check": ("tol", "samples", "seed"),
     "reciprocity.check_reciprocity": ("tol", "u_box", "n_samples", "seed"),
     "reciprocity.check_reciprocity_affine": ("tol", "n_samples", "seed"),
@@ -102,11 +98,7 @@ DEFAULTED = {
     "dynamics.simulate_pseudo_gradient": ("enforce_domain", "storage"),
     "dynamics.dissipation_monitor": ("tol",),
     "dynamics.ph_to_hessian_pseudo_gradient": ("n_samples", "seed", "tol", "u_box"),
-    "dynamics.check_passive_hessian_structure": ("tol", "n_samples", "seed"),
     "dynamics.certify_relaxation": ("tol", "u_box", "n_samples", "seed"),
-    "dynamics.classify_monotone_ph": ("u_box", "n_samples", "seed", "tol"),
-    "dynamics.incremental_passivity_check": ("tol",),
-    "dynamics.compatibility_identity_gaps": ("n_samples", "seed"),
     "models.BraytonMoserModel": ("L", "C", "lam", "R", "Gc", "quartic", "co_content_sign",
                                  "halfwidth", "input_columns"),
     "models.BraytonMoserModel.as_hessian_pseudo_gradient": ("u_box",),
@@ -119,7 +111,6 @@ DEFAULTED = {
                            "hpg", "ph", "split", "u_box", "extras"),
     "models.random_reciprocal_system": ("sigma", "k", "stability_floor", "transform"),
     "models.well_conditioned_transform": ("log_spread",),
-    "models.linear_to_hessian_pseudo_gradient": ("u_box", "halfwidth"),
     "schema.load_system": ("name",),
     "schema.load_registry_extras": ("path_value",),
     "schema.parse_field": ("dim",),
@@ -162,4 +153,62 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 171
+    assert sum(len(names) for names in surface.values()) == 154
+
+
+def _used_names(tree):
+    """Every name read, attribute taken or imported, and every string constant."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)  # __all__ entries and forward references
+    return used
+
+
+def test_source_leaves_no_orphans():
+    """Module-level imports are used, private top-level names are referenced and
+    the package namespace imports only exported names."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(recipkit.__file__).parent.glob("*.py")}
+    unused_imports = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        used = {name for node in tree.body
+                if not isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _used_names(node)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused_imports += [f"{stem}.{(a.asname or a.name).split('.')[0]}"
+                                   for a in node.names
+                                   if (a.asname or a.name).split(".")[0] not in used]
+    assert unused_imports == []
+
+    private = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private.update({name: stem for name in names
+                            if name.startswith("_") and not name.startswith("__")})
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    assert sorted(f"{stem}.{name}" for name, stem in private.items() if name not in used) == []
+
+    not_exported = [f"{node.module}.{alias.name}" for node in trees["__init__"].body
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                    if alias.name not in importlib.import_module(
+                        f"recipkit.{node.module}").__all__]
+    assert not_exported == []

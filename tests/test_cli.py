@@ -345,20 +345,18 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--horizon", "4.0", "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("M, code", [([[1.0, 0.5], [0.0, 1.0]], 1),
-                                     ([[1.0, 0.0], [0.0, 0.0]], 3)])
-def test_variational_test_bad_constant_metric_exit_codes(tmp_path, M, code):
+@pytest.mark.parametrize("M, what", [([[1.0, 0.5], [0.0, 1.0]], "asymmetry"),
+                                     ([[1.0, 0.0], [0.0, 0.0]], "determinant")])
+def test_variational_test_bad_constant_metric_exit_codes(tmp_path, M, what, capsys):
     quadratic = [{"exponents": [2, 0], "coeff": 0.5}, {"exponents": [0, 2], "coeff": 0.5}]
     doc = {"kind": "nonlinear", "potential": {"polynomial": {"dim": 2, "terms": quadratic}},
            "metric": {"constant": M}, "g": [[1.0], [0.0]]}
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(doc))
-    # asymmetric: a failed check at the first midpoint; singular: the nominal's
-    # mass solve fails before the duality test starts
+    # an asymmetric or singular constant metric is bad input, refused at load
     assert main(["variational-test", "--input", str(path), "--horizon", "0.2",
-                 "--out", str(tmp_path)]) == code
-    if code == 1:
-        assert read_report(tmp_path)["failed_assumption"] == "metric-symmetry"
+                 "--out", str(tmp_path)]) == 2
+    assert what in capsys.readouterr().err
 
 
 def test_model_path_extends_registry(tmp_path, monkeypatch):

@@ -26,18 +26,13 @@ from recipkit.dynamics import (
     Trajectory,
     affine_input_potential,
     certify_relaxation,
-    check_passive_hessian_structure,
-    classify_monotone_ph,
-    compatibility_identity_gaps,
     dissipation_monitor,
-    incremental_passivity_check,
     integrate_implicit_midpoint,
     ph_to_hessian_pseudo_gradient,
     simulate_port_hamiltonian,
     simulate_pseudo_gradient,
 )
-from recipkit.models import RcCircuitModel, SwingModel, linear_to_hessian_pseudo_gradient
-from recipkit.linear import LinearSystem, to_pseudo_gradient
+from recipkit.models import RcCircuitModel, SwingModel
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +387,11 @@ def test_certify_relaxation_scalar_fixture():
 
 
 def test_certify_relaxation_internal_form():
-    # RC cell in pseudo-gradient form: K = P = x^2/2, g = 1, sigma = +I
-    pg = to_pseudo_gradient(LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]]),
-                            [[1.0]], SignatureMatrix.identity(1))
-    sys = linear_to_hessian_pseudo_gradient(pg, BoxDomain.cube(1))
+    # RC cell in internal form: K = P = x^2/2, g = 1, sigma = +I
+    box = BoxDomain.cube(1, halfwidth=2.0)
+    sys = HessianPseudoGradientSystem.from_internal_potential(
+        quadratic_field([[1.0]], box), quadratic_field([[1.0]], box), [[1.0]],
+        SignatureMatrix.identity(1), u_box=BoxDomain.cube(1))
     cert = certify_relaxation(sys, n_samples=60)
     assert cert.relaxation
     assert cert.mode == "+I"
@@ -475,67 +471,3 @@ def test_ph_conversion_assumption_failures():
             split, n_samples=10)
     assert exc3.value.name == "III"
     assert "assumption III" in str(exc3.value)
-
-
-def test_check_passive_hessian_structure_swing():
-    swing = SwingModel()
-    hpg = swing.as_hessian_pseudo_gradient()
-    M = np.asarray(swing.M, dtype=float)
-    gam = np.asarray(swing.gamma, dtype=float)
-    S1 = quadratic_field(np.diag(M), swing.omega_box())
-
-    def s2_value(p):
-        r = np.clip(p / gam, -1.0 + 1e-12, 1.0 - 1e-12)
-        return float(np.sum(p * np.arcsin(r) + gam * np.cos(np.arcsin(r))))
-
-    S2 = ScalarField(swing.pi_box().dim, s2_value, swing.pi_box())
-    out = check_passive_hessian_structure(hpg, S1, S2, n_samples=30)
-    assert out["split_ok"]
-    assert out["g2_zero"]
-    assert out["block1_accretive"]
-    assert out["block2_dissipative"]
-
-
-# ---------------------------------------------------------------------------
-# Monotone classification and z-space
-
-
-def test_classify_monotone_scalar_relaxation():
-    sys = RcCircuitModel.scalar_fixture().as_relaxation()
-    cls = classify_monotone_ph(sys, n_samples=60)
-    # joint convexity holds but V_uu > 0, so only the cyclic variant
-    assert cls.cyclically_monotone
-    assert not cls.monotone
-    assert cls.min_joint_eigenvalue >= -1e-9
-    assert cls.max_input_block_eigenvalue > 0.1
-    zsys = cls.z_system
-    x = np.array([0.4])
-    np.testing.assert_allclose(zsys.x_of(zsys.z_of(x)), x, atol=1e-9)
-
-
-def test_incremental_passivity_scalar_relaxation():
-    sys = RcCircuitModel.scalar_fixture().as_relaxation()
-    cls = classify_monotone_ph(sys, n_samples=30)
-    zsys = cls.z_system
-    z0a = zsys.z_of(np.array([0.2]))
-    z0b = zsys.z_of(np.array([-0.3]))
-    ua = lambda t: np.array([0.4 * np.sin(t)])
-    ub = lambda t: np.array([0.2 * np.cos(2.0 * t)])
-    ta = zsys.simulate(z0a, ua, (0.0, 2.0), step=1e-2)
-    tb = zsys.simulate(z0b, ub, (0.0, 2.0), step=1e-2)
-    out = incremental_passivity_check(zsys, [(ta, tb)])
-    assert out["incrementally_passive"]
-    assert out["points"] == len(ta.times)
-
-
-def test_compatibility_identity_gaps():
-    box = BoxDomain.cube(1, halfwidth=2.0)
-    K = quadratic_field([[1.0]], box)
-    out = compatibility_identity_gaps(K, K)
-    assert out["gap_storage_vs_conjugate_metric"] < 1e-12
-    assert out["gap_metric_vs_conjugate_storage"] < 1e-12
-
-    # swing storage is deliberately not the conjugate pullback of K
-    swing = SwingModel()
-    out2 = compatibility_identity_gaps(swing.co_energy(), swing.storage())
-    assert out2["gap_storage_vs_conjugate_metric"] > 1.0

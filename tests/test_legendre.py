@@ -18,7 +18,6 @@ from recipkit.legendre import (
     homogeneity_check,
     legendre_transform,
     make_legendre_pair,
-    tilde_function,
 )
 
 
@@ -121,33 +120,6 @@ def test_homogeneity_non_homogeneous_field():
     rep = homogeneity_check(K, tol=1e-9)
     assert not rep.equal
     assert not rep.degree2
-
-
-def test_tilde_function_quadratic_oracle():
-    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    S = quadratic_field(Q, BoxDomain.cube(2, halfwidth=2.0))
-    pair = make_legendre_pair(S, samples=80, seed=0)
-    tilde = tilde_function(S, pair)
-    Qinv = np.linalg.inv(Q)
-    rng = np.random.default_rng(4)
-    for _ in range(8):
-        z = rng.uniform(-1.0, 1.0, size=2)
-        # S(Q^-1 z) = (1/2) z^T Q^-1 z for S = (1/2) x^T Q x
-        assert tilde(z) == pytest.approx(0.5 * z @ Qinv @ z, abs=1e-10)
-        np.testing.assert_allclose(tilde.grad(z), Qinv @ z, atol=1e-9)
-    assert tilde(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_tilde_function_skips_the_zero_checks_outside_the_codomain():
-    from recipkit.models import field_registry
-
-    # grad of sum(exp(x)) is positive, so z = 0 has no preimage
-    S = field_registry()["exp-sum"]
-    tilde = tilde_function(S, samples=20)
-    with pytest.raises(ConvergenceError):
-        tilde(np.zeros(S.dim))
-    x = S.domain.shrink(0.5).sample(1, seed=3)[0]
-    assert tilde(S.grad(x)) == pytest.approx(S(x), abs=1e-10)
 
 
 def test_make_legendre_pair_rejects_degenerate_field():
@@ -284,10 +256,6 @@ def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
     make_legendre_pair(K, samples=30, seed=0)
     # the 30 samples are the rows of one lockstep solve
     assert calls == {"point": 0, "batched": [30]}
-    calls.update(point=0, batched=[])
-    # the identity and critical-point checks hold by construction; S~(0) is the one solve
-    tilde_function(K, samples=30)
-    assert calls == {"point": 1, "batched": []}
 
 
 @st.composite

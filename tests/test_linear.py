@@ -13,14 +13,12 @@ from recipkit.linear import (
     LinearSystem,
     check_linear_reciprocity,
     compatible_storage_fixed_point,
-    build_monotone_image,
     dual_system,
     impulse_response_symmetry,
     kernel_invariance_check,
     lmi_residual,
     PastInput,
     recover_metric_hankel,
-    solve_dual_isomorphism,
     spd_geometric_mean,
     spd_sqrt,
     split_port_hamiltonian_form,
@@ -283,17 +281,6 @@ def test_kernel_invariance_needs_passive_q():
         kernel_invariance_check(sys, [[1.0]], lmi_residual(sys, [[1.0]]))
 
 
-def test_build_monotone_image_matches_lmi():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        sys, G, sig = random_reciprocal_system(rng, 3, 1, sigma=SignatureMatrix.identity(1), k=3)
-        rep = lmi_residual(sys, G)
-        img = build_monotone_image(sys, G)
-        # symmetric part of M2^T M1 is exactly the LMI matrix
-        np.testing.assert_allclose(img["symmetric_part"], rep.Pi, atol=1e-12)
-        assert img["monotone"] == rep.passive
-
-
 def test_spd_sqrt_and_geometric_mean():
     np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
     A = np.diag([1.0, 4.0])
@@ -380,26 +367,6 @@ def test_split_port_hamiltonian_transformed_coordinates():
         W1 = sys2.C @ expm(sys2.A * t) @ sys2.B
         W2 = back.C @ expm(back.A * t) @ back.B
         np.testing.assert_allclose(W2, W1, atol=1e-9)
-
-
-def test_solve_dual_isomorphism_recovers_metric():
-    rng = np.random.default_rng(6)
-    for _ in range(8):
-        n = int(rng.integers(2, 5))
-        sign = SignatureMatrix(rng.choice([-1, 1], size=1))
-        sys, G, sig = random_reciprocal_system(rng, n, 1, sigma=sign)
-        Ghat = solve_dual_isomorphism(sys, sig)
-        np.testing.assert_allclose(Ghat, G, atol=1e-8 * max(1.0, np.max(np.abs(G))))
-
-
-def test_solve_dual_isomorphism_rejects_mimo_and_uncontrollable():
-    rng = np.random.default_rng(2)
-    sys, _, sig = random_reciprocal_system(rng, 3, 2, sigma=SignatureMatrix.identity(2))
-    with pytest.raises(DimensionMismatchError):
-        solve_dual_isomorphism(sys, sig)
-    bad = LinearSystem(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
-    with pytest.raises(SingularMatrixError):
-        solve_dual_isomorphism(bad, SignatureMatrix.identity(1))
 
 
 def test_random_reciprocal_system_properties():

@@ -3,23 +3,17 @@ import pytest
 
 from recipkit.core import (
     BoxDomain,
-    SignatureMatrix,
     DimensionMismatchError,
     MetricField,
     finite_difference_jacobian,
     validate_scalar_field,
 )
-from recipkit.linear import (
-    LinearSystem,
-    check_linear_reciprocity,
-    to_pseudo_gradient,
-)
+from recipkit.linear import check_linear_reciprocity
 from recipkit.models import (
     BraytonMoserModel,
     RcCircuitModel,
     SwingModel,
     field_registry,
-    linear_to_hessian_pseudo_gradient,
     model_registry,
     random_orthogonal,
     random_reciprocal_system,
@@ -172,21 +166,6 @@ def test_rc_relaxation_storage_is_conjugate():
 def test_rc_incidence_validation():
     with pytest.raises(DimensionMismatchError):
         RcCircuitModel(Dc=np.array([[1.0, 0.0]]))
-
-
-def test_linear_lift_reproduces_dynamics():
-    sys = LinearSystem(A=np.array([[-1.0]]), B=np.array([[1.0]]),
-                       C=np.array([[1.0]]), D=np.array([[0.0]]))
-    pg = to_pseudo_gradient(sys, np.array([[1.0]]),
-                            SignatureMatrix.identity(1))
-    hpg = linear_to_hessian_pseudo_gradient(pg)
-    x = np.array([0.4])
-    u = np.array([0.9])
-    w = np.concatenate([x, u])
-    # V_x = Px - C'u, so -V_x matches Ax + Bu through the metric
-    assert np.allclose(-hpg.V.grad(w)[:1], sys.A @ x + sys.B @ u, atol=1e-12)
-    assert np.allclose(hpg.output(x, u), sys.C @ x + sys.D @ u, atol=1e-12)
-    assert np.allclose(hpg.K.hess(x), pg.G)
 
 
 def test_random_orthogonal_property():
