@@ -226,7 +226,7 @@ def _hpg_nonlinear_facade(hpg) -> NonlinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, payload or None)
+# subcommand handlers: each returns its payload; main exits 1 on a false payload["ok"]
 
 
 def cmd_list_models(args, tols):
@@ -238,7 +238,7 @@ def cmd_list_models(args, tols):
         rows.append({"name": name, "kind": b.kind, "description": b.description})
     fields = sorted(field_registry())
     print("fields: " + ", ".join(fields))
-    return EXIT_OK, {"command": "list-models", "models": rows, "fields": fields}
+    return {"command": "list-models", "models": rows, "fields": fields}
 
 
 def cmd_check_reciprocity(args, tols):
@@ -278,7 +278,7 @@ def cmd_check_reciprocity(args, tols):
         ok = rep.reciprocal
     payload["ok"] = bool(ok)
     print(f"reciprocity[{bundle.name}]: {'ok' if ok else 'FAILED'}")
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload
+    return payload
 
 
 def _pick_q0(args, bundle, n):
@@ -303,7 +303,7 @@ def cmd_check_passivity(args, tols):
         payload["kernel_invariance"] = inv
     print(f"passivity[{bundle.name}]: {'ok' if rep.passive else 'FAILED'} "
           f"(min LMI eigenvalue {rep.min_eigenvalue:.3e})")
-    return (EXIT_OK if rep.passive else EXIT_CHECK_FAILED), payload
+    return payload
 
 
 def cmd_compatible_q(args, tols):
@@ -321,7 +321,7 @@ def cmd_compatible_q(args, tols):
                "lmi_min_eigenvalue": res["lmi_min_eigenvalue"], "ok": True}
     print(f"compatible-q[{bundle.name}]: gap {res['compatibility_gap']:.3e} "
           f"after {res['iterations']} iterations")
-    return EXIT_OK, payload
+    return payload
 
 
 def default_past_inputs(sys, rng: np.random.Generator, count: Optional[int] = None):
@@ -352,19 +352,14 @@ def cmd_recover_g(args, tols):
     G_hat = recover_metric_hankel(bundle.linear, bundle.sigma, horizon=args.horizon,
                                   past_inputs=past)
     payload = {"command": "recover-g", "model": bundle.name, "G": G_hat, "ok": True}
-    code = EXIT_OK
     if bundle.G_lin is not None:
-        ref = bundle.G_lin
-        rel = float(np.linalg.norm(G_hat - ref) / np.linalg.norm(ref))
+        rel = float(np.linalg.norm(G_hat - bundle.G_lin) / np.linalg.norm(bundle.G_lin))
         payload["reference_relative_error"] = rel
-        tol = tols["recover"]
-        payload["ok"] = rel <= tol
-        if rel > tol:
-            code = EXIT_CHECK_FAILED
+        payload["ok"] = rel <= tols["recover"]
         print(f"recover-g[{bundle.name}]: relative error {rel:.3e}")
     else:
         print(f"recover-g[{bundle.name}]: recovered {bundle.linear.n}x{bundle.linear.n} metric")
-    return code, payload
+    return payload
 
 
 def cmd_legendre(args, tols):
@@ -384,22 +379,20 @@ def cmd_legendre(args, tols):
     print(f"legendre: round-trip {pair.margins['round_trip_gap']:.3e}, "
           f"hessian-inverse {pair.margins['hessian_inverse_gap']:.3e}, "
           f"degree-2 {hom.degree2}")
-    return EXIT_OK, payload
+    return payload
 
 
 def cmd_christoffel(args, tols):
     fld = _resolve_field(args)
     G = MetricField.from_hessian(fld)
     xs = fld.domain.shrink(0.8).sample(args.samples, seed=args.seed)
-    gap = 0.0
-    for x in xs:
-        gap = max(gap, float(np.max(np.abs(hessian_christoffel(fld, x)
-                                           - levi_civita(G, x)))))
+    gap = float(np.max([np.max(np.abs(hessian_christoffel(fld, x) - levi_civita(G, x)))
+                        for x in xs], initial=0.0))
     flat = flatness_check(fld, tol=tols["flat"], n_samples=args.samples, seed=args.seed)
     payload = {"command": "christoffel", "field_dim": fld.dim, "points": len(xs),
                "cross_oracle_gap": gap, "flat": flat, "ok": True}
     print(f"christoffel: cross-oracle gap {gap:.3e}, flat={flat}")
-    return EXIT_OK, payload
+    return payload
 
 
 def cmd_variational_test(args, tols):
@@ -428,7 +421,7 @@ def cmd_variational_test(args, tols):
                "ok": rep.match}
     print(f"variational-test[{bundle.name}]: "
           f"{'ok' if rep.match else 'FAILED'} (output gap {rep.max_output_gap:.3e})")
-    return (EXIT_OK if rep.match else EXIT_CHECK_FAILED), payload
+    return payload
 
 
 def cmd_simulate(args, tols):
@@ -453,7 +446,7 @@ def cmd_simulate(args, tols):
                         "passive_along": mon.passive_along,
                         "supply_scale": mon.supply_scale})
     print(f"simulate[{bundle.name}]: {len(traj.times) - 1} steps -> {csv_path}")
-    return EXIT_OK, payload
+    return payload
 
 
 def cmd_certify_relaxation(args, tols):
@@ -469,7 +462,7 @@ def cmd_certify_relaxation(args, tols):
         payload = {"command": "certify-relaxation", "model": bundle.name,
                    "relaxation": False, "reason": str(exc), "ok": False}
         print(f"certify-relaxation[{bundle.name}]: FAILED ({exc})")
-        return EXIT_CHECK_FAILED, payload
+        return payload
     payload = {"command": "certify-relaxation", "model": bundle.name,
                "relaxation": cert.relaxation, "mode": cert.mode,
                "min_metric_eigenvalue": cert.min_metric_eigenvalue,
@@ -482,10 +475,9 @@ def cmd_certify_relaxation(args, tols):
         mon = dissipation_monitor(traj, tol=tols["dissipation"])
         payload.update({"trajectory_max_violation": mon.max_violation,
                         "trajectory_passive": mon.passive_along})
-    ok = cert.relaxation
-    print(f"certify-relaxation[{bundle.name}]: {'ok' if ok else 'FAILED'} "
+    print(f"certify-relaxation[{bundle.name}]: {'ok' if cert.relaxation else 'FAILED'} "
           f"(worst inequality {cert.worst_inequality:.3e})")
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload
+    return payload
 
 
 def cmd_convert_ph(args, tols):
@@ -503,7 +495,7 @@ def cmd_convert_ph(args, tols):
                    "failed_assumption": exc.name, "reason": str(exc),
                    "report": exc.report or {}}
         print(f"convert-ph[{bundle.name}]: FAILED (assumption {exc.name})")
-        return EXIT_CHECK_FAILED, payload
+        return payload
     payload = {"command": "convert-ph", "model": bundle.name, "ok": True,
                "report": result.report}
     if args.horizon > 0:
@@ -520,17 +512,13 @@ def cmd_convert_ph(args, tols):
 
         hpg_traj = simulate_pseudo_gradient(result.system, to_x(z0), u, span, args.step,
                                             enforce_domain=False)
-        gap = max(float(np.max(np.abs(to_x(ph_traj.states[i]) - hpg_traj.states[i])))
-                  for i in range(len(ph_traj.times)))
-        tol = tols["trajectory"]
+        gap = float(np.max([np.max(np.abs(to_x(z) - x))
+                            for z, x in zip(ph_traj.states, hpg_traj.states)]))
         payload["trajectory_gap"] = gap
-        payload["trajectory_match"] = bool(gap <= tol)
-        if gap > tol:
-            payload["ok"] = False
-            print(f"convert-ph[{bundle.name}]: FAILED (trajectory gap {gap:.3e})")
-            return EXIT_CHECK_FAILED, payload
-    print(f"convert-ph[{bundle.name}]: ok")
-    return EXIT_OK, payload
+        payload["trajectory_match"] = payload["ok"] = bool(gap <= tols["trajectory"])
+    print(f"convert-ph[{bundle.name}]: "
+          + ("ok" if payload["ok"] else f"FAILED (trajectory gap {gap:.3e})"))
+    return payload
 
 
 HANDLERS = {
@@ -649,11 +637,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         tols = _parse_tols(getattr(args, "tol", None), SUBCOMMANDS[args.command][3])
-        code, payload = HANDLERS[args.command](args, tols)
-        if payload is not None and args.out:
+        payload = HANDLERS[args.command](args, tols)
+        if args.out:
             path = write_report(args.out, payload)
             print(f"report: {path}")
-        return code
+        return EXIT_OK if payload.get("ok", True) else EXIT_CHECK_FAILED
     except (RecipkitError, np.linalg.LinAlgError) as exc:
         code, prefix = next((c, p) for types, c, p in ERROR_EXITS if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -362,12 +362,12 @@ class MetricField:
 
 
 def _checked_metric_rows(Gs: np.ndarray, xs, sym_tol: float = 1e-10) -> np.ndarray:
-    """Gs, the metric stacked (N, n, n) at the points xs, after MetricField.checked's
-    tests on every row; raises at the first failing row, asymmetry checked first."""
+    """Gs, the metric stacked (N, n, n) at the points xs, after MetricField.checked's tests
+    on every row; raises at the first failing row, asymmetry (NaN included) checked first."""
     asym = np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), axis=(1, 2), initial=0.0)
-    for i in np.flatnonzero((asym > sym_tol) | (np.abs(np.linalg.det(Gs)) <= DET_FLOOR))[:1]:
+    for i in np.flatnonzero(~(asym <= sym_tol) | ~(np.abs(np.linalg.det(Gs)) > DET_FLOOR))[:1]:
         x = as_vector(xs[i])
-        if asym[i] > sym_tol:
+        if not asym[i] <= sym_tol:
             raise AssumptionError("metric-symmetry", f"asymmetry {asym[i]:.3e} at x={x}")
         raise SingularMatrixError(f"metric determinant below floor {DET_FLOOR} at x={x}")
     return Gs
@@ -645,41 +645,44 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
             same = False
         if not same:
             raise AssumptionError("field-batched", f"{rows.__name__} differs from per point")
-    out = {"grad_gap": 0.0, "hess_asym": 0.0, "hess_gap": 0.0}
-    for x in pts:
-        if field.gradient is not None:
-            ga = field.grad(x)
-            gf = finite_difference_jacobian(field.value, x)
-            rel = np.max(np.abs(ga - gf)) / (1.0 + np.max(np.abs(ga)))
-            out["grad_gap"] = max(out["grad_gap"], float(rel))
-        if field.hessian is not None:
-            Ha = field.hess(x)
-            out["hess_asym"] = max(out["hess_asym"], symmetry_residual(Ha))
-            if field.gradient is not None:
-                Hf = finite_difference_jacobian(field.gradient, x)
-            else:
-                Hf = hessian_from_value(field.value, x)
-            rel = np.max(np.abs(Ha - 0.5 * (Hf + Hf.T))) / (1.0 + np.max(np.abs(Ha)))
-            out["hess_gap"] = max(out["hess_gap"], float(rel))
-    if out["grad_gap"] > grad_tol:
-        raise AssumptionError("field-gradient", f"gradient disagrees with FD: {out['grad_gap']:.3e}")
-    if out["hess_asym"] > hess_sym_tol:
-        raise AssumptionError("field-hessian-symmetry", f"asymmetry {out['hess_asym']:.3e}")
-    if out["hess_gap"] > hess_tol:
-        raise AssumptionError("field-hessian", f"hessian disagrees with FD: {out['hess_gap']:.3e}")
+
+    def rel_gap(a, b):
+        return np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a)))
+
+    Ha = [field.hess(x) for x in pts] if field.hessian is not None else []
+    Hf = [finite_difference_jacobian(field.gradient, x) if field.gradient is not None
+          else hessian_from_value(field.value, x) for x in pts[:len(Ha)]]
+    rows = {
+        "grad_gap": [rel_gap(field.grad(x), finite_difference_jacobian(field.value, x))
+                     for x in (pts if field.gradient is not None else ())],
+        "hess_asym": [symmetry_residual(H) for H in Ha],
+        "hess_gap": [rel_gap(H, 0.5 * (F + F.T)) for H, F in zip(Ha, Hf)],
+    }
+    out = {key: float(np.max(r, initial=0.0)) for key, r in rows.items()}
+    for key, name, what, tol in (
+            ("grad_gap", "field-gradient", "gradient disagrees with FD:", grad_tol),
+            ("hess_asym", "field-hessian-symmetry", "asymmetry", hess_sym_tol),
+            ("hess_gap", "field-hessian", "hessian disagrees with FD:", hess_tol)):
+        if not out[key] <= tol:
+            raise AssumptionError(name, f"{what} {out[key]:.3e}")
     return out
 
 
 def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0,
                           sym_tol: float = 1e-10) -> float:
     """Check symmetry, invertibility and supplied partials of G at sampled points;
-    returns worst asymmetry.  Partials must match central differences within PARTIALS_TOL."""
-    worst = 0.0
-    for x in G.domain.shrink(0.9).sample(n_samples, seed=seed):
-        worst = max(worst, symmetry_residual(G.checked(x, sym_tol)))
-        if G.partials is not None:
-            J, Jf = np.asarray(G.partials(x), dtype=float), finite_difference_jacobian(G, x)
-            if J.shape != Jf.shape or (np.max(np.abs(J - Jf))
-                                       > PARTIALS_TOL * (1.0 + np.max(np.abs(J)))):
-                raise AssumptionError("metric-partials", f"partials disagree with FD at x={x}")
-    return worst
+    returns worst asymmetry.  Partials must match central differences within PARTIALS_TOL;
+    the first failing point names the failure, the metric's own tests first."""
+    def partials_agree(x):
+        J, Jf = np.asarray(G.partials(x), dtype=float), finite_difference_jacobian(G, x)
+        return J.shape == Jf.shape and np.max(np.abs(J - Jf)) <= PARTIALS_TOL * (
+            1.0 + np.max(np.abs(J)))
+
+    xs = G.domain.shrink(0.9).sample(n_samples, seed=seed)
+    Gs = np.array([G(x) for x in xs]).reshape(len(xs), G.dim, G.dim)
+    bad = len(xs) if G.partials is None else next(
+        (i for i, x in enumerate(xs) if not partials_agree(x)), len(xs))
+    _checked_metric_rows(Gs[:bad + 1], xs, sym_tol)
+    if bad < len(xs):
+        raise AssumptionError("metric-partials", f"partials disagree with FD at x={xs[bad]}")
+    return float(np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), initial=0.0))

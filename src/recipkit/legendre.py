@@ -221,7 +221,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     one stack, evaluated row-stacked and inverted by one lockstep Newton solve
     (row for row equal to inverse); a failed solve raises ConvergenceError or
     SingularMatrixError naming the first failing row; a gap above its
-    tolerance raises AssumptionError with the margins as its report.
+    tolerance, or a non-finite one, raises AssumptionError with the margins
+    as its report.
     """
     def inverse(z):
         return _invert(K, as_vector(z, K.dim))
@@ -256,7 +257,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                 ("round-trip", "round_trip_gap", "grad K* o grad K gap", round_trip_tol),
                 ("hessian-inverse", "hessian_inverse_gap", "identity gap", hessian_tol),
                 ("biconjugation", "biconjugate_gap", "gap", biconjugate_tol)):
-            if margins[key] > tol:
+            if not margins[key] <= tol:
                 raise AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
     return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
                         margins=margins)
@@ -291,9 +292,8 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     ks = np.vecdot(K.grad_rows(X), X) - kx
     worst_eq = float(np.max(np.abs(ks - kx) / (1.0 + np.abs(kx)), initial=0.0))
     base = kx - k0
-    worst_deg = max(float(np.max(np.abs(K.value_rows(t * X) - k0 - t * t * base)
-                                 / (1.0 + np.abs(base)), initial=0.0))
-                    for t in (0.5, 2.0))
+    worst_deg = float(np.max([np.abs(K.value_rows(t * X) - k0 - t * t * base)
+                              / (1.0 + np.abs(base)) for t in (0.5, 2.0)], initial=0.0))
     return HomogeneityReport(
         equal=bool(worst_eq <= tol),
         degree2=bool(worst_deg <= tol),

@@ -202,10 +202,8 @@ def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
     """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term."""
     sigma.check_inputs(sys.m)
     from scipy.linalg import expm  # deferred to keep cold start fast
-    worst = symmetry_residual(sigma.conjugate_rows(sys.D))
-    for t in times:
-        W = sys.C @ expm(sys.A * float(t)) @ sys.B
-        worst = max(worst, symmetry_residual(sigma.conjugate_rows(W)))
+    Ws = [sys.D] + [sys.C @ expm(sys.A * float(t)) @ sys.B for t in times]
+    worst = np.max([symmetry_residual(sigma.conjugate_rows(W)) for W in Ws])
     return ImpulseSymmetryCheck(symmetric=bool(worst <= tol), max_residual=float(worst))
 
 

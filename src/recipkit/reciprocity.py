@@ -52,7 +52,15 @@ class ReciprocityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_state, self.residual_output, self.residual_cross)
+        return float(np.max([self.residual_state, self.residual_output, self.residual_cross]))
+
+
+def _reciprocity_report(rows, tol: float) -> ReciprocityReport:
+    """Fold per-point (state, output, cross) residual rows into a report; a
+    non-finite residual fails it."""
+    worst = np.max(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
+    return ReciprocityReport(*map(float, worst), reciprocal=bool(np.max(worst) <= tol),
+                             points_tested=len(rows))
 
 
 def sample_state_input_points(domain: BoxDomain, u_box: BoxDomain, n: int = 200,
@@ -78,18 +86,16 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
     sigma.check_inputs(sys.nu)
     pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
                                     n_samples, seed)
-    r_state = r_out = r_cross = 0.0
     sm = sigma.matrix
-    for x, u in pts:
-        G.checked(x)
+
+    def residuals(x, u):
+        Gx = G.checked(x)
         J = finite_difference_jacobian(lambda xx: G(xx) @ sys.F(xx, u), x)
-        r_state = max(r_state, symmetry_residual(J))
         Hu = sys.jac_H_u(x, u)
-        r_out = max(r_out, symmetry_residual(sm @ Hu))
-        gap = G(x) @ sys.jac_F_u(x, u) - sys.jac_H_x(x, u).T @ sm
-        r_cross = max(r_cross, float(np.max(np.abs(gap))))
-    ok = max(r_state, r_out, r_cross) <= tol
-    return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(pts))
+        gap = Gx @ sys.jac_F_u(x, u) - sys.jac_H_x(x, u).T @ sm
+        return symmetry_residual(J), symmetry_residual(sm @ Hu), np.max(np.abs(gap))
+
+    return _reciprocity_report([residuals(x, u) for x, u in pts], tol)
 
 
 def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
@@ -104,7 +110,6 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
     sigma.check_inputs(sys.nu)
     xs = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
     sm = sigma.matrix
-    r_state = r_out = r_cross = 0.0
 
     def G_fg(xx):
         # G [f | g], so one stencil gives d(G f)/dx and every d(G g_j)/dx
@@ -112,17 +117,15 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
                               np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu)])
         return G(xx) @ fg
 
-    for x in xs:
+    def residuals(x):
         Gx = G.checked(x)
-        J = finite_difference_jacobian(G_fg, x)
-        for j in range(1 + sys.nu):
-            r_state = max(r_state, symmetry_residual(J[:, j, :]))
+        J = finite_difference_jacobian(G_fg, x)  # J[:, j, :] = d(G [f | g]_j)/dx
         kx = np.asarray(sys.k(x), dtype=float).reshape(sys.nu, sys.nu)
-        r_out = max(r_out, float(np.max(np.abs(sm @ kx - kx.T @ sm))))
         gap = Gx @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
-        r_cross = max(r_cross, float(np.max(np.abs(gap))))
-    ok = max(r_state, r_out, r_cross) <= tol
-    return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(xs))
+        return (np.max(np.abs(J - J.transpose(2, 1, 0))),
+                np.max(np.abs(sm @ kx - kx.T @ sm)), np.max(np.abs(gap)))
+
+    return _reciprocity_report([residuals(x) for x in xs], tol)
 
 
 def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
@@ -140,17 +143,15 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
     pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
                                     n_samples, seed)
     sm = sigma.matrix
-    r_state = r_out = r_cross = 0.0
-    for x, u in pts:
+
+    def residuals(x, u):
         Gx = G.checked(x)
-        Fx = sys.jac_F_x(x, u)
-        r_state = max(r_state, float(np.max(np.abs(Gx @ Fx - Fx.T @ Gx))))
-        Hu = sys.jac_H_u(x, u)
-        r_out = max(r_out, symmetry_residual(sm @ Hu))
+        Fx, Hu = sys.jac_F_x(x, u), sys.jac_H_u(x, u)
         gap = Gx @ sys.jac_F_u(x, u) - sys.jac_H_x(x, u).T @ sm
-        r_cross = max(r_cross, float(np.max(np.abs(gap))))
-    ok = max(r_state, r_out, r_cross) <= tol
-    return ReciprocityReport(r_state, r_out, r_cross, bool(ok), len(pts))
+        return (np.max(np.abs(Gx @ Fx - Fx.T @ Gx)), symmetry_residual(sm @ Hu),
+                np.max(np.abs(gap)))
+
+    return _reciprocity_report([residuals(x, u) for x, u in pts], tol)
 
 
 METRIC_PARTIAL_STEP = 1e-5
@@ -162,10 +163,9 @@ POTENTIAL_RECIPROCITY_TOL = 1e-5  # check_reciprocity residual reconstruct_poten
 def is_hessian_metric(G: MetricField, tol: float = 1e-6, n_samples: int = 50,
                       seed: int = 0) -> dict:
     """Closedness test dG_jk/dx_i = dG_ik/dx_j at sampled points."""
-    worst = 0.0
-    for x in G.domain.shrink(0.9).sample(n_samples, seed=seed):
-        J = finite_difference_jacobian(G, x, METRIC_PARTIAL_STEP)  # J[i, j, k] = dG_ij/dx_k
-        worst = max(worst, float(np.max(np.abs(J - J.transpose(2, 1, 0)))))
+    Js = (finite_difference_jacobian(G, x, METRIC_PARTIAL_STEP)  # J[i, j, k] = dG_ij/dx_k
+          for x in G.domain.shrink(0.9).sample(n_samples, seed=seed))
+    worst = float(np.max([np.max(np.abs(J - J.transpose(2, 1, 0))) for J in Js], initial=0.0))
     return {"hessian": bool(worst <= tol), "residual": worst}
 
 

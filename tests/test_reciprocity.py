@@ -116,6 +116,27 @@ def test_check_reciprocity_affine_one_stencil_per_point():
     assert len(calls) <= 20 * (2 * sys.nx + 1)
 
 
+def test_check_reciprocity_evaluates_the_metric_once_at_the_centre():
+    bm = BraytonMoserModel(
+        L=np.array([1.0]), C=np.array([0.5]), lam=np.array([[1.0]]),
+        R=np.array([0.7]), Gc=np.array([0.4]), quartic=np.array([0.5]),
+        co_content_sign=1.0,
+    )
+    G = bm.metric_field()
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return G.eval(x)
+
+    sys = bm.as_affine().to_general()
+    rep = check_reciprocity(sys, MetricField(G.dim, counted, G.domain), bm.sigma(),
+                            n_samples=20)
+    assert rep.reciprocal
+    # one stencil over G F plus the checked centre value, reused for the cross gap
+    assert len(calls) == 20 * (2 * sys.nx + 1)
+
+
 def test_check_reciprocity_affine_detects_metric_perturbation():
     bm = BraytonMoserModel(
         L=np.array([1.0]), C=np.array([0.5]), lam=np.array([[1.0]]),
