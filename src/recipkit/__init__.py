@@ -48,7 +48,6 @@ from .linear import (
     LinearSystem,
     check_linear_reciprocity,
     compatible_storage_fixed_point,
-    dual_system,
     impulse_response_symmetry,
     lmi_residual,
     recover_metric_hankel,

@@ -46,7 +46,11 @@ GRAD_STEP = 1e-6
 # Second differences of raw values need a larger step to beat rounding noise.
 HESS_VALUE_STEP = 1e-4
 DET_FLOOR = 1e-12
-PARTIALS_TOL = 1e-5  # relative gap of supplied metric partials to central differences
+SYM_TOL = 1e-10  # max |M - M^T| of a metric or of a supplied Hessian
+# relative gaps of supplied derivatives to central differences
+GRAD_TOL = 1e-5
+HESS_TOL = 1e-4
+PARTIALS_TOL = 1e-5  # metric partials
 
 
 class RecipkitError(Exception):
@@ -347,8 +351,8 @@ class MetricField:
     def __call__(self, x) -> np.ndarray:
         return as_matrix(self.eval(as_vector(x, self.dim)), (self.dim, self.dim))
 
-    def checked(self, x, sym_tol: float = 1e-10) -> np.ndarray:
-        return _checked_metric_rows(self(x)[None], [x], sym_tol)[0]
+    def checked(self, x) -> np.ndarray:
+        return _checked_metric_rows(self(x)[None], [x])[0]
 
     @staticmethod
     def constant(M, domain: BoxDomain) -> "MetricField":
@@ -361,13 +365,13 @@ class MetricField:
         return MetricField(K.dim, lambda x: K.hess(x), K.domain)
 
 
-def _checked_metric_rows(Gs: np.ndarray, xs, sym_tol: float = 1e-10) -> np.ndarray:
+def _checked_metric_rows(Gs: np.ndarray, xs) -> np.ndarray:
     """Gs, the metric stacked (N, n, n) at the points xs, after MetricField.checked's tests
     on every row; raises at the first failing row, asymmetry (NaN included) checked first."""
     asym = np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), axis=(1, 2), initial=0.0)
-    for i in np.flatnonzero(~(asym <= sym_tol) | ~(np.abs(np.linalg.det(Gs)) > DET_FLOOR))[:1]:
+    for i in np.flatnonzero(~(asym <= SYM_TOL) | ~(np.abs(np.linalg.det(Gs)) > DET_FLOOR))[:1]:
         x = as_vector(xs[i])
-        if not asym[i] <= sym_tol:
+        if not asym[i] <= SYM_TOL:
             raise AssumptionError("metric-symmetry", f"asymmetry {asym[i]:.3e} at x={x}")
         raise SingularMatrixError(f"metric determinant below floor {DET_FLOOR} at x={x}")
     return Gs
@@ -626,9 +630,7 @@ def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 
         f"at {panels} panels the last change was {err:.3e} > {bound:.3e} (tol {tol})")
 
 
-def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0,
-                          grad_tol: float = 1e-5, hess_sym_tol: float = 1e-10,
-                          hess_tol: float = 1e-4) -> dict:
+def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0) -> dict:
     """Spot-check analytic derivatives of a field against finite differences.
 
     Returns a dict of worst-case residuals; raises AssumptionError when a
@@ -660,16 +662,15 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
     }
     out = {key: float(np.max(r, initial=0.0)) for key, r in rows.items()}
     for key, name, what, tol in (
-            ("grad_gap", "field-gradient", "gradient disagrees with FD:", grad_tol),
-            ("hess_asym", "field-hessian-symmetry", "asymmetry", hess_sym_tol),
-            ("hess_gap", "field-hessian", "hessian disagrees with FD:", hess_tol)):
+            ("grad_gap", "field-gradient", "gradient disagrees with FD:", GRAD_TOL),
+            ("hess_asym", "field-hessian-symmetry", "asymmetry", SYM_TOL),
+            ("hess_gap", "field-hessian", "hessian disagrees with FD:", HESS_TOL)):
         if not out[key] <= tol:
             raise AssumptionError(name, f"{what} {out[key]:.3e}")
     return out
 
 
-def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0,
-                          sym_tol: float = 1e-10) -> float:
+def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0) -> float:
     """Check symmetry, invertibility and supplied partials of G at sampled points;
     returns worst asymmetry.  Partials must match central differences within PARTIALS_TOL;
     the first failing point names the failure, the metric's own tests first."""
@@ -682,7 +683,7 @@ def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0,
     Gs = np.array([G(x) for x in xs]).reshape(len(xs), G.dim, G.dim)
     bad = len(xs) if G.partials is None else next(
         (i for i, x in enumerate(xs) if not partials_agree(x)), len(xs))
-    _checked_metric_rows(Gs[:bad + 1], xs, sym_tol)
+    _checked_metric_rows(Gs[:bad + 1], xs)
     if bad < len(xs):
         raise AssumptionError("metric-partials", f"partials disagree with FD at x={xs[bad]}")
     return float(np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), initial=0.0))

@@ -55,6 +55,7 @@ MIDPOINT_NEWTON_KAPPA = 0.1  # share of MIDPOINT_NEWTON_TOL the increment test m
 MIDPOINT_MAX_NEWTON = 40
 UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
+STRUCTURE_TOL = 1e-10  # sampled |J + J^T| and -x.R(x) that PortHamiltonianSystem.validate accepts
 
 
 class NotRelaxationError(RecipkitError):
@@ -377,16 +378,16 @@ class PortHamiltonianSystem:
     def output(self, z, u):
         return self.g_at(z).T @ self.H.grad(z)
 
-    def validate(self, n_samples: int = 20, seed: int = 0, tol: float = 1e-10):
+    def validate(self, n_samples: int = 20, seed: int = 0):
         """Sampled skewness of J and nonnegativity of the dissipation pairing."""
         zs = self.domain.shrink(0.9).sample(n_samples, seed=seed)
         worst_skew = float(np.max([np.max(np.abs(J + J.T)) for J in map(self.J_at, zs)],
                                   initial=0.0))
         worst_diss = float(np.min([x @ self.R_at(x) for x in map(self.H.grad, zs)],
                                   initial=0.0))
-        if not worst_skew <= tol:
+        if not worst_skew <= STRUCTURE_TOL:
             raise AssumptionError("J-skew", f"max |J + J^T| = {worst_skew:.3e}")
-        if not worst_diss >= -1e-10:
+        if not worst_diss >= -STRUCTURE_TOL:
             raise AssumptionError("R-dissipation", f"x.R(x) as low as {worst_diss:.3e}")
         return {"max_skew": worst_skew, "min_dissipation_pairing": worst_diss}
 

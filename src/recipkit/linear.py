@@ -1,9 +1,9 @@
 """Linear input-state-output systems: reciprocity, passivity, compatibility.
 
 Covers the symmetry test for reciprocity with respect to a constant metric
-and a signature, the pseudo-gradient rewrite, dual realizations, impulse
-response symmetry, metric recovery from input-output energy experiments,
-the passivity linear matrix inequality (verification only, no solving),
+and a signature, the pseudo-gradient rewrite, impulse response symmetry,
+metric recovery from input-output energy experiments, the passivity
+linear matrix inequality (verification only, no solving),
 the geometric-mean compatibility iteration, and the split normal form that
 exposes a port-Hamiltonian structure with indefinite metric.
 """
@@ -21,6 +21,7 @@ from .core import (
     DimensionMismatchError,
     SignatureMatrix,
     SingularMatrixError,
+    _checked_metric_rows,
     as_matrix,
     as_vector,
     integrate_segment,
@@ -37,7 +38,6 @@ __all__ = [
     "SplitPortHamiltonianForm",
     "check_linear_reciprocity",
     "to_pseudo_gradient",
-    "dual_system",
     "impulse_response_symmetry",
     "recover_metric_hankel",
     "lmi_residual",
@@ -109,12 +109,8 @@ class ReciprocityCheck:
 
 
 def _check_metric(G, n) -> np.ndarray:
-    Gm = as_matrix(G, (n, n))
-    if symmetry_residual(Gm) > 1e-10:
-        raise DimensionMismatchError("metric G must be symmetric")
-    if abs(np.linalg.det(Gm)) < 1e-12:
-        raise SingularMatrixError("metric G is numerically singular")
-    return Gm
+    """G as an n x n matrix after the metric tests of MetricField.checked."""
+    return _checked_metric_rows(as_matrix(G, (n, n))[None], [np.zeros(n)])[0]
 
 
 def check_linear_reciprocity(sys: LinearSystem, G, sigma: SignatureMatrix,
@@ -146,11 +142,11 @@ class LinearPseudoGradientForm:
         G = _check_metric(self.G, as_matrix(self.G).shape[0])
         n = G.shape[0]
         P = as_matrix(self.P, (n, n))
-        if symmetry_residual(P) > 1e-8:
+        if not symmetry_residual(P) <= 1e-8:
             raise DimensionMismatchError(f"P must be symmetric (residual {symmetry_residual(P)})")
         C = np.asarray(self.C, dtype=float).reshape(-1, n)
         D = np.asarray(self.D, dtype=float).reshape(C.shape[0], C.shape[0])
-        if symmetry_residual(self.sigma.conjugate_rows(D)) > 1e-8:
+        if not symmetry_residual(self.sigma.conjugate_rows(D)) <= 1e-8:
             raise DimensionMismatchError("sigma D must be symmetric")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "P", 0.5 * (P + P.T))
@@ -182,13 +178,6 @@ def to_pseudo_gradient(sys: LinearSystem, G, sigma: SignatureMatrix,
     Gm = _check_metric(G, sys.n)
     P = -(Gm @ sys.A)
     return LinearPseudoGradientForm(Gm, 0.5 * (P + P.T), sys.C, sys.D, sigma)
-
-
-def dual_system(sys: LinearSystem, sigma: SignatureMatrix) -> LinearSystem:
-    """Adjoint realization (A^T, C^T sigma, B^T, D^T sigma)."""
-    sigma.check_inputs(sys.m)
-    s = sigma.matrix
-    return LinearSystem(sys.A.T, sys.C.T @ s, sys.B.T, sys.D.T @ s)
 
 
 @dataclass(frozen=True)
@@ -297,7 +286,7 @@ def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9) -> LmiReport:
     solved; Q is supplied by the caller.
     """
     Qm = as_matrix(Q, (sys.n, sys.n))
-    if symmetry_residual(Qm) > 1e-10:
+    if not symmetry_residual(Qm) <= 1e-10:
         raise DimensionMismatchError("Q must be symmetric")
     top = np.hstack([-(Qm @ sys.A) - sys.A.T @ Qm, -(Qm @ sys.B) + sys.C.T])
     bot = np.hstack([-(sys.B.T @ Qm) + sys.C, sys.D + sys.D.T])
@@ -329,9 +318,9 @@ def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport,
     a_inv = True
     in_ker_c = True
     for v in report.kernel_basis:
-        if float(np.linalg.norm(Qm @ (sys.A @ v))) > tol * scale:
+        if not float(np.linalg.norm(Qm @ (sys.A @ v))) <= tol * scale:
             a_inv = False
-        if float(np.linalg.norm(sys.C @ v)) > tol * (1.0 + float(np.max(np.abs(sys.C)))):
+        if not float(np.linalg.norm(sys.C @ v)) <= tol * (1.0 + float(np.max(np.abs(sys.C)))):
             in_ker_c = False
     return {"A_invariant": a_inv, "inside_ker_C": in_ker_c,
             "kernel_dimension": report.kernel_dimension}
@@ -374,7 +363,7 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
                 "reciprocity", f"system not reciprocal for (G, sigma): residual {chk.residual:.3e}",
                 chk)
     Q = as_matrix(Q0, (sys.n, sys.n))
-    if symmetry_residual(Q) > 1e-10:
+    if not symmetry_residual(Q) <= 1e-10:
         raise DimensionMismatchError("Q0 must be symmetric")
     if np.linalg.eigvalsh(Q).min() <= 0:
         raise SingularMatrixError("Q0 must be positive definite")
@@ -387,7 +376,7 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
     iterations = 0
     image = Gm @ np.linalg.solve(Q, Gm)  # G Q^-1 G: the gap and the next target
     gap = float(np.max(np.abs(Q - image)))
-    while gap > tol:
+    while not gap <= tol:
         if iterations >= COMPATIBLE_MAX_ITER:
             raise ConvergenceError(f"compatibility iteration exceeded {COMPATIBLE_MAX_ITER} "
                                    f"steps (gap {gap:.3e})")
@@ -396,7 +385,7 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
         image = Gm @ np.linalg.solve(Q, Gm)
         gap = float(np.max(np.abs(Q - image)))
     final = lmi_residual(sys, Q, tol=lmi_tol)
-    if final.min_eigenvalue < -lmi_tol:
+    if not final.min_eigenvalue >= -lmi_tol:
         raise ConvergenceError(
             f"compatibility limit violates the LMI (min eig {final.min_eigenvalue:.3e})")
     return {"Q": Q, "iterations": iterations, "compatibility_gap": gap,
@@ -475,12 +464,12 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
         raise DimensionMismatchError("split normal form requires sigma = I")
     n = pg.n
     Qm = as_matrix(Q, (n, n))
-    if symmetry_residual(Qm) > 1e-10:
+    if not symmetry_residual(Qm) <= 1e-10:
         raise DimensionMismatchError("Q must be symmetric")
     if np.linalg.eigvalsh(Qm).min() <= 0:
         raise SingularMatrixError("Q must be positive definite")
     compat = float(np.max(np.abs(Qm - pg.G @ np.linalg.solve(Qm, pg.G))))
-    if compat > 1e-7 * (1.0 + float(np.max(np.abs(Qm)))):
+    if not compat <= 1e-7 * (1.0 + float(np.max(np.abs(Qm)))):
         raise ConvergenceError(f"Q is not compatible with G (gap {compat:.3e})")
 
     R = spd_sqrt(Qm)
@@ -488,7 +477,7 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
     N = R @ np.linalg.solve(pg.G, R)
     N = 0.5 * (N + N.T)
     w, V = np.linalg.eigh(N)
-    if np.max(np.abs(np.abs(w) - 1.0)) > SNAP_TOL:
+    if not np.max(np.abs(np.abs(w) - 1.0)) <= SNAP_TOL:
         raise ConvergenceError(
             f"eigenvalues of G^-1 Q do not snap to +/-1: {w}")
     order = np.argsort(-w)  # +1 block first
@@ -528,16 +517,16 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
         goal[:k, :k] = Q1
     if n - k:
         goal[k:, k:] = -Q2
-    if float(np.max(np.abs(Gt - goal))) > 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
+    if not float(np.max(np.abs(Gt - goal))) <= 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
         raise ConvergenceError("adapted basis failed to block-diagonalize the metric")
-    if k and np.linalg.eigvalsh(P1).min() < -SIGN_TOL:
+    if k and not np.linalg.eigvalsh(P1).min() >= -SIGN_TOL:
         raise ConvergenceError(
             f"P1 block not positive semidefinite (min eig {np.linalg.eigvalsh(P1).min():.3e}); "
             "system is not passive in split form")
-    if (n - k) and np.linalg.eigvalsh(P2).max() > SIGN_TOL:
+    if (n - k) and not np.linalg.eigvalsh(P2).max() <= SIGN_TOL:
         raise ConvergenceError(
             f"P2 block not negative semidefinite (max eig {np.linalg.eigvalsh(P2).max():.3e})")
-    if C2.size and float(np.max(np.abs(C2))) > C2_TOL * (1.0 + float(np.max(np.abs(pg.C)))):
+    if C2.size and not float(np.max(np.abs(C2))) <= C2_TOL * (1.0 + float(np.max(np.abs(pg.C)))):
         raise ConvergenceError(
             f"output matrix does not vanish on the second block (|C2| = {np.max(np.abs(C2)):.3e})")
 

@@ -4,6 +4,9 @@ A document is an object with a "kind" key naming one of four system
 classes; scalar fields are given either as {"builtin": <name>} referring
 to the field registry or as {"polynomial": {...}}.  Everything surfaced
 to callers is a ModelBundle, the same carrier the built-in registry uses.
+This is where outside input is checked: a loaded model passes the
+library's own structure checks on its declared metric and its J and R,
+and any failure is a SchemaError.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .core import (
     SchemaError,
     SignatureMatrix,
     SingularMatrixError,
-    _checked_metric_rows,
+    validate_metric_field,
 )
 from .dynamics import (
     ConversionSplit,
@@ -38,8 +41,6 @@ __all__ = ["load_system", "load_system_file", "load_registry_extras",
            "parse_field", "read_json", "MODEL_PATH_ENV"]
 
 MODEL_PATH_ENV = "RECIPKIT_MODEL_PATH"
-
-KINDS = ("linear", "nonlinear", "hessian_pseudo_gradient", "port_hamiltonian")
 
 
 def _require(doc: dict, key: str, context: str):
@@ -62,10 +63,6 @@ def _matrix(doc, key: str, context: str, shape=None) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise SchemaError(f"{context}: {key} contains non-finite entries")
     return M
-
-
-def _optional_matrix(doc, key: str, context: str) -> Optional[np.ndarray]:
-    return _matrix(doc, key, context) if key in doc else None
 
 
 def _signature(doc, key: str, m: int, context: str) -> SignatureMatrix:
@@ -123,7 +120,10 @@ def parse_field(spec, context: str, dim: Optional[int] = None) -> ScalarField:
             if len(exps) != pdim or any(e < 0 for e in exps):
                 raise SchemaError(f"{context}: term {i} exponents must be {pdim} "
                                   "nonnegative integers")
-            parsed.append((exps, float(term["coeff"])))
+            coeff = float(term["coeff"])
+            if not np.isfinite(coeff):
+                raise SchemaError(f"{context}: term {i} coeff must be finite, got {coeff}")
+            parsed.append((exps, coeff))
         domain = _box(body, "domain", pdim, context)
         try:
             fld = Polynomial(pdim, tuple(parsed)).to_field(domain)
@@ -152,10 +152,8 @@ def _load_linear(doc: dict, name: str) -> ModelBundle:
         sys = LinearSystem(A, B, C, D)
     except Exception as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
-    G = _optional_matrix(doc, "G", ctx)
-    if G is not None and G.shape != (n, n):
-        raise SchemaError(f"{ctx}: G must be {n}x{n}")
-    Q0 = _optional_matrix(doc, "Q0", ctx)
+    G = _matrix(doc, "G", ctx, shape=(n, n)) if "G" in doc else None
+    Q0 = _matrix(doc, "Q0", ctx) if "Q0" in doc else None
     return ModelBundle(name=name, kind="linear",
                        description=doc.get("description", "user supplied linear system"),
                        linear=sys, G_lin=G, sigma=_signature(doc, "sigma", m, ctx),
@@ -166,13 +164,7 @@ def _metric_from_spec(spec, ctx: str, dim: int) -> MetricField:
     if not isinstance(spec, dict):
         raise SchemaError(f"{ctx}: metric must be an object")
     if "constant" in spec:
-        M = np.atleast_2d(np.array(spec["constant"], dtype=float))
-        if M.shape != (dim, dim):
-            raise SchemaError(f"{ctx}: constant metric must be {dim}x{dim}")
-        try:
-            _checked_metric_rows(M[None], [np.zeros(dim)])
-        except (AssumptionError, SingularMatrixError) as exc:
-            raise SchemaError(f"{ctx}: constant metric: {exc}") from exc
+        M = _matrix(spec, "constant", f"{ctx}: metric", shape=(dim, dim))
         return MetricField.constant(M, BoxDomain.cube(dim, 1.5))
     if "hessian_of" in spec:
         K = parse_field(spec["hessian_of"], ctx, dim=dim)
@@ -259,12 +251,9 @@ def _load_port_hamiltonian(doc: dict, name: str) -> ModelBundle:
     R = None
     R_jac = None
     if "R" in doc:
-        spec = doc["R"]
-        if not isinstance(spec, dict) or "linear" not in spec:
+        if not isinstance(doc["R"], dict):
             raise SchemaError(f"{ctx}: R must be {{'linear': matrix}}")
-        Rmat = np.atleast_2d(np.array(spec["linear"], dtype=float))
-        if Rmat.shape != (n, n):
-            raise SchemaError(f"{ctx}: R matrix must be {n}x{n}")
+        Rmat = _matrix(doc["R"], "linear", f"{ctx}: R", shape=(n, n))
         R = lambda x, Rmat=Rmat: Rmat @ x
         R_jac = lambda x, Rmat=Rmat: Rmat
     ph = PortHamiltonianSystem(H=H, J=J, g=gmat, nu=m, R=R, R_jac=R_jac)
@@ -288,20 +277,35 @@ def _load_port_hamiltonian(doc: dict, name: str) -> ModelBundle:
                        u_box=_box(doc, "u_box", m, ctx, default_halfwidth=1.0))
 
 
+def _checked(bundle: ModelBundle, ctx: str) -> ModelBundle:
+    """bundle once its declared metric (G_lin or metric) and its port-Hamiltonian J and R
+    pass the library's checks; a failed check is bad input, a SchemaError."""
+    metrics = [bundle.metric]
+    if bundle.G_lin is not None:
+        metrics.append(MetricField.constant(bundle.G_lin, BoxDomain.cube(len(bundle.G_lin))))
+    try:
+        for G in filter(None, metrics):
+            validate_metric_field(G)
+        if bundle.ph is not None:
+            bundle.ph.validate()
+    except (AssumptionError, SingularMatrixError) as exc:
+        raise SchemaError(f"{ctx}: {exc}") from exc
+    return bundle
+
+
+LOADERS = {"linear": _load_linear, "nonlinear": _load_nonlinear,
+           "hessian_pseudo_gradient": _load_hessian_pg,
+           "port_hamiltonian": _load_port_hamiltonian}
+
+
 def load_system(doc: dict, name: str = "input") -> ModelBundle:
-    """Build a ModelBundle from a parsed JSON document."""
+    """Build a ModelBundle from a parsed JSON document and check its structure."""
     if not isinstance(doc, dict):
         raise SchemaError("top level document must be an object")
     kind = _require(doc, "kind", f"model {name!r}")
-    if kind == "linear":
-        return _load_linear(doc, name)
-    if kind == "nonlinear":
-        return _load_nonlinear(doc, name)
-    if kind == "hessian_pseudo_gradient":
-        return _load_hessian_pg(doc, name)
-    if kind == "port_hamiltonian":
-        return _load_port_hamiltonian(doc, name)
-    raise SchemaError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    if not isinstance(kind, str) or kind not in LOADERS:
+        raise SchemaError(f"unknown kind {kind!r}; expected one of {', '.join(LOADERS)}")
+    return _checked(LOADERS[kind](doc, name), f"{kind} model {name!r}")
 
 
 def read_json(path: str):

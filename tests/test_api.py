@@ -20,7 +20,7 @@ EXPORTS = {
              "integrate_segment", "validate_scalar_field", "validate_metric_field"),
     "linear": ("LinearSystem", "LinearPseudoGradientForm", "LmiReport", "ReciprocityCheck",
                "ImpulseSymmetryCheck", "PastInput", "SplitPortHamiltonianForm",
-               "check_linear_reciprocity", "to_pseudo_gradient", "dual_system",
+               "check_linear_reciprocity", "to_pseudo_gradient",
                "impulse_response_symmetry", "recover_metric_hankel", "lmi_residual",
                "kernel_invariance_check", "compatible_storage_fixed_point",
                "split_port_hamiltonian_form", "spd_sqrt", "spd_geometric_mean"),
@@ -56,7 +56,6 @@ DEFAULTED = {
     "core.BoxDomain.cube": ("halfwidth", "center"),
     "core.ScalarField": ("gradient", "hessian", "batched"),
     "core.MetricField": ("partials",),
-    "core.MetricField.checked": ("sym_tol",),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
     "core.quadratic_field": ("lin", "const"),
@@ -64,9 +63,8 @@ DEFAULTED = {
     "core.hessian_from_value": ("step",),
     "core.gauss_legendre_panels": ("nodes",),
     "core.integrate_segment": ("a", "b", "tol", "nodes", "max_doublings"),
-    "core.validate_scalar_field": ("n_samples", "seed", "grad_tol", "hess_sym_tol",
-                                   "hess_tol"),
-    "core.validate_metric_field": ("n_samples", "seed", "sym_tol"),
+    "core.validate_scalar_field": ("n_samples", "seed"),
+    "core.validate_metric_field": ("n_samples", "seed"),
     "linear.check_linear_reciprocity": ("tol",),
     "linear.to_pseudo_gradient": ("tol",),
     "linear.impulse_response_symmetry": ("tol",),
@@ -93,7 +91,7 @@ DEFAULTED = {
     "dynamics.HessianPseudoGradientSystem": ("P", "g", "storage"),
     "dynamics.HessianPseudoGradientSystem.from_internal_potential": ("u_box", "storage"),
     "dynamics.PortHamiltonianSystem": ("R", "R_jac"),
-    "dynamics.PortHamiltonianSystem.validate": ("n_samples", "seed", "tol"),
+    "dynamics.PortHamiltonianSystem.validate": ("n_samples", "seed"),
     "dynamics.integrate_implicit_midpoint": ("mass", "rhs_jac", "domain"),
     "dynamics.simulate_pseudo_gradient": ("enforce_domain", "storage"),
     "dynamics.dissipation_monitor": ("tol",),
@@ -153,7 +151,7 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 154
+    assert sum(len(names) for names in surface.values()) == 148
 
 
 def _used_names(tree):

@@ -345,18 +345,56 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--horizon", "4.0", "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("M, what", [([[1.0, 0.5], [0.0, 1.0]], "asymmetry"),
-                                     ([[1.0, 0.0], [0.0, 0.0]], "determinant")])
-def test_variational_test_bad_constant_metric_exit_codes(tmp_path, M, what, capsys):
-    quadratic = [{"exponents": [2, 0], "coeff": 0.5}, {"exponents": [0, 2], "coeff": 0.5}]
-    doc = {"kind": "nonlinear", "potential": {"polynomial": {"dim": 2, "terms": quadratic}},
-           "metric": {"constant": M}, "g": [[1.0], [0.0]]}
-    path = tmp_path / "metric.json"
+def poly(dim, terms):
+    return {"polynomial": {"dim": dim,
+                           "terms": [{"exponents": e, "coeff": c} for e, c in terms]}}
+
+
+QUADRATIC = poly(2, [([2, 0], 0.5), ([0, 2], 0.5)])
+NONLINEAR_DOC = {"kind": "nonlinear", "potential": QUADRATIC,
+                 "metric": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "g": [[1.0], [0.0]]}
+PH_DOC = {"kind": "port_hamiltonian", "H": QUADRATIC, "J": [[0.0, -1.0], [1.0, 0.0]],
+          "g": [[1.0], [0.0]]}
+
+# id -> (command, document, the failed check stderr names); every row is bad input
+BAD_DOCUMENTS = {
+    "constant-metric-asymmetry": (["variational-test", "--horizon", "0.2"],
+                                  {**NONLINEAR_DOC, "metric": {"constant": [[1.0, 0.5],
+                                                                            [0.0, 1.0]]}},
+                                  "asymmetry"),
+    "constant-metric-singular": (["variational-test", "--horizon", "0.2"],
+                                 {**NONLINEAR_DOC, "metric": {"constant": [[1.0, 0.0],
+                                                                           [0.0, 0.0]]}},
+                                 "determinant"),
+    "hessian-of-metric-singular": (["variational-test", "--horizon", "0.2"],
+                                   {**NONLINEAR_DOC,
+                                    "metric": {"hessian_of": poly(2, [([2, 0], 0.5)])}},
+                                   "determinant"),
+    "linear-G-singular": (["check-reciprocity"],
+                          {**LINEAR_DOC, "G": [[1.0, 0.0], [0.0, 0.0]]}, "determinant"),
+    "linear-G-asymmetric": (["check-reciprocity"],
+                            {**LINEAR_DOC, "G": [[1.0, 0.5], [0.0, -1.0]]}, "asymmetry"),
+    "J-not-skew": (["simulate"], {**PH_DOC, "J": [[0.0, -1.0], [2.0, 0.0]]}, "J-skew"),
+    "R-not-dissipative": (["simulate"], {**PH_DOC, "R": {"linear": [[-0.1, 0.0], [0.0, 0.0]]}},
+                          "R-dissipation"),
+    "R-nan": (["simulate"], {**PH_DOC, "R": {"linear": [[float("nan"), 0.0], [0.0, 0.0]]}},
+              "non-finite"),
+    "coeff-nan": (["legendre"], {"field": poly(2, [([2, 0], float("nan")), ([0, 2], 1.0)])},
+                  "finite"),
+    "coeff-infinity": (["christoffel"],
+                       {"field": poly(2, [([2, 0], float("inf")), ([0, 2], 1.0)])}, "finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DOCUMENTS))
+def test_bad_document_exit_codes(tmp_path, case, capsys):
+    command, doc, what = BAD_DOCUMENTS[case]
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    # an asymmetric or singular constant metric is bad input, refused at load
-    assert main(["variational-test", "--input", str(path), "--horizon", "0.2",
-                 "--out", str(tmp_path)]) == 2
+    # a document failing a structure check is bad input, refused at load
+    assert main([*command, "--input", str(path), "--out", str(tmp_path)]) == 2
     assert what in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_model_path_extends_registry(tmp_path, monkeypatch):

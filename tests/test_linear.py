@@ -13,7 +13,6 @@ from recipkit.linear import (
     LinearSystem,
     check_linear_reciprocity,
     compatible_storage_fixed_point,
-    dual_system,
     impulse_response_symmetry,
     kernel_invariance_check,
     lmi_residual,
@@ -87,21 +86,6 @@ def test_pseudo_gradient_form_validation():
     with pytest.raises(DimensionMismatchError):
         LinearPseudoGradientForm(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
                                  np.array([[1.0, 0.0]]), np.array([[0.0]]), sig)
-
-
-def test_dual_system_is_similarity_for_spd_metric():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 3))
-        sig = SignatureMatrix.identity(m)
-        sys, G, _ = random_reciprocal_system(rng, n, m, sigma=sig, k=n)
-        dual = dual_system(sys, sig)
-        sim = sys.transform(np.linalg.inv(G))
-        np.testing.assert_allclose(dual.A, sim.A, atol=1e-9)
-        np.testing.assert_allclose(dual.B, sim.B, atol=1e-9)
-        np.testing.assert_allclose(dual.C, sim.C, atol=1e-9)
-        np.testing.assert_allclose(dual.D, sim.D, atol=1e-9)
 
 
 def test_impulse_response_symmetry_random_reciprocal():

@@ -9,6 +9,7 @@ from recipkit.core import (
     validate_scalar_field,
 )
 from recipkit.linear import check_linear_reciprocity
+from recipkit.schema import _checked
 from recipkit.models import (
     BraytonMoserModel,
     RcCircuitModel,
@@ -199,6 +200,8 @@ def test_model_registry_contents():
     for name, bundle in reg.items():
         assert bundle.name == name
         assert bundle.description
+        # the structure checks a JSON model passes at load: metric, G_lin, then J and R
+        assert _checked(bundle, name) is bundle
     assert reg["gyrator"].kind == "linear"
     assert reg["gyrator"].linear is not None and reg["gyrator"].G_lin is not None
     assert reg["indefinite-g"].Q0 is not None

@@ -2,7 +2,8 @@
 
 Each case plants NaN on part of the sampled set (half of the box, the
 2x-scaled homogeneity points, one input column, an overflowing impulse
-response) and expects a negative verdict or a RecipkitError, never a pass.
+response) or in one entry of a matrix argument, and expects a negative
+verdict or a RecipkitError, never a pass.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from recipkit.dynamics import (
 )
 from recipkit.geometry import flatness_check
 from recipkit.legendre import homogeneity_check, make_legendre_pair
-from recipkit.linear import LinearSystem, impulse_response_symmetry
+from recipkit.linear import LinearPseudoGradientForm, LinearSystem, impulse_response_symmetry
 from recipkit.models import BraytonMoserModel, SwingModel
 from recipkit.reciprocity import (
     check_reciprocity,
@@ -118,6 +119,11 @@ def impulse_case():
     return impulse_response_symmetry(sys, SignatureMatrix.identity(2), [0.5, 1.0]).symmetric
 
 
+def pseudo_gradient_form(G, P):
+    return LinearPseudoGradientForm(np.array(G), np.array(P), np.array([[1.0, 0.0]]),
+                                    np.zeros((1, 1)), SignatureMatrix.identity(1))
+
+
 def returns(check, *args, **kwargs):
     """A check that reports by raising passes whenever it returns."""
     return lambda: check(*args, **kwargs) is not None
@@ -136,6 +142,10 @@ CASES = {
         nan_field(value=lambda x: np.max(np.abs(x)) > 0.5), samples=50).degree2,
     "make_legendre_pair": returns(make_legendre_pair, nan_field(value=right_half), samples=50),
     "impulse_response_symmetry": impulse_case,
+    "LinearPseudoGradientForm-P": returns(pseudo_gradient_form, np.eye(2),
+                                          [[1.0, np.nan], [0.0, 1.0]]),
+    "LinearPseudoGradientForm-G": returns(pseudo_gradient_form, [[1.0, np.nan], [0.0, 1.0]],
+                                          np.eye(2)),
     "validate_scalar_field": returns(validate_scalar_field, nan_field(gradient=right_half)),
     "validate_metric_field": returns(validate_metric_field, nan_metric()),
     "PortHamiltonianSystem.validate": returns(

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recipkit.core import SchemaError
+from recipkit.dynamics import STRUCTURE_TOL
 from recipkit.schema import (
     MODEL_PATH_ENV,
     load_registry_extras,
@@ -193,6 +197,27 @@ def test_load_port_hamiltonian():
     bad["J"] = [[0.0]]
     with pytest.raises(SchemaError, match="shape"):
         load_system(bad)
+
+
+@st.composite
+def near_skew(draw):
+    """A random skew 2x2 or 3x3 matrix plus a perturbation around the skew tolerance."""
+    n = draw(st.integers(2, 3))
+    A = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
+    E = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    return (A - A.T) + draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1.0])) * E
+
+
+@given(near_skew())
+def test_port_hamiltonian_loads_exactly_when_J_is_skew(J):
+    n = len(J)
+    doc = {"kind": "port_hamiltonian", "H": poly_spec(n, [(e, 0.5) for e in np.eye(n, dtype=int).tolist()]),
+           "J": J.tolist(), "g": np.ones((n, 1)).tolist()}
+    if np.max(np.abs(J + J.T)) <= STRUCTURE_TOL:
+        assert np.array_equal(load_system(json.loads(json.dumps(doc))).ph.J, J)
+    else:
+        with pytest.raises(SchemaError, match="J-skew"):
+            load_system(json.loads(json.dumps(doc)))
 
 
 def test_box_spec_validation():
