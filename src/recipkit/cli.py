@@ -28,7 +28,6 @@ from .core import (
     NonlinearSystem,
     RecipkitError,
     SchemaError,
-    as_vector,
 )
 from .dynamics import (
     NotRelaxationError,
@@ -408,10 +407,7 @@ def cmd_variational_test(args, tols):
     times, states = integrate_implicit_midpoint(rhs, x0, (0.0, args.horizon), args.step,
                                                 domain=sys_a.domain)
     inputs = np.stack([u(t) for t in times])
-    outputs = np.stack([as_vector(sys_a.h(states[i]), sys_a.nu)
-                        + np.asarray(sys_a.k(states[i])) @ inputs[i]
-                        for i in range(len(times))])
-    nominal = Trajectory(times, states, inputs, outputs)
+    nominal = Trajectory(times, states, inputs, sys_a.to_general().H_rows(states, inputs))
     rep = external_reciprocity_test(sys_a, bundle.metric, nominal,
                                     tol=tols["match"],
                                     u_signal=u, sigma=bundle.sigma)

@@ -231,6 +231,24 @@ def _halton(n: int, dim: int, seed) -> np.ndarray:
     return out
 
 
+def _rows(batched: bool, stacked: Optional[Callable], one: Callable, shape: tuple, *stacks):
+    """`one` mapped over the rows of the stacks as an (N,) + shape array; one call if batched."""
+    if batched and stacked is not None:
+        return np.asarray(stacked(*stacks), dtype=float)
+    rows = [one(*row) for row in zip(*stacks)]
+    return np.array(rows, dtype=float).reshape((len(stacks[0]),) + shape)
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x at a point, or row by row on stacks: per row the BLAS call of one point."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _constant_rows(A: np.ndarray) -> Callable:
+    """x -> A at a point, and A repeated along the leading axes of a stack of points."""
+    return lambda x: A if np.ndim(x) == 1 else np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
+
+
 def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
     return np.maximum(base, base * np.abs(x))
 
@@ -318,19 +336,14 @@ class ScalarField:
             return 0.5 * (J + J.T)
         return hessian_from_value(self.value, v)
 
-    def _rows(self, X, stacked: Optional[Callable], per_point: Callable, shape: tuple):
-        if self.batched and stacked is not None:
-            return np.asarray(stacked(X), dtype=float)
-        return np.array([per_point(x) for x in X], dtype=float).reshape((len(X),) + shape)
-
     def value_rows(self, X) -> np.ndarray:
-        return self._rows(X, self.value, self, ())
+        return _rows(self.batched, self.value, self, (), X)
 
     def grad_rows(self, X) -> np.ndarray:
-        return self._rows(X, self.gradient, self.grad, (self.dim,))
+        return _rows(self.batched, self.gradient, self.grad, (self.dim,), X)
 
     def hess_rows(self, X) -> np.ndarray:
-        return self._rows(X, self.hessian, self.hess, (self.dim, self.dim))
+        return _rows(self.batched, self.hessian, self.hess, (self.dim, self.dim), X)
 
     def shifted(self, offset: float) -> "ScalarField":
         return ScalarField(self.dim, lambda x: self.value(x) + offset, self.domain,
@@ -341,15 +354,20 @@ class ScalarField:
 class MetricField:
     """Symmetric invertible matrix field x -> G(x) on a box, with optional
     ``partials`` x -> J, J[a, b, c] = dG_ab/dx_c: zeros for `constant`; when
-    absent, `geometry.levi_civita` takes central differences of G."""
+    absent, `geometry.levi_civita` takes central differences of G.  rows maps a stack
+    (N, dim) to (N, dim, dim), in one eval call when batched: eval then maps stacks."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     domain: BoxDomain
     partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batched: bool = False
 
     def __call__(self, x) -> np.ndarray:
         return as_matrix(self.eval(as_vector(x, self.dim)), (self.dim, self.dim))
+
+    def rows(self, X) -> np.ndarray:
+        return _rows(self.batched, self.eval, self, (self.dim, self.dim), X)
 
     def checked(self, x) -> np.ndarray:
         return _checked_metric_rows(self(x)[None], [x])[0]
@@ -357,12 +375,13 @@ class MetricField:
     @staticmethod
     def constant(M, domain: BoxDomain) -> "MetricField":
         A = as_matrix(M)
-        return MetricField(A.shape[0], lambda x: A, domain,
-                           partials=lambda x: np.zeros((A.shape[0],) * 3))
+        return MetricField(A.shape[0], _constant_rows(A), domain,
+                           partials=lambda x: np.zeros((A.shape[0],) * 3), batched=True)
 
     @staticmethod
     def from_hessian(K: ScalarField) -> "MetricField":
-        return MetricField(K.dim, lambda x: K.hess(x), K.domain)
+        stacked = K.batched and K.hessian is not None
+        return MetricField(K.dim, K.hessian if stacked else K.hess, K.domain, batched=stacked)
 
 
 def _checked_metric_rows(Gs: np.ndarray, xs) -> np.ndarray:
@@ -423,7 +442,8 @@ class SignatureMatrix:
 
 @dataclass(frozen=True)
 class NonlinearSystem:
-    """Input-state-output system x_dot = F(x,u), y = H(x,u)."""
+    """Input-state-output system x_dot = F(x,u), y = H(x,u).  F_rows and H_rows take
+    stacks X (N, nx), U (N, nu), in one call when batched: F and H then map stacks."""
 
     nx: int
     nu: int
@@ -434,10 +454,17 @@ class NonlinearSystem:
     dF_du: Optional[Callable] = None
     dH_dx: Optional[Callable] = None
     dH_du: Optional[Callable] = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.domain.dim != self.nx:
             raise DimensionMismatchError("state domain dimension mismatch")
+
+    def F_rows(self, X, U) -> np.ndarray:
+        return _rows(self.batched, self.F, self.F, (self.nx,), X, U)
+
+    def H_rows(self, X, U) -> np.ndarray:
+        return _rows(self.batched, self.H, self.H, (self.nu,), X, U)
 
     def jac_F_x(self, x, u) -> np.ndarray:
         if self.dF_dx is not None:
@@ -466,7 +493,8 @@ class NonlinearSystem:
 
 @dataclass(frozen=True)
 class AffineNonlinearSystem:
-    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u."""
+    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; when batched, f, g,
+    h and k map a stack of states row for row, and so do F and H of to_general."""
 
     nx: int
     nu: int
@@ -478,6 +506,7 @@ class AffineNonlinearSystem:
     df_dx: Optional[Callable] = None               # (nx, nx)
     dg_dx: Optional[Callable] = None               # (nu, nx, nx): [j] = d g_j / dx
     dh_dx: Optional[Callable] = None               # (nu, nx)
+    batched: bool = False
 
     def jac_f(self, x) -> np.ndarray:
         if self.df_dx is not None:
@@ -500,23 +529,23 @@ class AffineNonlinearSystem:
         return finite_difference_jacobian(self.h, x)
 
     def to_general(self) -> NonlinearSystem:
-        def F(x, u):
-            return as_vector(self.f(x), self.nx) + as_matrix(self.g(x), (self.nx, self.nu)) @ as_vector(u, self.nu)
-
-        def H(x, u):
-            return as_vector(self.h(x), self.nu) + as_matrix(self.k(x), (self.nu, self.nu)) @ as_vector(u, self.nu)
+        def affine(a, b, n):  # x, u -> a(x) + b(x) u
+            def out(x, u):
+                if np.ndim(x) > 1:  # a stack, which only a batched system is given
+                    return a(x) + _mv(b(x), u)
+                return as_vector(a(x), n) + as_matrix(b(x), (n, self.nu)) @ as_vector(u, self.nu)
+            return out
 
         def dF_dx(x, u):
             u = as_vector(u, self.nu)
             return self.jac_f(x) + np.einsum("j,jab->ab", u, self.jac_g(x))
 
         return NonlinearSystem(
-            self.nx, self.nu, F, H, self.domain,
-            dF_dx=dF_dx,
+            self.nx, self.nu, affine(self.f, self.g, self.nx), affine(self.h, self.k, self.nu),
+            self.domain, dF_dx=dF_dx,
             dF_du=lambda x, u: as_matrix(self.g(x), (self.nx, self.nu)),
             dH_dx=lambda x, u: self.jac_h(x),
-            dH_du=lambda x, u: as_matrix(self.k(x), (self.nu, self.nu)),
-        )
+            dH_du=lambda x, u: as_matrix(self.k(x), (self.nu, self.nu)), batched=self.batched)
 
 
 @dataclass(frozen=True)
@@ -574,12 +603,12 @@ def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> Scala
     Qs = 0.5 * (Qm + Qm.T)
     b = np.zeros(n) if lin is None else as_vector(lin, n)
 
-    return ScalarField(  # x[..., None, :] @ Qs: per row the BLAS call of one point
+    return ScalarField(  # x[..., None, :] @ Qs and _mv: per row the BLAS call of one point
         n,
         lambda x: 0.5 * np.vecdot((x[..., None, :] @ Qs)[..., 0, :], x) + np.vecdot(b, x) + const,
         domain,
-        gradient=lambda x: (Qs @ x[..., None])[..., 0] + b,
-        hessian=lambda x: Qs if x.ndim == 1 else np.broadcast_to(Qs, x.shape[:-1] + Qs.shape),
+        gradient=lambda x: _mv(Qs, x) + b,
+        hessian=_constant_rows(Qs),
         batched=True,
     )
 
@@ -630,6 +659,18 @@ def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 
         f"at {panels} panels the last change was {err:.3e} > {bound:.3e} (tol {tol})")
 
 
+def _check_row_contract(name: str, pts, pairs) -> None:
+    """AssumptionError(name) unless rows(pts) == [one(x) for x in pts] for each (rows, one)."""
+    for rows, one in pairs:
+        want = [one(x) for x in pts]
+        try:
+            same = np.array_equal(rows(pts), want, equal_nan=True)
+        except (TypeError, ValueError, IndexError):  # a per-point callable rejects the stack
+            same = False
+        if not same:
+            raise AssumptionError(name, f"{rows.__name__} differs from per point")
+
+
 def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0) -> dict:
     """Spot-check analytic derivatives of a field against finite differences.
 
@@ -638,15 +679,8 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
     when a batched field's row-stacked evaluation is not exactly per point.
     """
     pts = field.domain.shrink(0.9).sample(n_samples, seed=seed)
-    for rows, one in (((field.value_rows, field), (field.grad_rows, field.grad),
-                       (field.hess_rows, field.hess)) if field.batched else ()):
-        want = [one(x) for x in pts]
-        try:
-            same = np.array_equal(rows(pts), want, equal_nan=True)
-        except (TypeError, ValueError, IndexError):  # a per-point callable rejects the stack
-            same = False
-        if not same:
-            raise AssumptionError("field-batched", f"{rows.__name__} differs from per point")
+    _check_row_contract("field-batched", pts, ((field.value_rows, field), (
+        field.grad_rows, field.grad), (field.hess_rows, field.hess)) if field.batched else ())
 
     def rel_gap(a, b):
         return np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a)))
@@ -671,16 +705,18 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
 
 
 def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0) -> float:
-    """Check symmetry, invertibility and supplied partials of G at sampled points;
-    returns worst asymmetry.  Partials must match central differences within PARTIALS_TOL;
-    the first failing point names the failure, the metric's own tests first."""
+    """Check that a batched G's rows are exact, then symmetry, invertibility and supplied
+    partials of G at sampled points; returns worst asymmetry.  Partials must match central
+    differences within PARTIALS_TOL; the first failing point names the failure, the
+    metric's own tests before the partials."""
     def partials_agree(x):
         J, Jf = np.asarray(G.partials(x), dtype=float), finite_difference_jacobian(G, x)
         return J.shape == Jf.shape and np.max(np.abs(J - Jf)) <= PARTIALS_TOL * (
             1.0 + np.max(np.abs(J)))
 
     xs = G.domain.shrink(0.9).sample(n_samples, seed=seed)
-    Gs = np.array([G(x) for x in xs]).reshape(len(xs), G.dim, G.dim)
+    _check_row_contract("metric-batched", xs, [(G.rows, G)] if G.batched else ())
+    Gs = G.rows(xs)
     bad = len(xs) if G.partials is None else next(
         (i for i, x in enumerate(xs) if not partials_agree(x)), len(xs))
     _checked_metric_rows(Gs[:bad + 1], xs)

@@ -84,10 +84,8 @@ class Trajectory:
         for name, ch in self.monitors.items():
             if len(np.asarray(ch)) != len(t):
                 raise DimensionMismatchError(f"monitor {name} has wrong length")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", x)
-        object.__setattr__(self, "inputs", u)
-        object.__setattr__(self, "outputs", y)
+        for name, v in zip(("times", "states", "inputs", "outputs"), (t, x, u, y)):
+            object.__setattr__(self, name, v)
 
     def to_csv(self, path):
         """Write t, x_1..x_n, u_1..u_m, y_1..y_m, then monitor columns."""

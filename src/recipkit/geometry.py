@@ -49,7 +49,7 @@ METRIC_STEP = 1e-5
 
 def _christoffel_rows(G: MetricField, xs: np.ndarray) -> Optional[np.ndarray]:
     """levi_civita at each row of xs, (N, n, n, n), or None when it is exactly 0."""
-    Gs = _checked_metric_rows(np.stack([G(x) for x in xs]), xs)
+    Gs = _checked_metric_rows(G.rows(xs), xs)
     J = np.stack([finite_difference_jacobian(G, x, METRIC_STEP) if G.partials is None
                   else G.partials(x) for x in xs])  # J[..., a, b, c] = dG_ab/dx_c
     lower = 0.5 * (J + np.swapaxes(J, -1, -2) - np.moveaxis(J, -1, -3))  # [..., l, i, j]
@@ -287,7 +287,7 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     sig.check_inputs(sys.nu)
     p = len(probes)
     du = lambda t: np.array([as_vector(pr(t), sys.nu) for pr in probes]).reshape(p, sys.nu).T
-    Gs = np.stack([G(x) for x in nominal.states])
+    Gs = G.rows(nominal.states)
     X0 = np.repeat(xi[:, None], p, axis=1)
     dst, dy = simulate_ltv(var, X0, du, times)
     pst, yd = simulate_ltv(dual, Gs[0] @ X0, lambda t: sig.signs[:, None] * du(t), times)

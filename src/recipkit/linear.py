@@ -79,13 +79,10 @@ class LinearSystem:
         if C.shape[0] != m:
             raise DimensionMismatchError(f"C has {C.shape[0]} outputs, B has {m} inputs")
         D = np.asarray(self.D, dtype=float).reshape(m, m)
-        for M in (A, B, C, D):
+        for name, M in zip("ABCD", (A, B, C, D)):
             if not np.all(np.isfinite(M)):
                 raise DimensionMismatchError("system matrices must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -94,12 +91,6 @@ class LinearSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    def transform(self, T) -> "LinearSystem":
-        """Change of state coordinates x = T x_new."""
-        T = as_matrix(T, (self.n, self.n))
-        Ti = np.linalg.inv(T)
-        return LinearSystem(Ti @ self.A @ T, Ti @ self.B, self.C @ T, self.D)
 
 
 @dataclass(frozen=True)
@@ -148,10 +139,8 @@ class LinearPseudoGradientForm:
         D = np.asarray(self.D, dtype=float).reshape(C.shape[0], C.shape[0])
         if not symmetry_residual(self.sigma.conjugate_rows(D)) <= 1e-8:
             raise DimensionMismatchError("sigma D must be symmetric")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        for name, M in zip("GPCD", (G, 0.5 * (P + P.T), C, D)):
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -392,6 +381,11 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
             "lmi_min_eigenvalue": final.min_eigenvalue}
 
 
+def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[[A, 0], [0, B]] for square A and B, either of which may be empty."""
+    return np.block([[A, np.zeros((len(A), len(B)))], [np.zeros((len(B), len(A))), B]])
+
+
 @dataclass(frozen=True)
 class SplitPortHamiltonianForm:
     """Split coordinates exposing z_dot = (J - R) grad H(z) + [C1^T; 0] u.
@@ -418,23 +412,8 @@ class SplitPortHamiltonianForm:
     def n(self) -> int:
         return self.J.shape[0]
 
-    def hamiltonian(self, z) -> float:
-        zz = as_vector(z, self.n)
-        z1, z2 = zz[:self.k], zz[self.k:]
-        val = 0.0
-        if self.k:
-            val += 0.5 * float(z1 @ np.linalg.solve(self.Q1, z1))
-        if self.n - self.k:
-            val += 0.5 * float(z2 @ np.linalg.solve(self.Q2, z2))
-        return val
-
     def to_linear_system(self) -> LinearSystem:
-        Qblk = np.zeros((self.n, self.n))
-        if self.k:
-            Qblk[:self.k, :self.k] = self.Q1
-        if self.n - self.k:
-            Qblk[self.k:, self.k:] = self.Q2
-        Qinv = np.linalg.inv(Qblk)
+        Qinv = np.linalg.inv(_block_diag(self.Q1, self.Q2))
         m = self.C1.shape[0]
         Bz = np.vstack([self.C1.T, np.zeros((self.n - self.k, m))])
         Cz = np.hstack([self.C1, np.zeros((m, self.n - self.k))]) @ Qinv
@@ -511,13 +490,8 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
         z_from_x = np.linalg.inv(T)  # Q_tilde = I, so z = T^-1 x
 
     # structural verifications
-    Gt = T.T @ pg.G @ T
-    goal = np.zeros((n, n))
-    if k:
-        goal[:k, :k] = Q1
-    if n - k:
-        goal[k:, k:] = -Q2
-    if not float(np.max(np.abs(Gt - goal))) <= 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
+    gap = float(np.max(np.abs(T.T @ pg.G @ T - _block_diag(Q1, -Q2))))
+    if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
         raise ConvergenceError("adapted basis failed to block-diagonalize the metric")
     if k and not np.linalg.eigvalsh(P1).min() >= -SIGN_TOL:
         raise ConvergenceError(
@@ -530,14 +504,7 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
         raise ConvergenceError(
             f"output matrix does not vanish on the second block (|C2| = {np.max(np.abs(C2)):.3e})")
 
-    J = np.zeros((n, n))
-    J[:k, k:] = -Pc
-    J[k:, :k] = Pc.T
-    Rmat = np.zeros((n, n))
-    if k:
-        Rmat[:k, :k] = P1
-    if n - k:
-        Rmat[k:, k:] = -P2
+    J = np.block([[np.zeros((k, k)), -Pc], [Pc.T, np.zeros((n - k, n - k))]])
     return SplitPortHamiltonianForm(
         T=T, z_from_x=z_from_x, x_from_z=np.linalg.inv(z_from_x),
-        J=J, R=Rmat, Q1=Q1, Q2=Q2, P1=P1, P2=P2, Pc=Pc, C1=C1, D=pg.D, k=k)
+        J=J, R=_block_diag(P1, -P2), Q1=Q1, Q2=Q2, P1=P1, P2=P2, Pc=Pc, C1=C1, D=pg.D, k=k)

@@ -21,6 +21,8 @@ from .core import (
     MetricField,
     ScalarField,
     SignatureMatrix,
+    _constant_rows,
+    _mv,
     as_matrix,
     as_vector,
     quadratic_field,
@@ -127,10 +129,10 @@ class BraytonMoserModel:
             return (0.5 * float(I @ (self.R * I)) + 0.25 * float(self.quartic @ I ** 4)
                     + 0.5 * s * float(V @ (self.Gc * V)) + float(I @ self.lam @ V))
 
-        def gradient(x):
-            I, V = x[:nL], x[nL:]
-            return np.concatenate([self.R * I + self.quartic * I ** 3 + self.lam @ V,
-                                   s * self.Gc * V + self.lam.T @ I])
+        def gradient(x):  # also maps a stack of points row for row
+            I, V = x[..., :nL], x[..., nL:]
+            return np.concatenate([self.R * I + self.quartic * I ** 3 + _mv(self.lam, V),
+                                   s * self.Gc * V + _mv(self.lam.T, I)], axis=-1)
 
         def hessian(x):
             I = x[:nL]
@@ -147,23 +149,23 @@ class BraytonMoserModel:
             SignatureMatrix.identity(self.m), u_box=u_box)
 
     def as_affine(self) -> AffineNonlinearSystem:
-        """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians."""
+        """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians; batched."""
         Ginv = np.linalg.inv(self.metric_matrix)
         P = self.potential()
         gcols = self.input_columns
-        gsys = Ginv @ gcols
         m = self.m
 
         return AffineNonlinearSystem(
             nx=self.n, nu=m,
-            f=lambda x: Ginv @ (-P.grad(x)),
-            g=lambda x: gsys,
-            h=lambda x: gcols.T @ x,
-            k=lambda x: np.zeros((m, m)),
+            f=lambda x: _mv(Ginv, -P.gradient(np.asarray(x, dtype=float))),
+            g=_constant_rows(Ginv @ gcols),
+            h=lambda x: _mv(gcols.T, np.asarray(x, dtype=float)),
+            k=_constant_rows(np.zeros((m, m))),
             domain=self.domain,
             df_dx=lambda x: Ginv @ (-P.hess(x)),
             dg_dx=lambda x: np.zeros((m, self.n, self.n)),
             dh_dx=lambda x: gcols.T,
+            batched=True,
         )
 
     def sigma(self) -> SignatureMatrix:

@@ -23,6 +23,7 @@ from .core import (
     NonlinearSystem,
     ScalarField,
     SignatureMatrix,
+    _mv,
     finite_difference_jacobian,
     integrate_segment,
     symmetry_residual,
@@ -188,20 +189,18 @@ def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
             "the line integral would be path dependent")
 
     def chi(x):
-        x = as_vector(x, G.dim)
-        d = x - x0
+        d = as_vector(x, G.dim) - x0
         if not np.any(d):
             return np.zeros(G.dim)
-        return integrate_segment(lambda ts: np.array([G(x0 + t * d) @ d for t in ts]),
+        return integrate_segment(lambda ts: G.rows(x0 + ts[:, None] * d) @ d,
                                  0.0, 1.0, tol=LINE_QUAD_TOL)
 
     def value(x):
-        x = as_vector(x, G.dim)
-        d = x - x0
+        d = as_vector(x, G.dim) - x0
         if not np.any(d):
             return 0.0
         return float(integrate_segment(
-            lambda ts: np.array([(1.0 - t) * float(d @ G(x0 + t * d) @ d) for t in ts]),
+            lambda ts: (1.0 - ts) * (G.rows(x0 + ts[:, None] * d) @ d @ d),
             0.0, 1.0, tol=LINE_QUAD_TOL))
 
     return ScalarField(G.dim, value, G.domain, gradient=chi)
@@ -244,30 +243,19 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
             f"{rep.residual_cross:.2e} > {POTENTIAL_RECIPROCITY_TOL}); "
             "potential is path dependent", report=rep)
 
+    n, w0 = sys.nx + sys.nu, np.concatenate([x0, u0])
+
+    def minus_grad_rows(W):  # rows (G F, sigma H) = -grad V at the rows of W, one call each
+        X, U = W[:, :sys.nx], W[:, sys.nx:]
+        return np.hstack([_mv(G.rows(X), sys.F_rows(X, U)), sigma.signs * sys.H_rows(X, U)])
+
     def value(w):
-        w = as_vector(w, sys.nx + sys.nu)
-        x, u = w[:sys.nx], w[sys.nx:]
-        dx, du = x - x0, u - u0
-        if not (np.any(dx) or np.any(du)):
+        d = as_vector(w, n) - w0
+        if not np.any(d):
             return 0.0
-
-        def integrand(t):
-            xt = x0 + t * dx
-            ut = u0 + t * du
-            a = float((G(xt) @ as_vector(sys.F(xt, ut), sys.nx)) @ dx)
-            b = float(sigma.apply(sys.H(xt, ut)) @ du)
-            return a + b
-
-        return -float(integrate_segment(lambda ts: np.array([integrand(t) for t in ts]),
+        return -float(integrate_segment(lambda ts: minus_grad_rows(w0 + ts[:, None] * d) @ d,
                                         0.0, 1.0, tol=LINE_QUAD_TOL))
 
-    def gradient(w):
-        w = as_vector(w, sys.nx + sys.nu)
-        x, u = w[:sys.nx], w[sys.nx:]
-        gx = -(G(x) @ as_vector(sys.F(x, u), sys.nx))
-        gu = -sigma.apply(sys.H(x, u))
-        return np.concatenate([gx, gu])
-
-    field = ScalarField(sys.nx + sys.nu, value, BoxDomain.product(sys.domain, u_box),
-                        gradient=gradient)
+    field = ScalarField(n, value, BoxDomain.product(sys.domain, u_box),
+                        gradient=lambda w: -minus_grad_rows(as_vector(w, n)[None])[0])
     return PotentialFunction(V=field, base_point=(x0, u0), nx=sys.nx, nu=sys.nu)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -49,13 +50,25 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _matrix(doc, key: str, context: str, shape=None) -> np.ndarray:
+def _typed(kind, doc, key: str, context: str):
+    """kind(doc[key]); a value of the wrong type is a SchemaError naming key."""
     raw = _require(doc, key, context)
     try:
-        M = np.array(raw, dtype=float)
+        return kind(raw)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: {key} is not a numeric matrix") from exc
-    M = np.atleast_2d(M)
+        raise SchemaError(f"{context}: {key} has the wrong type ({exc})") from exc
+
+
+def _ints(raw) -> tuple:
+    return tuple(int(i) for i in raw)
+
+
+def _floats(raw) -> np.ndarray:
+    return np.array(raw, dtype=float)
+
+
+def _matrix(doc, key: str, context: str, shape=None) -> np.ndarray:
+    M = np.atleast_2d(_typed(_floats, doc, key, context))
     if M.ndim != 2:
         raise SchemaError(f"{context}: {key} must be a matrix, got ndim={M.ndim}")
     if shape is not None and M.shape != shape:
@@ -85,8 +98,7 @@ def _box(doc, key: str, dim: int, context: str,
     spec = doc[key]
     if not isinstance(spec, dict) or "lower" not in spec or "upper" not in spec:
         raise SchemaError(f"{context}: {key} must be an object with lower/upper arrays")
-    lo = np.array(spec["lower"], dtype=float)
-    hi = np.array(spec["upper"], dtype=float)
+    lo, hi = (_typed(_floats, spec, end, f"{context}: {key}") for end in ("lower", "upper"))
     if lo.shape != (dim,) or hi.shape != (dim,):
         raise SchemaError(f"{context}: {key} bounds must have length {dim}")
     try:
@@ -110,17 +122,17 @@ def parse_field(spec, context: str, dim: Optional[int] = None) -> ScalarField:
         body = spec["polynomial"]
         if not isinstance(body, dict):
             raise SchemaError(f"{context}: polynomial spec must be an object")
-        pdim = int(_require(body, "dim", context))
-        terms = _require(body, "terms", context)
+        pdim = _typed(int, body, "dim", context)
+        terms = _typed(list, body, "terms", context)
         parsed = []
         for i, term in enumerate(terms):
             if not isinstance(term, dict) or "exponents" not in term or "coeff" not in term:
                 raise SchemaError(f"{context}: term {i} needs exponents and coeff")
-            exps = tuple(int(e) for e in term["exponents"])
+            exps = _typed(_ints, term, "exponents", f"{context}: term {i}")
             if len(exps) != pdim or any(e < 0 for e in exps):
                 raise SchemaError(f"{context}: term {i} exponents must be {pdim} "
                                   "nonnegative integers")
-            coeff = float(term["coeff"])
+            coeff = _typed(float, term, "coeff", f"{context}: term {i}")
             if not np.isfinite(coeff):
                 raise SchemaError(f"{context}: term {i} coeff must be finite, got {coeff}")
             parsed.append((exps, coeff))
@@ -185,7 +197,7 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
     sigma = _signature(doc, "sigma", m, ctx)
     domain = _box(doc, "domain", nx, ctx)
     if "domain" in doc:
-        metric = MetricField(nx, metric.eval, domain, metric.partials)
+        metric = replace(metric, domain=domain)
     else:
         domain = metric.domain
 
@@ -259,10 +271,9 @@ def _load_port_hamiltonian(doc: dict, name: str) -> ModelBundle:
     ph = PortHamiltonianSystem(H=H, J=J, g=gmat, nu=m, R=R, R_jac=R_jac)
     split = None
     if "split" in doc:
-        s = doc["split"]
+        s = _typed(dict, doc, "split", ctx)
         sctx = f"{ctx}: split"
-        idx1 = tuple(int(i) for i in _require(s, "idx1", sctx))
-        idx2 = tuple(int(i) for i in _require(s, "idx2", sctx))
+        idx1, idx2 = (_typed(_ints, s, key, sctx) for key in ("idx1", "idx2"))
         H1 = parse_field(_require(s, "H1", sctx), sctx, dim=len(idx1))
         H2 = parse_field(_require(s, "H2", sctx), sctx, dim=len(idx2))
         P1 = parse_field(_require(s, "P1", sctx), sctx, dim=len(idx1))
@@ -325,6 +336,8 @@ def load_system_file(path: str) -> ModelBundle:
     doc = read_json(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     name = doc.get("name", stem) if isinstance(doc, dict) else stem
+    if not isinstance(name, str):
+        raise SchemaError(f"{path}: name has the wrong type ({type(name).__name__})")
     return load_system(doc, name=name)
 
 

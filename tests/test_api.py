@@ -55,9 +55,9 @@ DEFAULTED = {
     "core.BoxDomain.sample": ("seed",),
     "core.BoxDomain.cube": ("halfwidth", "center"),
     "core.ScalarField": ("gradient", "hessian", "batched"),
-    "core.MetricField": ("partials",),
-    "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du"),
-    "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
+    "core.MetricField": ("partials", "batched"),
+    "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du", "batched"),
+    "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx", "batched"),
     "core.quadratic_field": ("lin", "const"),
     "core.finite_difference_jacobian": ("step",),
     "core.hessian_from_value": ("step",),
@@ -151,7 +151,7 @@ def test_defaulted_parameter_snapshot():
             if defaulted:
                 surface[f"{m}.{name}"] = defaulted
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 148
+    assert sum(len(names) for names in surface.values()) == 151
 
 
 def _used_names(tree):

@@ -383,6 +383,10 @@ BAD_DOCUMENTS = {
                   "finite"),
     "coeff-infinity": (["christoffel"],
                        {"field": poly(2, [([2, 0], float("inf")), ([0, 2], 1.0)])}, "finite"),
+    "coeff-string": (["legendre"], {"field": poly(2, [([2, 0], "abc"), ([0, 2], 1.0)])},
+                     "coeff has the wrong type"),
+    "u_box-string": (["simulate"], {**PH_DOC, "u_box": {"lower": ["a"], "upper": [1.0]}},
+                     "u_box: lower has the wrong type"),
 }
 
 

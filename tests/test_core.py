@@ -413,6 +413,26 @@ def test_validate_scalar_field_checks_the_batched_contract():
                                       hessian=per_point_hessian.hessian))
 
 
+def test_validate_metric_field_checks_the_batched_contract():
+    box = BoxDomain.cube(2)
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((2, 2))
+    xs = box.sample(16, seed=3)
+    for G in (MetricField.constant(M + M.T, box),
+              MetricField.from_hessian(quadratic_field(M @ M.T + np.eye(2), box))):
+        assert G.batched
+        validate_metric_field(G)
+        assert np.array_equal(G.rows(xs), [G(x) for x in xs])
+    # np.diag of a stack is its diagonal, not a stack of diagonal matrices
+    per_point = MetricField(2, lambda x: np.diag(2.0 + np.cos(x)), box, batched=True)
+    with pytest.raises(AssumptionError) as info:
+        validate_metric_field(per_point)
+    assert info.value.name == "metric-batched" and "rows" in str(info.value)
+    validate_metric_field(MetricField(2, per_point.eval, box))
+    # without a stacked Hessian the metric of a field is per point
+    assert not MetricField.from_hessian(ScalarField(2, lambda x: float(x @ x), box)).batched
+
+
 def test_row_evaluators_match_the_per_point_methods():
     box = BoxDomain.cube(2)
     p = Polynomial(2, (((2, 1), 1.0), ((0, 3), 3.0), ((1, 0), -0.5))).to_field(box)

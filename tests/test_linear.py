@@ -336,7 +336,8 @@ def test_split_port_hamiltonian_transformed_coordinates():
     rng = np.random.default_rng(8)
     sys, G, sigma = gyrator_fixture()
     T = well_conditioned_transform(rng, 2)
-    sys2 = sys.transform(T)
+    Ti = np.linalg.inv(T)  # state coordinates x = T x_new
+    sys2 = LinearSystem(Ti @ sys.A @ T, Ti @ sys.B, sys.C @ T, sys.D)
     G2 = T.T @ G @ T
     Q2 = T.T @ np.eye(2) @ T
     pg = to_pseudo_gradient(sys2, G2, sigma)

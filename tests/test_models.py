@@ -208,6 +208,13 @@ def test_model_registry_contents():
     assert reg["brayton-moser"].kind == "affine"
     assert reg["brayton-moser"].affine is not None
     assert reg["brayton-moser"].metric is not None
+    # brayton-moser is batched: its stacked F and H are the per-point values, bit for bit
+    bm = reg["brayton-moser"]
+    general = bm.affine.to_general()
+    assert bm.affine.batched and general.batched and bm.metric.batched
+    X, U = bm.affine.domain.sample(32, seed=4), bm.u_box.sample(32, seed=5)
+    assert np.array_equal(general.F_rows(X, U), [general.F(x, u) for x, u in zip(X, U)])
+    assert np.array_equal(general.H_rows(X, U), [general.H(x, u) for x, u in zip(X, U)])
     assert reg["swing"].kind == "port_hamiltonian"
     assert reg["swing"].ph is not None and reg["swing"].split is not None
     for name in ("rc-relaxation", "rc-tanh", "scalar-relaxation"):

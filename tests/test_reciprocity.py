@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recipkit import reciprocity
 from recipkit.core import (
     AffineNonlinearSystem,
     AssumptionError,
@@ -12,7 +15,7 @@ from recipkit.core import (
     SignatureMatrix,
     quadratic_field,
 )
-from recipkit.models import BraytonMoserModel, SwingModel
+from recipkit.models import BraytonMoserModel, SwingModel, model_registry
 from recipkit.reciprocity import (
     check_reciprocity,
     check_reciprocity_affine,
@@ -280,6 +283,61 @@ def test_reconstruct_potential_brayton_moser_grid():
             w = np.concatenate([x, [uv]])
             expected = P(x) - P(np.zeros(2)) - float(x @ g[:, 0]) * uv
             assert pot.V(w) == pytest.approx(expected, abs=1e-6)
+
+
+def test_line_integrals_make_one_row_call_per_quadrature_pass(monkeypatch):
+    reg = model_registry()["brayton-moser"]
+    pot = reconstruct_potential(reg.affine.to_general(), reg.metric, reg.sigma,
+                                base_point=(np.zeros(2), np.zeros(1)), n_samples=20)
+    rec = reconstruct_K(reg.metric, base_point=np.zeros(2))
+    calls = {"passes": 0, "F_rows": 0, "H_rows": 0, "rows": 0}
+    integrate = reciprocity.integrate_segment
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    # a pass is one call of the node function that integrate_segment is given
+    monkeypatch.setattr(reciprocity, "integrate_segment",
+                        lambda f, *args, **kw: integrate(counting("passes", f), *args, **kw))
+    for owner, name in ((NonlinearSystem, "F_rows"), (NonlinearSystem, "H_rows"),
+                        (MetricField, "rows")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for w in BoxDomain.product(reg.affine.domain, reg.u_box).sample(4, seed=1):
+        pot.V(w)
+    assert calls["F_rows"] == calls["H_rows"] == calls["rows"] == calls["passes"] >= 8
+    calls.update(passes=0, rows=0)
+    for x in reg.affine.domain.sample(4, seed=2):
+        rec(x), rec.grad(x)
+    assert calls["passes"] >= 16 and calls["rows"] == calls["passes"]
+
+
+@st.composite
+def brayton_moser_models(draw):
+    """A BraytonMoserModel with one or two inductors and capacitors and random parameters."""
+    nL, nC = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def vec(n, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    return BraytonMoserModel(L=vec(nL, 0.2, 3.0), C=vec(nC, 0.2, 3.0),
+                             lam=vec(nL * nC, -1.0, 1.0).reshape(nL, nC),
+                             R=vec(nL, 0.1, 2.0), Gc=vec(nC, 0.1, 2.0),
+                             quartic=vec(nL, 0.0, 1.0),
+                             co_content_sign=draw(st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=50)
+@given(brayton_moser_models())
+def test_reconstructed_potential_is_the_mixed_potential(bm):
+    pot = reconstruct_potential(bm.as_affine().to_general(), bm.metric_field(), bm.sigma(),
+                                base_point=(np.zeros(bm.n), np.zeros(bm.m)), n_samples=20)
+    P = bm.potential()
+    for x in bm.domain.shrink(0.7).sample(6, seed=bm.n):
+        # criterion 7's tolerance on the potential
+        assert abs(pot.V(np.concatenate([x, np.zeros(bm.m)])) - (P(x) - P(np.zeros(bm.n)))) <= 1e-4
 
 
 def test_reconstruct_potential_rejects_non_reciprocal():

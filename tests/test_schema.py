@@ -220,6 +220,48 @@ def test_port_hamiltonian_loads_exactly_when_J_is_skew(J):
             load_system(json.loads(json.dumps(doc)))
 
 
+def test_json_constant_metric_with_a_domain_stays_batched():
+    doc = {"kind": "nonlinear", "potential": poly_spec(1, [((2,), 0.5)]),
+           "metric": {"constant": [[2.0]]}, "g": [[1.0]],
+           "domain": {"lower": [-1.0], "upper": [0.5]}}
+    metric = load_system(doc).metric
+    assert metric.batched and np.array_equal(metric.domain.upper, [0.5])
+    xs = metric.domain.sample(8)
+    assert np.array_equal(metric.rows(xs), [metric(x) for x in xs])
+
+
+WRONG_TYPES = {  # key -> a document whose value under that key has the wrong type
+    "dim": {"field": {"polynomial": {"dim": "two", "terms": []}}},
+    "terms": {"field": {"polynomial": {"dim": 1, "terms": 5}}},
+    "exponents": {"field": {"polynomial": {"dim": 1,
+                                           "terms": [{"exponents": ["x"], "coeff": 1.0}]}}},
+    "coeff": {"field": poly_spec(1, [((2,), "abc")])},
+    "lower": {"field": {"polynomial": {"dim": 1, "terms": [],
+                                       "domain": {"lower": ["a"], "upper": [1.0]}}}},
+    "idx1": {"split": {"idx1": ["a"], "idx2": [1]}},
+    "idx2": {"split": {"idx1": [0], "idx2": None}},
+    "split": {"split": 5},
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_TYPES))
+def test_a_value_of_the_wrong_type_names_its_key(key):
+    doc = WRONG_TYPES[key]
+    with pytest.raises(SchemaError, match=f"{key} has the wrong type"):
+        if "field" in doc:
+            parse_field(doc["field"], "t")
+        else:
+            load_system({"kind": "port_hamiltonian", "H": poly_spec(2, [((2, 0), 0.5)]),
+                         "J": [[0.0, -1.0], [1.0, 0.0]], "g": [[1.0], [0.0]], **doc})
+
+
+def test_a_model_name_that_is_not_a_string_is_a_schema_error(tmp_path):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**LINEAR_DOC, "name": 5}))
+    with pytest.raises(SchemaError, match="name has the wrong type"):
+        load_system_file(str(path))
+
+
 def test_box_spec_validation():
     doc = {
         "kind": "nonlinear",
