@@ -51,6 +51,10 @@ SYM_TOL = 1e-10  # max |M - M^T| of a metric or of a supplied Hessian
 GRAD_TOL = 1e-5
 HESS_TOL = 1e-4
 PARTIALS_TOL = 1e-5  # metric partials
+VALIDATE_SAMPLES = 20  # points validate_scalar_field and validate_metric_field test
+# composite Gauss-Legendre: nodes per panel, doublings of the panel count
+QUAD_NODES = 32
+QUAD_MAX_DOUBLINGS = 10
 
 
 class RecipkitError(Exception):
@@ -152,10 +156,9 @@ class BoxDomain:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         v = as_vector(x, self.dim)
-        pad = margin * self.width
-        return bool(np.all(v >= self.lower - pad) and np.all(v <= self.upper + pad))
+        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
         """n low-discrepancy points strictly inside the box.
@@ -187,9 +190,9 @@ class BoxDomain:
         return BoxDomain(np.concatenate([a.lower, b.lower]), np.concatenate([a.upper, b.upper]))
 
     @staticmethod
-    def cube(dim: int, halfwidth: float = 1.0, center: float = 0.0) -> "BoxDomain":
-        c = np.full(dim, float(center))
-        return BoxDomain(c - halfwidth, c + halfwidth)
+    def cube(dim: int, halfwidth: float = 1.0) -> "BoxDomain":
+        half = np.full(dim, float(halfwidth))
+        return BoxDomain(-half, half)
 
 
 def _first_primes(count: int) -> list:
@@ -271,13 +274,13 @@ def finite_difference_jacobian(F: Callable, x, step: float = GRAD_STEP) -> np.nd
     return np.stack(cols, axis=-1)
 
 
-def hessian_from_value(f: Callable, x, step: float = HESS_VALUE_STEP) -> np.ndarray:
+def hessian_from_value(f: Callable, x) -> np.ndarray:
     """Second central differences of a scalar map; symmetrized.
 
-    Component i moves by max(step, step*|x_i|).
+    Component i moves by max(HESS_VALUE_STEP, HESS_VALUE_STEP*|x_i|).
     """
     v = as_vector(x)
-    steps = _default_steps(v, step)
+    steps = _default_steps(v, HESS_VALUE_STEP)
     n = v.shape[0]
     H = np.empty((n, n))
     f0 = f(v)
@@ -345,9 +348,6 @@ class ScalarField:
     def hess_rows(self, X) -> np.ndarray:
         return _rows(self.batched, self.hessian, self.hess, (self.dim, self.dim), X)
 
-    def shifted(self, offset: float) -> "ScalarField":
-        return ScalarField(self.dim, lambda x: self.value(x) + offset, self.domain,
-                           self.gradient, self.hessian, self.batched)
 
 
 @dataclass(frozen=True)
@@ -403,10 +403,10 @@ class SignatureMatrix:
     signs: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.signs, dtype=int))
-        if s.ndim != 1 or not np.all(np.abs(s) == 1):
+        s = np.atleast_1d(np.asarray(self.signs, dtype=float))
+        if s.ndim != 1 or not np.all(np.abs(s) == 1):  # before the int cast, which takes 1.7 for 1
             raise DimensionMismatchError("signature entries must be +1 or -1")
-        object.__setattr__(self, "signs", s)
+        object.__setattr__(self, "signs", s.astype(int))
 
     @property
     def m(self) -> int:
@@ -614,19 +614,19 @@ def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> Scala
 
 
 @lru_cache(maxsize=None)
-def _legendre_nodes(nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1] as immutable float tuples."""
-    xs, ws = leggauss(nodes)
+def _legendre_nodes() -> tuple:
+    """QUAD_NODES Gauss-Legendre nodes and weights on [-1, 1] as immutable float tuples."""
+    xs, ws = leggauss(QUAD_NODES)
     return tuple(xs.tolist()), tuple(ws.tolist())
 
 
-def gauss_legendre_panels(f: Callable, a: float, b: float, panels: int, nodes: int = 32):
+def gauss_legendre_panels(f: Callable, a: float, b: float, panels: int):
     """Composite Gauss-Legendre quadrature of a map evaluated on a whole node array.
 
-    f is called once with the pass's nodes, shape (panels * nodes,), and
-    returns values with the node axis first: shape (panels * nodes, ...).
+    f is called once with the pass's nodes, shape (panels * QUAD_NODES,), and
+    returns values with the node axis first: shape (panels * QUAD_NODES, ...).
     """
-    xs, ws = _legendre_nodes(nodes)
+    xs, ws = _legendre_nodes()
     h = (b - a) / panels
     mid = a + np.arange(panels) * h + 0.5 * h
     ts = (mid[:, None] + 0.5 * h * np.asarray(xs)).ravel()
@@ -634,28 +634,27 @@ def gauss_legendre_panels(f: Callable, a: float, b: float, panels: int, nodes: i
     return np.tensordot(weights, np.asarray(f(ts), dtype=float), axes=1)
 
 
-def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 1e-8,
-                      nodes: int = 32, max_doublings: int = 10):
+def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 1e-8):
     """Adaptive composite Gauss-Legendre: double panel count until stable.
 
     f takes an array of nodes, shape (N,), and returns its values with the
     node axis first, shape (N, ...); it is called once per pass.  Stops when
     successive estimates differ by less than tol*(1+|estimate|); raises
-    ConvergenceError if the budget of doublings is exhausted.
+    ConvergenceError after QUAD_MAX_DOUBLINGS doublings.
     """
     panels = 1
-    prev = gauss_legendre_panels(f, a, b, panels, nodes)
+    prev = gauss_legendre_panels(f, a, b, panels)
     err, bound = np.inf, tol
-    for _ in range(max_doublings):
+    for _ in range(QUAD_MAX_DOUBLINGS):
         panels *= 2
-        cur = gauss_legendre_panels(f, a, b, panels, nodes)
+        cur = gauss_legendre_panels(f, a, b, panels)
         err = float(np.max(np.abs(np.atleast_1d(cur - prev))))
         bound = tol * (1.0 + float(np.max(np.abs(np.atleast_1d(cur)))))
         if err <= bound:
             return cur
         prev = cur
     raise ConvergenceError(
-        f"quadrature on [{a},{b}] did not stabilize within {max_doublings} doublings: "
+        f"quadrature on [{a},{b}] did not stabilize within {QUAD_MAX_DOUBLINGS} doublings: "
         f"at {panels} panels the last change was {err:.3e} > {bound:.3e} (tol {tol})")
 
 
@@ -671,14 +670,15 @@ def _check_row_contract(name: str, pts, pairs) -> None:
             raise AssumptionError(name, f"{rows.__name__} differs from per point")
 
 
-def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0) -> dict:
-    """Spot-check analytic derivatives of a field against finite differences.
+def validate_scalar_field(field: ScalarField) -> dict:
+    """Spot-check analytic derivatives of a field against finite differences
+    at VALIDATE_SAMPLES points.
 
     Returns a dict of worst-case residuals; raises AssumptionError when a
     supplied derivative disagrees with its finite-difference counterpart, or
     when a batched field's row-stacked evaluation is not exactly per point.
     """
-    pts = field.domain.shrink(0.9).sample(n_samples, seed=seed)
+    pts = field.domain.shrink(0.9).sample(VALIDATE_SAMPLES)
     _check_row_contract("field-batched", pts, ((field.value_rows, field), (
         field.grad_rows, field.grad), (field.hess_rows, field.hess)) if field.batched else ())
 
@@ -704,9 +704,9 @@ def validate_scalar_field(field: ScalarField, n_samples: int = 20, seed: int = 0
     return out
 
 
-def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0) -> float:
+def validate_metric_field(G: MetricField) -> float:
     """Check that a batched G's rows are exact, then symmetry, invertibility and supplied
-    partials of G at sampled points; returns worst asymmetry.  Partials must match central
+    partials of G at VALIDATE_SAMPLES points; returns worst asymmetry.  Partials must match central
     differences within PARTIALS_TOL; the first failing point names the failure, the
     metric's own tests before the partials."""
     def partials_agree(x):
@@ -714,7 +714,7 @@ def validate_metric_field(G: MetricField, n_samples: int = 20, seed: int = 0) ->
         return J.shape == Jf.shape and np.max(np.abs(J - Jf)) <= PARTIALS_TOL * (
             1.0 + np.max(np.abs(J)))
 
-    xs = G.domain.shrink(0.9).sample(n_samples, seed=seed)
+    xs = G.domain.shrink(0.9).sample(VALIDATE_SAMPLES)
     _check_row_contract("metric-batched", xs, [(G.rows, G)] if G.batched else ())
     Gs = G.rows(xs)
     bad = len(xs) if G.partials is None else next(

@@ -55,7 +55,9 @@ MIDPOINT_NEWTON_KAPPA = 0.1  # share of MIDPOINT_NEWTON_TOL the increment test m
 MIDPOINT_MAX_NEWTON = 40
 UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
-STRUCTURE_TOL = 1e-10  # sampled |J + J^T| and -x.R(x) that PortHamiltonianSystem.validate accepts
+STRUCTURE_TOL = 1e-10  # |J + J^T| and sampled -x.R(x) that PortHamiltonianSystem.validate accepts
+STRUCTURE_SAMPLES = 20  # points at which PortHamiltonianSystem.validate samples x.R(x)
+CONVERSION_SAMPLES = 40  # points at which ph_to_hessian_pseudo_gradient tests II and III
 
 
 class NotRelaxationError(RecipkitError):
@@ -322,19 +324,23 @@ class HessianPseudoGradientSystem:
 
 @dataclass(frozen=True)
 class PortHamiltonianSystem:
-    """z_dot = J(z) grad H(z) - R(grad H(z)) + g(z) u, y = g(z)^T grad H(z).
+    """z_dot = J grad H(z) - R(grad H(z)) + g u, y = g^T grad H(z).
 
-    J may be a constant matrix or a callable; R maps the co-state
-    x = grad H(z) to a vector with x . R(x) >= 0; g is a constant input
-    matrix or a callable.
+    J (n, n) and g (n, nu) are constant matrices, shape-checked at
+    construction; R maps the co-state x = grad H(z) to a vector with
+    x . R(x) >= 0.
     """
 
     H: ScalarField
-    J: object
-    g: object
+    J: np.ndarray
+    g: np.ndarray
     nu: int
     R: Optional[Callable] = None
     R_jac: Optional[Callable] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "J", as_matrix(self.J, (self.n, self.n)))
+        object.__setattr__(self, "g", as_matrix(self.g, (self.n, self.nu)))
 
     @property
     def n(self) -> int:
@@ -344,14 +350,6 @@ class PortHamiltonianSystem:
     def domain(self) -> BoxDomain:
         return self.H.domain
 
-    def J_at(self, z) -> np.ndarray:
-        J = self.J(z) if callable(self.J) else self.J
-        return as_matrix(J, (self.n, self.n))
-
-    def g_at(self, z) -> np.ndarray:
-        g = self.g(z) if callable(self.g) else self.g
-        return as_matrix(g, (self.n, self.nu))
-
     def R_at(self, x) -> np.ndarray:
         if self.R is None:
             return np.zeros(self.n)
@@ -359,28 +357,27 @@ class PortHamiltonianSystem:
 
     def rhs(self, z, u):
         grad = self.H.grad(z)
-        return self.J_at(z) @ grad - self.R_at(grad) + self.g_at(z) @ as_vector(u, self.nu)
+        return self.J @ grad - self.R_at(grad) + self.g @ as_vector(u, self.nu)
 
     def rhs_jac(self, z, u):
         """State Jacobian of rhs.
 
-        (J - dR/dx) hess H when J and g are constant and R is absent or has
-        R_jac; central differences of rhs otherwise.
+        (J - dR/dx) hess H when R is absent or has R_jac; central differences
+        of rhs otherwise.
         """
-        if callable(self.J) or callable(self.g) or (self.R is not None and self.R_jac is None):
+        if self.R is not None and self.R_jac is None:
             return finite_difference_jacobian(lambda w: self.rhs(w, u), z)
         shape = (self.n, self.n)
         Rj = np.zeros(shape) if self.R_jac is None else as_matrix(self.R_jac(self.H.grad(z)), shape)
-        return (as_matrix(self.J, shape) - Rj) @ self.H.hess(z)
+        return (self.J - Rj) @ self.H.hess(z)
 
     def output(self, z, u):
-        return self.g_at(z).T @ self.H.grad(z)
+        return self.g.T @ self.H.grad(z)
 
-    def validate(self, n_samples: int = 20, seed: int = 0):
-        """Sampled skewness of J and nonnegativity of the dissipation pairing."""
-        zs = self.domain.shrink(0.9).sample(n_samples, seed=seed)
-        worst_skew = float(np.max([np.max(np.abs(J + J.T)) for J in map(self.J_at, zs)],
-                                  initial=0.0))
+    def validate(self):
+        """Skewness of J, and nonnegativity of the dissipation pairing at sampled points."""
+        zs = self.domain.shrink(0.9).sample(STRUCTURE_SAMPLES)
+        worst_skew = float(np.max(np.abs(self.J + self.J.T)))
         worst_diss = float(np.min([x @ self.R_at(x) for x in map(self.H.grad, zs)],
                                   initial=0.0))
         if not worst_skew <= STRUCTURE_TOL:
@@ -497,21 +494,19 @@ class ConversionSplit:
 @dataclass(frozen=True)
 class ConversionResult:
     system: HessianPseudoGradientSystem
-    storage: ScalarField
     report: dict
     split: ConversionSplit
 
 
 def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionSplit,
-                                  n_samples: int = 40, seed: int = 0,
-                                  tol: float = 1e-8,
+                                  seed: int = 0, tol: float = 1e-8,
                                   u_box: Optional[BoxDomain] = None) -> ConversionResult:
     """Convert a structured port-Hamiltonian system to Hessian pseudo-gradient form.
 
-    Checks, at sampled points, the four structural assumptions:
+    Checks the four structural assumptions, II and III at CONVERSION_SAMPLES
+    sampled points:
 
-    I    J and g are constant with J = [[0, -Pc], [Pc^T, 0]] and g = [g1; 0]
-         in the split ordering;
+    I    J = [[0, -Pc], [Pc^T, 0]] and g = [g1; 0] in the split ordering;
     II   the Hamiltonian splits additively across the two blocks;
     III  the dissipation derives from the Rayleigh potentials;
     IV   the Hamiltonian blocks are bounded below (sampled minima only).
@@ -530,14 +525,13 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     g1 = as_matrix(split.g1, (k1, sys.nu))
     report: dict = {}
 
-    zs = sys.domain.shrink(0.9).sample(n_samples, seed=seed)
+    zs = sys.domain.shrink(0.9).sample(CONVERSION_SAMPLES, seed=seed)
     perm = np.array(i1 + i2)
 
-    # assumption I: constant structured J and g, compared as one block [J | g]
+    # assumption I: structured J and g, compared as one block [J | g]
     Sexp = np.block([[np.zeros((k1, k1)), -Pc, g1], [Pc.T, np.zeros((k2, k2 + sys.nu))]])
     report["I_structure_gap"] = float(np.max(
-        [np.max(np.abs(np.hstack([sys.J_at(z)[:, perm], sys.g_at(z)])[perm] - Sexp))
-         for z in zs], initial=0.0))
+        np.abs(np.hstack([sys.J[:, perm], sys.g])[perm] - Sexp)))
     if not report["I_structure_gap"] <= tol:
         raise AssumptionError("I", f"J/g structure gap {report['I_structure_gap']:.3e}",
                               report)
@@ -552,7 +546,7 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
 
     # assumption III: Rayleigh dissipation in the co-state variables
     W = BoxDomain.product(split.P1.domain, split.P2.domain).shrink(0.9).sample(
-        n_samples, seed=seed + 1)
+        CONVERSION_SAMPLES, seed=seed + 1)
     R = np.array([sys.R_at(x) for x in W[:, np.argsort(perm)]]).reshape(len(W), sys.n)
     expected = np.hstack([split.P1.grad_rows(W[:, :k1]), -split.P2.grad_rows(W[:, k1:])])
     report["III_rayleigh_gap"] = float(np.max(np.abs(R[:, perm] - expected), initial=0.0))
@@ -610,7 +604,7 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     system = HessianPseudoGradientSystem.from_internal_potential(
         K, Pfield, g_full, SignatureMatrix.identity(sys.nu), u_box=u_box,
         storage=storage)
-    return ConversionResult(system=system, storage=storage, report=report,
+    return ConversionResult(system=system, report=report,
                             split=ConversionSplit(i1, i2, split.H1, split.H2,
                                                   split.P1, split.P2, Pc, g1))
 

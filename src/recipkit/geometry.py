@@ -179,19 +179,18 @@ def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=Non
                                     lambda ts: B(ts).transpose(0, 2, 1)))
 
 
-def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory,
-                       u_signal=None) -> TimeVaryingLinearSystem:
+def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory
+                       ) -> TimeVaryingLinearSystem:
     """Linearization along a nominal trajectory.
 
     d/dt dx = (df/dx + sum_j u_j dg_j/dx) dx + g(x) du,   dy = (dh/dx) dx,
-    with x(t), u(t) interpolated from the nominal trajectory (cubic spline)
-    unless an explicit input signal is supplied.
+    with x(t), u(t) interpolated from the nominal trajectory (cubic spline).
     """
-    return _linearization(sys, nominal, u_signal)[0]
+    return _linearization(sys, nominal)[0]
 
 
 def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
-                            nominal: Trajectory, u_signal=None) -> TimeVaryingLinearSystem:
+                            nominal: Trajectory) -> TimeVaryingLinearSystem:
     """Metric-dual of the variational system along the same nominal.
 
     The adjoint (A^T, C^T, B^T) of variational_system's matrices, from the
@@ -204,7 +203,7 @@ def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
     per time; where the lower-index coefficients vanish (MetricField.constant)
     the term is exactly 0 and xdot is not evaluated.
     """
-    return _linearization(sys, nominal, u_signal, G)[1]
+    return _linearization(sys, nominal, G=G)[1]
 
 
 def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarray],

@@ -52,6 +52,8 @@ HANKEL_QUAD_TOL = 1e-10
 HURWITZ_MARGIN = 1e-3  # least decay rate -max Re eig(A) that Hankel recovery accepts
 KERNEL_FLOOR = 1e-10  # |eigenvalue| of Q below which its eigenvector is in ker Q
 COMPATIBLE_MAX_ITER = 100
+PSEUDO_GRADIENT_TOL = 1e-8  # reciprocity residual that to_pseudo_gradient accepts
+KERNEL_INVARIANCE_TOL = 1e-8  # relative |Q A v| and |C v| on ker Q taken as 0
 # split normal form: snapping of eig(G^-1 Q) to +/-1, relative |C2| taken as 0,
 # sign slack of the P1 and P2 blocks
 SNAP_TOL = 1e-6
@@ -156,10 +158,9 @@ class LinearPseudoGradientForm:
         return LinearSystem(A, B, self.C, self.D)
 
 
-def to_pseudo_gradient(sys: LinearSystem, G, sigma: SignatureMatrix,
-                       tol: float = 1e-8) -> LinearPseudoGradientForm:
+def to_pseudo_gradient(sys: LinearSystem, G, sigma: SignatureMatrix) -> LinearPseudoGradientForm:
     """Rewrite a reciprocal system as G x_dot = -P x + C^T sigma u."""
-    chk = check_linear_reciprocity(sys, G, sigma, tol)
+    chk = check_linear_reciprocity(sys, G, sigma, PSEUDO_GRADIENT_TOL)
     if not chk.reciprocal:
         raise AssumptionError(
             "reciprocity", f"system is not reciprocal for the given (G, sigma): "
@@ -290,8 +291,7 @@ def lmi_residual(sys: LinearSystem, Q, tol: float = 1e-9) -> LmiReport:
     return LmiReport(Pi=Pi, min_eigenvalue=min_eig, passive=passive, kernel_basis=kernel)
 
 
-def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport,
-                            tol: float = 1e-8) -> dict:
+def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport) -> dict:
     """For a storage candidate Q passing the LMI, ker Q is A-invariant and inside ker C.
 
     report is lmi_residual(sys, Q) at the caller's LMI tolerance; its kernel
@@ -304,6 +304,7 @@ def kernel_invariance_check(sys: LinearSystem, Q, report: LmiReport,
             "kernel invariance is not guaranteed", report)
     Qm = as_matrix(Q, (sys.n, sys.n))
     scale = 1.0 + float(np.max(np.abs(Qm))) * float(np.max(np.abs(sys.A)))
+    tol = KERNEL_INVARIANCE_TOL
     a_inv = True
     in_ker_c = True
     for v in report.kernel_basis:

@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 ARCSIN_CLAMP = 1.0 - 1e-12
+BRAYTON_MOSER_HALFWIDTH = 1.5  # half-width of the Brayton-Moser state cube
+RC_HALFWIDTH = 1.5  # half-width of the RC capacitor-potential cube
+RC_U_HALFWIDTH = 1.0  # half-width of the RC terminal-potential cube
+STABILITY_FLOOR = 0.4  # least eigenvalue of the P1 and -P2 blocks of a random system
+LOG_SPREAD = 0.3  # log range of the singular values of a random change of coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -72,22 +77,12 @@ class BraytonMoserModel:
     Gc: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     quartic: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     co_content_sign: float = 1.0
-    halfwidth: float = 1.5
-    input_columns: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("L", "C", "lam", "R", "Gc", "quartic"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.lam.shape != (self.nL, self.nC):
             raise DimensionMismatchError("coupling matrix must be (nL, nC)")
-        gcols = self.input_columns
-        if gcols is None:
-            gcols = np.zeros((self.n, 1))
-            gcols[0, 0] = 1.0  # source in series with the first inductor
-        gcols = as_matrix(gcols)
-        if gcols.shape[0] != self.n:
-            raise DimensionMismatchError("input columns must have one row per state")
-        object.__setattr__(self, "input_columns", gcols)
 
     @property
     def nL(self) -> int:
@@ -103,11 +98,17 @@ class BraytonMoserModel:
 
     @property
     def m(self) -> int:
-        return self.input_columns.shape[1]
+        return 1
+
+    @property
+    def input_columns(self) -> np.ndarray:
+        gcols = np.zeros((self.n, 1))
+        gcols[0, 0] = 1.0  # source in series with the first inductor
+        return gcols
 
     @property
     def domain(self) -> BoxDomain:
-        return BoxDomain.cube(self.n, self.halfwidth)
+        return BoxDomain.cube(self.n, BRAYTON_MOSER_HALFWIDTH)
 
     @property
     def metric_matrix(self) -> np.ndarray:
@@ -363,11 +364,6 @@ class SwingModel:
         z = as_vector(z, n + self.n_branches)
         return np.concatenate([z[:n] / self.M, self.gamma * np.sin(z[n:])])
 
-    def co_energy_state_to_ph(self, x) -> np.ndarray:
-        n = self.n_machines
-        x = as_vector(x, n + self.n_branches)
-        return np.concatenate([self.M * x[:n], _clamped_arcsin(x[n:] / self.gamma)])
-
 
 # ---------------------------------------------------------------------------
 # RC conductance network
@@ -401,8 +397,6 @@ class RcCircuitModel:
     conductors: tuple = (("linear", 1.0),)
     cap: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     cap_quartic: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    halfwidth: float = 1.5
-    u_halfwidth: float = 1.0
 
     def __post_init__(self):
         for name in ("Dc", "Dt", "cap", "cap_quartic"):
@@ -420,11 +414,11 @@ class RcCircuitModel:
 
     @property
     def domain(self) -> BoxDomain:
-        return BoxDomain.cube(self.nc, self.halfwidth)
+        return BoxDomain.cube(self.nc, RC_HALFWIDTH)
 
     @property
     def u_box(self) -> BoxDomain:
-        return BoxDomain.cube(self.nt, self.u_halfwidth)
+        return BoxDomain.cube(self.nt, RC_U_HALFWIDTH)
 
     def co_energy(self) -> ScalarField:
         """Capacitor co-energy sum_j c_j psi_j^2/2 + a_j psi_j^4/4."""
@@ -496,10 +490,9 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def well_conditioned_transform(rng: np.random.Generator, n: int,
-                               log_spread: float = 0.3) -> np.ndarray:
-    """Random invertible matrix with condition number at most exp(2*spread)."""
-    scales = np.exp(rng.uniform(-log_spread, log_spread, size=n))
+def well_conditioned_transform(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random invertible matrix with condition number at most exp(2*LOG_SPREAD)."""
+    scales = np.exp(rng.uniform(-LOG_SPREAD, LOG_SPREAD, size=n))
     return random_orthogonal(rng, n) @ np.diag(scales) @ random_orthogonal(rng, n)
 
 
@@ -510,8 +503,7 @@ def _random_spd(rng: np.random.Generator, n: int, floor: float) -> np.ndarray:
 
 def random_reciprocal_system(rng: np.random.Generator, n: int, m: int,
                              sigma: Optional[SignatureMatrix] = None,
-                             k: Optional[int] = None, stability_floor: float = 0.4,
-                             transform: bool = True):
+                             k: Optional[int] = None):
     """Random internally stable reciprocal system.
 
     Built in signature coordinates where G = diag(I_k, -I_{n-k}) and
@@ -526,8 +518,8 @@ def random_reciprocal_system(rng: np.random.Generator, n: int, m: int,
     if k is None:
         k = int(rng.integers(0, n + 1))
     P = np.zeros((n, n))
-    P[:k, :k] = _random_spd(rng, k, stability_floor)
-    P[k:, k:] = -_random_spd(rng, n - k, stability_floor)
+    P[:k, :k] = _random_spd(rng, k, STABILITY_FLOOR)
+    P[k:, k:] = -_random_spd(rng, n - k, STABILITY_FLOOR)
     Pc = rng.standard_normal((k, n - k)) * 0.7
     P[:k, k:] = Pc
     P[k:, :k] = Pc.T
@@ -537,14 +529,13 @@ def random_reciprocal_system(rng: np.random.Generator, n: int, m: int,
     B = G @ C.T @ sigma.matrix
     D = sigma.matrix @ _random_spd(rng, m, 0.0)
 
-    if transform:
-        T = well_conditioned_transform(rng, n)
-        Tinv = np.linalg.inv(T)
-        A = T @ A @ Tinv
-        B = T @ B
-        C = C @ Tinv
-        G = Tinv.T @ G @ Tinv
-        G = 0.5 * (G + G.T)
+    T = well_conditioned_transform(rng, n)
+    Tinv = np.linalg.inv(T)
+    A = T @ A @ Tinv
+    B = T @ B
+    C = C @ Tinv
+    G = Tinv.T @ G @ Tinv
+    G = 0.5 * (G + G.T)
     return LinearSystem(A, B, C, D), G, sigma
 
 
@@ -565,12 +556,10 @@ class ModelBundle:
     Q0: Optional[np.ndarray] = None
     affine: Optional[AffineNonlinearSystem] = None
     metric: Optional[MetricField] = None
-    potential: Optional[ScalarField] = None
     hpg: Optional[HessianPseudoGradientSystem] = None
     ph: Optional[PortHamiltonianSystem] = None
     split: Optional[ConversionSplit] = None
     u_box: Optional[BoxDomain] = None
-    extras: dict = field(default_factory=dict)
 
 
 def _scalar_relaxation_bundle() -> ModelBundle:
@@ -620,10 +609,8 @@ def _brayton_moser_bundle() -> ModelBundle:
     return ModelBundle(
         name="brayton-moser", kind="affine",
         description="passive LC circuit with nonlinear series resistor, indefinite metric",
-        affine=model.as_affine(), metric=model.metric_field(),
-        potential=model.potential(), sigma=model.sigma(),
-        hpg=model.as_hessian_pseudo_gradient(ubox), u_box=ubox,
-        extras={"model": model})
+        affine=model.as_affine(), metric=model.metric_field(), sigma=model.sigma(),
+        hpg=model.as_hessian_pseudo_gradient(ubox), u_box=ubox)
 
 
 def _swing_bundle() -> ModelBundle:
@@ -635,15 +622,14 @@ def _swing_bundle() -> ModelBundle:
         description="two-machine swing network, co-energy coordinates available",
         ph=model.as_port_hamiltonian(), split=model.conversion_split(),
         hpg=hpg, sigma=hpg.sigma, metric=MetricField.from_hessian(hpg.K),
-        u_box=ubox, extras={"model": model})
+        u_box=ubox)
 
 
 def _rc_bundle(fixture: RcCircuitModel, name: str, description: str) -> ModelBundle:
     hpg = fixture.as_relaxation()
     return ModelBundle(
         name=name, kind="hessian_pg", description=description,
-        hpg=hpg, sigma=hpg.sigma, u_box=fixture.u_box,
-        extras={"model": fixture})
+        hpg=hpg, sigma=hpg.sigma, u_box=fixture.u_box)
 
 
 def model_registry() -> dict:

@@ -157,17 +157,17 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
 
 METRIC_PARTIAL_STEP = 1e-5
 LINE_QUAD_TOL = 1e-8  # line integrals of reconstruct_K and reconstruct_potential
-CLOSEDNESS_TOL = 1e-6  # is_hessian_metric residual that reconstruct_K accepts
+CLOSEDNESS_TOL = 1e-6  # is_hessian_metric residual below which a metric is Hessian
+CLOSEDNESS_SAMPLES = 50  # points is_hessian_metric tests
 POTENTIAL_RECIPROCITY_TOL = 1e-5  # check_reciprocity residual reconstruct_potential accepts
 
 
-def is_hessian_metric(G: MetricField, tol: float = 1e-6, n_samples: int = 50,
-                      seed: int = 0) -> dict:
-    """Closedness test dG_jk/dx_i = dG_ik/dx_j at sampled points."""
+def is_hessian_metric(G: MetricField, seed: int = 0) -> dict:
+    """Closedness test dG_jk/dx_i = dG_ik/dx_j at CLOSEDNESS_SAMPLES points."""
     Js = (finite_difference_jacobian(G, x, METRIC_PARTIAL_STEP)  # J[i, j, k] = dG_ij/dx_k
-          for x in G.domain.shrink(0.9).sample(n_samples, seed=seed))
+          for x in G.domain.shrink(0.9).sample(CLOSEDNESS_SAMPLES, seed=seed))
     worst = float(np.max([np.max(np.abs(J - J.transpose(2, 1, 0))) for J in Js], initial=0.0))
-    return {"hessian": bool(worst <= tol), "residual": worst}
+    return {"hessian": bool(worst <= CLOSEDNESS_TOL), "residual": worst}
 
 
 def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
@@ -182,7 +182,7 @@ def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
     exceeds CLOSEDNESS_TOL, since the line integral would be path dependent.
     """
     x0 = as_vector(base_point, G.dim)
-    rep = is_hessian_metric(G, tol=CLOSEDNESS_TOL, seed=seed)
+    rep = is_hessian_metric(G, seed=seed)
     if not rep["hessian"]:
         raise DimensionMismatchError(
             f"metric is not a Hessian metric (closedness residual {rep['residual']:.3e}); "
@@ -221,19 +221,17 @@ class PotentialFunction:
 
 
 def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix,
-                          base_point, u_box: Optional[BoxDomain] = None,
-                          n_samples: int = 60, seed: int = 0) -> PotentialFunction:
+                          base_point, n_samples: int = 60, seed: int = 0) -> PotentialFunction:
     """Line-integral reconstruction of the potential of a reciprocal system.
 
     V(x,u) = -int_0^1 [ (G F)(gamma(t)) . (x-x0) + (sigma H)(gamma(t)) . (u-u0) ] dt
-    along the straight segment gamma from (x0,u0) to (x,u).  Requires the
-    sampled reciprocity residuals to sit below POTENTIAL_RECIPROCITY_TOL,
+    along the straight segment gamma from (x0,u0) to (x,u), with u in the unit cube.
+    Requires the sampled reciprocity residuals to sit below POTENTIAL_RECIPROCITY_TOL,
     otherwise the integral is path dependent and AssumptionError is raised.
     """
     x0 = as_vector(base_point[0], sys.nx)
     u0 = as_vector(base_point[1], sys.nu)
-    if u_box is None:
-        u_box = BoxDomain.cube(sys.nu, 1.0)
+    u_box = BoxDomain.cube(sys.nu)
     rep = check_reciprocity(sys, G, sigma, tol=POTENTIAL_RECIPROCITY_TOL, u_box=u_box,
                             n_samples=n_samples, seed=seed)
     if not rep.reciprocal:

@@ -59,8 +59,15 @@ def _typed(kind, doc, key: str, context: str):
         raise SchemaError(f"{context}: {key} has the wrong type ({exc})") from exc
 
 
+def _int(raw) -> int:
+    """int(raw); a boolean or a number with a fractional part is a TypeError."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise TypeError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
 def _ints(raw) -> tuple:
-    return tuple(int(i) for i in raw)
+    return tuple(_int(i) for i in raw)
 
 
 def _floats(raw) -> np.ndarray:
@@ -81,12 +88,8 @@ def _matrix(doc, key: str, context: str, shape=None) -> np.ndarray:
 def _signature(doc, key: str, m: int, context: str) -> SignatureMatrix:
     if key not in doc:
         return SignatureMatrix.identity(m)
-    raw = doc[key]
-    try:
-        signs = np.array(raw, dtype=int)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: sigma must be a list of +-1") from exc
-    if signs.ndim != 1 or len(signs) != m or not np.all(np.abs(signs) == 1):
+    signs = np.array(_typed(_ints, doc, key, context), dtype=int)
+    if len(signs) != m or not np.all(np.abs(signs) == 1):
         raise SchemaError(f"{context}: sigma must be {m} entries of +-1")
     return SignatureMatrix(signs)
 
@@ -122,7 +125,7 @@ def parse_field(spec, context: str, dim: Optional[int] = None) -> ScalarField:
         body = spec["polynomial"]
         if not isinstance(body, dict):
             raise SchemaError(f"{context}: polynomial spec must be an object")
-        pdim = _typed(int, body, "dim", context)
+        pdim = _typed(_int, body, "dim", context)
         terms = _typed(list, body, "terms", context)
         parsed = []
         for i, term in enumerate(terms):
@@ -215,7 +218,7 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
         domain=domain, dh_dx=lambda x: sigma.conjugate_rows(gmat.T))
     return ModelBundle(name=name, kind="affine",
                        description=doc.get("description", "user supplied nonlinear system"),
-                       affine=affine, metric=metric, potential=P, sigma=sigma,
+                       affine=affine, metric=metric, sigma=sigma,
                        u_box=_box(doc, "u_box", m, ctx, default_halfwidth=1.0))
 
 

@@ -51,25 +51,18 @@ EXPORTS = {
 # that has any.  A keyword no caller sets belongs in a module constant instead.
 DEFAULTED = {
     "core.AssumptionError": ("report",),
-    "core.BoxDomain.contains": ("margin",),
     "core.BoxDomain.sample": ("seed",),
-    "core.BoxDomain.cube": ("halfwidth", "center"),
+    "core.BoxDomain.cube": ("halfwidth",),
     "core.ScalarField": ("gradient", "hessian", "batched"),
     "core.MetricField": ("partials", "batched"),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du", "batched"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx", "batched"),
     "core.quadratic_field": ("lin", "const"),
     "core.finite_difference_jacobian": ("step",),
-    "core.hessian_from_value": ("step",),
-    "core.gauss_legendre_panels": ("nodes",),
-    "core.integrate_segment": ("a", "b", "tol", "nodes", "max_doublings"),
-    "core.validate_scalar_field": ("n_samples", "seed"),
-    "core.validate_metric_field": ("n_samples", "seed"),
+    "core.integrate_segment": ("a", "b", "tol"),
     "linear.check_linear_reciprocity": ("tol",),
-    "linear.to_pseudo_gradient": ("tol",),
     "linear.impulse_response_symmetry": ("tol",),
     "linear.lmi_residual": ("tol",),
-    "linear.kernel_invariance_check": ("tol",),
     "linear.compatible_storage_fixed_point": ("tol", "lmi_tol", "sigma"),
     "legendre.legendre_transform": ("x_init",),
     "legendre.make_legendre_pair": ("samples", "seed", "verify", "round_trip_tol",
@@ -78,57 +71,70 @@ DEFAULTED = {
     "reciprocity.check_reciprocity": ("tol", "u_box", "n_samples", "seed"),
     "reciprocity.check_reciprocity_affine": ("tol", "n_samples", "seed"),
     "reciprocity.check_reciprocity_hessian": ("tol", "u_box", "n_samples", "seed"),
-    "reciprocity.is_hessian_metric": ("tol", "n_samples", "seed"),
+    "reciprocity.is_hessian_metric": ("seed",),
     "reciprocity.reconstruct_K": ("seed",),
-    "reciprocity.reconstruct_potential": ("u_box", "n_samples", "seed"),
+    "reciprocity.reconstruct_potential": ("n_samples", "seed"),
     "reciprocity.sample_state_input_points": ("n", "seed"),
     "geometry.flatness_check": ("tol", "n_samples", "seed"),
-    "geometry.variational_system": ("u_signal",),
-    "geometry.dual_variational_system": ("u_signal",),
     "geometry.external_reciprocity_test": ("probe_inputs", "tol", "delta_x0", "u_signal",
                                            "sigma"),
     "dynamics.Trajectory": ("monitors",),
     "dynamics.HessianPseudoGradientSystem": ("P", "g", "storage"),
     "dynamics.HessianPseudoGradientSystem.from_internal_potential": ("u_box", "storage"),
     "dynamics.PortHamiltonianSystem": ("R", "R_jac"),
-    "dynamics.PortHamiltonianSystem.validate": ("n_samples", "seed"),
     "dynamics.integrate_implicit_midpoint": ("mass", "rhs_jac", "domain"),
     "dynamics.simulate_pseudo_gradient": ("enforce_domain", "storage"),
     "dynamics.dissipation_monitor": ("tol",),
-    "dynamics.ph_to_hessian_pseudo_gradient": ("n_samples", "seed", "tol", "u_box"),
+    "dynamics.ph_to_hessian_pseudo_gradient": ("seed", "tol", "u_box"),
     "dynamics.certify_relaxation": ("tol", "u_box", "n_samples", "seed"),
-    "models.BraytonMoserModel": ("L", "C", "lam", "R", "Gc", "quartic", "co_content_sign",
-                                 "halfwidth", "input_columns"),
+    "models.BraytonMoserModel": ("L", "C", "lam", "R", "Gc", "quartic", "co_content_sign"),
     "models.BraytonMoserModel.as_hessian_pseudo_gradient": ("u_box",),
     "models.SwingModel": ("M", "A", "D", "gamma", "input_columns", "omega_max", "q_max",
                           "pi_frac"),
     "models.SwingModel.as_hessian_pseudo_gradient": ("u_box",),
-    "models.RcCircuitModel": ("Dc", "Dt", "conductors", "cap", "cap_quartic", "halfwidth",
-                              "u_halfwidth"),
-    "models.ModelBundle": ("linear", "G_lin", "sigma", "Q0", "affine", "metric", "potential",
-                           "hpg", "ph", "split", "u_box", "extras"),
-    "models.random_reciprocal_system": ("sigma", "k", "stability_floor", "transform"),
-    "models.well_conditioned_transform": ("log_spread",),
+    "models.RcCircuitModel": ("Dc", "Dt", "conductors", "cap", "cap_quartic"),
+    "models.ModelBundle": ("linear", "G_lin", "sigma", "Q0", "affine", "metric", "hpg", "ph",
+                           "split", "u_box"),
+    "models.random_reciprocal_system": ("sigma", "k"),
     "schema.load_system": ("name",),
     "schema.load_registry_extras": ("path_value",),
     "schema.parse_field": ("dim",),
 }
 
 
-def _signatures(mod):
-    """(name, signature) of each __all__ callable and public method that has one."""
-    for name in mod.__all__:
-        obj = getattr(mod, name)
-        found = [(name, obj)] if callable(obj) else []
-        if inspect.isclass(obj):
-            found += [(f"{name}.{attr}", getattr(obj, attr)) for attr, val in vars(obj).items()
-                      if not attr.startswith("_")
-                      and (inspect.isfunction(val) or isinstance(val, staticmethod))]
-        for qual, fn in found:
-            try:
-                yield qual, inspect.signature(fn)
-            except ValueError:  # a builtin constructor, e.g. an exception class
-                continue
+# Defaulted keywords that only tests set, each kept for the reason given.
+TEST_ONLY_KEYWORDS = {
+    "core.quadratic_field.const":
+        "the equal/degree2 split of the homogeneity diagnostic needs K(0) != 0",
+    "legendre.legendre_transform.x_init": "criterion 1's nested-transform oracle uses it",
+    "models.random_reciprocal_system.sigma": "the mixed-signature coverage uses it",
+    "schema.load_registry_extras.path_value": "it is a deployment path",
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _defaulted_surface() -> dict:
+    """module.name -> parameters of each __all__ callable and public method that has a
+    defaulted one; a method's parameters leave out self."""
+    surface = {}
+    for m in MODULES:
+        mod = importlib.import_module(f"recipkit.{m}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            found = [(name, obj, 0)] if callable(obj) else []
+            if inspect.isclass(obj):
+                found += [(f"{name}.{attr}", getattr(obj, attr), int(inspect.isfunction(val)))
+                          for attr, val in vars(obj).items() if not attr.startswith("_")
+                          and (inspect.isfunction(val) or isinstance(val, staticmethod))]
+            for qual, fn, bound in found:
+                try:
+                    params = list(inspect.signature(fn).parameters.values())[bound:]
+                except ValueError:  # a builtin constructor, e.g. an exception class
+                    continue
+                if any(p.default is not inspect.Parameter.empty for p in params):
+                    surface[f"{m}.{qual}"] = params
+    return surface
 
 
 def test_exported_name_snapshot():
@@ -143,15 +149,10 @@ def test_every_exported_name_resolves():
 
 
 def test_defaulted_parameter_snapshot():
-    surface = {}
-    for m in MODULES:
-        for name, sig in _signatures(importlib.import_module(f"recipkit.{m}")):
-            defaulted = tuple(p.name for p in sig.parameters.values()
-                              if p.default is not inspect.Parameter.empty)
-            if defaulted:
-                surface[f"{m}.{name}"] = defaulted
+    surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+               for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 151
+    assert sum(len(names) for names in surface.values()) == 122
 
 
 def _used_names(tree):
@@ -220,3 +221,27 @@ def test_source_leaves_no_orphans():
                     and {ast.unparse(t) for t in node.targets}
                     & {ast.unparse(a) for a in node.value.args}]
     assert accumulators == []
+
+
+def test_every_defaulted_keyword_has_a_caller():
+    """Each defaulted keyword is set by a call in the library, the benchmark or the
+    acceptance suite, by position or by name, or is a test-only keyword kept for a
+    stated reason."""
+    surface = _defaulted_surface()
+    defaulted = {f"{key}.{p.name}" for key, params in surface.items() for p in params
+                 if p.default is not inspect.Parameter.empty}
+    callers = [*Path(recipkit.__file__).parent.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    set_by_a_call = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+            named = {k.arg for k in node.keywords}
+            set_by_a_call |= {f"{key}.{p.name}" for key, params in surface.items()
+                              if key.rsplit(".", 1)[-1] == called
+                              for i, p in enumerate(params) if i < positional or p.name in named}
+    assert set(TEST_ONLY_KEYWORDS) <= defaulted
+    assert sorted(defaulted - set_by_a_call - set(TEST_ONLY_KEYWORDS)) == []

@@ -387,6 +387,16 @@ BAD_DOCUMENTS = {
                      "coeff has the wrong type"),
     "u_box-string": (["simulate"], {**PH_DOC, "u_box": {"lower": ["a"], "upper": [1.0]}},
                      "u_box: lower has the wrong type"),
+    # an integer field holds no boolean and no number with a fractional part
+    "sigma-fraction": (["check-reciprocity"], {**LINEAR_DOC, "sigma": [1.7]},
+                       "sigma has the wrong type"),
+    "dim-fraction": (["legendre"], {"field": poly(1.9, [([2.6], 1.0)])},
+                     "dim has the wrong type"),
+    "dim-boolean": (["legendre"], {"field": poly(True, [([2], 1.0)])}, "dim has the wrong type"),
+    "exponents-fraction": (["legendre"], {"field": poly(1, [([2.6], 1.0)])},
+                           "exponents has the wrong type"),
+    "split-index-fraction": (["convert-ph"], {**PH_DOC, "split": {"idx1": [0.9], "idx2": [1.2]}},
+                             "idx1 has the wrong type"),
 }
 
 

@@ -321,6 +321,13 @@ def test_port_hamiltonian_validate_rejects_non_skew():
         ph.validate()
 
 
+@pytest.mark.parametrize("J, g", [(np.zeros((2, 3)), np.zeros((2, 1))),
+                                  (np.zeros((2, 2)), np.zeros((3, 1)))], ids=["J", "g"])
+def test_port_hamiltonian_wrong_shape_is_refused_at_construction(J, g):
+    with pytest.raises(DimensionMismatchError, match="expected shape"):
+        PortHamiltonianSystem(H=quadratic_field(np.eye(2), BoxDomain.cube(2)), J=J, g=g, nu=1)
+
+
 # ---------------------------------------------------------------------------
 # Simulation and dissipation monitoring
 
@@ -427,17 +434,17 @@ def test_certify_relaxation_rejects_mixed_signature():
 def test_ph_conversion_swing_matches_analytic_fields():
     swing = SwingModel()
     ph = swing.as_port_hamiltonian()
-    res = ph_to_hessian_pseudo_gradient(ph, swing.conversion_split(), n_samples=25)
+    res = ph_to_hessian_pseudo_gradient(ph, swing.conversion_split())
     K_analytic = swing.co_energy()
     P_analytic = swing.mixed_potential()
     S_analytic = swing.storage()
     dom = res.system.K.domain.shrink(0.8)
     k_off = res.system.K(dom.center) - K_analytic(dom.center)
-    s_off = res.storage(dom.center) - S_analytic(dom.center)
+    s_off = res.system.storage(dom.center) - S_analytic(dom.center)
     for x in dom.sample(12, seed=3):
         assert res.system.K(x) - K_analytic(x) == pytest.approx(k_off, abs=1e-8)
         assert res.system.P(x) == pytest.approx(P_analytic(x), abs=1e-10)
-        assert res.storage(x) - S_analytic(x) == pytest.approx(s_off, abs=1e-8)
+        assert res.system.storage(x) - S_analytic(x) == pytest.approx(s_off, abs=1e-8)
     assert res.report["I_structure_gap"] == 0.0
     assert res.report["III_rayleigh_gap"] <= 1e-10
 
@@ -454,20 +461,19 @@ def test_ph_conversion_assumption_failures():
         ph_to_hessian_pseudo_gradient(
             PortHamiltonianSystem(H=ph.H, J=Jbad, g=ph.g, nu=ph.nu, R=ph.R,
                                   R_jac=ph.R_jac),
-            split, n_samples=10)
+            split)
     assert exc1.value.name == "I"
 
     H2bad = ScalarField(split.H2.dim, lambda x: 1.1 * split.H2.value(x),
                         split.H2.domain)
     with pytest.raises(AssumptionError) as exc2:
-        ph_to_hessian_pseudo_gradient(ph, dataclasses.replace(split, H2=H2bad),
-                                      n_samples=10)
+        ph_to_hessian_pseudo_gradient(ph, dataclasses.replace(split, H2=H2bad))
     assert exc2.value.name == "II"
 
     Rbad = lambda x: 2.0 * np.asarray(ph.R(x))
     with pytest.raises(AssumptionError) as exc3:
         ph_to_hessian_pseudo_gradient(
             PortHamiltonianSystem(H=ph.H, J=ph.J, g=ph.g, nu=ph.nu, R=Rbad),
-            split, n_samples=10)
+            split)
     assert exc3.value.name == "III"
     assert "assumption III" in str(exc3.value)

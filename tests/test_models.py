@@ -45,7 +45,7 @@ def test_brayton_moser_potential_value_and_derivatives():
     x = np.array([1.0, 1.0])
     # content + co-content + coupling, all scalars
     assert P(x) == pytest.approx(0.5 * 0.7 + 0.25 * 0.5 + 0.5 * 0.4 + 1.0)
-    gaps = validate_scalar_field(P, n_samples=20)
+    gaps = validate_scalar_field(P)
     assert gaps["grad_gap"] < 1e-6
     assert gaps["hess_gap"] < 1e-4
 
@@ -79,15 +79,13 @@ def test_brayton_moser_affine_consistency():
 def test_brayton_moser_validation():
     with pytest.raises(DimensionMismatchError):
         BraytonMoserModel(lam=np.array([[1.0, 0.0]]))
-    with pytest.raises(DimensionMismatchError):
-        BraytonMoserModel(input_columns=np.ones((3, 1)))
     assert textbook_bm().sigma().is_identity
 
 
 def test_swing_field_derivatives():
     sw = SwingModel()
     for f in (sw.hamiltonian(), sw.co_energy(), sw.mixed_potential()):
-        gaps = validate_scalar_field(f, n_samples=15, seed=11)
+        gaps = validate_scalar_field(f)
         assert gaps["grad_gap"] < 1e-5
         assert gaps["hess_gap"] < 1e-3
     S = sw.storage()
@@ -105,8 +103,6 @@ def test_swing_state_maps_round_trip():
         x = sw.ph_state_to_co_energy(z)
         assert np.allclose(x[:2], p / sw.M)
         assert np.allclose(x[2:], sw.gamma * np.sin(q))
-        back = sw.co_energy_state_to_ph(x)
-        assert np.allclose(back, z, atol=1e-12)
         # co-energy gradient recovers the port-Hamiltonian state up to sign
         gk = sw.co_energy().grad(x)
         assert np.allclose(gk[:2], p, atol=1e-12)
@@ -115,7 +111,7 @@ def test_swing_state_maps_round_trip():
 
 def test_swing_port_hamiltonian_and_lossless():
     sw = SwingModel()
-    report = sw.as_port_hamiltonian().validate(n_samples=10)
+    report = sw.as_port_hamiltonian().validate()
     assert report["max_skew"] == 0.0
     assert report["min_dissipation_pairing"] >= 0.0
     ll = sw.lossless()
@@ -149,7 +145,7 @@ def test_rc_tanh_fixture_fields():
     rc = RcCircuitModel.tanh_fixture()
     assert rc.nc == 2 and rc.nt == 1
     for f in (rc.co_energy(), rc.co_content()):
-        gaps = validate_scalar_field(f, n_samples=15, seed=7)
+        gaps = validate_scalar_field(f)
         assert gaps["grad_gap"] < 1e-5
         assert gaps["hess_gap"] < 1e-3
 
@@ -229,6 +225,6 @@ def test_field_registry_contents():
                            "quartic", "quartic-quadratic", "swing-branch"}
     for name, f in fields.items():
         assert f.domain.dim == f.dim
-        gaps = validate_scalar_field(f, n_samples=10, seed=1)
+        gaps = validate_scalar_field(f)
         assert gaps["grad_gap"] < 1e-5, name
         assert gaps["hess_gap"] < 1e-3, name

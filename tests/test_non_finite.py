@@ -38,6 +38,9 @@ from recipkit.reciprocity import (
     is_hessian_metric,
 )
 
+# the planted NaNs make numpy warn on the way to each negative verdict
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 
 def nan_where(fn, bad):
     """fn with NaN added to its value at the points x where bad(x) holds."""
@@ -109,7 +112,7 @@ def swing_ph_with_nan_dissipation():
 
 def conversion_case():
     ph_to_hessian_pseudo_gradient(swing_ph_with_nan_dissipation(),
-                                  SwingModel().conversion_split(), n_samples=20)
+                                  SwingModel().conversion_split())
     return True
 
 
@@ -135,7 +138,7 @@ CASES = {
     "check_reciprocity_affine-g-only": lambda: affine_case("g"),
     "check_reciprocity": general_case,
     "check_reciprocity_hessian": hessian_case,
-    "is_hessian_metric": lambda: is_hessian_metric(nan_metric(), n_samples=30)["hessian"],
+    "is_hessian_metric": lambda: is_hessian_metric(nan_metric())["hessian"],
     "certify_relaxation": relaxation_case,
     "flatness_check": lambda: flatness_check(nan_field(hessian=right_half), n_samples=20),
     "homogeneity_check": lambda: homogeneity_check(
@@ -149,7 +152,7 @@ CASES = {
     "validate_scalar_field": returns(validate_scalar_field, nan_field(gradient=right_half)),
     "validate_metric_field": returns(validate_metric_field, nan_metric()),
     "PortHamiltonianSystem.validate": returns(
-        lambda: swing_ph_with_nan_dissipation().validate(n_samples=20)),
+        lambda: swing_ph_with_nan_dissipation().validate()),
     "ph_to_hessian_pseudo_gradient": conversion_case,
 }
 

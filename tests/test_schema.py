@@ -230,29 +230,51 @@ def test_json_constant_metric_with_a_domain_stays_batched():
     assert np.array_equal(metric.rows(xs), [metric(x) for x in xs])
 
 
-WRONG_TYPES = {  # key -> a document whose value under that key has the wrong type
+def one_term(dim, exponents):
+    return {"field": {"polynomial": {"dim": dim,
+                                     "terms": [{"exponents": exponents, "coeff": 1.0}]}}}
+
+
+# key, or key-variant -> a document whose value under that key has the wrong type; an
+# integer field holds no boolean and no number with a fractional part
+WRONG_TYPES = {
     "dim": {"field": {"polynomial": {"dim": "two", "terms": []}}},
+    "dim-fraction": one_term(1.9, [2.6]),
+    "dim-boolean": {"field": {"polynomial": {"dim": True, "terms": []}}},
     "terms": {"field": {"polynomial": {"dim": 1, "terms": 5}}},
-    "exponents": {"field": {"polynomial": {"dim": 1,
-                                           "terms": [{"exponents": ["x"], "coeff": 1.0}]}}},
+    "exponents": one_term(1, ["x"]),
+    "exponents-fraction": one_term(1, [2.6]),
+    "exponents-boolean": one_term(1, [True]),
     "coeff": {"field": poly_spec(1, [((2,), "abc")])},
     "lower": {"field": {"polynomial": {"dim": 1, "terms": [],
                                        "domain": {"lower": ["a"], "upper": [1.0]}}}},
     "idx1": {"split": {"idx1": ["a"], "idx2": [1]}},
+    "idx1-fraction": {"split": {"idx1": [0.9], "idx2": [1.2]}},
     "idx2": {"split": {"idx1": [0], "idx2": None}},
+    "idx2-fraction": {"split": {"idx1": [0], "idx2": [1.2]}},
     "split": {"split": 5},
+    "sigma-fraction": {**LINEAR_DOC, "sigma": [1.7]},
+    "sigma-boolean": {**LINEAR_DOC, "sigma": [True]},
 }
 
 
 @pytest.mark.parametrize("key", list(WRONG_TYPES))
 def test_a_value_of_the_wrong_type_names_its_key(key):
     doc = WRONG_TYPES[key]
-    with pytest.raises(SchemaError, match=f"{key} has the wrong type"):
+    with pytest.raises(SchemaError, match=f"{key.split('-')[0]} has the wrong type"):
         if "field" in doc:
             parse_field(doc["field"], "t")
+        elif "kind" in doc:
+            load_system(doc)
         else:
             load_system({"kind": "port_hamiltonian", "H": poly_spec(2, [((2, 0), 0.5)]),
                          "J": [[0.0, -1.0], [1.0, 0.0]], "g": [[1.0], [0.0]], **doc})
+
+
+def test_an_integral_float_is_an_integer():
+    fld = parse_field(one_term(1.0, [2.0])["field"], "t")
+    assert fld.dim == 1 and fld(np.array([3.0])) == 9.0
+    assert load_system({**LINEAR_DOC, "sigma": [-1.0]}).sigma.signs.tolist() == [-1]
 
 
 def test_a_model_name_that_is_not_a_string_is_a_schema_error(tmp_path):
