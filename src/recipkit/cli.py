@@ -218,10 +218,7 @@ def _hpg_nonlinear_facade(hpg) -> NonlinearSystem:
     def F(x, u):
         return np.linalg.solve(hpg.K.hess(x), -hpg.V_x(x, u))
 
-    def H(x, u):
-        return hpg.output(x, u)
-
-    return NonlinearSystem(hpg.nx, hpg.nu, F, H, hpg.domain)
+    return NonlinearSystem(hpg.nx, hpg.nu, F, hpg.output, hpg.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +496,14 @@ def cmd_convert_ph(args, tols):
         z0, u = _start(args, bundle.ph.n, bundle.ph.domain, bundle.ph.nu)
         span = (0.0, args.horizon)
         ph_traj = simulate_port_hamiltonian(bundle.ph, z0, u, span, args.step)
-        perm = np.array(split.idx1 + split.idx2)
-        k1 = len(split.idx1)
 
-        def to_x(z):
-            zp = z[perm]
-            return np.concatenate([split.H1.grad(zp[:k1]), split.H2.grad(zp[k1:])])
+        def to_x(Z):  # co-states (grad H1, grad H2) of a stack of port-Hamiltonian states
+            return np.hstack([split.H1.grad_rows(Z[:, list(split.idx1)]),
+                              split.H2.grad_rows(Z[:, list(split.idx2)])])
 
-        hpg_traj = simulate_pseudo_gradient(result.system, to_x(z0), u, span, args.step,
-                                            enforce_domain=False)
-        gap = float(np.max([np.max(np.abs(to_x(z) - x))
-                            for z, x in zip(ph_traj.states, hpg_traj.states)]))
+        hpg_traj = simulate_pseudo_gradient(result.system, to_x(z0[None])[0], u, span,
+                                            args.step, enforce_domain=False)
+        gap = float(np.max(np.abs(to_x(ph_traj.states) - hpg_traj.states)))
         payload["trajectory_gap"] = gap
         payload["trajectory_match"] = payload["ok"] = bool(gap <= tols["trajectory"])
     print(f"convert-ph[{bundle.name}]: "

@@ -558,10 +558,12 @@ class Polynomial:
 
     def __post_init__(self):
         norm = []
-        for exps, coeff in self.terms:
-            e = tuple(int(v) for v in exps)
-            if len(e) != self.dim or any(v < 0 for v in e):
-                raise DimensionMismatchError(f"bad exponent tuple {exps}")
+        for k, (exps, coeff) in enumerate(self.terms):
+            e = tuple(int(v) for v in exps)  # a boolean or a fractional exponent is refused
+            if len(e) != self.dim or any(v < 0 or isinstance(w, (bool, np.bool_)) or v != w
+                                         for v, w in zip(e, exps)):
+                raise DimensionMismatchError(
+                    f"term {k}: exponents {exps} must be {self.dim} nonnegative integers")
             norm.append((e, float(coeff)))
         object.__setattr__(self, "terms", tuple(norm))
 

@@ -25,6 +25,7 @@ from .core import (
     RecipkitError,
     ScalarField,
     SignatureMatrix,
+    _mv,
     as_matrix,
     as_vector,
     finite_difference_jacobian,
@@ -93,21 +94,14 @@ class Trajectory:
         """Write t, x_1..x_n, u_1..u_m, y_1..y_m, then monitor columns."""
         names = [k for k in ("S", "supply") if k in self.monitors]
         names += sorted(k for k in self.monitors if k not in ("S", "supply"))
-        header = (["t"]
-                  + [f"x_{i+1}" for i in range(self.states.shape[1])]
-                  + [f"u_{i+1}" for i in range(self.inputs.shape[1])]
-                  + [f"y_{i+1}" for i in range(self.outputs.shape[1])]
-                  + names)
+        blocks = dict(x=self.states, u=self.inputs, y=self.outputs)
+        table = np.column_stack([self.times, *blocks.values()]
+                                + [np.asarray(self.monitors[k], dtype=float) for k in names])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
-            for i in range(len(self.times)):
-                row = [repr(float(self.times[i]))]
-                row += [repr(float(v)) for v in self.states[i]]
-                row += [repr(float(v)) for v in self.inputs[i]]
-                row += [repr(float(v)) for v in self.outputs[i]]
-                row += [repr(float(np.asarray(self.monitors[k])[i])) for k in names]
-                w.writerow(row)
+            w.writerow(["t"] + [f"{c}_{i+1}" for c, block in blocks.items()
+                                for i in range(block.shape[1])] + names)
+            w.writerows(map(repr, row) for row in table.tolist())
 
 
 def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
@@ -305,8 +299,13 @@ class HessianPseudoGradientSystem:
         return self.V.hess(w)[:self.nx, :self.nx]
 
     def output(self, x, u):
-        # sigma y = -dV/du
         return self.sigma.apply(-self.V_u(x, u))
+
+    def output_rows(self, X, U) -> np.ndarray:
+        """output on stacks X, U: sigma g^T x for the internal form, else from V.grad_rows."""
+        if self.g is not None:
+            return self.sigma.signs * _mv(self.g.T, X)
+        return self.sigma.signs * -self.V.grad_rows(np.hstack([X, U]))[:, self.nx:]
 
     @staticmethod
     def from_internal_potential(K: ScalarField, P: ScalarField, g,
@@ -374,12 +373,15 @@ class PortHamiltonianSystem:
     def output(self, z, u):
         return self.g.T @ self.H.grad(z)
 
+    def output_rows(self, Z, U) -> np.ndarray:
+        """output on a stack Z (N, n), from one H.grad_rows call."""
+        return _mv(self.g.T, self.H.grad_rows(Z))
+
     def validate(self):
         """Skewness of J, and nonnegativity of the dissipation pairing at sampled points."""
         zs = self.domain.shrink(0.9).sample(STRUCTURE_SAMPLES)
         worst_skew = float(np.max(np.abs(self.J + self.J.T)))
-        worst_diss = float(np.min([x @ self.R_at(x) for x in map(self.H.grad, zs)],
-                                  initial=0.0))
+        worst_diss = float(np.min([x @ self.R_at(x) for x in self.H.grad_rows(zs)], initial=0.0))
         if not worst_skew <= STRUCTURE_TOL:
             raise AssumptionError("J-skew", f"max |J + J^T| = {worst_skew:.3e}")
         if not worst_diss >= -STRUCTURE_TOL:
@@ -387,13 +389,13 @@ class PortHamiltonianSystem:
         return {"max_skew": worst_skew, "min_dissipation_pairing": worst_diss}
 
 
-def _record(sys_output, states, times, u_signal, nu, storage):
-    inputs = np.stack([as_vector(u_signal(t), nu) if nu else np.zeros(0) for t in times])
-    outputs = np.stack([as_vector(sys_output(states[i], inputs[i]), nu) if nu else np.zeros(0)
-                        for i in range(len(times))])
-    monitors = {"supply": np.array([float(inputs[i] @ outputs[i]) for i in range(len(times))])}
+def _record(sys, states, times, u_signal, storage):
+    """Inputs, outputs and monitors of a run: one output_rows, vecdot and value_rows call each."""
+    inputs = np.stack([as_vector(u_signal(t), sys.nu) if sys.nu else np.zeros(0) for t in times])
+    outputs = sys.output_rows(states, inputs)
+    monitors = {"supply": np.vecdot(inputs, outputs)}
     if storage is not None:
-        monitors["S"] = np.array([storage(states[i]) for i in range(len(times))])
+        monitors["S"] = storage.value_rows(states)
     return inputs, outputs, monitors
 
 
@@ -418,7 +420,7 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
         rhs, x0, t_span, step, mass=sys.metric, rhs_jac=rhs_jac,
         domain=sys.domain if enforce_domain else None)
     S = storage if storage is not None else getattr(sys, "storage", None)
-    inputs, outputs, monitors = _record(sys.output, states, times, u_signal, nu, S)
+    inputs, outputs, monitors = _record(sys, states, times, u_signal, S)
     return Trajectory(times, states, inputs, outputs, monitors)
 
 
@@ -435,7 +437,7 @@ def simulate_port_hamiltonian(sys: PortHamiltonianSystem, z0, u_signal: Callable
 
     times, states = integrate_implicit_midpoint(
         rhs, z0, t_span, step, mass=None, rhs_jac=rhs_jac, domain=sys.domain)
-    inputs, outputs, monitors = _record(sys.output, states, times, u_signal, nu, sys.H)
+    inputs, outputs, monitors = _record(sys, states, times, u_signal, sys.H)
     return Trajectory(times, states, inputs, outputs, monitors)
 
 
@@ -458,7 +460,7 @@ def dissipation_monitor(traj: Trajectory, tol: float = 1e-8) -> DissipationRepor
     if "S" not in traj.monitors:
         raise DimensionMismatchError("no storage available: record monitor 'S'")
     svals = np.asarray(traj.monitors["S"], dtype=float)
-    rate = np.array([float(traj.inputs[i] @ traj.outputs[i]) for i in range(len(traj.times))])
+    rate = np.vecdot(traj.inputs, traj.outputs)
     dt = np.diff(traj.times)
     supply = 0.5 * (rate[:-1] + rate[1:]) * dt
     ds = np.diff(svals)
@@ -489,6 +491,23 @@ class ConversionSplit:
     P2: ScalarField
     Pc: np.ndarray
     g1: np.ndarray
+
+
+def _block_field(A: ScalarField, B: ScalarField, sign: float, C: np.ndarray,
+                 box: BoxDomain) -> ScalarField:
+    """x = (x1, x2) -> A(x1) + sign B(x2) + x1.C x2 on box, with block derivatives."""
+    k = A.dim
+
+    def gradient(x):
+        return np.concatenate([A.grad(x[:k]) + C @ x[k:], sign * B.grad(x[k:]) + C.T @ x[:k]])
+
+    def hessian(x):
+        H = np.empty((box.dim, box.dim))
+        H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:] = A.hess(x[:k]), C, C.T, sign * B.hess(x[k:])
+        return H
+
+    return ScalarField(box.dim, lambda x: A(x[:k]) + sign * B(x[k:]) + float(x[:k] @ C @ x[k:]),
+                       box, gradient=gradient, hessian=hessian)
 
 
 @dataclass(frozen=True)
@@ -562,43 +581,20 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     pair2 = make_legendre_pair(split.H2, verify=False)
     xbox = BoxDomain.product(pair1.Kstar.domain, pair2.Kstar.domain)
 
-    def k_value(x):
-        return pair1.Kstar(x[:k1]) - pair2.Kstar(x[k1:])
+    K = _block_field(pair1.Kstar, pair2.Kstar, -1.0, np.zeros((k1, k2)), xbox)
+    Pfield = _block_field(split.P1, split.P2, 1.0, Pc, xbox)
 
-    def k_grad(x):
-        return np.concatenate([pair1.Kstar.grad(x[:k1]), -pair2.Kstar.grad(x[k1:])])
+    def storage_rows(X):  # each block inverted by its pair, in closed form or lockstep Newton
+        return (split.H1.value_rows(pair1.inverse(X[:, :k1]))
+                + split.H2.value_rows(pair2.inverse(X[:, k1:])))
 
-    def k_hess(x):
-        H = np.zeros((k1 + k2, k1 + k2))
-        H[:k1, :k1] = pair1.Kstar.hess(x[:k1])
-        H[k1:, k1:] = -pair2.Kstar.hess(x[k1:])
-        return H
-
-    K = ScalarField(k1 + k2, k_value, xbox, gradient=k_grad, hessian=k_hess)
-
-    def p_value(x):
-        return split.P1(x[:k1]) + split.P2(x[k1:]) + float(x[:k1] @ Pc @ x[k1:])
-
-    def p_grad(x):
-        return np.concatenate([split.P1.grad(x[:k1]) + Pc @ x[k1:],
-                               split.P2.grad(x[k1:]) + Pc.T @ x[:k1]])
-
-    def p_hess(x):
-        top = np.hstack([split.P1.hess(x[:k1]), Pc])
-        bot = np.hstack([Pc.T, split.P2.hess(x[k1:])])
-        return np.vstack([top, bot])
-
-    Pfield = ScalarField(k1 + k2, p_value, xbox, gradient=p_grad, hessian=p_hess)
-
-    def storage_value(x):
-        return split.H1(pair1.inverse(x[:k1])) + split.H2(pair2.inverse(x[k1:]))
-
-    def storage_grad(x):
+    def storage_grad_rows(X):
         # grad of H_i(grad H_i*(.)) is hess H_i* times the argument
-        return np.concatenate([pair1.Kstar.hess(x[:k1]) @ x[:k1],
-                               pair2.Kstar.hess(x[k1:]) @ x[k1:]])
+        return np.hstack([_mv(pair1.Kstar.hess_rows(X[:, :k1]), X[:, :k1]),
+                          _mv(pair2.Kstar.hess_rows(X[:, k1:]), X[:, k1:])])
 
-    storage = ScalarField(k1 + k2, storage_value, xbox, gradient=storage_grad)
+    storage = ScalarField(k1 + k2, _stacked(storage_rows), xbox,
+                          gradient=_stacked(storage_grad_rows), batched=True)
 
     g_full = np.vstack([g1, np.zeros((k2, sys.nu))])
     system = HessianPseudoGradientSystem.from_internal_potential(
@@ -620,14 +616,15 @@ class RelaxationCertificate:
     details: dict
 
 
+def _stacked(rows: Callable) -> Callable:
+    """A map of stacks (N, n) applied to a point (n,) or to a stack, as a batched field's."""
+    return lambda x: rows(x) if np.ndim(x) == 2 else rows(x[None])[0]
+
+
 def _conjugate_storage(K: ScalarField) -> ScalarField:
-    """S(x) = K*(grad K(x)) = x.grad K(x) - K(x), with analytic gradient."""
-    return ScalarField(
-        K.dim,
-        lambda x: float(x @ K.grad(x)) - K(x),
-        K.domain,
-        gradient=lambda x: K.hess(x) @ x,
-    )
+    """S(x) = K*(grad K(x)) = x.grad K(x) - K(x), with analytic gradient, from K's rows."""
+    return ScalarField(K.dim, _stacked(lambda X: np.vecdot(X, K.grad_rows(X)) - K.value_rows(X)),
+                       K.domain, gradient=_stacked(lambda X: _mv(K.hess_rows(X), X)), batched=True)
 
 
 def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
@@ -661,15 +658,15 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
 
     details: dict = {"points": len(xs)}
     if mode == "+I" and sys.P is not None and sys.g is not None:
-        vals = [x @ sys.P.grad(x) for x in xs]
+        vals = np.vecdot(xs, sys.P.grad_rows(xs))
         # x -> g_j.x is linear for the constant matrix g, hence degree-1 homogeneous
         details["input_couplings_degree_one"] = True
     else:
-        pts = sample_state_input_points(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
-                                        n_samples, seed)
-        sign = 1.0 if mode == "-I" else -1.0
-        vals = [x @ vx + sign * (u @ vu) for x, u in pts for vx, vu in [sys.split_grad(x, u)]]
-        details["points"] = len(pts)
+        X, U = map(np.array, zip(*sample_state_input_points(
+            sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples, seed)))
+        G, sign = sys.V.grad_rows(np.hstack([X, U])), 1.0 if mode == "-I" else -1.0
+        vals = np.vecdot(X, G[:, :sys.nx]) + sign * np.vecdot(U, G[:, sys.nx:])
+        details["points"] = len(X)
     worst = float(np.min(vals, initial=np.inf))
     ok = worst >= -tol
 
@@ -679,7 +676,7 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
         storage = _conjugate_storage(sys.K)
         if sys.K.domain.contains(np.zeros(sys.nx)):
             s0 = storage(np.zeros(sys.nx))
-            floor_ok = all(storage(x) >= s0 - 1e-10 for x in xs)
+            floor_ok = bool(np.all(storage.value_rows(xs) >= s0 - 1e-10))
         details["storage_is_conjugate_pullback"] = True
     return RelaxationCertificate(
         relaxation=bool(ok), mode=mode, min_metric_eigenvalue=float(np.min(eigs, initial=np.inf)),

@@ -1,8 +1,8 @@
 """Legendre transforms of nondegenerate generating functions.
 
-The conjugate K*(z) = z.x - K(x) is evaluated pointwise by solving
-grad K(x) = z with a damped Newton iteration; the co-domain is represented
-implicitly (a point z belongs to it exactly when Newton converges).
+The conjugate K*(z) = z.x - K(x) is evaluated pointwise by solving grad K(x) = z,
+in closed form for a certified degree-2 K and by damped Newton otherwise; the
+co-domain is implicit (a point z belongs to it exactly when Newton converges).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def legendre_transform(K: ScalarField, z, x_init=None):
 class LegendrePair:
     """Generating function K together with its conjugate K*.
 
-    forward maps x to z = grad K(x); inverse maps z back via Newton.
+    forward maps x to z = grad K(x); inverse maps z back, in closed form or by Newton.
     margins holds the worst round_trip_gap, hessian_inverse_gap and
     biconjugate_gap the verification measured (empty when not verified).
     """
@@ -202,10 +202,10 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                        verify: bool = True, round_trip_tol: float = 1e-8,
                        biconjugate_tol: float = 1e-8,
                        hessian_tol: float = 1e-6) -> LegendrePair:
-    """Construct K* by Newton inversion from the domain center; verify the pair.
+    """Construct K* in closed form for a degree-2 K, else by Newton inversion; verify the pair.
 
-    inverse is deterministic in z: the same co-vector gives a bit-identical x
-    whatever was queried before.
+    inverse takes a co-vector or a stack of them; it is deterministic in z:
+    the same co-vector gives a bit-identical x whatever was queried before.
 
     Verification samples x in the domain of K, pushes z = grad K(x) (always a
     valid co-domain point), solves xb = inverse(z) once and checks
@@ -223,18 +223,59 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     SingularMatrixError naming the first failing row; a gap above its
     tolerance, or a non-finite one, raises AssumptionError with the margins
     as its report.
-    """
-    def inverse(z):
-        return _invert(K, as_vector(z, K.dim))
 
-    def star_value(z):
-        zz = as_vector(z, K.dim)
-        x = inverse(zz)
-        return float(zz @ x - K(x))
+    Closed form: if the box holds 0, homogeneity_check(K, samples, seed) finds
+    degree 2, and the three gaps of xb = Q^-1 z, hess K* = Q^-1 (Q = hess K(0))
+    pass on the samples, verify or not, inverse(z) solves Q x = z with no Newton
+    solve; a solution outside the box inflated by BOX_INFLATE goes on to Newton.
+    """
+    box = K.domain
+    lo, hi = box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
+    X = box.shrink(0.98).sample(samples, seed=seed + 1)
+    Z = K.grad_rows(X)
+
+    def gaps(XB, HB):
+        """Margins of xb = inverse(z), hess K* = HB on the samples; an error per failed check."""
+        Hgap = K.hess_rows(X) @ HB - np.eye(K.dim)
+        kx, kss = K.value_rows(X), np.vecdot(X, Z) - (np.vecdot(Z, XB) - K.value_rows(XB))
+        found = (np.abs(XB - X), np.abs(Hgap), np.abs(kss - kx) / (1.0 + np.abs(kx)))
+        checks = (("round-trip", "round_trip_gap", "grad K* o grad K gap", round_trip_tol),
+                  ("hessian-inverse", "hessian_inverse_gap", "identity gap", hessian_tol),
+                  ("biconjugation", "biconjugate_gap", "gap", biconjugate_tol))
+        margins = {c[1]: float(np.max(gap, initial=0.0)) for c, gap in zip(checks, found)}
+        return margins, [AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
+                         for name, key, what, tol in checks if not margins[key] <= tol]
+
+    Q = None
+    if np.all(box.lower <= 0) and np.all(box.upper >= 0) and homogeneity_check(
+            K, samples=samples, seed=seed).degree2:
+        Q = K.hess(np.zeros(K.dim))
+        try:
+            Qinv = np.linalg.inv(Q)
+            margins, failed = gaps(np.linalg.solve(Q, Z[..., None])[..., 0], Qinv)
+        except np.linalg.LinAlgError:  # a singular Q has no closed form
+            failed = True
+        Q = None if failed else Q
+    if Q is None and verify:
+        XB = _invert(K, Z)
+        margins, failed = gaps(XB, np.linalg.inv(K.hess_rows(XB)))
+        if failed:
+            raise failed[0]
+
+    def inverse(z):
+        zz = np.asarray(z, dtype=float) if np.ndim(z) == 2 else as_vector(z, K.dim)
+        if Q is not None:
+            x = np.linalg.solve(Q, zz[..., None])[..., 0]
+            if np.all((x >= lo) & (x <= hi)):
+                return x
+        return _invert(K, zz)
+
+    def star_value(z):  # ScalarField.__call__ hands over a checked vector
+        x = inverse(z)
+        return float(z @ x - K(x))
 
     def star_hess(z):
-        x = inverse(z)
-        return np.linalg.inv(K.hess(x))
+        return Qinv if Q is not None else np.linalg.inv(K.hess(inverse(z)))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))
@@ -243,24 +284,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     zbox = BoxDomain(zlo - 0.05 * spread, zhi + 0.05 * spread).shrink(0.95)
 
     Kstar = ScalarField(K.dim, star_value, zbox, gradient=inverse, hessian=star_hess)
-    margins: dict = {}
-    if verify:
-        X = K.domain.shrink(0.98).sample(samples, seed=seed + 1)
-        Z = K.grad_rows(X)
-        XB = _invert(K, Z)
-        Hgap = K.hess_rows(X) @ np.linalg.inv(K.hess_rows(XB)) - np.eye(K.dim)
-        kx, kss = K.value_rows(X), np.vecdot(X, Z) - (np.vecdot(Z, XB) - K.value_rows(XB))
-        gaps = (np.abs(XB - X), np.abs(Hgap), np.abs(kss - kx) / (1.0 + np.abs(kx)))
-        margins = {key: float(np.max(gap, initial=0.0)) for key, gap in
-                   zip(("round_trip_gap", "hessian_inverse_gap", "biconjugate_gap"), gaps)}
-        for name, key, what, tol in (
-                ("round-trip", "round_trip_gap", "grad K* o grad K gap", round_trip_tol),
-                ("hessian-inverse", "hessian_inverse_gap", "identity gap", hessian_tol),
-                ("biconjugation", "biconjugate_gap", "gap", biconjugate_tol)):
-            if not margins[key] <= tol:
-                raise AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
     return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
-                        margins=margins)
+                        margins=margins if verify else {})
 
 
 @dataclass(frozen=True)

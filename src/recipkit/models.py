@@ -244,23 +244,24 @@ class SwingModel:
         return BoxDomain(-half, half)
 
     def hamiltonian(self) -> ScalarField:
+        """H(p, q) = p.Minv p/2 - sum_j gamma_j cos q_j; batched."""
         n, b = self.n_machines, self.n_branches
         Minv = 1.0 / self.M
         dom = BoxDomain.product(self.momentum_box(), self.angle_box())
 
         def value(z):
-            p, q = z[:n], z[n:]
-            return 0.5 * float(p @ (Minv * p)) - float(self.gamma @ np.cos(q))
+            p, q = z[..., :n], z[..., n:]
+            return 0.5 * np.vecdot(p, Minv * p) - np.vecdot(self.gamma, np.cos(q))
 
         def gradient(z):
-            p, q = z[:n], z[n:]
-            return np.concatenate([Minv * p, self.gamma * np.sin(q)])
+            p, q = z[..., :n], z[..., n:]
+            return np.concatenate([Minv * p, self.gamma * np.sin(q)], axis=-1)
 
         def hessian(z):
-            q = z[n:]
-            return np.diag(np.concatenate([Minv, self.gamma * np.cos(q)]))
+            return _diag(np.concatenate([np.broadcast_to(Minv, z.shape[:-1] + (n,)),
+                                         self.gamma * np.cos(z[..., n:])], axis=-1))
 
-        return ScalarField(n + b, value, dom, gradient=gradient, hessian=hessian)
+        return ScalarField(n + b, value, dom, gradient=gradient, hessian=hessian, batched=True)
 
     def as_port_hamiltonian(self) -> PortHamiltonianSystem:
         n, b = self.n_machines, self.n_branches
@@ -316,21 +317,21 @@ class SwingModel:
         return quadratic_field(Q, dom)
 
     def storage(self) -> ScalarField:
-        """Kinetic energy plus the branch potential expressed through pi."""
+        """Kinetic energy plus the branch potential expressed through pi; batched."""
         n = self.n_machines
         dom = BoxDomain.product(self.omega_box(), self.pi_box())
 
         def value(x):
-            w, pi = x[:n], x[n:]
-            return 0.5 * float(w @ (self.M * w)) - float(
-                np.sum(np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 0.0))))
+            w, pi = x[..., :n], x[..., n:]
+            return 0.5 * np.vecdot(w, self.M * w) - np.sum(
+                np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 0.0)), axis=-1)
 
         def gradient(x):
-            w, pi = x[:n], x[n:]
+            w, pi = x[..., :n], x[..., n:]
             root = np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 1e-300))
-            return np.concatenate([self.M * w, pi / root])
+            return np.concatenate([self.M * w, pi / root], axis=-1)
 
-        return ScalarField(n + self.n_branches, value, dom, gradient=gradient)
+        return ScalarField(n + self.n_branches, value, dom, gradient=gradient, batched=True)
 
     def as_hessian_pseudo_gradient(self, u_box: Optional[BoxDomain] = None
                                    ) -> HessianPseudoGradientSystem:
@@ -343,17 +344,13 @@ class SwingModel:
         n, b = self.n_machines, self.n_branches
         Minv = 1.0 / self.M
 
-        H1 = ScalarField(
-            n, lambda p: 0.5 * float(p @ (Minv * p)), self.momentum_box(),
-            gradient=lambda p: Minv * p, hessian=lambda p: np.diag(Minv))
+        H1 = quadratic_field(np.diag(Minv), self.momentum_box())
         H2 = ScalarField(
-            b, lambda q: -float(self.gamma @ np.cos(q)), self.angle_box(),
+            b, lambda q: -np.vecdot(self.gamma, np.cos(q)), self.angle_box(),
             gradient=lambda q: self.gamma * np.sin(q),
-            hessian=lambda q: np.diag(self.gamma * np.cos(q)))
+            hessian=lambda q: _diag(self.gamma * np.cos(q)), batched=True)
         P1 = quadratic_field(np.diag(self.A), self.omega_box())
-        P2 = ScalarField(b, lambda x: 0.0, self.pi_box(),
-                         gradient=lambda x: np.zeros(b),
-                         hessian=lambda x: np.zeros((b, b)))
+        P2 = quadratic_field(np.zeros((b, b)), self.pi_box())
         return ConversionSplit(idx1=tuple(range(n)), idx2=tuple(range(n, n + b)),
                                H1=H1, H2=H2, P1=P1, P2=P2, Pc=self.D.copy(),
                                g1=self.input_columns.copy())
@@ -374,11 +371,11 @@ def _branch_characteristic(kind: str, param: float):
     if kind == "linear":
         return (lambda v: 0.5 * param * v * v,
                 lambda v: param * v,
-                lambda v: param)
+                lambda v: np.full_like(v, param))
     if kind == "tanh":
         return (lambda v: np.log(np.cosh(param * v)) / param,
                 lambda v: np.tanh(param * v),
-                lambda v: param / np.cosh(param * v) ** 2)
+                lambda v: param / np.square(np.cosh(param * v)))
     raise DimensionMismatchError(f"unknown conductor kind {kind!r}")
 
 
@@ -421,41 +418,31 @@ class RcCircuitModel:
         return BoxDomain.cube(self.nt, RC_U_HALFWIDTH)
 
     def co_energy(self) -> ScalarField:
-        """Capacitor co-energy sum_j c_j psi_j^2/2 + a_j psi_j^4/4."""
+        """Capacitor co-energy sum_j c_j psi_j^2/2 + a_j psi_j^4/4; batched."""
         c, a = self.cap, self.cap_quartic
 
         def value(x):
-            return 0.5 * float(c @ x ** 2) + 0.25 * float(a @ x ** 4)
+            return 0.5 * np.vecdot(c, x ** 2) + 0.25 * np.vecdot(a, x ** 4)
 
         return ScalarField(self.nc, value, self.domain,
                            gradient=lambda x: c * x + a * x ** 3,
-                           hessian=lambda x: np.diag(c + 3.0 * a * x ** 2))
+                           hessian=lambda x: _diag(c + 3.0 * a * x ** 2), batched=True)
 
     def co_content(self) -> ScalarField:
-        """Joint potential W(psi_c, psi_t) with analytic derivatives."""
+        """Joint potential W(psi_c, psi_t) with analytic derivatives; batched."""
         prim = [_branch_characteristic(k, p) for k, p in self.conductors]
         Dfull = np.vstack([self.Dc, self.Dt])
         nc = self.nc
 
-        def branch_voltages(w):
-            return Dfull.T @ w
-
-        def value(w):
-            v = branch_voltages(w)
-            return float(sum(prim[j][0](v[j]) for j in range(len(prim))))
-
-        def gradient(w):
-            v = branch_voltages(w)
-            cur = np.array([prim[j][1](v[j]) for j in range(len(prim))])
-            return Dfull @ cur
-
-        def hessian(w):
-            v = branch_voltages(w)
-            slope = np.array([prim[j][2](v[j]) for j in range(len(prim))])
-            return Dfull @ np.diag(slope) @ Dfull.T
+        def branch(w, order):  # the order-th derivative of each branch primitive
+            v = _mv(Dfull.T, w)
+            return np.stack([prim[j][order](v[..., j]) for j in range(len(prim))], axis=-1)
 
         dom = BoxDomain.product(self.domain, self.u_box)
-        return ScalarField(nc + self.nt, value, dom, gradient=gradient, hessian=hessian)
+        return ScalarField(nc + self.nt, lambda w: np.sum(branch(w, 0), axis=-1), dom,
+                           gradient=lambda w: _mv(Dfull, branch(w, 1)),
+                           hessian=lambda w: (Dfull * branch(w, 2)[..., None, :]) @ Dfull.T,
+                           batched=True)
 
     def as_relaxation(self) -> HessianPseudoGradientSystem:
         K = self.co_energy()
@@ -567,12 +554,7 @@ def _scalar_relaxation_bundle() -> ModelBundle:
     ubox = BoxDomain.cube(1, 2.0)
     K = quadratic_field(np.array([[1.0]]), xbox)
 
-    def value(w):
-        return 0.5 * (w[0] - w[1]) ** 2
-
-    V = ScalarField(2, value, BoxDomain.product(xbox, ubox),
-                    gradient=lambda w: np.array([w[0] - w[1], w[1] - w[0]]),
-                    hessian=lambda w: np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    V = quadratic_field(np.array([[1.0, -1.0], [-1.0, 1.0]]), BoxDomain.product(xbox, ubox))
     hpg = HessianPseudoGradientSystem(K=K, V=V, sigma=SignatureMatrix.minus_identity(1))
     return ModelBundle(
         name="scalar-relaxation", kind="hessian_pg",

@@ -83,11 +83,15 @@ def test_check_reciprocity_nonlinear_kinds(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for d in (a, b):
-        assert main(["legendre", "--field", "quadratic", "--samples", "30",
-                     "--out", str(d)]) == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    # the closed-form conjugate, the row-stacked converted storage and a recorded trajectory
+    for i, command in enumerate([["legendre", "--field", "quadratic", "--samples", "30"],
+                                 ["convert-ph", "--model", "swing"],
+                                 ["simulate", "--model", "rc-tanh"]]):
+        a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        for d in (a, b):
+            assert main([*command, "--out", str(d)]) == 0
+        for name in ["report.json"] + ["trajectory.csv"] * (command[0] == "simulate"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_check_passivity(tmp_path):
@@ -397,6 +401,10 @@ BAD_DOCUMENTS = {
                            "exponents has the wrong type"),
     "split-index-fraction": (["convert-ph"], {**PH_DOC, "split": {"idx1": [0.9], "idx2": [1.2]}},
                              "idx1 has the wrong type"),
+    # JSON 1e400 parses to inf, which no box may hold
+    "domain-infinite": (["variational-test"],
+                        {**NONLINEAR_DOC, "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1e400]}},
+                        "domain has the wrong type"),
 }
 
 

@@ -310,6 +310,14 @@ def test_polynomial_derivatives():
         Polynomial(2, (((1,), 1.0),))
 
 
+@pytest.mark.parametrize("exponent", [2.6, 0.5, True, np.True_])
+def test_polynomial_refuses_a_fractional_or_boolean_exponent(exponent):
+    with pytest.raises(DimensionMismatchError, match="must be 1 nonnegative integers"):
+        Polynomial(1, (((exponent,), 1.0),))
+    # an integral float is the integer it names
+    assert Polynomial(1, (((2.0,), 1.0),)).terms == (((2,), 1.0),)
+
+
 def test_quadratic_field():
     Q = np.array([[2.0, 1.0], [1.0, 4.0]])
     b = np.array([0.5, -1.0])

@@ -343,6 +343,48 @@ def test_simulate_pseudo_gradient_scalar_relaxation():
     assert rep.max_violation <= 1e-8 * rep.supply_scale
 
 
+def _recorded_systems():
+    swing = SwingModel()
+    converted = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(),
+                                              swing.conversion_split()).system
+    return {"port-hamiltonian": (simulate_port_hamiltonian, swing.as_port_hamiltonian()),
+            "internal-form": (simulate_pseudo_gradient, swing.as_hessian_pseudo_gradient()),
+            "converted": (simulate_pseudo_gradient, converted),
+            "joint-potential": (simulate_pseudo_gradient,
+                                RcCircuitModel.tanh_fixture().as_relaxation())}
+
+
+@pytest.mark.parametrize("kind", ["port-hamiltonian", "internal-form", "converted",
+                                  "joint-potential"])
+def test_a_trajectory_is_recorded_by_one_row_call_per_channel(monkeypatch, kind):
+    simulate, sys = _recorded_systems()[kind]
+    storage = sys.H if kind == "port-hamiltonian" else sys.storage
+    calls = {"output_rows": 0, "output": 0, "storage_rows": 0, "storage_point": 0}
+
+    def counted(cls, name, key, only=None):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[key] += only is None or self is only
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(type(sys), "output_rows", "output_rows")
+    counted(type(sys), "output", "output")
+    counted(ScalarField, "value_rows", "storage_rows", only=storage)
+    counted(ScalarField, "__call__", "storage_point", only=storage)
+    x0 = sys.domain.center + 0.2 * (sys.domain.upper - sys.domain.center)
+    traj = simulate(sys, x0, lambda t: np.full(sys.nu, 0.3 * np.sin(t)), (0.0, 0.02), 1e-3)
+    assert calls == {"output_rows": 1, "output": 0, "storage_rows": 1, "storage_point": 0}
+    monkeypatch.undo()
+    # the row-stacked channels are the per-point values, bit for bit
+    assert np.array_equal(traj.outputs, [sys.output(x, u)
+                                         for x, u in zip(traj.states, traj.inputs)])
+    assert np.array_equal(traj.monitors["S"], [storage(x) for x in traj.states])
+    assert np.array_equal(traj.monitors["supply"],
+                          [float(u @ y) for u, y in zip(traj.inputs, traj.outputs)])
+
+
 def test_simulate_port_hamiltonian_lossless_conserves_energy():
     swing = SwingModel().lossless()
     ph = swing.as_port_hamiltonian()

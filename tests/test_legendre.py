@@ -306,3 +306,41 @@ def test_lockstep_rows_are_the_per_point_inverse(K, seed):
     X = legendre._invert(K, Z)
     pair = make_legendre_pair(K, samples=12, seed=seed, verify=False)
     np.testing.assert_array_max_ulp(X, np.array([pair.inverse(z) for z in Z]), maxulp=2)
+
+
+def test_quadratic_block_conjugate_takes_no_newton_solve(monkeypatch):
+    from recipkit.models import SwingModel
+
+    split = SwingModel().conversion_split()
+    calls = count_solves(monkeypatch)
+    pair1 = make_legendre_pair(split.H1, verify=False)
+    zs = split.H1.grad_rows(split.H1.domain.shrink(0.9).sample(8, seed=2))
+    Minv = 1.0 / SwingModel().M
+    for z in zs:
+        # the closed form Q^-1 z with Q = diag(1/M), exact as the Newton step it replaces
+        np.testing.assert_allclose(pair1.inverse(z), z / Minv, rtol=1e-15)
+        assert np.array_equal(pair1.Kstar.hess(z), np.diag(1.0 / Minv))
+    np.testing.assert_allclose(pair1.inverse(zs), zs / Minv, rtol=1e-15)
+    assert calls == {"point": 0, "batched": []}
+    # -gamma cos q is not of degree 2: the H2 block still inverts by Newton
+    pair2 = make_legendre_pair(split.H2, verify=False)
+    z = split.H2.grad(np.array([0.4]))
+    np.testing.assert_allclose(pair2.inverse(z), [0.4], atol=1e-12)
+    pair2.Kstar.hess(z)
+    assert calls == {"point": 2, "batched": []}
+
+
+def test_closed_form_pair_margins_match_newton_on_quadratics():
+    from recipkit.models import field_registry
+
+    K = field_registry()["quadratic"]
+    pair = make_legendre_pair(K, samples=40, seed=3)
+    X = K.domain.shrink(0.98).sample(40, seed=4)
+    Z = K.grad_rows(X)
+    # the closed form and the lockstep Newton solve agree bit for bit on this box
+    assert np.array_equal(pair.inverse(Z), legendre._invert(K, Z))
+    assert all(gap <= 1e-12 for gap in pair.margins.values())
+    # a shifted quadratic is not of degree 2 and keeps the Newton inverse
+    shifted = quadratic_field(np.eye(2), BoxDomain.cube(2), lin=[0.3, -0.2])
+    assert not homogeneity_check(shifted).degree2
+    assert make_legendre_pair(shifted, samples=20, seed=0).margins["round_trip_gap"] <= 1e-8

@@ -217,6 +217,16 @@ def test_model_registry_contents():
         assert reg[name].kind == "hessian_pg"
         assert reg[name].hpg is not None
         assert not reg[name].sigma.is_identity
+    # the batched forms a recorded trajectory evaluates: rows are the per-point values
+    swing, tanh = reg["swing"], reg["rc-tanh"]
+    for field in (swing.ph.H, swing.hpg.storage, swing.split.H1, swing.split.H2,
+                  tanh.hpg.K, tanh.hpg.V, tanh.hpg.storage, reg["rc-relaxation"].hpg.V,
+                  reg["rc-relaxation"].hpg.storage, reg["scalar-relaxation"].hpg.V):
+        X = field.domain.sample(64, seed=6)
+        assert field.batched
+        assert np.array_equal(field.value_rows(X), [field(x) for x in X])
+        assert np.array_equal(field.grad_rows(X), [field.grad(x) for x in X])
+        assert np.array_equal(field.hess_rows(X), [field.hess(x) for x in X])
 
 
 def test_field_registry_contents():

@@ -248,6 +248,8 @@ WRONG_TYPES = {
     "coeff": {"field": poly_spec(1, [((2,), "abc")])},
     "lower": {"field": {"polynomial": {"dim": 1, "terms": [],
                                        "domain": {"lower": ["a"], "upper": [1.0]}}}},
+    "domain-infinite": {"field": {"polynomial": {"dim": 1, "terms": [],
+                                                 "domain": {"lower": [-1.0], "upper": [1e400]}}}},
     "idx1": {"split": {"idx1": ["a"], "idx2": [1]}},
     "idx1-fraction": {"split": {"idx1": [0.9], "idx2": [1.2]}},
     "idx2": {"split": {"idx1": [0], "idx2": None}},
