@@ -221,9 +221,7 @@ def _halton(n: int, dim: int, seed) -> np.ndarray:
     out = np.empty((n, dim))
     for d, base in enumerate(_first_primes(dim)):
         count = math.ceil(54 / math.log2(base)) - 1
-        perm = np.repeat(np.arange(base)[None], count, axis=0)
-        for row in perm:
-            rng.shuffle(row)
+        perm = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
         scale = np.empty(count)
         s = 1.0
         for k in range(count):
@@ -261,16 +259,17 @@ def finite_difference_jacobian(F: Callable, x, step: float = GRAD_STEP) -> np.nd
 
     The toolkit's one first-difference stencil.  The result has the shape of
     F(x) plus a last axis indexing x, so a vector map gives rows indexing
-    outputs.  Component i moves by max(step, step*|x_i|).
+    outputs.  Component i moves by max(step, step*|x_i|).  A stack x (N, n), for
+    an F mapping stacks row for row, gives each row bit for bit from 2n calls of F.
     """
-    v = as_vector(x)
+    v = np.asarray(x, dtype=float) if np.ndim(x) == 2 else as_vector(x)
     steps = _default_steps(v, step)
     cols = []
-    for i in range(v.shape[0]):
+    for i in range(v.shape[-1]):
         e = np.zeros_like(v)
-        e[i] = steps[i]
-        cols.append((np.asarray(F(v + e), dtype=float) - np.asarray(F(v - e), dtype=float))
-                    / (2 * steps[i]))
+        e.T[i] = steps.T[i]  # .T: the component axis first, for a point or a stack
+        diff = np.asarray(F(v + e), dtype=float) - np.asarray(F(v - e), dtype=float)
+        cols.append((diff.T / (2 * steps.T[i])).T)
     return np.stack(cols, axis=-1)
 
 
@@ -349,13 +348,12 @@ class ScalarField:
         return _rows(self.batched, self.hessian, self.hess, (self.dim, self.dim), X)
 
 
-
 @dataclass(frozen=True)
 class MetricField:
     """Symmetric invertible matrix field x -> G(x) on a box, with optional
     ``partials`` x -> J, J[a, b, c] = dG_ab/dx_c: zeros for `constant`; when
-    absent, `geometry.levi_civita` takes central differences of G.  rows maps a stack
-    (N, dim) to (N, dim, dim), in one eval call when batched: eval then maps stacks."""
+    absent, `geometry.levi_civita` takes central differences of G.  rows and partial_rows map
+    a stack (N, dim) to (N, dim, dim[, dim]), one call when batched: eval, partials map stacks."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
@@ -369,6 +367,9 @@ class MetricField:
     def rows(self, X) -> np.ndarray:
         return _rows(self.batched, self.eval, self, (self.dim, self.dim), X)
 
+    def partial_rows(self, X) -> np.ndarray:
+        return _rows(self.batched, self.partials, self.partials, (self.dim,) * 3, X)
+
     def checked(self, x) -> np.ndarray:
         return _checked_metric_rows(self(x)[None], [x])[0]
 
@@ -376,7 +377,7 @@ class MetricField:
     def constant(M, domain: BoxDomain) -> "MetricField":
         A = as_matrix(M)
         return MetricField(A.shape[0], _constant_rows(A), domain,
-                           partials=lambda x: np.zeros((A.shape[0],) * 3), batched=True)
+                           partials=_constant_rows(np.zeros((A.shape[0],) * 3)), batched=True)
 
     @staticmethod
     def from_hessian(K: ScalarField) -> "MetricField":
@@ -442,8 +443,8 @@ class SignatureMatrix:
 
 @dataclass(frozen=True)
 class NonlinearSystem:
-    """Input-state-output system x_dot = F(x,u), y = H(x,u).  F_rows and H_rows take
-    stacks X (N, nx), U (N, nu), in one call when batched: F and H then map stacks."""
+    """Input-state-output system x_dot = F(x,u), y = H(x,u); F_rows, H_rows and jac_* take
+    stacks X (N, nx), U (N, nu), jac_* a point too.  Batched: F, H, dF_dx, ... map stacks."""
 
     nx: int
     nu: int
@@ -467,34 +468,34 @@ class NonlinearSystem:
         return _rows(self.batched, self.H, self.H, (self.nu,), X, U)
 
     def jac_F_x(self, x, u) -> np.ndarray:
-        if self.dF_dx is not None:
-            return as_matrix(self.dF_dx(x, u), (self.nx, self.nx))
-        uu = as_vector(u, self.nu)
-        return finite_difference_jacobian(lambda xx: self.F(xx, uu), x)
+        return self._jac(self.dF_dx, self.F_rows, x, u, False, (self.nx, self.nx))
 
     def jac_F_u(self, x, u) -> np.ndarray:
-        if self.dF_du is not None:
-            return as_matrix(self.dF_du(x, u), (self.nx, self.nu))
-        xx = as_vector(x, self.nx)
-        return finite_difference_jacobian(lambda uu: self.F(xx, uu), u)
+        return self._jac(self.dF_du, self.F_rows, x, u, True, (self.nx, self.nu))
 
     def jac_H_x(self, x, u) -> np.ndarray:
-        if self.dH_dx is not None:
-            return as_matrix(self.dH_dx(x, u), (self.nu, self.nx))
-        uu = as_vector(u, self.nu)
-        return finite_difference_jacobian(lambda xx: self.H(xx, uu), x)
+        return self._jac(self.dH_dx, self.H_rows, x, u, False, (self.nu, self.nx))
 
     def jac_H_u(self, x, u) -> np.ndarray:
-        if self.dH_du is not None:
-            return as_matrix(self.dH_du(x, u), (self.nu, self.nu))
-        xx = as_vector(x, self.nx)
-        return finite_difference_jacobian(lambda uu: self.H(xx, uu), u)
+        return self._jac(self.dH_du, self.H_rows, x, u, True, (self.nu, self.nu))
+
+    def _jac(self, d, rows, x, u, wrt_u: bool, shape: tuple) -> np.ndarray:
+        """A Jacobian at (x, u), or at the rows of stacks x (N, nx) and u (N, nu): the supplied
+        derivative d (one call if batched, else per row), or one central-difference stencil."""
+        if np.ndim(x) < 2:
+            X, U = as_vector(x, self.nx)[None], as_vector(u, self.nu)[None]
+            return self._jac(d, rows, X, U, wrt_u, shape)[0]
+        if d is not None:
+            return _rows(self.batched, d, lambda *p: as_matrix(d(*p), shape), shape, x, u)
+        if wrt_u:
+            return finite_difference_jacobian(lambda V: rows(x, V), u)
+        return finite_difference_jacobian(lambda Y: rows(Y, u), x)
 
 
 @dataclass(frozen=True)
 class AffineNonlinearSystem:
-    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; when batched, f, g,
-    h and k map a stack of states row for row, and so do F and H of to_general."""
+    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows and jac_* take a
+    stack (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H map stacks."""
 
     nx: int
     nu: int
@@ -509,12 +510,16 @@ class AffineNonlinearSystem:
     batched: bool = False
 
     def jac_f(self, x) -> np.ndarray:
+        if np.ndim(x) == 2:  # a stack: one call when batched, else per row
+            return _rows(self.batched, self.df_dx, self.jac_f, (self.nx, self.nx), x)
         if self.df_dx is not None:
             return as_matrix(self.df_dx(x), (self.nx, self.nx))
         return finite_difference_jacobian(self.f, x)
 
     def jac_g(self, x) -> np.ndarray:
-        """Stack of per-column Jacobians, shape (nu, nx, nx)."""
+        """Stack of per-column Jacobians, shape (nu, nx, nx), or (N, nu, nx, nx) on a stack."""
+        if np.ndim(x) == 2:
+            return _rows(self.batched, self.dg_dx, self.jac_g, (self.nu, self.nx, self.nx), x)
         if self.dg_dx is not None:
             J = np.asarray(self.dg_dx(x), dtype=float)
             if J.shape != (self.nu, self.nx, self.nx):
@@ -524,9 +529,17 @@ class AffineNonlinearSystem:
         return J.transpose(1, 0, 2)
 
     def jac_h(self, x) -> np.ndarray:
+        if np.ndim(x) == 2:
+            return _rows(self.batched, self.dh_dx, self.jac_h, (self.nu, self.nx), x)
         if self.dh_dx is not None:
             return as_matrix(self.dh_dx(x), (self.nu, self.nx))
         return finite_difference_jacobian(self.h, x)
+
+    def f_rows(self, X) -> np.ndarray:
+        return _rows(self.batched, self.f, self.f, (self.nx,), X)
+
+    def g_rows(self, X) -> np.ndarray:
+        return _rows(self.batched, self.g, self.g, (self.nx, self.nu), X)
 
     def to_general(self) -> NonlinearSystem:
         def affine(a, b, n):  # x, u -> a(x) + b(x) u
@@ -536,16 +549,12 @@ class AffineNonlinearSystem:
                 return as_vector(a(x), n) + as_matrix(b(x), (n, self.nu)) @ as_vector(u, self.nu)
             return out
 
-        def dF_dx(x, u):
-            u = as_vector(u, self.nu)
-            return self.jac_f(x) + np.einsum("j,jab->ab", u, self.jac_g(x))
-
-        return NonlinearSystem(
+        return NonlinearSystem(  # the derivatives map stacks when batched, as jac_f does
             self.nx, self.nu, affine(self.f, self.g, self.nx), affine(self.h, self.k, self.nu),
-            self.domain, dF_dx=dF_dx,
-            dF_du=lambda x, u: as_matrix(self.g(x), (self.nx, self.nu)),
-            dH_dx=lambda x, u: self.jac_h(x),
-            dH_du=lambda x, u: as_matrix(self.k(x), (self.nu, self.nu)), batched=self.batched)
+            self.domain, batched=self.batched,
+            dF_dx=lambda x, u: self.jac_f(x) + np.einsum("...j,...jab->...ab", u, self.jac_g(x)),
+            dF_du=lambda x, u: self.g(x), dH_dx=lambda x, u: self.jac_h(x),
+            dH_du=lambda x, u: self.k(x))
 
 
 @dataclass(frozen=True)
@@ -707,8 +716,8 @@ def validate_scalar_field(field: ScalarField) -> dict:
 
 
 def validate_metric_field(G: MetricField) -> float:
-    """Check that a batched G's rows are exact, then symmetry, invertibility and supplied
-    partials of G at VALIDATE_SAMPLES points; returns worst asymmetry.  Partials must match central
+    """Check that a batched G's rows and partial_rows are exact, then symmetry, invertibility and
+    partials at VALIDATE_SAMPLES points; returns worst asymmetry.  Partials must match central
     differences within PARTIALS_TOL; the first failing point names the failure, the
     metric's own tests before the partials."""
     def partials_agree(x):
@@ -717,7 +726,8 @@ def validate_metric_field(G: MetricField) -> float:
             1.0 + np.max(np.abs(J)))
 
     xs = G.domain.shrink(0.9).sample(VALIDATE_SAMPLES)
-    _check_row_contract("metric-batched", xs, [(G.rows, G)] if G.batched else ())
+    pairs = [(G.rows, G)] + ([(G.partial_rows, G.partials)] if G.partials is not None else [])
+    _check_row_contract("metric-batched", xs, pairs if G.batched else ())
     Gs = G.rows(xs)
     bad = len(xs) if G.partials is None else next(
         (i for i, x in enumerate(xs) if not partials_agree(x)), len(xs))

@@ -50,8 +50,8 @@ METRIC_STEP = 1e-5
 def _christoffel_rows(G: MetricField, xs: np.ndarray) -> Optional[np.ndarray]:
     """levi_civita at each row of xs, (N, n, n, n), or None when it is exactly 0."""
     Gs = _checked_metric_rows(G.rows(xs), xs)
-    J = np.stack([finite_difference_jacobian(G, x, METRIC_STEP) if G.partials is None
-                  else G.partials(x) for x in xs])  # J[..., a, b, c] = dG_ab/dx_c
+    J = (finite_difference_jacobian(G.rows, xs, METRIC_STEP) if G.partials is None
+         else G.partial_rows(xs))  # J[..., a, b, c] = dG_ab/dx_c
     lower = 0.5 * (J + np.swapaxes(J, -1, -2) - np.moveaxis(J, -1, -3))  # [..., l, i, j]
     return np.einsum("nkl,nlij->nkij", np.linalg.inv(Gs), lower) if lower.any() else None
 
@@ -72,13 +72,14 @@ def third_partial_tensor(K: ScalarField, x) -> np.ndarray:
     """T[l, i, j] = d^3 K / dx_l dx_i dx_j by nested central differences.
 
     Differentiates the best available derivative level of K and symmetrizes
-    over all index permutations.
+    over all index permutations.  A stack x (N, n) gives (N, n, n, n) from one stencil.
     """
-    T = finite_difference_jacobian(K.hess, as_vector(x, K.dim),
-                                   THIRD_PARTIAL_STEP).transpose(2, 0, 1)
-    T = (T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
-         + T.transpose(0, 2, 1) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
-    return T
+    v = np.asarray(x, dtype=float) if np.ndim(x) == 2 else as_vector(x, K.dim)
+    T = finite_difference_jacobian(K.hess_rows if v.ndim == 2 else K.hess, v, THIRD_PARTIAL_STEP)
+    T = T.reshape((-1,) + T.shape[-3:]).transpose(0, 3, 1, 2)  # T[n, l, i, j], a point is n = 0
+    T = (T + T.transpose(0, 2, 1, 3) + T.transpose(0, 3, 2, 1) + T.transpose(0, 1, 3, 2)
+         + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)) / 6.0
+    return T if v.ndim == 2 else T[0]
 
 
 def hessian_christoffel(K: ScalarField, x) -> np.ndarray:
@@ -89,9 +90,7 @@ def hessian_christoffel(K: ScalarField, x) -> np.ndarray:
     the transformed point.
     """
     xv = as_vector(x, K.dim)
-    T = third_partial_tensor(K, xv)
-    Hinv = np.linalg.inv(K.hess(xv))
-    return 0.5 * np.einsum("kl,lij->kij", Hinv, T)
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(K.hess(xv)), third_partial_tensor(K, xv))
 
 
 def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
@@ -102,14 +101,11 @@ def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
     must vanish simultaneously; flat generating functions are exactly the
     quadratic-plus-affine ones.
     """
-    def residuals(x):
-        T = third_partial_tensor(K, x)
-        # hessian_christoffel's formula on this T, so the stencil runs once per point
-        gam = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(K.hess(x)), T)
-        return np.max(np.abs(T)), np.max(np.abs(gam))
-
     xs = K.domain.shrink(0.9).sample(n_samples, seed=seed)
-    return bool(np.max([residuals(x) for x in xs], initial=0.0) <= tol)
+    T = third_partial_tensor(K, xs)
+    # hessian_christoffel's formula on this T, so the stencil runs once
+    gam = 0.5 * np.einsum("nkl,nlij->nkij", np.linalg.inv(K.hess_rows(xs)), T)
+    return bool(np.max(np.abs([T, gam]), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -142,8 +138,8 @@ def _interpolant(times: np.ndarray, values: np.ndarray):
 
 def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=None,
                    G: Optional[MetricField] = None):
-    """(primal, dual) views of one linearization along a nominal; each stack is built
-    once per time array from one x(t) and u(t) interpolant, read-only and shared."""
+    """(primal, dual) views of one linearization along a nominal; each stack is built by
+    one row call per time array from one x(t) and u(t) interpolant, read-only and shared."""
     if G is not None and G.dim != sys.nx:
         raise DimensionMismatchError("metric dimension must match state dimension")
 
@@ -161,18 +157,16 @@ def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=Non
     x = once(_interpolant(nominal.times, nominal.states))
     u = once(_interpolant(nominal.times, nominal.inputs) if u_signal is None else lambda s:
              np.array([as_vector(u_signal(si), sys.nu) for si in s]).reshape(len(s), sys.nu))
-    A = once(lambda ts: np.stack([sys.jac_f(xk) + np.einsum("j,jab->ab", uk, sys.jac_g(xk))
-                                  for xk, uk in zip(x(ts), u(ts))]))
-    B = once(lambda ts: np.stack([as_matrix(sys.g(xk), (sys.nx, sys.nu)) for xk in x(ts)]))
-    C = once(lambda ts: np.stack([sys.jac_h(xk) for xk in x(ts)]))
+    gen = sys.to_general()  # A, B and C are its dF/dx, dF/du and dH/dx
+    A = once(lambda ts: gen.jac_F_x(x(ts), u(ts)))
+    B = once(lambda ts: gen.jac_F_u(x(ts), u(ts)))
+    C = once(lambda ts: gen.jac_H_x(x(ts), u(ts)))
 
     def dual_A(ts):
         At, gam = A(ts).transpose(0, 2, 1), _christoffel_rows(G, x(ts))
         if gam is None:
             return At
-        xdot = (np.stack([as_vector(sys.f(xk), sys.nx) for xk in x(ts)])
-                + np.einsum("nij,nj->ni", B(ts), u(ts)))
-        return At + 2.0 * np.einsum("nabc,nc->nba", gam, xdot)
+        return At + 2.0 * np.einsum("nabc,nc->nba", gam, gen.F_rows(x(ts), u(ts)))
 
     return (TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C),
             TimeVaryingLinearSystem(sys.nx, sys.nu, dual_A, lambda ts: C(ts).transpose(0, 2, 1),
@@ -221,22 +215,27 @@ def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarr
     times = np.asarray(times, dtype=float)
     cols = np.ndim(x0) == 2
     X = as_matrix(x0, (ltv.nx, np.shape(x0)[1])) if cols else as_vector(x0, ltv.nx)[:, None]
-    p = X.shape[1]
-    h = np.diff(times)
-    tm = times[:-1] + 0.5 * h
-    half = 0.5 * h[:, None, None] * ltv.A(tm)
+    p, tm = X.shape[1], times[:-1] + 0.5 * np.diff(times)
     U = np.array([as_matrix(u(t), (ltv.nu, p)) if cols else as_vector(u(t), ltv.nu)
                   for t in tm]).reshape(len(tm), ltv.nu, p)
+    states, outputs = _simulate_ltv_rows(ltv, X, U, times, tm)
+    return (states, outputs) if cols else (states[..., 0], outputs[..., 0])
+
+
+def _simulate_ltv_rows(ltv: TimeVaryingLinearSystem, X, U, times: np.ndarray, tm):
+    """simulate_ltv's recurrence for probes X (nx, p) and inputs U (N - 1, nu, p) at tm."""
+    h = np.diff(times)
+    half = 0.5 * h[:, None, None] * ltv.A(tm)
     drive = h[:, None, None] * np.einsum("kij,kjp->kip", ltv.B(tm), U)
     eye = np.eye(ltv.nx)
     step = np.linalg.solve(eye - half, np.concatenate([eye + half, drive], axis=2))
-    states = np.empty((len(times), ltv.nx, p))
+    M, c = step[..., :ltv.nx].copy(), step[..., ltv.nx:].copy()  # contiguous, for the loop
+    states = np.empty((len(times), ltv.nx, X.shape[1]))
     states[0] = X
-    for k in range(len(tm)):
-        X = step[k, :, :ltv.nx] @ X + step[k, :, ltv.nx:]
+    for k in range(len(times) - 1):
+        X = M[k] @ X + c[k]
         states[k + 1] = X
-    outputs = np.einsum("kij,kjp->kip", ltv.C(times), states)
-    return (states, outputs) if cols else (states[..., 0], outputs[..., 0])
+    return states, np.einsum("kij,kjp->kip", ltv.C(times), states)
 
 
 def default_probes(nu: int, t_span) -> list:
@@ -272,8 +271,9 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     For each probe du the variational system starts at delta_x(0) = xi and
     the dual at p(0) = G(x(0)) xi with sigma du as its input; the dual output
     matching sigma dy (and p(t) = G(x(t)) delta_x(t) along the way) witnesses
-    external reciprocity of the nonlinear system along the nominal.  One call
-    linearizes once and runs all probes as the columns of one simulate_ltv per system.
+    external reciprocity of the nonlinear system along the nominal.  One call linearizes
+    once, evaluates the probes once for both systems and runs them as the columns of one
+    simulate_ltv recurrence per system.
     """
     var, dual = _linearization(sys, nominal, u_signal, G)
     times = nominal.times
@@ -284,12 +284,14 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
         sys.nu, (times[0], times[-1]))
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
     sig.check_inputs(sys.nu)
-    p = len(probes)
-    du = lambda t: np.array([as_vector(pr(t), sys.nu) for pr in probes]).reshape(p, sys.nu).T
+    p, tm = len(probes), times[:-1] + 0.5 * np.diff(times)
+    # the probes at the midpoints, (N - 1, nu, p), evaluated once for both systems
+    dU = np.array([[as_vector(pr(t), sys.nu) for pr in probes] for t in tm]
+                  ).reshape(len(tm), p, sys.nu).transpose(0, 2, 1)
     Gs = G.rows(nominal.states)
     X0 = np.repeat(xi[:, None], p, axis=1)
-    dst, dy = simulate_ltv(var, X0, du, times)
-    pst, yd = simulate_ltv(dual, Gs[0] @ X0, lambda t: sig.signs[:, None] * du(t), times)
+    dst, dy = _simulate_ltv_rows(var, X0, dU, times, tm)
+    pst, yd = _simulate_ltv_rows(dual, Gs[0] @ X0, sig.signs[:, None] * dU, times, tm)
     dy = sig.signs[:, None] * dy
     gaps = np.max(np.abs(dy - yd), axis=(0, 1), initial=0.0)
     isos = np.max(np.abs(pst - np.einsum("kij,kjp->kip", Gs, dst)), axis=(0, 1), initial=0.0)

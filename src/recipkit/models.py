@@ -135,11 +135,12 @@ class BraytonMoserModel:
             return np.concatenate([self.R * I + self.quartic * I ** 3 + _mv(self.lam, V),
                                    s * self.Gc * V + _mv(self.lam.T, I)], axis=-1)
 
-        def hessian(x):
-            I = x[:nL]
-            top = np.hstack([np.diag(self.R + 3.0 * self.quartic * I ** 2), self.lam])
-            bot = np.hstack([self.lam.T, s * np.diag(self.Gc)])
-            return np.vstack([top, bot])
+        def hessian(x):  # also maps a stack of points row for row
+            H = np.empty(np.shape(x)[:-1] + (self.n, self.n))
+            H[..., :nL, :nL] = _diag(self.R + 3.0 * self.quartic * x[..., :nL] ** 2)
+            H[..., :nL, nL:], H[..., nL:, :nL] = self.lam, self.lam.T
+            H[..., nL:, nL:] = s * np.diag(self.Gc)
+            return H
 
         return ScalarField(self.n, value, self.domain, gradient=gradient, hessian=hessian)
 
@@ -163,9 +164,9 @@ class BraytonMoserModel:
             h=lambda x: _mv(gcols.T, np.asarray(x, dtype=float)),
             k=_constant_rows(np.zeros((m, m))),
             domain=self.domain,
-            df_dx=lambda x: Ginv @ (-P.hess(x)),
-            dg_dx=lambda x: np.zeros((m, self.n, self.n)),
-            dh_dx=lambda x: gcols.T,
+            df_dx=lambda x: Ginv @ (-P.hessian(np.asarray(x, dtype=float))),
+            dg_dx=_constant_rows(np.zeros((m, self.n, self.n))),
+            dh_dx=_constant_rows(gcols.T),
             batched=True,
         )
 

@@ -23,11 +23,11 @@ from .core import (
     NonlinearSystem,
     ScalarField,
     SignatureMatrix,
+    _checked_metric_rows,
     _mv,
+    as_vector,
     finite_difference_jacobian,
     integrate_segment,
-    symmetry_residual,
-    as_vector,
 )
 
 __all__ = [
@@ -56,21 +56,30 @@ class ReciprocityReport:
         return float(np.max([self.residual_state, self.residual_output, self.residual_cross]))
 
 
-def _reciprocity_report(rows, tol: float) -> ReciprocityReport:
-    """Fold per-point (state, output, cross) residual rows into a report; a
-    non-finite residual fails it."""
-    worst = np.max(np.reshape(rows, (-1, 3)), axis=0, initial=0.0)
-    return ReciprocityReport(*map(float, worst), reciprocal=bool(np.max(worst) <= tol),
-                             points_tested=len(rows))
+def _state_input_stacks(domain: BoxDomain, u_box: BoxDomain, n: int, seed: int):
+    pts = BoxDomain.product(domain.shrink(0.95), u_box).sample(n, seed=seed)
+    return pts[:, :domain.dim], pts[:, domain.dim:]
 
 
 def sample_state_input_points(domain: BoxDomain, u_box: BoxDomain, n: int = 200,
                               seed: int = 0):
     """Low-discrepancy (x, u) pairs over the product box."""
-    prod = BoxDomain.product(domain.shrink(0.95), u_box)
-    pts = prod.sample(n, seed=seed)
-    nx = domain.dim
-    return [(p[:nx], p[nx:]) for p in pts]
+    return list(zip(*_state_input_stacks(domain, u_box, n, seed)))
+
+
+def _report(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix, X, U, state,
+            tol: float) -> ReciprocityReport:
+    """Report at the samples X (N, nx), U (N, nu): state(G rows) gives the state residuals,
+    sys's Jacobian stacks the others; one fold each, so a non-finite residual fails it."""
+    sigma.check_inputs(sys.nu)
+    sm = sigma.matrix
+    Gs = _checked_metric_rows(G.rows(X), X)
+    SHu = sm @ sys.jac_H_u(X, U)
+    worst = np.array([np.max(np.abs(r), initial=0.0) for r in (
+        state(Gs), SHu - np.swapaxes(SHu, 1, 2),
+        Gs @ sys.jac_F_u(X, U) - np.swapaxes(sys.jac_H_x(X, U), 1, 2) @ sm)])
+    return ReciprocityReport(*map(float, worst), reciprocal=bool(np.max(worst) <= tol),
+                             points_tested=len(X))
 
 
 def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix,
@@ -84,19 +93,14 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
 
     The metric is validated (symmetry, determinant floor) at every point.
     """
-    sigma.check_inputs(sys.nu)
-    pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
-                                    n_samples, seed)
-    sm = sigma.matrix
+    X, U = _state_input_stacks(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples,
+                               seed)
 
-    def residuals(x, u):
-        Gx = G.checked(x)
-        J = finite_difference_jacobian(lambda xx: G(xx) @ sys.F(xx, u), x)
-        Hu = sys.jac_H_u(x, u)
-        gap = Gx @ sys.jac_F_u(x, u) - sys.jac_H_x(x, u).T @ sm
-        return symmetry_residual(J), symmetry_residual(sm @ Hu), np.max(np.abs(gap))
+    def state(Gs):
+        J = finite_difference_jacobian(lambda Y: _mv(G.rows(Y), sys.F_rows(Y, U)), X)
+        return J - np.swapaxes(J, 1, 2)
 
-    return _reciprocity_report([residuals(x, u) for x, u in pts], tol)
+    return _report(sys, G, sigma, X, U, state, tol)
 
 
 def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
@@ -108,25 +112,14 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
     residual_output : max |sigma k(x) - k(x)^T sigma|,
     residual_cross  : max |G(x) g(x) - (dh/dx)^T sigma|.
     """
-    sigma.check_inputs(sys.nu)
-    xs = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
-    sm = sigma.matrix
+    X = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
 
-    def G_fg(xx):
-        # G [f | g], so one stencil gives d(G f)/dx and every d(G g_j)/dx
-        fg = np.column_stack([as_vector(sys.f(xx), sys.nx),
-                              np.asarray(sys.g(xx), dtype=float).reshape(sys.nx, sys.nu)])
-        return G(xx) @ fg
+    def state(Gs):  # one stencil over all points: J[n, :, j, :] = d(G [f | g]_j)/dx at X[n]
+        J = finite_difference_jacobian(lambda Y: G.rows(Y) @ np.concatenate(
+            [sys.f_rows(Y)[..., None], sys.g_rows(Y)], axis=-1), X)
+        return J - J.transpose(0, 3, 2, 1)
 
-    def residuals(x):
-        Gx = G.checked(x)
-        J = finite_difference_jacobian(G_fg, x)  # J[:, j, :] = d(G [f | g]_j)/dx
-        kx = np.asarray(sys.k(x), dtype=float).reshape(sys.nu, sys.nu)
-        gap = Gx @ np.asarray(sys.g(x), dtype=float).reshape(sys.nx, sys.nu) - sys.jac_h(x).T @ sm
-        return (np.max(np.abs(J - J.transpose(2, 1, 0))),
-                np.max(np.abs(sm @ kx - kx.T @ sm)), np.max(np.abs(gap)))
-
-    return _reciprocity_report([residuals(x) for x in xs], tol)
+    return _report(sys.to_general(), G, sigma, X, np.zeros((len(X), sys.nu)), state, tol)
 
 
 def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
@@ -137,22 +130,16 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
 
     The state condition simplifies to G-self-adjointness of the state
     Jacobian, G dF/dx = (dF/dx)^T G; output and cross conditions are as in
-    the general check.
+    the general check, all points stacked.
     """
-    sigma.check_inputs(sys.nu)
-    G = MetricField.from_hessian(K)
-    pts = sample_state_input_points(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
-                                    n_samples, seed)
-    sm = sigma.matrix
+    X, U = _state_input_stacks(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples,
+                               seed)
 
-    def residuals(x, u):
-        Gx = G.checked(x)
-        Fx, Hu = sys.jac_F_x(x, u), sys.jac_H_u(x, u)
-        gap = Gx @ sys.jac_F_u(x, u) - sys.jac_H_x(x, u).T @ sm
-        return (np.max(np.abs(Gx @ Fx - Fx.T @ Gx)), symmetry_residual(sm @ Hu),
-                np.max(np.abs(gap)))
+    def state(Gs):
+        Fx = sys.jac_F_x(X, U)
+        return Gs @ Fx - np.swapaxes(Fx, 1, 2) @ Gs
 
-    return _reciprocity_report([residuals(x, u) for x, u in pts], tol)
+    return _report(sys, MetricField.from_hessian(K), sigma, X, U, state, tol)
 
 
 METRIC_PARTIAL_STEP = 1e-5
@@ -164,9 +151,9 @@ POTENTIAL_RECIPROCITY_TOL = 1e-5  # check_reciprocity residual reconstruct_poten
 
 def is_hessian_metric(G: MetricField, seed: int = 0) -> dict:
     """Closedness test dG_jk/dx_i = dG_ik/dx_j at CLOSEDNESS_SAMPLES points."""
-    Js = (finite_difference_jacobian(G, x, METRIC_PARTIAL_STEP)  # J[i, j, k] = dG_ij/dx_k
-          for x in G.domain.shrink(0.9).sample(CLOSEDNESS_SAMPLES, seed=seed))
-    worst = float(np.max([np.max(np.abs(J - J.transpose(2, 1, 0))) for J in Js], initial=0.0))
+    xs = G.domain.shrink(0.9).sample(CLOSEDNESS_SAMPLES, seed=seed)
+    J = finite_difference_jacobian(G.rows, xs, METRIC_PARTIAL_STEP)  # [n, i, j, k] = dG_ij/dx_k
+    worst = float(np.max(np.abs(J - J.transpose(0, 3, 2, 1)), initial=0.0))
     return {"hessian": bool(worst <= CLOSEDNESS_TOL), "residual": worst}
 
 

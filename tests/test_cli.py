@@ -83,10 +83,13 @@ def test_check_reciprocity_nonlinear_kinds(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    # the closed-form conjugate, the row-stacked converted storage and a recorded trajectory
+    # the closed-form conjugate, the row-stacked converted storage, a recorded trajectory,
+    # the row-stacked linearization and the stacked reciprocity stencil
     for i, command in enumerate([["legendre", "--field", "quadratic", "--samples", "30"],
                                  ["convert-ph", "--model", "swing"],
-                                 ["simulate", "--model", "rc-tanh"]]):
+                                 ["simulate", "--model", "rc-tanh"],
+                                 ["variational-test", "--model", "brayton-moser"],
+                                 ["check-reciprocity", "--model", "brayton-moser"]]):
         a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
         for d in (a, b):
             assert main([*command, "--out", str(d)]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -273,6 +275,41 @@ def test_nonlinear_system_fd_jacobians():
     np.testing.assert_allclose(sys.jac_H_u(x, u), [[2.0]], atol=1e-8)
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_stacked_finite_difference_jacobian_is_the_per_point_one(batched):
+    box = BoxDomain.cube(3, 4.0)  # components beyond 1 move by the relative step
+    p = Polynomial(3, (((2, 1, 0), 1.0), ((0, 3, 1), 3.0), ((1, 0, 2), -0.5))).to_field(box)
+    f = p if batched else ScalarField(3, p.value, box, p.gradient, p.hessian)
+    xs = box.sample(40, seed=3)
+    for rows, one in ((f.value_rows, f), (f.grad_rows, f.grad), (f.hess_rows, f.hess)):
+        calls = []
+        stacked = finite_difference_jacobian(lambda X: calls.append(len(X)) or rows(X), xs)
+        assert calls == [40] * 6  # 2n calls for all the points
+        assert np.array_equal(stacked, [finite_difference_jacobian(one, x) for x in xs])
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_nonlinear_system_jacobians_of_stacks_are_the_per_point_ones(batched):
+    box = BoxDomain.cube(2)
+
+    def F(x, u):
+        return np.stack([-x[..., 0] ** 3 + u[..., 0] * x[..., 1], x[..., 0] - x[..., 1]], -1)
+
+    def H(x, u):
+        return x[..., :1] * x[..., 1:] + 2.0 * u ** 2
+
+    stencil = NonlinearSystem(2, 1, F, H, box, batched=batched)
+    supplied = NonlinearSystem(  # derivatives that map stacks too, as batched asks
+        2, 1, F, H, box, dF_du=lambda x, u: np.stack([x[..., 1:], 0.0 * x[..., 1:]], -2),
+        dH_dx=lambda x, u: x[..., None, ::-1], batched=batched)
+    X, U = box.sample(25, seed=1), BoxDomain.cube(1).sample(25, seed=2)
+    for sys in (stencil, supplied):
+        for jac in (sys.jac_F_x, sys.jac_F_u, sys.jac_H_x, sys.jac_H_u):
+            assert np.array_equal(jac(X, U), [jac(x, u) for x, u in zip(X, U)])
+    with pytest.raises(DimensionMismatchError):
+        NonlinearSystem(2, 1, F, H, box, dH_du=lambda x, u: np.eye(2)).jac_H_u(X, U)
+
+
 def test_affine_system_to_general_consistent():
     box = BoxDomain.cube(2)
     aff = AffineNonlinearSystem(
@@ -433,6 +470,13 @@ def test_validate_metric_field_checks_the_batched_contract():
         validate_metric_field(per_point)
     assert info.value.name == "metric-batched" and "rows" in str(info.value)
     validate_metric_field(MetricField(2, per_point.eval, box))
+    # so are a batched metric's partials: zeros of a constant map stacks, x[1] does not
+    G = MetricField.constant(M + M.T, box)
+    assert np.array_equal(G.partial_rows(xs), [G.partials(x) for x in xs])
+    bad = dataclasses.replace(G, partials=lambda x: np.zeros((2, 2, 2)) * x[1])
+    with pytest.raises(AssumptionError) as info:
+        validate_metric_field(bad)
+    assert info.value.name == "metric-batched" and "partial_rows" in str(info.value)
     # without a stacked Hessian the metric of a field is per point
     assert not MetricField.from_hessian(ScalarField(2, lambda x: float(x @ x), box)).batched
 

@@ -130,6 +130,29 @@ def test_flatness_check_takes_one_stencil_per_point():
     assert len(calls) == 30 * (2 * 2 + 1)
 
 
+@pytest.mark.parametrize("n_samples", [5, 30])
+def test_flatness_check_stacks_its_points_on_a_batched_field(n_samples):
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return _diag_rows(np.cosh(x))
+
+    box = BoxDomain.cube(2)
+    curved = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), box,
+                         gradient=np.sinh, hessian=hessian, batched=True)
+    assert not flatness_check(curved, n_samples=n_samples)
+    # one stacked stencil, 2n Hessian calls, plus one to raise the index
+    assert len(calls) == 2 * 2 + 1
+    xs = box.shrink(0.9).sample(n_samples)
+    assert np.array_equal(third_partial_tensor(curved, xs),
+                          [third_partial_tensor(curved, x) for x in xs])
+
+
+def _diag_rows(d):
+    return d[..., :, None] * np.eye(d.shape[-1])
+
+
 def scalar_affine():
     box = BoxDomain.cube(1, halfwidth=2.0)
     return AffineNonlinearSystem(
@@ -349,8 +372,9 @@ def test_external_reciprocity_linearizes_once_per_call(n_probes):
     rep = external_reciprocity_test(sys, bundle.metric, nominal, probe_inputs=probes[:n_probes],
                                     delta_x0=[0.1, -0.05], sigma=bundle.sigma)
     assert rep.probes == n_probes
-    # jac_f at the 2000 midpoints; jac_h at the midpoints (dual B) and grid times (C)
-    assert calls == {"df_dx": 2000, "dh_dx": 2000 + 2001}
+    # one row call per time array: jac_f at the midpoints; jac_h at the midpoints (dual B)
+    # and at the grid times (C)
+    assert calls == {"df_dx": 1, "dh_dx": 2}
 
 
 def test_closed_form_partials_give_the_stencil_dual():

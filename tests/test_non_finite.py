@@ -43,8 +43,15 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def nan_where(fn, bad):
-    """fn with NaN added to its value at the points x where bad(x) holds."""
-    return lambda x, *rest: np.asarray(fn(x, *rest), dtype=float) + (np.nan if bad(x) else 0.0)
+    """fn with NaN added to its value at the points x where bad(x) holds; a stack of
+    points, which a batched system is given, gets its NaN per row at the same points."""
+    def planted(x, *rest):
+        out = np.asarray(fn(x, *rest), dtype=float)
+        if np.ndim(x) == 1:
+            return out + (np.nan if bad(x) else 0.0)
+        rows = np.array([bad(row) for row in x], dtype=bool)
+        return out + np.where(rows, np.nan, 0.0).reshape(rows.shape + (1,) * (out.ndim - 1))
+    return planted
 
 
 def right_half(x):

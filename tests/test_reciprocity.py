@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,27 @@ def test_check_reciprocity_evaluates_the_metric_once_at_the_centre():
     assert rep.reciprocal
     # one stencil over G F plus the checked centre value, reused for the cross gap
     assert len(calls) == 20 * (2 * sys.nx + 1)
+
+
+@pytest.mark.parametrize("n_samples", [7, 60])
+def test_check_reciprocity_affine_stacks_its_points(n_samples):
+    bm = model_registry()["brayton-moser"]
+    calls = {"f": 0, "g": 0, "G": 0}
+
+    def counted(name, fn):
+        def evaluate(x):
+            calls[name] += 1
+            return fn(x)
+        return evaluate
+
+    sys = dataclasses.replace(bm.affine, f=counted("f", bm.affine.f),
+                              g=counted("g", bm.affine.g))
+    G = dataclasses.replace(bm.metric, eval=counted("G", bm.metric.eval))
+    rep = check_reciprocity_affine(sys, G, bm.sigma, n_samples=n_samples)
+    assert rep.reciprocal and rep.points_tested == n_samples
+    # one stencil of G [f | g] over all points, then g and G once more at the points
+    n = sys.nx
+    assert calls == {"f": 2 * n, "g": 2 * n + 1, "G": 2 * n + 1}
 
 
 def test_check_reciprocity_affine_detects_metric_perturbation():
