@@ -31,7 +31,7 @@ from .core import (
     finite_difference_jacobian,
 )
 from .legendre import make_legendre_pair
-from .reciprocity import sample_state_input_points
+from .reciprocity import _state_input_stacks
 
 __all__ = [
     "Trajectory",
@@ -53,6 +53,7 @@ __all__ = [
 
 MIDPOINT_NEWTON_TOL = 1e-11  # bound on the Newton error estimate, relative to 1 + |x_k|
 MIDPOINT_NEWTON_KAPPA = 0.1  # share of MIDPOINT_NEWTON_TOL the increment test may use
+MIDPOINT_REFRESH_RATE = 0.1  # theta at which a kept Newton matrix is formed again
 MIDPOINT_MAX_NEWTON = 40
 UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
@@ -111,25 +112,31 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     """Implicit midpoint for mass(x) x_dot = rhs(t, x).
 
     Each step solves r(y) = M(m)(y - x_k) - h rhs(t_m, m) = 0 with
-    m = (x_k + y)/2 by Newton on the matrix M(m) - (h/2) d rhs/dx, formed at
-    the starting value (central differences when no rhs_jac is given).
+    m = (x_k + y)/2 by simplified Newton on the matrix M(m) - (h/2) d rhs/dx
+    (central differences when no rhs_jac is given), held as its inverse
+    (Hairer & Wanner, Solving ODEs II, 2nd ed., 1996, IV.8).
 
     - Starting value: explicit Euler through the mass matrix on the first
-      step; after it the previous increment, w = x_k + (h_k/h_{k-1})(x_k - x_{k-1})
-      (Hairer & Wanner, Solving ODEs II, 2nd ed., 1996, IV.8).
+      step; after it the previous increment, w = x_k + (h_k/h_{k-1})(x_k - x_{k-1}).
     - Stopping rule: with increments D_j, theta = |D_j|/|D_{j-1}| and
       eta = theta/(1 - theta), the step accepts w - D_j once
       eta |D_j| <= MIDPOINT_NEWTON_KAPPA MIDPOINT_NEWTON_TOL (1 + |x_k|).  On a
       step's first iteration eta comes from the last step as
       max(eta, uround)^0.8 (1 on the first step), so a step that starts close
-      enough accepts after one solve.
-    - When the increments stop contracting (theta >= 1), the last Newton
-      step is halved, down to 1/64, until the residual falls below the one
-      it started from, and the Newton matrix is formed again there.
+      enough accepts after one iteration.
+    - Kept matrix: the matrix is formed at a step's starting value and kept
+      for the following steps until a step needs more than two iterations.
+      When a kept matrix contracts badly (theta not below
+      MIDPOINT_REFRESH_RATE), it is formed again at the current iterate.
+    - When the increments on a matrix formed in the step stop contracting
+      (theta >= 1), the last Newton step is halved, down to 1/64, until the
+      residual falls below the one it started from, and the Newton matrix is
+      formed again there.
 
-    Work per step: one rhs Jacobian, and per iteration one residual (rhs and
-    mass) and one solve, with no evaluation at the accepted point; most steps
-    take one or two iterations.  A singular Newton matrix, stalled damping or
+    Work per step: per iteration one residual (rhs and mass) and one product
+    with the inverse, with no evaluation at the accepted point; one rhs
+    Jacobian and one np.linalg.inv per formed matrix, which on a uniform grid
+    serves many steps.  A singular Newton matrix, stalled damping or
     MIDPOINT_MAX_NEWTON iterations raise ConvergenceError naming the step
     time, the iteration, the last increment and residual norms and the
     starting value.  With a domain, every step must stay in the box
@@ -152,7 +159,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             return as_matrix(rhs_jac(t, v), (n, n))
         return finite_difference_jacobian(lambda w: rhs(t, w), v)
 
-    def single_step(t, xk, h, w, start, eta):
+    def single_step(t, xk, h, w, start, eta, J_inv):
         tm = t + 0.5 * h
         goal = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + float(np.linalg.norm(xk)))
         w0, dn = w, None
@@ -171,24 +178,30 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
 
         m, M, r, rn = residual(w)
         eta = max(eta, UROUND) ** 0.8
-        J = last = None  # last: the previous iterate, its residual norm and its increment
+        fresh = False  # whether the Newton matrix in use was formed in this step
+        last = None  # the previous iterate, its residual norm and its increment
         for it in range(1, MIDPOINT_MAX_NEWTON + 1):
-            if J is None:
-                J = M - 0.5 * h * jac_rhs(tm, m)
-            try:
-                delta = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError as exc:
-                raise failure(f"met a singular Newton matrix in iteration {it}") from exc
+            if J_inv is None:
+                try:
+                    J_inv = np.linalg.inv(M - 0.5 * h * jac_rhs(tm, m))
+                except np.linalg.LinAlgError as exc:
+                    raise failure(f"met a singular Newton matrix in iteration {it}") from exc
+                fresh = True
+            delta = J_inv @ r
             dn = float(np.linalg.norm(delta))
             if last is not None:
                 lw, lrn, ldelta, ldn = last
                 theta = dn / ldn
+                if not fresh and not theta < MIDPOINT_REFRESH_RATE:
+                    # a kept matrix contracts badly: form it again at this iterate
+                    J_inv, last = None, None
+                    continue
                 if theta < 1.0:
                     eta = theta / (1.0 - theta)
                 else:
                     # the increments stopped contracting: damp the last step until
                     # the residual falls, then restart Newton there with a new matrix
-                    lam, eta, last, J = 1.0, 1.0, None, None
+                    lam, eta, last, J_inv = 1.0, 1.0, None, None
                     while not rn < lrn:
                         lam *= 0.5
                         if lam < 1.0 / 64.0:
@@ -197,7 +210,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                         m, M, r, rn = residual(w)
                     continue
             if eta * dn <= goal:
-                return w - delta, eta
+                return w - delta, eta, J_inv if it <= 2 else None
             last = (w, rn, delta, dn)
             w = w - delta
             m, M, r, rn = residual(w)
@@ -206,7 +219,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     n_steps = max(1, int(round((t1 - t0) / step)))
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     states = [x]
-    eta = 1.0
+    eta, J_inv = 1.0, None
     for k in range(n_steps):
         t, h = times[k], times[k + 1] - times[k]
         if k == 0:
@@ -218,7 +231,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
             w, start = x + h * v, "explicit Euler"
         else:
             w, start = x + (h / (t - times[k - 1])) * (x - states[-2]), "extrapolated"
-        x, eta = single_step(t, x, h, w, start, eta)
+        x, eta, J_inv = single_step(t, x, h, w, start, eta, J_inv)
         if domain is not None and not domain.contains(x):
             raise DomainError(f"trajectory left the state box at t={times[k+1]:.6g}: x={x}")
         states.append(x)
@@ -662,8 +675,8 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
         # x -> g_j.x is linear for the constant matrix g, hence degree-1 homogeneous
         details["input_couplings_degree_one"] = True
     else:
-        X, U = map(np.array, zip(*sample_state_input_points(
-            sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples, seed)))
+        X, U = _state_input_stacks(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
+                                   n_samples, seed)
         G, sign = sys.V.grad_rows(np.hstack([X, U])), 1.0 if mode == "-I" else -1.0
         vals = np.vecdot(X, G[:, :sys.nx]) + sign * np.vecdot(U, G[:, sys.nx:])
         details["points"] = len(X)

@@ -39,7 +39,6 @@ __all__ = [
     "is_hessian_metric",
     "reconstruct_K",
     "reconstruct_potential",
-    "sample_state_input_points",
 ]
 
 
@@ -57,14 +56,9 @@ class ReciprocityReport:
 
 
 def _state_input_stacks(domain: BoxDomain, u_box: BoxDomain, n: int, seed: int):
+    """Low-discrepancy (x, u) samples over the product box, as stacks (n, nx) and (n, nu)."""
     pts = BoxDomain.product(domain.shrink(0.95), u_box).sample(n, seed=seed)
     return pts[:, :domain.dim], pts[:, domain.dim:]
-
-
-def sample_state_input_points(domain: BoxDomain, u_box: BoxDomain, n: int = 200,
-                              seed: int = 0):
-    """Low-discrepancy (x, u) pairs over the product box."""
-    return list(zip(*_state_input_stacks(domain, u_box, n, seed)))
 
 
 def _report(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix, X, U, state,

@@ -28,8 +28,7 @@ EXPORTS = {
                  "make_legendre_pair", "homogeneity_check"),
     "reciprocity": ("ReciprocityReport", "PotentialFunction", "check_reciprocity",
                     "check_reciprocity_affine", "check_reciprocity_hessian",
-                    "is_hessian_metric", "reconstruct_K", "reconstruct_potential",
-                    "sample_state_input_points"),
+                    "is_hessian_metric", "reconstruct_K", "reconstruct_potential"),
     "geometry": ("TimeVaryingLinearSystem", "VariationalMatchReport", "third_partial_tensor",
                  "levi_civita", "hessian_christoffel", "flatness_check", "variational_system",
                  "dual_variational_system", "external_reciprocity_test", "default_probes",
@@ -74,7 +73,6 @@ DEFAULTED = {
     "reciprocity.is_hessian_metric": ("seed",),
     "reciprocity.reconstruct_K": ("seed",),
     "reciprocity.reconstruct_potential": ("n_samples", "seed"),
-    "reciprocity.sample_state_input_points": ("n", "seed"),
     "geometry.flatness_check": ("tol", "n_samples", "seed"),
     "geometry.external_reciprocity_test": ("probe_inputs", "tol", "delta_x0", "u_signal",
                                            "sigma"),
@@ -152,7 +150,7 @@ def test_defaulted_parameter_snapshot():
     surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
                for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 122
+    assert sum(len(names) for names in surface.values()) == 120
 
 
 def _used_names(tree):

@@ -248,6 +248,31 @@ def test_simulate_writes_csv(tmp_path):
     assert abs(float(lines[-1].split(",")[1]) - 0.5) < 0.1
 
 
+def test_simulate_keeps_the_newton_matrix_across_steps(tmp_path, monkeypatch):
+    # simulate's 200 rc-tanh steps form the Newton matrix (one rhs Jacobian and one
+    # factorization) 69 times, not once per step; the one solve is the explicit-Euler start
+    counts = {"jac": 0, "solve": 0}
+    integrate, solve = recipkit.dynamics.integrate_implicit_midpoint, np.linalg.solve
+
+    def counted_integrate(rhs, x0, t_span, step, mass=None, rhs_jac=None, domain=None):
+        def jac(t, x):
+            counts["jac"] += 1
+            return rhs_jac(t, x)
+        return integrate(rhs, x0, t_span, step, mass=mass, rhs_jac=jac, domain=domain)
+
+    def counted_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(recipkit.dynamics, "integrate_implicit_midpoint", counted_integrate)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    assert main(["simulate", "--model", "rc-tanh", "--horizon", "2",
+                 "--out", str(tmp_path)]) == 0
+    steps = read_report(tmp_path)["steps"]
+    assert steps == 200 and counts == {"jac": 69, "solve": 1}
+    assert counts["jac"] < steps
+
+
 def test_simulate_port_hamiltonian(tmp_path):
     assert main(["simulate", "--model", "swing", "--horizon", "1",
                  "--step", "0.01", "--out", str(tmp_path)]) == 0

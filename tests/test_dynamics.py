@@ -148,16 +148,18 @@ def _swing_midpoint_problem(form):
 
 
 @pytest.mark.parametrize("form, expected", [
-    # 100 steps: one Newton matrix per step, 1.35 (2.0) residuals and solves per step;
-    # the mass-matrix form converges only linearly because the Newton matrix leaves out
-    # the derivative of the mass
-    ("port-hamiltonian", {"rhs": 135, "jac": 100, "mass": 0, "solve": 135}),
-    ("co-energy", {"rhs": 200, "jac": 100, "mass": 200, "solve": 200}),
+    # 100 steps on one Newton matrix, kept from the first step and factored once; the one
+    # solve is the explicit-Euler start.  1.71 (1.99) residuals per step: the mass-matrix
+    # form converges only linearly because the Newton matrix leaves out the derivative of
+    # the mass
+    ("port-hamiltonian", {"rhs": 172, "jac": 1, "mass": 0, "solve": 1, "factor": 1}),
+    ("co-energy", {"rhs": 200, "jac": 1, "mass": 200, "solve": 1, "factor": 1}),
 ])
 def test_integrator_work_per_step_on_swing(monkeypatch, form, expected):
     rhs, rhs_jac, mass, x0 = _swing_midpoint_problem(form)
     counts = dict.fromkeys(expected, 0)
     monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, counts, "solve"))
+    monkeypatch.setattr(np.linalg, "inv", _counted(np.linalg.inv, counts, "factor"))
     integrate_implicit_midpoint(
         _counted(rhs, counts, "rhs"), x0, (0.0, 0.1), 1e-3,
         mass=None if mass is None else _counted(mass, counts, "mass"),
@@ -166,18 +168,44 @@ def test_integrator_work_per_step_on_swing(monkeypatch, form, expected):
 
 
 def test_integrator_work_per_step_on_a_linear_mass_matrix_ode(monkeypatch):
-    # the ODE of test_integrator_assembles_mass_at_most_three_times_per_step: Newton is
-    # exact in one iteration, so most steps accept the first increment; one mass and one
-    # solve go to the explicit-Euler start, and each step's finite-difference Jacobian
-    # costs 2n = 4 rhs calls
+    # the ODE of test_integrator_assembles_mass_at_most_three_times_per_step: the Newton
+    # matrix is exact and constant, so it is formed and factored once, by one
+    # finite-difference Jacobian of 2n = 4 rhs calls, and most steps accept the first
+    # increment; the one solve and one mass go to the explicit-Euler start
     A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
     Mconst = np.array([[2.0, 0.5], [0.5, 1.0]])
-    counts = {"rhs": 0, "mass": 0, "solve": 0}
+    counts = {"rhs": 0, "mass": 0, "solve": 0, "factor": 0}
     monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, counts, "solve"))
+    monkeypatch.setattr(np.linalg, "inv", _counted(np.linalg.inv, counts, "factor"))
     integrate_implicit_midpoint(_counted(lambda t, x: A @ x, counts, "rhs"),
                                 np.array([1.0, 0.0]), (0.0, 1.0), step=1.0 / 50,
                                 mass=_counted(lambda x: Mconst, counts, "mass"))
-    assert counts == {"rhs": 76 + 4 * 50, "mass": 76, "solve": 76}
+    assert counts == {"rhs": 76 + 4, "mass": 76, "solve": 1, "factor": 1}
+
+
+def test_integrator_matches_the_cayley_recurrence_on_a_linear_ode():
+    # with a constant mass M, x_{k+1} = (M - h/2 A)^-1 (M + h/2 A) x_k is the midpoint step
+    # in closed form; each accepted Newton iterate is within KAPPA * TOL * (1 + |x_k|) of
+    # it, and the factor 2 leaves room for the rounding of the closed form
+    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    Mconst = np.array([[2.0, 0.5], [0.5, 1.0]])
+    h = 0.01
+    _, states = integrate_implicit_midpoint(lambda t, x: A @ x, np.array([1.0, -0.5]),
+                                            (0.0, 2.0), h, mass=lambda x: Mconst)
+    cayley = np.linalg.solve(Mconst - 0.5 * h * A, Mconst + 0.5 * h * A)
+    step_errors = np.linalg.norm(states[1:] - states[:-1] @ cayley.T, axis=1)
+    bound = 2 * MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (
+        1.0 + np.linalg.norm(states[:-1], axis=1))
+    assert len(states) == 201 and np.all(step_errors <= bound)
+
+
+def test_integrator_names_the_step_where_rhs_turns_nan():
+    # from t = 0.5 on the residual is NaN, so no increment contracts and damping stalls
+    with pytest.raises(ConvergenceError,
+                       match=r"^implicit midpoint Newton damping stalled in iteration \d+ "
+                             r"at t=0\.5 \(last increment nan, residual nan, start extrapolated"):
+        integrate_implicit_midpoint(lambda t, x: np.full(1, np.nan) if t >= 0.5 else -x,
+                                    np.array([1.0]), (0.0, 1.0), 0.1)
 
 
 def test_integrator_restart_agrees_with_one_call():
@@ -216,21 +244,24 @@ def test_damped_newton_reaches_the_midpoint_step():
     assert np.max(np.abs(states[:, 0] - exact)) <= bound
 
 
-@pytest.mark.parametrize("what, jac, step", [
+@pytest.mark.parametrize("what, rate, jac, step", [
     # J = 1 - (h/2) jac vanishes exactly: singular in the step's first iteration
-    ("met a singular Newton matrix in iteration 1 at t=0 ", lambda t: 16.0, 0.125),
-    # the same from the third step on, whose midpoint is 0.3125
-    ("met a singular Newton matrix in iteration 1 at t=0.25 ",
-     lambda t: 16.0 if t > 0.3 else -1.0, 0.125),
+    ("met a singular Newton matrix in iteration 1 at t=0 ", lambda t: -1.0, lambda t: 16.0,
+     0.125),
+    # the third step, whose midpoint is 0.3125, meets the stiffer rate on the matrix kept
+    # from the first step; the increments contract badly, so the matrix is formed again at
+    # the iterate, where it vanishes
+    ("met a singular Newton matrix in iteration 3 at t=0.25 ",
+     lambda t: -20.0 if t >= 0.3 else -1.0, lambda t: 16.0 if t >= 0.3 else -1.0, 0.125),
     # J = -(exact J): every damped step raises the residual
-    ("damping stalled in iteration 2 at t=0 ", lambda t: 41.0, 0.1),
+    ("damping stalled in iteration 2 at t=0 ", lambda t: -1.0, lambda t: 41.0, 0.1),
     # J = 10 (exact J): the increments contract by 0.9 per iteration
-    ("did not converge in 40 iterations at t=0 ", lambda t: -190.0, 0.1),
+    ("did not converge in 40 iterations at t=0 ", lambda t: -1.0, lambda t: -190.0, 0.1),
 ])
-def test_midpoint_failures_name_their_cause(what, jac, step):
+def test_midpoint_failures_name_their_cause(what, rate, jac, step):
     with pytest.raises(ConvergenceError) as info:
-        integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (0.0, 1.0), step,
-                                    rhs_jac=lambda t, x: [[jac(t)]])
+        integrate_implicit_midpoint(lambda t, x: rate(t) * x, np.array([1.0]), (0.0, 1.0),
+                                    step, rhs_jac=lambda t, x: [[jac(t)]])
     msg = str(info.value)
     assert msg.startswith(f"implicit midpoint Newton {what}")
     start = "explicit Euler" if "t=0 " in what else "extrapolated"

@@ -483,3 +483,27 @@ def test_non_finite_response_fails_the_match():
                                     sigma=bundle.sigma)
     assert not rep.match
     assert np.isnan(rep.max_output_gap) and np.isnan(rep.max_state_gap)
+
+
+@pytest.mark.parametrize("probe, u_signal", [
+    (lambda t: np.array([1.0, 0.0]), None),  # a probe of the wrong length
+    (lambda t: np.array([[1.0]]), None),  # a probe that is not a vector
+    (lambda t: [1.0] if t < 1.0 else [1.0, 2.0], None),  # ragged probes
+    (lambda t: 1.0, lambda t: np.zeros(2)),  # an input signal of the wrong length
+])
+def test_stacked_probes_and_inputs_check_their_shape(probe, u_signal):
+    bundle, nominal = _bm_case(201)
+    with pytest.raises(DimensionMismatchError):
+        external_reciprocity_test(bundle.affine, bundle.metric, nominal, probe_inputs=[probe],
+                                  u_signal=u_signal, sigma=bundle.sigma)
+
+
+def test_scalar_probes_and_inputs_are_one_channel():
+    # with one input channel, scalars stand for length-1 vectors, as in as_vector
+    bundle, nominal = _bm_case(201)
+    runs = [external_reciprocity_test(bundle.affine, bundle.metric, nominal,
+                                      probe_inputs=[lambda t, w=wrap: w(np.sin(t))],
+                                      u_signal=lambda t, w=wrap: w(0.0), sigma=bundle.sigma)
+            for wrap in (float, lambda v: np.array([v]))]
+    assert runs[0].max_output_gap == runs[1].max_output_gap
+    assert runs[0].max_state_gap == runs[1].max_state_gap

@@ -19,13 +19,13 @@ from recipkit.core import (
 )
 from recipkit.models import BraytonMoserModel, SwingModel, model_registry
 from recipkit.reciprocity import (
+    _state_input_stacks,
     check_reciprocity,
     check_reciprocity_affine,
     check_reciprocity_hessian,
     is_hessian_metric,
     reconstruct_K,
     reconstruct_potential,
-    sample_state_input_points,
 )
 
 
@@ -49,12 +49,10 @@ def hpg_facade(hpg):
     )
 
 
-def test_sample_state_input_points():
-    pts = sample_state_input_points(BoxDomain.cube(2), BoxDomain.cube(1, 0.5), n=30)
-    assert len(pts) == 30
-    for x, u in pts:
-        assert x.shape == (2,) and u.shape == (1,)
-        assert np.all(np.abs(x) <= 1.0) and np.all(np.abs(u) <= 0.5)
+def test_state_input_stacks():
+    X, U = _state_input_stacks(BoxDomain.cube(2), BoxDomain.cube(1, 0.5), 30, 0)
+    assert X.shape == (30, 2) and U.shape == (30, 1)
+    assert np.all(np.abs(X) <= 0.95) and np.all(np.abs(U) <= 0.5)
 
 
 def test_check_reciprocity_scalar_linear():
