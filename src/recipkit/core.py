@@ -129,6 +129,18 @@ def symmetry_residual(M) -> float:
     return float(np.max(np.abs(A - A.T)))
 
 
+def _checked_stack(values, shape: tuple) -> np.ndarray:
+    """values, nested lists of vectors of length shape[-1] (scalars when that length is 1),
+    as one float array of the given shape, built and checked once."""
+    try:
+        V = np.array(values, dtype=float)
+    except ValueError as exc:  # ragged entries
+        raise DimensionMismatchError(f"expected entries of length {shape[-1]}: {exc}") from exc
+    if V.shape not in (shape, shape[:-1]) or V.size != np.prod(shape):
+        raise DimensionMismatchError(f"expected shape {shape}, got {V.shape}")
+    return V.reshape(shape)
+
+
 @dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box with strictly ordered bounds."""

@@ -117,7 +117,12 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     (Hairer & Wanner, Solving ODEs II, 2nd ed., 1996, IV.8).
 
     - Starting value: explicit Euler through the mass matrix on the first
-      step; after it the previous increment, w = x_k + (h_k/h_{k-1})(x_k - x_{k-1}).
+      step; then the polynomial through the last min(k, 3) + 1 states on the
+      uniform grid (Hairer, Norsett & Wanner, Solving ODEs I, III.1):
+      linear on the second step, w = x_k + (h_k/h_{k-1})(x_k - x_{k-1}),
+      quadratic on the third, w = 3(x_k - x_{k-1}) + x_{k-2}, and cubic from
+      the fourth on, w = 4(x_k + x_{k-2}) - 6 x_{k-1} - x_{k-3}, whose
+      error is O(h^4).
     - Stopping rule: with increments D_j, theta = |D_j|/|D_{j-1}| and
       eta = theta/(1 - theta), the step accepts w - D_j once
       eta |D_j| <= MIDPOINT_NEWTON_KAPPA MIDPOINT_NEWTON_TOL (1 + |x_k|).  On a
@@ -229,8 +234,12 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                 raise ConvergenceError(f"singular mass matrix at t={t:.6g} "
                                        f"(explicit Euler start)") from exc
             w, start = x + h * v, "explicit Euler"
-        else:
+        elif k == 1:
             w, start = x + (h / (t - times[k - 1])) * (x - states[-2]), "extrapolated"
+        elif k == 2:
+            w, start = 3.0 * (x - states[-2]) + states[-3], "extrapolated"
+        else:
+            w, start = 4.0 * (x + states[-3]) - 6.0 * states[-2] - states[-4], "extrapolated"
         x, eta, J_inv = single_step(t, x, h, w, start, eta, J_inv)
         if domain is not None and not domain.contains(x):
             raise DomainError(f"trajectory left the state box at t={times[k+1]:.6g}: x={x}")

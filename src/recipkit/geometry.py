@@ -23,6 +23,7 @@ from .core import (
     ScalarField,
     SignatureMatrix,
     _checked_metric_rows,
+    _checked_stack,
     as_matrix,
     as_vector,
     finite_difference_jacobian,
@@ -136,18 +137,6 @@ def _interpolant(times: np.ndarray, values: np.ndarray):
     return lambda s: np.stack([np.interp(s, times, v) for v in values.T], axis=-1)
 
 
-def _stacked(values, shape: tuple) -> np.ndarray:
-    """values, nested lists of vectors of length shape[-1] (scalars when that length is 1),
-    as one float array of the given shape, built and checked once."""
-    try:
-        V = np.array(values, dtype=float)
-    except ValueError as exc:  # ragged entries
-        raise DimensionMismatchError(f"expected entries of length {shape[-1]}: {exc}") from exc
-    if V.shape not in (shape, shape[:-1]) or V.size != np.prod(shape):
-        raise DimensionMismatchError(f"expected shape {shape}, got {V.shape}")
-    return V.reshape(shape)
-
-
 def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=None,
                    G: Optional[MetricField] = None):
     """(primal, dual) views of one linearization along a nominal; each stack is built by
@@ -168,7 +157,7 @@ def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=Non
 
     x = once(_interpolant(nominal.times, nominal.states))
     u = once(_interpolant(nominal.times, nominal.inputs) if u_signal is None else lambda s:
-             _stacked([u_signal(si) for si in s], (len(s), sys.nu)))
+             _checked_stack([u_signal(si) for si in s], (len(s), sys.nu)))
     gen = sys.to_general()  # A, B and C are its dF/dx, dF/du and dH/dx
     A = once(lambda ts: gen.jac_F_x(x(ts), u(ts)))
     B = once(lambda ts: gen.jac_F_u(x(ts), u(ts)))
@@ -298,8 +287,8 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     sig.check_inputs(sys.nu)
     p, tm = len(probes), times[:-1] + 0.5 * np.diff(times)
     # the probes at the midpoints, (N - 1, nu, p), evaluated once for both systems
-    dU = _stacked([[pr(t) for pr in probes] for t in tm], (len(tm), p, sys.nu)
-                  ).transpose(0, 2, 1)
+    dU = _checked_stack([[pr(t) for pr in probes] for t in tm], (len(tm), p, sys.nu)
+                        ).transpose(0, 2, 1)
     Gs = G.rows(nominal.states)
     X0 = np.repeat(xi[:, None], p, axis=1)
     dst, dy = _simulate_ltv_rows(var, X0, dU, times, tm)

@@ -22,8 +22,8 @@ from .core import (
     SignatureMatrix,
     SingularMatrixError,
     _checked_metric_rows,
+    _checked_stack,
     as_matrix,
-    as_vector,
     integrate_segment,
     symmetry_residual,
 )
@@ -178,12 +178,18 @@ class ImpulseSymmetryCheck:
 
 def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
                               times: Sequence[float], tol: float = 1e-8) -> ImpulseSymmetryCheck:
-    """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term."""
+    """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term.
+
+    One stacked expm covers every time; the residual is the max-abs asymmetry
+    over the stack with D, and a non-finite entry fails the check.
+    """
     sigma.check_inputs(sys.m)
     from scipy.linalg import expm  # deferred to keep cold start fast
-    Ws = [sys.D] + [sys.C @ expm(sys.A * float(t)) @ sys.B for t in times]
-    worst = np.max([symmetry_residual(sigma.conjugate_rows(W)) for W in Ws])
-    return ImpulseSymmetryCheck(symmetric=bool(worst <= tol), max_residual=float(worst))
+    ts = np.asarray(times, dtype=float)
+    Ws = sys.C @ expm(sys.A[None] * ts[:, None, None]) @ sys.B
+    S = sigma.signs[:, None] * np.concatenate([sys.D[None], Ws])
+    worst = float(np.max(np.abs(S - np.swapaxes(S, 1, 2)), initial=0.0))
+    return ImpulseSymmetryCheck(symmetric=bool(worst <= tol), max_residual=worst)
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,7 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
         U = np.zeros((len(ts), m, k))
         for j, p in enumerate(past_inputs):
             on = ts <= p.duration
-            U[on, :, j] = np.array([as_vector(p.signal(-t), m) for t in ts[on]]).reshape(-1, m)
+            U[on, :, j] = _checked_stack([p.signal(-t) for t in ts[on]], (int(on.sum()), m))
         return U
 
     def f(ts: np.ndarray) -> np.ndarray:

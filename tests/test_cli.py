@@ -250,7 +250,7 @@ def test_simulate_writes_csv(tmp_path):
 
 def test_simulate_keeps_the_newton_matrix_across_steps(tmp_path, monkeypatch):
     # simulate's 200 rc-tanh steps form the Newton matrix (one rhs Jacobian and one
-    # factorization) 69 times, not once per step; the one solve is the explicit-Euler start
+    # factorization) twice, not once per step; the one solve is the explicit-Euler start
     counts = {"jac": 0, "solve": 0}
     integrate, solve = recipkit.dynamics.integrate_implicit_midpoint, np.linalg.solve
 
@@ -269,7 +269,7 @@ def test_simulate_keeps_the_newton_matrix_across_steps(tmp_path, monkeypatch):
     assert main(["simulate", "--model", "rc-tanh", "--horizon", "2",
                  "--out", str(tmp_path)]) == 0
     steps = read_report(tmp_path)["steps"]
-    assert steps == 200 and counts == {"jac": 69, "solve": 1}
+    assert steps == 200 and counts == {"jac": 2, "solve": 1}
     assert counts["jac"] < steps
 
 

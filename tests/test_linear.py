@@ -7,6 +7,7 @@ from recipkit.core import (
     DimensionMismatchError,
     SignatureMatrix,
     SingularMatrixError,
+    symmetry_residual,
 )
 from recipkit.linear import (
     LinearPseudoGradientForm,
@@ -112,6 +113,24 @@ def test_impulse_response_symmetry_detects_asymmetry():
     assert chk.max_residual > 1e-3
 
 
+def test_impulse_response_symmetry_stack_equals_the_per_time_loop():
+    # one stacked expm and matmul over the times gives, bit for bit, the residual of one
+    # expm and one symmetry_residual per time node, D included
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(21)
+    times = np.linspace(0.05, 6.0, 40)
+    for i in range(24):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        sys, _, sig = random_reciprocal_system(
+            rng, n, m, sigma=SignatureMatrix(rng.choice([-1, 1], size=m)))
+        if i % 2:  # an asymmetric perturbation, so the residual is not rounding alone
+            sys = LinearSystem(sys.A, sys.B + 1e-3 * rng.standard_normal((n, m)), sys.C, sys.D)
+        loop = max(symmetry_residual(sig.conjugate_rows(W))
+                   for W in [sys.D] + [sys.C @ expm(sys.A * t) @ sys.B for t in times])
+        assert impulse_response_symmetry(sys, sig, times).max_residual == loop
+
+
 def test_recover_metric_hankel_scalar_oracle():
     # A = -1, B = C = 1 with past input e^s: x(0) = 1/2, pairing = 1/4, G = 1
     sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
@@ -214,6 +233,26 @@ def test_recover_metric_hankel_requires_hurwitz():
     with pytest.raises(ConvergenceError):
         recover_metric_hankel(sys, SignatureMatrix.identity(1), horizon=5.0,
                               past_inputs=[PastInput(lambda s: np.array([np.exp(s)]), 5.0)])
+
+
+def test_recover_metric_hankel_checks_the_past_input_values():
+    # a scalar signal is the length-1 vector of a single-input system; a signal of the
+    # wrong length is refused
+    sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    sig = SignatureMatrix.identity(1)
+
+    def recover(signal):
+        return recover_metric_hankel(sys, sig, horizon=14.0,
+                                     past_inputs=[PastInput(signal, duration=14.0)])
+
+    np.testing.assert_array_equal(recover(lambda s: np.exp(s)),
+                                  recover(lambda s: np.array([np.exp(s)])))
+    with pytest.raises(DimensionMismatchError, match="expected shape"):
+        recover(lambda s: np.array([np.exp(s), 0.0]))
+    with pytest.raises(DimensionMismatchError, match="expected shape"):
+        recover(lambda s: np.array([[np.exp(s)]]))
+    with pytest.raises(DimensionMismatchError, match="expected entries of length 1"):
+        recover(lambda s: np.exp(s) if s > -1.0 else np.array([np.exp(s), 0.0]))
 
 
 def test_recover_metric_hankel_needs_enough_inputs():
