@@ -35,7 +35,6 @@ from .geometry import (
     flatness_check,
     hessian_christoffel,
     levi_civita,
-    variational_system,
 )
 from .legendre import (
     LegendrePair,

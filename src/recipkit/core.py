@@ -178,8 +178,11 @@ class BoxDomain:
         The points are Owen-scrambled Halton points (Owen, "A randomized
         Halton algorithm in R", arXiv:1706.02808), equal bit for bit to
         scipy's ``qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``,
-        mapped into the box with a relative margin of 1e-9.
+        mapped into the box with a relative margin of 1e-9.  n must be an
+        integer >= 1 (not a bool), so that no sampled check passes on zero points.
         """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DimensionMismatchError(f"sample count must be an integer >= 1, got {n!r}")
         pts = _halton(n, self.dim, seed)
         shrink = 1e-9 * self.width
         return (self.lower + shrink) + pts * (self.width - 2 * shrink)

@@ -3,16 +3,17 @@
 Christoffel symbols of a metric come from its closed-form partials or from
 central differences; for Hessian metrics they reduce to weighted third
 partials of the generating function, and both routes are exposed so they
-can act as cross-oracles.  The variational system of an input-affine system
-along a nominal trajectory and its metric-dual are assembled as time-varying
-linear systems; for reciprocal systems their input-output responses coincide
-and p = G(x) delta_x is the state-space isomorphism between them.
+can act as cross-oracles.  external_reciprocity_test linearizes an input-affine
+system along a nominal trajectory, once, into matrix stacks for the variational
+system and its metric dual, and runs both by one implicit-midpoint recurrence; for
+reciprocal systems their input-output responses coincide and p = G(x) delta_x is
+the state-space isomorphism between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,24 +25,19 @@ from .core import (
     SignatureMatrix,
     _checked_metric_rows,
     _checked_stack,
-    as_matrix,
     as_vector,
     finite_difference_jacobian,
 )
 from .dynamics import Trajectory
 
 __all__ = [
-    "TimeVaryingLinearSystem",
     "VariationalMatchReport",
     "third_partial_tensor",
     "levi_civita",
     "hessian_christoffel",
     "flatness_check",
-    "variational_system",
-    "dual_variational_system",
     "external_reciprocity_test",
     "default_probes",
-    "simulate_ltv",
 ]
 
 THIRD_PARTIAL_STEP = 1e-4
@@ -109,21 +105,6 @@ def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
     return bool(np.max(np.abs([T, gam]), initial=0.0) <= tol)
 
 
-@dataclass(frozen=True)
-class TimeVaryingLinearSystem:
-    """Evaluators for a linear time-varying system on whole time arrays.
-
-    A, B and C take times of shape (N,) and return matrices stacked with
-    the time axis first: (N, nx, nx), (N, nx, nu) and (N, ny, nx).
-    """
-
-    nx: int
-    nu: int
-    A: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
-    C: Callable[[np.ndarray], np.ndarray]
-
-
 def _interpolant(times: np.ndarray, values: np.ndarray):
     """ts of shape (N,) -> rows of values interpolated at ts, shape (N, k).
 
@@ -137,106 +118,56 @@ def _interpolant(times: np.ndarray, values: np.ndarray):
     return lambda s: np.stack([np.interp(s, times, v) for v in values.T], axis=-1)
 
 
-def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal=None,
-                   G: Optional[MetricField] = None):
-    """(primal, dual) views of one linearization along a nominal; each stack is built by
-    one row call per time array from one x(t) and u(t) interpolant, read-only and shared."""
-    if G is not None and G.dim != sys.nx:
-        raise DimensionMismatchError("metric dimension must match state dimension")
+def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal,
+                   G: MetricField, tm: np.ndarray):
+    """The variational system along a nominal and its metric dual, as matrix stacks.
 
-    def once(build):
-        memo = {}
-
-        def rows(ts):
-            key = np.asarray(ts, dtype=float).tobytes()
-            if key not in memo:
-                memo[key] = build(ts)
-                memo[key].setflags(write=False)
-            return memo[key]
-        return rows
-
-    x = once(_interpolant(nominal.times, nominal.states))
-    u = once(_interpolant(nominal.times, nominal.inputs) if u_signal is None else lambda s:
-             _checked_stack([u_signal(si) for si in s], (len(s), sys.nu)))
+    Primal d/dt dx = A dx + B du, dy = C dx: A = dF/dx and B = dF/du of
+    sys.to_general() at the step midpoints tm, C = dH/dx on the grid.  Dual
+    d/dt p = (A^T + 2 Gamma(x).xdot) p + C^T u^d, y^d = B^T p, with (Gamma.xdot)_{ba} =
+    Gamma^a_{bc} xdot_c, Gamma = levi_civita(G, x) and xdot = F(x, u): its state matrix
+    and C^T at tm, B^T on the grid.  x(t) and u(t) (u_signal, or the nominal's inputs
+    interpolated) are evaluated once at tm and once on the grid, and each stack is one
+    row call; where the lower-index coefficients vanish (MetricField.constant) the
+    connection term is exactly 0 and xdot is not evaluated.  Returns
+    ((A, B, C), (dual A, dual B, dual C)), time axis first.
+    """
+    times = nominal.times
+    x = _interpolant(times, nominal.states)
+    u = (_interpolant(times, nominal.inputs) if u_signal is None else
+         lambda s: _checked_stack([u_signal(si) for si in s], (len(s), sys.nu)))
+    (xm, um), (xg, ug) = [(x(ts), u(ts)) for ts in (tm, times)]
     gen = sys.to_general()  # A, B and C are its dF/dx, dF/du and dH/dx
-    A = once(lambda ts: gen.jac_F_x(x(ts), u(ts)))
-    B = once(lambda ts: gen.jac_F_u(x(ts), u(ts)))
-    C = once(lambda ts: gen.jac_H_x(x(ts), u(ts)))
-
-    def dual_A(ts):
-        At, gam = A(ts).transpose(0, 2, 1), _christoffel_rows(G, x(ts))
-        if gam is None:
-            return At
-        return At + 2.0 * np.einsum("nabc,nc->nba", gam, gen.F_rows(x(ts), u(ts)))
-
-    return (TimeVaryingLinearSystem(sys.nx, sys.nu, A, B, C),
-            TimeVaryingLinearSystem(sys.nx, sys.nu, dual_A, lambda ts: C(ts).transpose(0, 2, 1),
-                                    lambda ts: B(ts).transpose(0, 2, 1)))
+    A = gen.jac_F_x(xm, um)
+    dual_A, gam = A.transpose(0, 2, 1), _christoffel_rows(G, xm)
+    if gam is not None:
+        dual_A = dual_A + 2.0 * np.einsum("nabc,nc->nba", gam, gen.F_rows(xm, um))
+    return ((A, gen.jac_F_u(xm, um), gen.jac_H_x(xg, ug)),
+            (dual_A, gen.jac_H_x(xm, um).transpose(0, 2, 1),
+             gen.jac_F_u(xg, ug).transpose(0, 2, 1)))
 
 
-def variational_system(sys: AffineNonlinearSystem, nominal: Trajectory
-                       ) -> TimeVaryingLinearSystem:
-    """Linearization along a nominal trajectory.
+def _ltv_recurrence(A, B, C, X, U, times: np.ndarray):
+    """Implicit-midpoint run of a linear time-varying system on the grid times.
 
-    d/dt dx = (df/dx + sum_j u_j dg_j/dx) dx + g(x) du,   dy = (dh/dx) dx,
-    with x(t), u(t) interpolated from the nominal trajectory (cubic spline).
+    Step k solves (I - h/2 A_k) x_{k+1} = (I + h/2 A_k) x_k + h B_k U_k, with A (N - 1,
+    nx, nx), B (N - 1, nx, nu) and the inputs U (N - 1, nu, p) at the step midpoints and
+    C (N, ny, nx) on the grid.  One batched solve factors every step map
+    x_{k+1} = M_k x_k + c_k, and one recurrence carries the p probes as the columns of
+    X (nx, p).  Returns states (N, nx, p) and outputs (N, ny, p) on the grid.
     """
-    return _linearization(sys, nominal)[0]
-
-
-def dual_variational_system(sys: AffineNonlinearSystem, G: MetricField,
-                            nominal: Trajectory) -> TimeVaryingLinearSystem:
-    """Metric-dual of the variational system along the same nominal.
-
-    The adjoint (A^T, C^T, B^T) of variational_system's matrices, from the
-    same evaluations, plus the connection term of G along xdot = f + g u:
-
-    d/dt p = (A^T + 2 Gamma(x).xdot) p + C^T u^d,   y^d = B^T p,
-
-    with (Gamma.xdot)_{ba} = Gamma^a_{bc} xdot_c, Gamma = levi_civita(G, x).
-    A(ts) checks G at all times in one stack and takes one set of partials
-    per time; where the lower-index coefficients vanish (MetricField.constant)
-    the term is exactly 0 and xdot is not evaluated.
-    """
-    return _linearization(sys, nominal, G=G)[1]
-
-
-def simulate_ltv(ltv: TimeVaryingLinearSystem, x0, u: Callable[[float], np.ndarray],
-                 times: np.ndarray):
-    """Implicit-midpoint integration of a linear time-varying system.
-
-    Each step solves (I - h/2 A(tm)) x_{k+1} = (I + h/2 A(tm)) x_k + h B(tm) u(tm).
-    A and B are evaluated once on the step midpoints and C once on the grid;
-    one batched solve factors every step map x_{k+1} = M_k x_k + c_k, and one
-    recurrence carries p probes as the columns of x0 (nx, p) and u(t) (nu, p).
-    A 1-D x0 and u(t) are one probe.  u is called once per midpoint.  Returns
-    (states, outputs) on the time grid, time axis first: (N, nx) and (N, ny),
-    or (N, nx, p) and (N, ny, p).
-    """
-    times = np.asarray(times, dtype=float)
-    cols = np.ndim(x0) == 2
-    X = as_matrix(x0, (ltv.nx, np.shape(x0)[1])) if cols else as_vector(x0, ltv.nx)[:, None]
-    p, tm = X.shape[1], times[:-1] + 0.5 * np.diff(times)
-    U = np.array([as_matrix(u(t), (ltv.nu, p)) if cols else as_vector(u(t), ltv.nu)
-                  for t in tm]).reshape(len(tm), ltv.nu, p)
-    states, outputs = _simulate_ltv_rows(ltv, X, U, times, tm)
-    return (states, outputs) if cols else (states[..., 0], outputs[..., 0])
-
-
-def _simulate_ltv_rows(ltv: TimeVaryingLinearSystem, X, U, times: np.ndarray, tm):
-    """simulate_ltv's recurrence for probes X (nx, p) and inputs U (N - 1, nu, p) at tm."""
-    h = np.diff(times)
-    half = 0.5 * h[:, None, None] * ltv.A(tm)
-    drive = h[:, None, None] * np.einsum("kij,kjp->kip", ltv.B(tm), U)
-    eye = np.eye(ltv.nx)
+    nx, h = X.shape[0], np.diff(times)
+    half = 0.5 * h[:, None, None] * A
+    drive = h[:, None, None] * np.einsum("kij,kjp->kip", B, U)
+    eye = np.eye(nx)
     step = np.linalg.solve(eye - half, np.concatenate([eye + half, drive], axis=2))
-    M, c = step[..., :ltv.nx].copy(), step[..., ltv.nx:].copy()  # contiguous, for the loop
-    states = np.empty((len(times), ltv.nx, X.shape[1]))
+    M, c = step[..., :nx].copy(), step[..., nx:].copy()  # contiguous, for the loop
+    states = np.empty((len(times), nx, X.shape[1]))
     states[0] = X
     for k in range(len(times) - 1):
         X = M[k] @ X + c[k]
         states[k + 1] = X
-    return states, np.einsum("kij,kjp->kip", ltv.C(times), states)
+    return states, np.einsum("kij,kjp->kip", C, states)
 
 
 def default_probes(nu: int, t_span) -> list:
@@ -272,27 +203,32 @@ def external_reciprocity_test(sys: AffineNonlinearSystem, G: MetricField,
     For each probe du the variational system starts at delta_x(0) = xi and
     the dual at p(0) = G(x(0)) xi with sigma du as its input; the dual output
     matching sigma dy (and p(t) = G(x(t)) delta_x(t) along the way) witnesses
-    external reciprocity of the nonlinear system along the nominal.  One call linearizes
-    once, evaluates the probes once for both systems and runs them as the columns of one
-    simulate_ltv recurrence per system.
+    external reciprocity of the nonlinear system along the nominal.  The arguments are
+    checked first; then one call linearizes once, evaluates the probes once for both
+    systems and runs them as the columns of one implicit-midpoint recurrence per system.
+    Each probe's dy, yd and gaps are in per_probe.
     """
-    var, dual = _linearization(sys, nominal, u_signal, G)
     times = nominal.times
+    if G.dim != sys.nx:
+        raise DimensionMismatchError("metric dimension must match state dimension")
     if len(times) < 2:
         raise DimensionMismatchError("the nominal trajectory needs at least two times")
     xi = np.zeros(sys.nx) if delta_x0 is None else as_vector(delta_x0, sys.nx)
     probes = probe_inputs if probe_inputs is not None else default_probes(
         sys.nu, (times[0], times[-1]))
+    if len(probes) == 0:
+        raise DimensionMismatchError("the variational test needs at least one probe input")
     sig = sigma if sigma is not None else SignatureMatrix.identity(sys.nu)
     sig.check_inputs(sys.nu)
     p, tm = len(probes), times[:-1] + 0.5 * np.diff(times)
     # the probes at the midpoints, (N - 1, nu, p), evaluated once for both systems
     dU = _checked_stack([[pr(t) for pr in probes] for t in tm], (len(tm), p, sys.nu)
                         ).transpose(0, 2, 1)
+    primal, dual = _linearization(sys, nominal, u_signal, G, tm)
     Gs = G.rows(nominal.states)
     X0 = np.repeat(xi[:, None], p, axis=1)
-    dst, dy = _simulate_ltv_rows(var, X0, dU, times, tm)
-    pst, yd = _simulate_ltv_rows(dual, Gs[0] @ X0, sig.signs[:, None] * dU, times, tm)
+    dst, dy = _ltv_recurrence(*primal, X0, dU, times)
+    pst, yd = _ltv_recurrence(*dual, Gs[0] @ X0, sig.signs[:, None] * dU, times)
     dy = sig.signs[:, None] * dy
     gaps = np.max(np.abs(dy - yd), axis=(0, 1), initial=0.0)
     isos = np.max(np.abs(pst - np.einsum("kij,kjp->kip", Gs, dst)), axis=(0, 1), initial=0.0)

@@ -29,10 +29,9 @@ EXPORTS = {
     "reciprocity": ("ReciprocityReport", "PotentialFunction", "check_reciprocity",
                     "check_reciprocity_affine", "check_reciprocity_hessian",
                     "is_hessian_metric", "reconstruct_K", "reconstruct_potential"),
-    "geometry": ("TimeVaryingLinearSystem", "VariationalMatchReport", "third_partial_tensor",
-                 "levi_civita", "hessian_christoffel", "flatness_check", "variational_system",
-                 "dual_variational_system", "external_reciprocity_test", "default_probes",
-                 "simulate_ltv"),
+    "geometry": ("VariationalMatchReport", "third_partial_tensor", "levi_civita",
+                 "hessian_christoffel", "flatness_check", "external_reciprocity_test",
+                 "default_probes"),
     "dynamics": ("Trajectory", "HessianPseudoGradientSystem", "PortHamiltonianSystem",
                  "ConversionSplit", "ConversionResult", "DissipationReport",
                  "RelaxationCertificate", "NotRelaxationError", "affine_input_potential",

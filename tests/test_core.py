@@ -124,6 +124,17 @@ def test_box_domain_sample_inside_and_deterministic():
     np.testing.assert_array_equal(pts, box.sample(40, seed=3))
 
 
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, np.True_, "4", None])
+def test_box_domain_sample_needs_a_positive_integer_count(n):
+    with pytest.raises(DimensionMismatchError):
+        BoxDomain.cube(2).sample(n)
+
+
+def test_box_domain_sample_takes_a_numpy_integer_count():
+    box = BoxDomain.cube(2)
+    np.testing.assert_array_equal(box.sample(np.int64(5)), box.sample(5))
+
 def test_halton_equals_scipy_scrambled_halton():
     for d in range(1, 9):
         for seed in (0, 1, 7, 123, 2024, 99991):

@@ -21,16 +21,14 @@ from recipkit.dynamics import Trajectory, integrate_implicit_midpoint
 from recipkit.linear import check_linear_reciprocity
 from recipkit.models import model_registry, random_reciprocal_system
 from recipkit.geometry import (
-    TimeVaryingLinearSystem,
+    _linearization,
+    _ltv_recurrence,
     default_probes,
-    dual_variational_system,
     external_reciprocity_test,
     flatness_check,
     hessian_christoffel,
     levi_civita,
-    simulate_ltv,
     third_partial_tensor,
-    variational_system,
 )
 
 
@@ -165,36 +163,20 @@ def scalar_affine():
     )
 
 
+def midpoints(times):
+    return times[:-1] + 0.5 * np.diff(times)
+
+
 def test_simulate_ltv_scalar_closed_form():
     # x_dot = -x + e^{-t} from x0 has solution (x0 + t) e^{-t}
-    ltv = TimeVaryingLinearSystem(
-        1, 1,
-        A=lambda t: np.full((len(t), 1, 1), -1.0),
-        B=lambda t: np.ones((len(t), 1, 1)),
-        C=lambda t: np.ones((len(t), 1, 1)),
-    )
     times = np.linspace(0.0, 2.0, 2001)
-    states, outputs = simulate_ltv(ltv, [0.5], lambda t: np.array([np.exp(-t)]), times)
+    tm = midpoints(times)
+    states, outputs = _ltv_recurrence(np.full((2000, 1, 1), -1.0), np.ones((2000, 1, 1)),
+                                      np.ones((2001, 1, 1)), np.array([[0.5]]),
+                                      np.exp(-tm)[:, None, None], times)
     exact = (0.5 + times) * np.exp(-times)
-    assert np.max(np.abs(states[:, 0] - exact)) < 1e-7
-    np.testing.assert_allclose(outputs[:, 0], states[:, 0])
-
-
-def test_simulate_ltv_assembles_each_matrix_once():
-    calls = {"A": [], "B": [], "C": []}
-
-    def counted(name, value):
-        def evaluate(ts):
-            calls[name].append(len(ts))
-            return np.full((len(ts), 1, 1), value)
-        return evaluate
-
-    ltv = TimeVaryingLinearSystem(1, 1, A=counted("A", -1.0), B=counted("B", 1.0),
-                                  C=counted("C", 1.0))
-    times = np.linspace(0.0, 2.0, 201)
-    simulate_ltv(ltv, [0.5], lambda t: np.array([np.exp(-t)]), times)
-    # A and B on the 200 step midpoints, C on the 201 grid times
-    assert calls == {"A": [200], "B": [200], "C": [201]}
+    assert np.max(np.abs(states[:, 0, 0] - exact)) < 1e-7
+    np.testing.assert_allclose(outputs[:, 0, 0], states[:, 0, 0])
 
 
 def test_simulate_ltv_matches_stepwise_solve():
@@ -205,13 +187,14 @@ def test_simulate_ltv_matches_stepwise_solve():
     C0 = rng.standard_normal((2, 3))
     A = lambda t: A0 + np.sin(t) * A1
     u = lambda t: np.array([np.cos(t), t])
-    ltv = TimeVaryingLinearSystem(
-        3, 2, A=lambda ts: np.stack([A(t) for t in ts]),
-        B=lambda ts: np.broadcast_to(B0, (len(ts), 3, 2)),
-        C=lambda ts: np.broadcast_to(C0, (len(ts), 2, 3)))
     times = np.sort(rng.uniform(0.0, 2.0, 300))
+    tm = midpoints(times)
     x = rng.standard_normal(3)
-    states, outputs = simulate_ltv(ltv, x, u, times)
+    states, outputs = _ltv_recurrence(
+        np.stack([A(t) for t in tm]), np.broadcast_to(B0, (299, 3, 2)),
+        np.broadcast_to(C0, (300, 2, 3)), x[:, None], np.stack([u(t) for t in tm])[..., None],
+        times)
+    states, outputs = states[..., 0], outputs[..., 0]
     ref = [x]
     for t0, t1 in zip(times[:-1], times[1:]):
         h, tm = t1 - t0, 0.5 * (t0 + t1)
@@ -229,11 +212,15 @@ def test_variational_system_of_linear_system_is_itself():
     times = np.linspace(0.0, 1.0, 11)
     states = 0.5 * np.exp(-times)[:, None]
     nominal = Trajectory(times, states, np.zeros((11, 1)), states)
-    var = variational_system(sys, nominal)
-    t = np.array([0.3])
-    assert var.A(t)[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
-    assert var.B(t)[0, 0, 0] == pytest.approx(1.0)
-    assert var.C(t)[0, 0, 0] == pytest.approx(1.0, abs=1e-8)
+    G = MetricField.constant([[1.0]], sys.domain)
+    (A, B, C), (dual_A, dual_B, dual_C) = _linearization(sys, nominal, None, G, np.array([0.3]))
+    assert A.shape == B.shape == (1, 1, 1) and C.shape == (11, 1, 1)
+    assert A[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
+    assert B[0, 0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(C[:, 0, 0], 1.0, rtol=0, atol=1e-8)
+    # a constant metric adds no connection term: the dual is the adjoint
+    assert np.array_equal(dual_A, A)
+    assert dual_B.shape == (1, 1, 1) and dual_C.shape == (11, 1, 1)
 
 
 def test_default_probes():
@@ -265,6 +252,14 @@ def test_external_reciprocity_rejects_single_time_nominal():
     nominal = Trajectory(np.array([0.0]), np.array([[0.5]]), np.zeros((1, 1)), np.array([[0.5]]))
     with pytest.raises(DimensionMismatchError):
         external_reciprocity_test(sys, MetricField.constant([[1.0]], sys.domain), nominal)
+
+
+def test_external_reciprocity_refuses_an_empty_probe_list():
+    bundle, nominal = _bm_case(201)
+    Gbad = MetricField.constant(np.array([[1.0, 0.3], [0.3, -1.0]]), bundle.metric.domain)
+    with pytest.raises(DimensionMismatchError):
+        external_reciprocity_test(bundle.affine, Gbad, nominal, probe_inputs=[],
+                                  sigma=bundle.sigma)
 
 
 def gyrator_affine():
@@ -389,14 +384,15 @@ def test_closed_form_partials_give_the_stencil_dual():
         J[0, 0, 1], J[1, 1, 0] = 2.0 * x[1], -x[0]
         return J
 
-    ts = np.linspace(0.05, 1.95, 9)
-    closed = dual_variational_system(bundle.affine, MetricField(2, G_of, box, partials), nominal)
-    stencil = dual_variational_system(bundle.affine, MetricField(2, G_of, box), nominal)
-    primal = variational_system(bundle.affine, nominal)
-    np.testing.assert_allclose(closed.A(ts), stencil.A(ts), rtol=0, atol=1e-8)
-    assert not np.allclose(closed.A(ts), primal.A(ts).transpose(0, 2, 1))
-    assert np.array_equal(closed.B(ts), primal.C(ts).transpose(0, 2, 1))
-    assert np.array_equal(closed.C(ts), primal.B(ts).transpose(0, 2, 1))
+    # the grid as the midpoint times, so that every stack is on the same times
+    ts = nominal.times
+    primal, closed = _linearization(bundle.affine, nominal, None,
+                                    MetricField(2, G_of, box, partials), ts)
+    _, stencil = _linearization(bundle.affine, nominal, None, MetricField(2, G_of, box), ts)
+    np.testing.assert_allclose(closed[0], stencil[0], rtol=0, atol=1e-8)
+    assert not np.allclose(closed[0], primal[0].transpose(0, 2, 1))
+    assert np.array_equal(closed[1], primal[2].transpose(0, 2, 1))
+    assert np.array_equal(closed[2], primal[1].transpose(0, 2, 1))
 
 
 def test_simulate_ltv_probe_columns_match_single_probes():
@@ -404,20 +400,20 @@ def test_simulate_ltv_probe_columns_match_single_probes():
     A0, A1 = rng.standard_normal((2, 3, 3))
     B0 = rng.standard_normal((3, 2))
     C0 = rng.standard_normal((2, 3))
-    ltv = TimeVaryingLinearSystem(
-        3, 2, A=lambda ts: A0 + np.sin(ts)[:, None, None] * A1,
-        B=lambda ts: np.broadcast_to(B0, (len(ts), 3, 2)),
-        C=lambda ts: np.broadcast_to(C0, (len(ts), 2, 3)))
     times = np.sort(rng.uniform(0.0, 2.0, 300))
+    tm = midpoints(times)
+    A = A0 + np.sin(tm)[:, None, None] * A1
+    B, C = np.broadcast_to(B0, (299, 3, 2)), np.broadcast_to(C0, (300, 2, 3))
     X0 = rng.standard_normal((3, 4))
     W = rng.standard_normal((2, 4))
-    states, outputs = simulate_ltv(ltv, X0, lambda t: np.cos(t * W), times)
+    U = np.cos(tm[:, None, None] * W)
+    states, outputs = _ltv_recurrence(A, B, C, X0, U, times)
     assert states.shape == (300, 3, 4) and outputs.shape == (300, 2, 4)
     for j in range(4):
-        xs, ys = simulate_ltv(ltv, X0[:, j], lambda t: np.cos(t * W[:, j]), times)
-        assert xs.shape == (300, 3) and ys.shape == (300, 2)
-        np.testing.assert_allclose(states[:, :, j], xs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(outputs[:, :, j], ys, rtol=0, atol=1e-12)
+        xs, ys = _ltv_recurrence(A, B, C, X0[:, j:j + 1], U[..., j:j + 1], times)
+        assert xs.shape == (300, 3, 1) and ys.shape == (300, 2, 1)
+        np.testing.assert_allclose(states[:, :, j], xs[..., 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outputs[:, :, j], ys[..., 0], rtol=0, atol=1e-12)
 
 
 def _first_x(exc):

@@ -1,9 +1,10 @@
-"""A sampled check never passes on a non-finite residual.
+"""A sampled check never passes on a non-finite residual or on zero points.
 
 Each case plants NaN on part of the sampled set (half of the box, the
 2x-scaled homogeneity points, one input column, an overflowing impulse
 response) or in one entry of a matrix argument, and expects a negative
-verdict or a RecipkitError, never a pass.
+verdict or a RecipkitError, never a pass.  A sample count of zero is a
+DimensionMismatchError, never a vacuous pass.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import pytest
 
 from recipkit.core import (
     BoxDomain,
+    DimensionMismatchError,
     MetricField,
     NonlinearSystem,
     RecipkitError,
@@ -171,3 +173,35 @@ def test_non_finite_residual_never_passes(case):
     except RecipkitError:
         return
     assert not passed
+
+
+def cosh_field():
+    return ScalarField(2, lambda x: float(np.sum(np.cosh(x))), BoxDomain.cube(2, 1.0),
+                       gradient=np.sinh, hessian=lambda x: np.diag(np.cosh(x)))
+
+
+def relaxation_system():
+    box = BoxDomain.cube(1, 2.0)
+    return HessianPseudoGradientSystem.from_internal_potential(
+        quadratic_field(np.eye(1), box), quadratic_field(np.eye(1), box), np.ones((1, 1)),
+        SignatureMatrix.identity(1))
+
+
+def affine_on_zero_points(bm):
+    return check_reciprocity_affine(bm.as_affine(), bm.metric_field(), bm.sigma(), n_samples=0)
+
+
+# sampled check -> a zero-argument call of it on zero points
+ZERO_POINT_CASES = {
+    "homogeneity_check": lambda: homogeneity_check(cosh_field(), samples=0),
+    "check_reciprocity_affine": lambda: affine_on_zero_points(brayton_moser()),
+    "certify_relaxation": lambda: certify_relaxation(relaxation_system(), n_samples=0),
+    "flatness_check": lambda: flatness_check(cosh_field(), n_samples=0),
+    "make_legendre_pair": lambda: make_legendre_pair(cosh_field(), samples=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_POINT_CASES))
+def test_zero_sample_points_are_refused(case):
+    with pytest.raises(DimensionMismatchError):
+        ZERO_POINT_CASES[case]()
