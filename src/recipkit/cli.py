@@ -397,14 +397,12 @@ def cmd_variational_test(args, tols):
         raise SchemaError("variational-test needs a nonlinear model with a metric")
     sys_a = bundle.affine
     x0, u = _start(args, sys_a.nx, sys_a.domain, sys_a.nu)
-
-    def rhs(t, x):
-        return sys_a.f(x) + np.asarray(sys_a.g(x)) @ u(t)
-
-    times, states = integrate_implicit_midpoint(rhs, x0, (0.0, args.horizon), args.step,
+    gen = sys_a.to_general()
+    times, states = integrate_implicit_midpoint(lambda t, x: gen.F(x, u(t)), x0,
+                                                (0.0, args.horizon), args.step,
                                                 domain=sys_a.domain)
     inputs = np.stack([u(t) for t in times])
-    nominal = Trajectory(times, states, inputs, sys_a.to_general().H_rows(states, inputs))
+    nominal = Trajectory(times, states, inputs, gen.H_rows(states, inputs))
     rep = external_reciprocity_test(sys_a, bundle.metric, nominal,
                                     tol=tols["match"],
                                     u_signal=u, sigma=bundle.sigma)

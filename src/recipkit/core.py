@@ -509,8 +509,8 @@ class NonlinearSystem:
 
 @dataclass(frozen=True)
 class AffineNonlinearSystem:
-    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows and jac_* take a
-    stack (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H map stacks."""
+    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows take a stack
+    (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H map stacks."""
 
     nx: int
     nu: int
@@ -524,32 +524,6 @@ class AffineNonlinearSystem:
     dh_dx: Optional[Callable] = None               # (nu, nx)
     batched: bool = False
 
-    def jac_f(self, x) -> np.ndarray:
-        if np.ndim(x) == 2:  # a stack: one call when batched, else per row
-            return _rows(self.batched, self.df_dx, self.jac_f, (self.nx, self.nx), x)
-        if self.df_dx is not None:
-            return as_matrix(self.df_dx(x), (self.nx, self.nx))
-        return finite_difference_jacobian(self.f, x)
-
-    def jac_g(self, x) -> np.ndarray:
-        """Stack of per-column Jacobians, shape (nu, nx, nx), or (N, nu, nx, nx) on a stack."""
-        if np.ndim(x) == 2:
-            return _rows(self.batched, self.dg_dx, self.jac_g, (self.nu, self.nx, self.nx), x)
-        if self.dg_dx is not None:
-            J = np.asarray(self.dg_dx(x), dtype=float)
-            if J.shape != (self.nu, self.nx, self.nx):
-                raise DimensionMismatchError(f"dg_dx shape {J.shape}")
-            return J
-        J = finite_difference_jacobian(lambda xx: as_matrix(self.g(xx), (self.nx, self.nu)), x)
-        return J.transpose(1, 0, 2)
-
-    def jac_h(self, x) -> np.ndarray:
-        if np.ndim(x) == 2:
-            return _rows(self.batched, self.dh_dx, self.jac_h, (self.nu, self.nx), x)
-        if self.dh_dx is not None:
-            return as_matrix(self.dh_dx(x), (self.nu, self.nx))
-        return finite_difference_jacobian(self.h, x)
-
     def f_rows(self, X) -> np.ndarray:
         return _rows(self.batched, self.f, self.f, (self.nx,), X)
 
@@ -557,6 +531,8 @@ class AffineNonlinearSystem:
         return _rows(self.batched, self.g, self.g, (self.nx, self.nu), X)
 
     def to_general(self) -> NonlinearSystem:
+        """The same system as F(x, u), H(x, u).  dF/dx = df_dx + sum_j u_j dg_dx[j] when both
+        are supplied and dH/dx = dh_dx when supplied; a missing one is left to the stencil."""
         def affine(a, b, n):  # x, u -> a(x) + b(x) u
             def out(x, u):
                 if np.ndim(x) > 1:  # a stack, which only a batched system is given
@@ -564,11 +540,18 @@ class AffineNonlinearSystem:
                 return as_vector(a(x), n) + as_matrix(b(x), (n, self.nu)) @ as_vector(u, self.nu)
             return out
 
-        return NonlinearSystem(  # the derivatives map stacks when batched, as jac_f does
+        def dF_dx(x, u):
+            J = np.asarray(self.dg_dx(x), dtype=float)
+            if J.shape != np.shape(x)[:-1] + (self.nu, self.nx, self.nx):
+                raise DimensionMismatchError(f"dg_dx shape {J.shape}")
+            return self.df_dx(x) + np.einsum("...j,...jab->...ab", u, J)
+
+        return NonlinearSystem(  # the derivatives map stacks when batched
             self.nx, self.nu, affine(self.f, self.g, self.nx), affine(self.h, self.k, self.nu),
             self.domain, batched=self.batched,
-            dF_dx=lambda x, u: self.jac_f(x) + np.einsum("...j,...jab->...ab", u, self.jac_g(x)),
-            dF_du=lambda x, u: self.g(x), dH_dx=lambda x, u: self.jac_h(x),
+            dF_dx=dF_dx if self.df_dx is not None and self.dg_dx is not None else None,
+            dF_du=lambda x, u: self.g(x),
+            dH_dx=None if self.dh_dx is None else lambda x, u: self.dh_dx(x),
             dH_du=lambda x, u: self.k(x))
 
 

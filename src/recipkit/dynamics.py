@@ -150,8 +150,8 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     Returns (times, states) on the uniform grid.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if step <= 0 or t1 <= t0:
-        raise DimensionMismatchError("need positive step and forward time span")
+    if not (np.isfinite([t0, t1, step]).all() and step > 0 and t1 > t0):
+        raise DimensionMismatchError("need a finite positive step and a finite forward time span")
     x = as_vector(x0)
     n = x.shape[0]
     eye = np.eye(n)
@@ -411,14 +411,23 @@ class PortHamiltonianSystem:
         return {"max_skew": worst_skew, "min_dissipation_pairing": worst_diss}
 
 
-def _record(sys, states, times, u_signal, storage):
-    """Inputs, outputs and monitors of a run: one output_rows, vecdot and value_rows call each."""
-    inputs = np.stack([as_vector(u_signal(t), sys.nu) if sys.nu else np.zeros(0) for t in times])
+def _run(sys, rhs: Callable, rhs_jac: Callable, x0, u_signal: Callable, t_span, step: float,
+         mass: Optional[Callable], domain: Optional[BoxDomain],
+         storage: Optional[ScalarField]) -> Trajectory:
+    """Implicit midpoint of mass(x) x_dot = rhs(x, u(t)), then the recorded channels: one
+    output_rows, vecdot and value_rows call each."""
+    def u(t):
+        return as_vector(u_signal(t), sys.nu)
+
+    times, states = integrate_implicit_midpoint(
+        lambda t, x: rhs(x, u(t)), x0, t_span, step, mass=mass,
+        rhs_jac=lambda t, x: rhs_jac(x, u(t)), domain=domain)
+    inputs = np.stack([u(t) for t in times])
     outputs = sys.output_rows(states, inputs)
     monitors = {"supply": np.vecdot(inputs, outputs)}
     if storage is not None:
         monitors["S"] = storage.value_rows(states)
-    return inputs, outputs, monitors
+    return Trajectory(times, states, inputs, outputs, monitors)
 
 
 def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
@@ -430,37 +439,15 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
     returned trajectory always carries the supply-rate monitor u.y and, when
     a storage field is attached to the system or passed here, the channel S.
     """
-    nu = sys.nu
-
-    def rhs(t, x):
-        return -sys.V_x(x, as_vector(u_signal(t), nu))
-
-    def rhs_jac(t, x):
-        return -sys.V_xx(x, as_vector(u_signal(t), nu))
-
-    times, states = integrate_implicit_midpoint(
-        rhs, x0, t_span, step, mass=sys.metric, rhs_jac=rhs_jac,
-        domain=sys.domain if enforce_domain else None)
-    S = storage if storage is not None else getattr(sys, "storage", None)
-    inputs, outputs, monitors = _record(sys, states, times, u_signal, S)
-    return Trajectory(times, states, inputs, outputs, monitors)
+    return _run(sys, lambda x, u: -sys.V_x(x, u), lambda x, u: -sys.V_xx(x, u), x0, u_signal,
+                t_span, step, sys.metric, sys.domain if enforce_domain else None,
+                storage if storage is not None else getattr(sys, "storage", None))
 
 
 def simulate_port_hamiltonian(sys: PortHamiltonianSystem, z0, u_signal: Callable,
                               t_span, step: float) -> Trajectory:
     """Simulate a port-Hamiltonian system inside its domain; monitor S is the Hamiltonian."""
-    nu = sys.nu
-
-    def rhs(t, z):
-        return sys.rhs(z, u_signal(t))
-
-    def rhs_jac(t, z):
-        return sys.rhs_jac(z, u_signal(t))
-
-    times, states = integrate_implicit_midpoint(
-        rhs, z0, t_span, step, mass=None, rhs_jac=rhs_jac, domain=sys.domain)
-    inputs, outputs, monitors = _record(sys, states, times, u_signal, sys.H)
-    return Trajectory(times, states, inputs, outputs, monitors)
+    return _run(sys, sys.rhs, sys.rhs_jac, z0, u_signal, t_span, step, None, sys.domain, sys.H)
 
 
 @dataclass(frozen=True)

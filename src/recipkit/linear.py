@@ -186,6 +186,8 @@ def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
     sigma.check_inputs(sys.m)
     from scipy.linalg import expm  # deferred to keep cold start fast
     ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or not len(ts):
+        raise DimensionMismatchError(f"need a non-empty list of times, got shape {ts.shape}")
     Ws = sys.C @ expm(sys.A[None] * ts[:, None, None]) @ sys.B
     S = sigma.signs[:, None] * np.concatenate([sys.D[None], Ws])
     worst = float(np.max(np.abs(S - np.swapaxes(S, 1, 2)), initial=0.0))

@@ -122,7 +122,7 @@ class BraytonMoserModel:
 
     def potential(self) -> ScalarField:
         """Mixed potential P(I, V) = content + sign * co-content + I.lam V."""
-        nL, nC = self.nL, self.nC
+        nL = self.nL
         s = self.co_content_sign
 
         def value(x):

@@ -65,6 +65,8 @@ def _report(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix, X, U, 
             tol: float) -> ReciprocityReport:
     """Report at the samples X (N, nx), U (N, nu): state(G rows) gives the state residuals,
     sys's Jacobian stacks the others; one fold each, so a non-finite residual fails it."""
+    if G.dim != sys.nx:
+        raise DimensionMismatchError(f"metric dimension {G.dim} != state dimension {sys.nx}")
     sigma.check_inputs(sys.nu)
     sm = sigma.matrix
     Gs = _checked_metric_rows(G.rows(X), X)

@@ -167,10 +167,42 @@ def _used_names(tree):
     return used
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_scope(fn):
+    """The nodes of a function's body outside its nested functions, classes and
+    comprehensions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree):
+    """Names a function assigns in its own scope that neither it nor a function nested in
+    it reads, as (line, name); `_` and global or nonlocal names are left out."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {name for n in _own_scope(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        found += [(n.lineno, n.id) for n in _own_scope(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store) and n.id not in read and n.id != "_"]
+    return found
+
+
 def test_source_leaves_no_orphans():
     """Module-level imports are used, private top-level names are referenced,
-    the package namespace imports only exported names and no sampled check
-    keeps a running max/min accumulator (builtin max and min drop a NaN)."""
+    function-local names are read, the package namespace imports only exported
+    names and no sampled check keeps a running max/min accumulator (builtin max
+    and min drop a NaN)."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(recipkit.__file__).parent.glob("*.py")}
     unused_imports = []
@@ -202,6 +234,8 @@ def test_source_leaves_no_orphans():
                             if name.startswith("_") and not name.startswith("__")})
     used = set().union(*(_used_names(tree) for tree in trees.values()))
     assert sorted(f"{stem}.{name}" for name, stem in private.items() if name not in used) == []
+    assert [f"{stem}:{line} {name}" for stem, tree in trees.items()
+            for line, name in _unread_locals(tree)] == []
 
     not_exported = [f"{node.module}.{alias.name}" for node in trees["__init__"].body
                     if isinstance(node, ast.ImportFrom)

@@ -128,6 +128,20 @@ def test_integrator_rejects_bad_span():
         integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (1.0, 0.0), step=0.1)
 
 
+@pytest.mark.parametrize("step, span", [(np.nan, (0.0, 1.0)), (0.1, (0.0, np.nan)),
+                                        (0.1, (0.0, np.inf)), (np.inf, (0.0, 1.0))])
+def test_integrator_rejects_a_non_finite_step_or_span(step, span):
+    with pytest.raises(DimensionMismatchError):
+        integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), span, step=step)
+    box, sig = BoxDomain.cube(1), SignatureMatrix.identity(1)
+    Q = quadratic_field(np.eye(1), box)
+    ph = PortHamiltonianSystem(H=Q, J=[[0.0]], g=[[1.0]], nu=1)
+    hpg = HessianPseudoGradientSystem.from_internal_potential(Q, Q, [[1.0]], sig)
+    for simulate, sys in ((simulate_port_hamiltonian, ph), (simulate_pseudo_gradient, hpg)):
+        with pytest.raises(DimensionMismatchError):
+            simulate(sys, np.array([0.1]), lambda t: np.zeros(1), span, step)
+
+
 def _counted(fn, counts, key):
     def wrapped(*args):
         counts[key] += 1

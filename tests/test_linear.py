@@ -113,6 +113,17 @@ def test_impulse_response_symmetry_detects_asymmetry():
     assert chk.max_residual > 1e-3
 
 
+def test_impulse_response_symmetry_needs_a_time():
+    sys = LinearSystem(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.3, 1.0]],
+                       [[1.0, 0.0], [0.7, 1.0]], np.zeros((2, 2)))
+    sig = SignatureMatrix.identity(2)
+    chk = impulse_response_symmetry(sys, sig, [0.5])
+    assert not chk.symmetric
+    assert chk.max_residual == pytest.approx(0.53, abs=5e-3)
+    with pytest.raises(DimensionMismatchError):  # only D would be compared
+        impulse_response_symmetry(sys, sig, [])
+
+
 def test_impulse_response_symmetry_stack_equals_the_per_time_loop():
     # one stacked expm and matmul over the times gives, bit for bit, the residual of one
     # expm and one symmetry_residual per time node, D included

@@ -211,9 +211,10 @@ def test_model_registry_contents():
     X, U = bm.affine.domain.sample(32, seed=4), bm.u_box.sample(32, seed=5)
     assert np.array_equal(general.F_rows(X, U), [general.F(x, u) for x, u in zip(X, U)])
     assert np.array_equal(general.H_rows(X, U), [general.H(x, u) for x, u in zip(X, U)])
-    aff = bm.affine  # and so are the Jacobians of a stack that the linearization takes
-    for jac in (aff.jac_f, aff.jac_g, aff.jac_h):
-        assert np.array_equal(jac(X), [jac(x) for x in X])
+    # and so are the Jacobians of a stack that the linearization takes
+    for jac in (general.jac_F_x, general.jac_F_u, general.jac_H_x):
+        assert np.array_equal(jac(X, U), [jac(x, u) for x, u in zip(X, U)])
+    aff = bm.affine
     assert np.array_equal(aff.g_rows(X), [aff.g(x) for x in X])
     assert reg["swing"].kind == "port_hamiltonian"
     assert reg["swing"].ph is not None and reg["swing"].split is not None

@@ -85,6 +85,19 @@ def test_check_reciprocity_signature_size_mismatch():
         check_reciprocity(sys, G, SignatureMatrix.identity(2))
 
 
+@pytest.mark.parametrize("check", ["general", "affine", "hessian"])
+def test_a_metric_of_another_dimension_is_refused(check):
+    bm = model_registry()["brayton-moser"]
+    box = BoxDomain.cube(3)
+    G, gen = MetricField.constant(np.eye(3), box), bm.affine.to_general()
+    run = {"general": lambda: check_reciprocity(gen, G, bm.sigma),
+           "affine": lambda: check_reciprocity_affine(bm.affine, G, bm.sigma),
+           "hessian": lambda: check_reciprocity_hessian(gen, quadratic_field(np.eye(3), box),
+                                                        bm.sigma)}[check]
+    with pytest.raises(DimensionMismatchError, match="metric dimension 3"):
+        run()
+
+
 def test_check_reciprocity_affine_brayton_moser():
     # textbook sign convention satisfies reciprocity for diag(L, -C)
     bm = BraytonMoserModel(
@@ -236,8 +249,9 @@ def test_check_reciprocity_affine_two_inputs():
     G = MetricField.constant(np.diag([2.0, 1.0, 1.0]), box)
     for broken in (False, True):
         sys, dg_dx = two_input_affine(box, broken)
-        for x in box.sample(6, seed=2):
-            J = sys.jac_g(x)
+        gen = sys.to_general()
+        for x in box.sample(6, seed=2):  # dF/dx is affine in u with slopes dg_j/dx
+            J = np.stack([gen.jac_F_x(x, e) - gen.jac_F_x(x, np.zeros(2)) for e in np.eye(2)])
             assert J.shape == (2, 3, 3)
             np.testing.assert_allclose(J, dg_dx(x), atol=1e-8)
         rep = check_reciprocity_affine(sys, G, SignatureMatrix.identity(2), n_samples=20)
