@@ -334,7 +334,7 @@ def default_past_inputs(sys, rng: np.random.Generator, count: Optional[int] = No
     for beta in betas:
         v = rng.standard_normal(m)
         v /= max(1.0, float(np.linalg.norm(v)))
-        inputs.append(PastInput(signal=lambda s, b=beta, v=v: np.exp(b * s) * v,
+        inputs.append(PastInput(signal=lambda s, b=beta, v=v: np.exp(b * s)[:, None] * v,
                                 duration=30.0 / beta))
     return inputs
 

@@ -150,8 +150,10 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     Returns (times, states) on the uniform grid.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (np.isfinite([t0, t1, step]).all() and step > 0 and t1 > t0):
-        raise DimensionMismatchError("need a finite positive step and a finite forward time span")
+    if not (np.isfinite([t0, t1, step]).all() and step > 0 and t1 > t0
+            and np.isfinite((t1 - t0) / float(step))):
+        raise DimensionMismatchError("need a finite positive step and a finite forward time span "
+                                     "with a finite step count")
     x = as_vector(x0)
     n = x.shape[0]
     eye = np.eye(n)
@@ -671,8 +673,7 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
         # x -> g_j.x is linear for the constant matrix g, hence degree-1 homogeneous
         details["input_couplings_degree_one"] = True
     else:
-        X, U = _state_input_stacks(sys.K.domain, u_box or BoxDomain.cube(sys.nu, 1.0),
-                                   n_samples, seed)
+        X, U = _state_input_stacks(sys, u_box, n_samples, seed)
         G, sign = sys.V.grad_rows(np.hstack([X, U])), 1.0 if mode == "-I" else -1.0
         vals = np.vecdot(X, G[:, :sys.nx]) + sign * np.vecdot(U, G[:, sys.nx:])
         details["points"] = len(X)

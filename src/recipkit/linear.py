@@ -176,19 +176,50 @@ class ImpulseSymmetryCheck:
     max_residual: float
 
 
+def _expm_rows(S: np.ndarray) -> np.ndarray:
+    """e^{S_i} for every slice of a stack S of shape (N, n, n), with numpy only.
+
+    Scaling and squaring with the degree-13 Pade approximant r13 (Higham, "The
+    scaling and squaring method for the matrix exponential revisited", SIAM J.
+    Matrix Anal. Appl. 26(4), 2005): slice i is scaled by 2^-s_i with
+    s_i = max(0, ceil(log2(|S_i|_1 / theta13))), which bounds the backward error
+    of r13 by the unit roundoff; one batched solve gives every r13, and round k
+    squares the slices with s_i > k.  The coefficients are divided by b0, so S_i = 0 gives I
+    exactly.  A slice whose exponential overflows comes back with inf or nan.
+    """
+    b = np.array((64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+                  129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+                  40840800, 960960, 16380, 182, 1)) / 64764752532480000
+    norms = np.max(np.sum(np.abs(S), axis=1), axis=-1)
+    s = np.ceil(np.log2(np.maximum(norms / 5.371920351148152, 1.0))).astype(int)
+    A = S / np.exp2(s)[:, None, None]
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    eye = np.eye(S.shape[-1])
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
+    E = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        on = s > k
+        Eon = E[on]
+        E[on] = Eon @ Eon
+    return E
+
+
 def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
                               times: Sequence[float], tol: float = 1e-8) -> ImpulseSymmetryCheck:
     """Check sigma W(t) = W(t)^T sigma for W(t) = C e^{At} B, plus the D term.
 
-    One stacked expm covers every time; the residual is the max-abs asymmetry
+    One stacked _expm_rows covers every time; the residual is the max-abs asymmetry
     over the stack with D, and a non-finite entry fails the check.
     """
     sigma.check_inputs(sys.m)
-    from scipy.linalg import expm  # deferred to keep cold start fast
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or not len(ts):
-        raise DimensionMismatchError(f"need a non-empty list of times, got shape {ts.shape}")
-    Ws = sys.C @ expm(sys.A[None] * ts[:, None, None]) @ sys.B
+    if ts.ndim != 1 or not len(ts) or not np.all(np.isfinite(ts)):
+        raise DimensionMismatchError(f"need a non-empty list of finite times, got {ts}")
+    Ws = sys.C @ _expm_rows(sys.A[None] * ts[:, None, None]) @ sys.B
     S = sigma.signs[:, None] * np.concatenate([sys.D[None], Ws])
     worst = float(np.max(np.abs(S - np.swapaxes(S, 1, 2)), initial=0.0))
     return ImpulseSymmetryCheck(symmetric=bool(worst <= tol), max_residual=worst)
@@ -196,9 +227,13 @@ def impulse_response_symmetry(sys: LinearSystem, sigma: SignatureMatrix,
 
 @dataclass(frozen=True)
 class PastInput:
-    """Input signal supported on (-duration, 0], evaluated at s <= 0."""
+    """Input signal supported on (-duration, 0], evaluated on stacks of times s <= 0.
 
-    signal: Callable[[float], np.ndarray]
+    signal maps times of shape (N,) to values of shape (N, m); a single-input
+    signal may return shape (N,).
+    """
+
+    signal: Callable[[np.ndarray], np.ndarray]
     duration: float
 
 
@@ -245,12 +280,11 @@ def recover_metric_hankel(sys: LinearSystem, sigma: SignatureMatrix,
         U = np.zeros((len(ts), m, k))
         for j, p in enumerate(past_inputs):
             on = ts <= p.duration
-            U[on, :, j] = _checked_stack([p.signal(-t) for t in ts[on]], (int(on.sum()), m))
+            U[on, :, j] = _checked_stack(p.signal(-ts[on]), (int(on.sum()), m))
         return U
 
     def f(ts: np.ndarray) -> np.ndarray:
-        from scipy.linalg import expm  # deferred to keep cold start fast
-        E = expm(sys.A[None] * ts[:, None, None])
+        E = _expm_rows(sys.A[None] * ts[:, None, None])
         U = inputs_at(ts)
         return np.concatenate([E @ (sys.B @ U), np.swapaxes(E, 1, 2) @ (CtS @ U)], axis=2)
 

@@ -55,10 +55,15 @@ class ReciprocityReport:
         return float(np.max([self.residual_state, self.residual_output, self.residual_cross]))
 
 
-def _state_input_stacks(domain: BoxDomain, u_box: BoxDomain, n: int, seed: int):
-    """Low-discrepancy (x, u) samples over the product box, as stacks (n, nx) and (n, nu)."""
-    pts = BoxDomain.product(domain.shrink(0.95), u_box).sample(n, seed=seed)
-    return pts[:, :domain.dim], pts[:, domain.dim:]
+def _state_input_stacks(sys, u_box: Optional[BoxDomain], n: int, seed: int):
+    """Low-discrepancy (x, u) samples over sys.domain x u_box (the unit input cube when
+    None), as stacks (n, nx) and (n, nu); sys is any system with domain, nx and nu."""
+    u_box = u_box or BoxDomain.cube(sys.nu, 1.0)
+    if u_box.dim != sys.nu:
+        raise DimensionMismatchError(f"input box dimension {u_box.dim} != input dimension "
+                                     f"{sys.nu}")
+    pts = BoxDomain.product(sys.domain.shrink(0.95), u_box).sample(n, seed=seed)
+    return pts[:, :sys.nx], pts[:, sys.nx:]
 
 
 def _report(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix, X, U, state,
@@ -89,8 +94,7 @@ def check_reciprocity(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatr
 
     The metric is validated (symmetry, determinant floor) at every point.
     """
-    X, U = _state_input_stacks(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples,
-                               seed)
+    X, U = _state_input_stacks(sys, u_box, n_samples, seed)
 
     def state(Gs):
         J = finite_difference_jacobian(lambda Y: _mv(G.rows(Y), sys.F_rows(Y, U)), X)
@@ -128,8 +132,7 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
     Jacobian, G dF/dx = (dF/dx)^T G; output and cross conditions are as in
     the general check, all points stacked.
     """
-    X, U = _state_input_stacks(sys.domain, u_box or BoxDomain.cube(sys.nu, 1.0), n_samples,
-                               seed)
+    X, U = _state_input_stacks(sys, u_box, n_samples, seed)
 
     def state(Gs):
         Fx = sys.jac_F_x(X, U)

@@ -27,15 +27,22 @@ def read_report(out_dir):
         return json.load(fh)
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # cold start: these load only inside the functions that use them
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # cold start: these load only inside the functions that use them; the linear checks
+    # (impulse symmetry, Hankel recovery) never load scipy.linalg
     heavy = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
-    code = f"import sys, recipkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    runs = [["recover-g", "--model", "indefinite-g", "--out", str(tmp_path / "recover")],
+            ["check-reciprocity", "--model", "indefinite-g", "--out", str(tmp_path / "check")]]
+    code = (f"import sys, recipkit.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            f"print([recipkit.cli.main(args) for args in {runs!r}])\n"
+            f"print('scipy.linalg' in sys.modules)")
     src = str(Path(recipkit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("[]", "[0, 0]", "False")
 
 
 def test_emit_json_formatting():

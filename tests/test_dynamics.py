@@ -129,7 +129,8 @@ def test_integrator_rejects_bad_span():
 
 
 @pytest.mark.parametrize("step, span", [(np.nan, (0.0, 1.0)), (0.1, (0.0, np.nan)),
-                                        (0.1, (0.0, np.inf)), (np.inf, (0.0, 1.0))])
+                                        (0.1, (0.0, np.inf)), (np.inf, (0.0, 1.0)),
+                                        (1e-10, (0.0, 1e300))])
 def test_integrator_rejects_a_non_finite_step_or_span(step, span):
     with pytest.raises(DimensionMismatchError):
         integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), span, step=step)
@@ -545,6 +546,12 @@ def test_certify_relaxation_rejects_mixed_signature():
     sys = HessianPseudoGradientSystem(K=K, V=V, sigma=SignatureMatrix(np.array([1, -1])))
     with pytest.raises(DimensionMismatchError):
         certify_relaxation(sys, n_samples=20)
+
+
+def test_certify_relaxation_refuses_an_input_box_of_another_dimension():
+    sys = RcCircuitModel.scalar_fixture().as_relaxation()
+    with pytest.raises(DimensionMismatchError, match="input box dimension 2"):
+        certify_relaxation(sys, u_box=BoxDomain.cube(2), n_samples=20)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from recipkit.linear import (
     kernel_invariance_check,
     lmi_residual,
     PastInput,
+    _expm_rows,
     recover_metric_hankel,
     spd_geometric_mean,
     spd_sqrt,
@@ -122,13 +123,46 @@ def test_impulse_response_symmetry_needs_a_time():
     assert chk.max_residual == pytest.approx(0.53, abs=5e-3)
     with pytest.raises(DimensionMismatchError):  # only D would be compared
         impulse_response_symmetry(sys, sig, [])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionMismatchError, match="finite times"):
+            impulse_response_symmetry(sys, sig, [0.5, bad])
+
+
+def test_expm_rows_matches_scipy():
+    # stacks t M of random n x n matrices M (most with complex eigenvalues) over t in [-4, 4],
+    # so some slices are scaled (|t M|_1 > theta13 = 5.37) and some times are negative.
+    # scipy.sparse.linalg.expm (Al-Mohy and Higham 2009, exact 1-norms) is the oracle;
+    # scipy.linalg.expm itself strays by up to 7e-13 from a 40-digit reference here
+    from scipy.sparse.linalg import expm
+
+    rng = np.random.default_rng(17)
+    scaled = 0
+    for _ in range(24):
+        n = int(rng.integers(2, 6))
+        S = rng.standard_normal((n, n))[None] * np.linspace(-4.0, 4.0, 33)[:, None, None]
+        E = _expm_rows(S)
+        ref = np.array([expm(Si) for Si in S])
+        rel = np.max(np.abs(E - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.max(rel) <= 1e-13
+        scaled += int(np.sum(np.max(np.sum(np.abs(S), axis=1), axis=-1) > 5.371920351148152))
+    assert scaled > 100
+
+
+def test_expm_rows_exact_cases():
+    # t = 0 gives I, and a nilpotent Jordan block t N gives I + t N, both exactly
+    np.testing.assert_array_equal(_expm_rows(np.zeros((3, 4, 4))),
+                                  np.broadcast_to(np.eye(4), (3, 4, 4)))
+    ts = np.array([0.0, 0.3, -2.5, 7.0, 123.456, -1e3])  # the last three need squarings
+    N = np.zeros((len(ts), 2, 2))
+    N[:, 0, 1] = ts
+    expected = np.broadcast_to(np.eye(2), N.shape).copy()
+    expected[:, 0, 1] = ts
+    np.testing.assert_array_equal(_expm_rows(N), expected)
 
 
 def test_impulse_response_symmetry_stack_equals_the_per_time_loop():
-    # one stacked expm and matmul over the times gives, bit for bit, the residual of one
-    # expm and one symmetry_residual per time node, D included
-    from scipy.linalg import expm
-
+    # one stacked _expm_rows and matmul over the times gives, bit for bit, the residual of
+    # one single-slice _expm_rows and one symmetry_residual per time node, D included
     rng = np.random.default_rng(21)
     times = np.linspace(0.05, 6.0, 40)
     for i in range(24):
@@ -138,7 +172,8 @@ def test_impulse_response_symmetry_stack_equals_the_per_time_loop():
         if i % 2:  # an asymmetric perturbation, so the residual is not rounding alone
             sys = LinearSystem(sys.A, sys.B + 1e-3 * rng.standard_normal((n, m)), sys.C, sys.D)
         loop = max(symmetry_residual(sig.conjugate_rows(W))
-                   for W in [sys.D] + [sys.C @ expm(sys.A * t) @ sys.B for t in times])
+                   for W in [sys.D] + [sys.C @ _expm_rows(sys.A[None] * t)[0] @ sys.B
+                                       for t in times])
         assert impulse_response_symmetry(sys, sig, times).max_residual == loop
 
 
@@ -146,31 +181,30 @@ def test_recover_metric_hankel_scalar_oracle():
     # A = -1, B = C = 1 with past input e^s: x(0) = 1/2, pairing = 1/4, G = 1
     sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     sig = SignatureMatrix.identity(1)
-    past = [PastInput(lambda s: np.array([np.exp(s)]), duration=14.0)]
+    past = [PastInput(lambda s: np.exp(s)[:, None], duration=14.0)]
     G = recover_metric_hankel(sys, sig, horizon=14.0, past_inputs=past)
     assert G[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_recover_metric_hankel_one_expm_per_quadrature_pass(monkeypatch):
-    import scipy.linalg
-
+    import recipkit.linear
     from recipkit import core
     from recipkit.cli import default_past_inputs
     from recipkit.models import model_registry
 
     expm_calls = []
-    real_expm, real_panels = scipy.linalg.expm, core.gauss_legendre_panels
+    real_expm, real_panels = recipkit.linear._expm_rows, core.gauss_legendre_panels
     passes = set()
 
-    def counting_expm(A, *args, **kwargs):
-        expm_calls.append(np.shape(A))
-        return real_expm(A, *args, **kwargs)
+    def counting_expm(S):
+        expm_calls.append(np.shape(S))
+        return real_expm(S)
 
     def counting_panels(f, a, b, panels):
         passes.add((a, b, panels))
         return real_panels(f, a, b, panels)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(recipkit.linear, "_expm_rows", counting_expm)
     monkeypatch.setattr(core, "gauss_legendre_panels", counting_panels)
     bundle = model_registry()["gyrator"]
     G = recover_metric_hankel(bundle.linear, bundle.sigma, horizon=30.0,
@@ -236,19 +270,19 @@ def test_recover_metric_hankel_rejects_bad_input(horizon, sigma_size):
     sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(DimensionMismatchError):
         recover_metric_hankel(sys, SignatureMatrix.identity(sigma_size), horizon=horizon,
-                              past_inputs=[PastInput(lambda s: np.array([np.exp(s)]), 5.0)])
+                              past_inputs=[PastInput(lambda s: np.exp(s)[:, None], 5.0)])
 
 
 def test_recover_metric_hankel_requires_hurwitz():
     sys = LinearSystem([[1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(ConvergenceError):
         recover_metric_hankel(sys, SignatureMatrix.identity(1), horizon=5.0,
-                              past_inputs=[PastInput(lambda s: np.array([np.exp(s)]), 5.0)])
+                              past_inputs=[PastInput(lambda s: np.exp(s)[:, None], 5.0)])
 
 
 def test_recover_metric_hankel_checks_the_past_input_values():
-    # a scalar signal is the length-1 vector of a single-input system; a signal of the
-    # wrong length is refused
+    # a stack of scalars is the stack of length-1 vectors of a single-input system; a signal
+    # of the wrong length or with matrix values is refused
     sys = LinearSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     sig = SignatureMatrix.identity(1)
 
@@ -257,13 +291,11 @@ def test_recover_metric_hankel_checks_the_past_input_values():
                                      past_inputs=[PastInput(signal, duration=14.0)])
 
     np.testing.assert_array_equal(recover(lambda s: np.exp(s)),
-                                  recover(lambda s: np.array([np.exp(s)])))
+                                  recover(lambda s: np.exp(s)[:, None]))
     with pytest.raises(DimensionMismatchError, match="expected shape"):
-        recover(lambda s: np.array([np.exp(s), 0.0]))
+        recover(lambda s: np.stack([np.exp(s), 0.0 * s], axis=1))
     with pytest.raises(DimensionMismatchError, match="expected shape"):
-        recover(lambda s: np.array([[np.exp(s)]]))
-    with pytest.raises(DimensionMismatchError, match="expected entries of length 1"):
-        recover(lambda s: np.exp(s) if s > -1.0 else np.array([np.exp(s), 0.0]))
+        recover(lambda s: np.exp(s)[:, None, None])
 
 
 def test_recover_metric_hankel_needs_enough_inputs():
@@ -271,7 +303,7 @@ def test_recover_metric_hankel_needs_enough_inputs():
                        [[1.0, 1.0]], [[0.0]])
     with pytest.raises(DimensionMismatchError):
         recover_metric_hankel(sys, SignatureMatrix.identity(1), horizon=5.0,
-                              past_inputs=[PastInput(lambda s: np.array([np.exp(s)]), 5.0)])
+                              past_inputs=[PastInput(lambda s: np.exp(s)[:, None], 5.0)])
 
 
 def test_lmi_residual_passive_scalar():

@@ -50,7 +50,8 @@ def hpg_facade(hpg):
 
 
 def test_state_input_stacks():
-    X, U = _state_input_stacks(BoxDomain.cube(2), BoxDomain.cube(1, 0.5), 30, 0)
+    sys = NonlinearSystem(2, 1, F=lambda x, u: -x, H=lambda x, u: x[:1], domain=BoxDomain.cube(2))
+    X, U = _state_input_stacks(sys, BoxDomain.cube(1, 0.5), 30, 0)
     assert X.shape == (30, 2) and U.shape == (30, 1)
     assert np.all(np.abs(X) <= 0.95) and np.all(np.abs(U) <= 0.5)
 
@@ -95,6 +96,17 @@ def test_a_metric_of_another_dimension_is_refused(check):
            "hessian": lambda: check_reciprocity_hessian(gen, quadratic_field(np.eye(3), box),
                                                         bm.sigma)}[check]
     with pytest.raises(DimensionMismatchError, match="metric dimension 3"):
+        run()
+
+
+@pytest.mark.parametrize("check", ["general", "hessian"])
+def test_an_input_box_of_another_dimension_is_refused(check):
+    bm = model_registry()["brayton-moser"]
+    gen, box = bm.affine.to_general(), BoxDomain.cube(2)
+    K = quadratic_field(np.eye(gen.nx), gen.domain)
+    run = {"general": lambda: check_reciprocity(gen, bm.metric, bm.sigma, u_box=box),
+           "hessian": lambda: check_reciprocity_hessian(gen, K, bm.sigma, u_box=box)}[check]
+    with pytest.raises(DimensionMismatchError, match="input box dimension 2"):
         run()
 
 
