@@ -55,6 +55,7 @@ MIDPOINT_NEWTON_TOL = 1e-11  # bound on the Newton error estimate, relative to 1
 MIDPOINT_NEWTON_KAPPA = 0.1  # share of MIDPOINT_NEWTON_TOL the increment test may use
 MIDPOINT_REFRESH_RATE = 0.1  # theta at which a kept Newton matrix is formed again
 MIDPOINT_MAX_NEWTON = 40
+MIDPOINT_MAX_STEPS = 10**7  # bound on a run's step count, checked before the grid is built
 UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
 STRUCTURE_TOL = 1e-10  # |J + J^T| and sampled -x.R(x) that PortHamiltonianSystem.validate accepts
@@ -151,9 +152,9 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite([t0, t1, step]).all() and step > 0 and t1 > t0
-            and np.isfinite((t1 - t0) / float(step))):
+            and (t1 - t0) / float(step) <= MIDPOINT_MAX_STEPS):
         raise DimensionMismatchError("need a finite positive step and a finite forward time span "
-                                     "with a finite step count")
+                                     f"with at most {MIDPOINT_MAX_STEPS} steps")
     x = as_vector(x0)
     n = x.shape[0]
     eye = np.eye(n)

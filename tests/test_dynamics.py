@@ -130,7 +130,7 @@ def test_integrator_rejects_bad_span():
 
 @pytest.mark.parametrize("step, span", [(np.nan, (0.0, 1.0)), (0.1, (0.0, np.nan)),
                                         (0.1, (0.0, np.inf)), (np.inf, (0.0, 1.0)),
-                                        (1e-10, (0.0, 1e300))])
+                                        (1e-10, (0.0, 1e300)), (1e-10, (0.0, 1e12))])
 def test_integrator_rejects_a_non_finite_step_or_span(step, span):
     with pytest.raises(DimensionMismatchError):
         integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), span, step=step)

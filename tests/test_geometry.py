@@ -213,14 +213,14 @@ def test_variational_system_of_linear_system_is_itself():
     states = 0.5 * np.exp(-times)[:, None]
     nominal = Trajectory(times, states, np.zeros((11, 1)), states)
     G = MetricField.constant([[1.0]], sys.domain)
-    (A, B, C), (dual_A, dual_B, dual_C) = _linearization(sys, nominal, None, G, np.array([0.3]))
-    assert A.shape == B.shape == (1, 1, 1) and C.shape == (11, 1, 1)
-    assert A[0, 0, 0] == pytest.approx(-1.0, abs=1e-8)
-    assert B[0, 0, 0] == pytest.approx(1.0)
+    (A, B, C), (dual_A, dual_B, dual_C) = _linearization(sys, nominal, None, G)
+    assert A.shape == B.shape == (10, 1, 1) and C.shape == (11, 1, 1)
+    np.testing.assert_allclose(A[:, 0, 0], -1.0, rtol=0, atol=1e-8)
+    assert B[:, 0, 0] == pytest.approx(np.ones(10))
     np.testing.assert_allclose(C[:, 0, 0], 1.0, rtol=0, atol=1e-8)
     # a constant metric adds no connection term: the dual is the adjoint
     assert np.array_equal(dual_A, A)
-    assert dual_B.shape == (1, 1, 1) and dual_C.shape == (11, 1, 1)
+    assert dual_B.shape == (10, 1, 1) and dual_C.shape == (11, 1, 1)
 
 
 def test_default_probes():
@@ -301,6 +301,30 @@ def test_external_reciprocity_detects_wrong_metric():
     rep = external_reciprocity_test(sys, Gbad, nominal, delta_x0=[0.2, -0.1])
     assert not rep.match
     assert max(rep.max_output_gap, rep.max_state_gap) > 1e-3
+
+
+def test_match_judges_the_isomorphism_gap():
+    # G x_dot = -x + g u with G = I and y = g^T x; a symmetric candidate metric off G
+    # leaves the outputs equal and shows only in p = G delta_x
+    box = BoxDomain.cube(2)
+    sys = AffineNonlinearSystem(2, 1, f=lambda x: -x, g=lambda x: np.array([[1.0], [0.0]]),
+                                h=lambda x: x[:1], k=lambda x: np.zeros((1, 1)), domain=box)
+    gen = sys.to_general()
+
+    def u(t):
+        return np.array([0.3 * np.sin(0.5 * t)])
+
+    times, x = integrate_implicit_midpoint(lambda t, v: gen.F(v, u(t)), np.array([0.2, -0.1]),
+                                           (0.0, 2.0), step=1e-2)
+    inputs = np.stack([u(t) for t in times])
+    nominal = Trajectory(times, x, inputs, gen.H_rows(x, inputs))
+    candidate = MetricField.constant(np.array([[1.0, 1e-2], [1e-2, 1.0]]), box)
+    rep = external_reciprocity_test(sys, candidate, nominal, tol=1e-6, u_signal=u)
+    assert rep.max_output_gap <= 1e-6 and rep.max_state_gap > 1e-3
+    assert not rep.match
+    rep = external_reciprocity_test(sys, MetricField.constant(np.eye(2), box), nominal,
+                                    tol=1e-6, u_signal=u)
+    assert rep.match
 
 
 def test_external_reciprocity_evaluates_metric_once_per_grid_point():
@@ -384,15 +408,37 @@ def test_closed_form_partials_give_the_stencil_dual():
         J[0, 0, 1], J[1, 1, 0] = 2.0 * x[1], -x[0]
         return J
 
-    # the grid as the midpoint times, so that every stack is on the same times
-    ts = nominal.times
     primal, closed = _linearization(bundle.affine, nominal, None,
-                                    MetricField(2, G_of, box, partials), ts)
-    _, stencil = _linearization(bundle.affine, nominal, None, MetricField(2, G_of, box), ts)
+                                    MetricField(2, G_of, box, partials))
+    _, stencil = _linearization(bundle.affine, nominal, None, MetricField(2, G_of, box))
+    # the dual state matrices and the primal's, all at the step midpoints
     np.testing.assert_allclose(closed[0], stencil[0], rtol=0, atol=1e-8)
     assert not np.allclose(closed[0], primal[0].transpose(0, 2, 1))
-    assert np.array_equal(closed[1], primal[2].transpose(0, 2, 1))
-    assert np.array_equal(closed[2], primal[1].transpose(0, 2, 1))
+    # dual B = C^T at the midpoints and dual C = B^T on the grid, each against the
+    # Jacobian at its own points
+    gen, x, u = bundle.affine.to_general(), nominal.states, nominal.inputs
+    xm, um = 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+    assert np.array_equal(primal[1], gen.jac_F_u(xm, um))
+    assert np.array_equal(primal[2], gen.jac_H_x(x, u))
+    assert np.array_equal(closed[1], gen.jac_H_x(xm, um).transpose(0, 2, 1))
+    assert np.array_equal(closed[2], gen.jac_F_u(x, u).transpose(0, 2, 1))
+
+
+def test_linearization_takes_the_integrators_own_midpoints():
+    bundle = model_registry()["brayton-moser"]
+    gen = bundle.affine.to_general()
+
+    def u(t):
+        return np.array([0.2 * np.sin(1.5 * t)])
+
+    times, x = integrate_implicit_midpoint(lambda t, v: gen.F(v, u(t)), np.array([-0.4, 0.3]),
+                                           (0.0, 1.0), step=1e-2)
+    inputs = np.stack([u(t) for t in times])
+    nominal = Trajectory(times, x, inputs, gen.H_rows(x, inputs))
+    (A, _, _), _ = _linearization(bundle.affine, nominal, u, bundle.metric)
+    um = np.stack([u(t) for t in midpoints(times)])
+    # the points the integrator evaluated its field at, not a fit through the grid
+    assert np.array_equal(A, gen.jac_F_x(0.5 * (x[1:] + x[:-1]), um))
 
 
 def test_simulate_ltv_probe_columns_match_single_probes():
@@ -433,8 +479,9 @@ def test_bad_constant_metric_raises_on_the_closed_form_path(M, error):
     np.testing.assert_array_equal(_first_x(lc.value), x)
     with pytest.raises(error) as ert:
         external_reciprocity_test(bundle.affine, G, nominal, sigma=bundle.sigma)
-    # the first midpoint is the first failing point
-    np.testing.assert_allclose(_first_x(ert.value), [0.3 * np.cos(0.005), -0.2 * np.sin(0.005)],
+    # the first midpoint, the average of the first two states, is the first failing point
+    np.testing.assert_allclose(_first_x(ert.value),
+                               [0.15 * (1.0 + np.cos(0.01)), -0.1 * np.sin(0.01)],
                                rtol=0, atol=1e-8)
     if error is AssumptionError:
         assert lc.value.name == ert.value.name == "metric-symmetry"
