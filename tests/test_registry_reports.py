@@ -1,0 +1,98 @@
+"""Every registry command against a committed table of its answers.
+
+The 8 model subcommands run on each registry model, and `legendre` and `christoffel` on
+each registry field: 70 runs in one process.  Each run's exit code is compared with
+tests/registry_reports.json, and so is each report.json it writes: strings, booleans,
+integers and nulls exactly, floats within FLOAT_TOL * (1 + |reference|), so that rounding
+in the last digits on another BLAS passes while a moved verdict or margin fails.
+
+A change that moves an answer rewrites the table and quotes its diff:
+
+    PYTHONPATH=src python tests/test_registry_reports.py --write
+"""
+
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from recipkit.cli import main
+from recipkit.models import field_registry, model_registry
+from recipkit.schema import MODEL_PATH_ENV
+
+FIXTURE = Path(__file__).with_name("registry_reports.json")
+FLOAT_TOL = 1e-9
+MODEL_COMMANDS = ("check-reciprocity", "check-passivity", "compatible-q", "recover-g",
+                  "variational-test", "simulate", "certify-relaxation", "convert-ph")
+FIELD_COMMANDS = ("legendre", "christoffel")
+
+
+def registry_commands() -> list:
+    """argv of every registry run: model subcommands by model, then field subcommands."""
+    return ([[c, "--model", m] for c in MODEL_COMMANDS for m in model_registry()]
+            + [[c, "--field", f] for c in FIELD_COMMANDS for f in field_registry()])
+
+
+def run_all() -> dict:
+    """' '.join(argv) -> {"exit": code, "report": report.json or None}, in one process."""
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
+            redirect_stdout(null), redirect_stderr(null):
+        for i, argv in enumerate(registry_commands()):
+            out = Path(tmp) / str(i)
+            out.mkdir()
+            code = main([*argv, "--out", str(out)])
+            report = out / "report.json"
+            table[" ".join(argv)] = {
+                "exit": code,
+                "report": json.loads(report.read_text()) if report.exists() else None}
+    return table
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def mismatches(got, want, where="") -> list:
+    """Paths at which got differs from want: numbers within FLOAT_TOL * (1 + |want|), which
+    is exact for integers below 1e9 (json writes an integral float as an integer), all else
+    exactly."""
+    if _number(want) and _number(got):
+        return [] if abs(got - want) <= FLOAT_TOL * (1.0 + abs(want)) else [
+            f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{where}/{k}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    return [] if type(got) is type(want) and got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def test_registry_reports_match_the_fixture(monkeypatch):
+    monkeypatch.delenv(MODEL_PATH_ENV, raising=False)
+    want = json.loads(FIXTURE.read_text())
+    assert len(want) == 70
+    assert mismatches(run_all(), want) == []
+
+
+def test_float_comparison_is_relative_and_types_are_exact():
+    assert mismatches({"a": 1.0 + 1e-10, "b": [2e6]}, {"a": 1.0, "b": [2e6 + 1e-4]}) == []
+    assert mismatches(1.0 + 3e-9, 1.0) != []
+    assert mismatches(1, 1.0) == [] and mismatches(3, 2) != []
+    assert mismatches(True, 1) != [] and mismatches(1, True) != []
+    assert mismatches("a", "b") != [] and mismatches(None, 0.0) != []
+    assert mismatches({"a": 1}, {"a": 1, "b": 2}) != [] and mismatches([1], [1, 1]) != []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_registry_reports.py --write")
+    os.environ.pop(MODEL_PATH_ENV, None)
+    FIXTURE.write_text(json.dumps(run_all(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")
