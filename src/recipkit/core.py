@@ -8,7 +8,7 @@ immutable after construction and their evaluation maps are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -50,7 +50,8 @@ SYM_TOL = 1e-10  # max |M - M^T| of a metric or of a supplied Hessian
 # relative gaps of supplied derivatives to central differences
 GRAD_TOL = 1e-5
 HESS_TOL = 1e-4
-PARTIALS_TOL = 1e-5  # metric partials
+# central-difference step of a metric's derivatives: Christoffel coefficients, Hessian closedness
+METRIC_STEP = 1e-5
 VALIDATE_SAMPLES = 20  # points validate_scalar_field and validate_metric_field test
 # composite Gauss-Legendre: nodes per panel, doublings of the panel count
 QUAD_NODES = 32
@@ -365,16 +366,15 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric invertible matrix field x -> G(x) on a box, with optional
-    ``partials`` x -> J, J[a, b, c] = dG_ab/dx_c: zeros for `constant`; when
-    absent, `geometry.levi_civita` takes central differences of G.  rows and partial_rows map
-    a stack (N, dim) to (N, dim, dim[, dim]), one call when batched: eval, partials map stacks."""
+    """Symmetric invertible matrix field x -> G(x) on a box.  rows maps a stack (N, dim) to
+    (N, dim, dim), one call when batched: eval then maps stacks.  Its derivatives, for
+    `geometry.levi_civita` and `reciprocity.is_hessian_metric`, are central differences
+    of rows with step METRIC_STEP."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     domain: BoxDomain
-    partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batched: bool = False
+    batched: bool = field(default=False, kw_only=True)
 
     def __call__(self, x) -> np.ndarray:
         return as_matrix(self.eval(as_vector(x, self.dim)), (self.dim, self.dim))
@@ -382,17 +382,13 @@ class MetricField:
     def rows(self, X) -> np.ndarray:
         return _rows(self.batched, self.eval, self, (self.dim, self.dim), X)
 
-    def partial_rows(self, X) -> np.ndarray:
-        return _rows(self.batched, self.partials, self.partials, (self.dim,) * 3, X)
-
     def checked(self, x) -> np.ndarray:
         return _checked_metric_rows(self(x)[None], [x])[0]
 
     @staticmethod
     def constant(M, domain: BoxDomain) -> "MetricField":
         A = as_matrix(M)
-        return MetricField(A.shape[0], _constant_rows(A), domain,
-                           partials=_constant_rows(np.zeros((A.shape[0],) * 3)), batched=True)
+        return MetricField(A.shape[0], _constant_rows(A), domain, batched=True)
 
     @staticmethod
     def from_hessian(K: ScalarField) -> "MetricField":
@@ -714,22 +710,10 @@ def validate_scalar_field(field: ScalarField) -> dict:
 
 
 def validate_metric_field(G: MetricField) -> float:
-    """Check that a batched G's rows and partial_rows are exact, then symmetry, invertibility and
-    partials at VALIDATE_SAMPLES points; returns worst asymmetry.  Partials must match central
-    differences within PARTIALS_TOL; the first failing point names the failure, the
-    metric's own tests before the partials."""
-    def partials_agree(x):
-        J, Jf = np.asarray(G.partials(x), dtype=float), finite_difference_jacobian(G, x)
-        return J.shape == Jf.shape and np.max(np.abs(J - Jf)) <= PARTIALS_TOL * (
-            1.0 + np.max(np.abs(J)))
-
+    """Check that a batched G's rows are exact, then symmetry and invertibility at
+    VALIDATE_SAMPLES points; the first failing point names the failure.  Returns the worst
+    asymmetry."""
     xs = G.domain.shrink(0.9).sample(VALIDATE_SAMPLES)
-    pairs = [(G.rows, G)] + ([(G.partial_rows, G.partials)] if G.partials is not None else [])
-    _check_row_contract("metric-batched", xs, pairs if G.batched else ())
-    Gs = G.rows(xs)
-    bad = len(xs) if G.partials is None else next(
-        (i for i, x in enumerate(xs) if not partials_agree(x)), len(xs))
-    _checked_metric_rows(Gs[:bad + 1], xs)
-    if bad < len(xs):
-        raise AssumptionError("metric-partials", f"partials disagree with FD at x={xs[bad]}")
+    _check_row_contract("metric-batched", xs, ((G.rows, G),) if G.batched else ())
+    Gs = _checked_metric_rows(G.rows(xs), xs)
     return float(np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), initial=0.0))

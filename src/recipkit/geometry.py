@@ -1,9 +1,9 @@
 """Christoffel coefficients and variational duality along trajectories.
 
-Christoffel symbols of a metric come from its closed-form partials or from
-central differences; for Hessian metrics they reduce to weighted third
-partials of the generating function, and both routes are exposed so they
-can act as cross-oracles.  external_reciprocity_test linearizes an input-affine
+Christoffel symbols of a metric come from one central-difference stencil of its
+rows; for Hessian metrics they reduce to weighted third derivatives of the
+generating function, and both routes are exposed so they can act as
+cross-oracles.  external_reciprocity_test linearizes an input-affine
 system along a nominal trajectory, once, into matrix stacks for the variational
 system and its metric dual, and runs both by one implicit-midpoint recurrence; for
 reciprocal systems their input-output responses coincide and p = G(x) delta_x is
@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    METRIC_STEP,
     AffineNonlinearSystem,
     DimensionMismatchError,
     MetricField,
@@ -41,14 +42,12 @@ __all__ = [
 ]
 
 THIRD_PARTIAL_STEP = 1e-4
-METRIC_STEP = 1e-5
 
 
 def _christoffel_rows(G: MetricField, xs: np.ndarray) -> Optional[np.ndarray]:
     """levi_civita at each row of xs, (N, n, n, n), or None when it is exactly 0."""
     Gs = _checked_metric_rows(G.rows(xs), xs)
-    J = (finite_difference_jacobian(G.rows, xs, METRIC_STEP) if G.partials is None
-         else G.partial_rows(xs))  # J[..., a, b, c] = dG_ab/dx_c
+    J = finite_difference_jacobian(G.rows, xs, METRIC_STEP)  # J[..., a, b, c] = dG_ab/dx_c
     lower = 0.5 * (J + np.swapaxes(J, -1, -2) - np.moveaxis(J, -1, -3))  # [..., l, i, j]
     return np.einsum("nkl,nlij->nkij", np.linalg.inv(Gs), lower) if lower.any() else None
 
@@ -57,9 +56,8 @@ def levi_civita(G: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_{ij} of a metric at x.
 
     Gamma_{lij} = (dG_{li}/dx_j + dG_{lj}/dx_i - dG_{ij}/dx_l) / 2 raised by
-    the inverse of G.checked(x).  The partials are G.partials in closed form
-    when given (exact zeros for MetricField.constant), central differences
-    otherwise.  Torsion-free by construction.
+    the inverse of G.checked(x).  The derivatives of G are central differences with step
+    core.METRIC_STEP, exact zeros for MetricField.constant.  Torsion-free by construction.
     """
     gam = _christoffel_rows(G, as_vector(x, G.dim)[None])
     return np.zeros((G.dim,) * 3) if gam is None else gam[0]
@@ -92,7 +90,7 @@ def hessian_christoffel(K: ScalarField, x) -> np.ndarray:
 
 def flatness_check(K: ScalarField, tol: float = 1e-8, n_samples: int = 30,
                    seed: int = 0) -> bool:
-    """True when all third partials of K vanish on the sampled domain.
+    """True when all third derivatives of K vanish on the sampled domain.
 
     Cross-checked against the Christoffel coefficients themselves, which
     must vanish simultaneously; flat generating functions are exactly the
@@ -117,17 +115,15 @@ def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal,
     the step's two grid states, the point at which the implicit-midpoint rule evaluates
     its field (second order for a nominal from another method), and u is u_signal at the
     midpoint time or the average of the step's two input rows; on the grid x and u are
-    the nominal's rows, u from u_signal when one is given.  Each stack is one row call;
-    where the lower-index coefficients vanish (MetricField.constant) the connection
-    term is exactly 0 and xdot is not evaluated.
+    the nominal's rows, so u_signal is called at the N - 1 midpoints only.  Each stack is
+    one row call; where the lower-index coefficients vanish (MetricField.constant) the
+    connection term is exactly 0 and xdot is not evaluated.
     Returns ((A, B, C), (dual A, dual B, dual C)), time axis first.
     """
     times, xg, ug = nominal.times, nominal.states, nominal.inputs
-    if u_signal is not None:
-        ug, um = [_checked_stack([u_signal(t) for t in ts], (len(ts), sys.nu))
-                  for ts in (times, times[:-1] + 0.5 * np.diff(times))]
-    else:
-        um = 0.5 * (ug[1:] + ug[:-1])
+    tm = times[:-1] + 0.5 * np.diff(times)
+    um = (0.5 * (ug[1:] + ug[:-1]) if u_signal is None
+          else _checked_stack([u_signal(t) for t in tm], (len(tm), sys.nu)))
     xm = 0.5 * (xg[1:] + xg[:-1])
     gen = sys.to_general()  # A, B and C are its dF/dx, dF/du and dH/dx
     A = gen.jac_F_x(xm, um)

@@ -507,30 +507,18 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
     V = _sign_normalize_columns(V[:, order])
     k = int(np.sum(w > 0))
 
-    if k == n or k == 0:
-        # G = +/-Q already; no basis change, z = Q x
-        T = np.eye(n)
-        Q1 = Qm if k == n else np.zeros((0, 0))
-        Q2 = Qm if k == 0 else np.zeros((0, 0))
-        P1 = pg.P if k == n else np.zeros((0, 0))
-        P2 = pg.P if k == 0 else np.zeros((0, 0))
-        Pc = np.zeros((k, n - k))
-        C1 = pg.C if k == n else np.zeros((pg.m, 0))
-        C2 = pg.C if k == 0 else np.zeros((pg.m, 0))
-        z_from_x = Qm
-    else:
-        T = Ri @ V
-        Q1 = np.eye(k)
-        Q2 = np.eye(n - k)
-        Pt = T.T @ pg.P @ T
-        Pt = 0.5 * (Pt + Pt.T)
-        P1 = Pt[:k, :k]
-        Pc = Pt[:k, k:]
-        P2 = Pt[k:, k:]
-        Ct = pg.C @ T
-        C1 = Ct[:, :k]
-        C2 = Ct[:, k:]
-        z_from_x = np.linalg.inv(T)  # Q_tilde = I, so z = T^-1 x
+    T = Ri @ V
+    Q1 = np.eye(k)
+    Q2 = np.eye(n - k)
+    Pt = T.T @ pg.P @ T
+    Pt = 0.5 * (Pt + Pt.T)
+    P1 = Pt[:k, :k]
+    Pc = Pt[:k, k:]
+    P2 = Pt[k:, k:]
+    Ct = pg.C @ T
+    C1 = Ct[:, :k]
+    C2 = Ct[:, k:]
+    z_from_x = np.linalg.inv(T)  # Q_tilde = I, so z = T^-1 x
 
     # structural verifications
     gap = float(np.max(np.abs(T.T @ pg.G @ T - _block_diag(Q1, -Q2))))

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    METRIC_STEP,
     AffineNonlinearSystem,
     AssumptionError,
     BoxDomain,
@@ -141,7 +142,6 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
     return _report(sys, MetricField.from_hessian(K), sigma, X, U, state, tol)
 
 
-METRIC_PARTIAL_STEP = 1e-5
 LINE_QUAD_TOL = 1e-8  # line integrals of reconstruct_K and reconstruct_potential
 CLOSEDNESS_TOL = 1e-6  # is_hessian_metric residual below which a metric is Hessian
 CLOSEDNESS_SAMPLES = 50  # points is_hessian_metric tests
@@ -151,7 +151,7 @@ POTENTIAL_RECIPROCITY_TOL = 1e-5  # check_reciprocity residual reconstruct_poten
 def is_hessian_metric(G: MetricField, seed: int = 0) -> dict:
     """Closedness test dG_jk/dx_i = dG_ik/dx_j at CLOSEDNESS_SAMPLES points."""
     xs = G.domain.shrink(0.9).sample(CLOSEDNESS_SAMPLES, seed=seed)
-    J = finite_difference_jacobian(G.rows, xs, METRIC_PARTIAL_STEP)  # [n, i, j, k] = dG_ij/dx_k
+    J = finite_difference_jacobian(G.rows, xs, METRIC_STEP)  # [n, i, j, k] = dG_ij/dx_k
     worst = float(np.max(np.abs(J - J.transpose(0, 3, 2, 1)), initial=0.0))
     return {"hessian": bool(worst <= CLOSEDNESS_TOL), "residual": worst}
 

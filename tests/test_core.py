@@ -496,13 +496,8 @@ def test_validate_metric_field_checks_the_batched_contract():
         validate_metric_field(per_point)
     assert info.value.name == "metric-batched" and "rows" in str(info.value)
     validate_metric_field(MetricField(2, per_point.eval, box))
-    # so are a batched metric's partials: zeros of a constant map stacks, x[1] does not
-    G = MetricField.constant(M + M.T, box)
-    assert np.array_equal(G.partial_rows(xs), [G.partials(x) for x in xs])
-    bad = dataclasses.replace(G, partials=lambda x: np.zeros((2, 2, 2)) * x[1])
-    with pytest.raises(AssumptionError) as info:
-        validate_metric_field(bad)
-    assert info.value.name == "metric-batched" and "partial_rows" in str(info.value)
+    with pytest.raises(TypeError):  # batched is keyword-only
+        MetricField(2, per_point.eval, box, True)
     # without a stacked Hessian the metric of a field is per point
     assert not MetricField.from_hessian(ScalarField(2, lambda x: float(x @ x), box)).batched
 
@@ -528,25 +523,3 @@ def test_validate_metric_field():
     with pytest.raises(AssumptionError):
         validate_metric_field(
             MetricField(2, lambda x: np.array([[1.0, x[0]], [0.0, 1.0]]), box))
-
-
-def test_validate_metric_field_checks_supplied_partials():
-    box = BoxDomain.cube(2)
-
-    def G(x):
-        return np.diag([1.0 + x[1] ** 2, -2.0])
-
-    def partials(x):
-        J = np.zeros((2, 2, 2))
-        J[0, 0, 1] = 2.0 * x[1]
-        return J
-
-    assert validate_metric_field(MetricField(2, G, box, partials)) == 0.0
-    # index order swapped: dG_ab/dx_c stored at [c, a, b]
-    with pytest.raises(AssumptionError) as exc:
-        validate_metric_field(MetricField(2, G, box, lambda x: partials(x).transpose(2, 0, 1)))
-    assert exc.value.name == "metric-partials"
-    with pytest.raises(AssumptionError):
-        validate_metric_field(MetricField(2, G, box, lambda x: np.zeros((2, 2))))
-    # the zeros that constant metrics carry are exact
-    assert validate_metric_field(MetricField.constant(np.diag([1.0, -2.0]), box)) == 0.0

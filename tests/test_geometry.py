@@ -355,22 +355,26 @@ def _bm_case(n_times=2001):
     return bundle, nominal
 
 
-def test_external_reciprocity_closed_form_partials_skip_the_stencil():
+def test_external_reciprocity_constant_metric_skips_the_connection_term():
     bundle, nominal = _bm_case()
     metric = bundle.metric
-    evals = []
+    calls = []
 
-    def counting(x):
-        evals.append(1)
-        return metric.eval(x)
+    def counting(X):
+        calls.append(len(X))
+        return metric.eval(X)
 
-    G = MetricField(metric.dim, counting, metric.domain, partials=metric.partials)
-    rep = external_reciprocity_test(bundle.affine, G, nominal, delta_x0=[0.1, -0.05],
-                                    sigma=bundle.sigma)
+    def never(x):
+        raise AssertionError("xdot is evaluated although the connection term is 0")
+
+    G = MetricField(metric.dim, counting, metric.domain, batched=True)
+    sys = dataclasses.replace(bundle.affine, f=never)  # f enters only xdot = F(x, u)
+    rep = external_reciprocity_test(sys, G, nominal, delta_x0=[0.1, -0.05], sigma=bundle.sigma)
     assert rep.probes == 2 and rep.max_output_gap == 0.0
-    # the batched metric check at the 2000 midpoints and G(x(t)) on the 2001
-    # grid points; no stencil
-    assert len(evals) == 2000 + 2001
+    # 2 + 2 dim rows calls: the metric check at the 2000 midpoints, the stencil around
+    # them, whose exact zeros leave the connection term out, and G(x(t)) on the 2001
+    # grid points
+    assert calls == [2000] * (1 + 2 * metric.dim) + [2001]
 
 
 @pytest.mark.parametrize("n_probes", [1, 3])
@@ -396,32 +400,31 @@ def test_external_reciprocity_linearizes_once_per_call(n_probes):
     assert calls == {"df_dx": 1, "dh_dx": 2}
 
 
-def test_closed_form_partials_give_the_stencil_dual():
+def test_dual_input_and_output_matrices_are_the_transposed_jacobians():
     bundle, nominal = _bm_case(201)
-    box = bundle.metric.domain
 
     def G_of(x):
         return np.diag([1.0 + x[1] ** 2, -1.0 - 0.5 * x[0] ** 2])
 
-    def partials(x):
-        J = np.zeros((2, 2, 2))
-        J[0, 0, 1], J[1, 1, 0] = 2.0 * x[1], -x[0]
-        return J
-
-    primal, closed = _linearization(bundle.affine, nominal, None,
-                                    MetricField(2, G_of, box, partials))
-    _, stencil = _linearization(bundle.affine, nominal, None, MetricField(2, G_of, box))
-    # the dual state matrices and the primal's, all at the step midpoints
-    np.testing.assert_allclose(closed[0], stencil[0], rtol=0, atol=1e-8)
-    assert not np.allclose(closed[0], primal[0].transpose(0, 2, 1))
-    # dual B = C^T at the midpoints and dual C = B^T on the grid, each against the
-    # Jacobian at its own points
+    primal, dual = _linearization(bundle.affine, nominal, None,
+                                  MetricField(2, G_of, bundle.metric.domain))
     gen, x, u = bundle.affine.to_general(), nominal.states, nominal.inputs
     xm, um = 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+    # the dual state matrix A^T + 2 Gamma.xdot, against Gamma from the closed-form partials
+    J = np.zeros((len(xm), 2, 2, 2))  # dG_ab/dx_c
+    J[:, 0, 0, 1], J[:, 1, 1, 0] = 2.0 * xm[:, 1], -xm[:, 0]
+    lower = 0.5 * (J + J.transpose(0, 1, 3, 2) - J.transpose(0, 3, 1, 2))
+    gam = np.linalg.inv([G_of(v) for v in xm]) @ lower.reshape(-1, 2, 4)
+    want = primal[0].transpose(0, 2, 1) + 2.0 * np.einsum(
+        "nabc,nc->nba", gam.reshape(-1, 2, 2, 2), gen.F_rows(xm, um))
+    np.testing.assert_allclose(dual[0], want, rtol=0, atol=1e-8)
+    assert not np.allclose(dual[0], primal[0].transpose(0, 2, 1))
+    # dual B = C^T at the midpoints and dual C = B^T on the grid, each against the
+    # Jacobian at its own points
     assert np.array_equal(primal[1], gen.jac_F_u(xm, um))
     assert np.array_equal(primal[2], gen.jac_H_x(x, u))
-    assert np.array_equal(closed[1], gen.jac_H_x(xm, um).transpose(0, 2, 1))
-    assert np.array_equal(closed[2], gen.jac_F_u(x, u).transpose(0, 2, 1))
+    assert np.array_equal(dual[1], gen.jac_H_x(xm, um).transpose(0, 2, 1))
+    assert np.array_equal(dual[2], gen.jac_F_u(x, u).transpose(0, 2, 1))
 
 
 def test_linearization_takes_the_integrators_own_midpoints():
@@ -439,6 +442,20 @@ def test_linearization_takes_the_integrators_own_midpoints():
     um = np.stack([u(t) for t in midpoints(times)])
     # the points the integrator evaluated its field at, not a fit through the grid
     assert np.array_equal(A, gen.jac_F_x(0.5 * (x[1:] + x[:-1]), um))
+
+
+def test_variational_test_calls_u_signal_at_the_midpoints_only():
+    bundle, nominal = _bm_case(201)
+    times = []
+
+    def u(t):
+        times.append(t)
+        return np.zeros(1)
+
+    external_reciprocity_test(bundle.affine, bundle.metric, nominal, u_signal=u,
+                              sigma=bundle.sigma)
+    # u on the grid is the nominal's own input rows
+    assert np.array_equal(times, midpoints(nominal.times))
 
 
 def test_simulate_ltv_probe_columns_match_single_probes():

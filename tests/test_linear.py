@@ -436,6 +436,28 @@ def test_split_port_hamiltonian_transformed_coordinates():
         np.testing.assert_allclose(W2, W1, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_port_hamiltonian_definite_metric(n):
+    # G = Q positive definite: the whole state is the first block (k = n), z = T^-1 x
+    rng = np.random.default_rng(40 + n)
+    W, V = rng.standard_normal((2, n, n))
+    G = W @ W.T / n + 0.5 * np.eye(n)
+    P = V @ V.T / n
+    pg = LinearPseudoGradientForm(G, P, rng.standard_normal((2, n)), np.zeros((2, 2)),
+                                  SignatureMatrix.identity(2))
+    form = split_port_hamiltonian_form(pg, G)
+    assert form.k == n and form.Q2.shape == (0, 0)
+    np.testing.assert_array_equal(form.Q1, np.eye(n))
+    np.testing.assert_allclose(form.J, -form.J.T, atol=1e-14)
+    assert np.linalg.eigvalsh(form.R).min() >= -1e-12
+    sys, back = pg.to_linear_system(), form.to_linear_system()
+    np.testing.assert_allclose(form.x_from_z @ back.A @ form.z_from_x, sys.A, atol=1e-12)
+    times = np.linspace(0.0, 3.0, 7)
+    markov = [_expm_rows(s.A * times[:, None, None]) for s in (sys, back)]
+    np.testing.assert_allclose(back.C @ markov[1] @ back.B, sys.C @ markov[0] @ sys.B,
+                               atol=1e-12)
+
+
 def test_random_reciprocal_system_properties():
     rng = np.random.default_rng(12)
     for _ in range(10):
