@@ -282,7 +282,6 @@ class HessianPseudoGradientSystem:
     K: ScalarField
     V: ScalarField
     sigma: SignatureMatrix
-    P: Optional[ScalarField] = None
     g: Optional[np.ndarray] = None
     storage: Optional[ScalarField] = None
 
@@ -339,11 +338,8 @@ class HessianPseudoGradientSystem:
                                 storage: Optional[ScalarField] = None
                                 ) -> "HessianPseudoGradientSystem":
         gm = as_matrix(g, (K.dim, sigma.m))
-        if u_box is None:
-            u_box = BoxDomain.cube(sigma.m, 1.0)
-        V = affine_input_potential(P, gm, u_box)
-        return HessianPseudoGradientSystem(K=K, V=V, sigma=sigma, P=P, g=gm,
-                                           storage=storage)
+        V = affine_input_potential(P, gm, u_box or BoxDomain.cube(sigma.m, 1.0))
+        return HessianPseudoGradientSystem(K=K, V=V, sigma=sigma, g=gm, storage=storage)
 
 
 @dataclass(frozen=True)
@@ -625,7 +621,6 @@ class RelaxationCertificate:
     worst_inequality: float
     storage: Optional[ScalarField]
     storage_floor_ok: Optional[bool]
-    details: dict
 
 
 def _stacked(rows: Callable) -> Callable:
@@ -645,12 +640,12 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
     """Certify relaxation structure of a Hessian pseudo-gradient system.
 
     Requires a definite sign pattern: with sigma = +I the sampled inequality
-    is x.dV/dx - u.dV/du >= 0, with sigma = -I it is x.dV/dx + u.dV/du >= 0.
-    For the internal form V = P(x) - x^T g u (sigma = +I) the specialized
-    condition x.grad P(x) >= 0 is used instead; its input couplings x -> g_j.x
-    are degree-1 homogeneous by construction.  On success the storage
-    K*(grad K) is returned and its floor at the origin is verified on the
-    sampled set.
+    is x.dV/dx - u.dV/du >= 0, with sigma = -I it is x.dV/dx + u.dV/du >= 0
+    (for the internal form V = P(x) - x^T g u, sigma = +I, the u terms cancel
+    and it reads x.grad P(x) >= 0).  One (x, u) stack over the shrunk state box
+    times u_box serves the metric check, the inequality and the storage floor.
+    On success the storage K*(grad K) is returned and its floor at the origin
+    is verified on the sampled states.
     """
     if sys.sigma.is_identity:
         mode = "+I"
@@ -659,26 +654,18 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
     else:
         raise DimensionMismatchError("relaxation certification needs sigma = +I or sigma = -I")
 
-    xs = sys.K.domain.shrink(0.95).sample(n_samples, seed=seed)
-    H = sys.K.hess_rows(xs)
+    X, U = _state_input_stacks(sys, u_box, n_samples, seed)
+    H = sys.K.hess_rows(X)
     # eigvalsh does not propagate NaN, so a non-finite Hessian gets a NaN eigenvalue
     eigs = np.where(np.isfinite(H).all(axis=(1, 2)), np.linalg.eigvalsh(H).min(axis=1), np.nan)
     for i in np.flatnonzero(~(eigs > PD_FLOOR))[:1]:
         raise NotRelaxationError(
-            f"hess K has eigenvalue {eigs[i]:.3e} <= {PD_FLOOR} at x={xs[i]}; "
+            f"hess K has eigenvalue {eigs[i]:.3e} <= {PD_FLOOR} at x={X[i]}; "
             "not a relaxation candidate")
 
-    details: dict = {"points": len(xs)}
-    if mode == "+I" and sys.P is not None and sys.g is not None:
-        vals = np.vecdot(xs, sys.P.grad_rows(xs))
-        # x -> g_j.x is linear for the constant matrix g, hence degree-1 homogeneous
-        details["input_couplings_degree_one"] = True
-    else:
-        X, U = _state_input_stacks(sys, u_box, n_samples, seed)
-        G, sign = sys.V.grad_rows(np.hstack([X, U])), 1.0 if mode == "-I" else -1.0
-        vals = np.vecdot(X, G[:, :sys.nx]) + sign * np.vecdot(U, G[:, sys.nx:])
-        details["points"] = len(X)
-    worst = float(np.min(vals, initial=np.inf))
+    G, sign = sys.V.grad_rows(np.hstack([X, U])), 1.0 if mode == "-I" else -1.0
+    worst = float(np.min(np.vecdot(X, G[:, :sys.nx]) + sign * np.vecdot(U, G[:, sys.nx:]),
+                         initial=np.inf))
     ok = worst >= -tol
 
     storage = None
@@ -687,9 +674,7 @@ def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,
         storage = _conjugate_storage(sys.K)
         if sys.K.domain.contains(np.zeros(sys.nx)):
             s0 = storage(np.zeros(sys.nx))
-            floor_ok = bool(np.all(storage.value_rows(xs) >= s0 - 1e-10))
-        details["storage_is_conjugate_pullback"] = True
+            floor_ok = bool(np.all(storage.value_rows(X) >= s0 - 1e-10))
     return RelaxationCertificate(
         relaxation=bool(ok), mode=mode, min_metric_eigenvalue=float(np.min(eigs, initial=np.inf)),
-        worst_inequality=worst, storage=storage, storage_floor_ok=floor_ok,
-        details=details)
+        worst_inequality=worst, storage=storage, storage_floor_ok=floor_ok)

@@ -311,7 +311,7 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
         raise DomainError("homogeneity check needs 0 in the closed domain box")
     half = BoxDomain(0.5 * box.lower, 0.5 * box.upper)
 
-    k0 = K(np.clip(np.zeros(K.dim), box.lower, box.upper))
+    k0 = K(np.zeros(K.dim))
     X = half.shrink(0.98).sample(samples, seed=seed)
     kx = K.value_rows(X)
     ks = np.vecdot(K.grad_rows(X), X) - kx

@@ -11,7 +11,7 @@ exposes a port-Hamiltonian structure with indefinite metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -376,8 +376,7 @@ def spd_geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
-                                   lmi_tol: float = 1e-8,
-                                   sigma: Optional[SignatureMatrix] = None) -> dict:
+                                   lmi_tol: float = 1e-8, *, sigma: SignatureMatrix) -> dict:
     """Iterate Q <- Q # (G Q^-1 G) to a storage compatible with the metric.
 
     Fixed points satisfy Q = G Q^-1 G.  For positive definite G the unique
@@ -388,12 +387,10 @@ def compatible_storage_fixed_point(sys: LinearSystem, G, Q0, tol: float = 1e-11,
     or Q0 fails the passivity LMI.
     """
     Gm = _check_metric(G, sys.n)
-    if sigma is not None:
-        chk = check_linear_reciprocity(sys, Gm, sigma)
-        if not chk.reciprocal:
-            raise AssumptionError(
-                "reciprocity", f"system not reciprocal for (G, sigma): residual {chk.residual:.3e}",
-                chk)
+    chk = check_linear_reciprocity(sys, Gm, sigma)
+    if not chk.reciprocal:
+        raise AssumptionError("reciprocity", "system not reciprocal for (G, sigma): "
+                              f"residual {chk.residual:.3e}", chk)
     Q = as_matrix(Q0, (sys.n, sys.n))
     if not symmetry_residual(Q) <= 1e-10:
         raise DimensionMismatchError("Q0 must be symmetric")
@@ -537,5 +534,5 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
 
     J = np.block([[np.zeros((k, k)), -Pc], [Pc.T, np.zeros((n - k, n - k))]])
     return SplitPortHamiltonianForm(
-        T=T, z_from_x=z_from_x, x_from_z=np.linalg.inv(z_from_x),
+        T=T, z_from_x=z_from_x, x_from_z=T,
         J=J, R=_block_diag(P1, -P2), Q1=Q1, Q2=Q2, P1=P1, P2=P2, Pc=Pc, C1=C1, D=pg.D, k=k)

@@ -592,8 +592,7 @@ def _brayton_moser_bundle() -> ModelBundle:
     return ModelBundle(
         name="brayton-moser", kind="affine",
         description="passive LC circuit with nonlinear series resistor, indefinite metric",
-        affine=model.as_affine(), metric=model.metric_field(), sigma=model.sigma(),
-        hpg=model.as_hessian_pseudo_gradient(ubox), u_box=ubox)
+        affine=model.as_affine(), metric=model.metric_field(), sigma=model.sigma(), u_box=ubox)
 
 
 def _swing_bundle() -> ModelBundle:
@@ -604,8 +603,7 @@ def _swing_bundle() -> ModelBundle:
         name="swing", kind="port_hamiltonian",
         description="two-machine swing network, co-energy coordinates available",
         ph=model.as_port_hamiltonian(), split=model.conversion_split(),
-        hpg=hpg, sigma=hpg.sigma, metric=MetricField.from_hessian(hpg.K),
-        u_box=ubox)
+        hpg=hpg, sigma=hpg.sigma, u_box=ubox)
 
 
 def _rc_bundle(fixture: RcCircuitModel, name: str, description: str) -> ModelBundle:

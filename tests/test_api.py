@@ -61,7 +61,7 @@ DEFAULTED = {
     "linear.check_linear_reciprocity": ("tol",),
     "linear.impulse_response_symmetry": ("tol",),
     "linear.lmi_residual": ("tol",),
-    "linear.compatible_storage_fixed_point": ("tol", "lmi_tol", "sigma"),
+    "linear.compatible_storage_fixed_point": ("tol", "lmi_tol"),
     "legendre.legendre_transform": ("x_init",),
     "legendre.make_legendre_pair": ("samples", "seed", "verify", "round_trip_tol",
                                     "biconjugate_tol", "hessian_tol"),
@@ -76,7 +76,7 @@ DEFAULTED = {
     "geometry.external_reciprocity_test": ("probe_inputs", "tol", "delta_x0", "u_signal",
                                            "sigma"),
     "dynamics.Trajectory": ("monitors",),
-    "dynamics.HessianPseudoGradientSystem": ("P", "g", "storage"),
+    "dynamics.HessianPseudoGradientSystem": ("g", "storage"),
     "dynamics.HessianPseudoGradientSystem.from_internal_potential": ("u_box", "storage"),
     "dynamics.PortHamiltonianSystem": ("R", "R_jac"),
     "dynamics.integrate_implicit_midpoint": ("mass", "rhs_jac", "domain"),
@@ -149,7 +149,7 @@ def test_defaulted_parameter_snapshot():
     surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
                for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 119
+    assert sum(len(names) for names in surface.values()) == 117
 
 
 def _used_names(tree):

@@ -514,16 +514,25 @@ def test_certify_relaxation_scalar_fixture():
     assert cert.storage_floor_ok
 
 
-def test_certify_relaxation_internal_form():
+def internal_form_rc_cell():
     # RC cell in internal form: K = P = x^2/2, g = 1, sigma = +I
     box = BoxDomain.cube(1, halfwidth=2.0)
+    P = quadratic_field([[1.0]], box)
     sys = HessianPseudoGradientSystem.from_internal_potential(
-        quadratic_field([[1.0]], box), quadratic_field([[1.0]], box), [[1.0]],
-        SignatureMatrix.identity(1), u_box=BoxDomain.cube(1))
+        quadratic_field([[1.0]], box), P, [[1.0]], SignatureMatrix.identity(1),
+        u_box=BoxDomain.cube(1))
+    return sys, P
+
+
+def test_certify_relaxation_internal_form():
+    sys, P = internal_form_rc_cell()
     cert = certify_relaxation(sys, n_samples=60)
     assert cert.relaxation
     assert cert.mode == "+I"
-    assert cert.details["input_couplings_degree_one"]
+    # the u terms of x.dV/dx - u.dV/du cancel for V = P(x) - x^T g u: x.grad P(x) is left
+    xs = sys.K.domain.shrink(0.95).sample(60, seed=0)
+    assert cert.worst_inequality == pytest.approx(np.min(np.vecdot(xs, P.grad_rows(xs))),
+                                                  abs=1e-14)
     # conjugate storage of K = x^2/2 is itself
     assert cert.storage(np.array([0.8])) == pytest.approx(0.32, abs=1e-12)
 
@@ -552,6 +561,10 @@ def test_certify_relaxation_refuses_an_input_box_of_another_dimension():
     sys = RcCircuitModel.scalar_fixture().as_relaxation()
     with pytest.raises(DimensionMismatchError, match="input box dimension 2"):
         certify_relaxation(sys, u_box=BoxDomain.cube(2), n_samples=20)
+    # the internal form samples the same (x, u) stack, so it refuses the box too
+    sys, _ = internal_form_rc_cell()
+    with pytest.raises(DimensionMismatchError, match="input box dimension 3"):
+        certify_relaxation(sys, u_box=BoxDomain.cube(3), n_samples=20)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +583,9 @@ def test_ph_conversion_swing_matches_analytic_fields():
     s_off = res.system.storage(dom.center) - S_analytic(dom.center)
     for x in dom.sample(12, seed=3):
         assert res.system.K(x) - K_analytic(x) == pytest.approx(k_off, abs=1e-8)
-        assert res.system.P(x) == pytest.approx(P_analytic(x), abs=1e-10)
+        # at u = 0 the joint potential P(x) - x^T g u is the converted P
+        w = np.concatenate([x, np.zeros(res.system.nu)])
+        assert res.system.V(w) == pytest.approx(P_analytic(x), abs=1e-10)
         assert res.system.storage(x) - S_analytic(x) == pytest.approx(s_off, abs=1e-8)
     assert res.report["I_structure_gap"] == 0.0
     assert res.report["III_rayleigh_gap"] <= 1e-10

@@ -393,6 +393,15 @@ def test_compatible_storage_rejects_non_reciprocal():
                                        np.eye(2), sigma=sigma)
 
 
+def test_compatible_storage_needs_sigma_by_keyword():
+    # the reciprocity precondition always runs, so there is no call without sigma
+    sys, G, sigma = gyrator_fixture()
+    with pytest.raises(TypeError):
+        compatible_storage_fixed_point(sys, G, np.diag([1.0, 2.0]))
+    with pytest.raises(TypeError):
+        compatible_storage_fixed_point(sys, G, np.diag([1.0, 2.0]), 1e-11, 1e-8, sigma)
+
+
 def test_split_port_hamiltonian_fixture_frozen_values():
     sys, G, sigma = gyrator_fixture()
     pg = to_pseudo_gradient(sys, G, sigma)

@@ -4,7 +4,10 @@ The 8 model subcommands run on each registry model, and `legendre` and `christof
 each registry field: 70 runs in one process.  Each run's exit code is compared with
 tests/registry_reports.json, and so is each report.json it writes: strings, booleans,
 integers and nulls exactly, floats within FLOAT_TOL * (1 + |reference|), so that rounding
-in the last digits on another BLAS passes while a moved verdict or margin fails.
+in the last digits on another BLAS passes while a moved verdict or margin fails.  A small
+margin, |reference| in MARGIN_BAND, must also keep its sign and stay within a factor 2,
+since the absolute floor alone would let it move tenfold; rounding-level numbers below
+the band keep the floor only.
 
 A change that moves an answer rewrites the table and quotes its diff:
 
@@ -24,6 +27,7 @@ from recipkit.schema import MODEL_PATH_ENV
 
 FIXTURE = Path(__file__).with_name("registry_reports.json")
 FLOAT_TOL = 1e-9
+MARGIN_BAND = (1e-13, 1e-6)
 MODEL_COMMANDS = ("check-reciprocity", "check-passivity", "compatible-q", "recover-g",
                   "variational-test", "simulate", "certify-relaxation", "convert-ph")
 FIELD_COMMANDS = ("legendre", "christoffel")
@@ -57,11 +61,14 @@ def _number(v) -> bool:
 
 def mismatches(got, want, where="") -> list:
     """Paths at which got differs from want: numbers within FLOAT_TOL * (1 + |want|), which
-    is exact for integers below 1e9 (json writes an integral float as an integer), all else
+    is exact for integers below 1e9 (json writes an integral float as an integer), and
+    within a factor 2 of want, sign included, when |want| is in MARGIN_BAND; all else
     exactly."""
     if _number(want) and _number(got):
-        return [] if abs(got - want) <= FLOAT_TOL * (1.0 + abs(want)) else [
-            f"{where}: {got!r} != {want!r}"]
+        near = abs(got - want) <= FLOAT_TOL * (1.0 + abs(want))
+        if MARGIN_BAND[0] <= abs(want) <= MARGIN_BAND[1]:
+            near = near and 0.5 <= got / want <= 2.0
+        return [] if near else [f"{where}: {got!r} != {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict):
         if got.keys() != want.keys():
             return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
@@ -88,6 +95,26 @@ def test_float_comparison_is_relative_and_types_are_exact():
     assert mismatches(True, 1) != [] and mismatches(1, True) != []
     assert mismatches("a", "b") != [] and mismatches(None, 0.0) != []
     assert mismatches({"a": 1}, {"a": 1, "b": 2}) != [] and mismatches([1], [1, 1]) != []
+    # a small margin keeps its sign and its size within a factor 2; rounding noise does not
+    assert mismatches(1.9e-10, 1e-10) == [] and mismatches(2.1e-10, 1e-10) != []
+    assert mismatches(-1e-10, 1e-10) != [] and mismatches(0.0, 1e-10) != []
+    assert mismatches(-3e-16, 2e-16) == []
+
+
+def _numbers(node):
+    """Every number in a JSON tree."""
+    if _number(node):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _numbers(child)
+
+
+def test_a_tenfold_move_of_any_small_fixture_margin_fails():
+    small = [v for v in _numbers(json.loads(FIXTURE.read_text()))
+             if MARGIN_BAND[0] <= abs(v) <= MARGIN_BAND[1]]
+    assert small
+    assert [(v, f) for v in small for f in (10.0, 0.1) if mismatches(f * v, v) == []] == []
 
 
 if __name__ == "__main__":
