@@ -1,8 +1,9 @@
-"""Every registry command against a committed table of its answers.
+"""Every registry command, and a few JSON documents, against a committed table of answers.
 
 The 8 model subcommands run on each registry model, and `legendre` and `christoffel` on
-each registry field: 70 runs in one process.  Each run's exit code is compared with
-tests/registry_reports.json, and so is each report.json it writes: strings, booleans,
+each registry field: 70 runs.  The subcommands that apply to each document in DOCUMENTS
+run on it with --input <name>.json.  All run in one process.  Each run's exit code is
+compared with tests/registry_reports.json, and so is each report.json it writes: strings, booleans,
 integers and nulls exactly, floats within FLOAT_TOL * (1 + |reference|), so that rounding
 in the last digits on another BLAS passes while a moved verdict or margin fails.  A small
 margin, |reference| in MARGIN_BAND, must also keep its sign and stay within a factor 2,
@@ -33,21 +34,67 @@ MODEL_COMMANDS = ("check-reciprocity", "check-passivity", "compatible-q", "recov
 FIELD_COMMANDS = ("legendre", "christoffel")
 
 
+def _poly(dim, terms):
+    return {"polynomial": {"dim": dim,
+                           "terms": [{"exponents": e, "coeff": c} for e, c in terms]}}
+
+
+QUARTIC_P = _poly(2, [([2, 0], 0.5), ([0, 2], 0.5), ([4, 0], 0.25), ([1, 1], 0.2)])
+CONVEX_K = _poly(2, [([2, 0], 0.5), ([0, 2], 0.5), ([4, 0], 1 / 12), ([0, 4], 1 / 12)])
+# name -> document: nonlinear systems on a constant, an indefinite and two Hessian
+# metrics, and pseudo-gradient systems in the (P, g) and the joint-potential form
+DOCUMENTS = {
+    "nonlinear-constant": {"kind": "nonlinear", "potential": QUARTIC_P,
+                           "metric": {"constant": [[2.0, 0.5], [0.5, 1.0]]},
+                           "g": [[1.0], [0.5]]},
+    "nonlinear-indefinite": {"kind": "nonlinear", "potential": QUARTIC_P,
+                             "metric": {"constant": [[1.0, 0.0], [0.0, -1.0]]},
+                             "g": [[1.0], [0.0]]},
+    "nonlinear-hessian-of": {"kind": "nonlinear", "potential": QUARTIC_P,
+                             "metric": {"hessian_of": CONVEX_K}, "g": [[1.0], [0.5]]},
+    "nonlinear-hessian-of-cosh": {"kind": "nonlinear", "potential": QUARTIC_P,
+                                  "metric": {"hessian_of": {"builtin": "cosh"}},
+                                  "g": [[0.5], [1.0]]},
+    "hpg-internal": {"kind": "hessian_pseudo_gradient", "K": CONVEX_K, "P": QUARTIC_P,
+                     "g": [[1.0], [0.5]]},
+    "hpg-joint": {"kind": "hessian_pseudo_gradient", "K": CONVEX_K,
+                  "V": _poly(3, [([2, 0, 0], 0.5), ([0, 2, 0], 0.5), ([4, 0, 0], 0.25),
+                                 ([1, 0, 1], -1.0), ([0, 0, 2], 1.0)]),
+                  "sigma": [-1]},
+}
+# document kind -> the subcommands (with options) that apply to it
+DOCUMENT_COMMANDS = {
+    "nonlinear": (("check-reciprocity",), ("variational-test", "--horizon", "0.1")),
+    "hessian_pseudo_gradient": (("check-reciprocity",), ("simulate", "--horizon", "2"),
+                                ("certify-relaxation",)),
+}
+
+
 def registry_commands() -> list:
     """argv of every registry run: model subcommands by model, then field subcommands."""
     return ([[c, "--model", m] for c in MODEL_COMMANDS for m in model_registry()]
             + [[c, "--field", f] for c in FIELD_COMMANDS for f in field_registry()])
 
 
+def document_commands() -> list:
+    """argv of every document run, --input naming the document's file, <name>.json."""
+    return [[*cmd, "--input", f"{name}.json"] for name, doc in DOCUMENTS.items()
+            for cmd in DOCUMENT_COMMANDS[doc["kind"]]]
+
+
 def run_all() -> dict:
-    """' '.join(argv) -> {"exit": code, "report": report.json or None}, in one process."""
+    """' '.join(argv) -> {"exit": code, "report": report.json or None}, in one process;
+    the documents are written to a temporary directory that --input resolves against."""
     table = {}
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
             redirect_stdout(null), redirect_stderr(null):
-        for i, argv in enumerate(registry_commands()):
+        for name, doc in DOCUMENTS.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(doc))
+        for i, argv in enumerate(registry_commands() + document_commands()):
             out = Path(tmp) / str(i)
             out.mkdir()
-            code = main([*argv, "--out", str(out)])
+            run = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
+            code = main([*run, "--out", str(out)])
             report = out / "report.json"
             table[" ".join(argv)] = {
                 "exit": code,
@@ -84,7 +131,7 @@ def mismatches(got, want, where="") -> list:
 def test_registry_reports_match_the_fixture(monkeypatch):
     monkeypatch.delenv(MODEL_PATH_ENV, raising=False)
     want = json.loads(FIXTURE.read_text())
-    assert len(want) == 70
+    assert len(registry_commands()) == 70 and len(want) == 70 + len(document_commands())
     assert mismatches(run_all(), want) == []
 
 
