@@ -25,7 +25,6 @@ from .core import (
     BoxDomain,
     DimensionMismatchError,
     MetricField,
-    NonlinearSystem,
     RecipkitError,
     SchemaError,
 )
@@ -214,13 +213,6 @@ def _start(args, n: int, domain: BoxDomain, m: int):
     return x0, lambda t: const + amp * np.sin(2.0 * np.pi * freq * t) * np.ones(m)
 
 
-def _hpg_nonlinear_facade(hpg) -> NonlinearSystem:
-    def F(x, u):
-        return np.linalg.solve(hpg.K.hess(x), -hpg.V_x(x, u))
-
-    return NonlinearSystem(hpg.nx, hpg.nu, F, hpg.output, hpg.domain)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns its payload; main exits 1 on a false payload["ok"]
 
@@ -259,7 +251,7 @@ def cmd_check_reciprocity(args, tols):
                                            seed=args.seed)
         elif bundle.kind == "hessian_pg":
             hpg = bundle.hpg
-            rep = check_reciprocity_hessian(_hpg_nonlinear_facade(hpg), hpg.K,
+            rep = check_reciprocity_hessian(hpg.to_general(), hpg.K,
                                             hpg.sigma, tol=tol, u_box=bundle.u_box,
                                             n_samples=args.samples, seed=args.seed)
         else:

@@ -266,6 +266,13 @@ def _constant_rows(A: np.ndarray) -> Callable:
     return lambda x: A if np.ndim(x) == 1 else np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
 
 
+def _stacked(rows: Callable) -> Callable:
+    """A map of stacks (N, n), ... that takes a point (n,), ... too, as a batched field's or
+    system's callables do: a point goes through as a stack of one row."""
+    return lambda x, *stacks: (rows(x, *stacks) if np.ndim(x) == 2 else
+                               rows(*(np.asarray(a, dtype=float)[None] for a in (x, *stacks)))[0])
+
+
 def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
     return np.maximum(base, base * np.abs(x))
 

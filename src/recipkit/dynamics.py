@@ -22,10 +22,12 @@ from .core import (
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
+    NonlinearSystem,
     RecipkitError,
     ScalarField,
     SignatureMatrix,
     _mv,
+    _stacked,
     as_matrix,
     as_vector,
     finite_difference_jacobian,
@@ -331,6 +333,17 @@ class HessianPseudoGradientSystem:
             return self.sigma.signs * _mv(self.g.T, X)
         return self.sigma.signs * -self.V.grad_rows(np.hstack([X, U]))[:, self.nx:]
 
+    def to_general(self) -> NonlinearSystem:
+        """The same system as x_dot = F(x, u) = -(hess K)^-1 dV/dx, y = output, batched:
+        F_rows is one solve over K.hess_rows and one V.grad_rows call, H_rows is output_rows.
+        No Jacobians are supplied, so each is the stencil of F_rows or H_rows."""
+        def F_rows(X, U):
+            dV_dx = self.V.grad_rows(np.hstack([X, U]))[:, :self.nx]
+            return np.linalg.solve(self.K.hess_rows(X), -dV_dx[..., None])[..., 0]
+
+        return NonlinearSystem(self.nx, self.nu, _stacked(F_rows), _stacked(self.output_rows),
+                               self.domain, batched=True)
+
     @staticmethod
     def from_internal_potential(K: ScalarField, P: ScalarField, g,
                                 sigma: SignatureMatrix,
@@ -621,11 +634,6 @@ class RelaxationCertificate:
     worst_inequality: float
     storage: Optional[ScalarField]
     storage_floor_ok: Optional[bool]
-
-
-def _stacked(rows: Callable) -> Callable:
-    """A map of stacks (N, n) applied to a point (n,) or to a stack, as a batched field's."""
-    return lambda x: rows(x) if np.ndim(x) == 2 else rows(x[None])[0]
 
 
 def _conjugate_storage(K: ScalarField) -> ScalarField:

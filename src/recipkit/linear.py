@@ -430,17 +430,14 @@ def _block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class SplitPortHamiltonianForm:
     """Split coordinates exposing z_dot = (J - R) grad H(z) + [C1^T; 0] u.
 
-    z = blkdiag(Q1, Q2) T^-1 x, H(z) = z1.Q1^-1 z1 / 2 + z2.Q2^-1 z2 / 2,
+    z = T^-1 x (z_from_x), so x = T z, and H(z) = |z|^2 / 2, grad H(z) = z;
     J = [[0, -Pc], [Pc^T, 0]] skew, R = blkdiag(P1, -P2) >= 0.
     """
 
-    T: np.ndarray                # x = T x_tilde
+    T: np.ndarray
     z_from_x: np.ndarray
-    x_from_z: np.ndarray
     J: np.ndarray
     R: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
     P1: np.ndarray
     P2: np.ndarray
     Pc: np.ndarray
@@ -453,11 +450,10 @@ class SplitPortHamiltonianForm:
         return self.J.shape[0]
 
     def to_linear_system(self) -> LinearSystem:
-        Qinv = np.linalg.inv(_block_diag(self.Q1, self.Q2))
         m = self.C1.shape[0]
         Bz = np.vstack([self.C1.T, np.zeros((self.n - self.k, m))])
-        Cz = np.hstack([self.C1, np.zeros((m, self.n - self.k))]) @ Qinv
-        return LinearSystem((self.J - self.R) @ Qinv, Bz, Cz, self.D)
+        Cz = np.hstack([self.C1, np.zeros((m, self.n - self.k))])
+        return LinearSystem(self.J - self.R, Bz, Cz, self.D)
 
 
 def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
@@ -505,8 +501,6 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
     k = int(np.sum(w > 0))
 
     T = Ri @ V
-    Q1 = np.eye(k)
-    Q2 = np.eye(n - k)
     Pt = T.T @ pg.P @ T
     Pt = 0.5 * (Pt + Pt.T)
     P1 = Pt[:k, :k]
@@ -518,7 +512,7 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
     z_from_x = np.linalg.inv(T)  # Q_tilde = I, so z = T^-1 x
 
     # structural verifications
-    gap = float(np.max(np.abs(T.T @ pg.G @ T - _block_diag(Q1, -Q2))))
+    gap = float(np.max(np.abs(T.T @ pg.G @ T - np.diag(np.sign(w)))))
     if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(pg.G)))):
         raise ConvergenceError("adapted basis failed to block-diagonalize the metric")
     if k and not np.linalg.eigvalsh(P1).min() >= -SIGN_TOL:
@@ -534,5 +528,5 @@ def split_port_hamiltonian_form(pg: LinearPseudoGradientForm, Q) -> SplitPortHam
 
     J = np.block([[np.zeros((k, k)), -Pc], [Pc.T, np.zeros((n - k, n - k))]])
     return SplitPortHamiltonianForm(
-        T=T, z_from_x=z_from_x, x_from_z=T,
-        J=J, R=_block_diag(P1, -P2), Q1=Q1, Q2=Q2, P1=P1, P2=P2, Pc=Pc, C1=C1, D=pg.D, k=k)
+        T=T, z_from_x=z_from_x, J=J, R=_block_diag(P1, -P2), P1=P1, P2=P2, Pc=Pc, C1=C1,
+        D=pg.D, k=k)

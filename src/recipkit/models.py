@@ -144,12 +144,6 @@ class BraytonMoserModel:
 
         return ScalarField(self.n, value, self.domain, gradient=gradient, hessian=hessian)
 
-    def as_hessian_pseudo_gradient(self, u_box: Optional[BoxDomain] = None
-                                   ) -> HessianPseudoGradientSystem:
-        return HessianPseudoGradientSystem.from_internal_potential(
-            self.co_energy(), self.potential(), self.input_columns,
-            SignatureMatrix.identity(self.m), u_box=u_box)
-
     def as_affine(self) -> AffineNonlinearSystem:
         """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians; batched."""
         Ginv = np.linalg.inv(self.metric_matrix)

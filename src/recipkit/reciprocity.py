@@ -131,7 +131,8 @@ def check_reciprocity_hessian(sys: NonlinearSystem, K: ScalarField,
 
     The state condition simplifies to G-self-adjointness of the state
     Jacobian, G dF/dx = (dF/dx)^T G; output and cross conditions are as in
-    the general check, all points stacked.
+    the general check, all points stacked.  For a HessianPseudoGradientSystem
+    pass its to_general() with its K.
     """
     X, U = _state_input_stacks(sys, u_box, n_samples, seed)
 

@@ -28,6 +28,9 @@ from .core import (
     SchemaError,
     SignatureMatrix,
     SingularMatrixError,
+    _constant_rows,
+    _mv,
+    _stacked,
     validate_metric_field,
 )
 from .dynamics import (
@@ -203,18 +206,16 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
     else:
         domain = metric.domain
 
-    def f(x):
-        return np.linalg.solve(metric(x), -P.grad(x))
+    def f_rows(X):  # G(x) f(x) = -grad P(x), one solve over the metric rows
+        return np.linalg.solve(metric.rows(X), -P.grad_rows(X)[..., None])[..., 0]
 
-    def g(x):
-        return np.linalg.solve(metric(x), gmat)
+    def g_rows(X):  # G(x) g(x) = g
+        return np.linalg.solve(metric.rows(X), gmat)
 
-    def h(x):
-        return sigma.apply(gmat.T @ x)
-
-    affine = AffineNonlinearSystem(
-        nx=nx, nu=m, f=f, g=g, h=h, k=lambda x: np.zeros((m, m)),
-        domain=domain, dh_dx=lambda x: sigma.conjugate_rows(gmat.T))
+    affine = AffineNonlinearSystem(  # batched; y = sigma g^T x row by row
+        nx=nx, nu=m, f=_stacked(f_rows), g=_stacked(g_rows),
+        h=_stacked(lambda X: sigma.signs * _mv(gmat.T, X)), k=_constant_rows(np.zeros((m, m))),
+        domain=domain, dh_dx=_constant_rows(sigma.conjugate_rows(gmat.T)), batched=True)
     return ModelBundle(name=name, kind="affine",
                        description=doc.get("description", "user supplied nonlinear system"),
                        affine=affine, metric=metric, sigma=sigma,

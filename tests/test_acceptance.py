@@ -211,23 +211,20 @@ def test_criterion_06_split_normal_form(capsys):
     skew = float(np.max(np.abs(split.J + split.J.T)))
     r_min = float(np.linalg.eigvalsh(0.5 * (split.R + split.R.T)).min())
 
-    n, k = split.n, split.k
-    Hinv = np.zeros((n, n))
-    Hinv[:k, :k] = np.linalg.inv(split.Q1)
-    Hinv[k:, k:] = np.linalg.inv(split.Q2)
+    n, k = split.n, split.k  # H(z) = |z|^2 / 2, so grad H(z) = z
     g_split = np.vstack([split.C1.T, np.zeros((n - k, sys.m))])
     u = lambda t: np.array([0.3 * np.sin(2.0 * t)])
     x0 = np.array([0.5, -0.3])
     t_eval = np.linspace(0.0, 5.0, 101)
     ref = solve_ivp(lambda t, x: sys.A @ x + sys.B @ u(t), (0.0, 5.0), x0,
                     t_eval=t_eval, rtol=1e-11, atol=1e-13)
-    alt = solve_ivp(lambda t, z: (split.J - split.R) @ (Hinv @ z) + g_split @ u(t),
+    alt = solve_ivp(lambda t, z: (split.J - split.R) @ z + g_split @ u(t),
                     (0.0, 5.0), split.z_from_x @ x0,
                     t_eval=t_eval, rtol=1e-11, atol=1e-13)
-    state_gap = float(np.max(np.abs(split.x_from_z @ alt.y - ref.y)))
+    state_gap = float(np.max(np.abs(split.T @ alt.y - ref.y)))
     u_mat = np.stack([u(t) for t in t_eval]).T
     y_ref = sys.C @ ref.y + sys.D @ u_mat
-    y_alt = np.hstack([split.C1, np.zeros((sys.m, n - k))]) @ (Hinv @ alt.y) \
+    y_alt = np.hstack([split.C1, np.zeros((sys.m, n - k))]) @ alt.y \
         + split.D @ u_mat
     out_gap = float(np.max(np.abs(y_alt - y_ref)))
     ok = (skew <= 1e-12 and r_min >= -1e-10

@@ -15,6 +15,7 @@ from recipkit.core import (
     DomainError,
     ScalarField,
     SignatureMatrix,
+    finite_difference_jacobian,
     quadratic_field,
 )
 from recipkit.dynamics import (
@@ -32,7 +33,7 @@ from recipkit.dynamics import (
     simulate_port_hamiltonian,
     simulate_pseudo_gradient,
 )
-from recipkit.models import RcCircuitModel, SwingModel
+from recipkit.models import RcCircuitModel, SwingModel, model_registry
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +377,31 @@ def test_hessian_pseudo_gradient_from_internal_potential():
     np.testing.assert_allclose(sys.V_u(x, u), [-0.8])
     np.testing.assert_allclose(sys.output(x, u), [0.8])
     assert sys.nx == 1 and sys.nu == 1
+
+
+@pytest.mark.parametrize("model", ["swing", "rc-tanh"])
+def test_to_general_is_the_per_point_form_bit_for_bit(model):
+    # swing's K and V evaluate one point per call, rc-tanh's map stacks; the reference is
+    # x_dot = -(hess K)^-1 dV/dx and y = output(x, u), one point at a time
+    hpg = (SwingModel().as_hessian_pseudo_gradient() if model == "swing"
+           else model_registry()[model].hpg)
+    gen = hpg.to_general()
+    X = hpg.domain.shrink(0.9).sample(16, seed=5)
+    U = BoxDomain.cube(hpg.nu).sample(16, seed=6)
+
+    def F(x, u):
+        return np.linalg.solve(hpg.K.hess(x), -hpg.V_x(x, u))
+
+    assert gen.batched and (gen.nx, gen.nu) == (hpg.nx, hpg.nu) and gen.domain is hpg.domain
+    assert np.array_equal(gen.F_rows(X, U), [F(x, u) for x, u in zip(X, U)])
+    assert np.array_equal(gen.H_rows(X, U), [hpg.output(x, u) for x, u in zip(X, U)])
+    for x, u in zip(X[:3], U[:3]):
+        assert np.array_equal(gen.F(x, u), F(x, u))
+        assert np.array_equal(gen.H(x, u), hpg.output(x, u))
+    # no Jacobian is supplied: each is the stencil, row for row the per-point one
+    assert (gen.dF_dx, gen.dF_du, gen.dH_dx, gen.dH_du) == (None,) * 4
+    assert np.array_equal(gen.jac_F_x(X, U), [finite_difference_jacobian(
+        lambda y: F(y, u), x) for x, u in zip(X, U)])
 
 
 def test_port_hamiltonian_system_oscillator():

@@ -455,12 +455,14 @@ def test_split_port_hamiltonian_definite_metric(n):
     pg = LinearPseudoGradientForm(G, P, rng.standard_normal((2, n)), np.zeros((2, 2)),
                                   SignatureMatrix.identity(2))
     form = split_port_hamiltonian_form(pg, G)
-    assert form.k == n and form.Q2.shape == (0, 0)
-    np.testing.assert_array_equal(form.Q1, np.eye(n))
+    assert form.k == n
+    # H(z) = |z|^2 / 2 in z = T^-1 x: the metric is the identity in those coordinates
+    np.testing.assert_allclose(form.T.T @ G @ form.T, np.eye(n), atol=1e-12)
+    np.testing.assert_array_equal(form.z_from_x, np.linalg.inv(form.T))
     np.testing.assert_allclose(form.J, -form.J.T, atol=1e-14)
     assert np.linalg.eigvalsh(form.R).min() >= -1e-12
     sys, back = pg.to_linear_system(), form.to_linear_system()
-    np.testing.assert_allclose(form.x_from_z @ back.A @ form.z_from_x, sys.A, atol=1e-12)
+    np.testing.assert_allclose(form.T @ back.A @ form.z_from_x, sys.A, atol=1e-12)
     times = np.linspace(0.0, 3.0, 7)
     markov = [_expm_rows(s.A * times[:, None, None]) for s in (sys, back)]
     np.testing.assert_allclose(back.C @ markov[1] @ back.B, sys.C @ markov[0] @ sys.B,

@@ -40,15 +40,6 @@ def scalar_linear_system():
     )
 
 
-def hpg_facade(hpg):
-    return NonlinearSystem(
-        hpg.nx, hpg.nu,
-        F=lambda x, u: np.linalg.solve(hpg.metric(x), -hpg.V_x(x, u)),
-        H=lambda x, u: hpg.output(x, u),
-        domain=hpg.domain,
-    )
-
-
 def test_state_input_stacks():
     sys = NonlinearSystem(2, 1, F=lambda x, u: -x, H=lambda x, u: x[:1], domain=BoxDomain.cube(2))
     X, U = _state_input_stacks(sys, BoxDomain.cube(1, 0.5), 30, 0)
@@ -202,7 +193,7 @@ def test_check_reciprocity_affine_detects_metric_perturbation():
 def test_check_reciprocity_hessian_swing():
     swing = SwingModel()
     hpg = swing.as_hessian_pseudo_gradient()
-    rep = check_reciprocity_hessian(hpg_facade(hpg), hpg.K, hpg.sigma, n_samples=40)
+    rep = check_reciprocity_hessian(hpg.to_general(), hpg.K, hpg.sigma, n_samples=40)
     assert rep.reciprocal
     assert rep.max_residual < 1e-5
 
