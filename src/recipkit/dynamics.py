@@ -26,6 +26,7 @@ from .core import (
     RecipkitError,
     ScalarField,
     SignatureMatrix,
+    _constant_rows,
     _mv,
     _stacked,
     as_matrix,
@@ -44,7 +45,6 @@ __all__ = [
     "DissipationReport",
     "RelaxationCertificate",
     "NotRelaxationError",
-    "affine_input_potential",
     "integrate_implicit_midpoint",
     "simulate_pseudo_gradient",
     "simulate_port_hamiltonian",
@@ -252,31 +252,6 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     return times, np.stack(states)
 
 
-def affine_input_potential(P: ScalarField, g, u_box: BoxDomain) -> ScalarField:
-    """Joint potential V(x, u) = P(x) - x^T g u with analytic derivatives."""
-    gm = as_matrix(g)
-    nx, nu = gm.shape
-    if P.dim != nx or u_box.dim != nu:
-        raise DimensionMismatchError("P/g/u_box dimensions are inconsistent")
-
-    def value(w):
-        x, u = w[:nx], w[nx:]
-        return P(x) - float(x @ gm @ u)
-
-    def gradient(w):
-        x, u = w[:nx], w[nx:]
-        return np.concatenate([P.grad(x) - gm @ u, -(gm.T @ x)])
-
-    def hessian(w):
-        x = w[:nx]
-        top = np.hstack([P.hess(x), -gm])
-        bot = np.hstack([-gm.T, np.zeros((nu, nu))])
-        return np.vstack([top, bot])
-
-    return ScalarField(nx + nu, value, BoxDomain.product(P.domain, u_box),
-                       gradient=gradient, hessian=hessian)
-
-
 @dataclass(frozen=True)
 class HessianPseudoGradientSystem:
     """hess K(x) x_dot = -dV/dx(x, u), sigma y = -dV/du(x, u)."""
@@ -284,15 +259,12 @@ class HessianPseudoGradientSystem:
     K: ScalarField
     V: ScalarField
     sigma: SignatureMatrix
-    g: Optional[np.ndarray] = None
     storage: Optional[ScalarField] = None
 
     def __post_init__(self):
         if self.V.dim != self.K.dim + self.sigma.m:
             raise DimensionMismatchError(
                 f"V lives on dim {self.V.dim}, expected {self.K.dim}+{self.sigma.m}")
-        if self.g is not None:
-            object.__setattr__(self, "g", as_matrix(self.g, (self.K.dim, self.sigma.m)))
 
     @property
     def nx(self) -> int:
@@ -328,9 +300,7 @@ class HessianPseudoGradientSystem:
         return self.sigma.apply(-self.V_u(x, u))
 
     def output_rows(self, X, U) -> np.ndarray:
-        """output on stacks X, U: sigma g^T x for the internal form, else from V.grad_rows."""
-        if self.g is not None:
-            return self.sigma.signs * _mv(self.g.T, X)
+        """output on stacks X, U from one V.grad_rows call: one call when V is batched."""
         return self.sigma.signs * -self.V.grad_rows(np.hstack([X, U]))[:, self.nx:]
 
     def to_general(self) -> NonlinearSystem:
@@ -350,9 +320,17 @@ class HessianPseudoGradientSystem:
                                 u_box: Optional[BoxDomain] = None,
                                 storage: Optional[ScalarField] = None
                                 ) -> "HessianPseudoGradientSystem":
+        """The internal form: V(x, u) = P(x) - x^T g u, a block field of P and the zero field
+        on u_box, batched when P is."""
         gm = as_matrix(g, (K.dim, sigma.m))
-        V = affine_input_potential(P, gm, u_box or BoxDomain.cube(sigma.m, 1.0))
-        return HessianPseudoGradientSystem(K=K, V=V, sigma=sigma, g=gm, storage=storage)
+        u_box = u_box or BoxDomain.cube(sigma.m, 1.0)
+        if P.dim != K.dim or u_box.dim != sigma.m:
+            raise DimensionMismatchError("P/g/u_box dimensions are inconsistent")
+        zero = ScalarField(sigma.m, _constant_rows(np.zeros(())), u_box,
+                           gradient=lambda u: np.zeros(np.shape(u)),
+                           hessian=_constant_rows(np.zeros((sigma.m, sigma.m))), batched=True)
+        V = _block_field(P, zero, 1.0, -gm, BoxDomain.product(P.domain, u_box))
+        return HessianPseudoGradientSystem(K=K, V=V, sigma=sigma, storage=storage)
 
 
 @dataclass(frozen=True)
@@ -514,21 +492,38 @@ class ConversionSplit:
     g1: np.ndarray
 
 
+def _evaluators(F: ScalarField) -> tuple:
+    """(value, gradient, hessian, maps stacks): F's own callables when F is batched and
+    supplies both derivatives, else its per-point F, F.grad and F.hess."""
+    if F.batched and F.gradient is not None and F.hessian is not None:
+        return F.value, F.gradient, F.hessian, True
+    return F, F.grad, F.hess, False
+
+
 def _block_field(A: ScalarField, B: ScalarField, sign: float, C: np.ndarray,
                  box: BoxDomain) -> ScalarField:
-    """x = (x1, x2) -> A(x1) + sign B(x2) + x1.C x2 on box, with block derivatives."""
-    k = A.dim
+    """x = (x1, x2) -> A(x1) + sign B(x2) + x1.C x2 on box, with block derivatives, at a point
+    or, batched when both blocks map stacks, on a stack."""
+    k, n = A.dim, box.dim
+    (a, grad_a, hess_a, a_maps), (b, grad_b, hess_b, b_maps) = _evaluators(A), _evaluators(B)
+    coupling = np.zeros((n, n))  # the Hessian of x1.C x2, whose gradient is coupling x
+    coupling[:k, k:], coupling[k:, :k] = C, C.T
+
+    def value(x):
+        x1, x2 = x[..., :k], x[..., k:]
+        return a(x1) + sign * b(x2) + np.vecdot(x1, _mv(C, x2))
 
     def gradient(x):
-        return np.concatenate([A.grad(x[:k]) + C @ x[k:], sign * B.grad(x[k:]) + C.T @ x[:k]])
+        return np.concatenate([grad_a(x[..., :k]), sign * grad_b(x[..., k:])],
+                              axis=-1) + _mv(coupling, x)
 
     def hessian(x):
-        H = np.empty((box.dim, box.dim))
-        H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:] = A.hess(x[:k]), C, C.T, sign * B.hess(x[k:])
+        H = np.empty(np.shape(x)[:-1] + (n, n))
+        H[..., :k, :k], H[..., :k, k:] = hess_a(x[..., :k]), C
+        H[..., k:, :k], H[..., k:, k:] = C.T, sign * hess_b(x[..., k:])
         return H
 
-    return ScalarField(box.dim, lambda x: A(x[:k]) + sign * B(x[k:]) + float(x[:k] @ C @ x[k:]),
-                       box, gradient=gradient, hessian=hessian)
+    return ScalarField(n, value, box, gradient=gradient, hessian=hessian, batched=a_maps and b_maps)
 
 
 @dataclass(frozen=True)

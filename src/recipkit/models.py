@@ -31,6 +31,7 @@ from .dynamics import (
     ConversionSplit,
     HessianPseudoGradientSystem,
     PortHamiltonianSystem,
+    _block_field,
     _conjugate_storage,
 )
 from .linear import LinearSystem
@@ -121,28 +122,17 @@ class BraytonMoserModel:
         return quadratic_field(self.metric_matrix, self.domain)
 
     def potential(self) -> ScalarField:
-        """Mixed potential P(I, V) = content + sign * co-content + I.lam V."""
-        nL = self.nL
-        s = self.co_content_sign
-
-        def value(x):
-            I, V = x[:nL], x[nL:]
-            return (0.5 * float(I @ (self.R * I)) + 0.25 * float(self.quartic @ I ** 4)
-                    + 0.5 * s * float(V @ (self.Gc * V)) + float(I @ self.lam @ V))
-
-        def gradient(x):  # also maps a stack of points row for row
-            I, V = x[..., :nL], x[..., nL:]
-            return np.concatenate([self.R * I + self.quartic * I ** 3 + _mv(self.lam, V),
-                                   s * self.Gc * V + _mv(self.lam.T, I)], axis=-1)
-
-        def hessian(x):  # also maps a stack of points row for row
-            H = np.empty(np.shape(x)[:-1] + (self.n, self.n))
-            H[..., :nL, :nL] = _diag(self.R + 3.0 * self.quartic * x[..., :nL] ** 2)
-            H[..., :nL, nL:], H[..., nL:, :nL] = self.lam, self.lam.T
-            H[..., nL:, nL:] = s * np.diag(self.Gc)
-            return H
-
-        return ScalarField(self.n, value, self.domain, gradient=gradient, hessian=hessian)
+        """Mixed potential P(I, V) = content + sign * co-content + I.lam V: the block field of
+        the content, with resistor law R.I + quartic.I^3, and the co-content V.Gc V/2; batched."""
+        R, q = self.R, self.quartic
+        content = ScalarField(
+            self.nL, lambda I: 0.5 * np.vecdot(I, R * I) + 0.25 * np.vecdot(q, I ** 4),
+            BoxDomain.cube(self.nL, BRAYTON_MOSER_HALFWIDTH),
+            gradient=lambda I: R * I + q * I ** 3,
+            hessian=lambda I: _diag(R + 3.0 * q * I ** 2), batched=True)
+        co_content = quadratic_field(np.diag(self.Gc),
+                                     BoxDomain.cube(self.nC, BRAYTON_MOSER_HALFWIDTH))
+        return _block_field(content, co_content, self.co_content_sign, self.lam, self.domain)
 
     def as_affine(self) -> AffineNonlinearSystem:
         """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians; batched."""

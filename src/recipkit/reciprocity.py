@@ -198,13 +198,6 @@ class PotentialFunction:
     """Joint potential V(x, u) with -dV/dx = G F and -dV/du = sigma H."""
 
     V: ScalarField
-    base_point: tuple
-    nx: int
-    nu: int
-
-    def split_grad(self, x, u):
-        g = self.V.grad(np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)]))
-        return g[:self.nx], g[self.nx:]
 
 
 def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: SignatureMatrix,
@@ -243,4 +236,4 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
 
     field = ScalarField(n, value, BoxDomain.product(sys.domain, u_box),
                         gradient=lambda w: -minus_grad_rows(as_vector(w, n)[None])[0])
-    return PotentialFunction(V=field, base_point=(x0, u0), nx=sys.nx, nu=sys.nu)
+    return PotentialFunction(V=field)

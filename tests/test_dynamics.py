@@ -25,7 +25,7 @@ from recipkit.dynamics import (
     NotRelaxationError,
     PortHamiltonianSystem,
     Trajectory,
-    affine_input_potential,
+    _block_field,
     certify_relaxation,
     dissipation_monitor,
     integrate_implicit_midpoint,
@@ -349,11 +349,17 @@ def test_lossless_linear_port_hamiltonian_conserves_energy(system):
 # Potentials and system containers
 
 
+def internal_potential(P, g, u_box):
+    """The internal form's joint potential V(x, u) = P(x) - x^T g u; K = P fixes only nx."""
+    return HessianPseudoGradientSystem.from_internal_potential(
+        P, P, g, SignatureMatrix.identity(u_box.dim), u_box=u_box).V
+
+
 def test_affine_input_potential():
     box = BoxDomain.cube(2)
     P = quadratic_field(np.diag([2.0, 1.0]), box)
     g = np.array([[1.0], [0.0]])
-    V = affine_input_potential(P, g, BoxDomain.cube(1))
+    V = internal_potential(P, g, BoxDomain.cube(1))
     w = np.array([0.5, -0.3, 0.7])
     assert V(w) == pytest.approx(P(w[:2]) - w[0] * w[2])
     np.testing.assert_allclose(V.grad(w), [2 * 0.5 - 0.7, -0.3, -0.5])
@@ -379,12 +385,19 @@ def test_hessian_pseudo_gradient_from_internal_potential():
     assert sys.nx == 1 and sys.nu == 1
 
 
-@pytest.mark.parametrize("model", ["swing", "rc-tanh"])
+@pytest.mark.parametrize("model", ["swing", "rc-tanh", "swing-converted"])
 def test_to_general_is_the_per_point_form_bit_for_bit(model):
-    # swing's K and V evaluate one point per call, rc-tanh's map stacks; the reference is
-    # x_dot = -(hess K)^-1 dV/dx and y = output(x, u), one point at a time
-    hpg = (SwingModel().as_hessian_pseudo_gradient() if model == "swing"
-           else model_registry()[model].hpg)
+    # swing's K and the converted K evaluate one point per call, their V and rc-tanh's K and
+    # V map stacks; the reference is x_dot = -(hess K)^-1 dV/dx and y = output(x, u), one
+    # point at a time
+    swing = SwingModel()
+    if model == "swing":
+        hpg = swing.as_hessian_pseudo_gradient()
+    elif model == "swing-converted":
+        hpg = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(),
+                                            swing.conversion_split()).system
+    else:
+        hpg = model_registry()[model].hpg
     gen = hpg.to_general()
     X = hpg.domain.shrink(0.9).sample(16, seed=5)
     U = BoxDomain.cube(hpg.nu).sample(16, seed=6)
@@ -402,6 +415,47 @@ def test_to_general_is_the_per_point_form_bit_for_bit(model):
     assert (gen.dF_dx, gen.dF_du, gen.dH_dx, gen.dH_du) == (None,) * 4
     assert np.array_equal(gen.jac_F_x(X, U), [finite_difference_jacobian(
         lambda y: F(y, u), x) for x, u in zip(X, U)])
+
+
+def test_internal_form_rows_call_P_once_per_stack():
+    box = BoxDomain.cube(2)
+    Q = quadratic_field(np.diag([2.0, 1.0]), box)
+    calls = []
+
+    def gradient(x):
+        calls.append(np.shape(x))
+        return Q.gradient(x)
+
+    P = ScalarField(2, Q.value, box, gradient=gradient, hessian=Q.hessian, batched=True)
+    g = np.array([[1.0], [0.5]])
+    hpg = HessianPseudoGradientSystem.from_internal_potential(Q, P, g,
+                                                              SignatureMatrix.identity(1))
+    X, U = box.sample(12, seed=3), BoxDomain.cube(1).sample(12, seed=4)
+    F = hpg.to_general().F_rows(X, U)
+    assert calls == [(12, 2)]
+    np.testing.assert_allclose(F, np.linalg.solve(Q.hess_rows(X), -(
+        Q.grad_rows(X) - U @ g.T)[..., None])[..., 0], rtol=1e-14)
+    # y = -dV/du = g^T x, from the same one call of P's gradient
+    assert np.array_equal(hpg.output_rows(X, U), X @ g)
+    assert calls == [(12, 2)] * 2
+
+
+def test_block_field_is_batched_iff_both_blocks_are():
+    swing = SwingModel()
+    split = swing.conversion_split()
+    res = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(), split)
+    # the converted P of two quadratic blocks maps stacks, and so does V = P - x^T g u;
+    # the converted K of two per-point Legendre conjugates does not
+    xbox = res.system.domain
+    P = _block_field(split.P1, split.P2, 1.0, split.Pc, xbox)
+    assert P.batched and res.system.V.batched and not res.system.K.batched
+    W = BoxDomain.product(xbox, BoxDomain.cube(res.system.nu)).shrink(0.9).sample(9, seed=2)
+    for F, Y in ((P, W[:, :P.dim]), (res.system.V, W), (res.system.K, W[:, :P.dim])):
+        assert np.array_equal(F.value_rows(Y), [F(y) for y in Y])
+        assert np.array_equal(F.grad_rows(Y), [F.grad(y) for y in Y])
+        assert np.array_equal(F.hess_rows(Y), [F.hess(y) for y in Y])
+    half = dataclasses.replace(split.P2, batched=False)
+    assert not _block_field(split.P1, half, 1.0, split.Pc, xbox).batched
 
 
 def test_port_hamiltonian_system_oscillator():
@@ -566,8 +620,8 @@ def test_certify_relaxation_internal_form():
 def test_certify_relaxation_rejects_indefinite_metric():
     box = BoxDomain.cube(2)
     K = quadratic_field(np.diag([1.0, -1.0]), box)
-    V = affine_input_potential(quadratic_field(np.eye(2), box),
-                               np.array([[1.0], [0.0]]), BoxDomain.cube(1))
+    V = internal_potential(quadratic_field(np.eye(2), box), np.array([[1.0], [0.0]]),
+                           BoxDomain.cube(1))
     sys = HessianPseudoGradientSystem(K=K, V=V, sigma=SignatureMatrix.identity(1))
     with pytest.raises(NotRelaxationError):
         certify_relaxation(sys, n_samples=40)
@@ -576,8 +630,7 @@ def test_certify_relaxation_rejects_indefinite_metric():
 def test_certify_relaxation_rejects_mixed_signature():
     box = BoxDomain.cube(2)
     K = quadratic_field(np.eye(2), box)
-    V = affine_input_potential(quadratic_field(np.eye(2), box),
-                               np.eye(2), BoxDomain.cube(2))
+    V = internal_potential(quadratic_field(np.eye(2), box), np.eye(2), BoxDomain.cube(2))
     sys = HessianPseudoGradientSystem(K=K, V=V, sigma=SignatureMatrix(np.array([1, -1])))
     with pytest.raises(DimensionMismatchError):
         certify_relaxation(sys, n_samples=20)

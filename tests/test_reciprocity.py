@@ -299,9 +299,9 @@ def test_reconstruct_potential_scalar_linear():
     for xv, uv in [(1.0, 0.5), (0.8, -0.3), (-0.6, 0.9), (0.2, 0.0)]:
         w = np.array([xv, uv])
         assert pot.V(w) == pytest.approx(0.5 * xv ** 2 - xv * uv, abs=1e-9)
-    gx, gu = pot.split_grad(np.array([0.7]), np.array([0.2]))
-    assert gx[0] == pytest.approx(0.7 - 0.2, abs=1e-12)
-    assert gu[0] == pytest.approx(-0.7, abs=1e-12)
+    gx, gu = pot.V.grad(np.array([0.7, 0.2]))
+    assert gx == pytest.approx(0.7 - 0.2, abs=1e-12)
+    assert gu == pytest.approx(-0.7, abs=1e-12)
 
 
 def test_reconstruct_potential_brayton_moser_grid():
