@@ -249,9 +249,12 @@ def _halton(n: int, dim: int, seed) -> np.ndarray:
 
 
 def _rows(batched: bool, stacked: Optional[Callable], one: Callable, shape: tuple, *stacks):
-    """`one` mapped over the rows of the stacks as an (N,) + shape array; one call if batched."""
+    """The quantity at a point, or at the rows of stacks as an (N,) + shape array: one call
+    of `stacked` on either if batched, else `one` at the point or once per row."""
     if batched and stacked is not None:
         return np.asarray(stacked(*stacks), dtype=float)
+    if np.ndim(stacks[0]) < 2:
+        return one(*stacks)
     rows = [one(*row) for row in zip(*stacks)]
     return np.array(rows, dtype=float).reshape((len(stacks[0]),) + shape)
 
@@ -264,13 +267,6 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _constant_rows(A: np.ndarray) -> Callable:
     """x -> A at a point, and A repeated along the leading axes of a stack of points."""
     return lambda x: A if np.ndim(x) == 1 else np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
-
-
-def _stacked(rows: Callable) -> Callable:
-    """A map of stacks (N, n), ... that takes a point (n,), ... too, as a batched field's or
-    system's callables do: a point goes through as a stack of one row."""
-    return lambda x, *stacks: (rows(x, *stacks) if np.ndim(x) == 2 else
-                               rows(*(np.asarray(a, dtype=float)[None] for a in (x, *stacks)))[0])
 
 
 def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
@@ -327,8 +323,9 @@ class ScalarField:
     The domain governs sampling and validation; plain evaluation outside
     the box is permitted whenever the underlying callable allows it.
 
-    value_rows, grad_rows and hess_rows evaluate a stack of points (N, dim),
-    in one call when batched: the callables then map stacks row for row.
+    value_rows, grad_rows and hess_rows evaluate a point (dim,) or a stack of points
+    (N, dim), in one call when batched: the callables then take a point or map stacks
+    row for row.
     """
 
     dim: int
@@ -373,10 +370,10 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric invertible matrix field x -> G(x) on a box.  rows maps a stack (N, dim) to
-    (N, dim, dim), one call when batched: eval then maps stacks.  Its derivatives, for
-    `geometry.levi_civita` and `reciprocity.is_hessian_metric`, are central differences
-    of rows with step METRIC_STEP."""
+    """Symmetric invertible matrix field x -> G(x) on a box.  rows maps a point (dim,) to
+    (dim, dim) and a stack (N, dim) to (N, dim, dim), one call when batched: eval then takes
+    a point or maps stacks.  Its derivatives, for `geometry.levi_civita` and
+    `reciprocity.is_hessian_metric`, are central differences of rows with step METRIC_STEP."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
@@ -399,8 +396,7 @@ class MetricField:
 
     @staticmethod
     def from_hessian(K: ScalarField) -> "MetricField":
-        stacked = K.batched and K.hessian is not None
-        return MetricField(K.dim, K.hessian if stacked else K.hess, K.domain, batched=stacked)
+        return MetricField(K.dim, K.hess_rows, K.domain, batched=True)
 
 
 def _checked_metric_rows(Gs: np.ndarray, xs) -> np.ndarray:
@@ -462,7 +458,8 @@ class SignatureMatrix:
 @dataclass(frozen=True)
 class NonlinearSystem:
     """Input-state-output system x_dot = F(x,u), y = H(x,u); F_rows, H_rows and jac_* take
-    stacks X (N, nx), U (N, nu), jac_* a point too.  Batched: F, H, dF_dx, ... map stacks."""
+    a point x (nx,), u (nu,) or stacks X (N, nx), U (N, nu).  Batched: F, H, dF_dx, ... take
+    a point or map stacks."""
 
     nx: int
     nu: int
@@ -499,10 +496,10 @@ class NonlinearSystem:
 
     def _jac(self, d, rows, x, u, wrt_u: bool, shape: tuple) -> np.ndarray:
         """A Jacobian at (x, u), or at the rows of stacks x (N, nx) and u (N, nu): the supplied
-        derivative d (one call if batched, else per row), or one central-difference stencil."""
+        derivative d (one call if batched, else per point or row), or one central-difference
+        stencil."""
         if np.ndim(x) < 2:
-            X, U = as_vector(x, self.nx)[None], as_vector(u, self.nu)[None]
-            return self._jac(d, rows, X, U, wrt_u, shape)[0]
+            x, u = as_vector(x, self.nx), as_vector(u, self.nu)
         if d is not None:
             return _rows(self.batched, d, lambda *p: as_matrix(d(*p), shape), shape, x, u)
         if wrt_u:
@@ -512,8 +509,9 @@ class NonlinearSystem:
 
 @dataclass(frozen=True)
 class AffineNonlinearSystem:
-    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows take a stack
-    (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H map stacks."""
+    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows take a point (nx,)
+    or a stack (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H then
+    take a point or map stacks."""
 
     nx: int
     nu: int

@@ -28,7 +28,6 @@ from .core import (
     SignatureMatrix,
     _constant_rows,
     _mv,
-    _stacked,
     as_matrix,
     as_vector,
     finite_difference_jacobian,
@@ -281,38 +280,29 @@ class HessianPseudoGradientSystem:
     def metric(self, x) -> np.ndarray:
         return self.K.hess(x)
 
-    def split_grad(self, x, u):
-        w = np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)])
-        grad = self.V.grad(w)
-        return grad[:self.nx], grad[self.nx:]
-
     def V_x(self, x, u):
-        return self.split_grad(x, u)[0]
-
-    def V_u(self, x, u):
-        return self.split_grad(x, u)[1]
+        return self.V.grad(np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)]))[:self.nx]
 
     def V_xx(self, x, u):
         w = np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)])
         return self.V.hess(w)[:self.nx, :self.nx]
 
-    def output(self, x, u):
-        return self.sigma.apply(-self.V_u(x, u))
-
-    def output_rows(self, X, U) -> np.ndarray:
-        """output on stacks X, U from one V.grad_rows call: one call when V is batched."""
-        return self.sigma.signs * -self.V.grad_rows(np.hstack([X, U]))[:, self.nx:]
+    def output(self, x, u) -> np.ndarray:
+        """y = -sigma dV/du at a point (x, u) or at the rows of stacks X (N, nx), U (N, nu),
+        from one V.grad_rows call: one call when V is batched."""
+        if np.ndim(x) < 2:
+            x, u = as_vector(x, self.nx), as_vector(u, self.nu)
+        return self.sigma.signs * -self.V.grad_rows(np.concatenate([x, u], axis=-1))[..., self.nx:]
 
     def to_general(self) -> NonlinearSystem:
         """The same system as x_dot = F(x, u) = -(hess K)^-1 dV/dx, y = output, batched:
-        F_rows is one solve over K.hess_rows and one V.grad_rows call, H_rows is output_rows.
+        F is one solve over K.hess_rows and one V.grad_rows call, at a point or on stacks.
         No Jacobians are supplied, so each is the stencil of F_rows or H_rows."""
-        def F_rows(X, U):
-            dV_dx = self.V.grad_rows(np.hstack([X, U]))[:, :self.nx]
-            return np.linalg.solve(self.K.hess_rows(X), -dV_dx[..., None])[..., 0]
+        def F(x, u):
+            dV_dx = self.V.grad_rows(np.concatenate([x, u], axis=-1))[..., :self.nx]
+            return np.linalg.solve(self.K.hess_rows(x), -dV_dx[..., None])[..., 0]
 
-        return NonlinearSystem(self.nx, self.nu, _stacked(F_rows), _stacked(self.output_rows),
-                               self.domain, batched=True)
+        return NonlinearSystem(self.nx, self.nu, F, self.output, self.domain, batched=True)
 
     @staticmethod
     def from_internal_potential(K: ScalarField, P: ScalarField, g,
@@ -382,12 +372,9 @@ class PortHamiltonianSystem:
         Rj = np.zeros(shape) if self.R_jac is None else as_matrix(self.R_jac(self.H.grad(z)), shape)
         return (self.J - Rj) @ self.H.hess(z)
 
-    def output(self, z, u):
-        return self.g.T @ self.H.grad(z)
-
-    def output_rows(self, Z, U) -> np.ndarray:
-        """output on a stack Z (N, n), from one H.grad_rows call."""
-        return _mv(self.g.T, self.H.grad_rows(Z))
+    def output(self, z, u) -> np.ndarray:
+        """y at a point z or at the rows of a stack Z (N, n), from one H.grad_rows call."""
+        return _mv(self.g.T, self.H.grad_rows(z if np.ndim(z) == 2 else as_vector(z, self.n)))
 
     def validate(self):
         """Skewness of J, and nonnegativity of the dissipation pairing at sampled points."""
@@ -405,7 +392,7 @@ def _run(sys, rhs: Callable, rhs_jac: Callable, x0, u_signal: Callable, t_span, 
          mass: Optional[Callable], domain: Optional[BoxDomain],
          storage: Optional[ScalarField]) -> Trajectory:
     """Implicit midpoint of mass(x) x_dot = rhs(x, u(t)), then the recorded channels: one
-    output_rows, vecdot and value_rows call each."""
+    output, vecdot and value_rows call each."""
     def u(t):
         return as_vector(u_signal(t), sys.nu)
 
@@ -413,7 +400,7 @@ def _run(sys, rhs: Callable, rhs_jac: Callable, x0, u_signal: Callable, t_span, 
         lambda t, x: rhs(x, u(t)), x0, t_span, step, mass=mass,
         rhs_jac=lambda t, x: rhs_jac(x, u(t)), domain=domain)
     inputs = np.stack([u(t) for t in times])
-    outputs = sys.output_rows(states, inputs)
+    outputs = sys.output(states, inputs)
     monitors = {"supply": np.vecdot(inputs, outputs)}
     if storage is not None:
         monitors["S"] = storage.value_rows(states)
@@ -493,19 +480,19 @@ class ConversionSplit:
 
 
 def _evaluators(F: ScalarField) -> tuple:
-    """(value, gradient, hessian, maps stacks): F's own callables when F is batched and
-    supplies both derivatives, else its per-point F, F.grad and F.hess."""
+    """(value, gradient, hessian) at a point or on a stack: F's own callables when F is
+    batched and supplies both derivatives, else its row evaluators."""
     if F.batched and F.gradient is not None and F.hessian is not None:
-        return F.value, F.gradient, F.hessian, True
-    return F, F.grad, F.hess, False
+        return F.value, F.gradient, F.hessian
+    return F.value_rows, F.grad_rows, F.hess_rows
 
 
 def _block_field(A: ScalarField, B: ScalarField, sign: float, C: np.ndarray,
                  box: BoxDomain) -> ScalarField:
     """x = (x1, x2) -> A(x1) + sign B(x2) + x1.C x2 on box, with block derivatives, at a point
-    or, batched when both blocks map stacks, on a stack."""
+    or on a stack; batched."""
     k, n = A.dim, box.dim
-    (a, grad_a, hess_a, a_maps), (b, grad_b, hess_b, b_maps) = _evaluators(A), _evaluators(B)
+    (a, grad_a, hess_a), (b, grad_b, hess_b) = _evaluators(A), _evaluators(B)
     coupling = np.zeros((n, n))  # the Hessian of x1.C x2, whose gradient is coupling x
     coupling[:k, k:], coupling[k:, :k] = C, C.T
 
@@ -523,7 +510,7 @@ def _block_field(A: ScalarField, B: ScalarField, sign: float, C: np.ndarray,
         H[..., k:, :k], H[..., k:, k:] = C.T, sign * hess_b(x[..., k:])
         return H
 
-    return ScalarField(n, value, box, gradient=gradient, hessian=hessian, batched=a_maps and b_maps)
+    return ScalarField(n, value, box, gradient=gradient, hessian=hessian, batched=True)
 
 
 @dataclass(frozen=True)
@@ -600,17 +587,16 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     K = _block_field(pair1.Kstar, pair2.Kstar, -1.0, np.zeros((k1, k2)), xbox)
     Pfield = _block_field(split.P1, split.P2, 1.0, Pc, xbox)
 
-    def storage_rows(X):  # each block inverted by its pair, in closed form or lockstep Newton
-        return (split.H1.value_rows(pair1.inverse(X[:, :k1]))
-                + split.H2.value_rows(pair2.inverse(X[:, k1:])))
+    def storage_value(x):  # each block inverted by its pair, in closed form or lockstep Newton
+        return (split.H1.value_rows(pair1.inverse(x[..., :k1]))
+                + split.H2.value_rows(pair2.inverse(x[..., k1:])))
 
-    def storage_grad_rows(X):
+    def storage_grad(x):
         # grad of H_i(grad H_i*(.)) is hess H_i* times the argument
-        return np.hstack([_mv(pair1.Kstar.hess_rows(X[:, :k1]), X[:, :k1]),
-                          _mv(pair2.Kstar.hess_rows(X[:, k1:]), X[:, k1:])])
+        return np.concatenate([_mv(pair1.Kstar.hess_rows(x[..., :k1]), x[..., :k1]),
+                               _mv(pair2.Kstar.hess_rows(x[..., k1:]), x[..., k1:])], axis=-1)
 
-    storage = ScalarField(k1 + k2, _stacked(storage_rows), xbox,
-                          gradient=_stacked(storage_grad_rows), batched=True)
+    storage = ScalarField(k1 + k2, storage_value, xbox, gradient=storage_grad, batched=True)
 
     g_full = np.vstack([g1, np.zeros((k2, sys.nu))])
     system = HessianPseudoGradientSystem.from_internal_potential(
@@ -633,8 +619,8 @@ class RelaxationCertificate:
 
 def _conjugate_storage(K: ScalarField) -> ScalarField:
     """S(x) = K*(grad K(x)) = x.grad K(x) - K(x), with analytic gradient, from K's rows."""
-    return ScalarField(K.dim, _stacked(lambda X: np.vecdot(X, K.grad_rows(X)) - K.value_rows(X)),
-                       K.domain, gradient=_stacked(lambda X: _mv(K.hess_rows(X), X)), batched=True)
+    return ScalarField(K.dim, lambda x: np.vecdot(x, K.grad_rows(x)) - K.value_rows(x),
+                       K.domain, gradient=lambda x: _mv(K.hess_rows(x), x), batched=True)
 
 
 def certify_relaxation(sys: HessianPseudoGradientSystem, tol: float = 1e-9,

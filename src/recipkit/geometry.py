@@ -70,7 +70,7 @@ def third_partial_tensor(K: ScalarField, x) -> np.ndarray:
     over all index permutations.  A stack x (N, n) gives (N, n, n, n) from one stencil.
     """
     v = np.asarray(x, dtype=float) if np.ndim(x) == 2 else as_vector(x, K.dim)
-    T = finite_difference_jacobian(K.hess_rows if v.ndim == 2 else K.hess, v, THIRD_PARTIAL_STEP)
+    T = finite_difference_jacobian(K.hess_rows, v, THIRD_PARTIAL_STEP)
     T = T.reshape((-1,) + T.shape[-3:]).transpose(0, 3, 1, 2)  # T[n, l, i, j], a point is n = 0
     T = (T + T.transpose(0, 2, 1, 3) + T.transpose(0, 3, 2, 1) + T.transpose(0, 1, 3, 2)
          + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)) / 6.0

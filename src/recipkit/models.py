@@ -84,6 +84,17 @@ class BraytonMoserModel:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.lam.shape != (self.nL, self.nC):
             raise DimensionMismatchError("coupling matrix must be (nL, nC)")
+        # the content, with resistor law R.I + quartic.I^3, and the co-content V.Gc V/2
+        R, q = self.R, self.quartic
+        content = ScalarField(
+            self.nL, lambda I: 0.5 * np.vecdot(I, R * I) + 0.25 * np.vecdot(q, I ** 4),
+            BoxDomain.cube(self.nL, BRAYTON_MOSER_HALFWIDTH),
+            gradient=lambda I: R * I + q * I ** 3,
+            hessian=lambda I: _diag(R + 3.0 * q * I ** 2), batched=True)
+        co_content = quadratic_field(np.diag(self.Gc),
+                                     BoxDomain.cube(self.nC, BRAYTON_MOSER_HALFWIDTH))
+        object.__setattr__(self, "_potential", _block_field(
+            content, co_content, self.co_content_sign, self.lam, self.domain))
 
     @property
     def nL(self) -> int:
@@ -122,17 +133,9 @@ class BraytonMoserModel:
         return quadratic_field(self.metric_matrix, self.domain)
 
     def potential(self) -> ScalarField:
-        """Mixed potential P(I, V) = content + sign * co-content + I.lam V: the block field of
-        the content, with resistor law R.I + quartic.I^3, and the co-content V.Gc V/2; batched."""
-        R, q = self.R, self.quartic
-        content = ScalarField(
-            self.nL, lambda I: 0.5 * np.vecdot(I, R * I) + 0.25 * np.vecdot(q, I ** 4),
-            BoxDomain.cube(self.nL, BRAYTON_MOSER_HALFWIDTH),
-            gradient=lambda I: R * I + q * I ** 3,
-            hessian=lambda I: _diag(R + 3.0 * q * I ** 2), batched=True)
-        co_content = quadratic_field(np.diag(self.Gc),
-                                     BoxDomain.cube(self.nC, BRAYTON_MOSER_HALFWIDTH))
-        return _block_field(content, co_content, self.co_content_sign, self.lam, self.domain)
+        """Mixed potential P(I, V) = content + sign * co-content + I.lam V, the block field
+        built once with the model; batched."""
+        return self._potential
 
     def as_affine(self) -> AffineNonlinearSystem:
         """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians; batched."""

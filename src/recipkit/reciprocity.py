@@ -223,17 +223,18 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
 
     n, w0 = sys.nx + sys.nu, np.concatenate([x0, u0])
 
-    def minus_grad_rows(W):  # rows (G F, sigma H) = -grad V at the rows of W, one call each
-        X, U = W[:, :sys.nx], W[:, sys.nx:]
-        return np.hstack([_mv(G.rows(X), sys.F_rows(X, U)), sigma.signs * sys.H_rows(X, U)])
+    def minus_grad(w):  # (G F, sigma H) = -grad V at a point or the rows of a stack, one call each
+        x, u = w[..., :sys.nx], w[..., sys.nx:]
+        return np.concatenate([_mv(G.rows(x), sys.F_rows(x, u)), sigma.signs * sys.H_rows(x, u)],
+                              axis=-1)
 
     def value(w):
         d = as_vector(w, n) - w0
         if not np.any(d):
             return 0.0
-        return -float(integrate_segment(lambda ts: minus_grad_rows(w0 + ts[:, None] * d) @ d,
+        return -float(integrate_segment(lambda ts: minus_grad(w0 + ts[:, None] * d) @ d,
                                         0.0, 1.0, tol=LINE_QUAD_TOL))
 
     field = ScalarField(n, value, BoxDomain.product(sys.domain, u_box),
-                        gradient=lambda w: -minus_grad_rows(as_vector(w, n)[None])[0])
+                        gradient=lambda w: -minus_grad(as_vector(w, n)))
     return PotentialFunction(V=field)

@@ -30,7 +30,6 @@ from .core import (
     SingularMatrixError,
     _constant_rows,
     _mv,
-    _stacked,
     validate_metric_field,
 )
 from .dynamics import (
@@ -206,15 +205,15 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
     else:
         domain = metric.domain
 
-    def f_rows(X):  # G(x) f(x) = -grad P(x), one solve over the metric rows
-        return np.linalg.solve(metric.rows(X), -P.grad_rows(X)[..., None])[..., 0]
+    def f(x):  # G(x) f(x) = -grad P(x), one solve over the metric rows
+        return np.linalg.solve(metric.rows(x), -P.grad_rows(x)[..., None])[..., 0]
 
-    def g_rows(X):  # G(x) g(x) = g
-        return np.linalg.solve(metric.rows(X), gmat)
+    def g(x):  # G(x) g(x) = g
+        return np.linalg.solve(metric.rows(x), gmat)
 
     affine = AffineNonlinearSystem(  # batched; y = sigma g^T x row by row
-        nx=nx, nu=m, f=_stacked(f_rows), g=_stacked(g_rows),
-        h=_stacked(lambda X: sigma.signs * _mv(gmat.T, X)), k=_constant_rows(np.zeros((m, m))),
+        nx=nx, nu=m, f=f, g=g, h=lambda x: sigma.signs * _mv(gmat.T, x),
+        k=_constant_rows(np.zeros((m, m))),
         domain=domain, dh_dx=_constant_rows(sigma.conjugate_rows(gmat.T)), batched=True)
     return ModelBundle(name=name, kind="affine",
                        description=doc.get("description", "user supplied nonlinear system"),

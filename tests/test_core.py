@@ -478,6 +478,12 @@ def test_validate_scalar_field_checks_the_batched_contract():
     assert info.value.name == "field-batched" and "hess_rows" in str(info.value)
     validate_scalar_field(ScalarField(2, per_point_hessian.value, box, gradient=np.sinh,
                                       hessian=per_point_hessian.hessian))
+    # a per-point value flagged batched raises on the stack, which is a failed contract
+    per_point_value = ScalarField(2, lambda x: float(x @ x), box, gradient=lambda x: 2.0 * x,
+                                  hessian=core._constant_rows(2.0 * np.eye(2)), batched=True)
+    with pytest.raises(AssumptionError) as info:
+        validate_scalar_field(per_point_value)
+    assert info.value.name == "field-batched" and "value_rows" in str(info.value)
 
 
 def test_validate_metric_field_checks_the_batched_contract():
@@ -498,8 +504,11 @@ def test_validate_metric_field_checks_the_batched_contract():
     validate_metric_field(MetricField(2, per_point.eval, box))
     with pytest.raises(TypeError):  # batched is keyword-only
         MetricField(2, per_point.eval, box, True)
-    # without a stacked Hessian the metric of a field is per point
-    assert not MetricField.from_hessian(ScalarField(2, lambda x: float(x @ x), box)).batched
+    # the metric of a per-point field is batched too: its rows are the per-point Hessians
+    per_point_K = ScalarField(2, lambda x: float(x @ x) + float(np.sum(np.cos(x))), box)
+    G = MetricField.from_hessian(per_point_K)
+    assert G.batched
+    assert np.array_equal(G.rows(xs), [per_point_K.hess(x) for x in xs])
 
 
 def test_row_evaluators_match_the_per_point_methods():

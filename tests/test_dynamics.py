@@ -380,7 +380,6 @@ def test_hessian_pseudo_gradient_from_internal_potential():
     u = np.array([0.3])
     np.testing.assert_allclose(sys.metric(x), [[1.0]])
     np.testing.assert_allclose(sys.V_x(x, u), [0.8 - 0.3])
-    np.testing.assert_allclose(sys.V_u(x, u), [-0.8])
     np.testing.assert_allclose(sys.output(x, u), [0.8])
     assert sys.nx == 1 and sys.nu == 1
 
@@ -436,26 +435,27 @@ def test_internal_form_rows_call_P_once_per_stack():
     np.testing.assert_allclose(F, np.linalg.solve(Q.hess_rows(X), -(
         Q.grad_rows(X) - U @ g.T)[..., None])[..., 0], rtol=1e-14)
     # y = -dV/du = g^T x, from the same one call of P's gradient
-    assert np.array_equal(hpg.output_rows(X, U), X @ g)
+    assert np.array_equal(hpg.output(X, U), X @ g)
     assert calls == [(12, 2)] * 2
 
 
-def test_block_field_is_batched_iff_both_blocks_are():
+def test_every_block_field_is_batched_with_per_point_rows():
     swing = SwingModel()
     split = swing.conversion_split()
     res = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(), split)
-    # the converted P of two quadratic blocks maps stacks, and so does V = P - x^T g u;
-    # the converted K of two per-point Legendre conjugates does not
+    # the converted P of two quadratic blocks, V = P - x^T g u, the converted K of two
+    # per-point Legendre conjugates, and a P with one per-point block
     xbox = res.system.domain
     P = _block_field(split.P1, split.P2, 1.0, split.Pc, xbox)
-    assert P.batched and res.system.V.batched and not res.system.K.batched
+    half = _block_field(split.P1, dataclasses.replace(split.P2, batched=False), 1.0, split.Pc,
+                        xbox)
     W = BoxDomain.product(xbox, BoxDomain.cube(res.system.nu)).shrink(0.9).sample(9, seed=2)
-    for F, Y in ((P, W[:, :P.dim]), (res.system.V, W), (res.system.K, W[:, :P.dim])):
+    for F, Y in ((P, W[:, :P.dim]), (res.system.V, W), (res.system.K, W[:, :P.dim]),
+                 (half, W[:, :P.dim])):
+        assert F.batched
         assert np.array_equal(F.value_rows(Y), [F(y) for y in Y])
         assert np.array_equal(F.grad_rows(Y), [F.grad(y) for y in Y])
         assert np.array_equal(F.hess_rows(Y), [F.hess(y) for y in Y])
-    half = dataclasses.replace(split.P2, batched=False)
-    assert not _block_field(split.P1, half, 1.0, split.Pc, xbox).batched
 
 
 def test_port_hamiltonian_system_oscillator():
@@ -469,6 +469,26 @@ def test_port_hamiltonian_system_oscillator():
     np.testing.assert_allclose(ph.output(z, [0.5]), [1.0])
     out = ph.validate()
     assert out["max_skew"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["hessian-pseudo-gradient", "port-hamiltonian"])
+def test_output_refuses_a_point_of_the_wrong_length(kind):
+    swing = SwingModel()
+    if kind == "port-hamiltonian":
+        sys = swing.as_port_hamiltonian()
+        n, m = sys.n, sys.nu
+        wrong = [(np.zeros(n + 1), np.zeros(m)), (np.zeros(n - 1), np.zeros(m))]
+    else:
+        sys = swing.as_hessian_pseudo_gradient()
+        n, m = sys.nx, sys.nu
+        # the last pair has the right total length, so only the per-part checks refuse it
+        wrong = [(np.zeros(n + 1), np.zeros(m)), (np.zeros(n), np.zeros(m + 1)),
+                 (np.zeros(n + 1), np.zeros(m - 1))]
+    for z, u in wrong:
+        with pytest.raises(DimensionMismatchError):
+            sys.output(z, u)
+    Z, U = sys.domain.shrink(0.9).sample(5, seed=1), np.full((5, m), 0.2)
+    assert np.array_equal(sys.output(Z, U), [sys.output(z, u) for z, u in zip(Z, U)])
 
 
 def test_port_hamiltonian_validate_rejects_non_skew():
@@ -518,23 +538,25 @@ def _recorded_systems():
 def test_a_trajectory_is_recorded_by_one_row_call_per_channel(monkeypatch, kind):
     simulate, sys = _recorded_systems()[kind]
     storage = sys.H if kind == "port-hamiltonian" else sys.storage
-    calls = {"output_rows": 0, "output": 0, "storage_rows": 0, "storage_point": 0}
+    calls = {"output": [], "storage_rows": [], "storage_point": []}
 
-    def counted(cls, name, key, only=None):
+    def counted(cls, name, key, only=None):  # records the shape of each call's first argument
         original = getattr(cls, name)
 
         def wrapper(self, *args):
-            calls[key] += only is None or self is only
+            if only is None or self is only:
+                calls[key].append(np.shape(args[0]))
             return original(self, *args)
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(type(sys), "output_rows", "output_rows")
     counted(type(sys), "output", "output")
     counted(ScalarField, "value_rows", "storage_rows", only=storage)
     counted(ScalarField, "__call__", "storage_point", only=storage)
     x0 = sys.domain.center + 0.2 * (sys.domain.upper - sys.domain.center)
     traj = simulate(sys, x0, lambda t: np.full(sys.nu, 0.3 * np.sin(t)), (0.0, 0.02), 1e-3)
-    assert calls == {"output_rows": 1, "output": 0, "storage_rows": 1, "storage_point": 0}
+    # one output and one storage call, each on the (N, nx) stack of the recorded states
+    stack = (len(traj.times), sys.domain.dim)
+    assert calls == {"output": [stack], "storage_rows": [stack], "storage_point": []}
     monkeypatch.undo()
     # the row-stacked channels are the per-point values, bit for bit
     assert np.array_equal(traj.outputs, [sys.output(x, u)
@@ -668,6 +690,16 @@ def test_ph_conversion_swing_matches_analytic_fields():
         assert res.system.storage(x) - S_analytic(x) == pytest.approx(s_off, abs=1e-8)
     assert res.report["I_structure_gap"] == 0.0
     assert res.report["III_rayleigh_gap"] <= 1e-10
+
+
+def test_converted_storage_gradient_is_the_derivative_of_its_value():
+    swing = SwingModel()
+    storage = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(),
+                                            swing.conversion_split()).system.storage
+    X = storage.domain.shrink(0.8).sample(8, seed=4)
+    for x in X:
+        assert np.max(np.abs(storage.grad(x) - finite_difference_jacobian(storage, x))) <= 1e-8
+    assert np.array_equal(storage.grad_rows(X), [storage.grad(x) for x in X])
 
 
 def test_ph_conversion_assumption_failures():

@@ -19,6 +19,7 @@ from recipkit.legendre import (
     legendre_transform,
     make_legendre_pair,
 )
+from recipkit.models import field_registry
 
 
 def quartic_1d(halfwidth=1.5):
@@ -344,3 +345,19 @@ def test_closed_form_pair_margins_match_newton_on_quadratics():
     shifted = quadratic_field(np.eye(2), BoxDomain.cube(2), lin=[0.3, -0.2])
     assert not homogeneity_check(shifted).degree2
     assert make_legendre_pair(shifted, samples=20, seed=0).margins["round_trip_gap"] <= 1e-8
+
+
+def test_newton_iteration_budget_is_enforced_by_both_kernels(monkeypatch):
+    monkeypatch.setattr(legendre, "NEWTON_MAX_ITER", 1)
+    fields = field_registry()
+    # a quadratic converges on the one allowed iteration, so the point kernel returns
+    K = fields["quadratic"]
+    x, _ = legendre_transform(K, [0.3, -0.4])
+    np.testing.assert_allclose(K.grad(x), [0.3, -0.4], atol=1e-12)
+    with pytest.raises(ConvergenceError, match=r"^Newton did not reach residual 1e-12 in 1 "
+                                               r"iterations solving grad K = z at z=\[ 1\.5 -1\. \]"):
+        legendre_transform(fields["cosh"], [1.5, -1.0])
+    with pytest.raises(ConvergenceError, match=r"^row 0 of 2: Newton did not reach residual "
+                                               r"1e-12 in 1 iterations .*; starts tried: "
+                                               r"\[0\. 0\.\], \[ 0\.3 -0\.3\], \[-0\.3 -0\.3\]$"):
+        legendre._invert(fields["cosh"], np.array([[1.5, -1.0], [0.5, 0.2]]))

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from recipkit import models
 from recipkit.core import (
     BoxDomain,
     DimensionMismatchError,
@@ -74,6 +77,21 @@ def test_brayton_moser_affine_consistency():
         fd = finite_difference_jacobian(aff.f, x)
         assert np.allclose(aff.df_dx(x), fd, atol=1e-5)
     assert aff.g(np.zeros(2)).shape == (2, 1)
+
+
+def test_brayton_moser_potential_is_built_once_per_model(monkeypatch):
+    built = []
+    block_field = models._block_field
+    monkeypatch.setattr(models, "_block_field", lambda *a: built.append(a) or block_field(*a))
+    bm = textbook_bm()
+    P = bm.potential()
+    bm.as_affine()
+    bm.as_affine()
+    assert bm.potential() is P and len(built) == 1
+    # a replaced model builds its own
+    flipped = dataclasses.replace(bm, co_content_sign=-1.0)
+    assert len(built) == 2 and flipped.potential() is not P
+    assert flipped.potential().hess(np.zeros(2))[1, 1] == -P.hess(np.zeros(2))[1, 1]
 
 
 def test_brayton_moser_validation():
