@@ -199,6 +199,24 @@ def test_integrator_work_per_step_on_a_linear_mass_matrix_ode(monkeypatch):
     assert counts == {"rhs": 68 + 4, "mass": 68, "solve": 1, "factor": 1}
 
 
+def test_integrator_accepts_list_returning_rhs_and_mass():
+    # 2 x_dot = -x: lists are converted by the residual's checks, to the same states
+    args = (np.array([1.0]), (0.0, 1.0), 0.1)
+    _, listed = integrate_implicit_midpoint(lambda t, x: [-x[0]], *args, mass=lambda x: [[2.0]])
+    _, arrays = integrate_implicit_midpoint(lambda t, x: -x, *args,
+                                            mass=lambda x: np.array([[2.0]]))
+    assert np.array_equal(listed, arrays)
+    np.testing.assert_allclose(listed[-1], [0.60646746], rtol=1e-8)
+
+
+def test_integrator_refuses_a_mass_that_changes_shape_mid_run():
+    def mass(x):
+        return np.eye(2) if x[0] < 0.9 else np.array([[2.0]])
+
+    with pytest.raises(DimensionMismatchError, match=r"expected shape \(1, 1\), got \(2, 2\)"):
+        integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), (0.0, 1.0), 0.1, mass=mass)
+
+
 def test_integrator_matches_the_cayley_recurrence_on_a_linear_ode():
     # with a constant mass M and an input b(t), x_{k+1} = (M - h/2 A)^-1 ((M + h/2 A) x_k
     # + h b(t_m)) is the midpoint step in closed form; each accepted Newton iterate is within

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -257,6 +258,32 @@ def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
     make_legendre_pair(K, samples=30, seed=0)
     # the 30 samples are the rows of one lockstep solve
     assert calls == {"point": 0, "batched": [30]}
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_per_point_solve_work_is_pinned(batched):
+    # the registry cosh field with counted derivative callables; batched=False takes the
+    # per-point fallback of the row evaluators.  The counts pin the Newton iterate
+    # sequence of one inverse and one Kstar.hess at two fixed co-vectors, not only its answer
+    base = field_registry()["cosh"]
+    counts = {"grad": 0, "hess": 0}
+
+    def counted(fn, key):
+        def wrapped(x):
+            counts[key] += 1
+            return fn(x)
+        return wrapped
+
+    K = dataclasses.replace(base, gradient=counted(base.gradient, "grad"),
+                            hessian=counted(base.hessian, "hess"), batched=batched)
+    pair = make_legendre_pair(K, verify=False)
+    found = []
+    for z in (np.array([0.5, -1.2]), np.array([1.8, 0.3])):
+        for evaluate in (pair.inverse, pair.Kstar.hess):
+            counts.update(grad=0, hess=0)
+            evaluate(z)
+            found.append((counts["grad"], counts["hess"]))
+    assert found == [(6, 5), (6, 6), (7, 6), (7, 7)]
 
 
 @st.composite

@@ -41,8 +41,14 @@ def _poly(dim, terms):
 
 QUARTIC_P = _poly(2, [([2, 0], 0.5), ([0, 2], 0.5), ([4, 0], 0.25), ([1, 1], 0.2)])
 CONVEX_K = _poly(2, [([2, 0], 0.5), ([0, 2], 0.5), ([4, 0], 1 / 12), ([0, 4], 1 / 12)])
+# K = a (x - c)^4 - 5e-4 x^2 expanded, with a = 100/12 and c = 0.33: K'' = 100 (x - c)^2 - 1e-3
+# is negative on the window |x - c| < 3.2e-3, which certify-relaxation's samples find
+_A, _C = 100 / 12, 0.33
+WINDOW_K = _poly(1, [([4], _A), ([3], -4 * _A * _C), ([2], 6 * _A * _C ** 2 - 5e-4),
+                     ([1], -4 * _A * _C ** 3), ([0], _A * _C ** 4)])
 # name -> document: nonlinear systems on a constant, an indefinite and two Hessian
-# metrics, and pseudo-gradient systems in the (P, g) and the joint-potential form
+# metrics, pseudo-gradient systems in the (P, g) and the joint-potential form, and one
+# whose K is not convex on a narrow window
 DOCUMENTS = {
     "nonlinear-constant": {"kind": "nonlinear", "potential": QUARTIC_P,
                            "metric": {"constant": [[2.0, 0.5], [0.5, 1.0]]},
@@ -61,6 +67,8 @@ DOCUMENTS = {
                   "V": _poly(3, [([2, 0, 0], 0.5), ([0, 2, 0], 0.5), ([4, 0, 0], 0.25),
                                  ([1, 0, 1], -1.0), ([0, 0, 2], 1.0)]),
                   "sigma": [-1]},
+    "hpg-nonconvex-window": {"kind": "hessian_pseudo_gradient", "K": WINDOW_K,
+                             "P": _poly(1, [([2], 0.5)]), "g": [[1.0]]},
 }
 # document kind -> the subcommands (with options) that apply to it
 DOCUMENT_COMMANDS = {
