@@ -171,7 +171,7 @@ class BoxDomain:
 
     def contains(self, x) -> bool:
         v = as_vector(x, self.dim)
-        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
+        return bool((v >= self.lower).all() and (v <= self.upper).all())
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
         """n low-discrepancy points strictly inside the box.

@@ -11,6 +11,7 @@ representations through Legendre transforms of the split Hamiltonian.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -143,7 +144,9 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     Work per step: per iteration one residual (rhs and mass) and one product
     with the inverse, with no evaluation at the accepted point; one rhs
     Jacobian and one np.linalg.inv per formed matrix, which on a uniform grid
-    serves many steps.  A singular Newton matrix, stalled damping or
+    serves many steps.  Each residual checks rhs against length n and mass
+    against (n, n) (DimensionMismatchError), a fast path for float arrays;
+    norms are sqrt(v @ v).  A singular Newton matrix, stalled damping or
     MIDPOINT_MAX_NEWTON iterations raise ConvergenceError naming the step
     time, the iteration, the last increment and residual norms and the
     starting value.  With a domain, every step must stay in the box
@@ -170,14 +173,14 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
 
     def single_step(t, xk, h, w, start, eta, J_inv):
         tm = t + 0.5 * h
-        goal = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + float(np.linalg.norm(xk)))
+        goal = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + math.sqrt(xk @ xk))
         w0, dn = w, None
 
         def residual(y):
             m = 0.5 * (xk + y)
             M = mass_at(m)
             r = M @ (y - xk) - h * as_vector(rhs(tm, m), n)
-            return m, M, r, float(np.linalg.norm(r))
+            return m, M, r, math.sqrt(r @ r)
 
         def failure(what):
             inc = "none" if dn is None else f"{dn:.3e}"
@@ -197,7 +200,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
                     raise failure(f"met a singular Newton matrix in iteration {it}") from exc
                 fresh = True
             delta = J_inv @ r
-            dn = float(np.linalg.norm(delta))
+            dn = math.sqrt(delta @ delta)
             if last is not None:
                 lw, lrn, ldelta, ldn = last
                 theta = dn / ldn
@@ -415,9 +418,12 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
     The mass matrix is the metric assembled at the Newton midpoint.  The
     returned trajectory always carries the supply-rate monitor u.y and, when
     a storage field is attached to the system or passed here, the channel S.
+    x0 is checked here; the run calls V.grad_rows, V.hess_rows and K.hess_rows, bound once.
     """
-    return _run(sys, lambda x, u: -sys.V_x(x, u), lambda x, u: -sys.V_xx(x, u), x0, u_signal,
-                t_span, step, sys.metric, sys.domain if enforce_domain else None,
+    nx, grad_V, hess_V = sys.nx, sys.V.grad_rows, sys.V.hess_rows
+    return _run(sys, lambda x, u: -grad_V(np.concatenate([x, u]))[:nx],
+                lambda x, u: -hess_V(np.concatenate([x, u]))[:nx, :nx], as_vector(x0, nx),
+                u_signal, t_span, step, sys.K.hess_rows, sys.domain if enforce_domain else None,
                 storage if storage is not None else getattr(sys, "storage", None))
 
 

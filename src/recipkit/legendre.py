@@ -7,6 +7,7 @@ co-domain is implicit (a point z belongs to it exactly when Newton converges).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,19 +51,22 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
 
     Convergence is measured relative to 1 + |z|; a line search that stalls
     within a small factor of that target returns the current iterate rather
-    than failing on rounding noise.
+    than failing on rounding noise.  z and x0 arrive checked: each iteration
+    calls K's row evaluators at the point, its own callables once when K is
+    batched, and takes every norm as sqrt(r @ r), np.linalg.norm bit for bit.
     """
     box = K.domain
     lo = box.lower - BOX_INFLATE * box.width
     hi = box.upper + BOX_INFLATE * box.width
-    goal = NEWTON_TOL * (1.0 + float(np.linalg.norm(z)))
+    grad, hess = K.grad_rows, K.hess_rows
+    goal = NEWTON_TOL * (1.0 + math.sqrt(z @ z))
     x = np.array(x0, dtype=float)
-    r = K.grad(x) - z
-    rn = np.linalg.norm(r)
+    r = grad(x) - z
+    rn = math.sqrt(r @ r)
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rn <= goal:
             return x
-        H = K.hess(x)
+        H = hess(x)
         try:
             step = np.linalg.solve(H, r)
         except np.linalg.LinAlgError as exc:
@@ -70,10 +74,9 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
         lam = 1.0
         while True:
             cand = x - lam * step
-            inside = np.all(cand >= lo) and np.all(cand <= hi)
-            if inside:
-                rc = K.grad(cand) - z
-                rcn = np.linalg.norm(rc)
+            if (cand >= lo).all() and (cand <= hi).all():
+                rc = grad(cand) - z
+                rcn = math.sqrt(rc @ rc)
                 if rcn < rn or rcn <= goal:
                     x, r, rn = cand, rc, rcn
                     break
@@ -266,7 +269,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         zz = np.asarray(z, dtype=float) if np.ndim(z) == 2 else as_vector(z, K.dim)
         if Q is not None:
             x = np.linalg.solve(Q, zz[..., None])[..., 0]
-            if np.all((x >= lo) & (x <= hi)):
+            if (x >= lo).all() and (x <= hi).all():
                 return x
         return _invert(K, zz)
 
@@ -275,7 +278,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         return float(z @ x - K(x))
 
     def star_hess(z):
-        return Qinv if Q is not None else np.linalg.inv(K.hess(inverse(z)))
+        return Qinv if Q is not None else np.linalg.inv(K.hess_rows(inverse(z)))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))

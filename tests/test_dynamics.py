@@ -199,6 +199,14 @@ def test_integrator_work_per_step_on_a_linear_mass_matrix_ode(monkeypatch):
     assert counts == {"rhs": 68 + 4, "mass": 68, "solve": 1, "factor": 1}
 
 
+def test_simulate_pseudo_gradient_refuses_a_start_of_the_wrong_length():
+    Q = quadratic_field(np.eye(1), BoxDomain.cube(1))
+    hpg = HessianPseudoGradientSystem.from_internal_potential(
+        Q, Q, [[1.0]], SignatureMatrix.identity(1))
+    with pytest.raises(DimensionMismatchError, match="expected length 1, got 2"):
+        simulate_pseudo_gradient(hpg, np.zeros(2), lambda t: np.zeros(1), (0.0, 1.0), 0.1)
+
+
 def test_integrator_accepts_list_returning_rhs_and_mass():
     # 2 x_dot = -x: lists are converted by the residual's checks, to the same states
     args = (np.array([1.0]), (0.0, 1.0), 0.1)
