@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs np.linalg.solve and inv call
 
 from .core import (
     AssumptionError,
     BoxDomain,
     ConvergenceError,
+    DimensionMismatchError,
     DomainError,
     ScalarField,
     SingularMatrixError,
@@ -46,6 +48,28 @@ def _newton_error(kind: str, z, x0, x, it: int, rn: float) -> Exception:
         f"Newton {what} solving grad K = z at z={z} (residual {rn:.3e}, start {x0})")
 
 
+def _inflated(box: BoxDomain) -> tuple:
+    return box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
+
+
+def _shaped(H: np.ndarray, shape: tuple) -> np.ndarray:
+    """H once it has the shape asked for: a batched hessian callable's output is unchecked."""
+    if H.shape != shape:
+        raise DimensionMismatchError(f"hessian has shape {H.shape}, expected {shape}")
+    return H
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack(gufunc, *arrays: np.ndarray) -> np.ndarray:
+    """A LAPACK gufunc of np.linalg.solve/inv on float64 arrays, in their errstate: their
+    bits and their LinAlgError on a singular matrix, without their per-call wrapper."""
+    with np.errstate(all="ignore", invalid="call", call=_singular):
+        return gufunc(*arrays)
+
+
 def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Damped Newton solve of grad K(x) = z starting from x0.
 
@@ -53,12 +77,11 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
     within a small factor of that target returns the current iterate rather
     than failing on rounding noise.  z and x0 arrive checked: each iteration
     calls K's row evaluators at the point, its own callables once when K is
-    batched, and takes every norm as sqrt(r @ r), np.linalg.norm bit for bit.
+    batched, takes every norm as sqrt(r @ r), np.linalg.norm bit for bit, and
+    solves for the step through _lapack, np.linalg.solve bit for bit.
     """
-    box = K.domain
-    lo = box.lower - BOX_INFLATE * box.width
-    hi = box.upper + BOX_INFLATE * box.width
-    grad, hess = K.grad_rows, K.hess_rows
+    lo, hi = _inflated(K.domain)
+    grad, hess, square = K.grad_rows, K.hess_rows, (K.dim, K.dim)
     goal = NEWTON_TOL * (1.0 + math.sqrt(z @ z))
     x = np.array(x0, dtype=float)
     r = grad(x) - z
@@ -66,15 +89,15 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rn <= goal:
             return x
-        H = hess(x)
+        H = _shaped(hess(x), square)
         try:
-            step = np.linalg.solve(H, r)
+            step = _lapack(_umath_linalg.solve1, H, r)
         except np.linalg.LinAlgError as exc:
             raise _newton_error("singular", z, x0, x, it, rn) from exc
         lam = 1.0
         while True:
             cand = x - lam * step
-            if (cand >= lo).all() and (cand <= hi).all():
+            if ((cand >= lo) & (cand <= hi)).all():
                 rc = grad(cand) - z
                 rcn = math.sqrt(rc @ rc)
                 if rcn < rn or rcn <= goal:
@@ -96,8 +119,7 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
     Each row keeps the per-point rules and gets the per-point x bit for bit.
     Returns X and a dict from each failed row to its error.
     """
-    box = K.domain
-    lo, hi = box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
+    lo, hi = _inflated(K.domain)
     goal = NEWTON_TOL * (1.0 + np.sqrt(np.vecdot(Z, Z)))  # np.linalg.norm, row by row
     X, S = np.array(X0, dtype=float), np.zeros(Z.shape)
     R = K.grad_rows(X) - Z
@@ -112,7 +134,7 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
         rows = np.flatnonzero(live)
         if not rows.size:
             return X, failed
-        H = K.hess_rows(X[rows])
+        H = _shaped(K.hess_rows(X[rows]), (rows.size, K.dim, K.dim))
         try:
             S[rows] = np.linalg.solve(H, R[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:  # some Hessians are singular: each such row fails alone
@@ -140,6 +162,13 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
     return X, failed
 
 
+def _starts(K: ScalarField, Z: np.ndarray):
+    """Newton's starts for Z, each built only once the last one failed."""
+    yield K.domain.center
+    yield K.domain.center + 0.1 * K.domain.width * np.sign(Z)
+    yield K.domain.center - 0.1 * K.domain.width
+
+
 def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
     """Solve grad K(x) = z for one co-vector (per-point kernel) or a stack (lockstep).
 
@@ -147,23 +176,21 @@ def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
     Hessian there, each only if the last failed; if all fail, it raises the
     last error, naming the starts tried and, in a stack, the first such row.
     """
-    c, w = K.domain.center, K.domain.width
-    starts = (c, c + 0.1 * w * np.sign(Z), c - 0.1 * w)
     if Z.ndim == 1:
-        for s in starts:
+        for s in _starts(K, Z):
             try:
                 return _solve_gradient_equation(K, Z, s)
             except (ConvergenceError, SingularMatrixError) as exc:
                 err = exc
-        raise type(err)(f"{err}; starts tried: {', '.join(map(str, starts))}") from err
+        raise type(err)(f"{err}; starts tried: {', '.join(map(str, _starts(K, Z)))}") from err
     X, todo = np.empty_like(Z), np.arange(len(Z))
-    for s in starts:
+    for s in _starts(K, Z):
         X[todo], failed = _solve_gradient_equations(K, Z[todo], np.broadcast_to(s, Z.shape)[todo])
         if not failed:
             return X
         i, err = todo[min(failed)], failed[min(failed)]
         todo = todo[sorted(failed)]
-    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in starts)
+    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in _starts(K, Z))
     raise type(err)(f"row {i} of {len(Z)}: {err}; starts tried: {tried}") from err
 
 
@@ -231,9 +258,11 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     degree 2, and the three gaps of xb = Q^-1 z, hess K* = Q^-1 (Q = hess K(0))
     pass on the samples, verify or not, inverse(z) solves Q x = z with no Newton
     solve; a solution outside the box inflated by BOX_INFLATE goes on to Newton.
+    That solve and Kstar.hess's inverse at a point go through _lapack, as the
+    per-point Newton step does: np.linalg's bits without its per-call wrapper.
     """
     box = K.domain
-    lo, hi = box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
+    lo, hi = _inflated(box)
     X = box.shrink(0.98).sample(samples, seed=seed + 1)
     Z = K.grad_rows(X)
 
@@ -268,8 +297,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     def inverse(z):
         zz = np.asarray(z, dtype=float) if np.ndim(z) == 2 else as_vector(z, K.dim)
         if Q is not None:
-            x = np.linalg.solve(Q, zz[..., None])[..., 0]
-            if (x >= lo).all() and (x <= hi).all():
+            x = _lapack(_umath_linalg.solve, Q, zz[..., None])[..., 0]
+            if ((x >= lo) & (x <= hi)).all():
                 return x
         return _invert(K, zz)
 
@@ -278,7 +307,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         return float(z @ x - K(x))
 
     def star_hess(z):
-        return Qinv if Q is not None else np.linalg.inv(K.hess_rows(inverse(z)))
+        return Qinv if Q is not None else _lapack(
+            _umath_linalg.inv, _shaped(K.hess_rows(inverse(z)), (K.dim, K.dim)))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))

@@ -11,6 +11,7 @@ from recipkit.core import (
     AssumptionError,
     BoxDomain,
     ConvergenceError,
+    DimensionMismatchError,
     ScalarField,
     SingularMatrixError,
     quadratic_field,
@@ -284,6 +285,47 @@ def test_per_point_solve_work_is_pinned(batched):
             evaluate(z)
             found.append((counts["grad"], counts["hess"]))
     assert found == [(6, 5), (6, 6), (7, 6), (7, 7)]
+
+
+def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
+    # np.cosh is the Hessian's diagonal, shape (2,) at a point, not the (2, 2) matrix
+    K = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), BoxDomain.cube(2),
+                    gradient=np.sinh, hessian=np.cosh, batched=True)
+    pair = make_legendre_pair(K, verify=False)
+    with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2,\), "
+                                                     r"expected \(2, 2\)$"):
+        pair.inverse([0.5, -0.3])
+    # two rows of two: a (2, 2) stack that np.linalg.solve would take for one matrix
+    with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2, 2\), "
+                                                     r"expected \(2, 2, 2\)$"):
+        pair.inverse([[0.5, -0.3], [0.2, 0.4]])
+    # z = 0 is solved by the start itself, so only Kstar.hess meets the Hessian
+    with pytest.raises(DimensionMismatchError, match=r"shape \(2,\), expected \(2, 2\)"):
+        pair.Kstar.hess([0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_direct_lapack_calls_are_numpy_linalg_bit_for_bit(n):
+    # pins the private numpy.linalg._umath_linalg gufuncs the per-point kernel calls
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((5, n, n)) + 2.0 * n * np.eye(n)  # diagonally dominant
+    b = rng.standard_normal((5, n))
+    lapack, gufuncs = legendre._lapack, legendre._umath_linalg
+    for got, want in (
+            (lapack(gufuncs.solve1, A[0], b[0]), np.linalg.solve(A[0], b[0])),
+            (lapack(gufuncs.solve, A[0], b[0, :, None]), np.linalg.solve(A[0], b[0, :, None])),
+            (lapack(gufuncs.solve, A, b[..., None]), np.linalg.solve(A, b[..., None])),
+            (lapack(gufuncs.inv, A[0]), np.linalg.inv(A[0])),
+            (lapack(gufuncs.inv, A), np.linalg.inv(A))):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    S = A.copy()
+    S[2, :, 0] = 0.0  # one singular matrix in the stack: a zero column
+    for call in (lambda: lapack(gufuncs.solve1, S[2], b[2]), lambda: np.linalg.solve(S[2], b[2]),
+                 lambda: lapack(gufuncs.solve, S, b[..., None]),
+                 lambda: np.linalg.solve(S, b[..., None]),
+                 lambda: lapack(gufuncs.inv, S), lambda: np.linalg.inv(S)):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            call()
 
 
 @st.composite
