@@ -386,9 +386,6 @@ class MetricField:
     def rows(self, X) -> np.ndarray:
         return _rows(self.batched, self.eval, self, (self.dim, self.dim), X)
 
-    def checked(self, x) -> np.ndarray:
-        return _checked_metric_rows(self(x)[None], [x])[0]
-
     @staticmethod
     def constant(M, domain: BoxDomain) -> "MetricField":
         A = as_matrix(M)
@@ -400,8 +397,9 @@ class MetricField:
 
 
 def _checked_metric_rows(Gs: np.ndarray, xs) -> np.ndarray:
-    """Gs, the metric stacked (N, n, n) at the points xs, after MetricField.checked's tests
-    on every row; raises at the first failing row, asymmetry (NaN included) checked first."""
+    """Gs, the metric stacked (N, n, n) at the points xs, after the metric tests on every
+    row: symmetric within SYM_TOL and |det| above DET_FLOOR.  Raises at the first failing
+    row, asymmetry (NaN included) checked first."""
     asym = np.max(np.abs(Gs - np.swapaxes(Gs, 1, 2)), axis=(1, 2), initial=0.0)
     for i in np.flatnonzero(~(asym <= SYM_TOL) | ~(np.abs(np.linalg.det(Gs)) > DET_FLOOR))[:1]:
         x = as_vector(xs[i])
@@ -435,9 +433,6 @@ class SignatureMatrix:
         """Raise DimensionMismatchError unless the signature has m entries."""
         if self.m != m:
             raise DimensionMismatchError("signature size must match input count")
-
-    def apply(self, v) -> np.ndarray:
-        return self.signs * as_vector(v, self.m)
 
     def conjugate_rows(self, M) -> np.ndarray:
         return self.signs[:, None] * as_matrix(M)
@@ -509,9 +504,8 @@ class NonlinearSystem:
 
 @dataclass(frozen=True)
 class AffineNonlinearSystem:
-    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u; *_rows take a point (nx,)
-    or a stack (N, nx), in one call when batched: f, g, h, k, d*_dx, to_general's F, H then
-    take a point or map stacks."""
+    """Input-affine system x_dot = f(x) + g(x)u, y = h(x) + k(x)u.  f, g, h, k and d*_dx take
+    a point (nx,) or map a stack (N, nx), and so do to_general's F, H and derivatives."""
 
     nx: int
     nu: int
@@ -523,20 +517,13 @@ class AffineNonlinearSystem:
     df_dx: Optional[Callable] = None               # (nx, nx)
     dg_dx: Optional[Callable] = None               # (nu, nx, nx): [j] = d g_j / dx
     dh_dx: Optional[Callable] = None               # (nu, nx)
-    batched: bool = False
-
-    def f_rows(self, X) -> np.ndarray:
-        return _rows(self.batched, self.f, self.f, (self.nx,), X)
-
-    def g_rows(self, X) -> np.ndarray:
-        return _rows(self.batched, self.g, self.g, (self.nx, self.nu), X)
 
     def to_general(self) -> NonlinearSystem:
         """The same system as F(x, u), H(x, u).  dF/dx = df_dx + sum_j u_j dg_dx[j] when both
         are supplied and dH/dx = dh_dx when supplied; a missing one is left to the stencil."""
         def affine(a, b, n):  # x, u -> a(x) + b(x) u
             def out(x, u):
-                if np.ndim(x) > 1:  # a stack, which only a batched system is given
+                if np.ndim(x) > 1:
                     return a(x) + _mv(b(x), u)
                 return as_vector(a(x), n) + as_matrix(b(x), (n, self.nu)) @ as_vector(u, self.nu)
             return out
@@ -547,9 +534,9 @@ class AffineNonlinearSystem:
                 raise DimensionMismatchError(f"dg_dx shape {J.shape}")
             return self.df_dx(x) + np.einsum("...j,...jab->...ab", u, J)
 
-        return NonlinearSystem(  # the derivatives map stacks when batched
+        return NonlinearSystem(
             self.nx, self.nu, affine(self.f, self.g, self.nx), affine(self.h, self.k, self.nu),
-            self.domain, batched=self.batched,
+            self.domain, batched=True,
             dF_dx=dF_dx if self.df_dx is not None and self.dg_dx is not None else None,
             dF_du=lambda x, u: self.g(x),
             dH_dx=None if self.dh_dx is None else lambda x, u: self.dh_dx(x),

@@ -286,10 +286,6 @@ class HessianPseudoGradientSystem:
     def V_x(self, x, u):
         return self.V.grad(np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)]))[:self.nx]
 
-    def V_xx(self, x, u):
-        w = np.concatenate([as_vector(x, self.nx), as_vector(u, self.nu)])
-        return self.V.hess(w)[:self.nx, :self.nx]
-
     def output(self, x, u) -> np.ndarray:
         """y = -sigma dV/du at a point (x, u) or at the rows of stacks X (N, nx), U (N, nu),
         from one V.grad_rows call: one call when V is batched."""

@@ -56,7 +56,8 @@ def levi_civita(G: MetricField, x) -> np.ndarray:
     """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_{ij} of a metric at x.
 
     Gamma_{lij} = (dG_{li}/dx_j + dG_{lj}/dx_i - dG_{ij}/dx_l) / 2 raised by
-    the inverse of G.checked(x).  The derivatives of G are central differences with step
+    the inverse of G(x), once G(x) passes the symmetry and determinant tests of
+    core._checked_metric_rows.  The derivatives of G are central differences with step
     core.METRIC_STEP, exact zeros for MetricField.constant.  Torsion-free by construction.
     """
     gam = _christoffel_rows(G, as_vector(x, G.dim)[None])

@@ -52,11 +52,11 @@ def _inflated(box: BoxDomain) -> tuple:
     return box.lower - BOX_INFLATE * box.width, box.upper + BOX_INFLATE * box.width
 
 
-def _shaped(H: np.ndarray, shape: tuple) -> np.ndarray:
-    """H once it has the shape asked for: a batched hessian callable's output is unchecked."""
-    if H.shape != shape:
-        raise DimensionMismatchError(f"hessian has shape {H.shape}, expected {shape}")
-    return H
+def _shaped(A: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """A once it has the shape asked for: a batched callable's output is unchecked."""
+    if A.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {A.shape}, expected {shape}")
+    return A
 
 
 def _singular(err, flag):
@@ -89,7 +89,7 @@ def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> n
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rn <= goal:
             return x
-        H = _shaped(hess(x), square)
+        H = _shaped(hess(x), square, "hessian")
         try:
             step = _lapack(_umath_linalg.solve1, H, r)
         except np.linalg.LinAlgError as exc:
@@ -134,7 +134,7 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
         rows = np.flatnonzero(live)
         if not rows.size:
             return X, failed
-        H = _shaped(K.hess_rows(X[rows]), (rows.size, K.dim, K.dim))
+        H = _shaped(K.hess_rows(X[rows]), (rows.size, K.dim, K.dim), "hessian")
         try:
             S[rows] = np.linalg.solve(H, R[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:  # some Hessians are singular: each such row fails alone
@@ -248,7 +248,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     z solves grad K* = x up to the round-trip gap, and this is the value
     legendre_transform(Kstar, x, x_init=z) returns when its Newton accepts
     that start.  The worst gaps become the pair's margins.  The samples are
-    one stack, evaluated row-stacked and inverted by one lockstep Newton solve
+    one stack, evaluated row-stacked (a gradient stack not shaped like it raises
+    DimensionMismatchError) and inverted by one lockstep Newton solve
     (row for row equal to inverse); a failed solve raises ConvergenceError or
     SingularMatrixError naming the first failing row; a gap above its
     tolerance, or a non-finite one, raises AssumptionError with the margins
@@ -264,7 +265,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     box = K.domain
     lo, hi = _inflated(box)
     X = box.shrink(0.98).sample(samples, seed=seed + 1)
-    Z = K.grad_rows(X)
+    Z = _shaped(K.grad_rows(X), X.shape, "gradient")
 
     def gaps(XB, HB):
         """Margins of xb = inverse(z), hess K* = HB on the samples; an error per failed check."""
@@ -308,7 +309,7 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
 
     def star_hess(z):
         return Qinv if Q is not None else _lapack(
-            _umath_linalg.inv, _shaped(K.hess_rows(inverse(z)), (K.dim, K.dim)))
+            _umath_linalg.inv, _shaped(K.hess_rows(inverse(z)), (K.dim, K.dim), "hessian"))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))
@@ -337,7 +338,8 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     the domain; the two booleans agree for fields with exact structure.  The
     samples are one stack, evaluated row-stacked, and need no Newton solve:
     K*(grad K(x)) = x.grad K(x) - K(x).  Raises DomainError when the origin
-    is not available for the K(0) offset.
+    is not available for the K(0) offset, and DimensionMismatchError when the
+    gradient stack is not shaped like the samples.
     """
     box = K.domain
     if not (np.all(box.lower <= 0) and np.all(box.upper >= 0)):
@@ -347,7 +349,7 @@ def homogeneity_check(K: ScalarField, tol: float = 1e-8, samples: int = 200,
     k0 = K(np.zeros(K.dim))
     X = half.shrink(0.98).sample(samples, seed=seed)
     kx = K.value_rows(X)
-    ks = np.vecdot(K.grad_rows(X), X) - kx
+    ks = np.vecdot(_shaped(K.grad_rows(X), X.shape, "gradient"), X) - kx
     worst_eq = float(np.max(np.abs(ks - kx) / (1.0 + np.abs(kx)), initial=0.0))
     base = kx - k0
     worst_deg = float(np.max([np.abs(K.value_rows(t * X) - k0 - t * t * base)

@@ -102,7 +102,7 @@ class ReciprocityCheck:
 
 
 def _check_metric(G, n) -> np.ndarray:
-    """G as an n x n matrix after the metric tests of MetricField.checked."""
+    """G as an n x n matrix after the metric tests of core._checked_metric_rows."""
     return _checked_metric_rows(as_matrix(G, (n, n))[None], [np.zeros(n)])[0]
 
 
@@ -147,10 +147,6 @@ class LinearPseudoGradientForm:
     @property
     def n(self) -> int:
         return self.G.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
 
     def to_linear_system(self) -> LinearSystem:
         A = -np.linalg.solve(self.G, self.P)

@@ -23,7 +23,6 @@ from .core import (
     SignatureMatrix,
     _constant_rows,
     _mv,
-    as_matrix,
     as_vector,
     quadratic_field,
 )
@@ -129,16 +128,13 @@ class BraytonMoserModel:
     def metric_field(self) -> MetricField:
         return MetricField.constant(self.metric_matrix, self.domain)
 
-    def co_energy(self) -> ScalarField:
-        return quadratic_field(self.metric_matrix, self.domain)
-
     def potential(self) -> ScalarField:
         """Mixed potential P(I, V) = content + sign * co-content + I.lam V, the block field
         built once with the model; batched."""
         return self._potential
 
     def as_affine(self) -> AffineNonlinearSystem:
-        """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians; batched."""
+        """x_dot = Ginv(-grad P + g u), y = g^T x, with analytic Jacobians."""
         Ginv = np.linalg.inv(self.metric_matrix)
         P = self.potential()
         gcols = self.input_columns
@@ -154,7 +150,6 @@ class BraytonMoserModel:
             df_dx=lambda x: Ginv @ (-P.hessian(np.asarray(x, dtype=float))),
             dg_dx=_constant_rows(np.zeros((m, self.n, self.n))),
             dh_dx=_constant_rows(gcols.T),
-            batched=True,
         )
 
     def sigma(self) -> SignatureMatrix:
@@ -169,6 +164,13 @@ def _clamped_arcsin(r: np.ndarray) -> np.ndarray:
     return np.arcsin(np.clip(r, -ARCSIN_CLAMP, ARCSIN_CLAMP))
 
 
+def _read_only(values) -> np.ndarray:
+    """A float array that cannot be written, for data every instance of a class shares."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SwingModel:
     """Coupled machines with momenta p and branch angles q.
@@ -177,31 +179,23 @@ class SwingModel:
     structure J = [[0, -D], [D^T, 0]], dissipation R grad H = (A Minv p, 0).
     The co-energy form lives on (omega, pi) with pi_j = gamma_j sin q_j and is
     restricted to |pi_j| <= pi_frac * gamma_j so the branch conjugate stays on
-    the principal branch.
+    the principal branch.  The network is one fixed two-machine, one-branch case:
+    M, D, gamma, the source on the first machine and the box half-widths are
+    read-only class constants, and only the damping A is a field, which
+    lossless() zeroes.
     """
 
-    M: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.5]))
+    M = _read_only([1.0, 1.5])
+    D = _read_only([[1.0], [-1.0]])
+    gamma = _read_only([1.0])
+    input_columns = _read_only([[1.0], [0.0]])
+    omega_max = 2.0
+    q_max = 1.1
+    pi_frac = 0.9
     A: np.ndarray = field(default_factory=lambda: np.array([0.4, 0.3]))
-    D: np.ndarray = field(default_factory=lambda: np.array([[1.0], [-1.0]]))
-    gamma: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    input_columns: Optional[np.ndarray] = None
-    omega_max: float = 2.0
-    q_max: float = 1.1
-    pi_frac: float = 0.9
 
     def __post_init__(self):
-        for name in ("M", "A", "D", "gamma"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.D.shape != (self.n_machines, self.n_branches):
-            raise DimensionMismatchError("incidence matrix must be (machines, branches)")
-        gcols = self.input_columns
-        if gcols is None:
-            gcols = np.zeros((self.n_machines, 1))
-            gcols[0, 0] = 1.0
-        gcols = as_matrix(gcols)
-        if gcols.shape[0] != self.n_machines:
-            raise DimensionMismatchError("input columns must have one row per machine")
-        object.__setattr__(self, "input_columns", gcols)
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
 
     @property
     def n_machines(self) -> int:
@@ -216,10 +210,7 @@ class SwingModel:
         return self.input_columns.shape[1]
 
     def lossless(self) -> "SwingModel":
-        return SwingModel(M=self.M, A=np.zeros_like(self.A), D=self.D,
-                          gamma=self.gamma, input_columns=self.input_columns,
-                          omega_max=self.omega_max, q_max=self.q_max,
-                          pi_frac=self.pi_frac)
+        return SwingModel(A=np.zeros_like(self.A))
 
     # -- port-Hamiltonian side -------------------------------------------
 

@@ -117,7 +117,7 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
 
     def state(Gs):  # one stencil over all points: J[n, :, j, :] = d(G [f | g]_j)/dx at X[n]
         J = finite_difference_jacobian(lambda Y: G.rows(Y) @ np.concatenate(
-            [sys.f_rows(Y)[..., None], sys.g_rows(Y)], axis=-1), X)
+            [sys.f(Y)[..., None], sys.g(Y)], axis=-1), X)
         return J - J.transpose(0, 3, 2, 1)
 
     return _report(sys.to_general(), G, sigma, X, np.zeros((len(X), sys.nu)), state, tol)
@@ -177,15 +177,11 @@ def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
 
     def chi(x):
         d = as_vector(x, G.dim) - x0
-        if not np.any(d):
-            return np.zeros(G.dim)
         return integrate_segment(lambda ts: G.rows(x0 + ts[:, None] * d) @ d,
                                  0.0, 1.0, tol=LINE_QUAD_TOL)
 
     def value(x):
         d = as_vector(x, G.dim) - x0
-        if not np.any(d):
-            return 0.0
         return float(integrate_segment(
             lambda ts: (1.0 - ts) * (G.rows(x0 + ts[:, None] * d) @ d @ d),
             0.0, 1.0, tol=LINE_QUAD_TOL))
@@ -230,8 +226,6 @@ def reconstruct_potential(sys: NonlinearSystem, G: MetricField, sigma: Signature
 
     def value(w):
         d = as_vector(w, n) - w0
-        if not np.any(d):
-            return 0.0
         return -float(integrate_segment(lambda ts: minus_grad(w0 + ts[:, None] * d) @ d,
                                         0.0, 1.0, tol=LINE_QUAD_TOL))
 

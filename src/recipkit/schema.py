@@ -211,10 +211,10 @@ def _load_nonlinear(doc: dict, name: str) -> ModelBundle:
     def g(x):  # G(x) g(x) = g
         return np.linalg.solve(metric.rows(x), gmat)
 
-    affine = AffineNonlinearSystem(  # batched; y = sigma g^T x row by row
+    affine = AffineNonlinearSystem(  # y = sigma g^T x row by row
         nx=nx, nu=m, f=f, g=g, h=lambda x: sigma.signs * _mv(gmat.T, x),
         k=_constant_rows(np.zeros((m, m))),
-        domain=domain, dh_dx=_constant_rows(sigma.conjugate_rows(gmat.T)), batched=True)
+        domain=domain, dh_dx=_constant_rows(sigma.conjugate_rows(gmat.T)))
     return ModelBundle(name=name, kind="affine",
                        description=doc.get("description", "user supplied nonlinear system"),
                        affine=affine, metric=metric, sigma=sigma,

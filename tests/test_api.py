@@ -53,7 +53,7 @@ DEFAULTED = {
     "core.ScalarField": ("gradient", "hessian", "batched"),
     "core.MetricField": ("batched",),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du", "batched"),
-    "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx", "batched"),
+    "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
     "core.quadratic_field": ("lin", "const"),
     "core.finite_difference_jacobian": ("step",),
     "core.integrate_segment": ("a", "b", "tol"),
@@ -84,8 +84,7 @@ DEFAULTED = {
     "dynamics.ph_to_hessian_pseudo_gradient": ("seed", "tol", "u_box"),
     "dynamics.certify_relaxation": ("tol", "u_box", "n_samples", "seed"),
     "models.BraytonMoserModel": ("L", "C", "lam", "R", "Gc", "quartic", "co_content_sign"),
-    "models.SwingModel": ("M", "A", "D", "gamma", "input_columns", "omega_max", "q_max",
-                          "pi_frac"),
+    "models.SwingModel": ("A",),
     "models.SwingModel.as_hessian_pseudo_gradient": ("u_box",),
     "models.RcCircuitModel": ("Dc", "Dt", "conductors", "cap", "cap_quartic"),
     "models.ModelBundle": ("linear", "G_lin", "sigma", "Q0", "affine", "metric", "hpg", "ph",
@@ -147,7 +146,7 @@ def test_defaulted_parameter_snapshot():
     surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
                for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 115
+    assert sum(len(names) for names in surface.values()) == 107
 
 
 def _used_names(tree):
@@ -252,10 +251,17 @@ def test_source_leaves_no_orphans():
     assert accumulators == []
 
 
+def _is_self_attribute(arg, name: str) -> bool:
+    """True for the argument self.<name>, which copies a value on and sets nothing."""
+    return (isinstance(arg, ast.Attribute) and arg.attr == name
+            and isinstance(arg.value, ast.Name) and arg.value.id == "self")
+
+
 def test_every_defaulted_keyword_has_a_caller():
     """Each defaulted keyword is set by a call in the library, the benchmark or the
     acceptance suite, by position or by name, or is a test-only keyword kept for a
-    stated reason.  No two owners of defaulted keywords share a bare name."""
+    stated reason.  Passing self.<name> for the keyword <name> copies it and does not
+    count as setting it.  No two owners of defaulted keywords share a bare name."""
     surface = _defaulted_surface()
     # a call is matched to its owner by the bare name it calls, so two owners sharing a
     # bare name would each be credited with the other's callers
@@ -271,10 +277,14 @@ def test_every_defaulted_keyword_has_a_caller():
             if not isinstance(node, ast.Call):
                 continue
             called = getattr(node.func, "id", getattr(node.func, "attr", None))
-            positional = sum(not isinstance(a, ast.Starred) for a in node.args)
-            named = {k.arg for k in node.keywords}
-            set_by_a_call |= {f"{key}.{p.name}" for key, params in surface.items()
-                              if key.rsplit(".", 1)[-1] == called
-                              for i, p in enumerate(params) if i < positional or p.name in named}
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            named = {k.arg: k.value for k in node.keywords}
+            for key, params in surface.items():
+                if key.rsplit(".", 1)[-1] != called:
+                    continue
+                for i, p in enumerate(params):
+                    arg = positional[i] if i < len(positional) else named.get(p.name)
+                    if arg is not None and not _is_self_attribute(arg, p.name):
+                        set_by_a_call.add(f"{key}.{p.name}")
     assert set(TEST_ONLY_KEYWORDS) <= defaulted
     assert sorted(defaulted - set_by_a_call - set(TEST_ONLY_KEYWORDS)) == []

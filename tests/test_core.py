@@ -31,6 +31,7 @@ from recipkit.core import (
     validate_metric_field,
     validate_scalar_field,
 )
+from recipkit.geometry import levi_civita
 
 
 def test_as_vector_shapes():
@@ -233,18 +234,19 @@ def test_scalar_field_dim_mismatch():
 
 
 def test_metric_field_checked():
+    # levi_civita checks the metric at its point before it differentiates it
     box = BoxDomain.cube(2)
     ok = MetricField.constant(np.diag([2.0, -1.0]), box)
-    np.testing.assert_allclose(ok.checked([0.0, 0.0]), np.diag([2.0, -1.0]))
+    assert np.array_equal(levi_civita(ok, [0.0, 0.0]), np.zeros((2, 2, 2)))
 
     bad_sym = MetricField(2, lambda x: np.array([[1.0, 0.5], [0.0, 1.0]]), box)
-    with pytest.raises(AssumptionError):
-        bad_sym.checked([0.0, 0.0])
+    with pytest.raises(AssumptionError, match="asymmetry 5.000e-01"):
+        levi_civita(bad_sym, [0.0, 0.0])
 
     # metric degenerates at x1 = 1
     sing = MetricField(2, lambda x: np.diag([x[0] - 1.0, 1.0]), box)
     with pytest.raises(SingularMatrixError):
-        sing.checked([1.0, 0.0])
+        levi_civita(sing, [1.0, 0.0])
 
 
 def test_metric_field_from_hessian():
@@ -259,7 +261,6 @@ def test_signature_matrix():
     assert sig.m == 2
     assert not sig.is_identity
     np.testing.assert_allclose(sig.matrix, np.diag([1.0, -1.0]))
-    np.testing.assert_allclose(sig.apply([2.0, 3.0]), [2.0, -3.0])
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(sig.conjugate_rows(M), np.diag([1.0, -1.0]) @ M)
     assert SignatureMatrix.identity(3).is_identity
@@ -344,13 +345,12 @@ def test_affine_system_to_general_consistent():
         np.testing.assert_allclose(gen.jac_F_x(x, u), fd, atol=1e-6)
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_affine_system_refuses_a_wrong_shape_dg_dx(batched):
+def test_affine_system_refuses_a_wrong_shape_dg_dx():
     aff = AffineNonlinearSystem(
         2, 1, f=lambda x: -x, g=lambda x: np.ones(np.shape(x)[:-1] + (2, 1)),
         h=lambda x: x[..., :1], k=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
         domain=BoxDomain.cube(2), df_dx=lambda x: -np.ones(np.shape(x)[:-1] + (2, 2)),
-        dg_dx=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 1)), batched=batched)
+        dg_dx=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 1)))
     gen = aff.to_general()
     X, U = np.zeros((3, 2)), np.ones((3, 1))
     for x, u in ((X[0], U[0]), (X, U)):

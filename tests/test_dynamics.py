@@ -159,7 +159,9 @@ def _swing_midpoint_problem(form):
     u = lambda t: np.array([0.2 * np.sin(t)])
     if form == "port-hamiltonian":
         return (lambda t, z: ph.rhs(z, u(t)), lambda t, z: ph.rhs_jac(z, u(t)), None, z0)
-    return (lambda t, x: -hpg.V_x(x, u(t)), lambda t, x: -hpg.V_xx(x, u(t)), hpg.metric,
+    nx = hpg.nx
+    return (lambda t, x: -hpg.V_x(x, u(t)),
+            lambda t, x: -hpg.V.hess(np.concatenate([x, u(t)]))[:nx, :nx], hpg.metric,
             sw.ph_state_to_co_energy(z0))
 
 
@@ -495,6 +497,17 @@ def test_port_hamiltonian_system_oscillator():
     np.testing.assert_allclose(ph.output(z, [0.5]), [1.0])
     out = ph.validate()
     assert out["max_skew"] == 0.0
+
+
+def test_port_hamiltonian_rhs_jac_differences_an_R_without_R_jac():
+    # swing's R is linear with R_jac supplied; without R_jac, rhs_jac is the stencil of rhs
+    analytic = SwingModel().as_port_hamiltonian()
+    stencil = dataclasses.replace(analytic, R_jac=None)
+    u = np.array([0.3])
+    for z in analytic.domain.shrink(0.9).sample(5, seed=3):
+        J = stencil.rhs_jac(z, u)
+        assert np.array_equal(J, finite_difference_jacobian(lambda w: stencil.rhs(w, u), z))
+        np.testing.assert_allclose(J, analytic.rhs_jac(z, u), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["hessian-pseudo-gradient", "port-hamiltonian"])

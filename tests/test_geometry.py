@@ -15,6 +15,8 @@ from recipkit.core import (
     ScalarField,
     SignatureMatrix,
     SingularMatrixError,
+    _constant_rows,
+    _mv,
     quadratic_field,
 )
 from recipkit.dynamics import Trajectory, integrate_implicit_midpoint
@@ -155,10 +157,10 @@ def scalar_affine():
     box = BoxDomain.cube(1, halfwidth=2.0)
     return AffineNonlinearSystem(
         1, 1,
-        f=lambda x: np.array([-x[0]]),
-        g=lambda x: np.array([[1.0]]),
-        h=lambda x: np.array([x[0]]),
-        k=lambda x: np.array([[0.0]]),
+        f=lambda x: -x,
+        g=_constant_rows(np.array([[1.0]])),
+        h=lambda x: x[..., :1],
+        k=_constant_rows(np.array([[0.0]])),
         domain=box,
     )
 
@@ -269,10 +271,10 @@ def gyrator_affine():
     box = BoxDomain.cube(2, halfwidth=3.0)
     return AffineNonlinearSystem(
         2, 1,
-        f=lambda x: A @ x,
-        g=lambda x: B,
-        h=lambda x: C @ x,
-        k=lambda x: np.array([[0.0]]),
+        f=lambda x: _mv(A, x),
+        g=_constant_rows(B),
+        h=lambda x: _mv(C, x),
+        k=_constant_rows(np.array([[0.0]])),
         domain=box,
     )
 
@@ -307,8 +309,9 @@ def test_match_judges_the_isomorphism_gap():
     # G x_dot = -x + g u with G = I and y = g^T x; a symmetric candidate metric off G
     # leaves the outputs equal and shows only in p = G delta_x
     box = BoxDomain.cube(2)
-    sys = AffineNonlinearSystem(2, 1, f=lambda x: -x, g=lambda x: np.array([[1.0], [0.0]]),
-                                h=lambda x: x[:1], k=lambda x: np.zeros((1, 1)), domain=box)
+    sys = AffineNonlinearSystem(2, 1, f=lambda x: -x, g=_constant_rows(np.array([[1.0], [0.0]])),
+                                h=lambda x: x[..., :1], k=_constant_rows(np.zeros((1, 1))),
+                                domain=box)
     gen = sys.to_general()
 
     def u(t):
@@ -525,9 +528,9 @@ def test_random_reciprocal_systems_pass_both_duality_tests(seed, n, m):
     assert check_linear_reciprocity(lin, G, sigma).reciprocal
     box = BoxDomain.cube(n, halfwidth=5.0)
     sys = AffineNonlinearSystem(
-        n, m, f=lambda x: lin.A @ x, g=lambda x: lin.B, h=lambda x: lin.C @ x,
-        k=lambda x: lin.D, domain=box, df_dx=lambda x: lin.A,
-        dg_dx=lambda x: np.zeros((m, n, n)), dh_dx=lambda x: lin.C)
+        n, m, f=lambda x: _mv(lin.A, x), g=_constant_rows(lin.B), h=lambda x: _mv(lin.C, x),
+        k=_constant_rows(lin.D), domain=box, df_dx=_constant_rows(lin.A),
+        dg_dx=_constant_rows(np.zeros((m, n, n))), dh_dx=_constant_rows(lin.C))
     times = np.linspace(0.0, 2.0, 201)
     nominal = Trajectory(times, np.zeros((201, n)), np.zeros((201, m)), np.zeros((201, m)))
     rep = external_reciprocity_test(sys, MetricField.constant(G, box), nominal,

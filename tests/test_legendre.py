@@ -304,6 +304,56 @@ def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
         pair.Kstar.hess([0.0, 0.0])
 
 
+def test_a_stalled_line_search_within_100x_the_goal_returns_its_iterate():
+    # grad K(x) = x + eps s(x), with s = +1 on [k h, (k + 1/2) h) and -1 on the rest, jumps
+    # from -eps to +eps at each z = k h: no x solves grad K(x) = z, the residual is at
+    # least eps, about 10x the goal 1e-12 (1 + |z|), and Newton stalls at x = z
+    h, eps = 0.25, 2e-11
+    K = ScalarField(1, lambda x: 0.5 * np.sum(x * x, axis=-1), BoxDomain.cube(1),
+                    gradient=lambda x: x + eps * np.where(np.mod(x / h, 1.0) < 0.5, 1.0, -1.0),
+                    hessian=lambda x: np.ones(np.shape(x) + (1,)), batched=True)
+    Z = np.array([[-0.5], [0.0], [0.25], [0.5], [0.75]])
+    X0 = np.zeros_like(Z)
+    got = np.array([legendre._solve_gradient_equation(K, z, x0) for z, x0 in zip(Z, X0)])
+    lockstep, failed = legendre._solve_gradient_equations(K, Z, X0)
+    assert failed == {} and np.array_equal(got, lockstep)
+    residual = np.abs(K.grad_rows(got) - Z)[:, 0]
+    goal = legendre.NEWTON_TOL * (1.0 + np.abs(Z[:, 0]))
+    assert np.all((goal < residual) & (residual <= 100.0 * goal))
+
+
+def test_a_singular_quadratic_gives_up_the_closed_form_for_newton():
+    # degree 2, but Q = hess K(0) is singular: the pair falls back to Newton, which fails
+    K = quadratic_field(np.diag([1.0, 0.0]), BoxDomain.cube(2))
+    assert homogeneity_check(K).degree2
+    with pytest.raises(SingularMatrixError, match="^row 0 of 200: Newton met a singular"):
+        make_legendre_pair(K)
+    with pytest.raises(SingularMatrixError, match="^Newton met a singular Hessian"):
+        make_legendre_pair(K, verify=False).inverse([0.5, 0.0])
+
+
+def _cosh_with_summed_gradient(box):
+    # the gradient sums over the coordinates: shape (N,) on a stack (N, 2), not (N, 2)
+    return ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), box,
+                       gradient=lambda x: np.sum(np.sinh(x), axis=-1),
+                       hessian=lambda x: np.cosh(x)[..., :, None] * np.eye(2), batched=True)
+
+
+@pytest.mark.parametrize("box", [BoxDomain.cube(2), BoxDomain([0.5, 0.5], [1.5, 1.5])],
+                         ids=["holds-0", "without-0"])
+def test_make_legendre_pair_refuses_a_batched_gradient_of_the_wrong_shape(box):
+    # raw numpy errors before the check: vecdot's with 0 in the box, solve1's without
+    with pytest.raises(DimensionMismatchError, match=r"^gradient has shape \(200,\), "
+                                                     r"expected \(200, 2\)$"):
+        make_legendre_pair(_cosh_with_summed_gradient(box))
+
+
+def test_homogeneity_check_refuses_a_batched_gradient_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatchError, match=r"^gradient has shape \(50,\), "
+                                                     r"expected \(50, 2\)$"):
+        homogeneity_check(_cosh_with_summed_gradient(BoxDomain.cube(2)), samples=50)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_direct_lapack_calls_are_numpy_linalg_bit_for_bit(n):
     # pins the private numpy.linalg._umath_linalg gufuncs the per-point kernel calls

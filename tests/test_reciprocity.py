@@ -15,6 +15,7 @@ from recipkit.core import (
     NonlinearSystem,
     ScalarField,
     SignatureMatrix,
+    _constant_rows,
     quadratic_field,
 )
 from recipkit.models import BraytonMoserModel, SwingModel, model_registry
@@ -228,7 +229,9 @@ def two_input_affine(box, broken):
     last = 0.0 if broken else 1.0
 
     def g(x):
-        Gg = np.array([[x[1], x[2]], [x[0], 0.0], [np.sinh(x[2]), last * x[0]]])
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        Gg = np.stack([np.stack([x1, x2], axis=-1), np.stack([x0, 0.0 * x0], axis=-1),
+                       np.stack([np.sinh(x2), last * x0], axis=-1)], axis=-2)
         return Ginv[:, None] * Gg
 
     def dg_dx(x):
@@ -240,8 +243,9 @@ def two_input_affine(box, broken):
         3, 2,
         f=lambda x: -x,
         g=g,
-        h=lambda x: np.array([x[0] * x[1] + np.cosh(x[2]), x[0] * x[2]]),
-        k=lambda x: np.zeros((2, 2)),
+        h=lambda x: np.stack([x[..., 0] * x[..., 1] + np.cosh(x[..., 2]),
+                              x[..., 0] * x[..., 2]], axis=-1),
+        k=_constant_rows(np.zeros((2, 2))),
         domain=box,
     )
     return sys, dg_dx
@@ -321,6 +325,17 @@ def test_reconstruct_potential_brayton_moser_grid():
             w = np.concatenate([x, [uv]])
             expected = P(x) - P(np.zeros(2)) - float(x @ g[:, 0]) * uv
             assert pot.V(w) == pytest.approx(expected, abs=1e-6)
+
+
+def test_line_integrals_vanish_at_the_base_point():
+    # d = 0 makes every integrand identically 0, which the quadrature integrates to 0
+    reg = model_registry()["brayton-moser"]
+    x0, u0 = np.array([0.3, -0.2]), np.array([0.1])
+    pot = reconstruct_potential(reg.affine.to_general(), reg.metric, reg.sigma,
+                                base_point=(x0, u0), n_samples=20)
+    rec = reconstruct_K(reg.metric, base_point=x0)
+    assert rec(x0) == 0.0 and pot.V(np.concatenate([x0, u0])) == 0.0
+    assert np.array_equal(rec.grad(x0), np.zeros(2))
 
 
 def test_line_integrals_make_one_row_call_per_quadrature_pass(monkeypatch):

@@ -128,7 +128,7 @@ def test_load_nonlinear_pseudo_gradient():
     {"hessian_of": poly_spec(2, [((2, 0), 0.5), ((0, 2), 0.5), ((4, 0), 0.25)])},
 ], ids=["constant", "indefinite", "hessian-of"])
 def test_nonlinear_rows_are_the_per_point_solves(metric):
-    # the loaded system is batched: f and g are one solve over the metric rows and
+    # the loaded system maps stacks: f and g are one solve over the metric rows and
     # h = sigma g^T x by rows, each row equal bit for bit to the solve at its point
     P = poly_spec(2, [((2, 0), 0.5), ((0, 2), 0.5), ((4, 0), 0.25), ((1, 1), 0.2)])
     g = np.array([[1.0, 0.0], [0.5, -1.0]])
@@ -137,10 +137,9 @@ def test_nonlinear_rows_are_the_per_point_solves(metric):
     aff, grad_P = b.affine, parse_field(P, "P").grad
     X = aff.domain.shrink(0.9).sample(20, seed=2)
     f = [np.linalg.solve(b.metric(x), -grad_P(x)) for x in X]
-    h = [b.sigma.apply(g.T @ x) for x in X]
-    assert aff.batched
-    assert np.array_equal(aff.f_rows(X), f)
-    assert np.array_equal(aff.g_rows(X), [np.linalg.solve(b.metric(x), g) for x in X])
+    h = [b.sigma.signs * (g.T @ x) for x in X]
+    assert np.array_equal(aff.f(X), f)
+    assert np.array_equal(aff.g(X), [np.linalg.solve(b.metric(x), g) for x in X])
     assert np.array_equal(aff.h(X), h)
     assert np.array_equal(aff.k(X), np.zeros((20, 2, 2)))
     assert np.array_equal(aff.dh_dx(X), np.broadcast_to([[1.0, 0.5], [0.0, 1.0]], (20, 2, 2)))
