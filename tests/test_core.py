@@ -345,19 +345,20 @@ def test_affine_system_to_general_consistent():
         np.testing.assert_allclose(gen.jac_F_x(x, u), fd, atol=1e-6)
 
 
-def test_affine_system_refuses_a_wrong_shape_dg_dx():
+@pytest.mark.parametrize("stacked", [False, True])
+def test_affine_system_refuses_a_wrong_shape_dg_dx(stacked):
+    # the dg_dx shape check holds at one point and on a stack of points
     aff = AffineNonlinearSystem(
         2, 1, f=lambda x: -x, g=lambda x: np.ones(np.shape(x)[:-1] + (2, 1)),
         h=lambda x: x[..., :1], k=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
         domain=BoxDomain.cube(2), df_dx=lambda x: -np.ones(np.shape(x)[:-1] + (2, 2)),
         dg_dx=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 1)))
-    gen = aff.to_general()
     X, U = np.zeros((3, 2)), np.ones((3, 1))
-    for x, u in ((X[0], U[0]), (X, U)):
-        with pytest.raises(DimensionMismatchError, match="dg_dx shape"):
-            gen.jac_F_x(x, u)
+    x, u = (X, U) if stacked else (X[0], U[0])
+    with pytest.raises(DimensionMismatchError, match="dg_dx shape"):
+        aff.to_general().jac_F_x(x, u)
     right = dataclasses.replace(aff, dg_dx=lambda x: np.zeros(np.shape(x)[:-1] + (1, 2, 2)))
-    assert np.array_equal(right.to_general().jac_F_x(X, U), -np.ones((3, 2, 2)))
+    assert np.array_equal(right.to_general().jac_F_x(x, u), -np.ones(np.shape(x)[:-1] + (2, 2)))
 
 
 def test_polynomial_derivatives():
