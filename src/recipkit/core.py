@@ -8,7 +8,7 @@ immutable after construction and their evaluation maps are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -368,6 +368,15 @@ class ScalarField:
         return _rows(self.batched, self.hessian, self.hess, (self.dim, self.dim), X)
 
 
+def _evaluators(F: ScalarField) -> tuple:
+    """(value, gradient, hessian) at a point or on a stack, for callers that bind them once:
+    F's own callables when F is batched and supplies both derivatives, else its row
+    evaluators.  A batched callable's output is unchecked, as in _rows."""
+    if F.batched and F.gradient is not None and F.hessian is not None:
+        return F.value, F.gradient, F.hessian
+    return F.value_rows, F.grad_rows, F.hess_rows
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Symmetric invertible matrix field x -> G(x) on a box.  rows maps a point (dim,) to
@@ -541,6 +550,38 @@ class AffineNonlinearSystem:
             dF_du=lambda x, u: self.g(x),
             dH_dx=None if self.dh_dx is None else lambda x, u: self.dh_dx(x),
             dH_du=lambda x, u: self.k(x))
+
+
+def _stack_checked(fn: Callable, name: str, shape: tuple) -> Callable:
+    """fn at a point, and on a stack X (N, n) its output once that has shape (N,) + shape.
+    Another shape, or a TypeError, ValueError or IndexError (not a LinAlgError) that fn
+    raises on the stack, is a DimensionMismatchError naming fn: fn works per point only."""
+    def checked(x):
+        if getattr(x, "ndim", 1) < 2:  # a point, which may be a list
+            return fn(x)
+        try:
+            out = fn(x)
+        except np.linalg.LinAlgError:
+            raise
+        except (TypeError, ValueError, IndexError) as exc:
+            raise DimensionMismatchError(
+                f"{name} fails on a stack of shape {x.shape}: {exc}") from exc
+        want = x.shape[:-1] + shape
+        if np.shape(out) != want:
+            raise DimensionMismatchError(f"{name} has shape {np.shape(out)} on a stack of shape "
+                                         f"{x.shape}, expected {want}")
+        return out
+    return checked
+
+
+def _stack_checked_system(sys: AffineNonlinearSystem) -> AffineNonlinearSystem:
+    """sys with f, g, h and k checked on every stack they meet (_stack_checked), so that a
+    system whose callables work per point only fails where its first stack enters, at no
+    extra evaluation."""
+    nx, nu = sys.nx, sys.nu
+    return replace(sys, f=_stack_checked(sys.f, "f", (nx,)),
+                   g=_stack_checked(sys.g, "g", (nx, nu)), h=_stack_checked(sys.h, "h", (nu,)),
+                   k=_stack_checked(sys.k, "k", (nu, nu)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .core import (
     ScalarField,
     SignatureMatrix,
     _constant_rows,
+    _evaluators,
     _mv,
     as_matrix,
     as_vector,
@@ -414,12 +415,12 @@ def simulate_pseudo_gradient(sys, x0, u_signal: Callable, t_span, step: float,
     The mass matrix is the metric assembled at the Newton midpoint.  The
     returned trajectory always carries the supply-rate monitor u.y and, when
     a storage field is attached to the system or passed here, the channel S.
-    x0 is checked here; the run calls V.grad_rows, V.hess_rows and K.hess_rows, bound once.
+    x0 is checked here; the run calls V's and K's evaluators (core._evaluators), bound once.
     """
-    nx, grad_V, hess_V = sys.nx, sys.V.grad_rows, sys.V.hess_rows
+    nx, (_, grad_V, hess_V), hess_K = sys.nx, _evaluators(sys.V), _evaluators(sys.K)[2]
     return _run(sys, lambda x, u: -grad_V(np.concatenate([x, u]))[:nx],
                 lambda x, u: -hess_V(np.concatenate([x, u]))[:nx, :nx], as_vector(x0, nx),
-                u_signal, t_span, step, sys.K.hess_rows, sys.domain if enforce_domain else None,
+                u_signal, t_span, step, hess_K, sys.domain if enforce_domain else None,
                 storage if storage is not None else getattr(sys, "storage", None))
 
 
@@ -479,14 +480,6 @@ class ConversionSplit:
     P2: ScalarField
     Pc: np.ndarray
     g1: np.ndarray
-
-
-def _evaluators(F: ScalarField) -> tuple:
-    """(value, gradient, hessian) at a point or on a stack: F's own callables when F is
-    batched and supplies both derivatives, else its row evaluators."""
-    if F.batched and F.gradient is not None and F.hessian is not None:
-        return F.value, F.gradient, F.hessian
-    return F.value_rows, F.grad_rows, F.hess_rows
 
 
 def _block_field(A: ScalarField, B: ScalarField, sign: float, C: np.ndarray,

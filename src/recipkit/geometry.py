@@ -26,6 +26,7 @@ from .core import (
     SignatureMatrix,
     _checked_metric_rows,
     _checked_stack,
+    _stack_checked_system,
     as_vector,
     finite_difference_jacobian,
 )
@@ -126,7 +127,7 @@ def _linearization(sys: AffineNonlinearSystem, nominal: Trajectory, u_signal,
     um = (0.5 * (ug[1:] + ug[:-1]) if u_signal is None
           else _checked_stack([u_signal(t) for t in tm], (len(tm), sys.nu)))
     xm = 0.5 * (xg[1:] + xg[:-1])
-    gen = sys.to_general()  # A, B and C are its dF/dx, dF/du and dH/dx
+    gen = _stack_checked_system(sys).to_general()  # A, B, C: its dF/dx, dF/du, dH/dx
     A = gen.jac_F_x(xm, um)
     dual_A, gam = A.transpose(0, 2, 1), _christoffel_rows(G, xm)
     if gam is not None:

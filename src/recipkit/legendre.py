@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     ScalarField,
     SingularMatrixError,
+    _evaluators,
     as_vector,
 )
 
@@ -63,58 +64,64 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(all="ignore", invalid="call", call=_singular)
 def _lapack(gufunc, *arrays: np.ndarray) -> np.ndarray:
     """A LAPACK gufunc of np.linalg.solve/inv on float64 arrays, in their errstate: their
     bits and their LinAlgError on a singular matrix, without their per-call wrapper."""
-    with np.errstate(all="ignore", invalid="call", call=_singular):
-        return gufunc(*arrays)
+    return gufunc(*arrays)
 
 
-def _solve_gradient_equation(K: ScalarField, z: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Damped Newton solve of grad K(x) = z starting from x0.
+def _point_solver(K: ScalarField) -> Callable:
+    """The damped Newton solve of grad K(x) = z for one co-vector, as solve(z, x0), with the
+    setup that depends on K alone done here once: the inflated box and K's evaluators.
 
     Convergence is measured relative to 1 + |z|; a line search that stalls
     within a small factor of that target returns the current iterate rather
     than failing on rounding noise.  z and x0 arrive checked: each iteration
-    calls K's row evaluators at the point, its own callables once when K is
-    batched, takes every norm as sqrt(r @ r), np.linalg.norm bit for bit, and
-    solves for the step through _lapack, np.linalg.solve bit for bit.
+    calls K's evaluators (core._evaluators) at the point, takes every norm as
+    sqrt(r @ r), np.linalg.norm bit for bit, and solves for the step through
+    _lapack, np.linalg.solve bit for bit.
     """
     lo, hi = _inflated(K.domain)
-    grad, hess, square = K.grad_rows, K.hess_rows, (K.dim, K.dim)
-    goal = NEWTON_TOL * (1.0 + math.sqrt(z @ z))
-    x = np.array(x0, dtype=float)
-    r = grad(x) - z
-    rn = math.sqrt(r @ r)
-    for it in range(1, NEWTON_MAX_ITER + 1):
+    _, grad, hess = _evaluators(K)
+    square, solve1 = (K.dim, K.dim), _umath_linalg.solve1
+
+    def solve(z: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        goal = NEWTON_TOL * (1.0 + math.sqrt(z @ z))
+        x = np.array(x0, dtype=float)
+        r = grad(x) - z
+        rn = math.sqrt(r @ r)
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            if rn <= goal:
+                return x
+            H = _shaped(hess(x), square, "hessian")
+            try:
+                step = _lapack(solve1, H, r)
+            except np.linalg.LinAlgError as exc:
+                raise _newton_error("singular", z, x0, x, it, rn) from exc
+            lam, cand = 1.0, x - step
+            while True:
+                if ((cand >= lo) & (cand <= hi)).all():
+                    rc = grad(cand) - z
+                    rcn = math.sqrt(rc @ rc)
+                    if rcn < rn or rcn <= goal:
+                        x, r, rn = cand, rc, rcn
+                        break
+                lam *= 0.5
+                if lam < 1e-8:
+                    if rn <= 100.0 * goal:
+                        return x
+                    raise _newton_error("stalled", z, x0, x, it, rn)
+                cand = x - lam * step
         if rn <= goal:
             return x
-        H = _shaped(hess(x), square, "hessian")
-        try:
-            step = _lapack(_umath_linalg.solve1, H, r)
-        except np.linalg.LinAlgError as exc:
-            raise _newton_error("singular", z, x0, x, it, rn) from exc
-        lam = 1.0
-        while True:
-            cand = x - lam * step
-            if ((cand >= lo) & (cand <= hi)).all():
-                rc = grad(cand) - z
-                rcn = math.sqrt(rc @ rc)
-                if rcn < rn or rcn <= goal:
-                    x, r, rn = cand, rc, rcn
-                    break
-            lam *= 0.5
-            if lam < 1e-8:
-                if rn <= 100.0 * goal:
-                    return x
-                raise _newton_error("stalled", z, x0, x, it, rn)
-    if rn <= goal:
-        return x
-    raise _newton_error("budget", z, x0, x, NEWTON_MAX_ITER, rn)
+        raise _newton_error("budget", z, x0, x, NEWTON_MAX_ITER, rn)
+
+    return solve
 
 
 def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
-    """_solve_gradient_equation for each row of Z, all rows advancing in lockstep.
+    """_point_solver's solve for each row of Z, all rows advancing in lockstep.
 
     Each row keeps the per-point rules and gets the per-point x bit for bit.
     Returns X and a dict from each failed row to its error.
@@ -162,35 +169,48 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
     return X, failed
 
 
-def _starts(K: ScalarField, Z: np.ndarray):
-    """Newton's starts for Z, each built only once the last one failed."""
-    yield K.domain.center
-    yield K.domain.center + 0.1 * K.domain.width * np.sign(Z)
-    yield K.domain.center - 0.1 * K.domain.width
+def _starts(center: np.ndarray, offset: np.ndarray, Z: np.ndarray):
+    """Newton's starts for Z, each built only once the last one failed: the domain center,
+    then offsets of offset = 0.1 * width that cover a degenerate Hessian there."""
+    yield center
+    yield center + offset * np.sign(Z)
+    yield center - offset
+
+
+def _point_inverse(K: ScalarField) -> Callable:
+    """z -> x solving grad K(x) = z for one checked co-vector by the per-point solver, bound
+    here once with the starts' fixed parts.  Each start is tried only if the last failed;
+    if all fail, the last error is raised, naming the starts tried."""
+    solve, center, offset = _point_solver(K), K.domain.center, 0.1 * K.domain.width
+
+    def invert(z: np.ndarray) -> np.ndarray:
+        for s in _starts(center, offset, z):
+            try:
+                return solve(z, s)
+            except (ConvergenceError, SingularMatrixError) as exc:
+                err = exc
+        tried = ", ".join(map(str, _starts(center, offset, z)))
+        raise type(err)(f"{err}; starts tried: {tried}") from err
+
+    return invert
 
 
 def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
-    """Solve grad K(x) = z for one co-vector (per-point kernel) or a stack (lockstep).
+    """Solve grad K(x) = z for each row of a stack Z by the lockstep kernel.
 
-    A row tries the domain center, then offsets that cover a degenerate
-    Hessian there, each only if the last failed; if all fail, it raises the
-    last error, naming the starts tried and, in a stack, the first such row.
+    A row takes the starts of _point_inverse, each only if the last failed;
+    if all fail, it raises the last error of the first such row, naming the
+    row and the starts tried.
     """
-    if Z.ndim == 1:
-        for s in _starts(K, Z):
-            try:
-                return _solve_gradient_equation(K, Z, s)
-            except (ConvergenceError, SingularMatrixError) as exc:
-                err = exc
-        raise type(err)(f"{err}; starts tried: {', '.join(map(str, _starts(K, Z)))}") from err
+    center, offset = K.domain.center, 0.1 * K.domain.width
     X, todo = np.empty_like(Z), np.arange(len(Z))
-    for s in _starts(K, Z):
+    for s in _starts(center, offset, Z):
         X[todo], failed = _solve_gradient_equations(K, Z[todo], np.broadcast_to(s, Z.shape)[todo])
         if not failed:
             return X
         i, err = todo[min(failed)], failed[min(failed)]
         todo = todo[sorted(failed)]
-    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in _starts(K, Z))
+    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in _starts(center, offset, Z))
     raise type(err)(f"row {i} of {len(Z)}: {err}; starts tried: {tried}") from err
 
 
@@ -208,7 +228,7 @@ def legendre_transform(K: ScalarField, z, x_init=None):
     """
     zz = as_vector(z, K.dim)
     x0 = K.domain.center if x_init is None else as_vector(x_init, K.dim)
-    x = _solve_gradient_equation(K, zz, x0)
+    x = _point_solver(K)(zz, x0)
     return x, float(zz @ x - K(x))
 
 
@@ -261,6 +281,9 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     solve; a solution outside the box inflated by BOX_INFLATE goes on to Newton.
     That solve and Kstar.hess's inverse at a point go through _lapack, as the
     per-point Newton step does: np.linalg's bits without its per-call wrapper.
+    The per-point solver, its starts and K's evaluators are bound here once, for
+    inverse, Kstar.hess and every Newton iteration.  A stack whose rows are not
+    co-vectors of K raises DimensionMismatchError.
     """
     box = K.domain
     lo, hi = _inflated(box)
@@ -295,21 +318,26 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         if failed:
             raise failed[0]
 
+    invert, hess, square = _point_inverse(K), _evaluators(K)[2], (K.dim, K.dim)
+
     def inverse(z):
-        zz = np.asarray(z, dtype=float) if np.ndim(z) == 2 else as_vector(z, K.dim)
+        if np.ndim(z) == 2:  # a stack's width is checked here, a point's by as_vector
+            zz = _shaped(np.asarray(z, dtype=float), (len(z), K.dim), "co-vector stack")
+        else:
+            zz = as_vector(z, K.dim)
         if Q is not None:
             x = _lapack(_umath_linalg.solve, Q, zz[..., None])[..., 0]
             if ((x >= lo) & (x <= hi)).all():
                 return x
-        return _invert(K, zz)
+        return invert(zz) if zz.ndim == 1 else _invert(K, zz)
 
     def star_value(z):  # ScalarField.__call__ hands over a checked vector
         x = inverse(z)
         return float(z @ x - K(x))
 
-    def star_hess(z):
+    def star_hess(z):  # ScalarField.hess hands over a checked vector
         return Qinv if Q is not None else _lapack(
-            _umath_linalg.inv, _shaped(K.hess_rows(inverse(z)), (K.dim, K.dim), "hessian"))
+            _umath_linalg.inv, _shaped(hess(invert(z)), square, "hessian"))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))

@@ -26,6 +26,7 @@ from .core import (
     SignatureMatrix,
     _checked_metric_rows,
     _mv,
+    _stack_checked_system,
     as_vector,
     finite_difference_jacobian,
     integrate_segment,
@@ -112,7 +113,10 @@ def check_reciprocity_affine(sys: AffineNonlinearSystem, G: MetricField,
     residual_state  : asymmetry of d(G f)/dx and of every d(G g_j)/dx,
     residual_output : max |sigma k(x) - k(x)^T sigma|,
     residual_cross  : max |G(x) g(x) - (dh/dx)^T sigma|.
+
+    f, g, h or k that works per point only raises DimensionMismatchError naming it.
     """
+    sys = _stack_checked_system(sys)
     X = sys.domain.shrink(0.95).sample(n_samples, seed=seed)
 
     def state(Gs):  # one stencil over all points: J[n, :, j, :] = d(G [f | g]_j)/dx at X[n]

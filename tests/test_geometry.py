@@ -22,6 +22,7 @@ from recipkit.core import (
 from recipkit.dynamics import Trajectory, integrate_implicit_midpoint
 from recipkit.linear import check_linear_reciprocity
 from recipkit.models import model_registry, random_reciprocal_system
+from recipkit.reciprocity import check_reciprocity_affine
 from recipkit.geometry import (
     _linearization,
     _ltv_recurrence,
@@ -303,6 +304,82 @@ def test_external_reciprocity_detects_wrong_metric():
     rep = external_reciprocity_test(sys, Gbad, nominal, delta_x0=[0.2, -0.1])
     assert not rep.match
     assert max(rep.max_output_gap, rep.max_state_gap) > 1e-3
+
+
+def per_point_scalar_affine():
+    # scalar_affine written for one point: on a stack each callable returns one point's shape
+    return AffineNonlinearSystem(
+        1, 1,
+        f=lambda x: np.array([-x[0]]),
+        g=lambda x: np.array([[1.0]]),
+        h=lambda x: np.array([x[0]]),
+        k=lambda x: np.array([[0.0]]),
+        domain=BoxDomain.cube(1, halfwidth=2.0),
+    )
+
+
+def per_point_gyrator_affine():
+    # gyrator_affine written for one point: on a stack f's and h's matmul fails, g and k
+    # return one point's shape
+    A = np.array([[-1.0, -2.0], [2.0, -1.0]])
+    B = np.array([[1.0], [0.0]])
+    C = np.array([[1.0, 0.0]])
+    return AffineNonlinearSystem(
+        2, 1,
+        f=lambda x: A @ x,
+        g=lambda x: B,
+        h=lambda x: C @ x,
+        k=lambda x: np.array([[0.0]]),
+        domain=BoxDomain.cube(2, halfwidth=3.0),
+    )
+
+
+def _both_checks(sys):
+    """check_reciprocity_affine and external_reciprocity_test on sys, each as a thunk."""
+    G = MetricField.constant(np.eye(sys.nx), sys.domain)
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.full((11, sys.nx), 0.5)
+    nominal = Trajectory(times, states, np.zeros((11, 1)), states[:, :1])
+    return (lambda: check_reciprocity_affine(sys, G, SignatureMatrix.identity(1), n_samples=10),
+            lambda: external_reciprocity_test(sys, G, nominal))
+
+
+@pytest.mark.parametrize("names", ["f", "g", "h", "k", "fghk"])
+@pytest.mark.parametrize("fixtures", [(scalar_affine, per_point_scalar_affine),
+                                      (gyrator_affine, per_point_gyrator_affine)],
+                         ids=["scalar", "gyrator"])
+def test_a_per_point_affine_callable_is_a_dimension_mismatch_naming_it(fixtures, names):
+    # per-point callables in a stack-native system ("fghk": the per-point fixture itself):
+    # both checks name one where its first stack enters, in place of numpy's matmul error
+    stacked, per_point = fixtures
+    sys = dataclasses.replace(stacked(), **{n: getattr(per_point(), n) for n in names})
+    for check in _both_checks(sys):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^[{names}] (has shape .* on a stack|fails on a stack)"):
+            check()
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, ValueError])
+def test_an_error_an_affine_callable_raises_on_a_stack_names_it(error):
+    def fails(x):
+        raise error("written for one point")
+
+    sys = dataclasses.replace(scalar_affine(), h=fails)
+    for check in _both_checks(sys):
+        with pytest.raises(DimensionMismatchError, match=r"^h fails on a stack of shape "
+                                                         r"\(\d+, 1\): written for one point$"):
+            check()
+
+
+def test_a_singular_solve_in_an_affine_callable_stays_a_linalg_error():
+    # a stack-native f that meets a singular matrix is a numerical failure, not a shape error
+    def f(x):
+        return np.linalg.solve(np.zeros(np.shape(x) + (1,)), x[..., None])[..., 0]
+
+    sys = dataclasses.replace(scalar_affine(), f=f)
+    for check in _both_checks(sys):
+        with pytest.raises(np.linalg.LinAlgError):
+            check()
 
 
 def test_match_judges_the_isomorphism_gap():

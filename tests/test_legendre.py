@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -232,21 +233,25 @@ def test_batched_inverse_restarts_only_rows_with_a_singular_hessian(monkeypatch)
 def count_solves(monkeypatch) -> dict:
     """Record the Newton solves of grad K(x) = z made through the module.
 
-    "point" counts per-point solves; "batched" lists the rows of each
-    lockstep solve.
+    "point" counts per-point solves, made by the solvers _point_solver binds
+    after this hook is installed; "batched" lists the rows of each lockstep solve.
     """
     calls = {"point": 0, "batched": []}
-    solve, solve_rows = legendre._solve_gradient_equation, legendre._solve_gradient_equations
+    point_solver, solve_rows = legendre._point_solver, legendre._solve_gradient_equations
 
-    def point(K, z, x0):
-        calls["point"] += 1
-        return solve(K, z, x0)
+    def bind(K):
+        solve = point_solver(K)
+
+        def point(z, x0):
+            calls["point"] += 1
+            return solve(z, x0)
+        return point
 
     def batched(K, Z, X0):
         calls["batched"].append(len(Z))
         return solve_rows(K, Z, X0)
 
-    monkeypatch.setattr(legendre, "_solve_gradient_equation", point)
+    monkeypatch.setattr(legendre, "_point_solver", bind)
     monkeypatch.setattr(legendre, "_solve_gradient_equations", batched)
     return calls
 
@@ -314,7 +319,8 @@ def test_a_stalled_line_search_within_100x_the_goal_returns_its_iterate():
                     hessian=lambda x: np.ones(np.shape(x) + (1,)), batched=True)
     Z = np.array([[-0.5], [0.0], [0.25], [0.5], [0.75]])
     X0 = np.zeros_like(Z)
-    got = np.array([legendre._solve_gradient_equation(K, z, x0) for z, x0 in zip(Z, X0)])
+    solve = legendre._point_solver(K)
+    got = np.array([solve(z, x0) for z, x0 in zip(Z, X0)])
     lockstep, failed = legendre._solve_gradient_equations(K, Z, X0)
     assert failed == {} and np.array_equal(got, lockstep)
     residual = np.abs(K.grad_rows(got) - Z)[:, 0]
@@ -330,6 +336,48 @@ def test_a_singular_quadratic_gives_up_the_closed_form_for_newton():
         make_legendre_pair(K)
     with pytest.raises(SingularMatrixError, match="^Newton met a singular Hessian"):
         make_legendre_pair(K, verify=False).inverse([0.5, 0.0])
+
+
+def test_a_singular_hessian_names_the_starts_from_inverse_and_kstar_hess():
+    # Q = diag(1, 0) is singular, so the pair's bound solver meets a singular Hessian from
+    # every start; inverse and Kstar.hess raise the same error, naming all three starts, and
+    # no warning escapes the LAPACK call
+    pair = make_legendre_pair(quadratic_field(np.diag([1.0, 0.0]), BoxDomain.cube(2)),
+                              verify=False)
+    for evaluate in (pair.inverse, pair.Kstar.hess):
+        with warnings.catch_warnings(), pytest.raises(SingularMatrixError) as info:
+            warnings.simplefilter("error")
+            evaluate([0.5, 0.0])
+        assert re.fullmatch(r"Newton met a singular Hessian at x=\[-0\.2 -0\.2\] in iteration 1 "
+                            r"solving grad K = z at z=\[0\.5 0\. \] \(residual .*, start "
+                            r"\[-0\.2 -0\.2\]\); starts tried: \[0\. 0\.\], \[0\.2 0\. \], "
+                            r"\[-0\.2 -0\.2\]", str(info.value))
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+
+@pytest.mark.parametrize("name", ["cosh", "quadratic"])
+def test_a_stack_of_the_wrong_width_into_inverse_is_a_dimension_mismatch(name):
+    # by Newton (cosh) and in closed form (quadratic): numpy's broadcast and solve errors
+    # before the check
+    pair = make_legendre_pair(field_registry()[name], verify=False)
+    with pytest.raises(DimensionMismatchError, match=r"^co-vector stack has shape \(3, 5\), "
+                                                     r"expected \(3, 2\)$"):
+        pair.inverse(np.zeros((3, 5)))
+    with pytest.raises(DimensionMismatchError, match=r"^expected length 2, got 5$"):
+        pair.inverse(np.zeros(5))
+    assert pair.inverse(np.zeros((3, 2))).shape == (3, 2)
+
+
+def test_lapack_leaves_the_floating_point_state_as_it_found_it():
+    gufuncs, before = legendre._umath_linalg, np.geterr()
+    with np.errstate(divide="warn", invalid="raise"):
+        inside = np.geterr()
+        legendre._lapack(gufuncs.solve1, np.eye(2), np.ones(2))
+        assert np.geterr() == inside
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            legendre._lapack(gufuncs.inv, np.zeros((2, 2)))
+        assert np.geterr() == inside and np.geterrcall() is None
+    assert np.geterr() == before
 
 
 def _cosh_with_summed_gradient(box):

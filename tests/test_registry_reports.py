@@ -13,8 +13,15 @@ the band keep the floor only.
 A change that moves an answer rewrites the table and quotes its diff:
 
     PYTHONPATH=src python tests/test_registry_reports.py --write
+
+A change that claims the same answers bit for bit shows it with --digests, which prints
+each run's exit code and the SHA-256 of its report.json and, where one is written, its
+trajectory.csv, one line per run: the outputs of two checkouts must not differ.
+
+    PYTHONPATH=src python tests/test_registry_reports.py --digests > digests.txt
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -32,6 +39,7 @@ MARGIN_BAND = (1e-13, 1e-6)
 MODEL_COMMANDS = ("check-reciprocity", "check-passivity", "compatible-q", "recover-g",
                   "variational-test", "simulate", "certify-relaxation", "convert-ph")
 FIELD_COMMANDS = ("legendre", "christoffel")
+OUTPUTS = ("report.json", "trajectory.csv")  # the files --digests hashes, where a run writes them
 
 
 def _poly(dim, terms):
@@ -90,8 +98,8 @@ def document_commands() -> list:
             for cmd in DOCUMENT_COMMANDS[doc["kind"]]]
 
 
-def run_all() -> dict:
-    """' '.join(argv) -> {"exit": code, "report": report.json or None}, in one process;
+def _run_each(record) -> dict:
+    """' '.join(argv) -> record(exit code, output directory) for every run, in one process;
     the documents are written to a temporary directory that --input resolves against."""
     table = {}
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
@@ -102,12 +110,24 @@ def run_all() -> dict:
             out = Path(tmp) / str(i)
             out.mkdir()
             run = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
-            code = main([*run, "--out", str(out)])
-            report = out / "report.json"
-            table[" ".join(argv)] = {
-                "exit": code,
-                "report": json.loads(report.read_text()) if report.exists() else None}
+            table[" ".join(argv)] = record(main([*run, "--out", str(out)]), out)
     return table
+
+
+def run_all() -> dict:
+    """' '.join(argv) -> {"exit": code, "report": report.json or None}."""
+    def record(code, out):
+        report = out / "report.json"
+        return {"exit": code,
+                "report": json.loads(report.read_text()) if report.exists() else None}
+    return _run_each(record)
+
+
+def digests() -> dict:
+    """' '.join(argv) -> its exit code and the SHA-256 of each file in OUTPUTS it wrote."""
+    return _run_each(lambda code, out: [f"exit {code}"] + [
+        f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}"
+        for name in OUTPUTS if (out / name).exists()])
 
 
 def _number(v) -> bool:
@@ -173,8 +193,13 @@ def test_a_tenfold_move_of_any_small_fixture_margin_fails():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_registry_reports.py --write")
+    usage = "usage: PYTHONPATH=src python tests/test_registry_reports.py --write | --digests"
+    if sys.argv[1:] not in (["--write"], ["--digests"]):
+        raise SystemExit(usage)
     os.environ.pop(MODEL_PATH_ENV, None)
-    FIXTURE.write_text(json.dumps(run_all(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    if sys.argv[1] == "--digests":
+        for argv, found in digests().items():
+            print(" | ".join([argv, *found]))
+    else:
+        FIXTURE.write_text(json.dumps(run_all(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {FIXTURE}")
