@@ -326,6 +326,10 @@ class ScalarField:
     value_rows, grad_rows and hess_rows evaluate a point (dim,) or a stack of points
     (N, dim), in one call when batched: the callables then take a point or map stacks
     row for row.
+
+    conjugate_gradient, when given, declares the inverse of the gradient in closed form:
+    z -> x with grad F(x) = z, NaN where z has no preimage, on the same point/stack terms.
+    legendre.make_legendre_pair verifies it before it uses it.
     """
 
     dim: int
@@ -334,6 +338,8 @@ class ScalarField:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batched: bool = False
+    conjugate_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, kw_only=True)
 
     def __post_init__(self):
         if self.domain.dim != self.dim:

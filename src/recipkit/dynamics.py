@@ -520,18 +520,21 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
                                   u_box: Optional[BoxDomain] = None) -> ConversionResult:
     """Convert a structured port-Hamiltonian system to Hessian pseudo-gradient form.
 
-    Checks the four structural assumptions, II and III at CONVERSION_SAMPLES
-    sampled points:
+    Checks the five assumptions, II and III at CONVERSION_SAMPLES sampled points:
 
     I    J = [[0, -Pc], [Pc^T, 0]] and g = [g1; 0] in the split ordering;
     II   the Hamiltonian splits additively across the two blocks;
     III  the dissipation derives from the Rayleigh potentials;
-    IV   the Hamiltonian blocks are bounded below (sampled minima only).
+    IV   the Hamiltonian blocks are bounded below (sampled minima only);
+    V    both Legendre pairs (H1, H1*) and (H2, H2*) are verified by
+         make_legendre_pair: its round-trip, Hessian-inverse and biconjugate
+         gaps on samples of each block's box.
 
     On success the co-energy system has generating function
     K(x) = H1*(x1) - H2*(x2), mixed potential P1 + P2 + x1.Pc x2 and storage
     H1(grad H1*(x1)) + H2(grad H2*(x2)).  Raises AssumptionError naming the
-    first failed assumption.
+    first failed assumption, for V the failed gap ("round-trip",
+    "hessian-inverse" or "biconjugation") with the pair's margins as its report.
     """
     i1 = tuple(int(i) for i in split.idx1)
     i2 = tuple(int(i) for i in split.idx2)
@@ -575,8 +578,8 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     for key, H in (("IV_sampled_min_H1", split.H1), ("IV_sampled_min_H2", split.H2)):
         report[key] = float(np.min(H.value_rows(H.domain.sample(64, seed))))
 
-    pair1 = make_legendre_pair(split.H1, verify=False)
-    pair2 = make_legendre_pair(split.H2, verify=False)
+    # assumption V: each Hamiltonian block has a verified Legendre pair
+    pair1, pair2 = make_legendre_pair(split.H1), make_legendre_pair(split.H2)
     xbox = BoxDomain.product(pair1.Kstar.domain, pair2.Kstar.domain)
 
     K = _block_field(pair1.Kstar, pair2.Kstar, -1.0, np.zeros((k1, k2)), xbox)

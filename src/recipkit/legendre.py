@@ -1,8 +1,10 @@
 """Legendre transforms of nondegenerate generating functions.
 
 The conjugate K*(z) = z.x - K(x) is evaluated pointwise by solving grad K(x) = z,
-in closed form for a certified degree-2 K and by damped Newton otherwise; the
-co-domain is implicit (a point z belongs to it exactly when Newton converges).
+in closed form for a certified degree-2 K or a verified declared conjugate gradient
+(ScalarField.conjugate_gradient), and by damped Newton otherwise; the co-domain is
+implicit (a point z belongs to it exactly when the closed form lands in the box or
+Newton converges).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .core import (
     ScalarField,
     SingularMatrixError,
     _evaluators,
+    _rows,
     as_vector,
 )
 
@@ -252,7 +255,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                        verify: bool = True, round_trip_tol: float = 1e-8,
                        biconjugate_tol: float = 1e-8,
                        hessian_tol: float = 1e-6) -> LegendrePair:
-    """Construct K* in closed form for a degree-2 K, else by Newton inversion; verify the pair.
+    """Construct K* in closed form for a degree-2 K or a declared conjugate gradient, else by
+    Newton inversion; verify the pair.
 
     inverse takes a co-vector or a stack of them; it is deterministic in z:
     the same co-vector gives a bit-identical x whatever was queried before.
@@ -275,11 +279,18 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     tolerance, or a non-finite one, raises AssumptionError with the margins
     as its report.
 
-    Closed form: if the box holds 0, homogeneity_check(K, samples, seed) finds
-    degree 2, and the three gaps of xb = Q^-1 z, hess K* = Q^-1 (Q = hess K(0))
-    pass on the samples, verify or not, inverse(z) solves Q x = z with no Newton
-    solve; a solution outside the box inflated by BOX_INFLATE goes on to Newton.
-    That solve and Kstar.hess's inverse at a point go through _lapack, as the
+    Closed form, one of two, each checked on the samples verify or not:
+
+    * K.conjugate_gradient declared: xb is its value at z, and the three gaps must
+      pass (hess K* = hess K(xb)^-1) or AssumptionError is raised;
+    * else if the box holds 0 and homogeneity_check(K, samples, seed) finds
+      degree 2: xb = Q^-1 z and hess K* = Q^-1 (Q = hess K(0)), used only if
+      the three gaps pass, Newton otherwise.
+
+    inverse(z) then takes the closed-form x with no Newton solve; an x outside
+    the box inflated by BOX_INFLATE (or NaN, no preimage) goes on to Newton.
+    Kstar.hess is Q^-1 for a quadratic, else hess K at that x inverted.  The Q
+    solve and Kstar.hess's inverse at a point go through _lapack, as the
     per-point Newton step does: np.linalg's bits without its per-call wrapper.
     The per-point solver, its starts and K's evaluators are bound here once, for
     inverse, Kstar.hess and every Newton iteration.  A stack whose rows are not
@@ -302,8 +313,10 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         return margins, [AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
                          for name, key, what, tol in checks if not margins[key] <= tol]
 
-    Q = None
-    if np.all(box.lower <= 0) and np.all(box.upper >= 0) and homogeneity_check(
+    declared, closed, Qinv = K.conjugate_gradient, None, None  # closed: z -> x in closed form
+    if declared is not None:
+        closed = lambda zz: _rows(K.batched, declared, declared, (K.dim,), zz)
+    elif np.all(box.lower <= 0) and np.all(box.upper >= 0) and homogeneity_check(
             K, samples=samples, seed=seed).degree2:
         Q = K.hess(np.zeros(K.dim))
         try:
@@ -311,33 +324,37 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             margins, failed = gaps(np.linalg.solve(Q, Z[..., None])[..., 0], Qinv)
         except np.linalg.LinAlgError:  # a singular Q has no closed form
             failed = True
-        Q = None if failed else Q
-    if Q is None and verify:
-        XB = _invert(K, Z)
+        if failed:
+            Qinv = None
+        else:
+            closed = lambda zz: _lapack(_umath_linalg.solve, Q, zz[..., None])[..., 0]
+    if Qinv is None and (verify or closed is not None):
+        XB = _invert(K, Z) if closed is None else _shaped(closed(Z), X.shape, "conjugate gradient")
         margins, failed = gaps(XB, np.linalg.inv(K.hess_rows(XB)))
         if failed:
             raise failed[0]
 
     invert, hess, square = _point_inverse(K), _evaluators(K)[2], (K.dim, K.dim)
 
-    def inverse(z):
-        if np.ndim(z) == 2:  # a stack's width is checked here, a point's by as_vector
-            zz = _shaped(np.asarray(z, dtype=float), (len(z), K.dim), "co-vector stack")
-        else:
-            zz = as_vector(z, K.dim)
-        if Q is not None:
-            x = _lapack(_umath_linalg.solve, Q, zz[..., None])[..., 0]
-            if ((x >= lo) & (x <= hi)).all():
+    def solve(zz):  # a checked co-vector or stack: the closed form if it lands in the box
+        if closed is not None:
+            x = closed(zz)
+            if ((x >= lo) & (x <= hi)).all():  # False on NaN: no preimage
                 return x
         return invert(zz) if zz.ndim == 1 else _invert(K, zz)
+
+    def inverse(z):
+        if np.ndim(z) == 2:  # a stack's width is checked here, a point's by as_vector
+            return solve(_shaped(np.asarray(z, dtype=float), (len(z), K.dim), "co-vector stack"))
+        return solve(as_vector(z, K.dim))
 
     def star_value(z):  # ScalarField.__call__ hands over a checked vector
         x = inverse(z)
         return float(z @ x - K(x))
 
     def star_hess(z):  # ScalarField.hess hands over a checked vector
-        return Qinv if Q is not None else _lapack(
-            _umath_linalg.inv, _shaped(hess(invert(z)), square, "hessian"))
+        return Qinv if Qinv is not None else _lapack(
+            _umath_linalg.inv, _shaped(hess(solve(z)), square, "hessian"))
 
     # Best-effort box for the conjugate: bounding box of pushed-forward samples.
     push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))

@@ -323,11 +323,16 @@ class SwingModel:
         n, b = self.n_machines, self.n_branches
         Minv = 1.0 / self.M
 
+        def branch_angle(pi):  # q = arcsin(pi/gamma); NaN where |pi| > gamma has no preimage
+            r = pi / self.gamma
+            return np.arcsin(np.where(np.abs(r) <= 1.0, r, np.nan))
+
         H1 = quadratic_field(np.diag(Minv), self.momentum_box())
         H2 = ScalarField(
             b, lambda q: -np.vecdot(self.gamma, np.cos(q)), self.angle_box(),
             gradient=lambda q: self.gamma * np.sin(q),
-            hessian=lambda q: _diag(self.gamma * np.cos(q)), batched=True)
+            hessian=lambda q: _diag(self.gamma * np.cos(q)), batched=True,
+            conjugate_gradient=branch_angle)
         P1 = quadratic_field(np.diag(self.A), self.omega_box())
         P2 = quadratic_field(np.zeros((b, b)), self.pi_box())
         return ConversionSplit(idx1=tuple(range(n)), idx2=tuple(range(n, n + b)),

@@ -50,7 +50,7 @@ DEFAULTED = {
     "core.AssumptionError": ("report",),
     "core.BoxDomain.sample": ("seed",),
     "core.BoxDomain.cube": ("halfwidth",),
-    "core.ScalarField": ("gradient", "hessian", "batched"),
+    "core.ScalarField": ("gradient", "hessian", "batched", "conjugate_gradient"),
     "core.MetricField": ("batched",),
     "core.NonlinearSystem": ("dF_dx", "dF_du", "dH_dx", "dH_du", "batched"),
     "core.AffineNonlinearSystem": ("df_dx", "dg_dx", "dh_dx"),
@@ -146,7 +146,7 @@ def test_defaulted_parameter_snapshot():
     surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
                for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 107
+    assert sum(len(names) for names in surface.values()) == 108
 
 
 def _used_names(tree):

@@ -490,12 +490,84 @@ def test_quadratic_block_conjugate_takes_no_newton_solve(monkeypatch):
         assert np.array_equal(pair1.Kstar.hess(z), np.diag(1.0 / Minv))
     np.testing.assert_allclose(pair1.inverse(zs), zs / Minv, rtol=1e-15)
     assert calls == {"point": 0, "batched": []}
-    # -gamma cos q is not of degree 2: the H2 block still inverts by Newton
+    # -gamma cos q is not of degree 2 but declares its conjugate gradient arcsin(z/gamma),
+    # so the H2 block takes no Newton solve either
     pair2 = make_legendre_pair(split.H2, verify=False)
     z = split.H2.grad(np.array([0.4]))
     np.testing.assert_allclose(pair2.inverse(z), [0.4], atol=1e-12)
     pair2.Kstar.hess(z)
-    assert calls == {"point": 2, "batched": []}
+    assert calls == {"point": 0, "batched": []}
+
+
+def declared_fields() -> dict:
+    """Fields that declare their conjugate gradient: swing's branch block -gamma cos q
+    (batched) and x^4/4 with cbrt (one point per call)."""
+    from recipkit.models import SwingModel
+
+    return {"swing-branch": SwingModel().conversion_split().H2,
+            "quartic": dataclasses.replace(quartic_1d(), conjugate_gradient=np.cbrt)}
+
+
+@pytest.mark.parametrize("name", ["swing-branch", "quartic"])
+def test_declared_conjugate_is_the_newton_pair_in_closed_form(monkeypatch, name):
+    K = declared_fields()[name]
+    calls = count_solves(monkeypatch)
+    pair = make_legendre_pair(K)
+    assert pair.margins["round_trip_gap"] <= 1e-8
+    assert pair.margins["hessian_inverse_gap"] <= 1e-6
+    assert pair.margins["biconjugate_gap"] <= 1e-8
+    Z = K.grad_rows(K.domain.shrink(0.9).sample(16, seed=3))
+    X = pair.inverse(Z)
+    # a stack is its points bit for bit, and no Newton solve is made for either
+    assert np.array_equal(X, [pair.inverse(z) for z in Z])
+    assert np.array_equal(X, K.conjugate_gradient(Z))
+    H = [pair.Kstar.hess(z) for z in Z]
+    assert calls == {"point": 0, "batched": []}
+    # the Newton pair of the same field, without the declaration, agrees
+    newton = make_legendre_pair(dataclasses.replace(K, conjugate_gradient=None))
+    np.testing.assert_allclose(X, newton.inverse(Z), atol=1e-12)
+    np.testing.assert_allclose(H, [newton.Kstar.hess(z) for z in Z], rtol=1e-9)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_a_misdeclared_conjugate_fails_the_round_trip(verify):
+    from recipkit.models import SwingModel
+
+    H2 = dataclasses.replace(SwingModel().conversion_split().H2,
+                             conjugate_gradient=lambda z: np.arcsin(z / (2.0 * SwingModel.gamma)))
+    with pytest.raises(AssumptionError, match=r"^assumption round-trip: grad K\* o grad K gap "):
+        make_legendre_pair(H2, verify=verify)
+
+
+def test_declared_conjugate_outside_its_codomain_goes_on_to_newton(monkeypatch):
+    # |z| > gamma has no preimage: the declared arcsin is NaN there, without a RuntimeWarning
+    # (an error under this suite's filter), and Newton fails as the undeclared pair does
+    calls = count_solves(monkeypatch)
+    pair = make_legendre_pair(declared_fields()["swing-branch"])
+    with pytest.raises(ConvergenceError, match=r"^Newton stalled .* at z=\[1\.2\] .*"
+                                               r"starts tried: \[0\.\], \[0\.22\], \[-0\.22\]$"):
+        pair.inverse([1.2])
+    with pytest.raises(ConvergenceError, match=r"^Newton stalled .* at z=\[-1\.5\] "):
+        pair.Kstar.hess([-1.5])
+    with pytest.raises(ConvergenceError, match=r"^row 1 of 2: Newton stalled .* at z=\[-1\.5\] "):
+        pair.inverse(np.array([[0.5], [-1.5]]))
+    assert calls["point"] == 6 and calls["batched"] == [2, 1, 1]
+
+
+def test_swing_conversion_and_its_simulation_take_no_newton_solve(monkeypatch):
+    from recipkit.dynamics import ph_to_hessian_pseudo_gradient, simulate_pseudo_gradient
+    from recipkit.models import SwingModel
+
+    swing = SwingModel()
+    calls = count_solves(monkeypatch)
+    res = ph_to_hessian_pseudo_gradient(swing.as_port_hamiltonian(), swing.conversion_split())
+    # both blocks invert in closed form: the verification, every midpoint Newton iterate's
+    # mass matrix hess K and the storage channel
+    x0 = 0.25 * res.system.domain.upper
+    traj = simulate_pseudo_gradient(res.system, x0, lambda t: np.zeros(1), (0.0, 0.015), 1e-3,
+                                    enforce_domain=False)
+    assert len(traj.times) == 16
+    assert calls == {"point": 0, "batched": []}
 
 
 def test_closed_form_pair_margins_match_newton_on_quadratics():

@@ -54,9 +54,23 @@ CONVEX_K = _poly(2, [([2, 0], 0.5), ([0, 2], 0.5), ([4, 0], 1 / 12), ([0, 4], 1 
 _A, _C = 100 / 12, 0.33
 WINDOW_K = _poly(1, [([4], _A), ([3], -4 * _A * _C), ([2], 6 * _A * _C ** 2 - 5e-4),
                      ([1], -4 * _A * _C ** 3), ([0], _A * _C ** 4)])
+# H = p^2/2 + q^2/2 (+ c q^4 for each c in q4) with J = [[0, -1], [1, 0]], R = diag(0.1, 0),
+# split into H1 = p^2/2 and H2 = q^2/2 (+ c q^4), P1 = 0.05 p^2, P2 = 0 and Pc = g1 = [[1]]
+def _port_hamiltonian(*q4):
+    return {"kind": "port_hamiltonian",
+            "H": _poly(2, [([2, 0], 0.5), ([0, 2], 0.5)] + [([0, 4], c) for c in q4]),
+            "J": [[0.0, -1.0], [1.0, 0.0]], "g": [[1.0], [0.0]],
+            "R": {"linear": [[0.1, 0.0], [0.0, 0.0]]},
+            "split": {"idx1": [0], "idx2": [1], "H1": _poly(1, [([2], 0.5)]),
+                      "H2": _poly(1, [([2], 0.5)] + [([4], c) for c in q4]),
+                      "P1": _poly(1, [([2], 0.05)]), "P2": _poly(1, [([2], 0.0)]),
+                      "Pc": [[1.0]], "g1": [[1.0]]}}
+
+
 # name -> document: nonlinear systems on a constant, an indefinite and two Hessian
-# metrics, pseudo-gradient systems in the (P, g) and the joint-potential form, and one
-# whose K is not convex on a narrow window
+# metrics, pseudo-gradient systems in the (P, g) and the joint-potential form, one
+# whose K is not convex on a narrow window, and a port-Hamiltonian system whose H2 is
+# convex on the box next to one whose H2'' = 1 - q^2 is negative for |q| > 1
 DOCUMENTS = {
     "nonlinear-constant": {"kind": "nonlinear", "potential": QUARTIC_P,
                            "metric": {"constant": [[2.0, 0.5], [0.5, 1.0]]},
@@ -77,12 +91,15 @@ DOCUMENTS = {
                   "sigma": [-1]},
     "hpg-nonconvex-window": {"kind": "hessian_pseudo_gradient", "K": WINDOW_K,
                              "P": _poly(1, [([2], 0.5)]), "g": [[1.0]]},
+    "ph-convex": _port_hamiltonian(),
+    "ph-nonconvex": _port_hamiltonian(-1 / 12),
 }
 # document kind -> the subcommands (with options) that apply to it
 DOCUMENT_COMMANDS = {
     "nonlinear": (("check-reciprocity",), ("variational-test", "--horizon", "0.1")),
     "hessian_pseudo_gradient": (("check-reciprocity",), ("simulate", "--horizon", "2"),
                                 ("certify-relaxation",)),
+    "port_hamiltonian": (("convert-ph",),),
 }
 
 
