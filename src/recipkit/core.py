@@ -211,6 +211,22 @@ class BoxDomain:
         return BoxDomain(-half, half)
 
 
+def _box_test(lower: np.ndarray, upper: np.ndarray) -> Callable:
+    """x -> ((x >= lower) & (x <= upper)).all() for a float vector x of the bounds' length,
+    False on NaN alike, with the bounds bound here once as Python floats: the test of a
+    per-point loop without numpy's per-call wrappers.  zip truncates, so the caller
+    checks the length."""
+    bounds = tuple(zip(lower.tolist(), upper.tolist()))
+
+    def inside(x: np.ndarray) -> bool:
+        for (a, b), c in zip(bounds, x.tolist()):
+            if not a <= c <= b:
+                return False
+        return True
+
+    return inside
+
+
 def _first_primes(count: int) -> list:
     primes: list = []
     cand = 2
@@ -219,6 +235,24 @@ def _first_primes(count: int) -> list:
             primes.append(cand)
         cand += 1
     return primes
+
+
+@lru_cache(maxsize=None)
+def _halton_base(base: int) -> tuple:
+    """One base's fixed parts of _halton, read-only: the digit count ceil(54/log2(base)) - 1,
+    the arange(base) rows its permutations shuffle, base**k and the scale base**-(k+1)
+    built by repeated division."""
+    count = math.ceil(54 / math.log2(base)) - 1
+    rows = np.repeat(np.arange(base)[None], count, axis=0)
+    powers = base ** np.arange(count)
+    scale = np.empty(count)
+    s = 1.0
+    for k in range(count):
+        s /= base
+        scale[k] = s
+    for a in (rows, powers, scale):
+        a.flags.writeable = False
+    return count, rows, powers, scale
 
 
 def _halton(n: int, dim: int, seed) -> np.ndarray:
@@ -230,21 +264,21 @@ def _halton(n: int, dim: int, seed) -> np.ndarray:
     can resolve.  Digit k of index i adds perm[k, digit] * base**-(k+1),
     with the scale built by repeated division and the terms summed in
     order of k (cumsum, not the pairwise np.sum), so the result equals
-    scipy's qmc.Halton bit for bit without importing scipy.stats.
+    scipy's qmc.Halton bit for bit without importing scipy.stats.  Only the
+    digits with base**k < n are expanded; every later digit of every index
+    is 0, so its term is the constant perm[k, 0] * base**-(k+1).
     """
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     out = np.empty((n, dim))
     for d, base in enumerate(_first_primes(dim)):
-        count = math.ceil(54 / math.log2(base)) - 1
-        perm = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
-        scale = np.empty(count)
-        s = 1.0
-        for k in range(count):
-            s /= base
-            scale[k] = s
-        digits = idx[:, None] // base ** np.arange(count) % base
-        out[:, d] = np.cumsum(perm[np.arange(count), digits] * scale, axis=1)[:, -1]
+        count, rows, powers, scale = _halton_base(base)
+        perm = rng.permuted(rows, axis=1)
+        m = int(np.searchsorted(powers, n))  # the digits that can be nonzero for i < n
+        terms = np.empty((count, n))
+        terms[:m] = perm[np.arange(m)[:, None], idx // powers[:m, None] % base] * scale[:m, None]
+        terms[m:] = (perm[m:, 0] * scale[m:])[:, None]
+        out[:, d] = np.cumsum(terms, axis=0)[-1]
     return out
 
 

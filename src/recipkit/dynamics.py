@@ -27,6 +27,7 @@ from .core import (
     RecipkitError,
     ScalarField,
     SignatureMatrix,
+    _box_test,
     _constant_rows,
     _evaluators,
     _mv,
@@ -151,7 +152,9 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     MIDPOINT_MAX_NEWTON iterations raise ConvergenceError naming the step
     time, the iteration, the last increment and residual norms and the
     starting value.  With a domain, every step must stay in the box
-    (DomainError otherwise).
+    (DomainError otherwise), tested on Python floats against bounds bound once
+    (core._box_test); a domain of another dimension than x0 raises
+    DimensionMismatchError before the first step.
 
     Returns (times, states) on the uniform grid.
     """
@@ -163,6 +166,11 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
     x = as_vector(x0)
     n = x.shape[0]
     eye = np.eye(n)
+    inside = None
+    if domain is not None:
+        if domain.dim != n:
+            raise DimensionMismatchError(f"expected length {domain.dim}, got {n}")
+        inside = _box_test(domain.lower, domain.upper)
 
     def mass_at(v):
         return eye if mass is None else as_matrix(mass(v), (n, n))
@@ -249,7 +257,7 @@ def integrate_implicit_midpoint(rhs: Callable, x0, t_span, step: float,
         else:
             w, start = 4.0 * (x + states[-3]) - 6.0 * states[-2] - states[-4], "extrapolated"
         x, eta, J_inv = single_step(t, x, h, w, start, eta, J_inv)
-        if domain is not None and not domain.contains(x):
+        if inside is not None and not inside(x):
             raise DomainError(f"trajectory left the state box at t={times[k+1]:.6g}: x={x}")
         states.append(x)
     return times, np.stack(states)

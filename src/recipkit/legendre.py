@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj  # what np.errstate sets
 from numpy.linalg import _umath_linalg  # the LAPACK gufuncs np.linalg.solve and inv call
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     DomainError,
     ScalarField,
     SingularMatrixError,
+    _box_test,
     _evaluators,
     _rows,
     as_vector,
@@ -67,25 +69,38 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@np.errstate(all="ignore", invalid="call", call=_singular)
+# np.linalg.solve/inv's errstate(all="ignore", invalid="call", call=_singular), built once
+_LAPACK_ERRSTATE = _make_extobj(all="ignore", invalid="call", call=_singular)
+
+
 def _lapack(gufunc, *arrays: np.ndarray) -> np.ndarray:
     """A LAPACK gufunc of np.linalg.solve/inv on float64 arrays, in their errstate: their
-    bits and their LinAlgError on a singular matrix, without their per-call wrapper."""
-    return gufunc(*arrays)
+    bits and their LinAlgError on a singular matrix, without their per-call wrapper.
+
+    The errstate is set and reset around the gufunc call alone, as np.errstate's
+    decorator does, but from _LAPACK_ERRSTATE, built once at import rather than per call;
+    the caller's floating-point settings and callback hold again on return or raise.
+    """
+    token = _extobj_contextvar.set(_LAPACK_ERRSTATE)
+    try:
+        return gufunc(*arrays)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _point_solver(K: ScalarField) -> Callable:
     """The damped Newton solve of grad K(x) = z for one co-vector, as solve(z, x0), with the
-    setup that depends on K alone done here once: the inflated box and K's evaluators.
+    setup that depends on K alone done here once: the inflated box's test and K's evaluators.
 
     Convergence is measured relative to 1 + |z|; a line search that stalls
     within a small factor of that target returns the current iterate rather
     than failing on rounding noise.  z and x0 arrive checked: each iteration
     calls K's evaluators (core._evaluators) at the point, takes every norm as
-    sqrt(r @ r), np.linalg.norm bit for bit, and solves for the step through
-    _lapack, np.linalg.solve bit for bit.
+    sqrt(r @ r), np.linalg.norm bit for bit, solves for the step through
+    _lapack, np.linalg.solve bit for bit, and tests each line-search candidate
+    against the inflated box on Python floats (core._box_test).
     """
-    lo, hi = _inflated(K.domain)
+    inside = _box_test(*_inflated(K.domain))
     _, grad, hess = _evaluators(K)
     square, solve1 = (K.dim, K.dim), _umath_linalg.solve1
 
@@ -104,7 +119,7 @@ def _point_solver(K: ScalarField) -> Callable:
                 raise _newton_error("singular", z, x0, x, it, rn) from exc
             lam, cand = 1.0, x - step
             while True:
-                if ((cand >= lo) & (cand <= hi)).all():
+                if inside(cand):
                     rc = grad(cand) - z
                     rcn = math.sqrt(rc @ rc)
                     if rcn < rn or rcn <= goal:

@@ -116,6 +116,24 @@ def test_box_domain_basics():
         BoxDomain(np.array([1.0]), np.array([0.0]))
 
 
+def test_box_test_is_the_numpy_expression():
+    # random rows, rows exactly on a bound (0 among them, met by -0.0 too), and rows
+    # holding NaN or an infinity, each alone or beside in-box coordinates
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([3.0, 0.75, 9.0])
+    inside, rng = core._box_test(lo, hi), np.random.default_rng(11)
+    rows = list(rng.uniform(lo - 1.0, hi + 1.0, (200, 3)))
+    rows += [np.where(rng.random(3) < 0.5, lo, hi) for _ in range(20)]
+    rows += [np.array([3.0, -0.0, 9.0]), np.array([-1.0, 0.75, 9.0 + 1e-15])]
+    for special in (np.nan, np.inf, -np.inf):
+        for mask in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]):
+            rows.append(np.where(mask, special, 0.5 * (lo + hi)))
+    found = [inside(x) for x in rows]
+    assert found == [bool(((x >= lo) & (x <= hi)).all()) for x in rows]
+    assert all(type(f) is bool for f in found) and True in found and False in found
+    everything = core._box_test(np.full(2, -np.inf), np.full(2, np.inf))
+    assert everything(np.array([np.inf, -np.inf])) and not everything(np.array([0.0, np.nan]))
+
+
 def test_box_domain_sample_inside_and_deterministic():
     box = BoxDomain.cube(3, halfwidth=2.0)
     pts = box.sample(40, seed=3)

@@ -122,6 +122,35 @@ def test_integrator_domain_exit():
     with pytest.raises(DomainError):
         integrate_implicit_midpoint(lambda t, x: x, np.array([0.9]), (0.0, 2.0),
                                     step=1e-2, domain=BoxDomain.cube(1))
+    # only the first coordinate leaves [-1, 1]^2, at the first grid time past log(1/0.9)
+    with pytest.raises(DomainError, match=r"^trajectory left the state box at t=0\.11: "
+                                          r"x=\[1\.0\d+ 0\.4\d+\]$"):
+        integrate_implicit_midpoint(lambda t, x: np.array([x[0], -x[1]]), np.array([0.9, 0.5]),
+                                    (0.0, 1.0), step=1e-2, domain=BoxDomain.cube(2))
+
+
+def test_integrator_domain_refuses_a_nan_state():
+    # |x0| > 1e154 makes the stopping goal infinite (x0 @ x0 overflows), so the first
+    # step accepts inf - inf: a NaN state that even an unbounded box refuses
+    rhs = lambda t, x: np.full(1, np.inf if t == 0.0 else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match=r"^trajectory left the state box at t=0\.1: x=\[nan\]$"):
+        integrate_implicit_midpoint(rhs, np.array([1e200]), (0.0, 1.0), step=0.1,
+                                    rhs_jac=lambda t, x: np.zeros((1, 1)),
+                                    domain=BoxDomain([-np.inf], [np.inf]))
+
+
+def test_integrator_refuses_a_domain_of_another_dimension_up_front():
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x
+
+    with pytest.raises(DimensionMismatchError, match=r"^expected length 2, got 1$"):
+        integrate_implicit_midpoint(rhs, np.array([0.5]), (0.0, 1.0), step=0.1,
+                                    domain=BoxDomain.cube(2))
+    assert calls == []
 
 
 def test_integrator_rejects_bad_span():

@@ -292,6 +292,28 @@ def test_per_point_solve_work_is_pinned(batched):
     assert found == [(6, 5), (6, 6), (7, 6), (7, 7)]
 
 
+def test_a_candidate_outside_the_inflated_box_is_halved_before_any_evaluation():
+    # sum of cosh on [-1, 1]^2, inflated to [-1.5, 1.5]^2: from the center, Newton's first
+    # candidate is z itself, whose first coordinate lies outside, so grad K is next called
+    # at z / 2.  The points pin the iterate sequence; the lockstep kernel, which tests the
+    # box as ((cand >= lo) & (cand <= hi)).all(), lands on the same x bit for bit
+    seen = []
+
+    def grad(x):
+        seen.append(x.tolist())
+        return np.sinh(x)
+
+    K = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), BoxDomain.cube(2), gradient=grad,
+                    hessian=lambda x: np.diag(np.cosh(x)))
+    z = np.array([np.sinh(1.4), 0.2])
+    x, _ = legendre_transform(K, z)
+    assert seen[:2] == [[0.0, 0.0], (0.5 * z).tolist()] and len(seen) == 7
+    assert all(abs(c) <= 1.5 for p in seen for c in p)
+    X, failed = legendre._solve_gradient_equations(K, z[None], np.zeros((1, 2)))
+    assert not failed and np.array_equal(X[0], x)
+    np.testing.assert_allclose(np.sinh(x), z, rtol=0, atol=1e-12)
+
+
 def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
     # np.cosh is the Hessian's diagonal, shape (2,) at a point, not the (2, 2) matrix
     K = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), BoxDomain.cube(2),
@@ -378,6 +400,35 @@ def test_lapack_leaves_the_floating_point_state_as_it_found_it():
             legendre._lapack(gufuncs.inv, np.zeros((2, 2)))
         assert np.geterr() == inside and np.geterrcall() is None
     assert np.geterr() == before
+    # a caller's own invalid="call" handler is neither called nor lost
+    calls = []
+
+    def handler(err, flag):
+        calls.append(err)
+
+    with np.errstate(call=handler, invalid="call"):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            legendre._lapack(gufuncs.solve1, np.zeros((2, 2)), np.ones(2))
+        assert np.geterrcall() is handler and np.geterr()["invalid"] == "call"
+        np.sqrt(-np.ones(1))  # the caller's handler is still in force
+    assert calls == ["invalid value"] and np.geterrcall() is None
+
+
+def test_lapack_errstate_is_the_one_np_errstate_sets():
+    # pins the private numpy._core.umath._extobj_contextvar and _make_extobj: the extobj
+    # built once at import is the state np.errstate(all="ignore", invalid="call",
+    # call=_singular) sets, through the context variable np.errstate itself sets
+    import numpy._core._ufunc_config as ufunc_config
+
+    assert legendre._extobj_contextvar is ufunc_config._extobj_contextvar
+    with np.errstate(all="ignore", invalid="call", call=legendre._singular):
+        want = np.geterr(), np.geterrcall(), np.getbufsize()
+    token = legendre._extobj_contextvar.set(legendre._LAPACK_ERRSTATE)
+    try:
+        got = np.geterr(), np.geterrcall(), np.getbufsize()
+    finally:
+        legendre._extobj_contextvar.reset(token)
+    assert got == want
 
 
 def _cosh_with_summed_gradient(box):
