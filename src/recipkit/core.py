@@ -56,6 +56,9 @@ VALIDATE_SAMPLES = 20  # points validate_scalar_field and validate_metric_field 
 # composite Gauss-Legendre: nodes per panel, doublings of the panel count
 QUAD_NODES = 32
 QUAD_MAX_DOUBLINGS = 10
+# Halton designs kept per process, and the largest n * dim kept: at most 1 MiB of tables
+HALTON_MEMO_ENTRIES = 128
+HALTON_MEMO_POINTS = 1024
 
 
 class RecipkitError(Exception):
@@ -181,6 +184,12 @@ class BoxDomain:
         scipy's ``qmc.Halton(d=dim, scramble=True, seed=seed).random(n)``,
         mapped into the box with a relative margin of 1e-9.  n must be an
         integer >= 1 (not a bool), so that no sampled check passes on zero points.
+
+        The design in [0, 1)^dim is pure in (n, dim, seed) and the default
+        seeds and counts repeat, so it is memoized per process as a read-only
+        table (bounded: HALTON_MEMO_ENTRIES designs of n * dim <=
+        HALTON_MEMO_POINTS, see _halton); the points returned are mapped into
+        a fresh, writable array on every call.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise DimensionMismatchError(f"sample count must be an integer >= 1, got {n!r}")
@@ -256,7 +265,23 @@ def _halton_base(base: int) -> tuple:
 
 
 def _halton(n: int, dim: int, seed) -> np.ndarray:
-    """First n points of the scrambled Halton sequence in [0, 1)^dim.
+    """First n points of the scrambled Halton sequence in [0, 1)^dim, read-only.
+
+    The design is pure in (n, dim, seed), and the default seeds and sample
+    counts of the sampled checks repeat, so a process keeps the designs it
+    draws: n is an integer (sample checks it), and with an integer seed (int
+    or np.integer) the draw is keyed as (int(n), dim, int(seed)) in
+    _halton_memo, which keeps the HALTON_MEMO_ENTRIES most recently used
+    tables of at most HALTON_MEMO_POINTS = n * dim numbers each.  Any other
+    seed, and any larger draw, is drawn afresh by _halton_draw.
+    """
+    if isinstance(seed, (int, np.integer)) and n * dim <= HALTON_MEMO_POINTS:
+        return _halton_memo(int(n), dim, int(seed))
+    return _halton_draw(n, dim, seed)
+
+
+def _halton_draw(n: int, dim: int, seed) -> np.ndarray:
+    """One scrambled Halton draw, read-only: _halton on a miss.
 
     Owen's random digit permutations, drawn from default_rng(seed) in the
     order scipy draws them: per base (the first dim primes), one shuffled
@@ -279,7 +304,11 @@ def _halton(n: int, dim: int, seed) -> np.ndarray:
         terms[:m] = perm[np.arange(m)[:, None], idx // powers[:m, None] % base] * scale[:m, None]
         terms[m:] = (perm[m:, 0] * scale[m:])[:, None]
         out[:, d] = np.cumsum(terms, axis=0)[-1]
+    out.flags.writeable = False
     return out
+
+
+_halton_memo = lru_cache(maxsize=HALTON_MEMO_ENTRIES)(_halton_draw)
 
 
 def _rows(batched: bool, stacked: Optional[Callable], one: Callable, shape: tuple, *stacks):

@@ -297,7 +297,9 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     Closed form, one of two, each checked on the samples verify or not:
 
     * K.conjugate_gradient declared: xb is its value at z, and the three gaps must
-      pass (hess K* = hess K(xb)^-1) or AssumptionError is raised;
+      pass (hess K* = hess K(xb)^-1) or AssumptionError is raised; its value at
+      a point is taken as a float vector of length dim (as_vector), so a list is
+      an array and a wrong length raises DimensionMismatchError;
     * else if the box holds 0 and homogeneity_check(K, samples, seed) finds
       degree 2: xb = Q^-1 z and hess K* = Q^-1 (Q = hess K(0)), used only if
       the three gaps pass, Newton otherwise.
@@ -307,8 +309,9 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     Kstar.hess is Q^-1 for a quadratic, else hess K at that x inverted.  The Q
     solve and Kstar.hess's inverse at a point go through _lapack, as the
     per-point Newton step does: np.linalg's bits without its per-call wrapper.
-    The per-point solver, its starts and K's evaluators are bound here once, for
-    inverse, Kstar.hess and every Newton iteration.  A stack whose rows are not
+    The per-point solver, its starts, K's evaluators and the inflated box's
+    point test (core._box_test) are bound here once, for inverse, Kstar.hess and
+    every Newton iteration; a stack keeps numpy's test.  A stack whose rows are not
     co-vectors of K raises DimensionMismatchError.
     """
     box = K.domain
@@ -330,7 +333,9 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
 
     declared, closed, Qinv = K.conjugate_gradient, None, None  # closed: z -> x in closed form
     if declared is not None:
-        closed = lambda zz: _rows(K.batched, declared, declared, (K.dim,), zz)
+        point = lambda zz: as_vector(declared(zz), K.dim)  # a point's x, checked as a row is
+        closed = lambda zz: point(zz) if zz.ndim == 1 else _rows(
+            K.batched, declared, point, (K.dim,), zz)
     elif np.all(box.lower <= 0) and np.all(box.upper >= 0) and homogeneity_check(
             K, samples=samples, seed=seed).degree2:
         Q = K.hess(np.zeros(K.dim))
@@ -350,11 +355,12 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
             raise failed[0]
 
     invert, hess, square = _point_inverse(K), _evaluators(K)[2], (K.dim, K.dim)
+    inside = _box_test(lo, hi)
 
     def solve(zz):  # a checked co-vector or stack: the closed form if it lands in the box
         if closed is not None:
             x = closed(zz)
-            if ((x >= lo) & (x <= hi)).all():  # False on NaN: no preimage
+            if inside(x) if zz.ndim == 1 else ((x >= lo) & (x <= hi)).all():  # False on NaN
                 return x
         return invert(zz) if zz.ndim == 1 else _invert(K, zz)
 

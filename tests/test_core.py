@@ -141,6 +141,10 @@ def test_box_domain_sample_inside_and_deterministic():
     for p in pts:
         assert box.contains(p)
     np.testing.assert_array_equal(pts, box.sample(40, seed=3))
+    # a fresh, writable array: mutating it leaves the memoized design, and the next draw, as is
+    ref = pts.copy()
+    pts[:] = 0.0
+    assert np.array_equal(box.sample(40, seed=3), ref)
 
 
 
@@ -153,6 +157,39 @@ def test_box_domain_sample_needs_a_positive_integer_count(n):
 def test_box_domain_sample_takes_a_numpy_integer_count():
     box = BoxDomain.cube(2)
     np.testing.assert_array_equal(box.sample(np.int64(5)), box.sample(5))
+    # numpy integers key the design as Python ints: one shared key, drawn once
+    core._halton_memo.cache_clear()
+    np.testing.assert_array_equal(box.sample(np.int64(5), seed=np.int64(3)), box.sample(5, seed=3))
+    info = core._halton_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_halton_design_is_memoized_read_only():
+    core._halton_memo.cache_clear()
+    design = core._halton(40, 3, 7)
+    assert not design.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 0.5
+    assert core._halton(40, 3, 7) is design
+    # a hit is the miss's table, equal bit for bit to a fresh draw
+    assert np.array_equal(design, core._halton_draw(40, 3, 7))
+    info = core._halton_memo.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, core.HALTON_MEMO_ENTRIES)
+
+
+def test_halton_draws_afresh_over_the_cap_and_for_other_seeds():
+    n = core.HALTON_MEMO_POINTS // 2
+    core._halton(n, 2, 0)  # n * dim at the cap is kept
+    before = core._halton_memo.cache_info()
+    big = core._halton(n + 1, 2, 0)
+    assert np.array_equal(big[:n], core._halton(n, 2, 0))
+    # a SeedSequence draws the int seed's design; None draws fresh entropy each time
+    assert np.array_equal(core._halton(8, 2, np.random.SeedSequence(3)), core._halton_draw(8, 2, 3))
+    assert not np.array_equal(core._halton(8, 2, None), core._halton(8, 2, None))
+    assert core._halton(8, 2, [1, 2]).shape == (8, 2)  # unhashable, never keyed
+    after = core._halton_memo.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits == before.hits + 1  # the one draw at the cap
 
 def test_halton_equals_scipy_scrambled_halton():
     for d in range(1, 9):

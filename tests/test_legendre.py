@@ -605,6 +605,35 @@ def test_declared_conjugate_outside_its_codomain_goes_on_to_newton(monkeypatch):
     assert calls["point"] == 6 and calls["batched"] == [2, 1, 1]
 
 
+def test_a_declared_conjugate_returning_a_list_inverts_to_an_array():
+    K = dataclasses.replace(quartic_1d(), conjugate_gradient=lambda z: [float(np.cbrt(z[0]))])
+    pair = make_legendre_pair(K)
+    x = pair.inverse([0.5])
+    assert type(x) is np.ndarray and x.dtype == float and x.shape == (1,)
+    assert np.array_equal(x, np.cbrt([0.5]))
+    assert np.array_equal(pair.inverse(np.array([[0.5], [-0.2]])), np.cbrt([[0.5], [-0.2]]))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_declared_conjugate_of_the_wrong_length_is_a_dimension_mismatch(batched):
+    # one point per call: rows of length 2 for a 1-D field; batched: a point's x of length 2
+    from recipkit.cli import ERROR_EXITS, EXIT_INPUT
+
+    if batched:
+        K = dataclasses.replace(quadratic_field(np.eye(1), BoxDomain.cube(1)), conjugate_gradient=(
+            lambda z: np.concatenate([z, z]) if np.ndim(z) == 1 else np.array(z)))
+        pair = make_legendre_pair(K)
+        call = lambda: pair.inverse([0.5])
+    else:
+        K = dataclasses.replace(quartic_1d(),
+                                conjugate_gradient=lambda z: np.array([np.cbrt(z[0]), 0.0]))
+        call = lambda: make_legendre_pair(K)
+    with pytest.raises(DimensionMismatchError, match=r"^expected length 1, got 2$") as info:
+        call()
+    assert next(code for types, code, _ in ERROR_EXITS if isinstance(info.value, types)) \
+        == EXIT_INPUT
+
+
 def test_swing_conversion_and_its_simulation_take_no_newton_solve(monkeypatch):
     from recipkit.dynamics import ph_to_hessian_pseudo_gradient, simulate_pseudo_gradient
     from recipkit.models import SwingModel
