@@ -188,8 +188,9 @@ class BoxDomain:
         The design in [0, 1)^dim is pure in (n, dim, seed) and the default
         seeds and counts repeat, so it is memoized per process as a read-only
         table (bounded: HALTON_MEMO_ENTRIES designs of n * dim <=
-        HALTON_MEMO_POINTS, see _halton); the points returned are mapped into
-        a fresh, writable array on every call.
+        HALTON_MEMO_POINTS, see _halton); that memo is the sampler's only
+        cache.  The points returned are mapped into a fresh, writable array
+        on every call.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise DimensionMismatchError(f"sample count must be an integer >= 1, got {n!r}")
@@ -246,24 +247,6 @@ def _first_primes(count: int) -> list:
     return primes
 
 
-@lru_cache(maxsize=None)
-def _halton_base(base: int) -> tuple:
-    """One base's fixed parts of _halton, read-only: the digit count ceil(54/log2(base)) - 1,
-    the arange(base) rows its permutations shuffle, base**k and the scale base**-(k+1)
-    built by repeated division."""
-    count = math.ceil(54 / math.log2(base)) - 1
-    rows = np.repeat(np.arange(base)[None], count, axis=0)
-    powers = base ** np.arange(count)
-    scale = np.empty(count)
-    s = 1.0
-    for k in range(count):
-        s /= base
-        scale[k] = s
-    for a in (rows, powers, scale):
-        a.flags.writeable = False
-    return count, rows, powers, scale
-
-
 def _halton(n: int, dim: int, seed) -> np.ndarray:
     """First n points of the scrambled Halton sequence in [0, 1)^dim, read-only.
 
@@ -289,21 +272,23 @@ def _halton_draw(n: int, dim: int, seed) -> np.ndarray:
     can resolve.  Digit k of index i adds perm[k, digit] * base**-(k+1),
     with the scale built by repeated division and the terms summed in
     order of k (cumsum, not the pairwise np.sum), so the result equals
-    scipy's qmc.Halton bit for bit without importing scipy.stats.  Only the
-    digits with base**k < n are expanded; every later digit of every index
-    is 0, so its term is the constant perm[k, 0] * base**-(k+1).
+    scipy's qmc.Halton bit for bit without importing scipy.stats.  Every
+    digit of every index is expanded; a keyed design is drawn once per
+    process, by _halton_memo.
     """
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     out = np.empty((n, dim))
     for d, base in enumerate(_first_primes(dim)):
-        count, rows, powers, scale = _halton_base(base)
-        perm = rng.permuted(rows, axis=1)
-        m = int(np.searchsorted(powers, n))  # the digits that can be nonzero for i < n
-        terms = np.empty((count, n))
-        terms[:m] = perm[np.arange(m)[:, None], idx // powers[:m, None] % base] * scale[:m, None]
-        terms[m:] = (perm[m:, 0] * scale[m:])[:, None]
-        out[:, d] = np.cumsum(terms, axis=0)[-1]
+        count = math.ceil(54 / math.log2(base)) - 1
+        perm = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
+        scale = np.empty(count)
+        s = 1.0
+        for k in range(count):
+            s /= base
+            scale[k] = s
+        digits = idx[:, None] // base ** np.arange(count) % base
+        out[:, d] = np.cumsum(perm[np.arange(count), digits] * scale, axis=1)[:, -1]
     out.flags.writeable = False
     return out
 

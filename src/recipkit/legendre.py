@@ -187,49 +187,46 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
     return X, failed
 
 
-def _starts(center: np.ndarray, offset: np.ndarray, Z: np.ndarray):
-    """Newton's starts for Z, each built only once the last one failed: the domain center,
-    then offsets of offset = 0.1 * width that cover a degenerate Hessian there."""
-    yield center
-    yield center + offset * np.sign(Z)
-    yield center - offset
-
-
 def _point_inverse(K: ScalarField) -> Callable:
     """z -> x solving grad K(x) = z for one checked co-vector by the per-point solver, bound
-    here once with the starts' fixed parts.  Each start is tried only if the last failed;
-    if all fail, the last error is raised, naming the starts tried."""
+    here once with the starts' fixed parts: the domain center, then offsets of 0.1 * width
+    that cover a degenerate Hessian there.  Each start is built and tried only if the last
+    failed; if all fail, the last error is raised, naming the starts tried.  This is the
+    one restart policy: _invert hands it the rows its lockstep solve failed."""
     solve, center, offset = _point_solver(K), K.domain.center, 0.1 * K.domain.width
 
+    def starts(z):
+        yield center
+        yield center + offset * np.sign(z)
+        yield center - offset
+
     def invert(z: np.ndarray) -> np.ndarray:
-        for s in _starts(center, offset, z):
+        for s in starts(z):
             try:
                 return solve(z, s)
             except (ConvergenceError, SingularMatrixError) as exc:
                 err = exc
-        tried = ", ".join(map(str, _starts(center, offset, z)))
+        tried = ", ".join(map(str, starts(z)))
         raise type(err)(f"{err}; starts tried: {tried}") from err
 
     return invert
 
 
 def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
-    """Solve grad K(x) = z for each row of a stack Z by the lockstep kernel.
-
-    A row takes the starts of _point_inverse, each only if the last failed;
-    if all fail, it raises the last error of the first such row, naming the
-    row and the starts tried.
+    """Solve grad K(x) = z for each row of a stack Z: one lockstep solve from the domain
+    center, then each row it failed by _point_inverse, which owns the restarts, so a row
+    gets the x its co-vector gets alone.  The first row that fails from every start raises
+    _point_inverse's error, prefixed "row i of N: ".
     """
-    center, offset = K.domain.center, 0.1 * K.domain.width
-    X, todo = np.empty_like(Z), np.arange(len(Z))
-    for s in _starts(center, offset, Z):
-        X[todo], failed = _solve_gradient_equations(K, Z[todo], np.broadcast_to(s, Z.shape)[todo])
-        if not failed:
-            return X
-        i, err = todo[min(failed)], failed[min(failed)]
-        todo = todo[sorted(failed)]
-    tried = ", ".join(str(np.broadcast_to(s, Z.shape)[i]) for s in _starts(center, offset, Z))
-    raise type(err)(f"row {i} of {len(Z)}: {err}; starts tried: {tried}") from err
+    X, failed = _solve_gradient_equations(K, Z, np.broadcast_to(K.domain.center, Z.shape))
+    if failed:
+        invert = _point_inverse(K)
+        for i in sorted(failed):
+            try:
+                X[i] = invert(Z[i])
+            except (ConvergenceError, SingularMatrixError) as err:
+                raise type(err)(f"row {i} of {len(Z)}: {err}") from err
+    return X
 
 
 def legendre_transform(K: ScalarField, z, x_init=None):
@@ -287,12 +284,13 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     z solves grad K* = x up to the round-trip gap, and this is the value
     legendre_transform(Kstar, x, x_init=z) returns when its Newton accepts
     that start.  The worst gaps become the pair's margins.  The samples are
-    one stack, evaluated row-stacked (a gradient stack not shaped like it raises
-    DimensionMismatchError) and inverted by one lockstep Newton solve
+    the pair's one design, one stack evaluated row-stacked (a gradient stack
+    not shaped like it raises DimensionMismatchError) and inverted by _invert
     (row for row equal to inverse); a failed solve raises ConvergenceError or
     SingularMatrixError naming the first failing row; a gap above its
     tolerance, or a non-finite one, raises AssumptionError with the margins
-    as its report.
+    as its report.  The co-vectors z also give Kstar its box: their bounding
+    box, widened by 5% of their spread.
 
     Closed form, one of two, each checked on the samples verify or not:
 
@@ -300,9 +298,10 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
       pass (hess K* = hess K(xb)^-1) or AssumptionError is raised; its value at
       a point is taken as a float vector of length dim (as_vector), so a list is
       an array and a wrong length raises DimensionMismatchError;
-    * else if the box holds 0 and homogeneity_check(K, samples, seed) finds
-      degree 2: xb = Q^-1 z and hess K* = Q^-1 (Q = hess K(0)), used only if
-      the three gaps pass, Newton otherwise.
+    * else if the box holds 0: xb = Q^-1 z and hess K* = Q^-1, Q = hess K(0) from K's
+      bound Hessian evaluator (shape-checked), used only if every xb lies in the box
+      inflated by BOX_INFLATE (K is then evaluated only where Newton would) and the
+      three gaps pass; Newton otherwise.
 
     inverse(z) then takes the closed-form x with no Newton solve; an x outside
     the box inflated by BOX_INFLATE (or NaN, no preimage) goes on to Newton.
@@ -316,6 +315,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     """
     box = K.domain
     lo, hi = _inflated(box)
+    invert, hess, square = _point_inverse(K), _evaluators(K)[2], (K.dim, K.dim)
+    inside = _box_test(lo, hi)
     X = box.shrink(0.98).sample(samples, seed=seed + 1)
     Z = _shaped(K.grad_rows(X), X.shape, "gradient")
 
@@ -336,12 +337,11 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         point = lambda zz: as_vector(declared(zz), K.dim)  # a point's x, checked as a row is
         closed = lambda zz: point(zz) if zz.ndim == 1 else _rows(
             K.batched, declared, point, (K.dim,), zz)
-    elif np.all(box.lower <= 0) and np.all(box.upper >= 0) and homogeneity_check(
-            K, samples=samples, seed=seed).degree2:
-        Q = K.hess(np.zeros(K.dim))
+    elif np.all(box.lower <= 0) and np.all(box.upper >= 0):  # degree 2: x = Q^-1 z
+        Q = _shaped(hess(np.zeros(K.dim)), square, "hessian")
         try:
-            Qinv = np.linalg.inv(Q)
-            margins, failed = gaps(np.linalg.solve(Q, Z[..., None])[..., 0], Qinv)
+            Qinv, XB = np.linalg.inv(Q), np.linalg.solve(Q, Z[..., None])[..., 0]
+            margins, failed = gaps(XB, Qinv) if ((XB >= lo) & (XB <= hi)).all() else ({}, True)
         except np.linalg.LinAlgError:  # a singular Q has no closed form
             failed = True
         if failed:
@@ -353,9 +353,6 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         margins, failed = gaps(XB, np.linalg.inv(K.hess_rows(XB)))
         if failed:
             raise failed[0]
-
-    invert, hess, square = _point_inverse(K), _evaluators(K)[2], (K.dim, K.dim)
-    inside = _box_test(lo, hi)
 
     def solve(zz):  # a checked co-vector or stack: the closed form if it lands in the box
         if closed is not None:
@@ -377,9 +374,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
         return Qinv if Qinv is not None else _lapack(
             _umath_linalg.inv, _shaped(hess(solve(z)), square, "hessian"))
 
-    # Best-effort box for the conjugate: bounding box of pushed-forward samples.
-    push = K.grad_rows(K.domain.sample(max(64, samples), seed=seed))
-    zlo, zhi = push.min(axis=0), push.max(axis=0)
+    # Best-effort box for the conjugate: bounding box of the verification co-vectors.
+    zlo, zhi = Z.min(axis=0), Z.max(axis=0)
     spread = np.maximum(zhi - zlo, 1e-6)
     zbox = BoxDomain(zlo - 0.05 * spread, zhi + 0.05 * spread).shrink(0.95)
 

@@ -45,10 +45,8 @@ __all__ = [
     "well_conditioned_transform",
     "field_registry",
     "model_registry",
-    "ARCSIN_CLAMP",
 ]
 
-ARCSIN_CLAMP = 1.0 - 1e-12
 BRAYTON_MOSER_HALFWIDTH = 1.5  # half-width of the Brayton-Moser state cube
 RC_HALFWIDTH = 1.5  # half-width of the RC capacitor-potential cube
 RC_U_HALFWIDTH = 1.0  # half-width of the RC terminal-potential cube
@@ -160,8 +158,11 @@ class BraytonMoserModel:
 # Swing network
 
 
-def _clamped_arcsin(r: np.ndarray) -> np.ndarray:
-    return np.arcsin(np.clip(r, -ARCSIN_CLAMP, ARCSIN_CLAMP))
+def _branch_angle(pi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """q = arcsin(pi/gamma) on the principal branch, NaN where |pi| > gamma has no preimage:
+    swing's one arcsin, for H2's declared conjugate and the co-energy's value and gradient."""
+    r = pi / gamma
+    return np.arcsin(np.where(np.abs(r) <= 1.0, r, np.nan))
 
 
 def _read_only(values) -> np.ndarray:
@@ -270,13 +271,13 @@ class SwingModel:
 
         def value(x):
             w, pi = x[:n], x[n:]
-            s = _clamped_arcsin(pi / self.gamma)
+            s = _branch_angle(pi, self.gamma)
             branch = pi * s + self.gamma * np.cos(s)
             return 0.5 * float(w @ (self.M * w)) - float(np.sum(branch))
 
         def gradient(x):
             w, pi = x[:n], x[n:]
-            return np.concatenate([self.M * w, -_clamped_arcsin(pi / self.gamma)])
+            return np.concatenate([self.M * w, -_branch_angle(pi, self.gamma)])
 
         def hessian(x):
             pi = x[n:]
@@ -323,16 +324,12 @@ class SwingModel:
         n, b = self.n_machines, self.n_branches
         Minv = 1.0 / self.M
 
-        def branch_angle(pi):  # q = arcsin(pi/gamma); NaN where |pi| > gamma has no preimage
-            r = pi / self.gamma
-            return np.arcsin(np.where(np.abs(r) <= 1.0, r, np.nan))
-
         H1 = quadratic_field(np.diag(Minv), self.momentum_box())
         H2 = ScalarField(
             b, lambda q: -np.vecdot(self.gamma, np.cos(q)), self.angle_box(),
             gradient=lambda q: self.gamma * np.sin(q),
             hessian=lambda q: _diag(self.gamma * np.cos(q)), batched=True,
-            conjugate_gradient=branch_angle)
+            conjugate_gradient=lambda pi: _branch_angle(pi, self.gamma))
         P1 = quadratic_field(np.diag(self.A), self.omega_box())
         P2 = quadratic_field(np.zeros((b, b)), self.pi_box())
         return ConversionSplit(idx1=tuple(range(n)), idx2=tuple(range(n, n + b)),

@@ -39,7 +39,7 @@ EXPORTS = {
                  "dissipation_monitor", "ph_to_hessian_pseudo_gradient", "certify_relaxation"),
     "models": ("BraytonMoserModel", "SwingModel", "RcCircuitModel", "ModelBundle",
                "random_reciprocal_system", "random_orthogonal", "well_conditioned_transform",
-               "field_registry", "model_registry", "ARCSIN_CLAMP"),
+               "field_registry", "model_registry"),
     "schema": ("load_system", "load_system_file", "load_registry_extras", "parse_field",
                "read_json", "MODEL_PATH_ENV"),
 }

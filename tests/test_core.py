@@ -208,6 +208,8 @@ def test_halton_equals_scipy_scrambled_halton():
 def test_halton_equals_scipy_property(d, seed, n):
     ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
     assert np.array_equal(core._halton(n, d, seed), ref)
+    # the draw itself, not only the memo's miss path
+    assert np.array_equal(core._halton_draw(n, d, seed), ref)
 
 
 def test_box_domain_grid_product_shrink():

@@ -222,9 +222,10 @@ def test_batched_inverse_restarts_only_rows_with_a_singular_hessian(monkeypatch)
     Z = np.array([[0.5, 0.2], [0.0, 0.0], [0.3, 0.0], [-0.1, 0.4]])
     calls = count_solves(monkeypatch)
     X = legendre._invert(K, Z)
-    # the center fails every row but z = 0; the offset start c + 0.1 w sign(z)
+    # the lockstep solve from the center fails every row but z = 0, and each failed row
+    # restarts by the per-point solver: the center again, then c + 0.1 w sign(z), which
     # fails only row 2, whose zero component leaves it singular; c - 0.1 w solves it
-    assert calls["batched"] == [4, 3, 1]
+    assert calls == {"point": 2 + 3 + 2, "batched": [4]}
     pair = make_legendre_pair(K, samples=20, seed=0, verify=False)
     assert np.array_equal(X, np.array([pair.inverse(z) for z in Z]))
     np.testing.assert_allclose(X, np.cbrt(Z), atol=2e-4)  # x^3 = 0 converges slowly
@@ -264,6 +265,54 @@ def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
     make_legendre_pair(K, samples=30, seed=0)
     # the 30 samples are the rows of one lockstep solve
     assert calls == {"point": 0, "batched": [30]}
+
+
+@pytest.mark.parametrize("name", ["cosh", "quadratic"])
+def test_a_pair_draws_one_design(monkeypatch, name):
+    # by Newton (cosh) and in closed form (quadratic): the verification samples are the
+    # pair's only design, and their co-vectors give Kstar its box
+    from recipkit import core
+
+    keys, draw = [], core._halton
+
+    def counted(n, dim, seed):
+        keys.append((n, dim, seed))
+        return draw(n, dim, seed)
+
+    monkeypatch.setattr(core, "_halton", counted)
+    pair = make_legendre_pair(field_registry()[name])
+    assert keys == [(200, 2, 1)]
+    Z = pair.K.grad_rows(pair.K.domain.shrink(0.98).sample(200, seed=1))
+    assert np.all((pair.Kstar.domain.lower < Z.min(axis=0))
+                  & (Z.max(axis=0) < pair.Kstar.domain.upper))
+
+
+def test_the_closed_form_try_evaluates_k_only_where_newton_would(monkeypatch):
+    # K = sum cosh(3 x_i) / 9 on [-1, 1]^2 holds 0 and has Q = hess K(0) = I, but Q^-1 z = z
+    # reaches sinh(2.94) / 3 ~ 3.1 on the samples, past the inflated bound 1.5: the try is
+    # refused before K is evaluated there, and the pair inverts by Newton
+    seen = []
+
+    def recorded(fn):
+        def wrapped(x):
+            seen.extend(np.reshape(x, (-1, 2)).tolist())
+            return fn(x)
+        return wrapped
+
+    K = ScalarField(2, recorded(lambda x: np.sum(np.cosh(3.0 * x), axis=-1) / 9.0),
+                    BoxDomain.cube(2), gradient=recorded(lambda x: np.sinh(3.0 * x) / 3.0),
+                    hessian=recorded(lambda x: np.cosh(3.0 * x)[..., :, None] * np.eye(2)),
+                    batched=True)
+    pair = make_legendre_pair(K)
+    assert seen and np.all(np.abs(seen) <= 1.5)
+    assert pair.margins["round_trip_gap"] <= 1e-8
+    Z = K.grad_rows(K.domain.shrink(0.9).sample(16, seed=3))
+    assert np.abs(Z).max() > 1.5
+    assert np.array_equal(pair.inverse(Z), legendre._invert(K, Z))
+    # a quadratic with K(0) != 0 still takes the closed form: no Newton solve at all
+    calls = count_solves(monkeypatch)
+    make_legendre_pair(quadratic_field(np.eye(2), BoxDomain.cube(2), const=1.0))
+    assert calls == {"point": 0, "batched": []}
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -316,9 +365,15 @@ def test_a_candidate_outside_the_inflated_box_is_halved_before_any_evaluation():
 
 def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
     # np.cosh is the Hessian's diagonal, shape (2,) at a point, not the (2, 2) matrix
-    K = ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), BoxDomain.cube(2),
-                    gradient=np.sinh, hessian=np.cosh, batched=True)
-    pair = make_legendre_pair(K, verify=False)
+    def field(box):
+        return ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), box,
+                           gradient=np.sinh, hessian=np.cosh, batched=True)
+
+    # a box that holds 0 tries the closed form, whose Q = hess K(0) meets it at construction
+    with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2,\), "
+                                                     r"expected \(2, 2\)$"):
+        make_legendre_pair(field(BoxDomain.cube(2)), verify=False)
+    pair = make_legendre_pair(field(BoxDomain([0.5, 0.5], [1.5, 1.5])), verify=False)
     with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2,\), "
                                                      r"expected \(2, 2\)$"):
         pair.inverse([0.5, -0.3])
@@ -326,9 +381,10 @@ def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2, 2\), "
                                                      r"expected \(2, 2, 2\)$"):
         pair.inverse([[0.5, -0.3], [0.2, 0.4]])
-    # z = 0 is solved by the start itself, so only Kstar.hess meets the Hessian
+    # grad K at the center (1, 1) is solved by the start itself, so only Kstar.hess meets
+    # the Hessian
     with pytest.raises(DimensionMismatchError, match=r"shape \(2,\), expected \(2, 2\)"):
-        pair.Kstar.hess([0.0, 0.0])
+        pair.Kstar.hess(np.sinh([1.0, 1.0]))
 
 
 def test_a_stalled_line_search_within_100x_the_goal_returns_its_iterate():
@@ -602,7 +658,8 @@ def test_declared_conjugate_outside_its_codomain_goes_on_to_newton(monkeypatch):
         pair.Kstar.hess([-1.5])
     with pytest.raises(ConvergenceError, match=r"^row 1 of 2: Newton stalled .* at z=\[-1\.5\] "):
         pair.inverse(np.array([[0.5], [-1.5]]))
-    assert calls["point"] == 6 and calls["batched"] == [2, 1, 1]
+    # three starts each for the point, Kstar.hess's point and the stack's failed row 1
+    assert calls == {"point": 9, "batched": [2]}
 
 
 def test_a_declared_conjugate_returning_a_list_inverts_to_an_array():
