@@ -46,7 +46,7 @@ BOX_INFLATE = 0.25
 
 
 def _newton_error(kind: str, z, x0, x, it: int, rn: float) -> Exception:
-    """The error a failed solve of grad K(x) = z raises, worded alike by both kernels."""
+    """The error a failed per-point solve of grad K(x) = z raises."""
     what = {"singular": f"met a singular Hessian at x={x} in iteration {it}",
             "stalled": f"stalled in iteration {it}",
             "budget": f"did not reach residual {NEWTON_TOL} in {it} iterations"}[kind]
@@ -142,23 +142,23 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
     """_point_solver's solve for each row of Z, all rows advancing in lockstep.
 
     Each row keeps the per-point rules and gets the per-point x bit for bit.
-    Returns X and a dict from each failed row to its error.
+    Returns X and the indices of the failed rows, ascending.
     """
     lo, hi = _inflated(K.domain)
     goal = NEWTON_TOL * (1.0 + np.sqrt(np.vecdot(Z, Z)))  # np.linalg.norm, row by row
     X, S = np.array(X0, dtype=float), np.zeros(Z.shape)
     R = K.grad_rows(X) - Z
     RN = np.sqrt(np.vecdot(R, R))
-    live, failed = ~(RN <= goal), {}
+    live, failed = ~(RN <= goal), np.zeros(len(Z), dtype=bool)
 
-    def stop(rows, kind=None, it=0):
+    def stop(rows, fail=False):
         live[rows] = False
-        failed.update({i: _newton_error(kind, Z[i], X0[i], X[i], it, RN[i]) for i in rows if kind})
+        failed[rows] |= fail
 
-    for it in range(1, NEWTON_MAX_ITER + 1):
+    for _ in range(NEWTON_MAX_ITER):
         rows = np.flatnonzero(live)
         if not rows.size:
-            return X, failed
+            return X, np.flatnonzero(failed)
         H = _shaped(K.hess_rows(X[rows]), (rows.size, K.dim, K.dim), "hessian")
         try:
             S[rows] = np.linalg.solve(H, R[rows, :, None])[..., 0]
@@ -167,7 +167,7 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
                 try:
                     S[i] = np.linalg.solve(H[j], R[i])
                 except np.linalg.LinAlgError:
-                    stop([i], "singular", it)
+                    stop([i], True)
         lam, todo = 1.0, np.flatnonzero(live)  # rows still backtracking
         while todo.size and lam >= 1e-8:
             cand = X[todo] - lam * S[todo]
@@ -181,10 +181,10 @@ def _solve_gradient_equations(K: ScalarField, Z: np.ndarray, X0: np.ndarray):
             todo = todo[~np.isin(todo, rows)]
             lam *= 0.5
         stop(todo[RN[todo] <= 100.0 * goal[todo]])
-        stop(todo[live[todo]], "stalled", it)
+        stop(todo[live[todo]], True)
         stop(np.flatnonzero(RN <= goal))
-    stop(np.flatnonzero(live), "budget", NEWTON_MAX_ITER)
-    return X, failed
+    stop(np.flatnonzero(live), True)
+    return X, np.flatnonzero(failed)
 
 
 def _point_inverse(K: ScalarField) -> Callable:
@@ -219,9 +219,9 @@ def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
     _point_inverse's error, prefixed "row i of N: ".
     """
     X, failed = _solve_gradient_equations(K, Z, np.broadcast_to(K.domain.center, Z.shape))
-    if failed:
+    if failed.size:
         invert = _point_inverse(K)
-        for i in sorted(failed):
+        for i in failed:
             try:
                 X[i] = invert(Z[i])
             except (ConvergenceError, SingularMatrixError) as err:
@@ -306,12 +306,15 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     inverse(z) then takes the closed-form x with no Newton solve; an x outside
     the box inflated by BOX_INFLATE (or NaN, no preimage) goes on to Newton.
     Kstar.hess is Q^-1 for a quadratic, else hess K at that x inverted.  The Q
-    solve and Kstar.hess's inverse at a point go through _lapack, as the
-    per-point Newton step does: np.linalg's bits without its per-call wrapper.
-    The per-point solver, its starts, K's evaluators and the inflated box's
-    point test (core._box_test) are bound here once, for inverse, Kstar.hess and
-    every Newton iteration; a stack keeps numpy's test.  A stack whose rows are not
-    co-vectors of K raises DimensionMismatchError.
+    solve and Kstar.hess's inverse go through _lapack, as the per-point Newton
+    step does: np.linalg's bits without its per-call wrapper.  The per-point
+    solver, its starts, K's evaluators and the inflated box's point test
+    (core._box_test) are bound here once, for inverse, Kstar.hess and every
+    Newton iteration; a stack keeps numpy's test.  Kstar is batched: its value,
+    gradient (inverse) and Hessian take a point, by the per-point solver, or a
+    stack, inverted at once (the closed form or one lockstep _invert) with its
+    Hessians inverted in one gufunc call, row for row the per-point bits.  A stack
+    whose rows are not co-vectors of K raises DimensionMismatchError.
     """
     box = K.domain
     lo, hi = _inflated(box)
@@ -361,25 +364,33 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                 return x
         return invert(zz) if zz.ndim == 1 else _invert(K, zz)
 
+    def checked(z):  # a stack's width is checked here, a point's by as_vector
+        if np.ndim(z) == 2:
+            return _shaped(np.asarray(z, dtype=float), (len(z), K.dim), "co-vector stack")
+        return as_vector(z, K.dim)
+
     def inverse(z):
-        if np.ndim(z) == 2:  # a stack's width is checked here, a point's by as_vector
-            return solve(_shaped(np.asarray(z, dtype=float), (len(z), K.dim), "co-vector stack"))
-        return solve(as_vector(z, K.dim))
+        return solve(checked(z))
 
-    def star_value(z):  # ScalarField.__call__ hands over a checked vector
-        x = inverse(z)
-        return float(z @ x - K(x))
+    def star_value(z):
+        zz = checked(z)
+        x = solve(zz)
+        return float(zz @ x - K(x)) if zz.ndim == 1 else np.vecdot(zz, x) - K.value_rows(x)
 
-    def star_hess(z):  # ScalarField.hess hands over a checked vector
-        return Qinv if Qinv is not None else _lapack(
-            _umath_linalg.inv, _shaped(hess(solve(z)), square, "hessian"))
+    def star_hess(z):  # a point from ScalarField.hess arrives checked
+        zz = z if np.ndim(z) == 1 else checked(z)
+        shape = zz.shape[:-1] + square
+        if Qinv is not None:
+            return Qinv if zz.ndim == 1 else np.broadcast_to(Qinv, shape)
+        return _lapack(_umath_linalg.inv, _shaped(hess(solve(zz)), shape, "hessian"))
 
     # Best-effort box for the conjugate: bounding box of the verification co-vectors.
     zlo, zhi = Z.min(axis=0), Z.max(axis=0)
     spread = np.maximum(zhi - zlo, 1e-6)
     zbox = BoxDomain(zlo - 0.05 * spread, zhi + 0.05 * spread).shrink(0.95)
 
-    Kstar = ScalarField(K.dim, star_value, zbox, gradient=inverse, hessian=star_hess)
+    Kstar = ScalarField(K.dim, star_value, zbox, gradient=inverse, hessian=star_hess,
+                        batched=True)
     return LegendrePair(K=K, Kstar=Kstar, forward=lambda x: K.grad(x), inverse=inverse,
                         margins=margins if verify else {})
 

@@ -265,27 +265,30 @@ class SwingModel:
         return BoxDomain(-half, half)
 
     def co_energy(self) -> ScalarField:
-        """K(omega, pi) = omega.M omega/2 - sum_j conj(-gamma cos)(pi_j)."""
-        n = self.n_machines
+        """K(omega, pi) = omega.M omega/2 - sum_j conj(-gamma cos)(pi_j); batched.  The value
+        and gradient are NaN where |pi_j| > gamma_j, the Hessian where |pi_j| >= gamma_j."""
+        n, dim = self.n_machines, self.n_machines + self.n_branches
         dom = BoxDomain.product(self.omega_box(), self.pi_box())
 
         def value(x):
-            w, pi = x[:n], x[n:]
+            w, pi = x[..., :n], x[..., n:]
             s = _branch_angle(pi, self.gamma)
             branch = pi * s + self.gamma * np.cos(s)
-            return 0.5 * float(w @ (self.M * w)) - float(np.sum(branch))
+            return 0.5 * np.vecdot(w, self.M * w) - np.sum(branch, axis=-1)
 
         def gradient(x):
-            w, pi = x[:n], x[n:]
-            return np.concatenate([self.M * w, -_branch_angle(pi, self.gamma)])
+            w, pi = x[..., :n], x[..., n:]
+            return np.concatenate([self.M * w, -_branch_angle(pi, self.gamma)], axis=-1)
 
-        def hessian(x):
-            pi = x[n:]
-            root = np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 1e-300))
-            return np.diag(np.concatenate([self.M, -1.0 / root]))
+        def hessian(x):  # the diagonal filled in place: np.broadcast_to of M costs per point
+            d = self.gamma ** 2 - x[..., n:] ** 2
+            H = np.zeros(x.shape[:-1] + (dim, dim))
+            diagonal = H.reshape(x.shape[:-1] + (-1,))[..., ::dim + 1]
+            diagonal[..., :n], diagonal[..., n:] = self.M, -1.0 / np.sqrt(
+                np.where(d > 0.0, d, np.nan))
+            return H
 
-        return ScalarField(n + self.n_branches, value, dom,
-                           gradient=gradient, hessian=hessian)
+        return ScalarField(dim, value, dom, gradient=gradient, hessian=hessian, batched=True)
 
     def mixed_potential(self) -> ScalarField:
         n = self.n_machines
@@ -297,19 +300,21 @@ class SwingModel:
         return quadratic_field(Q, dom)
 
     def storage(self) -> ScalarField:
-        """Kinetic energy plus the branch potential expressed through pi; batched."""
+        """Kinetic energy plus the branch potential expressed through pi; batched.  The value
+        is NaN where |pi_j| > gamma_j, the gradient where |pi_j| >= gamma_j."""
         n = self.n_machines
         dom = BoxDomain.product(self.omega_box(), self.pi_box())
 
         def value(x):
-            w, pi = x[..., :n], x[..., n:]
+            w, d = x[..., :n], self.gamma ** 2 - x[..., n:] ** 2
             return 0.5 * np.vecdot(w, self.M * w) - np.sum(
-                np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 0.0)), axis=-1)
+                np.sqrt(np.where(d >= 0.0, d, np.nan)), axis=-1)
 
         def gradient(x):
             w, pi = x[..., :n], x[..., n:]
-            root = np.sqrt(np.maximum(self.gamma ** 2 - pi ** 2, 1e-300))
-            return np.concatenate([self.M * w, pi / root], axis=-1)
+            d = self.gamma ** 2 - pi ** 2
+            return np.concatenate([self.M * w, pi / np.sqrt(np.where(d > 0.0, d, np.nan))],
+                                  axis=-1)
 
         return ScalarField(n + self.n_branches, value, dom, gradient=gradient, batched=True)
 
@@ -615,65 +620,27 @@ def _diag(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_quadratic() -> ScalarField:
-    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    return quadratic_field(Q, BoxDomain.cube(2, 2.0))
-
-
-def _field_cosh() -> ScalarField:
-    dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: np.sum(np.cosh(x) - 1.0, axis=-1), dom,
-                       gradient=lambda x: np.sinh(x),
-                       hessian=lambda x: _diag(np.cosh(x)), batched=True)
-
-
-def _field_log_cosh() -> ScalarField:
-    dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: np.sum(np.log(np.cosh(x)), axis=-1), dom,
-                       gradient=lambda x: np.tanh(x),
-                       hessian=lambda x: _diag(1.0 / np.cosh(x) ** 2), batched=True)
-
-
-def _field_exp_sum() -> ScalarField:
-    dom = BoxDomain.cube(2, 1.2)
-    return ScalarField(2, lambda x: np.sum(np.exp(x), axis=-1), dom,
-                       gradient=lambda x: np.exp(x),
-                       hessian=lambda x: _diag(np.exp(x)), batched=True)
-
-
-def _field_quartic() -> ScalarField:
-    # small quadratic term keeps the conjugate twice differentiable at 0;
-    # the pure quartic conjugate 3/4 |z|^(4/3) is only C^1 there
-    dom = BoxDomain.cube(1, 1.5)
-    mu = 0.1
-    return ScalarField(1, lambda x: 0.25 * np.sum(x ** 4, axis=-1) + 0.5 * mu * np.vecdot(x, x),
-                       dom,
-                       gradient=lambda x: x ** 3 + mu * x,
-                       hessian=lambda x: _diag(3.0 * x ** 2 + mu), batched=True)
-
-
-def _field_quartic_plus_quadratic() -> ScalarField:
-    dom = BoxDomain.cube(2, 1.5)
-    return ScalarField(2, lambda x: np.sum(0.25 * x ** 4 + 0.5 * x ** 2, axis=-1), dom,
-                       gradient=lambda x: x ** 3 + x,
-                       hessian=lambda x: _diag(3.0 * x ** 2 + 1.0), batched=True)
-
-
-def _field_swing_branch() -> ScalarField:
-    dom = BoxDomain.cube(1, 1.2)
-    return ScalarField(1, lambda q: -np.sum(np.cos(q), axis=-1), dom,
-                       gradient=lambda q: np.sin(q),
-                       hessian=lambda q: _diag(np.cos(q)), batched=True)
+def _separable(dim: int, halfwidth: float, phi, dphi, d2phi) -> ScalarField:
+    """sum_i phi(x_i) on the cube of that half-width, with gradient dphi(x) and Hessian
+    diag(d2phi(x)), at a point or on a stack; batched."""
+    return ScalarField(dim, lambda x: np.sum(phi(x), axis=-1), BoxDomain.cube(dim, halfwidth),
+                       gradient=dphi, hessian=lambda x: _diag(d2phi(x)), batched=True)
 
 
 def field_registry() -> dict:
     """Named convex (or at least smooth) generating functions for the CLI; all batched."""
+    # quartic's small quadratic term mu keeps its conjugate twice differentiable at 0;
+    # the pure quartic conjugate 3/4 |z|^(4/3) is only C^1 there
+    mu = 0.1
     return {
-        "quadratic": _field_quadratic(),
-        "cosh": _field_cosh(),
-        "log-cosh": _field_log_cosh(),
-        "exp-sum": _field_exp_sum(),
-        "quartic": _field_quartic(),
-        "quartic-quadratic": _field_quartic_plus_quadratic(),
-        "swing-branch": _field_swing_branch(),
+        "quadratic": quadratic_field(np.array([[2.0, 0.5], [0.5, 1.0]]), BoxDomain.cube(2, 2.0)),
+        "cosh": _separable(2, 1.5, lambda x: np.cosh(x) - 1.0, np.sinh, np.cosh),
+        "log-cosh": _separable(2, 1.5, lambda x: np.log(np.cosh(x)), np.tanh,
+                               lambda x: 1.0 / np.cosh(x) ** 2),
+        "exp-sum": _separable(2, 1.2, np.exp, np.exp, np.exp),
+        "quartic": _separable(1, 1.5, lambda x: 0.25 * x ** 4 + 0.5 * mu * (x * x),
+                              lambda x: x ** 3 + mu * x, lambda x: 3.0 * x ** 2 + mu),
+        "quartic-quadratic": _separable(2, 1.5, lambda x: 0.25 * x ** 4 + 0.5 * x ** 2,
+                                        lambda x: x ** 3 + x, lambda x: 3.0 * x ** 2 + 1.0),
+        "swing-branch": _separable(1, 1.2, lambda q: -np.cos(q), np.sin, np.cos),
     }

@@ -16,6 +16,7 @@ from recipkit.core import (
     ScalarField,
     SingularMatrixError,
     quadratic_field,
+    validate_scalar_field,
 )
 from recipkit.legendre import (
     homogeneity_check,
@@ -359,7 +360,7 @@ def test_a_candidate_outside_the_inflated_box_is_halved_before_any_evaluation():
     assert seen[:2] == [[0.0, 0.0], (0.5 * z).tolist()] and len(seen) == 7
     assert all(abs(c) <= 1.5 for p in seen for c in p)
     X, failed = legendre._solve_gradient_equations(K, z[None], np.zeros((1, 2)))
-    assert not failed and np.array_equal(X[0], x)
+    assert failed.tolist() == [] and np.array_equal(X[0], x)
     np.testing.assert_allclose(np.sinh(x), z, rtol=0, atol=1e-12)
 
 
@@ -400,7 +401,7 @@ def test_a_stalled_line_search_within_100x_the_goal_returns_its_iterate():
     solve = legendre._point_solver(K)
     got = np.array([solve(z, x0) for z, x0 in zip(Z, X0)])
     lockstep, failed = legendre._solve_gradient_equations(K, Z, X0)
-    assert failed == {} and np.array_equal(got, lockstep)
+    assert failed.tolist() == [] and np.array_equal(got, lockstep)
     residual = np.abs(K.grad_rows(got) - Z)[:, 0]
     goal = legendre.NEWTON_TOL * (1.0 + np.abs(Z[:, 0]))
     assert np.all((goal < residual) & (residual <= 100.0 * goal))
@@ -444,6 +445,46 @@ def test_a_stack_of_the_wrong_width_into_inverse_is_a_dimension_mismatch(name):
     with pytest.raises(DimensionMismatchError, match=r"^expected length 2, got 5$"):
         pair.inverse(np.zeros(5))
     assert pair.inverse(np.zeros((3, 2))).shape == (3, 2)
+
+
+@pytest.mark.parametrize("name", ["cosh", "quadratic", "swing-branch"])
+def test_kstar_maps_a_stack_row_for_row(name):
+    # by Newton (cosh), in closed form (a quadratic whose co-domain is a box, so Kstar's
+    # box holds only co-vectors) and by a declared conjugate (swing's H2): Kstar is batched,
+    # its stacks are its points bit for bit, and a stack of the wrong width is refused by
+    # inverse's width rule
+    K = {"cosh": field_registry()["cosh"],
+         "quadratic": quadratic_field(np.diag([2.0, 0.5]), BoxDomain.cube(2, 2.0)),
+         "swing-branch": declared_fields()["swing-branch"]}[name]
+    Kstar = make_legendre_pair(K).Kstar
+    assert Kstar.batched
+    validate_scalar_field(Kstar)
+    Z = Kstar.domain.shrink(0.9).sample(16, seed=5)
+    assert np.array_equal(Kstar.value_rows(Z), [Kstar(z) for z in Z])
+    assert np.array_equal(Kstar.grad_rows(Z), [Kstar.grad(z) for z in Z])
+    assert np.array_equal(Kstar.hess_rows(Z), [Kstar.hess(z) for z in Z])
+    wrong = np.zeros((3, K.dim + 3))
+    for rows in (Kstar.value_rows, Kstar.grad_rows, Kstar.hess_rows):
+        with pytest.raises(DimensionMismatchError, match=r"^co-vector stack has shape \(3, "):
+            rows(wrong)
+
+
+def test_converted_newton_block_hessians_on_a_stack_are_one_lockstep_solve(monkeypatch):
+    # H2 = q^2/2 + q^4/12 is convex but not of degree 2, so its block inverts by Newton:
+    # the converted K's Hessians at 50 rows take one lockstep solve, not one per row
+    from test_registry_reports import _port_hamiltonian
+
+    from recipkit.dynamics import ph_to_hessian_pseudo_gradient
+    from recipkit.schema import load_system
+
+    bundle = load_system(_port_hamiltonian(1 / 12))
+    calls = count_solves(monkeypatch)
+    K = ph_to_hessian_pseudo_gradient(bundle.ph, bundle.split).system.K
+    calls.update(point=0, batched=[])
+    X = K.domain.shrink(0.9).sample(50, seed=2)
+    H = K.hess_rows(X)
+    assert calls == {"point": 0, "batched": [50]}
+    assert np.array_equal(H, [K.hess(x) for x in X])
 
 
 def test_lapack_leaves_the_floating_point_state_as_it_found_it():

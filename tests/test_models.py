@@ -13,6 +13,8 @@ from recipkit.core import (
     finite_difference_jacobian,
     validate_scalar_field,
 )
+from recipkit.dynamics import ph_to_hessian_pseudo_gradient
+from recipkit.legendre import make_legendre_pair
 from recipkit.linear import check_linear_reciprocity
 from recipkit.schema import _checked
 from recipkit.models import (
@@ -137,6 +139,23 @@ def test_swing_port_hamiltonian_and_lossless():
     assert np.allclose(ll.as_port_hamiltonian().R(z), 0.0)
 
 
+def test_swing_co_energy_side_is_nan_off_the_branch():
+    # |pi| = 1.2 > gamma = 1 has no branch angle: the co-energy's Hessian and the storage's
+    # value and gradient read NaN there, as the co-energy's value and gradient do, with no
+    # RuntimeWarning (an error under this suite's filter); at |pi| = gamma the values stay
+    # finite and the curvature is NaN
+    sw = SwingModel()
+    K, S = sw.co_energy(), sw.storage()
+    x, edge = np.array([0.1, 0.2, 1.2]), np.array([0.1, 0.2, 1.0])
+    assert np.isnan(K(x)) and np.isnan(K.grad(x)[2])
+    assert np.isnan(K.hess(x)[2, 2]) and np.isnan(S(x)) and np.isnan(S.grad(x)[2])
+    assert np.isfinite(K(edge)) and np.isfinite(S(edge))
+    assert np.isnan(K.hess(edge)[2, 2]) and np.isnan(S.grad(edge)[2])
+    H = K.hess_rows(np.array([[0.3, -0.1, 0.5], x, [-0.2, 0.4, -0.8]]))
+    assert np.isnan(H).any(axis=(1, 2)).tolist() == [False, True, False]
+    assert np.array_equal(H[0], np.diag([1.0, 1.5, -1.0 / np.sqrt(1.0 - 0.5 ** 2)]))
+
+
 def test_swing_boxes():
     sw = SwingModel()
     assert np.allclose(sw.momentum_box().upper, sw.M * sw.omega_max)
@@ -244,7 +263,7 @@ def test_model_registry_contents():
         assert not reg[name].sigma.is_identity
     # the batched forms a recorded trajectory evaluates: rows are the per-point values
     swing, tanh = reg["swing"], reg["rc-tanh"]
-    for field in (swing.ph.H, swing.hpg.storage, swing.split.H1, swing.split.H2,
+    for field in (swing.ph.H, swing.hpg.K, swing.hpg.storage, swing.split.H1, swing.split.H2,
                   tanh.hpg.K, tanh.hpg.V, tanh.hpg.storage, reg["rc-relaxation"].hpg.V,
                   reg["rc-relaxation"].hpg.storage, reg["scalar-relaxation"].hpg.V):
         X = field.domain.sample(64, seed=6)
@@ -252,14 +271,6 @@ def test_model_registry_contents():
         assert np.array_equal(field.value_rows(X), [field(x) for x in X])
         assert np.array_equal(field.grad_rows(X), [field.grad(x) for x in X])
         assert np.array_equal(field.hess_rows(X), [field.hess(x) for x in X])
-
-
-# Registry objects that are still per point, each with the reason it is kept so.
-PER_POINT = {
-    "swing.hpg.K": "swing's co-energy is evaluated point by point in the integrator; a "
-                   "stack-native hessian cost 6.4-8.9 -> 9.5-10.8 us per K.hess_rows(x) at "
-                   "a point (timeit, min of 5 x 20000 calls), np.broadcast_to alone 3 us",
-}
 
 
 def _fields_metrics_and_systems(obj, path: str):
@@ -275,13 +286,17 @@ def _fields_metrics_and_systems(obj, path: str):
 
 
 def test_every_registry_field_metric_and_system_is_batched():
-    # a ratchet towards one stack-native contract: a new per-point object fails here, and
-    # so does a PER_POINT entry that has become batched
-    found = dict(pair for registry in (model_registry(), field_registry())
-                 for name, obj in registry.items()
+    # one stack-native contract, with no exception: every object the registries build, each
+    # registry field's conjugate and swing's converted system map stacks
+    fields, swing = field_registry(), model_registry()["swing"]
+    roots = {**model_registry(), **fields,
+             **{f"{name}.Kstar": make_legendre_pair(f).Kstar for name, f in fields.items()},
+             "swing.converted": ph_to_hessian_pseudo_gradient(swing.ph, swing.split).system}
+    found = dict(pair for name, obj in roots.items()
                  for pair in _fields_metrics_and_systems(obj, name))
-    assert len(found) == 29  # 22 in the 8 model bundles, 7 registry fields
-    assert sorted(path for path, obj in found.items() if not obj.batched) == sorted(PER_POINT)
+    # 22 in the 7 model bundles, 7 registry fields, their 7 conjugates and 4 converted
+    assert len(found) == 40
+    assert [path for path, obj in found.items() if not obj.batched] == []
 
 
 def test_field_registry_contents():
