@@ -13,6 +13,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj  # what np.errstate sets
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs np.linalg.solve and inv call
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -315,6 +317,29 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _constant_rows(A: np.ndarray) -> Callable:
     """x -> A at a point, and A repeated along the leading axes of a stack of points."""
     return lambda x: A if np.ndim(x) == 1 else np.broadcast_to(A, np.shape(x)[:-1] + A.shape)
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve/inv's errstate(all="ignore", invalid="call", call=_singular), built once
+_LAPACK_ERRSTATE = _make_extobj(all="ignore", invalid="call", call=_singular)
+
+
+def _lapack(gufunc, *arrays: np.ndarray) -> np.ndarray:
+    """A LAPACK gufunc of np.linalg.solve/inv on float64 arrays, in their errstate: their
+    bits and their LinAlgError on a singular matrix, without their per-call wrapper.
+
+    The errstate is set and reset around the gufunc call alone, as np.errstate's
+    decorator does, but from _LAPACK_ERRSTATE, built once at import rather than per call;
+    the caller's floating-point settings and callback hold again on return or raise.
+    """
+    token = _extobj_contextvar.set(_LAPACK_ERRSTATE)
+    try:
+        return gufunc(*arrays)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _default_steps(x: np.ndarray, base: float) -> np.ndarray:
@@ -685,11 +710,31 @@ class Polynomial:
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def to_field(self, domain: BoxDomain) -> ScalarField:
-        return ScalarField(self.dim, self.value, domain, self.grad, self.hess, batched=True)
+        """The polynomial as a batched field on domain; of degree <= 2, with Q = hess(0) and
+        b = grad(0), it declares its conjugate gradient as quadratic_field does."""
+        zero = np.zeros(self.dim)
+        conjugate = (_affine_conjugate(self.hess(zero), self.grad(zero))
+                     if all(sum(e) <= 2 for e, _ in self.terms) else None)
+        return ScalarField(self.dim, self.value, domain, self.grad, self.hess, batched=True,
+                           conjugate_gradient=conjugate)
+
+
+def _affine_conjugate(Q: np.ndarray, b: np.ndarray) -> Optional[Callable]:
+    """z -> Q^-1 (z - b), the inverse of the gradient Q x + b, at a point (solve1) or row by
+    row on a stack (solve), through _lapack: np.linalg.solve's bits.  None when Q is
+    singular (LinAlgError on inverting it): such a field declares no conjugate."""
+    try:
+        _lapack(_umath_linalg.inv, Q)
+    except np.linalg.LinAlgError:
+        return None
+    solve1, solve = _umath_linalg.solve1, _umath_linalg.solve
+    return lambda z: (_lapack(solve1, Q, z - b) if np.ndim(z) == 1
+                      else _lapack(solve, Q, (z - b)[..., None])[..., 0])
 
 
 def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> ScalarField:
-    """Field (1/2) x^T Q x + lin^T x + const with analytic derivatives; batched."""
+    """Field (1/2) x^T Q x + lin^T x + const with analytic derivatives; batched.  It declares
+    its conjugate gradient z -> Qs^-1 (z - lin), Qs = (Q + Q^T)/2, unless Qs is singular."""
     Qm = as_matrix(Q)
     n = Qm.shape[0]
     Qs = 0.5 * (Qm + Qm.T)
@@ -702,6 +747,7 @@ def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> Scala
         gradient=lambda x: _mv(Qs, x) + b,
         hessian=_constant_rows(Qs),
         batched=True,
+        conjugate_gradient=_affine_conjugate(Qs, b),
     )
 
 

@@ -1,21 +1,20 @@
 """Legendre transforms of nondegenerate generating functions.
 
 The conjugate K*(z) = z.x - K(x) is evaluated pointwise by solving grad K(x) = z,
-in closed form for a certified degree-2 K or a verified declared conjugate gradient
-(ScalarField.conjugate_gradient), and by damped Newton otherwise; the co-domain is
-implicit (a point z belongs to it exactly when the closed form lands in the box or
-Newton converges).
+in closed form for a verified declared conjugate gradient (ScalarField.conjugate_gradient,
+which core.quadratic_field and a degree-2 core.Polynomial field declare), and by damped
+Newton otherwise; the co-domain is implicit (a point z belongs to it exactly when the
+closed form lands in the box or Newton converges).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar, _make_extobj  # what np.errstate sets
-from numpy.linalg import _umath_linalg  # the LAPACK gufuncs np.linalg.solve and inv call
 
 from .core import (
     AssumptionError,
@@ -27,7 +26,9 @@ from .core import (
     SingularMatrixError,
     _box_test,
     _evaluators,
+    _lapack,
     _rows,
+    _umath_linalg,
     as_vector,
 )
 
@@ -65,29 +66,6 @@ def _shaped(A: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return A
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# np.linalg.solve/inv's errstate(all="ignore", invalid="call", call=_singular), built once
-_LAPACK_ERRSTATE = _make_extobj(all="ignore", invalid="call", call=_singular)
-
-
-def _lapack(gufunc, *arrays: np.ndarray) -> np.ndarray:
-    """A LAPACK gufunc of np.linalg.solve/inv on float64 arrays, in their errstate: their
-    bits and their LinAlgError on a singular matrix, without their per-call wrapper.
-
-    The errstate is set and reset around the gufunc call alone, as np.errstate's
-    decorator does, but from _LAPACK_ERRSTATE, built once at import rather than per call;
-    the caller's floating-point settings and callback hold again on return or raise.
-    """
-    token = _extobj_contextvar.set(_LAPACK_ERRSTATE)
-    try:
-        return gufunc(*arrays)
-    finally:
-        _extobj_contextvar.reset(token)
-
-
 def _point_solver(K: ScalarField) -> Callable:
     """The damped Newton solve of grad K(x) = z for one co-vector, as solve(z, x0), with the
     setup that depends on K alone done here once: the inflated box's test and K's evaluators.
@@ -97,7 +75,7 @@ def _point_solver(K: ScalarField) -> Callable:
     than failing on rounding noise.  z and x0 arrive checked: each iteration
     calls K's evaluators (core._evaluators) at the point, takes every norm as
     sqrt(r @ r), np.linalg.norm bit for bit, solves for the step through
-    _lapack, np.linalg.solve bit for bit, and tests each line-search candidate
+    core._lapack, np.linalg.solve bit for bit, and tests each line-search candidate
     against the inflated box on Python floats (core._box_test).
     """
     inside = _box_test(*_inflated(K.domain))
@@ -192,7 +170,8 @@ def _point_inverse(K: ScalarField) -> Callable:
     here once with the starts' fixed parts: the domain center, then offsets of 0.1 * width
     that cover a degenerate Hessian there.  Each start is built and tried only if the last
     failed; if all fail, the last error is raised, naming the starts tried.  This is the
-    one restart policy: _invert hands it the rows its lockstep solve failed."""
+    one restart policy: _invert hands it the rows its lockstep solve failed, with the
+    center start already tried, so invert(z, 1) goes on from the first offset."""
     solve, center, offset = _point_solver(K), K.domain.center, 0.1 * K.domain.width
 
     def starts(z):
@@ -200,8 +179,8 @@ def _point_inverse(K: ScalarField) -> Callable:
         yield center + offset * np.sign(z)
         yield center - offset
 
-    def invert(z: np.ndarray) -> np.ndarray:
-        for s in starts(z):
+    def invert(z: np.ndarray, tried: int = 0) -> np.ndarray:
+        for s in itertools.islice(starts(z), tried, None):
             try:
                 return solve(z, s)
             except (ConvergenceError, SingularMatrixError) as exc:
@@ -214,16 +193,16 @@ def _point_inverse(K: ScalarField) -> Callable:
 
 def _invert(K: ScalarField, Z: np.ndarray) -> np.ndarray:
     """Solve grad K(x) = z for each row of a stack Z: one lockstep solve from the domain
-    center, then each row it failed by _point_inverse, which owns the restarts, so a row
-    gets the x its co-vector gets alone.  The first row that fails from every start raises
-    _point_inverse's error, prefixed "row i of N: ".
+    center, then each row it failed by _point_inverse, which owns the restarts, from the
+    start after the center, so a row gets the x its co-vector gets alone.  The first row
+    that fails from every start raises _point_inverse's error, prefixed "row i of N: ".
     """
     X, failed = _solve_gradient_equations(K, Z, np.broadcast_to(K.domain.center, Z.shape))
     if failed.size:
         invert = _point_inverse(K)
         for i in failed:
             try:
-                X[i] = invert(Z[i])
+                X[i] = invert(Z[i], 1)
             except (ConvergenceError, SingularMatrixError) as err:
                 raise type(err)(f"row {i} of {len(Z)}: {err}") from err
     return X
@@ -267,8 +246,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
                        verify: bool = True, round_trip_tol: float = 1e-8,
                        biconjugate_tol: float = 1e-8,
                        hessian_tol: float = 1e-6) -> LegendrePair:
-    """Construct K* in closed form for a degree-2 K or a declared conjugate gradient, else by
-    Newton inversion; verify the pair.
+    """Construct K* in closed form for a declared conjugate gradient, else by Newton
+    inversion; verify the pair.
 
     inverse takes a co-vector or a stack of them; it is deterministic in z:
     the same co-vector gives a bit-identical x whatever was queried before.
@@ -292,24 +271,15 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     as its report.  The co-vectors z also give Kstar its box: their bounding
     box, widened by 5% of their spread.
 
-    Closed form, one of two, each checked on the samples verify or not:
-
-    * K.conjugate_gradient declared: xb is its value at z, and the three gaps must
-      pass (hess K* = hess K(xb)^-1) or AssumptionError is raised; its value at
-      a point is taken as a float vector of length dim (as_vector), so a list is
-      an array and a wrong length raises DimensionMismatchError;
-    * else if the box holds 0: xb = Q^-1 z and hess K* = Q^-1, Q = hess K(0) from K's
-      bound Hessian evaluator (shape-checked), used only if every xb lies in the box
-      inflated by BOX_INFLATE (K is then evaluated only where Newton would) and the
-      three gaps pass; Newton otherwise.
-
-    inverse(z) then takes the closed-form x with no Newton solve; an x outside
-    the box inflated by BOX_INFLATE (or NaN, no preimage) goes on to Newton.
-    Kstar.hess is Q^-1 for a quadratic, else hess K at that x inverted.  The Q
-    solve and Kstar.hess's inverse go through _lapack, as the per-point Newton
-    step does: np.linalg's bits without its per-call wrapper.  The per-point
-    solver, its starts, K's evaluators and the inflated box's point test
-    (core._box_test) are bound here once, for inverse, Kstar.hess and every
+    Closed form: a declared K.conjugate_gradient gives xb at z, and the three gaps
+    must pass on the samples, verify or not, or AssumptionError is raised; its value
+    at a point is taken as a float vector of length dim (as_vector), so a list is an
+    array and a wrong length raises DimensionMismatchError.  inverse(z) then takes
+    the closed-form x with no Newton solve; an x outside the box inflated by
+    BOX_INFLATE (or NaN, no preimage) goes on to Newton.  Kstar.hess is hess K
+    inverted (core._lapack) at inverse(z), so it refuses the co-vectors inverse
+    refuses.  The per-point solver, its starts, K's evaluators and the inflated box's
+    point test (core._box_test) are bound here once, for inverse, Kstar.hess and every
     Newton iteration; a stack keeps numpy's test.  Kstar is batched: its value,
     gradient (inverse) and Hessian take a point, by the per-point solver, or a
     stack, inverted at once (the closed form or one lockstep _invert) with its
@@ -323,39 +293,23 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
     X = box.shrink(0.98).sample(samples, seed=seed + 1)
     Z = _shaped(K.grad_rows(X), X.shape, "gradient")
 
-    def gaps(XB, HB):
-        """Margins of xb = inverse(z), hess K* = HB on the samples; an error per failed check."""
-        Hgap = K.hess_rows(X) @ HB - np.eye(K.dim)
+    declared, closed = K.conjugate_gradient, None  # closed: z -> x in closed form
+    if declared is not None:
+        point = lambda zz: as_vector(declared(zz), K.dim)  # a point's x, checked as a row is
+        closed = lambda zz: point(zz) if zz.ndim == 1 else _rows(
+            K.batched, declared, point, (K.dim,), zz)
+    if verify or closed is not None:  # the margins of xb = inverse(z) on the samples
+        XB = _invert(K, Z) if closed is None else _shaped(closed(Z), X.shape, "conjugate gradient")
+        Hgap = K.hess_rows(X) @ np.linalg.inv(K.hess_rows(XB)) - np.eye(K.dim)
         kx, kss = K.value_rows(X), np.vecdot(X, Z) - (np.vecdot(Z, XB) - K.value_rows(XB))
         found = (np.abs(XB - X), np.abs(Hgap), np.abs(kss - kx) / (1.0 + np.abs(kx)))
         checks = (("round-trip", "round_trip_gap", "grad K* o grad K gap", round_trip_tol),
                   ("hessian-inverse", "hessian_inverse_gap", "identity gap", hessian_tol),
                   ("biconjugation", "biconjugate_gap", "gap", biconjugate_tol))
         margins = {c[1]: float(np.max(gap, initial=0.0)) for c, gap in zip(checks, found)}
-        return margins, [AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
-                         for name, key, what, tol in checks if not margins[key] <= tol]
-
-    declared, closed, Qinv = K.conjugate_gradient, None, None  # closed: z -> x in closed form
-    if declared is not None:
-        point = lambda zz: as_vector(declared(zz), K.dim)  # a point's x, checked as a row is
-        closed = lambda zz: point(zz) if zz.ndim == 1 else _rows(
-            K.batched, declared, point, (K.dim,), zz)
-    elif np.all(box.lower <= 0) and np.all(box.upper >= 0):  # degree 2: x = Q^-1 z
-        Q = _shaped(hess(np.zeros(K.dim)), square, "hessian")
-        try:
-            Qinv, XB = np.linalg.inv(Q), np.linalg.solve(Q, Z[..., None])[..., 0]
-            margins, failed = gaps(XB, Qinv) if ((XB >= lo) & (XB <= hi)).all() else ({}, True)
-        except np.linalg.LinAlgError:  # a singular Q has no closed form
-            failed = True
-        if failed:
-            Qinv = None
-        else:
-            closed = lambda zz: _lapack(_umath_linalg.solve, Q, zz[..., None])[..., 0]
-    if Qinv is None and (verify or closed is not None):
-        XB = _invert(K, Z) if closed is None else _shaped(closed(Z), X.shape, "conjugate gradient")
-        margins, failed = gaps(XB, np.linalg.inv(K.hess_rows(XB)))
-        if failed:
-            raise failed[0]
+        for name, key, what, tol in checks:
+            if not margins[key] <= tol:
+                raise AssumptionError(name, f"{what} {margins[key]:.3e} > {tol:g}", margins)
 
     def solve(zz):  # a checked co-vector or stack: the closed form if it lands in the box
         if closed is not None:
@@ -379,10 +333,8 @@ def make_legendre_pair(K: ScalarField, samples: int = 200, seed: int = 0,
 
     def star_hess(z):  # a point from ScalarField.hess arrives checked
         zz = z if np.ndim(z) == 1 else checked(z)
-        shape = zz.shape[:-1] + square
-        if Qinv is not None:
-            return Qinv if zz.ndim == 1 else np.broadcast_to(Qinv, shape)
-        return _lapack(_umath_linalg.inv, _shaped(hess(solve(zz)), shape, "hessian"))
+        return _lapack(_umath_linalg.inv, _shaped(hess(solve(zz)), zz.shape[:-1] + square,
+                                                  "hessian"))
 
     # Best-effort box for the conjugate: bounding box of the verification co-vectors.
     zlo, zhi = Z.min(axis=0), Z.max(axis=0)

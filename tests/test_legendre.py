@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipkit import legendre
+from recipkit import core, legendre
 from recipkit.core import (
     AssumptionError,
     BoxDomain,
@@ -24,6 +24,7 @@ from recipkit.legendre import (
     make_legendre_pair,
 )
 from recipkit.models import field_registry
+from recipkit.schema import parse_field
 
 
 def quartic_1d(halfwidth=1.5):
@@ -224,9 +225,9 @@ def test_batched_inverse_restarts_only_rows_with_a_singular_hessian(monkeypatch)
     calls = count_solves(monkeypatch)
     X = legendre._invert(K, Z)
     # the lockstep solve from the center fails every row but z = 0, and each failed row
-    # restarts by the per-point solver: the center again, then c + 0.1 w sign(z), which
-    # fails only row 2, whose zero component leaves it singular; c - 0.1 w solves it
-    assert calls == {"point": 2 + 3 + 2, "batched": [4]}
+    # restarts by the per-point solver from the start after the center: c + 0.1 w sign(z),
+    # which fails only row 2, whose zero component leaves it singular; c - 0.1 w solves it
+    assert calls == {"point": 1 + 2 + 1, "batched": [4]}
     pair = make_legendre_pair(K, samples=20, seed=0, verify=False)
     assert np.array_equal(X, np.array([pair.inverse(z) for z in Z]))
     np.testing.assert_allclose(X, np.cbrt(Z), atol=2e-4)  # x^3 = 0 converges slowly
@@ -272,8 +273,6 @@ def test_certificates_make_one_solve_per_legendre_sample(monkeypatch):
 def test_a_pair_draws_one_design(monkeypatch, name):
     # by Newton (cosh) and in closed form (quadratic): the verification samples are the
     # pair's only design, and their co-vectors give Kstar its box
-    from recipkit import core
-
     keys, draw = [], core._halton
 
     def counted(n, dim, seed):
@@ -288,10 +287,10 @@ def test_a_pair_draws_one_design(monkeypatch, name):
                   & (Z.max(axis=0) < pair.Kstar.domain.upper))
 
 
-def test_the_closed_form_try_evaluates_k_only_where_newton_would(monkeypatch):
-    # K = sum cosh(3 x_i) / 9 on [-1, 1]^2 holds 0 and has Q = hess K(0) = I, but Q^-1 z = z
-    # reaches sinh(2.94) / 3 ~ 3.1 on the samples, past the inflated bound 1.5: the try is
-    # refused before K is evaluated there, and the pair inverts by Newton
+def test_an_undeclared_field_is_evaluated_only_in_the_inflated_box(monkeypatch):
+    # K = sum cosh(3 x_i) / 9 on [-1, 1]^2 declares no conjugate, so the pair inverts by
+    # Newton, whose line search never leaves the inflated box [-1.5, 1.5]^2, though the
+    # co-vectors reach sinh(2.94) / 3 ~ 3.1 on the samples
     seen = []
 
     def recorded(fn):
@@ -310,7 +309,7 @@ def test_the_closed_form_try_evaluates_k_only_where_newton_would(monkeypatch):
     Z = K.grad_rows(K.domain.shrink(0.9).sample(16, seed=3))
     assert np.abs(Z).max() > 1.5
     assert np.array_equal(pair.inverse(Z), legendre._invert(K, Z))
-    # a quadratic with K(0) != 0 still takes the closed form: no Newton solve at all
+    # a quadratic with K(0) != 0 declares its conjugate: no Newton solve at all
     calls = count_solves(monkeypatch)
     make_legendre_pair(quadratic_field(np.eye(2), BoxDomain.cube(2), const=1.0))
     assert calls == {"point": 0, "batched": []}
@@ -370,10 +369,14 @@ def test_a_batched_hessian_of_the_wrong_shape_is_a_dimension_mismatch():
         return ScalarField(2, lambda x: np.sum(np.cosh(x), axis=-1), box,
                            gradient=np.sinh, hessian=np.cosh, batched=True)
 
-    # a box that holds 0 tries the closed form, whose Q = hess K(0) meets it at construction
+    # on a box that holds 0 the verification's lockstep solve meets it on the stack, and
+    # without verification the first inverse meets it at the point
+    with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(200, 2\), "
+                                                     r"expected \(200, 2, 2\)$"):
+        make_legendre_pair(field(BoxDomain.cube(2)))
     with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2,\), "
                                                      r"expected \(2, 2\)$"):
-        make_legendre_pair(field(BoxDomain.cube(2)), verify=False)
+        make_legendre_pair(field(BoxDomain.cube(2)), verify=False).inverse([0.5, -0.3])
     pair = make_legendre_pair(field(BoxDomain([0.5, 0.5], [1.5, 1.5])), verify=False)
     with pytest.raises(DimensionMismatchError, match=r"^hessian has shape \(2,\), "
                                                      r"expected \(2, 2\)$"):
@@ -408,9 +411,9 @@ def test_a_stalled_line_search_within_100x_the_goal_returns_its_iterate():
 
 
 def test_a_singular_quadratic_gives_up_the_closed_form_for_newton():
-    # degree 2, but Q = hess K(0) is singular: the pair falls back to Newton, which fails
+    # degree 2, but Q is singular: the field declares no conjugate, and Newton fails
     K = quadratic_field(np.diag([1.0, 0.0]), BoxDomain.cube(2))
-    assert homogeneity_check(K).degree2
+    assert homogeneity_check(K).degree2 and K.conjugate_gradient is None
     with pytest.raises(SingularMatrixError, match="^row 0 of 200: Newton met a singular"):
         make_legendre_pair(K)
     with pytest.raises(SingularMatrixError, match="^Newton met a singular Hessian"):
@@ -488,13 +491,13 @@ def test_converted_newton_block_hessians_on_a_stack_are_one_lockstep_solve(monke
 
 
 def test_lapack_leaves_the_floating_point_state_as_it_found_it():
-    gufuncs, before = legendre._umath_linalg, np.geterr()
+    gufuncs, before = core._umath_linalg, np.geterr()
     with np.errstate(divide="warn", invalid="raise"):
         inside = np.geterr()
-        legendre._lapack(gufuncs.solve1, np.eye(2), np.ones(2))
+        core._lapack(gufuncs.solve1, np.eye(2), np.ones(2))
         assert np.geterr() == inside
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            legendre._lapack(gufuncs.inv, np.zeros((2, 2)))
+            core._lapack(gufuncs.inv, np.zeros((2, 2)))
         assert np.geterr() == inside and np.geterrcall() is None
     assert np.geterr() == before
     # a caller's own invalid="call" handler is neither called nor lost
@@ -505,7 +508,7 @@ def test_lapack_leaves_the_floating_point_state_as_it_found_it():
 
     with np.errstate(call=handler, invalid="call"):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            legendre._lapack(gufuncs.solve1, np.zeros((2, 2)), np.ones(2))
+            core._lapack(gufuncs.solve1, np.zeros((2, 2)), np.ones(2))
         assert np.geterrcall() is handler and np.geterr()["invalid"] == "call"
         np.sqrt(-np.ones(1))  # the caller's handler is still in force
     assert calls == ["invalid value"] and np.geterrcall() is None
@@ -517,14 +520,14 @@ def test_lapack_errstate_is_the_one_np_errstate_sets():
     # call=_singular) sets, through the context variable np.errstate itself sets
     import numpy._core._ufunc_config as ufunc_config
 
-    assert legendre._extobj_contextvar is ufunc_config._extobj_contextvar
-    with np.errstate(all="ignore", invalid="call", call=legendre._singular):
+    assert core._extobj_contextvar is ufunc_config._extobj_contextvar
+    with np.errstate(all="ignore", invalid="call", call=core._singular):
         want = np.geterr(), np.geterrcall(), np.getbufsize()
-    token = legendre._extobj_contextvar.set(legendre._LAPACK_ERRSTATE)
+    token = core._extobj_contextvar.set(core._LAPACK_ERRSTATE)
     try:
         got = np.geterr(), np.geterrcall(), np.getbufsize()
     finally:
-        legendre._extobj_contextvar.reset(token)
+        core._extobj_contextvar.reset(token)
     assert got == want
 
 
@@ -556,7 +559,7 @@ def test_direct_lapack_calls_are_numpy_linalg_bit_for_bit(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((5, n, n)) + 2.0 * n * np.eye(n)  # diagonally dominant
     b = rng.standard_normal((5, n))
-    lapack, gufuncs = legendre._lapack, legendre._umath_linalg
+    lapack, gufuncs = core._lapack, core._umath_linalg
     for got, want in (
             (lapack(gufuncs.solve1, A[0], b[0]), np.linalg.solve(A[0], b[0])),
             (lapack(gufuncs.solve, A[0], b[0, :, None]), np.linalg.solve(A[0], b[0, :, None])),
@@ -638,8 +641,8 @@ def test_quadratic_block_conjugate_takes_no_newton_solve(monkeypatch):
         assert np.array_equal(pair1.Kstar.hess(z), np.diag(1.0 / Minv))
     np.testing.assert_allclose(pair1.inverse(zs), zs / Minv, rtol=1e-15)
     assert calls == {"point": 0, "batched": []}
-    # -gamma cos q is not of degree 2 but declares its conjugate gradient arcsin(z/gamma),
-    # so the H2 block takes no Newton solve either
+    # -gamma cos q declares its conjugate gradient arcsin(z/gamma), so the H2 block takes
+    # no Newton solve either
     pair2 = make_legendre_pair(split.H2, verify=False)
     z = split.H2.grad(np.array([0.4]))
     np.testing.assert_allclose(pair2.inverse(z), [0.4], atol=1e-12)
@@ -699,8 +702,9 @@ def test_declared_conjugate_outside_its_codomain_goes_on_to_newton(monkeypatch):
         pair.Kstar.hess([-1.5])
     with pytest.raises(ConvergenceError, match=r"^row 1 of 2: Newton stalled .* at z=\[-1\.5\] "):
         pair.inverse(np.array([[0.5], [-1.5]]))
-    # three starts each for the point, Kstar.hess's point and the stack's failed row 1
-    assert calls == {"point": 9, "batched": [2]}
+    # three starts each for the point and Kstar.hess's point, and the two offset starts for
+    # the stack's row 1, which the lockstep solve failed from the center
+    assert calls == {"point": 3 + 3 + 2, "batched": [2]}
 
 
 def test_a_declared_conjugate_returning_a_list_inverts_to_an_array():
@@ -748,9 +752,7 @@ def test_swing_conversion_and_its_simulation_take_no_newton_solve(monkeypatch):
     assert calls == {"point": 0, "batched": []}
 
 
-def test_closed_form_pair_margins_match_newton_on_quadratics():
-    from recipkit.models import field_registry
-
+def test_closed_form_pair_margins_match_newton_on_quadratics(monkeypatch):
     K = field_registry()["quadratic"]
     pair = make_legendre_pair(K, samples=40, seed=3)
     X = K.domain.shrink(0.98).sample(40, seed=4)
@@ -758,10 +760,97 @@ def test_closed_form_pair_margins_match_newton_on_quadratics():
     # the closed form and the lockstep Newton solve agree bit for bit on this box
     assert np.array_equal(pair.inverse(Z), legendre._invert(K, Z))
     assert all(gap <= 1e-12 for gap in pair.margins.values())
-    # a shifted quadratic is not of degree 2 and keeps the Newton inverse
+    # a shifted quadratic is not homogeneous of degree 2, but declares its conjugate too
     shifted = quadratic_field(np.eye(2), BoxDomain.cube(2), lin=[0.3, -0.2])
     assert not homogeneity_check(shifted).degree2
+    calls = count_solves(monkeypatch)
     assert make_legendre_pair(shifted, samples=20, seed=0).margins["round_trip_gap"] <= 1e-8
+    assert calls == {"point": 0, "batched": []}
+
+
+def declaring_quadratics() -> dict:
+    """Quadratics with a linear term, on a box without 0, and a JSON polynomial with a
+    linear term, 0.5 (2 x0^2 + x0 x1 + x1^2) + 0.3 x0 - 0.2 x1."""
+    terms = [([2, 0], 1.0), ([1, 1], 0.5), ([0, 2], 0.5), ([1, 0], 0.3), ([0, 1], -0.2)]
+    polynomial = {"polynomial": {
+        "dim": 2, "terms": [{"exponents": e, "coeff": c} for e, c in terms],
+        "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]}}}
+    return {"linear-term": quadratic_field(np.eye(2), BoxDomain.cube(2), lin=[0.3, -0.2]),
+            "box-without-0": quadratic_field([[2.0, 0.5], [0.5, 1.0]],
+                                             BoxDomain([0.5, 0.5], [1.5, 1.5])),
+            "json-polynomial": parse_field(polynomial, "K")}
+
+
+@pytest.mark.parametrize("name", ["linear-term", "box-without-0", "json-polynomial"])
+def test_a_quadratic_declares_its_conjugate_and_takes_no_newton_solve(monkeypatch, name):
+    K = declaring_quadratics()[name]
+    assert K.conjugate_gradient is not None
+    calls = count_solves(monkeypatch)
+    pair = make_legendre_pair(K)
+    Z = K.grad_rows(K.domain.shrink(0.9).sample(16, seed=3))
+    X = pair.inverse(Z)
+    assert np.array_equal(X, [pair.inverse(z) for z in Z])
+    H = pair.Kstar.hess_rows(Z)
+    assert calls == {"point": 0, "batched": []}
+    np.testing.assert_allclose(X, legendre._invert(K, Z), rtol=0, atol=1e-12)
+    Qinv = np.linalg.inv(K.hess(K.domain.center))
+    np.testing.assert_allclose(H, np.broadcast_to(Qinv, H.shape), rtol=1e-12)
+
+
+def test_a_singular_or_non_quadratic_field_declares_no_conjugate():
+    assert quadratic_field(np.diag([1.0, 0.0]), BoxDomain.cube(2)).conjugate_gradient is None
+    box = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    for terms in ([([1, 0], 0.3), ([0, 1], -0.2), ([0, 0], 1.0)],  # degree 1: Q = 0
+                  [([2, 0], 0.5), ([0, 2], 0.5), ([0, 4], 0.1)]):  # degree 4
+        spec = {"polynomial": {"dim": 2, "terms": [{"exponents": e, "coeff": c}
+                                                   for e, c in terms], "domain": box}}
+        assert parse_field(spec, "K").conjugate_gradient is None
+
+
+def test_kstar_hess_refuses_the_covectors_inverse_refuses():
+    # the registry quadratic's Kstar box holds z = (0.196, -2.648), whose Q^-1 z lies
+    # outside K's inflated box: inverse, Kstar and Kstar.hess all refuse it, at a point
+    # and as a stack's row
+    pair = make_legendre_pair(field_registry()["quadratic"])
+    z = np.array([0.196, -2.648])
+    assert pair.Kstar.domain.contains(z)
+    for evaluate in (pair.inverse, pair.Kstar, pair.Kstar.hess):
+        with pytest.raises(ConvergenceError,
+                           match=r"^Newton stalled .* at z=\[ 0\.196 -2\.648\] "):
+            evaluate(z)
+    for rows in (pair.Kstar.value_rows, pair.Kstar.grad_rows, pair.Kstar.hess_rows):
+        with pytest.raises(ConvergenceError, match=r"^row 1 of 2: Newton stalled "):
+            rows(np.array([[0.1, 0.2], z]))
+
+
+@st.composite
+def invertible_quadratics(draw):
+    """(Q, b, box): Q symmetric with eigenvalues of modulus in [0.5, 2] and either sign,
+    b in [-1, 1]^n, and a box whose sides are [lower, lower + width], which may miss 0."""
+    n = draw(st.integers(1, 3))
+
+    def floats(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    U = np.linalg.qr(floats(-1.0, 1.0, n * n).reshape(n, n))[0]  # orthogonal
+    signs = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), 1.0, -1.0)
+    Q = U @ np.diag(signs * floats(0.5, 2.0, n)) @ U.T
+    lower = floats(-2.0, 1.0, n)
+    return 0.5 * (Q + Q.T), floats(-1.0, 1.0, n), BoxDomain(lower, lower + floats(0.5, 3.0, n))
+
+
+@settings(max_examples=40)
+@given(invertible_quadratics(), st.integers(0, 1000))
+def test_an_invertible_quadratic_inverts_by_its_declared_conjugate(quadratic, seed):
+    Q, b, box = quadratic
+    K = quadratic_field(Q, box, lin=b)
+    Z = K.grad_rows(box.shrink(0.9).sample(8, seed=seed))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_solves(patch)
+        pair = make_legendre_pair(K, samples=12, seed=seed)
+        X = [pair.inverse(z) for z in Z]
+    assert calls == {"point": 0, "batched": []}
+    assert np.array_equal(X, [np.linalg.solve(Q, z - b) for z in Z])
 
 
 def test_newton_iteration_budget_is_enforced_by_both_kernels(monkeypatch):
