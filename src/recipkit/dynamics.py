@@ -62,8 +62,7 @@ MIDPOINT_MAX_NEWTON = 40
 MIDPOINT_MAX_STEPS = 10**7  # bound on a run's step count, checked before the grid is built
 UROUND = np.finfo(float).eps
 PD_FLOOR = 1e-10  # sampled eigenvalues of hess K at or below it are not positive
-STRUCTURE_TOL = 1e-10  # |J + J^T| and sampled -x.R(x) that PortHamiltonianSystem.validate accepts
-STRUCTURE_SAMPLES = 20  # points at which PortHamiltonianSystem.validate samples x.R(x)
+STRUCTURE_TOL = 1e-10  # max |J + J^T| and -lambda_min((R + R^T)/2) that validate accepts
 CONVERSION_SAMPLES = 40  # points at which ph_to_hessian_pseudo_gradient tests II and III
 
 
@@ -333,66 +332,61 @@ class HessianPseudoGradientSystem:
 
 @dataclass(frozen=True)
 class PortHamiltonianSystem:
-    """z_dot = J grad H(z) - R(grad H(z)) + g u, y = g^T grad H(z).
+    """z_dot = (J - R) grad H(z) + g u, y = g^T grad H(z).
 
-    J (n, n) and g (n, nu) are constant matrices, shape-checked at
-    construction; R maps the co-state x = grad H(z) to a vector with
-    x . R(x) >= 0.
+    J (n, n), g (n, nu) and R (n, n) are constant matrices, R zero by default.  Each is
+    shape- and finiteness-checked once at construction (DimensionMismatchError); validate
+    checks the structure J = -J^T and R + R^T >= 0.
     """
 
     H: ScalarField
     J: np.ndarray
     g: np.ndarray
-    nu: int
-    R: Optional[Callable] = None
-    R_jac: Optional[Callable] = None
+    R: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "J", as_matrix(self.J, (self.n, self.n)))
-        object.__setattr__(self, "g", as_matrix(self.g, (self.n, self.nu)))
+        n, g = self.n, as_matrix(self.g)
+        R = np.zeros((n, n)) if self.R is None else self.R
+        for name, M in (("J", as_matrix(self.J, (n, n))), ("g", as_matrix(g, (n, g.shape[1]))),
+                        ("R", as_matrix(R, (n, n)))):
+            if not np.isfinite(M).all():
+                raise DimensionMismatchError(f"port-Hamiltonian {name} must be finite")
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
         return self.H.dim
 
     @property
+    def nu(self) -> int:
+        return self.g.shape[1]
+
+    @property
     def domain(self) -> BoxDomain:
         return self.H.domain
 
-    def R_at(self, x) -> np.ndarray:
-        if self.R is None:
-            return np.zeros(self.n)
-        return as_vector(self.R(x), self.n)
-
     def rhs(self, z, u):
         grad = self.H.grad(z)
-        return self.J @ grad - self.R_at(grad) + self.g @ as_vector(u, self.nu)
+        return self.J @ grad - self.R @ grad + self.g @ as_vector(u, self.nu)
 
     def rhs_jac(self, z, u):
-        """State Jacobian of rhs.
-
-        (J - dR/dx) hess H when R is absent or has R_jac; central differences
-        of rhs otherwise.
-        """
-        if self.R is not None and self.R_jac is None:
-            return finite_difference_jacobian(lambda w: self.rhs(w, u), z)
-        shape = (self.n, self.n)
-        Rj = np.zeros(shape) if self.R_jac is None else as_matrix(self.R_jac(self.H.grad(z)), shape)
-        return (self.J - Rj) @ self.H.hess(z)
+        """State Jacobian of rhs: (J - R) hess H."""
+        return (self.J - self.R) @ self.H.hess(z)
 
     def output(self, z, u) -> np.ndarray:
         """y at a point z or at the rows of a stack Z (N, n), from one H.grad_rows call."""
         return _mv(self.g.T, self.H.grad_rows(z if np.ndim(z) == 2 else as_vector(z, self.n)))
 
     def validate(self):
-        """Skewness of J, and nonnegativity of the dissipation pairing at sampled points."""
-        zs = self.domain.shrink(0.9).sample(STRUCTURE_SAMPLES)
+        """Exact structure checks of the constant matrices: max |J + J^T| (key max_skew) and
+        lambda_min((R + R^T)/2), the least x.R x over unit x (key min_dissipation_pairing),
+        each within STRUCTURE_TOL."""
         worst_skew = float(np.max(np.abs(self.J + self.J.T)))
-        worst_diss = float(np.min([x @ self.R_at(x) for x in self.H.grad_rows(zs)], initial=0.0))
+        worst_diss = float(np.linalg.eigvalsh(0.5 * (self.R + self.R.T))[0])
         if not worst_skew <= STRUCTURE_TOL:
             raise AssumptionError("J-skew", f"max |J + J^T| = {worst_skew:.3e}")
         if not worst_diss >= -STRUCTURE_TOL:
-            raise AssumptionError("R-dissipation", f"x.R(x) as low as {worst_diss:.3e}")
+            raise AssumptionError("R-dissipation", f"(R + R^T)/2 has eigenvalue {worst_diss:.3e}")
         return {"max_skew": worst_skew, "min_dissipation_pairing": worst_diss}
 
 
@@ -477,7 +471,9 @@ class ConversionSplit:
     idx1/idx2 index the two state blocks inside z; H1/H2 are the additive
     Hamiltonian blocks, P1/P2 the Rayleigh potentials generating the
     dissipation (R1 = dP1/dx1, R2 = -dP2/dx2), Pc the constant coupling and
-    g1 the input matrix acting on the first block.
+    g1 the input matrix acting on the first block.  With the system's constant R,
+    assumption III holds only when grad P1 and -grad P2 are the linear maps given by
+    R's diagonal blocks in the split ordering, and its off-diagonal blocks vanish.
     """
 
     idx1: tuple
@@ -564,9 +560,11 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
         raise AssumptionError("I", f"J/g structure gap {report['I_structure_gap']:.3e}",
                               report)
 
-    # assumption II: additive Hamiltonian split (up to a constant offset)
-    gaps = np.array([sys.H(z) - split.H1(z[perm][:k1]) - split.H2(z[perm][k1:]) for z in zs])
-    offset = gaps[0] if len(gaps) else 0.0
+    # assumption II: additive Hamiltonian split (up to a constant offset), on one stack
+    Zs = zs[:, perm]
+    gaps = (sys.H.value_rows(zs) - split.H1.value_rows(Zs[:, :k1])
+            - split.H2.value_rows(Zs[:, k1:]))
+    offset = gaps[0]
     report["II_additive_gap"] = float(np.max(np.abs(gaps - offset), initial=0.0))
     if not report["II_additive_gap"] <= tol * (1.0 + abs(offset)):
         raise AssumptionError("II", f"Hamiltonian split gap {report['II_additive_gap']:.3e}",
@@ -575,7 +573,7 @@ def ph_to_hessian_pseudo_gradient(sys: PortHamiltonianSystem, split: ConversionS
     # assumption III: Rayleigh dissipation in the co-state variables
     W = BoxDomain.product(split.P1.domain, split.P2.domain).shrink(0.9).sample(
         CONVERSION_SAMPLES, seed=seed + 1)
-    R = np.array([sys.R_at(x) for x in W[:, np.argsort(perm)]]).reshape(len(W), sys.n)
+    R = _mv(sys.R, W[:, np.argsort(perm)])
     expected = np.hstack([split.P1.grad_rows(W[:, :k1]), -split.P2.grad_rows(W[:, k1:])])
     report["III_rayleigh_gap"] = float(np.max(np.abs(R[:, perm] - expected), initial=0.0))
     if not report["III_rayleigh_gap"] <= tol:

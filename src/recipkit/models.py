@@ -248,11 +248,10 @@ class SwingModel:
         J = np.zeros((n + b, n + b))
         J[:n, n:] = -self.D
         J[n:, :n] = self.D.T
-        Rmat = np.zeros((n + b, n + b))
-        Rmat[:n, :n] = np.diag(self.A)
+        R = np.zeros((n + b, n + b))
+        R[:n, :n] = np.diag(self.A)
         g = np.vstack([self.input_columns, np.zeros((b, self.m))])
-        return PortHamiltonianSystem(H=self.hamiltonian(), J=J, g=g, nu=self.m,
-                                     R=lambda x: Rmat @ x, R_jac=lambda x: Rmat)
+        return PortHamiltonianSystem(H=self.hamiltonian(), J=J, g=g, R=R)
 
     # -- co-energy (Hessian pseudo-gradient) side ------------------------
 

@@ -263,14 +263,11 @@ def _load_port_hamiltonian(doc: dict, name: str) -> ModelBundle:
         raise SchemaError(f"{ctx}: g must have {n} rows")
     m = gmat.shape[1]
     R = None
-    R_jac = None
     if "R" in doc:
         if not isinstance(doc["R"], dict):
             raise SchemaError(f"{ctx}: R must be {{'linear': matrix}}")
-        Rmat = _matrix(doc["R"], "linear", f"{ctx}: R", shape=(n, n))
-        R = lambda x, Rmat=Rmat: Rmat @ x
-        R_jac = lambda x, Rmat=Rmat: Rmat
-    ph = PortHamiltonianSystem(H=H, J=J, g=gmat, nu=m, R=R, R_jac=R_jac)
+        R = _matrix(doc["R"], "linear", f"{ctx}: R", shape=(n, n))
+    ph = PortHamiltonianSystem(H=H, J=J, g=gmat, R=R)
     split = None
     if "split" in doc:
         s = _typed(dict, doc, "split", ctx)

@@ -77,7 +77,7 @@ DEFAULTED = {
     "dynamics.Trajectory": ("monitors",),
     "dynamics.HessianPseudoGradientSystem": ("storage",),
     "dynamics.HessianPseudoGradientSystem.from_internal_potential": ("u_box", "storage"),
-    "dynamics.PortHamiltonianSystem": ("R", "R_jac"),
+    "dynamics.PortHamiltonianSystem": ("R",),
     "dynamics.integrate_implicit_midpoint": ("mass", "rhs_jac", "domain"),
     "dynamics.simulate_pseudo_gradient": ("enforce_domain", "storage"),
     "dynamics.dissipation_monitor": ("tol",),
@@ -146,7 +146,7 @@ def test_defaulted_parameter_snapshot():
     surface = {key: tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
                for key, params in _defaulted_surface().items()}
     assert surface == DEFAULTED
-    assert sum(len(names) for names in surface.values()) == 108
+    assert sum(len(names) for names in surface.values()) == 107
 
 
 def _used_names(tree):

@@ -415,6 +415,13 @@ BAD_DOCUMENTS = {
     "J-not-skew": (["simulate"], {**PH_DOC, "J": [[0.0, -1.0], [2.0, 0.0]]}, "J-skew"),
     "R-not-dissipative": (["simulate"], {**PH_DOC, "R": {"linear": [[-0.1, 0.0], [0.0, 0.0]]}},
                           "R-dissipation"),
+    # every co-state of the positive box has x.R x > 0; R's eigenvalue -0.5 lies along (1, -1)
+    "R-indefinite-off-the-box": (["simulate", "--horizon", "0.1"],
+                                 {**PH_DOC, "H": {"polynomial": {**QUADRATIC["polynomial"],
+                                                                 "domain": {"lower": [0.5, 0.5],
+                                                                            "upper": [1.5, 1.5]}}},
+                                  "R": {"linear": [[1.0, 1.5], [1.5, 1.0]]}},
+                                 "R-dissipation"),
     "R-nan": (["simulate"], {**PH_DOC, "R": {"linear": [[float("nan"), 0.0], [0.0, 0.0]]}},
               "non-finite"),
     "coeff-nan": (["legendre"], {"field": poly(2, [([2, 0], float("nan")), ([0, 2], 1.0)])},

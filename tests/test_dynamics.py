@@ -21,6 +21,7 @@ from recipkit.core import (
 from recipkit.dynamics import (
     MIDPOINT_NEWTON_KAPPA,
     MIDPOINT_NEWTON_TOL,
+    STRUCTURE_TOL,
     HessianPseudoGradientSystem,
     NotRelaxationError,
     PortHamiltonianSystem,
@@ -166,7 +167,7 @@ def test_integrator_rejects_a_non_finite_step_or_span(step, span):
         integrate_implicit_midpoint(lambda t, x: -x, np.array([1.0]), span, step=step)
     box, sig = BoxDomain.cube(1), SignatureMatrix.identity(1)
     Q = quadratic_field(np.eye(1), box)
-    ph = PortHamiltonianSystem(H=Q, J=[[0.0]], g=[[1.0]], nu=1)
+    ph = PortHamiltonianSystem(H=Q, J=[[0.0]], g=[[1.0]])
     hpg = HessianPseudoGradientSystem.from_internal_potential(Q, Q, [[1.0]], sig)
     for simulate, sys in ((simulate_port_hamiltonian, ph), (simulate_pseudo_gradient, hpg)):
         with pytest.raises(DimensionMismatchError):
@@ -386,7 +387,15 @@ def lossless_linear_ph(draw):
     # the level set of H through z0 fits inside the box
     half = 1.0 + np.sqrt(z0 @ Q @ z0 / np.linalg.eigvalsh(Q)[0])
     H = quadratic_field(Q, BoxDomain.cube(n, halfwidth=half))
-    return PortHamiltonianSystem(H=H, J=B - B.T, g=np.zeros((n, 0)), nu=0), Q, z0
+    return PortHamiltonianSystem(H=H, J=B - B.T, g=np.zeros((n, 0))), Q, z0
+
+
+def midpoint_energy_bound(traj, Q):
+    """Bound on one step's move of H = z.Q z / 2 off its exact midpoint value: the Newton
+    error KAPPA * TOL * (1 + |z_k|) times |Q z_k|."""
+    zmax = np.max(np.linalg.norm(traj.states, axis=1))
+    newton = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + zmax)
+    return newton * np.linalg.norm(Q, 2) * zmax
 
 
 @settings(max_examples=40)
@@ -395,11 +404,35 @@ def test_lossless_linear_port_hamiltonian_conserves_energy(system):
     # implicit midpoint conserves quadratic invariants exactly; each step's Newton error
     # is at most KAPPA * TOL * (1 + |z_k|) and moves H by at most |Q z_k| times that
     ph, Q, z0 = system
+    assert ph.nu == 0
     traj = simulate_port_hamiltonian(ph, z0, lambda t: np.zeros(0), (0.0, 1.0), 1e-2)
     S = traj.monitors["S"]
-    zmax = np.max(np.linalg.norm(traj.states, axis=1))
-    per_step = MIDPOINT_NEWTON_KAPPA * MIDPOINT_NEWTON_TOL * (1.0 + zmax) * np.linalg.norm(Q, 2) * zmax
-    assert np.max(np.abs(S - S[0])) <= (len(traj.times) - 1) * per_step
+    assert np.max(np.abs(S - S[0])) <= (len(traj.times) - 1) * midpoint_energy_bound(traj, Q)
+
+
+@st.composite
+def dissipative_linear_ph(draw):
+    """A lossless_linear_ph system with R = L L^T, L of 0 to n columns, so R may be
+    rank-deficient or zero."""
+    ph, Q, z0 = draw(lossless_linear_ph())
+    n, r = ph.n, draw(st.integers(0, ph.n))
+    L = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * r, max_size=n * r)))
+    return dataclasses.replace(ph, R=L.reshape(n, r) @ L.reshape(n, r).T), Q, z0
+
+
+@settings(max_examples=40)
+@given(dissipative_linear_ph(), st.floats(1e-12, 10.0))
+def test_dissipative_linear_port_hamiltonian_validates_and_loses_energy(system, margin):
+    # implicit midpoint moves H by -h (Q m).R(Q m) <= 0 per step, up to the Newton error
+    ph, Q, z0 = system
+    ph.validate()
+    traj = simulate_port_hamiltonian(ph, z0, lambda t: np.zeros(0), (0.0, 1.0), 1e-2)
+    assert np.max(np.diff(traj.monitors["S"])) <= midpoint_energy_bound(traj, Q)
+    # a shift c that puts lambda_min below -STRUCTURE_TOL by `margin` is refused
+    c = np.linalg.eigvalsh(ph.R)[0] + STRUCTURE_TOL + margin
+    with pytest.raises(AssumptionError) as info:
+        dataclasses.replace(ph, R=ph.R - c * np.eye(ph.n)).validate()
+    assert info.value.name == "R-dissipation"
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +553,7 @@ def test_port_hamiltonian_system_oscillator():
     H = quadratic_field(np.eye(2), box)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     g = np.array([[1.0], [0.0]])
-    ph = PortHamiltonianSystem(H=H, J=J, g=g, nu=1)
+    ph = PortHamiltonianSystem(H=H, J=J, g=g)
     z = np.array([1.0, 2.0])
     np.testing.assert_allclose(ph.rhs(z, [0.5]), [-2.0 + 0.5, 1.0])
     np.testing.assert_allclose(ph.output(z, [0.5]), [1.0])
@@ -528,15 +561,14 @@ def test_port_hamiltonian_system_oscillator():
     assert out["max_skew"] == 0.0
 
 
-def test_port_hamiltonian_rhs_jac_differences_an_R_without_R_jac():
-    # swing's R is linear with R_jac supplied; without R_jac, rhs_jac is the stencil of rhs
-    analytic = SwingModel().as_port_hamiltonian()
-    stencil = dataclasses.replace(analytic, R_jac=None)
+def test_port_hamiltonian_rhs_jac_matches_the_stencil_of_rhs():
+    # (J - R) hess H against central differences of rhs on swing
+    ph = SwingModel().as_port_hamiltonian()
     u = np.array([0.3])
-    for z in analytic.domain.shrink(0.9).sample(5, seed=3):
-        J = stencil.rhs_jac(z, u)
-        assert np.array_equal(J, finite_difference_jacobian(lambda w: stencil.rhs(w, u), z))
-        np.testing.assert_allclose(J, analytic.rhs_jac(z, u), rtol=0, atol=1e-8)
+    for z in ph.domain.shrink(0.9).sample(5, seed=3):
+        np.testing.assert_allclose(ph.rhs_jac(z, u),
+                                   finite_difference_jacobian(lambda w: ph.rhs(w, u), z),
+                                   rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["hessian-pseudo-gradient", "port-hamiltonian"])
@@ -563,16 +595,31 @@ def test_port_hamiltonian_validate_rejects_non_skew():
     box = BoxDomain.cube(2)
     ph = PortHamiltonianSystem(H=quadratic_field(np.eye(2), box),
                                J=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                               g=np.zeros((2, 1)), nu=1)
+                               g=np.zeros((2, 1)))
     with pytest.raises(AssumptionError):
         ph.validate()
 
 
-@pytest.mark.parametrize("J, g", [(np.zeros((2, 3)), np.zeros((2, 1))),
-                                  (np.zeros((2, 2)), np.zeros((3, 1)))], ids=["J", "g"])
-def test_port_hamiltonian_wrong_shape_is_refused_at_construction(J, g):
-    with pytest.raises(DimensionMismatchError, match="expected shape"):
-        PortHamiltonianSystem(H=quadratic_field(np.eye(2), BoxDomain.cube(2)), J=J, g=g, nu=1)
+def test_port_hamiltonian_validate_rejects_an_R_indefinite_off_the_sampled_co_states():
+    # on [0.5, 1.5]^2 every co-state grad H(z) = z has positive entries, where x.R x > 0;
+    # R's eigenvalue -0.5 lies along x = (1, -1), with x.R x = -1
+    H = quadratic_field(np.eye(2), BoxDomain(np.full(2, 0.5), np.full(2, 1.5)))
+    ph = PortHamiltonianSystem(H=H, J=np.zeros((2, 2)), g=np.zeros((2, 1)),
+                               R=[[1.0, 1.5], [1.5, 1.0]])
+    with pytest.raises(AssumptionError) as info:
+        ph.validate()
+    assert info.value.name == "R-dissipation"
+
+
+@pytest.mark.parametrize("J, g, R, what", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), None, "expected shape"),
+    (np.zeros((2, 2)), np.zeros((3, 1)), None, "expected shape"),
+    (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((3, 3)), "expected shape"),
+    (np.zeros((2, 2)), np.zeros((2, 1)), [[np.nan, 0.0], [0.0, 0.0]], "R must be finite"),
+], ids=["J", "g", "R", "R-nan"])
+def test_port_hamiltonian_wrong_shape_is_refused_at_construction(J, g, R, what):
+    with pytest.raises(DimensionMismatchError, match=what):
+        PortHamiltonianSystem(H=quadratic_field(np.eye(2), BoxDomain.cube(2)), J=J, g=g, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +827,7 @@ def test_ph_conversion_assumption_failures():
     Jbad[2, 0] -= 0.05
     with pytest.raises(AssumptionError) as exc1:
         ph_to_hessian_pseudo_gradient(
-            PortHamiltonianSystem(H=ph.H, J=Jbad, g=ph.g, nu=ph.nu, R=ph.R,
-                                  R_jac=ph.R_jac),
-            split)
+            PortHamiltonianSystem(H=ph.H, J=Jbad, g=ph.g, R=ph.R), split)
     assert exc1.value.name == "I"
 
     H2bad = ScalarField(split.H2.dim, lambda x: 1.1 * split.H2.value(x),
@@ -791,10 +836,8 @@ def test_ph_conversion_assumption_failures():
         ph_to_hessian_pseudo_gradient(ph, dataclasses.replace(split, H2=H2bad))
     assert exc2.value.name == "II"
 
-    Rbad = lambda x: 2.0 * np.asarray(ph.R(x))
     with pytest.raises(AssumptionError) as exc3:
         ph_to_hessian_pseudo_gradient(
-            PortHamiltonianSystem(H=ph.H, J=ph.J, g=ph.g, nu=ph.nu, R=Rbad),
-            split)
+            PortHamiltonianSystem(H=ph.H, J=ph.J, g=ph.g, R=2 * ph.R), split)
     assert exc3.value.name == "III"
     assert "assumption III" in str(exc3.value)

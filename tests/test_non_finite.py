@@ -115,8 +115,11 @@ def nan_field(**where):
 
 
 def swing_ph_with_nan_dissipation():
+    """Swing with a NaN in its constant R: refused at construction."""
     ph = SwingModel().as_port_hamiltonian()
-    return dataclasses.replace(ph, R=nan_where(ph.R, right_half))
+    R = ph.R.copy()
+    R[0, 0] = np.nan
+    return dataclasses.replace(ph, R=R)
 
 
 def conversion_case():
