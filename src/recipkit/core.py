@@ -15,7 +15,6 @@ from typing import Callable, Optional
 import numpy as np
 from numpy._core.umath import _extobj_contextvar, _make_extobj  # what np.errstate sets
 from numpy.linalg import _umath_linalg  # the LAPACK gufuncs np.linalg.solve and inv call
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "RecipkitError",
@@ -36,7 +35,6 @@ __all__ = [
     "finite_difference_jacobian",
     "hessian_from_value",
     "symmetry_residual",
-    "gauss_legendre_panels",
     "integrate_segment",
     "validate_scalar_field",
     "validate_metric_field",
@@ -55,7 +53,8 @@ HESS_TOL = 1e-4
 # central-difference step of a metric's derivatives: Christoffel coefficients, Hessian closedness
 METRIC_STEP = 1e-5
 VALIDATE_SAMPLES = 20  # points validate_scalar_field and validate_metric_field test
-# composite Gauss-Legendre: nodes per panel, doublings of the panel count
+# composite Gauss-Kronrod: Gauss nodes per panel, whose 2 * QUAD_NODES + 1 Kronrod nodes
+# the G32/K65 table below fixes; doublings of the panel count
 QUAD_NODES = 32
 QUAD_MAX_DOUBLINGS = 10
 # Halton designs kept per process, and the largest n * dim kept: at most 1 MiB of tables
@@ -751,49 +750,83 @@ def quadratic_field(Q, domain: BoxDomain, lin=None, const: float = 0.0) -> Scala
     )
 
 
-@lru_cache(maxsize=None)
-def _legendre_nodes() -> tuple:
-    """QUAD_NODES Gauss-Legendre nodes and weights on [-1, 1] as immutable float tuples."""
-    xs, ws = leggauss(QUAD_NODES)
-    return tuple(xs.tolist()), tuple(ws.tolist())
+# The Gauss-Kronrod pair G32/K65 on [-1, 1] (Kronrod 1965; Laurie, Math. Comp. 66, 1997),
+# computed once in 80-digit arithmetic and rounded to nearest.  The 2 * QUAD_NODES + 1
+# Kronrod nodes are symmetric about 0: the table holds the 33 nodes >= 0 in decreasing
+# order with their Kronrod weights.  The QUAD_NODES Gauss nodes sit at the odd positions;
+# the Gauss weights are those of the 16 positive ones, in the same order.
+_GK_HALF_NODES = (
+    0.9995459021243644, 0.9972638618494816, 0.9926280352629719, 0.9856115115452684,
+    0.9763102836146638, 0.9647622555875064, 0.9509546848486612, 0.9349060759377397,
+    0.9166772666513643, 0.8963211557660521, 0.8738697689453107, 0.84936761373257,
+    0.8228829501360513, 0.7944837959679424, 0.7642282519978038, 0.7321821187402897,
+    0.6984265577952105, 0.6630442669302152, 0.626112937701824, 0.5877157572407623,
+    0.5479463141991525, 0.5068999089322294, 0.4646693084819922, 0.42135127613063533,
+    0.3770494211541211, 0.33186860228212767, 0.28591245858945974, 0.23928736225213706,
+    0.1921036089831425, 0.1444719615827965, 0.09650269687689436, 0.04830766568773832, 0.0,
+)
+_GK_HALF_KRONROD = (
+    0.001223360817951472, 0.003426818775772371, 0.005841737079166694, 0.008172504038531668,
+    0.010423987398806818, 0.012676054806654402, 0.014936103606086028, 0.017149805209784253,
+    0.01929877143032681, 0.021408913184821916, 0.023486659672163325, 0.025505695480894652,
+    0.027452098422210403, 0.02933695668962066, 0.031163325561973737, 0.0329150776439036,
+    0.03458212274473303, 0.0361697694756423, 0.0376791306456134, 0.03909942013330661,
+    0.0404234923703731, 0.041654019985643054, 0.042791115596446744, 0.04382754403013975,
+    0.04475863874976694, 0.04558582656454707, 0.046308756738025716, 0.046922968281703614,
+    0.04742606187388238, 0.04781890873698847, 0.04810096918545775, 0.04827019307577739,
+    0.04832638398656776,
+)
+_GK_HALF_GAUSS = (
+    0.007018610009470096, 0.01627439473090567, 0.02539206530926206, 0.03427386291302143,
+    0.04283589802222668, 0.050998059262376175, 0.058684093478535544, 0.06582222277636185,
+    0.0723457941088485, 0.07819389578707031, 0.08331192422694675, 0.08765209300440381,
+    0.09117387869576389, 0.09384439908080457, 0.09563872007927486, 0.0965400885147278,
+)
 
 
-def gauss_legendre_panels(f: Callable, a: float, b: float, panels: int):
-    """Composite Gauss-Legendre quadrature of a map evaluated on a whole node array.
+def _gauss_kronrod_table() -> tuple:
+    """The 65 nodes on [-1, 1] in increasing order and their (2, 65) weights: the Kronrod
+    row, then the Gauss row, which is zero off the Gauss nodes."""
+    def mirrored(half, sign):
+        half = np.asarray(half, dtype=float)
+        return np.concatenate([sign * half[:-1], half[::-1]])
 
-    f is called once with the pass's nodes, shape (panels * QUAD_NODES,), and
-    returns values with the node axis first: shape (panels * QUAD_NODES, ...).
-    """
-    xs, ws = _legendre_nodes()
-    h = (b - a) / panels
-    mid = a + np.arange(panels) * h + 0.5 * h
-    ts = (mid[:, None] + 0.5 * h * np.asarray(xs)).ravel()
-    weights = np.tile(np.asarray(ws) * 0.5 * h, panels)
-    return np.tensordot(weights, np.asarray(f(ts), dtype=float), axes=1)
+    gauss = np.zeros(len(_GK_HALF_NODES))
+    gauss[1::2] = _GK_HALF_GAUSS
+    nodes = mirrored(_GK_HALF_NODES, -1.0)
+    weights = np.stack([mirrored(_GK_HALF_KRONROD, 1.0), mirrored(gauss, 1.0)])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+_GK_NODES, _GK_WEIGHTS = _gauss_kronrod_table()
 
 
 def integrate_segment(f: Callable, a: float = 0.0, b: float = 1.0, tol: float = 1e-8):
-    """Adaptive composite Gauss-Legendre: double panel count until stable.
+    """Adaptive composite Gauss-Kronrod G32/K65: double the panel count until G and K agree.
 
     f takes an array of nodes, shape (N,), and returns its values with the
-    node axis first, shape (N, ...); it is called once per pass.  Stops when
-    successive estimates differ by less than tol*(1+|estimate|); raises
-    ConvergenceError after QUAD_MAX_DOUBLINGS doublings.
+    node axis first, shape (N, ...).  Each pass calls f once, on the
+    2 * QUAD_NODES + 1 Kronrod nodes of every panel, and takes from those
+    values both the Kronrod sum K and the sum G of the embedded QUAD_NODES-point
+    Gauss rule.  It returns K once |K - G| <= tol*(1+|K|) (maxima over the
+    components); otherwise the panel count doubles, from 1 up to
+    2**QUAD_MAX_DOUBLINGS, after which ConvergenceError is raised.
     """
-    panels = 1
-    prev = gauss_legendre_panels(f, a, b, panels)
-    err, bound = np.inf, tol
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        panels *= 2
-        cur = gauss_legendre_panels(f, a, b, panels)
-        err = float(np.max(np.abs(np.atleast_1d(cur - prev))))
-        bound = tol * (1.0 + float(np.max(np.abs(np.atleast_1d(cur)))))
-        if err <= bound:
-            return cur
-        prev = cur
+    for k in range(QUAD_MAX_DOUBLINGS + 1):
+        panels = 2 ** k
+        h = (b - a) / panels
+        mid = a + np.arange(panels) * h + 0.5 * h
+        ts = (mid[:, None] + 0.5 * h * _GK_NODES).ravel()
+        weights = np.tile(_GK_WEIGHTS * (0.5 * h), panels)
+        kron, gauss = np.tensordot(weights, np.asarray(f(ts), dtype=float), axes=1)
+        gap = float(np.max(np.abs(np.atleast_1d(kron - gauss))))
+        bound = tol * (1.0 + float(np.max(np.abs(np.atleast_1d(kron)))))
+        if gap <= bound:
+            return kron
     raise ConvergenceError(
-        f"quadrature on [{a},{b}] did not stabilize within {QUAD_MAX_DOUBLINGS} doublings: "
-        f"at {panels} panels the last change was {err:.3e} > {bound:.3e} (tol {tol})")
+        f"quadrature on [{a},{b}] did not converge within {QUAD_MAX_DOUBLINGS} doublings: "
+        f"at {panels} panels the Kronrod-Gauss gap was {gap:.3e} > {bound:.3e} (tol {tol})")
 
 
 def _check_row_contract(name: str, pts, pairs) -> None:

@@ -168,7 +168,7 @@ def reconstruct_K(G: MetricField, base_point, seed: int = 0) -> ScalarField:
     point, with d = x - x0: the gradient is chi(x) = int_0^1 G(x0 + t d) d dt
     and the value is Taylor's integral remainder
     K(x) = int_0^1 (1 - t) d^T G(x0 + t d) d dt, so K and its gradient vanish
-    at x0.  Both are single adaptive composite Gauss-Legendre integrals.
+    at x0.  Both are single adaptive composite Gauss-Kronrod integrals.
     Raises DimensionMismatchError when the sampled closedness residual
     exceeds CLOSEDNESS_TOL, since the line integral would be path dependent.
     """

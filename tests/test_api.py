@@ -16,8 +16,8 @@ EXPORTS = {
              "ConvergenceError", "AssumptionError", "SchemaError", "BoxDomain", "ScalarField",
              "MetricField", "SignatureMatrix", "NonlinearSystem", "AffineNonlinearSystem",
              "Polynomial", "quadratic_field", "finite_difference_jacobian",
-             "hessian_from_value", "symmetry_residual", "gauss_legendre_panels",
-             "integrate_segment", "validate_scalar_field", "validate_metric_field"),
+             "hessian_from_value", "symmetry_residual", "integrate_segment",
+             "validate_scalar_field", "validate_metric_field"),
     "linear": ("LinearSystem", "LinearPseudoGradientForm", "LmiReport", "ReciprocityCheck",
                "ImpulseSymmetryCheck", "PastInput", "SplitPortHamiltonianForm",
                "check_linear_reciprocity", "to_pseudo_gradient",

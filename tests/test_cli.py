@@ -28,14 +28,14 @@ def read_report(out_dir):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
-    # the library imports no scipy: not at cold start, not in the linear checks (impulse
-    # symmetry, Hankel recovery), not in the variational test
+    # the library imports no scipy and no numpy.polynomial: not at cold start, not in the
+    # linear checks (impulse symmetry, Hankel recovery), not in the variational test
     runs = [["recover-g", "--model", "indefinite-g", "--out", str(tmp_path / "recover")],
             ["check-reciprocity", "--model", "indefinite-g", "--out", str(tmp_path / "check")],
             ["variational-test", "--model", "brayton-moser", "--out", str(tmp_path / "var")]]
     code = (f"import sys, recipkit.cli\n"
             f"print([recipkit.cli.main(args) for args in {runs!r}])\n"
-            f"print([m for m in sys.modules if m.startswith('scipy')])")
+            f"print([m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial'))])")
     src = str(Path(recipkit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

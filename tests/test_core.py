@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial.legendre import leggauss, legval
 from scipy.stats import qmc
 
 from recipkit import core
@@ -461,9 +462,9 @@ def test_integrate_segment_vector_valued():
 
 
 def test_integrate_segment_budget_exhausted():
-    # oscillation far beyond the node resolution never stabilizes at tol 0
+    # oscillation far beyond the node resolution never converges at tol 0
     with pytest.raises(ConvergenceError,
-                       match=r"within 10 doublings: at 1024 panels the last change was "
+                       match=r"within 10 doublings: at 1024 panels the Kronrod-Gauss gap was "
                              r"\d\.\d{3}e[+-]\d+ > 0\.000e\+00 \(tol 0\.0\)"):
         integrate_segment(lambda t: np.sin(1e6 * t), 0.0, 1.0, tol=0.0)
 
@@ -477,15 +478,64 @@ def test_integrate_segment_calls_integrand_once_per_pass():
 
     val = integrate_segment(f, 0.0, 3.0, tol=1e-12)
     assert float(val) == pytest.approx((1.0 - np.cos(180.0)) / 60.0, rel=1e-10)
-    # one call for the first pass and one per doubling, each on panels * QUAD_NODES nodes
+    # one call for the first pass and one per doubling, each on the
+    # 2 * QUAD_NODES + 1 Kronrod nodes of every panel
     assert len(sizes) >= 3
-    assert sizes == [(core.QUAD_NODES * 2 ** k,) for k in range(len(sizes))]
+    assert sizes == [((2 * core.QUAD_NODES + 1) * 2 ** k,) for k in range(len(sizes))]
+
+
+def test_gauss_kronrod_rule_integrates_monomials_to_its_degrees():
+    # K65 is exact up to degree 3 * QUAD_NODES + 1 = 97, the embedded G32 up to 63
+    kron, gauss = core._GK_WEIGHTS
+    for d in range(98):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert kron @ core._GK_NODES ** d == pytest.approx(exact, rel=0, abs=4e-16)
+        if d <= 63:
+            assert gauss @ core._GK_NODES ** d == pytest.approx(exact, rel=0, abs=4e-16)
+    # P_32 vanishes on the Gauss nodes, so G32 misses int P_32^2 = 2/65 (degree 64) entirely
+    p32 = legval(core._GK_NODES, [0.0] * core.QUAD_NODES + [1.0])
+    assert abs(gauss @ p32 ** 2) < 1e-20
+    assert kron @ p32 ** 2 == pytest.approx(2.0 / 65.0, rel=1e-14)
+
+
+def test_gauss_kronrod_rule_nests_the_gauss_rule():
+    # every other Kronrod node is a Gauss-Legendre node, and only those carry Gauss weight
+    x, w = leggauss(core.QUAD_NODES)
+    kron, gauss = core._GK_WEIGHTS
+    assert core._GK_NODES.shape == kron.shape == (2 * core.QUAD_NODES + 1,)
+    assert np.all(np.abs(core._GK_NODES[1::2] - x) <= 2 * np.spacing(np.abs(x)))
+    assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 2 * core.QUAD_NODES + 1, 2))
+    np.testing.assert_allclose(gauss[1::2], w, rtol=1e-13)
+
+
+def test_gauss_kronrod_rule_is_positive_and_symmetric():
+    kron, gauss = core._GK_WEIGHTS
+    assert np.all(np.diff(core._GK_NODES) > 0)
+    assert -1.0 < core._GK_NODES[0] and core._GK_NODES[-1] < 1.0
+    assert np.array_equal(core._GK_NODES[::-1], -core._GK_NODES)
+    assert np.array_equal(core._GK_WEIGHTS[:, ::-1], core._GK_WEIGHTS)
+    assert np.all(kron > 0) and np.all(gauss[1::2] > 0)
+
+
+def test_integrate_segment_converges_on_a_kink_only_by_doubling():
+    # |t - c| has a kink inside a panel at every panel count, so G and K agree only once
+    # that panel is narrow enough; K then lands within tol of the exact value
+    c, tol, sizes = 1.0 / 3.0, 1e-8, []
+
+    def f(t):
+        sizes.append(len(t))
+        return np.abs(t - c)
+
+    val = integrate_segment(f, 0.0, 1.0, tol=tol)
+    assert len(sizes) > 1
+    assert sizes == [(2 * core.QUAD_NODES + 1) * 2 ** k for k in range(len(sizes))]
+    assert abs(val - 0.5 * (c ** 2 + (1.0 - c) ** 2)) <= tol
 
 
 @st.composite
 def polynomial_integrands(draw):
-    """Coefficients c[j, ...] of t^j, degree <= 63, on a subinterval of [-1, 1]."""
-    degree = draw(st.integers(0, 63))
+    """Coefficients c[j, ...] of t^j, degree <= 97, on a subinterval of [-1, 1]."""
+    degree = draw(st.integers(0, 97))
     shape = draw(st.sampled_from([(), (3,), (2, 3)]))
     c = draw(hnp.arrays(float, (degree + 1,) + shape, elements=st.floats(-1.0, 1.0)))
     a, b = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
@@ -495,14 +545,21 @@ def polynomial_integrands(draw):
 
 @given(polynomial_integrands())
 def test_integrate_segment_exact_on_polynomials(case):
-    # one 32-node Gauss-Legendre panel integrates degree <= 63 exactly, so the
-    # first doubling agrees and the result is exact up to rounding
+    # one K65 panel integrates degree <= 97 exactly and the embedded G32 misses it
+    # by far less than tol, so the first pass is accepted, exact up to rounding
     c, a, b = case
     powers = np.arange(c.shape[0])
-    val = integrate_segment(lambda t: np.tensordot(t[:, None] ** powers, c, axes=1), a, b)
+    passes = []
+
+    def f(t):
+        passes.append(len(t))
+        return np.tensordot(t[:, None] ** powers, c, axes=1)
+
+    val = integrate_segment(f, a, b)
     exact = np.tensordot((b ** (powers + 1) - a ** (powers + 1)) / (powers + 1), c, axes=1)
+    assert passes == [2 * core.QUAD_NODES + 1]
     assert np.shape(val) == c.shape[1:]
-    # rounding of the node powers, weights and up-to-64-term sums, each term
+    # rounding of the node powers, weights and up-to-98-term sums, each term
     # bounded by |c_j| on [-1, 1]
     tol = 64 * np.finfo(float).eps * (b - a) * np.sum(np.abs(c), axis=0)
     assert np.all(np.abs(val - exact) <= tol)

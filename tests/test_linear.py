@@ -188,31 +188,33 @@ def test_recover_metric_hankel_scalar_oracle():
 
 def test_recover_metric_hankel_one_expm_per_quadrature_pass(monkeypatch):
     import recipkit.linear
-    from recipkit import core
     from recipkit.cli import default_past_inputs
     from recipkit.models import model_registry
 
-    expm_calls = []
-    real_expm, real_panels = recipkit.linear._expm_rows, core.gauss_legendre_panels
-    passes = set()
+    expm_calls, passes = [], []
+    real_expm, real_integrate = recipkit.linear._expm_rows, recipkit.linear.integrate_segment
 
     def counting_expm(S):
         expm_calls.append(np.shape(S))
         return real_expm(S)
 
-    def counting_panels(f, a, b, panels):
-        passes.add((a, b, panels))
-        return real_panels(f, a, b, panels)
+    def counting_integrate(f, *args, **kwargs):
+        # a pass is one call of the integrand that integrate_segment is given
+        def integrand(ts):
+            passes.append(np.shape(ts))
+            return f(ts)
+        return real_integrate(integrand, *args, **kwargs)
 
     monkeypatch.setattr(recipkit.linear, "_expm_rows", counting_expm)
-    monkeypatch.setattr(core, "gauss_legendre_panels", counting_panels)
+    monkeypatch.setattr(recipkit.linear, "integrate_segment", counting_integrate)
     bundle = model_registry()["gyrator"]
     G = recover_metric_hankel(bundle.linear, bundle.sigma, horizon=30.0,
                               past_inputs=default_past_inputs(bundle.linear,
                                                               np.random.default_rng(0)))
     np.testing.assert_allclose(G, bundle.G_lin, atol=1e-8)
-    # reach states and pairings share each pass's stacked propagator
-    assert 0 < len(expm_calls) <= len(passes)
+    # reach states and pairings share each pass's stacked propagator, and the
+    # smooth integrand converges in the first pass
+    assert len(expm_calls) == len(passes) == 1
 
 
 def test_recover_metric_hankel_random_single_input_accuracy():
